@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
+.PHONY: verify build test vet race benchmark-check bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
 
-verify: build test vet race chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
+verify: build test vet race benchmark-check chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,13 @@ vet:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/...
+
+# The wall-clock benchmark is its own module (benchmark/go.mod), so tier-1
+# `go test ./...` does not reach it: vet and test it here against the
+# program as it is now, so a renamed Stats() field or constructor breaks
+# `make verify` instead of the next benchmark run.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Short seeded chaos soak (drop/dup/reorder/jitter + replica crashes +
 # leader kills) under -race; a failure prints the seed and the nemesis

@@ -26,7 +26,8 @@ func main() {
 
 	// v2 construction: functional options on top of the cluster defaults.
 	// WithBatching coalesces concurrent appends into single ordering
-	// requests; a lone append pays at most the 100 µs linger.
+	// requests; a lone append leaves at once (appends combine only behind
+	// batches that are still unacknowledged).
 	client, err := cluster.NewClient(
 		core.WithTimeout(5*time.Second),
 		core.WithBatching(core.DefaultBatchConfig()),

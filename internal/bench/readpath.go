@@ -118,12 +118,13 @@ func runAblateReadPath(cfg RunConfig) (*Report, error) {
 	}, nil
 }
 
-// readPathTuning is clientBatchTuning with a 10x linger. The runs here are
-// functional (modeled time, not wall time), but coalescing happens in real
-// time: on a loaded CI machine a 100 µs linger cuts ragged small batches,
-// which makes the serial mutation share — and so the lane-off/lane-on
-// ratio — noisy across runs. The longer linger makes batches cut on size,
-// not on scheduling luck, in both lane modes alike.
+// readPathTuning is clientBatchTuning with a 10x MaxBatchDelay. The runs
+// here are functional (modeled time, not wall time), but coalescing happens
+// in real time: on a loaded CI machine a 100 µs cap on how long appends are
+// held behind unacknowledged batches cuts ragged small batches, which makes
+// the serial mutation share — and so the lane-off/lane-on ratio — noisy
+// across runs. With the longer cap batches leave on acknowledgements and on
+// size, not on scheduling luck, in both lane modes alike.
 func readPathTuning() core.BatchConfig {
 	t := clientBatchTuning()
 	t.MaxBatchDelay = time.Millisecond

@@ -95,8 +95,9 @@ func runAblateWritePath(cfg RunConfig) (*Report, error) {
 	}
 
 	// Single-writer injected latency: serial vs full. The lane dispatch,
-	// the commit-window wait and the coalescing window must all stay in
-	// the noise for a lone writer.
+	// the group commit and the order coalescer must all stay in the noise
+	// for a lone writer (the last two add no hand-off when nothing is
+	// in flight).
 	latSerial := metrics.NewSeries("1-writer lat serial", "usec")
 	latFull := metrics.NewSeries("1-writer lat full", "usec")
 	for _, mode := range []string{"serial", "full"} {

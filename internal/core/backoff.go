@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"time"
 )
 
@@ -23,9 +23,14 @@ type backoff struct {
 // retry interval.
 const backoffCapFactor = 16
 
+// backoffStream is the fixed second word of every backoff's PCG seed.
+const backoffStream = 0x9E3779B97F4A7C15
+
 // newBackoff derives a per-operation backoff from the client's seeded
 // rng: pacing is reproducible for a fixed client seed, yet decorrelated
-// across concurrent operations of the same client.
+// across concurrent operations of the same client. One is made per append
+// batch and per read, so the jitter source is a PCG (two words of state,
+// seeded in O(1)), not math/rand's 607-word lagged-Fibonacci source.
 func (c *Client) newBackoff() *backoff {
 	c.mu.Lock()
 	seed := c.rng.Int63()
@@ -41,7 +46,7 @@ func newBackoff(base time.Duration, seed int64) *backoff {
 		base: base,
 		cap:  backoffCapFactor * base,
 		env:  base,
-		rng:  rand.New(rand.NewSource(seed)),
+		rng:  rand.New(rand.NewPCG(uint64(seed), backoffStream)),
 	}
 }
 
@@ -49,7 +54,7 @@ func newBackoff(base time.Duration, seed int64) *backoff {
 // envelope for the attempt after it.
 func (b *backoff) next() time.Duration {
 	floor := b.base / 2
-	wait := floor + time.Duration(b.rng.Int63n(int64(b.env-floor)+1))
+	wait := floor + time.Duration(b.rng.Int64N(int64(b.env-floor)+1))
 	if b.env < b.cap {
 		b.env *= 2
 		if b.env > b.cap {

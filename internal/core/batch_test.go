@@ -93,50 +93,164 @@ func TestBatchedAppendLinearizable(t *testing.T) {
 	}
 }
 
-// TestBatchLingerFlush checks the linger timer: a lone append under a
-// generous record limit must not wait for company forever — it flushes as
-// one single-set batch once MaxBatchDelay elapses.
-func TestBatchLingerFlush(t *testing.T) {
+// never is a MaxBatchDelay no test outlives: a batch that leaves under it
+// left because the policy released it, not because a timer fired.
+const never = time.Hour
+
+// eventually polls cond until it holds; the deadline only turns a hang
+// into a failure, no assertion depends on how long anything took.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// queuedAppends counts the record sets waiting in c's batchers.
+func queuedAppends(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, b := range c.batchers {
+		b.mu.Lock()
+		n += len(b.queue)
+		b.mu.Unlock()
+	}
+	return n
+}
+
+// heldBatch is one batch kept in flight: a replica of the (only) shard is
+// cut off, so the batch cannot collect every ack until release rejoins it
+// and the client's re-broadcast gets through.
+type heldBatch struct {
+	fut     *AppendFuture
+	release func()
+}
+
+func holdBatch(t *testing.T, cl *Cluster, c *Client) heldBatch {
+	t.Helper()
+	shards := cl.Topology().ShardsInRegion(types.MasterColor)
+	if len(shards) != 1 {
+		t.Fatalf("want 1 shard, have %d", len(shards))
+	}
+	cut := shards[0].Replicas[0]
+	cl.Network().Isolate(cut)
+	before := c.Metrics().Batches.Count()
+	fut := c.AsyncAppend([][]byte{[]byte("held")}, types.MasterColor)
+	eventually(t, "the first batch to be broadcast", func() bool { return c.Metrics().Batches.Count() == before+1 })
+	return heldBatch{fut: fut, release: func() { cl.Network().Rejoin(cut) }}
+}
+
+func waitSN(t *testing.T, f *AppendFuture) types.SN {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sn, err := f.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
+// TestBatchIdleSendsAtOnce checks the idle half of the policy: with no
+// batch unacknowledged a lone append is broadcast on its own, whatever
+// MaxBatchDelay says — no timer is involved.
+func TestBatchIdleSendsAtOnce(t *testing.T) {
 	cl, err := SimpleCluster(TestClusterConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	const linger = 10 * time.Millisecond
 	c := batchedClient(t, cl, WithBatching(BatchConfig{
 		MaxBatchRecords: 1 << 20,
 		MaxBatchBytes:   1 << 30,
-		MaxBatchDelay:   linger,
+		MaxBatchDelay:   never,
 		MaxInFlight:     1,
 	}))
-
-	start := time.Now()
-	sn, err := c.AppendCtx(context.Background(), [][]byte{[]byte("lonely")}, types.MasterColor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if !sn.Valid() {
-		t.Fatalf("invalid SN %v", sn)
-	}
-	// The single record must have waited out (most of) the linger — if it
-	// flushed immediately the timer is not being honored. Allow half to
-	// absorb coarse timers.
-	if elapsed < linger/2 {
-		t.Errorf("append completed in %v, expected to linger ~%v", elapsed, linger)
-	}
-	if got := c.Metrics().Batches.Count(); got != 1 {
-		t.Errorf("Batches = %d, want 1", got)
+	for i := 1; i <= 3; i++ {
+		if sn := waitSN(t, c.AsyncAppend([][]byte{[]byte("lonely")}, types.MasterColor)); !sn.Valid() {
+			t.Fatalf("invalid SN %v", sn)
+		}
+		if got := c.Metrics().Batches.Count(); got != uint64(i) {
+			t.Errorf("Batches = %d after %d lone appends", got, i)
+		}
 	}
 	if got := c.Metrics().BatchRecords.MaxValue(); got != 1 {
-		t.Errorf("batch carried %d records, want 1", got)
+		t.Errorf("a batch carried %d records, want 1", got)
 	}
 }
 
-// TestBatchSizeCutoff checks the size bounds: a full batch flushes
-// immediately without waiting out an (here: very long) linger, and the
-// byte bound keeps any one batch under MaxBatchBytes when the queued sets
-// allow a split.
+// TestBatchCombinesBehindUnackedBatch checks the busy half: appends that
+// arrive behind an unacknowledged batch are held (MaxBatchDelay never
+// expires here) and leave as ONE batch when it is acknowledged.
+func TestBatchCombinesBehindUnackedBatch(t *testing.T) {
+	cl, err := SimpleCluster(TestClusterConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	c := batchedClient(t, cl, WithRetryInterval(2*time.Millisecond), WithBatching(BatchConfig{
+		MaxBatchRecords: 1 << 20,
+		MaxBatchBytes:   1 << 30,
+		MaxBatchDelay:   never,
+		MaxInFlight:     4,
+	}))
+	held := holdBatch(t, cl, c)
+	var futs []*AppendFuture
+	for i := 0; i < 3; i++ {
+		futs = append(futs, c.AsyncAppend([][]byte{fmt.Appendf(nil, "behind-%d", i)}, types.MasterColor))
+	}
+	if got := c.Metrics().Batches.Count(); got != 1 {
+		t.Fatalf("Batches = %d with the first batch unacknowledged, want 1", got)
+	}
+	held.release()
+	first := waitSN(t, held.fut)
+	for i, f := range futs {
+		if sn := waitSN(t, f); sn != first+types.SN(i+1) {
+			t.Errorf("append %d behind the held batch got %v, want %v", i, sn, first+types.SN(i+1))
+		}
+	}
+	m := c.Metrics()
+	if m.Batches.Count() != 2 || m.BatchRecords.MaxValue() != 3 || m.BatchedAppends.Count() != 4 {
+		t.Errorf("batches = %d, largest = %d records, appends = %d; want 2, 3, 4",
+			m.Batches.Count(), m.BatchRecords.MaxValue(), m.BatchedAppends.Count())
+	}
+}
+
+// TestBatchDelayCapsTheHold checks that MaxBatchDelay is a cap: appends
+// held behind a batch that is never acknowledged leave anyway once the
+// oldest has waited that long.
+func TestBatchDelayCapsTheHold(t *testing.T) {
+	cl, err := SimpleCluster(TestClusterConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	c := batchedClient(t, cl, WithRetryInterval(2*time.Millisecond), WithBatching(BatchConfig{
+		MaxBatchRecords: 1 << 20,
+		MaxBatchDelay:   time.Millisecond,
+		MaxInFlight:     4,
+	}))
+	held := holdBatch(t, cl, c)
+	fut := c.AsyncAppend([][]byte{[]byte("capped")}, types.MasterColor)
+	eventually(t, "the held append to leave at the cap", func() bool { return c.Metrics().Batches.Count() == 2 })
+	select {
+	case <-held.fut.Done():
+		t.Fatal("the first batch completed with a replica cut off")
+	default:
+	}
+	held.release()
+	waitSN(t, held.fut)
+	waitSN(t, fut)
+}
+
+// TestBatchSizeCutoff checks the size bounds: behind an unacknowledged
+// batch a queue that fills a batch leaves at once (MaxBatchDelay never
+// expires here), and the bounds keep any one batch under MaxBatchRecords /
+// MaxBatchBytes when the queued sets allow a split.
 func TestBatchSizeCutoff(t *testing.T) {
 	cl, err := SimpleCluster(TestClusterConfig(), 1)
 	if err != nil {
@@ -144,36 +258,28 @@ func TestBatchSizeCutoff(t *testing.T) {
 	}
 	t.Cleanup(cl.Stop)
 	const maxBytes = 4 << 10
-	c := batchedClient(t, cl, WithBatching(BatchConfig{
+	c := batchedClient(t, cl, WithRetryInterval(2*time.Millisecond), WithBatching(BatchConfig{
 		MaxBatchRecords: 4,
 		MaxBatchBytes:   maxBytes,
-		MaxBatchDelay:   time.Second, // must never be waited out
+		MaxBatchDelay:   never,
 		MaxInFlight:     4,
 	}))
+	held := holdBatch(t, cl, c)
 
-	// Record-count cutoff: 4 records fill the batch; the append must
-	// complete far sooner than the 1 s linger.
-	start := time.Now()
-	if _, err := c.AppendCtx(context.Background(),
-		[][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}, types.MasterColor); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Errorf("full batch took %v, expected immediate flush", elapsed)
-	}
+	// Record-count cutoff: 4 records fill the batch.
+	full := c.AsyncAppend([][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}, types.MasterColor)
+	eventually(t, "the full batch to leave unacknowledged", func() bool { return c.Metrics().Batches.Count() == 2 })
 
-	// Byte cutoff: one oversized set still flushes immediately (it is
-	// never split), and the size histogram records it.
-	big := bytes.Repeat([]byte("x"), maxBytes+1)
-	start = time.Now()
-	if _, err := c.AppendCtx(context.Background(), [][]byte{big}, types.MasterColor); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Errorf("oversized batch took %v, expected immediate flush", elapsed)
-	}
+	// Byte cutoff: one oversized set is a full batch too (it is never
+	// split), and the size histogram records it.
+	big := c.AsyncAppend([][]byte{bytes.Repeat([]byte("x"), maxBytes+1)}, types.MasterColor)
+	eventually(t, "the oversized batch to leave unacknowledged", func() bool { return c.Metrics().Batches.Count() == 3 })
 	if got := c.Metrics().BatchBytes.MaxValue(); got < maxBytes {
 		t.Errorf("BatchBytes max = %d, want >= %d", got, maxBytes)
+	}
+	held.release()
+	for _, f := range []*AppendFuture{held.fut, full, big} {
+		waitSN(t, f)
 	}
 
 	// Concurrent small sets must split into multiple batches rather than
@@ -202,34 +308,54 @@ func TestBatchSizeCutoff(t *testing.T) {
 	}
 }
 
-// TestBatchedAppendCtxCancel checks that a context deadline releases the
-// caller promptly even while its batch lingers: Wait returns the context
-// error wrapped in *OpError.
+// TestBatchedAppendCtxCancel checks that cancellation releases exactly
+// the caller that cancelled, with the context error wrapped in *OpError,
+// while its record set stays queued: a neighbour queued in the same batch
+// is unaffected, and both records commit once the batch leaves.
 func TestBatchedAppendCtxCancel(t *testing.T) {
 	cl, err := SimpleCluster(TestClusterConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	c := batchedClient(t, cl, WithBatching(BatchConfig{
+	c := batchedClient(t, cl, WithRetryInterval(2*time.Millisecond), WithBatching(BatchConfig{
 		MaxBatchRecords: 1 << 20,
-		MaxBatchDelay:   time.Second, // far beyond the ctx deadline
-		MaxInFlight:     1,
+		MaxBatchDelay:   never,
+		MaxInFlight:     4,
 	}))
+	held := holdBatch(t, cl, c)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = c.AppendCtx(ctx, [][]byte{[]byte("doomed")}, types.MasterColor)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := c.AppendCtx(ctx, [][]byte{[]byte("doomed")}, types.MasterColor)
+		errCh <- err
+	}()
+	eventually(t, "the doomed append to queue", func() bool { return queuedAppends(c) == 1 })
+	neighbour := c.AsyncAppend([][]byte{[]byte("neighbour")}, types.MasterColor)
+	cancel()
+	err = <-errCh
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	var oe *OpError
 	if !errors.As(err, &oe) || oe.Op != "append" {
 		t.Fatalf("err = %#v, want *OpError{Op: append}", err)
 	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Errorf("cancellation took %v, want ~20ms", elapsed)
+	select {
+	case <-neighbour.Done():
+		t.Fatal("a neighbour's future resolved on someone else's cancellation")
+	default:
+	}
+
+	// Cancellation abandons the wait, not the append.
+	held.release()
+	first := waitSN(t, held.fut)
+	if sn := waitSN(t, neighbour); sn != first+2 {
+		t.Errorf("neighbour got %v, want %v (behind the cancelled caller's record)", sn, first+2)
+	}
+	if got, err := c.Read(first+1, types.MasterColor); err != nil || string(got) != "doomed" {
+		t.Errorf("cancelled caller's record: %q, %v; want it committed", got, err)
 	}
 }
 
@@ -354,8 +480,9 @@ func TestBatchShardCrashFailsEveryCaller(t *testing.T) {
 	}
 }
 
-// TestBatchedClientClose checks shutdown: queued batched appends fail with
-// ErrClosed instead of hanging.
+// TestBatchedClientClose checks shutdown: the batch in flight and every
+// append queued behind it fail with ErrClosed, each caller individually,
+// instead of hanging.
 func TestBatchedClientClose(t *testing.T) {
 	cl, err := SimpleCluster(TestClusterConfig(), 1)
 	if err != nil {
@@ -364,19 +491,24 @@ func TestBatchedClientClose(t *testing.T) {
 	t.Cleanup(cl.Stop)
 	c := batchedClient(t, cl, WithBatching(BatchConfig{
 		MaxBatchRecords: 1 << 20,
-		MaxBatchDelay:   time.Minute, // queue until Close
-		MaxInFlight:     1,
+		MaxBatchDelay:   never,
+		MaxInFlight:     4,
 	}))
-
-	fut := c.AsyncAppend([][]byte{[]byte("stranded")}, types.MasterColor)
-	time.Sleep(5 * time.Millisecond) // let the batcher pick the set up
+	futs := []*AppendFuture{holdBatch(t, cl, c).fut}
+	for i := 0; i < 3; i++ {
+		futs = append(futs, c.AsyncAppend([][]byte{[]byte("stranded")}, types.MasterColor))
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if _, err := fut.Wait(waitCtx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	for i, f := range futs {
+		waitCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, err := f.Wait(waitCtx)
+		cancel()
+		var oe *OpError
+		if !errors.Is(err, ErrClosed) || !errors.As(err, &oe) {
+			t.Fatalf("caller %d: err = %v, want *OpError wrapping ErrClosed", i, err)
+		}
 	}
 	if _, err := c.AppendCtx(context.Background(), [][]byte{[]byte("late")}, types.MasterColor); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: err = %v, want ErrClosed", err)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -16,8 +15,12 @@ import (
 // This file implements the client-side append batching & pipelining layer:
 // a per-(color, shard) batcher goroutine coalesces concurrent Append calls
 // into a single ordering request + data RPC (proto.AppendBatchReq), bounded
-// by MaxBatchRecords / MaxBatchBytes and a MaxBatchDelay linger timer, with
-// MaxInFlight batches pipelined per shard. Because a batch is persisted and
+// by MaxBatchRecords / MaxBatchBytes, with MaxInFlight batches pipelined
+// per shard. It batches because the shard is busy, never because a timer
+// says so (Nagle's rule with MaxInFlight as the window): with nothing
+// unacknowledged the queue leaves at once; behind unacknowledged batches
+// it is held until they are all acknowledged, it fills a batch, or its
+// oldest record has waited MaxBatchDelay. Because a batch is persisted and
 // ordered as one unit, its records occupy one consecutive SN range in
 // enqueue order, so per-caller completion is demultiplexed from the last
 // SN alone — no per-record acks on the wire.
@@ -70,7 +73,7 @@ type ClientMetrics struct {
 	BatchRecords *metrics.Histogram
 	BatchBytes   *metrics.Histogram
 	// QueueDelay is the time the oldest record of each batch spent queued
-	// before its flush (the realized linger).
+	// before its flush.
 	QueueDelay *metrics.Histogram
 	// Batches and BatchedAppends count flushed batches and the records
 	// they carried.
@@ -117,9 +120,11 @@ type shardBatcher struct {
 	queue       []*pendingAppend
 	queuedRecs  int
 	queuedBytes int
+	inFlight    int // unacknowledged batches, at most MaxInFlight
 
-	wake  chan struct{} // signalled (non-blocking) on enqueue
-	slots chan struct{} // pipelining: MaxInFlight unacknowledged batches
+	// wake is signalled (non-blocking) when the answer of releaseLocked may
+	// have changed: on enqueue, and when a batch leaves flight.
+	wake chan struct{}
 }
 
 func newShardBatcher(c *Client, color types.ColorID, shard topology.ShardInfo, cfg BatchConfig) *shardBatcher {
@@ -129,7 +134,6 @@ func newShardBatcher(c *Client, color types.ColorID, shard topology.ShardInfo, c
 		shard: shard,
 		cfg:   cfg,
 		wake:  make(chan struct{}, 1),
-		slots: make(chan struct{}, cfg.MaxInFlight),
 	}
 }
 
@@ -168,127 +172,78 @@ func (b *shardBatcher) enqueue(records [][]byte) *AppendFuture {
 	b.queuedRecs += len(records)
 	b.queuedBytes += n
 	b.mu.Unlock()
+	b.signal()
+	return fut
+}
+
+func (b *shardBatcher) signal() {
 	select {
 	case b.wake <- struct{}{}:
 	default:
 	}
-	return fut
 }
 
-// run is the batcher goroutine: wait for work, linger, cut a batch,
-// acquire a pipeline slot, flush. The first broadcast happens inline so
-// batches reach the replicas in flush order (FIFO links then keep the
-// sequencer's SN ranges in that order on the happy path).
+// run is the batcher goroutine, the only sender: it cuts and broadcasts
+// every batch the policy releases and otherwise sleeps until an append, an
+// acknowledgement or the oldest record's MaxBatchDelay changes the answer.
+// The first broadcast happens inline so batches reach the replicas in
+// flush order (FIFO links then keep the sequencer's SN ranges in that
+// order on the happy path). Appends enqueued while it wakes up or sends
+// ride in the next cut, so a burst leaves as one batch without any linger.
 func (b *shardBatcher) run() {
-	for {
-		if !b.waitForWork() {
-			return
-		}
-		if !b.linger() {
-			return
-		}
-		items, recs, bytes := b.cut()
-		if len(items) == 0 {
-			continue
-		}
-		select {
-		case b.slots <- struct{}{}:
-		case <-b.c.closedCh:
-			b.fail(items, ErrClosed)
-			b.drain()
-			return
-		}
-		b.flush(items, recs, bytes)
-	}
-}
-
-// waitForWork blocks until the queue is non-empty; false means shutdown.
-func (b *shardBatcher) waitForWork() bool {
+	held := time.NewTimer(time.Hour) // the MaxBatchDelay cap on a held queue
+	defer held.Stop()
 	for {
 		b.mu.Lock()
-		n := len(b.queue)
+		send, wait := b.releaseLocked()
+		var items []*pendingAppend
+		var recs, bytes int
+		if send {
+			items, recs, bytes = b.cutLocked()
+			b.inFlight++
+		}
 		b.mu.Unlock()
-		if n > 0 {
-			return true
+		if send {
+			b.flush(items, recs, bytes)
+			continue
+		}
+		var capC <-chan time.Time // a stale tick only costs one more pass
+		if wait > 0 {
+			held.Reset(wait)
+			capC = held.C
 		}
 		select {
 		case <-b.wake:
+		case <-capC:
 		case <-b.c.closedCh:
 			b.drain()
-			return false
+			return
 		}
 	}
 }
 
-// full reports whether the queued work already fills a batch.
-func (b *shardBatcher) fullLocked() bool {
-	return b.queuedRecs >= b.cfg.MaxBatchRecords || b.queuedBytes >= b.cfg.MaxBatchBytes
+// releaseLocked applies the batching policy to the queue. send reports
+// that a batch may leave now; otherwise wait, when positive, is how long
+// until the oldest record's MaxBatchDelay releases it (zero: only an
+// append or an acknowledgement can).
+func (b *shardBatcher) releaseLocked() (send bool, wait time.Duration) {
+	switch {
+	case len(b.queue) == 0 || b.inFlight >= b.cfg.MaxInFlight:
+		return false, 0
+	case b.inFlight == 0 || b.cfg.MaxBatchDelay <= 0:
+		return true, 0
+	case b.queuedRecs >= b.cfg.MaxBatchRecords || b.queuedBytes >= b.cfg.MaxBatchBytes:
+		return true, 0
+	}
+	wait = time.Until(b.queue[0].enqueued.Add(b.cfg.MaxBatchDelay))
+	return wait <= 0, wait
 }
 
-// lingerTimerSlack is how late OS timers may fire (coarse-HZ hosts: up to
-// ~2 ms). The linger blocks on a timer only while more than this remains
-// and polls the fine-grained tail, so sub-millisecond lingers — the
-// batching sweet spot — are honored accurately (same tradeoff as
-// simclock.Spin).
-const lingerTimerSlack = 2 * time.Millisecond
-
-// linger waits until the batch fills or the oldest record's linger
-// deadline passes; false means shutdown.
-func (b *shardBatcher) linger() bool {
-	b.mu.Lock()
-	if len(b.queue) == 0 {
-		b.mu.Unlock()
-		return true
-	}
-	full := b.fullLocked()
-	deadline := b.queue[0].enqueued.Add(b.cfg.MaxBatchDelay)
-	b.mu.Unlock()
-	if full || b.cfg.MaxBatchDelay <= 0 {
-		return true
-	}
-	for !full {
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			return true
-		}
-		if rem > lingerTimerSlack {
-			timer := time.NewTimer(rem - lingerTimerSlack)
-			select {
-			case <-timer.C:
-			case <-b.wake:
-			case <-b.c.closedCh:
-				timer.Stop()
-				b.drain()
-				return false
-			}
-			timer.Stop()
-		} else {
-			// Fine-grained tail: poll so the flush lands on the deadline
-			// rather than a timer tick.
-			select {
-			case <-b.wake:
-			case <-b.c.closedCh:
-				b.drain()
-				return false
-			default:
-				runtime.Gosched()
-				continue // no wake consumed — fullness unchanged
-			}
-		}
-		b.mu.Lock()
-		full = b.fullLocked()
-		b.mu.Unlock()
-	}
-	return true
-}
-
-// cut takes whole record sets off the queue head until the next set would
+// cutLocked takes whole record sets off the queue head until the next set would
 // overflow the batch bounds. A single oversized set forms its own batch —
 // a caller's records are never split across ordering requests (they must
 // receive one consecutive SN range).
-func (b *shardBatcher) cut() (items []*pendingAppend, recs, bytes int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+func (b *shardBatcher) cutLocked() (items []*pendingAppend, recs, bytes int) {
 	i := 0
 	for ; i < len(b.queue); i++ {
 		it := b.queue[i]
@@ -322,7 +277,7 @@ func (b *shardBatcher) flush(items []*pendingAppend, recs, bytes int) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		<-b.slots
+		b.landed()
 		b.fail(items, ErrClosed)
 		return
 	}
@@ -351,7 +306,7 @@ func (b *shardBatcher) await(token types.Token, w *appendWait, req proto.AppendB
 		c.mu.Lock()
 		delete(c.appends, token)
 		c.mu.Unlock()
-		<-b.slots
+		b.landed()
 	}()
 	deadline := time.Now().Add(c.cfg.Timeout)
 	bo := c.newBackoff()
@@ -406,6 +361,19 @@ func (b *shardBatcher) await(token types.Token, w *appendWait, req proto.AppendB
 			b.fail(items, ErrClosed)
 			return
 		}
+	}
+}
+
+// landed takes one batch out of flight and, if appends queued behind it,
+// tells the batcher goroutine, which releases them once nothing else is in
+// flight (or already may: the window just reopened).
+func (b *shardBatcher) landed() {
+	b.mu.Lock()
+	b.inFlight--
+	held := len(b.queue) > 0
+	b.mu.Unlock()
+	if held {
+		b.signal()
 	}
 }
 

@@ -60,10 +60,9 @@ type ClusterConfig struct {
 	// GroupCommit enables the storage layer's PM group-commit engine:
 	// concurrent persistence waits fold into shared transactions.
 	GroupCommit bool
-	// OrderCoalesce batches each replica's order requests per color for
-	// OrderBatchInterval before shipping them as one OrderReqBatch.
-	OrderCoalesce      bool
-	OrderBatchInterval time.Duration
+	// OrderCoalesce lets each replica ship the order requests that queue
+	// up behind one being sent as one OrderReqBatch per color.
+	OrderCoalesce bool
 	// ClientTimeout bounds client operations.
 	ClientTimeout time.Duration
 	// ClientBatch, when non-zero, enables the append batching & pipelining
@@ -129,7 +128,6 @@ func BenchClusterConfig() ClusterConfig {
 	cfg.SeqWorkers = 16
 	cfg.GroupCommit = true
 	cfg.OrderCoalesce = true
-	cfg.OrderBatchInterval = time.Microsecond // match the sequencer window (§9.1)
 	return cfg
 }
 
@@ -270,7 +268,6 @@ func (cl *Cluster) buildReplica(id types.NodeID, shardID types.ShardID) (*replic
 	rcfg.ReadWorkers = cl.cfg.ReadWorkers
 	rcfg.WriteWorkers = cl.cfg.WriteWorkers
 	rcfg.OrderCoalesce = cl.cfg.OrderCoalesce
-	rcfg.OrderBatchInterval = cl.cfg.OrderBatchInterval
 	rcfg.HeartbeatInterval = cl.cfg.HeartbeatInterval
 	rcfg.RetryTimeout = cl.cfg.RetryTimeout
 	rcfg.Obs = cl.cfg.Obs

@@ -19,17 +19,22 @@ type BatchConfig struct {
 	MaxBatchRecords int
 	// MaxBatchBytes flushes a batch once its payload reaches this size.
 	MaxBatchBytes int
-	// MaxBatchDelay is the linger: how long the first record of a batch
-	// waits for company before the batch is flushed anyway. It bounds the
-	// latency cost of batching for idle clients.
+	// MaxBatchDelay is a cap, not a delay: appends leave at once while no
+	// batch of their (color, shard) is unacknowledged, and behind
+	// unacknowledged batches they leave when the last of those is
+	// acknowledged or when they fill a batch. MaxBatchDelay bounds how long
+	// the oldest of them is held back for that (timer granularity; 0 never
+	// holds).
 	MaxBatchDelay time.Duration
 	// MaxInFlight is the number of unacknowledged batches pipelined per
-	// (color, shard) before the batcher applies backpressure.
+	// (color, shard) before the batcher applies backpressure — the window
+	// behind which appends combine.
 	MaxInFlight int
 }
 
 // DefaultBatchConfig returns the tuning used by the benchmark harness:
-// device-friendly batches with a 100 µs linger, four batches in flight.
+// device-friendly batches, four batches in flight, appends held behind
+// them for at most 100 µs.
 func DefaultBatchConfig() BatchConfig {
 	return BatchConfig{
 		MaxBatchRecords: 64,

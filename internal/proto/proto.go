@@ -233,7 +233,7 @@ type OrderItem struct {
 }
 
 // OrderReqBatch carries the order requests a replica accumulated for one
-// color within its coalescing window — the replica→leaf edge batches the
+// color while an earlier send was in progress — the replica→leaf edge batches the
 // same way the sequencer tree already aggregates upward (§5.2). All items
 // share the color and the shard membership.
 type OrderReqBatch struct {

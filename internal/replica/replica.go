@@ -89,13 +89,11 @@ type Config struct {
 	// to a worker by color (FIFO within a color, parallel across colors).
 	// 0 keeps all mutations on the serialized delivery loop.
 	WriteWorkers int
-	// OrderCoalesce batches order requests per color for
-	// OrderBatchInterval before shipping them to the leaf sequencer as one
-	// OrderReqBatch (the replica-edge analogue of §5.2 aggregation).
+	// OrderCoalesce ships the order requests that queue up while one is
+	// being sent to the leaf sequencer as one OrderReqBatch per color (the
+	// replica-edge analogue of §5.2 aggregation); an idle replica still
+	// sends each request at once.
 	OrderCoalesce bool
-	// OrderBatchInterval is the coalescing window; 0 still batches
-	// whatever accumulated while the flusher was busy.
-	OrderBatchInterval time.Duration
 	// EarlyBound caps the buffer of OrderResps that arrive before their
 	// AppendReq; 0 uses a large default. Tests shrink it to exercise
 	// eviction.
@@ -133,13 +131,12 @@ type Config struct {
 // DefaultConfig returns test-friendly timing parameters.
 func DefaultConfig() Config {
 	return Config{
-		Store:              storage.TestConfig(),
-		ReadHoldTimeout:    time.Millisecond,
-		ReadWorkers:        4,
-		WriteWorkers:       4,
-		OrderBatchInterval: 5 * time.Microsecond,
-		HeartbeatInterval:  5 * time.Millisecond,
-		RetryTimeout:       30 * time.Millisecond,
+		Store:             storage.TestConfig(),
+		ReadHoldTimeout:   time.Millisecond,
+		ReadWorkers:       4,
+		WriteWorkers:      4,
+		HeartbeatInterval: 5 * time.Millisecond,
+		RetryTimeout:      30 * time.Millisecond,
 	}
 }
 
@@ -299,6 +296,7 @@ type Replica struct {
 	replays    map[types.Token]*replayWait
 	early      map[types.Token]proto.OrderResp // OResps that beat the AppendReq
 	earlyOrder []types.Token                   // insertion order of early entries (oldest first)
+	lastBeat   time.Time                       // last ReplicaHeartbeat sent (timer goroutine only)
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	wg         sync.WaitGroup
@@ -381,7 +379,7 @@ func newReplica(cfg Config, st *storage.Store) *Replica {
 	r.admit = qos.NewAdmission(cfg.Tenants)
 	r.initObs()
 	if cfg.OrderCoalesce {
-		r.coal = newOrderCoalescer(r)
+		r.coal = &orderCoalescer{r: r}
 	}
 	if sh, err := cfg.Topo.Shard(cfg.Shard); err == nil {
 		if si, err := cfg.Topo.Sequencer(sh.Leaf); err == nil {
@@ -394,10 +392,6 @@ func newReplica(cfg Config, st *storage.Store) *Replica {
 func (r *Replica) start() {
 	r.wg.Add(1)
 	go r.timerLoop()
-	if r.coal != nil {
-		r.wg.Add(1)
-		go r.coal.loop()
-	}
 }
 
 // ID returns this replica's node id.
@@ -594,7 +588,7 @@ func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.T
 		// Retried append still awaiting its SN: remember the (possibly
 		// additional) client and re-drive the order request.
 		po.clients[client] = true
-		po.sentAt = time.Time{} // force re-send on next tick
+		po.sentAt = time.Now() // re-driven here; the retry timer counts from now
 		r.mu.Unlock()
 		r.sendOrderReq(token, color, uint32(len(records)))
 		return
@@ -679,27 +673,39 @@ func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.T
 }
 
 // sendOrderReq issues the round-2 order request to the leaf sequencer,
-// either directly or through the per-color coalescer.
+// either directly or through the coalescer.
 func (r *Replica) sendOrderReq(token types.Token, color types.ColorID, n uint32) {
+	it := proto.OrderItem{Token: token, NRecords: n}
 	if r.coal != nil {
-		r.coal.enqueue(color, proto.OrderItem{Token: token, NRecords: n})
+		r.coal.enqueue(color, it)
 		return
 	}
+	r.sendOrderItems(color, []proto.OrderItem{it})
+}
+
+// sendOrderItems ships one color's order requests to the leaf sequencer as
+// one frame.
+func (r *Replica) sendOrderItems(color types.ColorID, items []proto.OrderItem) {
 	sh, err := r.topo.Shard(r.cfg.Shard)
 	if err != nil {
-		// Dropped here means the append stalls until the retry timer; count
-		// it instead of failing silently.
-		r.stats.oreqDrops.Add(1)
+		// The topology cannot name our shard: the appends stall until the
+		// pending-order retry timer re-drives them; count it instead of
+		// failing silently.
+		r.stats.oreqDrops.Add(uint64(len(items)))
 		return
 	}
-	req := proto.OrderReq{
-		Color:    color,
-		Token:    token,
-		NRecords: n,
-		Shard:    r.cfg.Shard,
-		Replicas: r.orderReplicas(sh.Replicas),
+	replicas := r.orderReplicas(sh.Replicas)
+	if len(items) == 1 {
+		// Single request: keep the compact frame.
+		r.ep.Send(r.sequencer(), proto.OrderReq{
+			Color: color, Token: items[0].Token, NRecords: items[0].NRecords,
+			Shard: r.cfg.Shard, Replicas: replicas,
+		})
+		return
 	}
-	r.ep.Send(r.sequencer(), req)
+	r.ep.Send(r.sequencer(), proto.OrderReqBatch{
+		Color: color, Shard: r.cfg.Shard, Replicas: replicas, Items: items,
+	})
 }
 
 func (r *Replica) onOrderResp(m proto.OrderResp) {
@@ -886,12 +892,8 @@ func (r *Replica) finishTrim(id uint64) {
 
 func (r *Replica) timerLoop() {
 	defer r.wg.Done()
-	interval := r.cfg.HeartbeatInterval
-	if interval <= 0 {
-		interval = 5 * time.Millisecond
-	}
-	hold := r.cfg.ReadHoldTimeout
-	if hold > 0 && hold < interval {
+	interval := r.heartbeatInterval()
+	if hold := r.cfg.ReadHoldTimeout; hold > 0 && hold < interval {
 		interval = hold
 	}
 	t := time.NewTicker(interval)
@@ -901,21 +903,38 @@ func (r *Replica) timerLoop() {
 		case <-r.stopCh:
 			return
 		case now := <-t.C:
-			switch r.mode.load() {
-			case ModeOperational, ModeDraining:
-				// Draining keeps the order-retry and heartbeat machinery
-				// alive so its pending appends flush before Stop.
-				r.expireHeldReads(now)
-				r.retrySyncRuns(now)
-				r.retryPendingOrders(now)
-				r.ep.Send(r.sequencer(), proto.ReplicaHeartbeat{From: r.cfg.ID})
-			case ModeSyncing:
-				r.expireHeldReads(now)
-				r.retrySyncRuns(now)
-			case ModeJoining:
-				r.retryJoin(now)
-			}
+			r.tick(now)
 		}
+	}
+}
+
+func (r *Replica) heartbeatInterval() time.Duration {
+	if r.cfg.HeartbeatInterval > 0 {
+		return r.cfg.HeartbeatInterval
+	}
+	return 5 * time.Millisecond
+}
+
+// tick runs the periodic work due at now. The ticker is as fine as the
+// read-hold timeout so held reads expire on time; the liveness beat keeps
+// its own, coarser HeartbeatInterval. Only the timer goroutine calls tick.
+func (r *Replica) tick(now time.Time) {
+	switch r.mode.load() {
+	case ModeOperational, ModeDraining:
+		// Draining keeps the order-retry and heartbeat machinery alive so
+		// its pending appends flush before Stop.
+		r.expireHeldReads(now)
+		r.retrySyncRuns(now)
+		r.retryPendingOrders(now)
+		if now.Sub(r.lastBeat) >= r.heartbeatInterval() {
+			r.lastBeat = now
+			r.ep.Send(r.sequencer(), proto.ReplicaHeartbeat{From: r.cfg.ID})
+		}
+	case ModeSyncing:
+		r.expireHeldReads(now)
+		r.retrySyncRuns(now)
+	case ModeJoining:
+		r.retryJoin(now)
 	}
 }
 

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -74,109 +73,55 @@ func (r *Replica) onOrderRespBatch(m proto.OrderRespBatch) {
 
 // ---- Order-request coalescing ----
 
-// orderCoalescer accumulates order requests per color for one batching
-// window and ships them as a single OrderReqBatch per color — the
-// replica→leaf edge of the ordering tree batches the same way the tree
-// already aggregates upward (§5.2). With W concurrent writers on one
-// shard, the sequencer edge carries ~2 messages per window instead of ~2W.
+// orderCoalescer batches the replica→leaf edge of the ordering tree the
+// same way the tree aggregates upward (§5.2), and only while that edge is
+// busy: the caller that finds no send running sends its own request at
+// once, inline, and then ships — one OrderReqBatch per color — whatever
+// queued behind it while it was in the socket. An idle replica pays no
+// window; W concurrent writers share ~2 messages per send instead of ~2W.
 type orderCoalescer struct {
 	r *Replica
 
-	mu      sync.Mutex
-	byColor map[types.ColorID][]proto.OrderItem
-	order   []types.ColorID // flush in first-arrival order
-
-	kick chan struct{}
+	mu       sync.Mutex
+	pending  []colorItems // queued behind the running send, first-arrival order
+	flushing bool         // a caller is sending; it takes pending with it
 }
 
-func newOrderCoalescer(r *Replica) *orderCoalescer {
-	return &orderCoalescer{
-		r:       r,
-		byColor: make(map[types.ColorID][]proto.OrderItem),
-		kick:    make(chan struct{}, 1),
-	}
+// colorItems is one color's queued order requests.
+type colorItems struct {
+	color types.ColorID
+	items []proto.OrderItem
 }
 
-// enqueue adds one order request to the color's pending batch and wakes
-// the flusher.
+// enqueue sends one order request now, or leaves it to the caller that is
+// already sending.
 func (c *orderCoalescer) enqueue(color types.ColorID, it proto.OrderItem) {
 	c.mu.Lock()
-	q, ok := c.byColor[color]
-	if !ok {
-		c.order = append(c.order, color)
-	}
-	c.byColor[color] = append(q, it)
-	c.mu.Unlock()
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-}
-
-// loop mirrors the sequencer's flusher: each kick opens one batching
-// window (Config.OrderBatchInterval), then everything pending flushes.
-func (c *orderCoalescer) loop() {
-	defer c.r.wg.Done()
-	window := c.r.cfg.OrderBatchInterval
-	for {
-		select {
-		case <-c.r.stopCh:
-			return
-		case <-c.kick:
+	if c.flushing {
+		i := 0
+		for i < len(c.pending) && c.pending[i].color != color {
+			i++
 		}
-		if window > 0 {
-			if window >= time.Millisecond {
-				time.Sleep(window)
-			} else {
-				start := time.Now()
-				for time.Since(start) < window {
-					runtime.Gosched() // let concurrent appends join the window
-				}
-			}
+		if i == len(c.pending) {
+			c.pending = append(c.pending, colorItems{color: color})
 		}
-		c.flush()
-	}
-}
-
-// flush sends one OrderReqBatch per pending color to the leaf sequencer.
-func (c *orderCoalescer) flush() {
-	c.mu.Lock()
-	if len(c.order) == 0 {
+		c.pending[i].items = append(c.pending[i].items, it)
 		c.mu.Unlock()
 		return
 	}
-	byColor := c.byColor
-	order := c.order
-	c.byColor = make(map[types.ColorID][]proto.OrderItem)
-	c.order = nil
+	c.flushing = true
 	c.mu.Unlock()
-
-	r := c.r
-	sh, err := r.topo.Shard(r.cfg.Shard)
-	if err != nil {
-		// The topology cannot name our shard: the requests are dropped
-		// here and re-driven by the pending-order retry timer.
-		var n uint64
-		for _, items := range byColor {
-			n += uint64(len(items))
+	c.r.sendOrderItems(color, []proto.OrderItem{it})
+	c.mu.Lock()
+	for len(c.pending) > 0 {
+		pending := c.pending
+		c.pending = nil
+		c.mu.Unlock()
+		for _, p := range pending {
+			c.r.sendOrderItems(p.color, p.items)
 		}
-		r.stats.oreqDrops.Add(n)
-		return
+		c.mu.Lock()
 	}
-	seq := r.sequencer()
-	replicas := r.orderReplicas(sh.Replicas)
-	for _, color := range order {
-		items := byColor[color]
-		if len(items) == 1 {
-			// Single request: keep the compact legacy frame.
-			r.ep.Send(seq, proto.OrderReq{
-				Color: color, Token: items[0].Token, NRecords: items[0].NRecords,
-				Shard: r.cfg.Shard, Replicas: replicas,
-			})
-			continue
-		}
-		r.ep.Send(seq, proto.OrderReqBatch{
-			Color: color, Shard: r.cfg.Shard, Replicas: replicas, Items: items,
-		})
-	}
+	c.flushing = false
+	c.mu.Unlock()
 }

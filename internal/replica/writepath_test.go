@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"flexlog/internal/proto"
+	"flexlog/internal/topology"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
@@ -138,5 +139,167 @@ func TestWriteLanePreservesPerColorFIFO(t *testing.T) {
 		if max := r.Store().MaxSN(color); max != types.MakeSN(1, perColor) {
 			t.Fatalf("color %d maxSN = %v", c, max)
 		}
+	}
+}
+
+// recordingEndpoint captures what a replica sends, for tests that drive a
+// replica's handlers and timer by hand.
+type recordingEndpoint struct {
+	mu   sync.Mutex
+	sent []transport.Message
+	// inSend, when set, is called from Send with the message, outside mu.
+	inSend func(transport.Message)
+}
+
+func (e *recordingEndpoint) ID() types.NodeID { return 1 }
+func (e *recordingEndpoint) Close() error     { return nil }
+func (e *recordingEndpoint) Send(_ types.NodeID, msg transport.Message) error {
+	if e.inSend != nil {
+		e.inSend(msg)
+	}
+	e.mu.Lock()
+	e.sent = append(e.sent, msg)
+	e.mu.Unlock()
+	return nil
+}
+func (e *recordingEndpoint) Broadcast(tos []types.NodeID, msg transport.Message) error {
+	for _, to := range tos {
+		e.Send(to, msg)
+	}
+	return nil
+}
+
+// orderItems flattens every order request sent so far into its items.
+func (e *recordingEndpoint) orderItems() (items []proto.OrderItem, frames int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, m := range e.sent {
+		switch m := m.(type) {
+		case proto.OrderReq:
+			items = append(items, proto.OrderItem{Token: m.Token, NRecords: m.NRecords})
+			frames++
+		case proto.OrderReqBatch:
+			items = append(items, m.Items...)
+			frames++
+		}
+	}
+	return items, frames
+}
+
+// steppedReplica is a replica over a recordingEndpoint whose timer loop is
+// not running: the test calls tick with the times it chooses.
+func steppedReplica(t *testing.T, edit func(*Config)) (*Replica, *recordingEndpoint) {
+	t.Helper()
+	topo := topology.New()
+	if err := topo.AddRegion(0, 0, 900, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.AddShard(1, 0, []types.NodeID{1}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.ID, cfg.Shard, cfg.Topo = 1, 1, topo
+	if edit != nil {
+		edit(&cfg)
+	}
+	st, err := buildStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	r := newReplica(cfg, st)
+	ep := &recordingEndpoint{}
+	r.ep = ep
+	r.ready.Store(true)
+	return r, ep
+}
+
+// TestHeartbeatCadence steps the timer through one second of 1 ms ticks
+// (the cadence the read-hold timeout imposes on it): the liveness beat
+// must go out once per HeartbeatInterval, not once per tick.
+func TestHeartbeatCadence(t *testing.T) {
+	r, ep := steppedReplica(t, func(cfg *Config) {
+		cfg.ReadHoldTimeout = time.Millisecond
+		cfg.HeartbeatInterval = 100 * time.Millisecond
+	})
+	start := time.Now()
+	for i := 1; i <= 1000; i++ {
+		r.tick(start.Add(time.Duration(i) * time.Millisecond))
+	}
+	beats := 0
+	for _, m := range ep.sent {
+		if _, ok := m.(proto.ReplicaHeartbeat); ok {
+			beats++
+		}
+	}
+	if beats != 10 {
+		t.Fatalf("%d heartbeats over 1000 ticks of 1 ms at a 100 ms interval, want 10", beats)
+	}
+}
+
+// TestDupAppendRedrivesOnce covers the duplicate-token branch of doAppend:
+// a retried append whose token is still awaiting its SN re-sends the order
+// request once, itself — the next timer tick must not send it again.
+func TestDupAppendRedrivesOnce(t *testing.T) {
+	r, ep := steppedReplica(t, func(cfg *Config) { cfg.RetryTimeout = time.Second })
+	token := types.MakeToken(7, 1)
+	req := proto.AppendReq{Color: 0, Token: token, Records: [][]byte{[]byte("x")}, Client: 500}
+	r.handle(500, req)
+	r.handle(501, req) // the duplicate
+	r.tick(time.Now().Add(time.Millisecond))
+	items, _ := ep.orderItems()
+	if len(items) != 2 {
+		t.Fatalf("%d order requests for one append and one duplicate, want 2", len(items))
+	}
+	if got := r.Stats().OReqRetries; got != 0 {
+		t.Fatalf("OReqRetries = %d after a duplicate append, want 0", got)
+	}
+	// The retry timer still covers the token, counted from the re-drive.
+	r.tick(time.Now().Add(2 * time.Second))
+	if items, _ := ep.orderItems(); len(items) != 3 || r.Stats().OReqRetries != 1 {
+		t.Fatalf("after RetryTimeout: %d order requests, %d retries; want 3 and 1", len(items), r.Stats().OReqRetries)
+	}
+}
+
+// TestOrderCoalescerStress has K goroutines submit order requests through
+// one coalescer while sends are slow enough to overlap: every request must
+// reach the wire exactly once, the frames must be fewer than the requests
+// (work that queued behind a send left combined), and once the submitters
+// return nothing may be left behind — the sender that was running shipped
+// its followers' items before it returned.
+func TestOrderCoalescerStress(t *testing.T) {
+	r, ep := steppedReplica(t, func(cfg *Config) { cfg.OrderCoalesce = true })
+	ep.inSend = func(transport.Message) { time.Sleep(50 * time.Microsecond) }
+	const submitters, each, colors = 8, 200, 3
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.sendOrderReq(types.MakeToken(uint32(g+1), uint32(i+1)), types.ColorID(i%colors), 1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	r.coal.mu.Lock()
+	left, flushing := len(r.coal.pending), r.coal.flushing
+	r.coal.mu.Unlock()
+	if left != 0 || flushing {
+		t.Fatalf("coalescer not drained after the last submitter returned: %d colors pending, flushing=%v", left, flushing)
+	}
+	items, frames := ep.orderItems()
+	seen := make(map[types.Token]bool, len(items))
+	for _, it := range items {
+		if seen[it.Token] {
+			t.Fatalf("token %v sent twice", it.Token)
+		}
+		seen[it.Token] = true
+	}
+	if len(seen) != submitters*each {
+		t.Fatalf("%d distinct order requests on the wire, want %d", len(seen), submitters*each)
+	}
+	if frames >= len(items) {
+		t.Fatalf("%d frames for %d requests: nothing was combined behind a busy sender", frames, len(items))
 	}
 }

@@ -446,7 +446,7 @@ func (s *Sequencer) handle(from types.NodeID, msg transport.Message) {
 	}
 	switch m := msg.(type) {
 	case proto.OrderReq:
-		s.onOrderReq(m)
+		s.onOrderReq(from, m)
 	case proto.OrderReqBatch:
 		s.onOrderReqBatch(from, m)
 	case proto.AggOrderReq:
@@ -476,77 +476,44 @@ func (s *Sequencer) handle(from types.NodeID, msg transport.Message) {
 
 // ---- Order request path (lock-free) ----
 
-func (s *Sequencer) onOrderReq(req proto.OrderReq) {
-	se := s.servingEpoch()
-	if se == 0 {
-		s.c.droppedStale.Add(1)
-		return
-	}
-	s.c.directReqs.Add(1)
-	s.noteTenant(req.Color, uint64(req.NRecords))
-	st := s.tokenStripeFor(req.Token)
-	st.mu.Lock()
-	if e, ok := st.lookup(req.Token, se); ok {
-		st.mu.Unlock()
-		s.c.dupTokens.Add(1)
-		if e.assigned {
-			// Re-broadcast the cached response (a replica retried because
-			// it missed the original OResp).
-			s.ep.Broadcast(req.Replicas, proto.OrderResp{Token: req.Token, LastSN: e.lastSN, NRecords: req.NRecords, Color: req.Color})
-		}
-		// Else: still pending in a batch or in flight; the response will
-		// reach the shard when the owner answers.
-		return
-	}
-	if req.Color == s.cfg.Region {
-		// This node owns the region: assign immediately (Alg. 1 lines
-		// 32–35). The stripe lock is held across assign+remember so a
-		// racing duplicate can never burn a second range for the token.
-		last, ok := s.assignFast(req.NRecords)
-		if !ok {
-			st.mu.Unlock()
-			s.c.droppedStale.Add(1)
-			return
-		}
-		st.remember(req.Token, tokenEntry{epoch: types.Epoch(last.Epoch()), assigned: true, lastSN: last}, s.tokenCap)
-		st.mu.Unlock()
-		s.ep.Broadcast(req.Replicas, proto.OrderResp{Token: req.Token, LastSN: last, NRecords: req.NRecords, Color: req.Color})
-		return
-	}
-	// Not the owner: aggregate upward (Alg. 1 line 37, merged per §5.2).
-	st.remember(req.Token, tokenEntry{epoch: se}, s.tokenCap)
-	st.mu.Unlock()
-	r := req
-	s.enqueue(req.Color, member{req: &r, n: req.NRecords}, se)
+// onOrderReq handles a replica's single order request: a batch of one.
+func (s *Sequencer) onOrderReq(from types.NodeID, req proto.OrderReq) {
+	s.orderItems(from, req.Color, req.Shard, req.Replicas, []proto.OrderItem{{Token: req.Token, NRecords: req.NRecords}})
 }
 
 // onOrderReqBatch handles a replica's coalesced order requests: all items
-// share one color and one shard, and — on the owner — are answered with a
-// single OrderRespBatch broadcast instead of one OrderResp per token. Dup
-// handling preserves the per-token semantics of onOrderReq: already-
-// assigned items are re-answered to the SENDER only (the original
-// assignment was already broadcast to the whole shard; a retrying replica
-// just missed it), items still pending in a batch get no reply (the
-// owner's answer will reach the shard), and fresh items are assigned or
-// aggregated upward as individual members so the existing AggOrderReq
-// machinery splits ranges exactly as before.
+// share one color and one shard.
 func (s *Sequencer) onOrderReqBatch(from types.NodeID, m proto.OrderReqBatch) {
+	s.c.reqBatches.Add(1)
+	s.orderItems(from, m.Color, m.Shard, m.Replicas, m.Items)
+}
+
+// orderItems is the one order-request path. Fresh items are assigned here
+// when this node owns the color — answered with a single broadcast to the
+// shard — or aggregated upward as individual members (Alg. 1 line 37,
+// merged per §5.2) so the AggOrderReq machinery splits ranges per token.
+// Every replica of a shard asks for every token by design, so duplicates
+// are the common case: an already-assigned item is re-answered to the
+// SENDER only (the assignment was already broadcast to the whole shard; a
+// replica asking again either raced that broadcast or missed it), and an
+// item still pending in a batch gets no reply (the owner's answer will
+// reach the shard).
+func (s *Sequencer) orderItems(from types.NodeID, color types.ColorID, shard types.ShardID, replicas []types.NodeID, reqs []proto.OrderItem) {
 	se := s.servingEpoch()
 	if se == 0 {
 		s.c.droppedStale.Add(1)
 		return
 	}
-	s.c.reqBatches.Add(1)
-	s.c.directReqs.Add(uint64(len(m.Items)))
+	s.c.directReqs.Add(uint64(len(reqs)))
 	var nTotal uint64
-	for _, it := range m.Items {
+	for _, it := range reqs {
 		nTotal += uint64(it.NRecords)
 	}
-	s.noteTenant(m.Color, nTotal)
-	owner := m.Color == s.cfg.Region
+	s.noteTenant(color, nTotal)
+	owner := color == s.cfg.Region
 	var fresh []proto.OrderRespItem // owner-path assignments → broadcast
 	var dups []proto.OrderRespItem  // already-assigned retries → sender only
-	for _, it := range m.Items {
+	for _, it := range reqs {
 		st := s.tokenStripeFor(it.Token)
 		st.mu.Lock()
 		if e, ok := st.lookup(it.Token, se); ok {
@@ -558,6 +525,9 @@ func (s *Sequencer) onOrderReqBatch(from types.NodeID, m proto.OrderReqBatch) {
 			continue
 		}
 		if owner {
+			// Alg. 1 lines 32–35. The stripe lock is held across
+			// assign+remember so a racing duplicate can never burn a second
+			// range for the token.
 			last, ok := s.assignFast(it.NRecords)
 			if !ok {
 				st.mu.Unlock()
@@ -571,15 +541,25 @@ func (s *Sequencer) onOrderReqBatch(from types.NodeID, m proto.OrderReqBatch) {
 		}
 		st.remember(it.Token, tokenEntry{epoch: se}, s.tokenCap)
 		st.mu.Unlock()
-		req := &proto.OrderReq{Color: m.Color, Token: it.Token, NRecords: it.NRecords, Shard: m.Shard, Replicas: m.Replicas}
-		s.enqueue(m.Color, member{req: req, n: it.NRecords}, se)
+		req := &proto.OrderReq{Color: color, Token: it.Token, NRecords: it.NRecords, Shard: shard, Replicas: replicas}
+		s.enqueue(color, member{req: req, n: it.NRecords}, se)
 	}
 	if len(fresh) > 0 {
-		s.ep.Broadcast(m.Replicas, proto.OrderRespBatch{Color: m.Color, Items: fresh})
+		s.ep.Broadcast(replicas, orderRespFrame(color, fresh))
 	}
 	if len(dups) > 0 {
-		s.ep.Send(from, proto.OrderRespBatch{Color: m.Color, Items: dups})
+		s.ep.Send(from, orderRespFrame(color, dups))
 	}
+}
+
+// orderRespFrame frames a color's assignments for the replicas: the
+// compact OrderResp for one, an OrderRespBatch for several.
+func orderRespFrame(color types.ColorID, items []proto.OrderRespItem) transport.Message {
+	if len(items) == 1 {
+		it := items[0]
+		return proto.OrderResp{Token: it.Token, LastSN: it.LastSN, NRecords: it.NRecords, Color: color}
+	}
+	return proto.OrderRespBatch{Color: color, Items: items}
 }
 
 func (s *Sequencer) onAggOrderReq(m proto.AggOrderReq) {
@@ -690,13 +670,7 @@ func (s *Sequencer) onAggOrderResp(m proto.AggOrderResp) {
 	}
 	for _, key := range groupOrder {
 		so := byGroup[key]
-		if len(so.items) == 1 {
-			// Single member: keep the compact legacy frame.
-			it := so.items[0]
-			s.ep.Broadcast(so.replicas, proto.OrderResp{Token: it.Token, LastSN: it.LastSN, NRecords: it.NRecords, Color: inf.color})
-			continue
-		}
-		s.ep.Broadcast(so.replicas, proto.OrderRespBatch{Color: inf.color, Items: so.items})
+		s.ep.Broadcast(so.replicas, orderRespFrame(inf.color, so.items))
 	}
 }
 

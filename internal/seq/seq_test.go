@@ -159,21 +159,44 @@ func TestBatchGetsRange(t *testing.T) {
 	}
 }
 
+// TestTokenDedupSameSN pins the duplicate-answer contract: every replica
+// of a shard asks for every token, so an already-assigned token is answered
+// with the SAME SN to the asking replica only — the rest of the shard got
+// the assignment's broadcast and must not be sent it again.
 func TestTokenDedupSameSN(t *testing.T) {
 	_, s, reps := singleRoot(t)
 	req := orderReq(1, 0, 1)
 	reps[0].ep.Send(100, req)
-	r := reps[0]
-	waitUntil(t, time.Second, func() bool { return len(r.responses()) == 1 }, "first response")
-	// Retry (e.g. replica missed the OResp): must re-broadcast the SAME SN.
-	reps[1].ep.Send(100, req)
-	waitUntil(t, time.Second, func() bool { return len(r.responses()) == 2 }, "retry rebroadcast")
-	rs := r.responses()
-	if rs[0].LastSN != rs[1].LastSN {
-		t.Fatalf("retry changed SN: %v vs %v", rs[0].LastSN, rs[1].LastSN)
+	for _, r := range reps {
+		r := r
+		waitUntil(t, time.Second, func() bool { return len(r.responses()) == 1 }, "assignment broadcast")
 	}
-	if s.Stats().Assigned != 1 {
-		t.Fatalf("assigned = %d, dedup failed", s.Stats().Assigned)
+	// Replica 2 asks for the same token (by design, or because it missed
+	// the OResp), alone and inside a batch: both get the cached SN back.
+	asker := reps[1]
+	asker.ep.Send(100, req)
+	waitUntil(t, time.Second, func() bool { return len(asker.responses()) == 2 }, "dup answer to the sender")
+	asker.ep.Send(100, proto.OrderReqBatch{Color: 0, Shard: 1, Replicas: req.Replicas,
+		Items: []proto.OrderItem{{Token: req.Token, NRecords: 1}}})
+	waitUntil(t, time.Second, func() bool { return len(asker.responses()) == 3 }, "batched dup answer to the sender")
+	for _, resp := range asker.responses() {
+		if resp.LastSN != types.MakeSN(1, 1) {
+			t.Fatalf("dup answer changed the SN: %v", resp.LastSN)
+		}
+	}
+	// A fresh token's broadcast fences the links (FIFO per destination):
+	// once it arrived, any dup answer wrongly sent to the others has too.
+	reps[0].ep.Send(100, orderReq(2, 0, 1))
+	waitUntil(t, time.Second, func() bool { return len(asker.responses()) == 4 }, "fence broadcast")
+	for _, r := range []*fakeReplica{reps[0], reps[2]} {
+		r := r
+		waitUntil(t, time.Second, func() bool { return len(r.responses()) >= 2 }, "fence broadcast")
+		if n := len(r.responses()); n != 2 {
+			t.Fatalf("replica %v got %d responses, want the two broadcasts only", r.id, n)
+		}
+	}
+	if st := s.Stats(); st.Assigned != 2 || st.DupTokens != 2 {
+		t.Fatalf("assigned = %d, dup tokens = %d; want 2 and 2", st.Assigned, st.DupTokens)
 	}
 }
 

@@ -16,11 +16,15 @@ var ErrCommitterClosed = errors.New("storage: group committer closed")
 
 // groupCommitter is the PM group-commit engine (§5.2 sizing argument: PM
 // latency, not software serialization, should bound append throughput).
-// Concurrent PutBatch/Commit callers submit their PM writes and block on a
-// per-op done channel; a single committer goroutine drains whatever
-// accumulated while the previous window was in flight and folds it into
-// ONE pmem transaction — the classic group commit, amortizing the
-// per-transaction overhead (undo-log snapshot + flush) across the window.
+// It batches because the device is busy, never because a timer says so:
+// PutBatch/Commit callers submit their PM write and then wait for it, and
+// the first waiter to find no transaction running becomes the leader — it
+// commits everything submitted so far (its own write alone when the store
+// is idle, at no cost over a direct transaction) as ONE pmem transaction
+// and releases the followers that queued behind it. Writes submitted while
+// that transaction runs form the next window. This is the classic group
+// commit, amortizing the per-transaction overhead (undo-log snapshot +
+// flush) across the window, with no committer goroutine to hand off to.
 //
 // Two further write reductions fall out of the window shape:
 //
@@ -30,27 +34,31 @@ var ErrCommitterClosed = errors.New("storage: group committer closed")
 //   - watermark folding: each segment's used-bytes watermark is written
 //     once per window, at its final value, instead of once per entry.
 //
-// Correctness of the watermark relies on ordering: ops are enqueued in
-// reservation order (the callers hold the allocator lock across submit),
-// the channel is FIFO and there is a single committer, so a watermark
-// value is only made durable in the same transaction as — or after — every
-// entry it covers. A crash mid-window rolls the whole window back via the
-// pmem undo log: every caller in the window is still blocked (no ack was
-// sent), so nothing acknowledged is lost.
+// Correctness of the watermark relies on ordering: ops are queued in
+// reservation order (the callers hold the allocator lock across submit), a
+// window is a prefix of that queue and commitMu admits one leader at a
+// time, so a watermark value is only made durable in the same transaction
+// as — or after — every entry it covers. A crash mid-window rolls the whole
+// window back via the pmem undo log: every caller in the window is still
+// blocked (no ack was sent), so nothing acknowledged is lost.
 type groupCommitter struct {
 	pm *pmem.Pool
-	ch chan gcOp
 
-	closeMu sync.RWMutex
+	mu      sync.Mutex // guards pending and closed; never held across a transaction
+	pending []*gcOp    // submitted, not yet in a window; submission order
 	closed  bool
-	done    chan struct{}
+
+	// commitMu is the leader lock: its holder commits windows. Waiters
+	// queue on it, so a follower wakes to find its op already finished.
+	// It also guards the ops' done/err fields.
+	commitMu sync.Mutex
 
 	windows atomic.Uint64 // transactions committed
 	ops     atomic.Uint64 // writes submitted
 	fused   atomic.Uint64 // payload writes saved by contiguous fusion
 
 	txH     *obs.Histogram // PM transaction latency (nil-safe)
-	windowH *obs.Histogram // full window latency: first op dequeued → waiters released
+	windowH *obs.Histogram // full window latency: window cut → its writes marked done
 }
 
 // gcOp is one submitted PM write: the entry (or SN-rewrite) bytes plus an
@@ -61,7 +69,8 @@ type gcOp struct {
 	hasWM bool   // append ops advance their segment's watermark
 	wmOff uint64 // segment base offset (the watermark cell)
 	wmVal uint64 // watermark value after this entry
-	done  chan error
+	done  bool   // its window committed or failed (guarded by commitMu)
+	err   error
 }
 
 // maxWindow bounds ops folded into one transaction, so a burst cannot
@@ -69,58 +78,60 @@ type gcOp struct {
 const maxWindow = 512
 
 func newGroupCommitter(pm *pmem.Pool, txH, windowH *obs.Histogram) *groupCommitter {
-	g := &groupCommitter{pm: pm, ch: make(chan gcOp, 4096), done: make(chan struct{}),
-		txH: txH, windowH: windowH}
-	go g.loop()
-	return g
+	return &groupCommitter{pm: pm, txH: txH, windowH: windowH}
 }
 
-// submit enqueues one write and returns a wait function that blocks until
+// submit queues one write and returns a wait function that blocks until
 // the write's window is durable (or failed). Submitting under the
 // allocator lock and waiting after releasing it is what lets concurrent
-// callers share a window.
+// callers share a window. Every submit must be followed by its wait: the
+// waiters are who commit.
 func (g *groupCommitter) submit(off uint64, buf []byte, hasWM bool, wmOff, wmVal uint64) func() error {
-	op := gcOp{off: off, buf: buf, hasWM: hasWM, wmOff: wmOff, wmVal: wmVal, done: make(chan error, 1)}
-	g.closeMu.RLock()
+	op := &gcOp{off: off, buf: buf, hasWM: hasWM, wmOff: wmOff, wmVal: wmVal}
+	g.mu.Lock()
 	if g.closed {
-		g.closeMu.RUnlock()
+		g.mu.Unlock()
 		return func() error { return ErrCommitterClosed }
 	}
+	g.pending = append(g.pending, op)
+	g.mu.Unlock()
 	g.ops.Add(1)
-	g.ch <- op
-	g.closeMu.RUnlock()
-	return func() error { return <-op.done }
+	return func() error {
+		g.commitMu.Lock()
+		defer g.commitMu.Unlock()
+		for !op.done { // more than one pass only when maxWindow ops precede op
+			g.commitNext()
+		}
+		return op.err
+	}
 }
 
-func (g *groupCommitter) loop() {
-	defer close(g.done)
-	for first := range g.ch {
-		windowStart := time.Now()
-		window := []gcOp{first}
-	drain:
-		for len(window) < maxWindow {
-			select {
-			case op, ok := <-g.ch:
-				if !ok {
-					break drain
-				}
-				window = append(window, op)
-			default:
-				break drain
-			}
-		}
-		err := g.commitWindow(window)
-		for _, op := range window {
-			op.done <- err
-		}
-		g.windowH.Since(windowStart)
+// commitNext commits the oldest pending ops, at most maxWindow, as one
+// transaction and marks them finished; false means nothing was pending.
+// Caller holds commitMu.
+func (g *groupCommitter) commitNext() bool {
+	g.mu.Lock()
+	window := g.pending
+	g.pending = nil
+	if len(window) > maxWindow {
+		g.pending = append(g.pending, window[maxWindow:]...)
+		window = window[:maxWindow]
 	}
-	// Channel closed: the range loop above has already drained and
-	// committed every op buffered before close().
+	g.mu.Unlock()
+	if len(window) == 0 {
+		return false
+	}
+	windowStart := time.Now()
+	err := g.commitWindow(window)
+	for _, op := range window {
+		op.done, op.err = true, err
+	}
+	g.windowH.Since(windowStart)
+	return true
 }
 
 // commitWindow folds the window into one transaction.
-func (g *groupCommitter) commitWindow(window []gcOp) error {
+func (g *groupCommitter) commitWindow(window []*gcOp) error {
 	txStart := time.Now()
 	defer g.txH.Since(txStart)
 	tx, err := g.pm.Begin()
@@ -179,17 +190,16 @@ func (g *groupCommitter) commitWindow(window []gcOp) error {
 	return nil
 }
 
-// close stops the committer after draining queued ops. Idempotent.
+// close refuses further writes, then commits what is still queued and
+// thereby waits out a running leader. Idempotent.
 func (g *groupCommitter) close() {
-	g.closeMu.Lock()
-	if g.closed {
-		g.closeMu.Unlock()
-		return
-	}
+	g.mu.Lock()
 	g.closed = true
-	g.closeMu.Unlock()
-	close(g.ch)
-	<-g.done
+	g.mu.Unlock()
+	g.commitMu.Lock()
+	defer g.commitMu.Unlock()
+	for g.commitNext() {
+	}
 }
 
 // GCStats reports group-commit counters.

@@ -13,7 +13,7 @@ import (
 // are nil-safe, so a store built without a registry pays nothing.
 
 // initObs creates the store's histograms and registers its func-backed
-// metrics. Called by every constructor before the group committer starts;
+// metrics. Called by every constructor before the group committer is made;
 // a nil cfg.Obs leaves every histogram nil (recording no-ops).
 func (st *Store) initObs() {
 	reg := st.cfg.Obs
@@ -24,7 +24,7 @@ func (st *Store) initObs() {
 	st.pmTxH = reg.Histogram("flexlog_pm_tx_seconds",
 		"Duration of one persistent-memory transaction (undo-log snapshot through commit).", lb)
 	st.gcWindowH = reg.Histogram("flexlog_gc_window_seconds",
-		"Duration of one group-commit window: first op dequeued through all waiters released.", lb)
+		"Duration of one group-commit window: the leader cutting it through its writes marked done.", lb)
 
 	reg.CounterFunc("flexlog_store_cache_hits_total",
 		"DRAM cache hits on the read path.", lb,

@@ -2,11 +2,15 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"flexlog/internal/pmem"
 	"flexlog/internal/types"
 )
 
@@ -212,5 +216,97 @@ func TestGroupCommitCrashMidWindow(t *testing.T) {
 	}
 	if data, err := st.Get(colorA, sn(committed+1)); err != nil || !bytes.Equal(data, payload(9999)) {
 		t.Fatalf("post-recovery read: %v %q", err, data)
+	}
+}
+
+// TestGroupCommitLeaderFollowerStress drives the committer alone: K
+// goroutines submit under one lock (as PutBatch does under st.alloc) and
+// wait outside it. Every write must be durable when its wait returns nil
+// and windows cannot outnumber writes; writes that queue behind a running
+// leader are committed together and released by the next one; Close waits
+// for a running leader, drains, and refuses later writes.
+func TestGroupCommitLeaderFollowerStress(t *testing.T) {
+	pool, err := pmem.New(1<<20, pmem.Zero())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGroupCommitter(pool, nil, nil)
+	const submitters, each = 8, 200
+	base, err := pool.Alloc(8 * submitters * each)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order sync.Mutex // stands in for st.alloc: submission order = slot order
+	next := 0
+	var wg sync.WaitGroup
+	for k := 0; k < submitters; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				order.Lock()
+				slot := next
+				next++
+				var buf [8]byte
+				binary.LittleEndian.PutUint64(buf[:], uint64(slot)+1)
+				wait := g.submit(base+uint64(8*slot), buf[:], false, 0, 0)
+				order.Unlock()
+				if err := wait(); err != nil {
+					t.Errorf("slot %d: %v", slot, err)
+					return
+				}
+				var got [8]byte
+				if err := pool.Read(base+uint64(8*slot), got[:]); err != nil || binary.LittleEndian.Uint64(got[:]) != uint64(slot)+1 {
+					t.Errorf("slot %d not durable when its wait returned: %v %v", slot, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := g.stats()
+	if st.Ops != submitters*each || st.Windows == 0 || st.Windows > st.Ops {
+		t.Fatalf("ops = %d, windows = %d; want %d ops in at most as many windows", st.Ops, st.Windows, submitters*each)
+	}
+
+	// Followers: with a leader running (its lock held here), K writes
+	// queue up; the next leader commits all of them as one window.
+	g.commitMu.Lock()
+	for k := 0; k < submitters; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			if err := g.submit(base+uint64(8*k), []byte{byte(k)}, false, 0, 0)(); err != nil {
+				t.Errorf("follower %d: %v", k, err)
+			}
+		}(k)
+	}
+	for queued := 0; queued < submitters; {
+		time.Sleep(100 * time.Microsecond)
+		g.mu.Lock()
+		queued = len(g.pending)
+		g.mu.Unlock()
+	}
+	g.commitMu.Unlock()
+	wg.Wait()
+	if got := g.stats().Windows - st.Windows; got != 1 {
+		t.Fatalf("%d writes queued behind a leader took %d windows, want 1", submitters, got)
+	}
+
+	// Close races a leader: whichever wins, the write is either durable or
+	// refused, and Close returns only once no transaction is running.
+	done := make(chan error, 1)
+	wait := g.submit(base, []byte{0xff}, false, 0, 0)
+	go func() { done <- wait() }()
+	g.close()
+	if err := <-done; err != nil {
+		t.Fatalf("write submitted before close: %v", err)
+	}
+	var got [1]byte
+	if err := pool.Read(base, got[:]); err != nil || got[0] != 0xff {
+		t.Fatalf("write submitted before close is not durable after it: %v %v", got, err)
+	}
+	if err := g.submit(base, []byte{0}, false, 0, 0)(); !errors.Is(err, ErrCommitterClosed) {
+		t.Fatalf("submit after close: %v, want ErrCommitterClosed", err)
 	}
 }

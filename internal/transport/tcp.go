@@ -571,6 +571,9 @@ func (e *TCPEndpoint) conn(to types.NodeID) (*outConn, error) {
 		} else {
 			oc.enc = gob.NewEncoder(c)
 		}
+		// Publish the socket under e.mu: Close, which reads oc.c after
+		// taking it, then either sees the socket and closes it, or marked
+		// the endpoint closed first and the socket is closed here.
 		e.mu.Lock()
 		if e.closed {
 			e.mu.Unlock()
@@ -578,8 +581,8 @@ func (e *TCPEndpoint) conn(to types.NodeID) (*outConn, error) {
 			oc.dialErr = ErrClosed
 			return
 		}
-		e.mu.Unlock()
 		oc.c = c
+		e.mu.Unlock()
 	})
 	if oc.dialErr != nil {
 		// A failed dial is not sticky: evict the conn slot so the next

@@ -469,3 +469,38 @@ func TestTCPPublishObs(t *testing.T) {
 		t.Fatalf("receiver stats did not move: %+v", bs)
 	}
 }
+
+// TestTCPCloseAfterOneReply pins Close against the lazy dial: the echo
+// endpoint dials back from its read-loop goroutine to send exactly one
+// reply, and the test goroutine closes it as soon as that reply arrived.
+// The only thing ordering the dial's publication of its socket before
+// Close's read of it is the endpoint's own locking (the race detector
+// does not see through the socket), so under -race this fails unless the
+// socket is published under the lock Close takes.
+func TestTCPCloseAfterOneReply(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
+	var echo *TCPEndpoint
+	ready := make(chan struct{})
+	echo, err := ListenTCP(2, book, func(from types.NodeID, msg Message) {
+		<-ready
+		echo.Send(from, msg)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(ready)
+	rx := newSink()
+	a, err := ListenTCP(1, book, rx.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Send(2, tcpTestMsg{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rx.wait(t, 1)
+	if err := echo.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
