@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race benchmark-check bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
+.PHONY: verify build test vet race loc benchmark-check bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
 
 verify: build test vet race benchmark-check chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
 
@@ -20,7 +20,14 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/...
+	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/... ./internal/qos/...
+
+# The two line counts every deletion PR states before and after in
+# CHANGES.md: non-test and test Go lines of the program (the benchmark
+# module and its build directory are not the program).
+loc:
+	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # The wall-clock benchmark is its own module (benchmark/go.mod), so tier-1
 # `go test ./...` does not reach it: vet and test it here against the
@@ -43,15 +50,19 @@ bench:
 	$(GO) run ./cmd/flexlog-bench -quick all
 
 # Fast profiling loop for the read path: one quick ablation run with CPU
-# and heap profiles dropped next to the binary's working dir.
+# and heap profiles written under .bench_build/ (git-ignored), not the
+# repository root.
 bench-smoke:
-	$(GO) run ./cmd/flexlog-bench -quick -cpuprofile cpu.pprof -memprofile mem.pprof ablate-readpath
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/flexlog-bench -quick -cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof ablate-readpath
 
 # Write-path smoke: the quick ablation must finish (well) inside 30s and
 # report zero drops; part of `make verify` so the parallel write path
-# can't silently rot. The block profile captures lane/lock contention.
+# can't silently rot. The block profile (lane/lock contention) goes under
+# .bench_build/ with the other build outputs.
 bench-write-smoke:
-	timeout 30 $(GO) run ./cmd/flexlog-bench -quick -blockprofile block.pprof ablate-writepath
+	@mkdir -p .bench_build
+	timeout 30 $(GO) run ./cmd/flexlog-bench -quick -blockprofile .bench_build/block.pprof ablate-writepath
 
 # Tiered-storage lifecycle smoke: the checkpoint-bounded-recovery unit
 # test (replay stays flat while the log grows under a PM budget) plus the

@@ -219,6 +219,7 @@ func main() {
 		if reg != nil {
 			startDebugServer(*debugAddr, obs.MuxConfig{
 				Registry: reg,
+				Lanes:    s.LaneSnapshots,
 				Extra:    startCtrlPlane(topo, nodeID, nil, reg, *autoscale),
 			})
 		} else if *autoscale {

@@ -244,6 +244,17 @@ func TestTieringShape(t *testing.T) {
 	if offLast < 2*offFirst {
 		t.Errorf("lifecycle-off replay did not grow: 1x=%.0f 4x=%.0f entries", offFirst, offLast)
 	}
+	// What recovery replays is the resident set the budget leaves, not
+	// whatever the background pass happened to have freed or reused: a
+	// second run replays exactly the same entries at every size.
+	again := runExperiment(t, "ablate-tiering")
+	for _, x := range []string{"1x", "2x", "3x", "4x"} {
+		a, _ := rep.Value("Replay (lifecycle on)", x)
+		b, _ := again.Value("Replay (lifecycle on)", x)
+		if a != b {
+			t.Errorf("lifecycle-on replay at %s differs between two runs: %.0f vs %.0f entries", x, a, b)
+		}
+	}
 	if raceEnabled {
 		return // wall-clock assertions are meaningless under -race
 	}

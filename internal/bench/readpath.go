@@ -10,6 +10,7 @@ import (
 	"flexlog/internal/metrics"
 	"flexlog/internal/pmem"
 	"flexlog/internal/ssd"
+	"flexlog/internal/transport"
 	"flexlog/internal/types"
 	"flexlog/internal/workload"
 )
@@ -245,12 +246,31 @@ type readPathBaseline struct {
 
 func snapshotReadPath(cl *core.Cluster) readPathBaseline {
 	rd, wr := replicaDeviceSplit(cl)
+	readMsgs, _ := laneMsgs(cl)
 	return readPathBaseline{
 		msgs:     cl.Network().NodeDelivered(),
-		readMsgs: cl.Network().NodeReadDelivered(),
+		readMsgs: readMsgs,
 		readDev:  rd,
 		writeDev: wr,
 	}
+}
+
+// laneMsgs returns, per node, how many messages its read lane and its
+// write lane (for a sequencer, its order lane) have taken so far. The
+// counts come from the nodes, which own their lanes; a node without the
+// lane reports 0.
+func laneMsgs(cl *core.Cluster) (read, write map[types.NodeID]uint64) {
+	read, write = make(map[types.NodeID]uint64), make(map[types.NodeID]uint64)
+	for id := range cl.Network().NodeDelivered() {
+		var rd, wr transport.LaneStats
+		if r := cl.Replica(id); r != nil {
+			rd, wr = r.LaneStats()
+		} else if s := cl.Sequencer(id); s != nil {
+			wr = s.LaneStats()
+		}
+		read[id], write[id] = rd.Enqueued, wr.Enqueued
+	}
+	return read, write
 }
 
 // replicaDeviceSplit returns per-replica modeled device time split into
@@ -281,7 +301,7 @@ func replicaDeviceSplit(cl *core.Cluster) (readDev, writeDev map[types.NodeID]ti
 func readPathBusiestTime(cl *core.Cluster, base readPathBaseline, laneWorkers int) time.Duration {
 	proc := cl.Network().Model().ProcCost
 	msgs := cl.Network().NodeDelivered()
-	readMsgs := cl.Network().NodeReadDelivered()
+	readMsgs, _ := laneMsgs(cl)
 	readDev, writeDev := replicaDeviceSplit(cl)
 	var busiest time.Duration
 	for id, n := range msgs {
@@ -326,14 +346,11 @@ func readPathThroughput(mix, readers, opsPerReader int, laneOn bool) (float64, s
 		var busy time.Duration
 		for _, sh := range cl.Topology().ShardsInRegion(types.MasterColor) {
 			for _, id := range sh.Replicas {
-				if ls, ok := cl.Network().LaneStats(id); ok {
+				if r := cl.Replica(id); r != nil {
+					ls, _ := r.LaneStats()
 					enq += ls.Enqueued
 					busy += ls.Busy
-					if ls.MaxDepth > maxDepth {
-						maxDepth = ls.MaxDepth
-					}
-				}
-				if r := cl.Replica(id); r != nil {
+					maxDepth = max(maxDepth, ls.MaxDepth)
 					wakeups += r.Stats().HeldWakeups
 				}
 			}

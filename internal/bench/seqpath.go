@@ -169,62 +169,42 @@ func buildSeqChain(net *transport.Network, colors, workers int, pipelined bool) 
 }
 
 // seqPathBaseline snapshots the sequencer-side counters at the start of
-// the measured phase: per-node total and lane-delivered message counts,
-// plus each node's per-worker processed counts.
+// the measured phase: per-node delivered message counts, plus each
+// sequencer's order-lane counters, read from the node that owns the lane.
 type seqPathBaseline struct {
-	msgs      map[types.NodeID]uint64
-	writeMsgs map[types.NodeID]uint64
-	perWorker map[types.NodeID][]uint64
+	msgs  map[types.NodeID]uint64
+	lanes map[types.NodeID]transport.LaneStats
 }
 
-func snapshotSeqPath(net *transport.Network) seqPathBaseline {
+func snapshotSeqPath(net *transport.Network, seqs []*seq.Sequencer) seqPathBaseline {
 	base := seqPathBaseline{
-		msgs:      net.NodeDelivered(),
-		writeMsgs: net.NodeWriteDelivered(),
-		perWorker: make(map[types.NodeID][]uint64),
+		msgs:  net.NodeDelivered(),
+		lanes: make(map[types.NodeID]transport.LaneStats),
 	}
-	for id := range base.msgs {
-		if ws, ok := net.WriteLaneStats(id); ok {
-			base.perWorker[id] = ws.PerWorker
-		}
+	for _, s := range seqs {
+		base.lanes[s.ID()] = s.LaneStats()
 	}
 	return base
 }
 
-// seqBusiestTime models the run's cost at its most loaded sequencer:
+// seqBusiestTime models the run's cost at its most loaded sequencer (the
+// drivers model the load-generating client fleet and are not charged):
 // unlaned deliveries are serial at ProcCost each; laned deliveries run on
 // the order-lane pool, where the busiest worker (colors are pinned, so
 // workers can skew) bounds the lane.
-func seqBusiestTime(net *transport.Network, base seqPathBaseline) time.Duration {
+func seqBusiestTime(net *transport.Network, seqs []*seq.Sequencer, base seqPathBaseline) time.Duration {
 	proc := net.Model().ProcCost
 	msgs := net.NodeDelivered()
-	writeMsgs := net.NodeWriteDelivered()
 	var busiest time.Duration
-	for id, n := range msgs {
-		if id < 9000 {
-			continue // drivers model the load-generating client fleet
+	for _, s := range seqs {
+		id := s.ID()
+		lane, was := s.LaneStats(), base.lanes[id]
+		serial := (msgs[id] - base.msgs[id]) - (lane.Enqueued - was.Enqueued)
+		var maxWorker uint64
+		for i, c := range lane.PerWorker {
+			maxWorker = max(maxWorker, c-was.PerWorker[i])
 		}
-		laned := writeMsgs[id] - base.writeMsgs[id]
-		serial := (n - base.msgs[id]) - laned
-		busy := time.Duration(serial) * proc
-		if ws, ok := net.WriteLaneStats(id); ok {
-			var maxWorker uint64
-			for i, c := range ws.PerWorker {
-				var b uint64
-				if bw := base.perWorker[id]; i < len(bw) {
-					b = bw[i]
-				}
-				if d := c - b; d > maxWorker {
-					maxWorker = d
-				}
-			}
-			busy += time.Duration(maxWorker) * proc
-		} else {
-			busy += time.Duration(laned) * proc
-		}
-		if busy > busiest {
-			busiest = busy
-		}
+		busiest = max(busiest, time.Duration(serial+maxWorker)*proc)
 	}
 	return busiest
 }
@@ -283,13 +263,13 @@ func seqPathThroughput(mode string, colors, opsPerDriver int) (float64, string, 
 	if firstErr != nil {
 		return 0, "", firstErr
 	}
-	base := snapshotSeqPath(net)
+	base := snapshotSeqPath(net, seqs)
 	run(opsPerDriver)
 	if firstErr != nil {
 		return 0, "", firstErr
 	}
 
-	busiest := seqBusiestTime(net, base)
+	busiest := seqBusiestTime(net, seqs, base)
 	if busiest <= 0 {
 		return 0, "", fmt.Errorf("seqpath: no modeled busy time")
 	}

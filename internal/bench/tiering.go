@@ -91,12 +91,18 @@ func runAblateTiering(cfg RunConfig) (*Report, error) {
 			}
 		}
 		if lifecycle {
-			// Settle deterministically instead of waiting out background
-			// ticks: enforce the budget, then cover the flushed suffix.
+			// Settle: let the background pass (1 ms ticks) bring the resident
+			// set under the budget, then cover the flushed suffix. Only that
+			// pass evicts — oldest first, and only while over budget — so
+			// the resident set it leaves is the same in every run; a second
+			// evictor racing it (ForceEvict here) would take one segment
+			// more whenever the pass had a claim in flight.
+			settleBy := time.Now().Add(10 * time.Second)
 			for st.Stats().ResidentBytes > budget {
-				if err := st.ForceEvict(); err != nil {
-					break
+				if time.Now().After(settleBy) {
+					return 0, 0, fmt.Errorf("resident set stuck above the budget (%d > %d bytes)", st.Stats().ResidentBytes, budget)
 				}
+				time.Sleep(100 * time.Microsecond)
 			}
 			if err := st.ForceCheckpoint(); err != nil {
 				return 0, 0, err
@@ -126,7 +132,11 @@ func runAblateTiering(cfg RunConfig) (*Report, error) {
 		if _, err := st.Get(1, types.MakeSN(1, uint32(n-window+1))); err != nil {
 			return 0, 0, fmt.Errorf("post-recovery read (head): %w", err)
 		}
-		return elapsed, st.LastRecovery().ReplayedEntries, nil
+		rec := st.LastRecovery()
+		if lifecycle && rec.RestoredEntries == 0 {
+			return 0, 0, fmt.Errorf("recovery restored nothing from the checkpoint (%d segments scanned, %d entries replayed)", rec.ScannedSegments, rec.ReplayedEntries)
+		}
+		return elapsed, rec.ReplayedEntries, nil
 	}
 
 	err := withLatencyInjection(func() error {

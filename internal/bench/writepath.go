@@ -255,9 +255,10 @@ type writePathBaseline struct {
 
 func snapshotWritePath(cl *core.Cluster) writePathBaseline {
 	rd, wr := replicaDeviceSplit(cl)
+	_, writeMsgs := laneMsgs(cl)
 	return writePathBaseline{
 		msgs:      cl.Network().NodeDelivered(),
-		writeMsgs: cl.Network().NodeWriteDelivered(),
+		writeMsgs: writeMsgs,
 		readDev:   rd,
 		writeDev:  wr,
 	}
@@ -266,13 +267,13 @@ func snapshotWritePath(cl *core.Cluster) writePathBaseline {
 // writePathBusiestTime is readPathBusiestTime mirrored onto the write
 // side: per node, read-class traffic and everything without a lane stays
 // serial, while write-class messages and the device write time divide
-// across the write-lane workers. Sequencer nodes have no write lane, so
-// their whole load is serial — which is exactly where order-request
-// coalescing shows up, as fewer delivered messages.
+// across the write-lane workers (a sequencer's order lane counts as its
+// write lane). Order-request coalescing shows up as fewer delivered
+// messages.
 func writePathBusiestTime(cl *core.Cluster, base writePathBaseline, laneWorkers int) time.Duration {
 	proc := cl.Network().Model().ProcCost
 	msgs := cl.Network().NodeDelivered()
-	writeMsgs := cl.Network().NodeWriteDelivered()
+	_, writeMsgs := laneMsgs(cl)
 	readDev, writeDev := replicaDeviceSplit(cl)
 	var busiest time.Duration
 	for id, n := range msgs {
@@ -340,14 +341,11 @@ func writePathThroughput(mode string, writers, opsPerWriter int) (float64, write
 		var gcWindows, gcOps uint64
 		for _, sh := range cl.Topology().ShardsInRegion(types.MasterColor) {
 			for _, id := range sh.Replicas {
-				if ws, ok := cl.Network().WriteLaneStats(id); ok {
+				if r := cl.Replica(id); r != nil {
+					_, ws := r.LaneStats()
 					enq += ws.Enqueued
 					busy += ws.Busy
-					if ws.MaxDepth > maxDepth {
-						maxDepth = ws.MaxDepth
-					}
-				}
-				if r := cl.Replica(id); r != nil {
+					maxDepth = max(maxDepth, ws.MaxDepth)
 					gs := r.Store().Stats().GC
 					gcWindows += gs.Windows
 					gcOps += gs.Ops

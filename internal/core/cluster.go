@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -507,39 +508,21 @@ func (cl *Cluster) Tracers() []*obs.Tracer {
 	return out
 }
 
-// LaneSnapshots reports every replica's transport lane state for
-// /debug/lanes: the read lane and the keyed write lane per node. The
-// write-lane Drops column carries the replica's append drops (persistence
-// failures), the closest thing a lane has to a loss counter.
+// LaneSnapshots reports every node's lanes for /debug/lanes, by node id:
+// a replica's read and write rows, a sequencer's order row.
 func (cl *Cluster) LaneSnapshots() []obs.LaneSnapshot {
 	cl.mu.Lock()
-	ids := make([]types.NodeID, 0, len(cl.replicas))
-	for id := range cl.replicas {
-		ids = append(ids, id)
+	nodes := make(map[types.NodeID]func() []obs.LaneSnapshot, len(cl.replicas)+len(cl.seqs))
+	for id, r := range cl.replicas {
+		nodes[id] = r.LaneSnapshots
+	}
+	for id, s := range cl.seqs {
+		nodes[id] = s.LaneSnapshots
 	}
 	cl.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var out []obs.LaneSnapshot
-	for _, id := range ids {
-		node := fmt.Sprintf("%d", id)
-		if ls, ok := cl.net.LaneStats(id); ok {
-			out = append(out, obs.LaneSnapshot{
-				Node: node, Lane: "read",
-				Enqueued: ls.Enqueued, Dequeued: ls.Dequeued,
-				MaxDepth: ls.MaxDepth, Busy: ls.Busy, Shed: ls.Shed,
-			})
-		}
-		if ws, ok := cl.net.WriteLaneStats(id); ok {
-			var drops uint64
-			if r := cl.Replica(id); r != nil {
-				drops = r.Stats().AppendDrops
-			}
-			out = append(out, obs.LaneSnapshot{
-				Node: node, Lane: "write",
-				Enqueued: ws.Enqueued, Dequeued: ws.Dequeued,
-				MaxDepth: ws.MaxDepth, Busy: ws.Busy, Drops: drops, Shed: ws.Shed,
-			})
-		}
+	for _, id := range slices.Sorted(maps.Keys(nodes)) {
+		out = append(out, nodes[id]()...)
 	}
 	return out
 }

@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +18,7 @@ import (
 // buildObsCluster deploys a small observed cluster and exercises every
 // path that registers metrics: appends (batch + direct), reads, a trim,
 // and a registry scrape — the union of what a real deployment exposes.
-func buildObsCluster(t *testing.T) *obs.Registry {
+func buildObsCluster(t *testing.T) *Cluster {
 	t.Helper()
 	reg := obs.NewRegistry()
 	obs.RegisterProcess(reg)
@@ -47,7 +51,7 @@ func buildObsCluster(t *testing.T) *obs.Registry {
 	if _, _, err := c.Trim(0, types.MasterColor); err != nil {
 		t.Fatal(err)
 	}
-	return reg
+	return cl
 }
 
 // TestOperationsDocCoversMetrics is the doc-drift gate of OPERATIONS.md:
@@ -55,7 +59,7 @@ func buildObsCluster(t *testing.T) *obs.Registry {
 // the operator handbook. Adding a metric without documenting it fails
 // here.
 func TestOperationsDocCoversMetrics(t *testing.T) {
-	reg := buildObsCluster(t)
+	reg := buildObsCluster(t).Obs()
 	doc, err := os.ReadFile("../../OPERATIONS.md")
 	if err != nil {
 		t.Fatalf("reading OPERATIONS.md: %v", err)
@@ -81,7 +85,7 @@ func TestOperationsDocCoversMetrics(t *testing.T) {
 // recorded, lanes visible, and a slow append shows its per-stage
 // breakdown in some replica's trace ring.
 func TestClusterObsEndToEnd(t *testing.T) {
-	reg := buildObsCluster(t)
+	reg := buildObsCluster(t).Obs()
 	snap := reg.Snapshot()
 	for _, want := range []string{
 		"flexlog_replica_appends_total",
@@ -95,6 +99,43 @@ func TestClusterObsEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(snap, want) {
 			t.Errorf("exposition is missing %s", want)
+		}
+	}
+}
+
+// TestDebugLanesListsEveryNode scrapes /debug/lanes of an exercised
+// cluster: every node that sizes a lane has its row — a replica's read
+// and write lanes, a sequencer's order lane — the rows that carried the
+// appends and the read counted them, and no depth is a wrapped counter.
+func TestDebugLanesListsEveryNode(t *testing.T) {
+	cl := buildObsCluster(t)
+	srv := httptest.NewServer(obs.NewMux(cl.MuxConfig()))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/debug/lanes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busiest := map[string]uint64{} // lane name → highest ENQUEUED of any node
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) != 9 {
+			t.Fatalf("lane row has %d columns, want 9: %q", len(f), line)
+		}
+		enq, _ := strconv.ParseUint(f[2], 10, 64)
+		depth, err := strconv.ParseUint(f[4], 10, 64)
+		if err != nil || depth > 1<<20 {
+			t.Errorf("implausible DEPTH in lane row %q", line)
+		}
+		busiest[f[1]] = max(busiest[f[1]], enq)
+	}
+	for _, lane := range []string{"read", "write", "order"} {
+		if busiest[lane] == 0 {
+			t.Errorf("no %q lane row with traffic on /debug/lanes:\n%s", lane, body)
 		}
 	}
 }

@@ -220,10 +220,9 @@ func TestReadLaneLinearizableUnderStress(t *testing.T) {
 
 	// The lane actually served the reads: every replica of the shard has
 	// lane traffic or the cluster silently fell back to the serial path.
-	net := cl.Network()
 	laneSeen := false
-	for id := range net.NodeReadDelivered() {
-		if ls, ok := net.LaneStats(id); ok && ls.Enqueued > 0 {
+	for _, row := range cl.LaneSnapshots() {
+		if row.Lane == "read" && row.Enqueued > 0 {
 			laneSeen = true
 			break
 		}

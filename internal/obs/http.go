@@ -11,15 +11,17 @@ import (
 )
 
 // LaneSnapshot is one transport service lane's state as shown by
-// /debug/lanes: the queue counters of a replica's read or write lane plus
-// the drop counters that share its dashboard row.
+// /debug/lanes: the queue counters of a replica's read or write lane or
+// a sequencer's order lane, plus the drop counters that share its
+// dashboard row. transport.LaneStats.Snapshot builds it.
 type LaneSnapshot struct {
 	// Node is the owning node's id, rendered.
 	Node string
-	// Lane is "read" or "write".
+	// Lane is "read", "write" or "order".
 	Lane string
-	// Enqueued / Dequeued / MaxDepth mirror transport.LaneStats.
-	Enqueued, Dequeued, MaxDepth uint64
+	// Enqueued / Dequeued / Depth / MaxDepth mirror transport.LaneStats.
+	// Depth is the lane's own counter, not Enqueued - Dequeued.
+	Enqueued, Dequeued, Depth, MaxDepth uint64
 	// Busy is summed worker wall time.
 	Busy time.Duration
 	// Drops counts messages the owning component dropped on this path
@@ -29,9 +31,6 @@ type LaneSnapshot struct {
 	// lane queue answered with Reject rather than queued).
 	Shed uint64
 }
-
-// Depth returns the instantaneous queue depth.
-func (s LaneSnapshot) Depth() uint64 { return s.Enqueued - s.Dequeued }
 
 // MuxConfig assembles the debug HTTP surface.
 type MuxConfig struct {
@@ -77,7 +76,7 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 		}
 		for _, l := range cfg.Lanes() {
 			fmt.Fprintf(w, "%-8s %-6s %12d %12d %8d %10d %14v %8d %8d\n",
-				l.Node, l.Lane, l.Enqueued, l.Dequeued, l.Depth(), l.MaxDepth,
+				l.Node, l.Lane, l.Enqueued, l.Dequeued, l.Depth, l.MaxDepth,
 				l.Busy.Round(time.Microsecond), l.Drops, l.Shed)
 		}
 	})

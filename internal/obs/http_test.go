@@ -38,7 +38,7 @@ func TestDebugMux(t *testing.T) {
 		Registry: reg,
 		Tracers:  []*Tracer{tr},
 		Lanes: func() []LaneSnapshot {
-			return []LaneSnapshot{{Node: "1", Lane: "write", Enqueued: 10, Dequeued: 8, MaxDepth: 4, Busy: time.Millisecond, Drops: 1}}
+			return []LaneSnapshot{{Node: "1", Lane: "write", Enqueued: 10, Dequeued: 8, Depth: 2, MaxDepth: 4, Busy: time.Millisecond, Drops: 1}}
 		},
 	})
 	srv := httptest.NewServer(mux)

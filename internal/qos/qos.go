@@ -7,6 +7,7 @@
 package qos
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -85,8 +86,13 @@ func NewTokenBucket(rate, burst float64) *TokenBucket {
 
 // Take attempts to remove n tokens at time now. On success it returns
 // (true, 0); on failure the bucket is untouched and the returned duration
-// is the time until n tokens will have refilled — the retry-after hint a
-// throttled client should honor.
+// is the retry-after hint a throttled client should honor: a caller that
+// waits it out (and finds no one ahead of it) is admitted.
+//
+// A request larger than the bucket can ever hold is admitted against a
+// full bucket and leaves it in debt: tokens go negative, later callers
+// wait the debt out, so the long-run rate still holds. Refusing it would
+// throttle it forever, however long its sender backs off.
 func (b *TokenBucket) Take(n float64, now time.Time) (bool, time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -100,19 +106,16 @@ func (b *TokenBucket) Take(n float64, now time.Time) (bool, time.Duration) {
 		}
 		b.last = now
 	}
-	if b.tokens >= n {
+	need := min(n, b.burst)
+	if b.tokens >= need {
 		b.tokens -= n
 		return true, 0
 	}
-	need := n - b.tokens
-	if need > b.burst {
-		need = b.burst // a request larger than the bucket can ever hold
-	}
-	wait := time.Duration(need / b.rate * float64(time.Second))
-	if wait <= 0 {
-		wait = time.Microsecond
-	}
-	return false, wait
+	// In whole microseconds (the unit the hint travels in), rounded up and
+	// one more, so float error in the refill cannot leave a caller that
+	// waited out the hint a hair short.
+	us := math.Ceil((need - b.tokens) / b.rate * 1e6)
+	return false, (time.Duration(us) + 1) * time.Microsecond
 }
 
 // Admission is per-tenant token-bucket admission control. Tenants without

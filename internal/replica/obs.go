@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flexlog/internal/obs"
+	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
 
@@ -135,33 +136,19 @@ func (r *Replica) traceAppend(token types.Token, po *pendingOrder, commitStart t
 	r.appendTr.Observe(fmt.Sprintf("tok=%#x", uint64(token)), now.Sub(po.arrivedAt), spans)
 }
 
-// LaneSnapshots reports this replica's transport lane state for
-// /debug/lanes on custom (TCP) endpoints, where the lanes are
-// handler-level and invisible to a Network. Nil for network-managed
-// replicas — the Cluster harness reads those via Network.LaneStats.
+// LaneStats snapshots the replica's read and write lanes (the zero value
+// for a lane configured with no workers).
+func (r *Replica) LaneStats() (read, write transport.LaneStats) { return r.lanes.Stats() }
+
+// LaneSnapshots reports this replica's lanes for /debug/lanes: the
+// "read" row, then the "write" row. The write row's Drops column carries
+// the replica's append drops (persistence failures), the closest thing a
+// lane has to a loss counter.
 func (r *Replica) LaneSnapshots() []obs.LaneSnapshot {
-	node := fmt.Sprintf("%d", r.cfg.ID)
-	var out []obs.LaneSnapshot
-	if r.laneStats != nil {
-		ls := r.laneStats()
-		out = append(out, obs.LaneSnapshot{
-			Node: node, Lane: "read",
-			Enqueued: ls.Enqueued, Dequeued: ls.Dequeued,
-			MaxDepth: ls.MaxDepth, Busy: ls.Busy,
-			Shed: ls.Shed,
-		})
-	}
-	if r.wlaneStats != nil {
-		ws := r.wlaneStats()
-		out = append(out, obs.LaneSnapshot{
-			Node: node, Lane: "write",
-			Enqueued: ws.Enqueued, Dequeued: ws.Dequeued,
-			MaxDepth: ws.MaxDepth, Busy: ws.Busy,
-			Drops: r.stats.appendDrops.Load(),
-			Shed:  ws.Shed,
-		})
-	}
-	return out
+	read, write := r.lanes.Stats()
+	w := write.Snapshot(r.cfg.ID, "write")
+	w.Drops = r.stats.appendDrops.Load()
+	return []obs.LaneSnapshot{read.Snapshot(r.cfg.ID, "read"), w}
 }
 
 // Tracers returns the replica's request tracers for the debug server

@@ -31,29 +31,14 @@ import (
 // and a late read of a committed SN is caught by the watermark re-check
 // (or parked and woken by the commit).
 
-// readClass classifies the messages the lane may serve concurrently.
-func readClass(msg transport.Message) bool {
+// readClass classifies the messages the read lane may serve concurrently
+// (its one shared queue ignores the key).
+func readClass(msg transport.Message) (uint64, bool) {
 	switch msg.(type) {
 	case proto.ReadReq, proto.SubscribeReq:
-		return true
+		return 0, true
 	}
-	return false
-}
-
-// laneConfig builds the transport lane configuration for this replica.
-// With tracing on, the lane reports queue wait into the read tracer's
-// lane_wait stage histogram.
-func (r *Replica) laneConfig() transport.LaneConfig {
-	if r.cfg.ReadWorkers <= 0 {
-		return transport.LaneConfig{}
-	}
-	cfg := transport.LaneConfig{Workers: r.cfg.ReadWorkers, Classify: readClass, QoS: r.laneQoS()}
-	if r.readTr != nil {
-		cfg.Observe = func(queueWait, _ time.Duration) {
-			r.readTr.ObserveStage("lane_wait", queueWait)
-		}
-	}
-	return cfg
+	return 0, false
 }
 
 // ---- Per-color atomic watermarks ----

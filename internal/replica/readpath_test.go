@@ -171,9 +171,8 @@ func TestConcurrentReadsServedOnLane(t *testing.T) {
 	if got != n {
 		t.Fatalf("got %d read responses, want %d", got, n)
 	}
-	ls, ok := h.net.LaneStats(1)
-	if !ok || ls.Enqueued < n {
-		t.Fatalf("lane stats = %+v (ok=%v), want >= %d enqueued", ls, ok, n)
+	if ls, _ := h.replicas[0].LaneStats(); ls.Enqueued < n {
+		t.Fatalf("lane stats = %+v, want >= %d enqueued", ls, n)
 	}
 }
 
@@ -222,5 +221,44 @@ func TestHeldReadWokenBySatisfyingCommitOnly(t *testing.T) {
 	st := r.Stats()
 	if st.HeldWakeups == 0 {
 		t.Fatalf("stats.HeldWakeups = 0 after wakeup; stats = %+v", st)
+	}
+}
+
+// TestSameDispatchOnBothFabrics builds one replica on the in-process
+// network and one over a plain handler (the form a TCP endpoint takes):
+// both run the same dispatcher, so a read and an append ride their lanes
+// and show up in LaneSnapshots either way.
+func TestSameDispatchOnBothFabrics(t *testing.T) {
+	builds := map[string]func(Config, *transport.Network) (*Replica, error){
+		"New": New,
+		"NewWithEndpoint": func(cfg Config, net *transport.Network) (*Replica, error) {
+			return NewWithEndpoint(cfg, func(h transport.Handler) (transport.Endpoint, error) {
+				return net.Register(cfg.ID, h)
+			})
+		},
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			h := newHarnessWith(t, 1, build)
+			tok, sn := types.MakeToken(1, 1), types.MakeSN(1, 1)
+			h.cliEP.Send(1, proto.AppendReq{Color: 0, Token: tok, Records: [][]byte{[]byte("v")}, Client: 500})
+			h.grant(h.expectOrderReq(t, tok), sn)
+			h.waitClient(t, func(m transport.Message) bool {
+				ack, ok := m.(proto.AppendAck)
+				return ok && ack.Token == tok
+			})
+			h.cliEP.Send(1, proto.ReadReq{ID: 7, Color: 0, SN: sn})
+			h.waitClient(t, func(m transport.Message) bool {
+				rr, ok := m.(proto.ReadResp)
+				return ok && rr.ID == 7 && rr.Found
+			})
+			rows := h.replicas[0].LaneSnapshots()
+			if len(rows) != 2 || rows[0].Lane != "read" || rows[1].Lane != "write" {
+				t.Fatalf("lane rows = %+v, want read then write", rows)
+			}
+			if rows[0].Enqueued < 1 || rows[1].Enqueued < 2 {
+				t.Fatalf("lane rows = %+v, want the read on the read lane and the append and its commit on the write lane", rows)
+			}
+		})
 	}
 }

@@ -300,46 +300,38 @@ type Replica struct {
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	wg         sync.WaitGroup
-	laneStop   func() // drains a handler-wrapped read lane (custom endpoints)
 
-	// Lane stats funcs, set only on custom endpoints (NewWithEndpoint);
-	// network-managed lanes report through Network.LaneStats instead.
-	laneStats  func() transport.LaneStats
-	wlaneStats func() transport.WriteLaneStats
+	// lanes is the replica's message dispatcher: the read lane, the keyed
+	// write lane and the inline path. Built once, attached to whichever
+	// fabric carries the replica's messages, closed by Stop.
+	lanes *transport.Lanes
 }
 
 // New creates a replica, attaches it to the network, and starts its timers.
 func New(cfg Config, net *transport.Network) (*Replica, error) {
-	st, err := buildStore(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r := newReplica(cfg, st)
-	ep, err := net.RegisterWithLanes(cfg.ID, r.handle, r.lanes())
-	if err != nil {
-		return nil, err
-	}
-	r.ep = ep
-	r.ready.Store(true)
-	r.start()
-	return r, nil
+	return build(cfg, func(l *transport.Lanes) (transport.Endpoint, error) {
+		return net.RegisterWithLanes(cfg.ID, l)
+	})
 }
 
 // NewWithEndpoint creates a replica over a custom endpoint (TCP mode).
-// Read- and write-class traffic is served by handler-level worker pools,
-// since the endpoint is not managed by the in-process Network.
 func NewWithEndpoint(cfg Config, attach func(h transport.Handler) (transport.Endpoint, error)) (*Replica, error) {
+	return build(cfg, func(l *transport.Lanes) (transport.Endpoint, error) {
+		return attach(l.Handler())
+	})
+}
+
+// build is the one constructor: only how the replica's lanes meet the
+// fabric differs between the in-process network and a custom endpoint.
+func build(cfg Config, attach func(*transport.Lanes) (transport.Endpoint, error)) (*Replica, error) {
 	st, err := buildStore(cfg)
 	if err != nil {
 		return nil, err
 	}
 	r := newReplica(cfg, st)
-	h, readStats, writeStats, stop := transport.WithLanes(r.handle, r.lanes())
-	r.laneStop = stop
-	r.laneStats, r.wlaneStats = readStats, writeStats
-	ep, err := attach(h)
+	ep, err := attach(r.lanes)
 	if err != nil {
-		stop()
+		r.lanes.Close()
 		return nil, err
 	}
 	r.ep = ep
@@ -378,6 +370,8 @@ func newReplica(cfg Config, st *storage.Store) *Replica {
 	r.mode.store(ModeOperational)
 	r.admit = qos.NewAdmission(cfg.Tenants)
 	r.initObs()
+	read, write := r.laneConfigs()
+	r.lanes = transport.NewLanes(r.handle, read, write)
 	if cfg.OrderCoalesce {
 		r.coal = &orderCoalescer{r: r}
 	}
@@ -426,9 +420,7 @@ func (r *Replica) Stop() {
 	r.stopOnce.Do(func() {
 		r.mode.store(ModeStopped)
 		close(r.stopCh)
-		if r.laneStop != nil {
-			r.laneStop()
-		}
+		r.lanes.Close()
 	})
 	r.wg.Wait()
 }

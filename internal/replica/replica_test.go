@@ -28,6 +28,12 @@ type harness struct {
 
 func newHarness(t *testing.T, replicas int) *harness {
 	t.Helper()
+	return newHarnessWith(t, replicas, New)
+}
+
+// newHarnessWith builds the harness with the given replica constructor.
+func newHarnessWith(t *testing.T, replicas int, build func(Config, *transport.Network) (*Replica, error)) *harness {
+	t.Helper()
 	h := &harness{
 		net:   transport.NewNetwork(transport.ZeroLink()),
 		topo:  topology.New(),
@@ -68,7 +74,7 @@ func newHarness(t *testing.T, replicas int) *harness {
 		cfg.ReadHoldTimeout = 5 * time.Millisecond
 		cfg.HeartbeatInterval = 2 * time.Millisecond
 		cfg.RetryTimeout = 25 * time.Millisecond
-		r, err := New(cfg, h.net)
+		r, err := build(cfg, h.net)
 		if err != nil {
 			t.Fatal(err)
 		}

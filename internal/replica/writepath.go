@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"flexlog/internal/obs"
 	"flexlog/internal/proto"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
@@ -47,19 +48,20 @@ func writeClass(msg transport.Message) (uint64, bool) {
 	return 0, false
 }
 
-// lanes builds the endpoint's lane configuration: the read lane
-// (readpath.go) plus the keyed write lane.
-func (r *Replica) lanes() transport.Lanes {
-	l := transport.Lanes{Read: r.laneConfig()}
-	if r.cfg.WriteWorkers > 0 {
-		l.Write = transport.WriteLaneConfig{Workers: r.cfg.WriteWorkers, Key: writeClass, QoS: r.laneQoS()}
-		if r.appendTr != nil {
-			l.Write.Observe = func(queueWait, _ time.Duration) {
-				r.appendTr.ObserveStage("lane_wait", queueWait)
-			}
-		}
+// laneConfigs sizes the replica's two lanes: the shared read lane
+// (readpath.go) and the keyed write lane. With tracing on, each reports
+// its queue wait into its tracer's lane_wait stage histogram.
+func (r *Replica) laneConfigs() (read, write transport.LaneConfig) {
+	read = transport.LaneConfig{Workers: r.cfg.ReadWorkers, Key: readClass, QoS: r.laneQoS(), Observe: laneWait(r.readTr)}
+	write = transport.LaneConfig{Workers: r.cfg.WriteWorkers, Key: writeClass, QoS: r.laneQoS(), Observe: laneWait(r.appendTr)}
+	return read, write
+}
+
+func laneWait(tr *obs.Tracer) func(queueWait, service time.Duration) {
+	if tr == nil {
+		return nil
 	}
-	return l
+	return func(queueWait, _ time.Duration) { tr.ObserveStage("lane_wait", queueWait) }
 }
 
 // onOrderRespBatch commits a batched set of assignments. Items share the

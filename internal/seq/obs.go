@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"flexlog/internal/obs"
+	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
 
@@ -91,4 +92,17 @@ func (s *Sequencer) PublishObs(reg *obs.Registry) {
 			}
 			return 0
 		})
+}
+
+// LaneStats snapshots the sequencer's order lane (the zero value with
+// OrderWorkers == 0).
+func (s *Sequencer) LaneStats() transport.LaneStats {
+	_, order := s.lanes.Stats()
+	return order
+}
+
+// LaneSnapshots reports the order lane as the "order" row of
+// /debug/lanes.
+func (s *Sequencer) LaneSnapshots() []obs.LaneSnapshot {
+	return []obs.LaneSnapshot{s.LaneStats().Snapshot(s.cfg.ID, "order")}
 }

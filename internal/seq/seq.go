@@ -227,10 +227,14 @@ type Sequencer struct {
 	initEpoch      types.Epoch
 	claimStart     time.Time
 
-	stopCh   chan struct{}
-	stopped  sync.WaitGroup
-	kick     chan struct{} // wakes the flusher
-	laneStop func()        // drains handler-wrapped lanes (custom endpoints)
+	stopCh  chan struct{}
+	stopped sync.WaitGroup
+	kick    chan struct{} // wakes the flusher
+
+	// lanes is the sequencer's message dispatcher: order traffic on the
+	// keyed lane, the rest inline. Built once, attached to whichever
+	// fabric carries the sequencer's messages, closed by Stop.
+	lanes *transport.Lanes
 }
 
 type childKey struct {
@@ -261,53 +265,29 @@ func seqWriteClass(msg transport.Message) (uint64, bool) {
 	return 0, false
 }
 
-// lanes builds the transport lane layout for this sequencer.
-func (s *Sequencer) lanes() transport.Lanes {
-	return transport.Lanes{
-		Write: transport.WriteLaneConfig{
-			Workers: s.cfg.OrderWorkers,
-			Key:     seqWriteClass,
-		},
-	}
-}
-
 // New creates the sequencer and registers it on the in-process network.
 func New(cfg Config, net *transport.Network) (*Sequencer, error) {
-	s := newSequencer(cfg)
-	var (
-		ep  transport.Endpoint
-		err error
-	)
-	if cfg.OrderWorkers > 0 {
-		ep, err = net.RegisterWithLanes(cfg.ID, s.handle, s.lanes())
-	} else {
-		ep, err = net.Register(cfg.ID, s.handle)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.ep = ep
-	s.ready.Store(true)
-	s.start()
-	return s, nil
+	return build(cfg, func(l *transport.Lanes) (transport.Endpoint, error) {
+		return net.RegisterWithLanes(cfg.ID, l)
+	})
 }
 
 // NewWithEndpoint creates the sequencer over an existing endpoint
-// constructor (used for TCP deployments). attach must register s.Handle as
-// the message handler and return the endpoint.
+// constructor (used for TCP deployments). attach must register the given
+// handler as the message handler and return the endpoint.
 func NewWithEndpoint(cfg Config, attach func(h transport.Handler) (transport.Endpoint, error)) (*Sequencer, error) {
+	return build(cfg, func(l *transport.Lanes) (transport.Endpoint, error) {
+		return attach(l.Handler())
+	})
+}
+
+// build is the one constructor: only how the sequencer's lanes meet the
+// fabric differs between the in-process network and a custom endpoint.
+func build(cfg Config, attach func(*transport.Lanes) (transport.Endpoint, error)) (*Sequencer, error) {
 	s := newSequencer(cfg)
-	h := transport.Handler(s.handle)
-	if cfg.OrderWorkers > 0 {
-		wrapped, _, _, stop := transport.WithLanes(h, s.lanes())
-		h = wrapped
-		s.laneStop = stop
-	}
-	ep, err := attach(h)
+	ep, err := attach(s.lanes)
 	if err != nil {
-		if s.laneStop != nil {
-			s.laneStop()
-		}
+		s.lanes.Close()
 		return nil, err
 	}
 	s.ep = ep
@@ -359,6 +339,8 @@ func newSequencer(cfg Config) *Sequencer {
 		s.setEpochLocked(epoch)
 		s.lastLeaderHB = time.Now()
 	}
+	s.lanes = transport.NewLanes(s.handle, transport.LaneConfig{},
+		transport.LaneConfig{Workers: cfg.OrderWorkers, Key: seqWriteClass})
 	return s
 }
 
@@ -427,9 +409,7 @@ func (s *Sequencer) Stop() {
 	close(s.stopCh)
 	s.mu.Unlock()
 	s.stopped.Wait()
-	if s.laneStop != nil {
-		s.laneStop()
-	}
+	s.lanes.Close()
 }
 
 // Crash simulates a crash failure: the node stops processing and emitting

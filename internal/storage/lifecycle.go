@@ -25,9 +25,12 @@ import (
 // never committed into — they are fully committed — and the allocator
 // refuses to reuse their slot, see flushOldest). Only after the cold copy
 // is synced does the finalize step, back under the allocator lock, mark the
-// segment flushed and free its slot. A crash between Put and Sync leaves a
+// segment flushed and free its slot, zeroing the slot header so the release
+// is durable (freeSlotLocked). A crash between Put and Sync leaves a
 // possibly-torn cold blob AND the intact PM copy; recovery takes the PM
 // copy ("PM wins") and the torn blob is overwritten by the next eviction.
+// A crash after Sync but before the header is zeroed leaves both copies
+// whole, and PM wins again.
 
 // CrashPoint selects where InjectCrash fires inside the lifecycle — the
 // chaos engine's hooks for the two windows where tier state is split
@@ -157,8 +160,24 @@ func (st *Store) reclaimDeadResident() {
 		}
 		st.gcSegments++
 		st.gcBytes += seg.used
+		st.freeSlotLocked(seg.slotIdx())
 		st.dropSegmentLocked(seg)
 	}
+}
+
+// freeSlotLocked returns a PM slot to the allocator and makes the release
+// durable by zeroing the slot header. Recover replays every slot whose
+// header parses, so the image left in a freed slot would otherwise shadow
+// the evicted segment's checkpoint record (defeating the bounded replay)
+// or bring a dropped segment's trimmed records back, for as long as the
+// slot happened not to be reused. Callers that reuse the slot at once
+// (flushOldest) overwrite the header themselves. Caller holds st.alloc.
+func (st *Store) freeSlotLocked(slot int) {
+	var zero [segHeaderSize]byte
+	// A failed write means the device crashed under us; the image is then
+	// replayed as it always was, which costs time, not correctness.
+	_ = st.pm.Write(st.slots[slot], zero[:])
+	st.slotSeg[slot] = nil
 }
 
 // evictOldest claims and evicts the oldest evictable resident segment.
@@ -229,7 +248,7 @@ func (st *Store) evictSegment(seg *segment, used uint64) error {
 	// Finalize only if the segment still owns its slot (a concurrent
 	// Recover rebuilt the world while we were copying).
 	if !seg.flushed() && seg.slotIdx() < len(st.slotSeg) && st.slotSeg[seg.slotIdx()] == seg {
-		st.slotSeg[seg.slotIdx()] = nil
+		st.freeSlotLocked(seg.slotIdx())
 		seg.slot.Store(-1)
 		st.flushes++
 		st.evictions++

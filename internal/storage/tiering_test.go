@@ -181,6 +181,70 @@ func TestCheckpointBoundsRecoveryReplay(t *testing.T) {
 	}
 }
 
+// TestFreedSlotIsNotReplayed pins that releasing a PM slot is durable:
+// recovery scans the segments that were resident at the crash and nothing
+// else. The image an evicted segment leaves in its freed slot must not
+// shadow the segment's checkpoint record (the restore path would never be
+// taken), and a fully-trimmed segment dropped from PM must stay dropped —
+// whether or not the slot happened to be reused before the crash.
+func TestFreedSlotIsNotReplayed(t *testing.T) {
+	cfg := smallConfig()
+	cfg.NumSegments = 8 // freed slots stay unused until the crash
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	recoverAndScan := func() RecoveryStats {
+		t.Helper()
+		resident := st.Stats().ResidentSegments
+		st.Crash()
+		if err := st.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		r := st.LastRecovery()
+		if r.ScannedSegments != resident {
+			t.Fatalf("recovery scanned %d segments, %d were resident at the crash: %+v", r.ScannedSegments, resident, r)
+		}
+		return r
+	}
+
+	fill(t, st, colorA, 1, 40)
+	evicted := evictAll(t, st)
+	if evicted < 2 {
+		t.Fatalf("only %d segments evicted; the test needs several freed slots", evicted)
+	}
+	if err := st.ForceCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if r := recoverAndScan(); r.CoveredSegments != evicted || r.RestoredEntries == 0 {
+		t.Fatalf("evicted segments were not restored from the checkpoint: %+v (evicted %d)", r, evicted)
+	}
+	for i := 1; i < 40; i++ {
+		if got, err := st.Get(colorA, sn(i)); err != nil || !bytes.Equal(got, payload(i)) {
+			t.Fatalf("after recover, get %d = %q, %v", i, got, err)
+		}
+	}
+
+	// Dead-segment GC: trim the resident prefix away and reclaim it.
+	fill(t, st, colorA, 40, 80)
+	if _, _, err := st.Trim(colorA, sn(70)); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats().GCSegments
+	st.reclaimDeadResident()
+	if st.Stats().GCSegments == before {
+		t.Fatal("no fully-trimmed resident segment was reclaimed")
+	}
+	recoverAndScan()
+	if _, err := st.Get(colorA, sn(45)); !errors.Is(err, ErrTrimmed) {
+		t.Fatalf("trimmed record after recover: %v, want ErrTrimmed", err)
+	}
+	if got, err := st.Get(colorA, sn(79)); err != nil || !bytes.Equal(got, payload(79)) {
+		t.Fatalf("live tail after recover = %q, %v", got, err)
+	}
+}
+
 func TestCrashMidEviction(t *testing.T) {
 	cfg := smallConfig()
 	st, err := Open(cfg)

@@ -85,44 +85,31 @@ func NewNetwork(model LinkModel) *Network {
 	}
 }
 
-// Register attaches a node with the given handler and starts its delivery
-// loop. The handler runs on a single goroutine per endpoint.
+// Register attaches a node whose every message runs inline on its single
+// delivery goroutine, in arrival order.
 func (n *Network) Register(id types.NodeID, h Handler) (Endpoint, error) {
-	return n.RegisterWithLane(id, h, LaneConfig{})
+	return n.RegisterWithLanes(id, NewLanes(h, LaneConfig{}, LaneConfig{}))
 }
 
-// RegisterWithLane attaches a node whose endpoint splits inbound traffic
-// into two service lanes: messages the lane config classifies (reads,
-// subscribes) run on a pool of lane workers, everything else keeps the
-// single-goroutine FIFO delivery loop. The delivery loop still dequeues
-// in arrival order, so a classified message is only handed to the pool
-// after every earlier mutation has been processed — reads can complete
-// late, never early. With a zero/disabled lane config this is Register.
-func (n *Network) RegisterWithLane(id types.NodeID, h Handler, lane LaneConfig) (Endpoint, error) {
-	return n.RegisterWithLanes(id, h, Lanes{Read: lane})
-}
-
-// RegisterWithLanes attaches a node with both service lanes: read-class
-// messages go to the shared read pool, write-class messages are sharded
-// by key (color) onto per-key FIFO workers, and everything else keeps the
-// single-goroutine delivery loop. The delivery loop still dequeues in
-// arrival order, and a key is pinned to one worker, so messages of one
-// color retain their FIFO order end to end.
-func (n *Network) RegisterWithLanes(id types.NodeID, h Handler, lanes Lanes) (Endpoint, error) {
+// RegisterWithLanes attaches a node through its dispatcher and starts its
+// delivery loop. The loop dequeues in arrival order and offers each
+// message to the lanes before running it inline, so a read is handed to
+// the shared pool only after every earlier mutation has been handled or
+// queued (reads complete late, never early), and messages of one key keep
+// their FIFO order end to end. The lanes stay the node's: closing the
+// endpoint does not close them.
+func (n *Network) RegisterWithLanes(id types.NodeID, lanes *Lanes) (Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, dup := n.nodes[id]; dup {
 		return nil, fmt.Errorf("transport: node %v already registered", id)
 	}
-	ep := &inprocEndpoint{net: n, id: id, handler: h}
-	if lanes.Read.Enabled() {
-		ep.classify = lanes.Read.Classify
-		ep.lane = newReadLane(lanes.Read, h, n.model.ProcCost)
+	for _, l := range []*lane{lanes.read, lanes.write} {
+		if l != nil {
+			l.procCost = n.model.ProcCost
+		}
 	}
-	if lanes.Write.Enabled() {
-		ep.writeKey = lanes.Write.Key
-		ep.wlane = newWriteLane(lanes.Write, h, n.model.ProcCost)
-	}
+	ep := &inprocEndpoint{net: n, id: id, lanes: lanes}
 	ep.cond = sync.NewCond(&ep.qmu)
 	n.nodes[id] = ep
 	go ep.deliveryLoop()
@@ -140,11 +127,11 @@ func (n *Network) Deregister(id types.NodeID) {
 	}
 }
 
-// Shutdown closes every registered endpoint: delivery loops exit and
-// their lane worker pools drain. Cluster teardown calls this after
-// stopping the nodes — without it every stopped cluster would strand
-// its delivery and lane goroutines, which is a real leak for processes
-// that create clusters in sequence (benchmarks, chaos soaks, tests).
+// Shutdown closes every registered endpoint: delivery loops exit.
+// Cluster teardown calls this after stopping the nodes (which close
+// their own lanes) — without it every stopped cluster would strand its
+// delivery goroutines, which is a real leak for processes that create
+// clusters in sequence (benchmarks, chaos soaks, tests).
 // Endpoints stay in the registry so per-node delivery counters remain
 // readable after shutdown; restarting nodes mid-run uses Deregister.
 func (n *Network) Shutdown() {
@@ -213,58 +200,6 @@ func (n *Network) NodeDelivered() map[types.NodeID]uint64 {
 	return out
 }
 
-// NodeReadDelivered returns the per-node count of messages delivered via
-// the read lane (a subset of NodeDelivered); nodes without a lane report 0.
-// The lane-aware throughput model uses this split: lane messages share
-// their processing cost across the lane's workers.
-func (n *Network) NodeReadDelivered() map[types.NodeID]uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make(map[types.NodeID]uint64, len(n.nodes))
-	for id, ep := range n.nodes {
-		out[id] = ep.readDelivered.Load()
-	}
-	return out
-}
-
-// LaneStats snapshots the read-lane counters of a node. ok is false when
-// the node is unknown or has no lane.
-func (n *Network) LaneStats(id types.NodeID) (LaneStats, bool) {
-	n.mu.RLock()
-	ep := n.nodes[id]
-	n.mu.RUnlock()
-	if ep == nil || ep.lane == nil {
-		return LaneStats{}, false
-	}
-	return ep.lane.stats(), true
-}
-
-// NodeWriteDelivered returns the per-node count of messages delivered via
-// the write lane (a subset of NodeDelivered); nodes without a write lane
-// report 0. The lane-aware throughput model splits these across workers
-// using WriteLaneStats.PerWorker.
-func (n *Network) NodeWriteDelivered() map[types.NodeID]uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make(map[types.NodeID]uint64, len(n.nodes))
-	for id, ep := range n.nodes {
-		out[id] = ep.writeDelivered.Load()
-	}
-	return out
-}
-
-// WriteLaneStats snapshots the write-lane counters of a node. ok is false
-// when the node is unknown or has no write lane.
-func (n *Network) WriteLaneStats(id types.NodeID) (WriteLaneStats, bool) {
-	n.mu.RLock()
-	ep := n.nodes[id]
-	n.mu.RUnlock()
-	if ep == nil || ep.wlane == nil {
-		return WriteLaneStats{}, false
-	}
-	return ep.wlane.stats(), true
-}
-
 // Model returns the network's link model.
 func (n *Network) Model() LinkModel { return n.model }
 
@@ -284,16 +219,10 @@ func (n *Network) reachable(from, to types.NodeID) bool {
 
 // inprocEndpoint is one node's in-process attachment.
 type inprocEndpoint struct {
-	net            *Network
-	id             types.NodeID
-	handler        Handler
-	classify       func(Message) bool
-	lane           *readLane
-	writeKey       func(Message) (uint64, bool)
-	wlane          *writeLane
-	delivered      atomic.Uint64
-	readDelivered  atomic.Uint64
-	writeDelivered atomic.Uint64
+	net       *Network
+	id        types.NodeID
+	lanes     *Lanes
+	delivered atomic.Uint64
 
 	qmu    sync.Mutex
 	cond   *sync.Cond
@@ -392,18 +321,12 @@ func (e *inprocEndpoint) Close() error {
 	return nil
 }
 
-// deliveryLoop pops envelopes in arrival order, waits out each one's
-// delivery deadline (pipelined: deadlines were stamped at send time), and
-// invokes the handler. Read-class envelopes are handed to the lane pool
-// instead: the lane worker pays the delivery deadline and processing cost,
-// so classified messages overlap while mutations stay serial.
+// deliveryLoop pops envelopes in arrival order and offers each to the
+// node's lanes: a lane worker then waits out the delivery deadline and
+// pays the processing cost, so lane messages overlap. What no lane takes
+// is paid for and handled here, serially (deadlines were stamped at send
+// time, so the propagation delay is still pipelined).
 func (e *inprocEndpoint) deliveryLoop() {
-	if e.lane != nil {
-		defer e.lane.close()
-	}
-	if e.wlane != nil {
-		defer e.wlane.close()
-	}
 	for {
 		e.qmu.Lock()
 		for len(e.queue) == 0 && !e.closed {
@@ -417,19 +340,10 @@ func (e *inprocEndpoint) deliveryLoop() {
 		e.queue = e.queue[1:]
 		e.qmu.Unlock()
 
-		if e.lane != nil && e.classify(env.msg) && e.lane.dispatch(env.from, env.msg, env.deliverAt) {
-			e.net.delivered.Add(1)
-			e.delivered.Add(1)
-			e.readDelivered.Add(1)
+		e.net.delivered.Add(1)
+		e.delivered.Add(1)
+		if e.lanes.dispatch(env.from, env.msg, env.deliverAt) {
 			continue
-		}
-		if e.wlane != nil {
-			if key, ok := e.writeKey(env.msg); ok && e.wlane.dispatch(env.from, env.msg, env.deliverAt, key) {
-				e.net.delivered.Add(1)
-				e.delivered.Add(1)
-				e.writeDelivered.Add(1)
-				continue
-			}
 		}
 		if !env.deliverAt.IsZero() {
 			simclock.SpinUntil(env.deliverAt)
@@ -441,8 +355,6 @@ func (e *inprocEndpoint) deliveryLoop() {
 				simclock.Spin(e.net.model.ProcCost)
 			}
 		}
-		e.net.delivered.Add(1)
-		e.delivered.Add(1)
-		e.handler(env.from, env.msg)
+		e.lanes.handler(env.from, env.msg)
 	}
 }

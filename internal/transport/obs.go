@@ -1,8 +1,22 @@
 package transport
 
 import (
+	"fmt"
+
 	"flexlog/internal/obs"
+	"flexlog/internal/types"
 )
+
+// Snapshot renders the lane's counters as the node's row of that name on
+// /debug/lanes.
+func (s LaneStats) Snapshot(node types.NodeID, lane string) obs.LaneSnapshot {
+	return obs.LaneSnapshot{
+		Node: fmt.Sprintf("%d", node), Lane: lane,
+		Enqueued: s.Enqueued, Dequeued: s.Dequeued,
+		Depth: s.Depth, MaxDepth: s.MaxDepth,
+		Busy: s.Busy, Shed: s.Shed,
+	}
+}
 
 // PublishObs registers the network's delivery and fault-injection
 // counters with the observability registry. The fault counters are the

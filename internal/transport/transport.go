@@ -7,8 +7,13 @@
 //   - an in-process network with a configurable delay model, partitions and
 //     crash-style fault injection, used by the cluster harness, the tests
 //     and the benchmarks (the paper's 10 Gbps RTT is injected here);
-//   - a TCP transport (gob-framed) for real multi-process deployments via
-//     cmd/flexlog-server.
+//   - a TCP transport for real multi-process deployments via
+//     cmd/flexlog-server: length-prefixed binary frames (package proto's
+//     codec) by default, a gob stream when an endpoint asks for it,
+//     auto-detected per inbound connection.
+//
+// A node attaches to either through its Lanes, the dispatcher that decides
+// which inbound messages run on the node's worker pools and which inline.
 //
 // Per the paper, links are reliable and FIFO (TCP in practice); message
 // loss only occurs under injected partitions or node crashes, which the
@@ -21,13 +26,17 @@ import (
 	"flexlog/internal/types"
 )
 
-// Message is any protocol payload. For the TCP transport, concrete types
-// must be registered with encoding/gob (see package proto).
+// Message is any protocol payload. On TCP the binary codec frames the
+// types package proto knows itself; any other type travels gob-encoded
+// inside a fallback frame and must be registered with encoding/gob.
 type Message any
 
-// Handler processes one inbound message. Handlers of a given endpoint are
-// invoked sequentially in delivery order (the "negligible local
-// computation" round model of §4); long work should be handed off.
+// Handler processes one inbound message. An endpoint may invoke it from
+// several goroutines at once: the in-process network runs what no lane
+// takes sequentially in delivery order, but lane workers run beside that
+// loop, and the TCP transport delivers each connection on its own
+// goroutine. Per-sender FIFO holds for inline messages, per-key FIFO for
+// a keyed lane's; long work should be handed off.
 type Handler func(from types.NodeID, msg Message)
 
 // Endpoint is one node's attachment to the network.
