@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race loc benchmark-check bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
+.PHONY: verify build test vet race loc flake benchmark-check bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
 
 verify: build test vet race benchmark-check chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
 
@@ -22,12 +22,21 @@ vet:
 race:
 	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/... ./internal/qos/...
 
-# The two line counts every deletion PR states before and after in
+# The line counts every deletion PR states before and after in
 # CHANGES.md: non-test and test Go lines of the program (the benchmark
-# module and its build directory are not the program).
+# module and its build directory are not the program), and the non-test
+# lines of internal/bench, the package the design diet is judged on.
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@printf 'internal/bench non-test Go lines: '; find internal/bench -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+
+# Flake rate of one test: make flake PKG=./internal/seq/ RUN=TestEpochBumpDuringFlood N=200
+# runs it N times and prints failures/N (add GOFLAGS=-race for the race
+# detector).
+N ?= 50
+flake:
+	@$(GO) test -count=$(N) -run '$(RUN)' $(PKG) -v 2>&1 | awk '/^--- FAIL/ {f++} /^--- (FAIL|PASS)/ {n++} END {printf "%d/%d failed\n", f, n}'
 
 # The wall-clock benchmark is its own module (benchmark/go.mod), so tier-1
 # `go test ./...` does not reach it: vet and test it here against the

@@ -106,7 +106,7 @@ func BenchmarkAblateReadHold(b *testing.B) {
 // ---- Micro-benchmarks of the hot paths ----
 
 func BenchmarkStoragePut(b *testing.B) {
-	st, err := storage.New(storage.Config{
+	st, err := storage.Open(storage.Config{
 		SegmentSize: 4 << 20, NumSegments: 32, CacheBytes: 8 << 20,
 		PMModel: pmem.Zero(), SSDModel: ssd.Zero(),
 	})
@@ -130,7 +130,7 @@ func BenchmarkStoragePut(b *testing.B) {
 }
 
 func BenchmarkStorageGet(b *testing.B) {
-	st, err := storage.New(storage.Config{
+	st, err := storage.Open(storage.Config{
 		SegmentSize: 4 << 20, NumSegments: 8, CacheBytes: 8 << 20,
 		PMModel: pmem.Zero(), SSDModel: ssd.Zero(),
 	})

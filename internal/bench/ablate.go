@@ -2,7 +2,6 @@ package bench
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"flexlog/internal/core"
@@ -10,28 +9,9 @@ import (
 	"flexlog/internal/pmem"
 	"flexlog/internal/ssd"
 	"flexlog/internal/storage"
-	"flexlog/internal/transport"
 	"flexlog/internal/types"
 	"flexlog/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "ablate-batch",
-		Title: "Ablation: sequencer aggregation window vs ordering latency and root load",
-		Run:   runAblateBatch,
-	})
-	register(Experiment{
-		ID:    "ablate-cache",
-		Title: "Ablation: DRAM cache on/off in the storage read path",
-		Run:   runAblateCache,
-	})
-	register(Experiment{
-		ID:    "ablate-readhold",
-		Title: "Ablation: read-hold timeout vs ⊥ rate for reads racing appends (§6.3)",
-		Run:   runAblateReadHold,
-	})
-}
 
 // runAblateBatch sweeps the leaf aggregation window: larger windows cut
 // the root's message load (throughput capacity) at the cost of added
@@ -46,75 +26,30 @@ func runAblateBatch(cfg RunConfig) (*Report, error) {
 	}
 	latS := metrics.NewSeries("Append order latency", "usec")
 	rootS := metrics.NewSeries("Root msgs per request", "")
+	master := []types.ColorID{types.MasterColor}
 
 	for _, w := range windows {
-		label := w.String()
 		// Root load, functional.
-		net := transport.NewNetwork(transport.DatacenterLink())
-		leaf, _, stop, err := buildSeqTree(net, w)
+		f, err := newOrderingFixture(orderingSpec{n: 2, batch: w, drivers: drivers})
 		if err != nil {
 			return nil, err
 		}
-		ds := make([]*orderDriver, drivers)
-		for i := range ds {
-			if ds[i], err = newOrderDriver(net, types.NodeID(100+i)); err != nil {
-				stop()
-				return nil, err
-			}
+		err = closedLoop(drivers, opsPerDriver, f.orderLoad(master, 0), nil)
+		rootMsgs := f.snapshot()[f.seqs[0].ID()].msgs
+		f.stop()
+		if err != nil {
+			return nil, err
 		}
-		var wg sync.WaitGroup
-		var firstErr error
-		var mu sync.Mutex
-		for i := 0; i < drivers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for j := 0; j < opsPerDriver; j++ {
-					if _, err := ds[i].request(leaf, types.MasterColor, 1, 30*time.Second); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		stop()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		rootMsgs := net.NodeDelivered()[9000]
-		rootS.Add(label, float64(rootMsgs)/float64(drivers*opsPerDriver))
+		rootS.Add(w.String(), float64(rootMsgs)/float64(drivers*opsPerDriver))
 
 		// Latency, injected, single client.
-		err = withLatencyInjection(func() error {
-			net2 := transport.NewNetwork(transport.DatacenterLink())
-			leaf2, _, stop2, err := buildSeqTree(net2, w)
-			if err != nil {
-				return err
-			}
-			defer stop2()
-			d, err := newOrderDriver(net2, 100)
-			if err != nil {
-				return err
-			}
-			h := metrics.NewHistogram()
-			for i := 0; i < latOps; i++ {
-				lat, err := d.request(leaf2, types.MasterColor, 1, 10*time.Second)
-				if err != nil {
-					return err
-				}
-				h.Record(lat)
-			}
-			latS.Add(label, float64(h.Mean())/1e3)
-			return nil
-		})
+		mean, err := loneLatency(latOps,
+			func() (*fixture, error) { return newOrderingFixture(orderingSpec{n: 2, batch: w, drivers: 1}) },
+			func(f *fixture) (load, error) { return f.orderLoad(master, 0), nil })
 		if err != nil {
 			return nil, err
 		}
+		latS.Add(w.String(), float64(mean)/1e3)
 	}
 	return &Report{
 		ID:      "ablate-batch",
@@ -138,7 +73,7 @@ func runAblateCache(cfg RunConfig) (*Report, error) {
 		if cache == 0 {
 			label = "off"
 		}
-		st, err := storage.New(storage.Config{
+		st, err := storage.Open(storage.Config{
 			SegmentSize: 4 << 20, NumSegments: 16, CacheBytes: cache,
 			PMModel: pmem.OptaneBypass(), SSDModel: ssd.NVMe(),
 		})
@@ -196,54 +131,10 @@ func runAblateReadHold(cfg RunConfig) (*Report, error) {
 
 	err := withLatencyInjection(func() error {
 		for _, hold := range holds {
-			ccfg := core.BenchClusterConfig()
-			ccfg.ReadHoldTimeout = hold
-			ccfg.SeqBackups = 0
-			cl, err := core.SimpleCluster(ccfg, 1)
+			success, err := readHoldSuccesses(hold, trials)
 			if err != nil {
 				return err
 			}
-			writer, err := cl.NewClient()
-			if err != nil {
-				cl.Stop()
-				return err
-			}
-			reader, err := cl.NewClient()
-			if err != nil {
-				cl.Stop()
-				return err
-			}
-			// Seed so the next SN is predictable.
-			last, err := writer.Append([][]byte{[]byte("seed")}, types.MasterColor)
-			if err != nil {
-				cl.Stop()
-				return err
-			}
-			success := 0
-			for i := 0; i < trials; i++ {
-				next := last + 1
-				done := make(chan types.SN, 1)
-				go func() {
-					sn, err := writer.Append([][]byte{[]byte("race")}, types.MasterColor)
-					if err == nil {
-						done <- sn
-					} else {
-						done <- types.InvalidSN
-					}
-				}()
-				// Read the anticipated SN while the append is in flight.
-				if _, err := reader.Read(next, types.MasterColor); err == nil {
-					success++
-				} else if !errors.Is(err, core.ErrNotFound) {
-					cl.Stop()
-					return err
-				}
-				sn := <-done
-				if sn.Valid() {
-					last = sn
-				}
-			}
-			cl.Stop()
 			series.Add(hold.String(), 100*float64(success)/float64(trials))
 		}
 		return nil
@@ -258,4 +149,52 @@ func runAblateReadHold(cfg RunConfig) (*Report, error) {
 		Series:  []*metrics.Series{series},
 		Notes:   []string{"a ⊥ under a short hold is legal (§6.3) — the FaaS application re-executes the read"},
 	}, nil
+}
+
+// readHoldSuccesses races `trials` reads of the SN the next append will
+// get against that append, on a fresh one-shard cluster with the given
+// read-hold timeout, and returns how many reads found the record.
+func readHoldSuccesses(hold time.Duration, trials int) (int, error) {
+	f, err := newClusterFixture(clusterSpec{shards: 1, tweak: func(c *core.ClusterConfig) {
+		c.ReadHoldTimeout = hold
+		c.SeqBackups = 0
+	}})
+	if err != nil {
+		return 0, err
+	}
+	defer f.stop()
+	cs, err := f.clients(2)
+	if err != nil {
+		return 0, err
+	}
+	writer, reader := cs[0], cs[1]
+	// Seed so the next SN is predictable.
+	last, err := writer.Append([][]byte{[]byte("seed")}, types.MasterColor)
+	if err != nil {
+		return 0, err
+	}
+	success := 0
+	for i := 0; i < trials; i++ {
+		next := last + 1
+		done := make(chan types.SN, 1)
+		go func() {
+			sn, err := writer.Append([][]byte{[]byte("race")}, types.MasterColor)
+			if err == nil {
+				done <- sn
+			} else {
+				done <- types.InvalidSN
+			}
+		}()
+		// Read the anticipated SN while the append is in flight.
+		_, err := reader.Read(next, types.MasterColor)
+		if sn := <-done; sn.Valid() {
+			last = sn
+		}
+		if err == nil {
+			success++
+		} else if !errors.Is(err, core.ErrNotFound) {
+			return 0, err
+		}
+	}
+	return success, nil
 }

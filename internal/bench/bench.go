@@ -8,11 +8,20 @@
 // the paper's testbed, they are not it); what the experiments reproduce is
 // the shape of each result: who wins, by roughly what factor, and where
 // the crossovers fall. EXPERIMENTS.md records paper-vs-measured values.
+//
+// What the cluster- and sequencer-based experiments have in common lives
+// in three files: fixture.go builds a deployment from a declarative spec,
+// owns the set of load-generating nodes and tears everything down;
+// driver.go runs closed loops (warm-up, hook, measured operations, first
+// error) and holds the workloads several experiments share; model.go
+// turns two counter snapshots into the busiest node's modeled time. The
+// on/off ablations that share a method are entries of one table, run by
+// laneablation.go.
 package bench
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -87,26 +96,50 @@ type Experiment struct {
 	Run   func(cfg RunConfig) (*Report, error)
 }
 
-// registry of experiments, filled by the fig*.go files' init functions.
-var registry = map[string]Experiment{}
-
-func register(e Experiment) {
-	registry[e.ID] = e
+// experiments is every table and figure the package regenerates: the
+// paper's, in its order, then the ablations and extensions.
+var experiments = []Experiment{
+	{"table1", "Profiling of two serverless functions: % of CPU time in storage calls (Table 1)", runTable1},
+	{"fig1", "Storage latency for read and write operations vs block size (Figure 1)", runFig1},
+	{"fig4lat", "Ordering-layer latency: FlexLog vs Boki, by read share (Figure 4, left)", runFig4Latency},
+	{"fig4thr", "Ordering-layer throughput: FlexLog / FlexLog-P vs optimized Paxos (Figure 4, right)", runFig4Throughput},
+	{"fig5", "Storage-layer throughput vs record size: FlexLog(PM) vs Boki(RocksDB) (Figure 5)", runFig5},
+	{"fig6", "Storage-layer throughput vs threads: FlexLog(PM) vs Boki(RocksDB) (Figure 6)", runFig6},
+	{"fig7", "Storage-layer throughput vs R/W ratio: FlexLog(PM) vs Boki(RocksDB) (Figure 7)", runFig7},
+	{"fig8", "Append/read latency vs replication factor, one shard (Figure 8)", runFig8},
+	{"fig9", "Ordering-layer scalability vs number of leaf sequencers (Figure 9)", runFig9},
+	{"fig10", "Replica recovery time vs number of committed records (Figure 10)", runFig10},
+	{"fig11", "Latency vs throughput for 3 vs 6 shards, 95%R/5%W (Figure 11)", runFig11},
+	{"ablate-batch", "Ablation: sequencer aggregation window vs ordering latency and root load", runAblateBatch},
+	{"ablate-cache", "Ablation: DRAM cache on/off in the storage read path", runAblateCache},
+	{"ablate-readhold", "Ablation: read-hold timeout vs ⊥ rate for reads racing appends (§6.3)", runAblateReadHold},
+	ablationRow("ablate-clientbatch", "Ablation: client-side append batching & pipelining (v2 API)", clientBatchAblation),
+	ablationRow("ablate-readpath", "Ablation: parallel replica read path (read lane + striped cache)", readPathAblation),
+	ablationRow("ablate-writepath", "Ablation: parallel replica write path (write lanes + group commit + order coalescing)", writePathAblation),
+	ablationRow("ablate-seq", "Ablation: lock-free sequencer hot path (order lanes + pipelined flush)", seqPathAblation),
+	{"ablate-tiering", "Ablation: storage lifecycle (PM budget + checkpoints) vs recovery cost growth", runAblateTiering},
+	{"ablate-codec", "Ablation: wire codec (hand-rolled binary vs gob) on the TCP deployment path", runAblateCodec},
+	{"ablate-qos", "Ablation: multi-tenant QoS (admission + weighted-fair lanes) and hedged reads", runAblateQoS},
+	{"ablate-reconfig", "Ablation: append availability through a live shard split + replica drain", runAblateReconfig},
+	ablationRow("ablate-obs", "Ablation: observability overhead (tracing + registry on vs off)", obsAblation),
+	{"ext-burst", "Extension: bursts of serverless invocations over FlexLog (§3.1 scalability requirement)", runExtBurst},
+	{"chaos", "Extension: availability under seeded nemeses (chaos engine + history checker)", runChaos},
 }
 
 // ByID returns the experiment with the given id.
 func ByID(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+	for _, e := range experiments {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 // All returns every experiment sorted by id.
 func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := slices.Clone(experiments)
+	slices.SortFunc(out, func(a, b Experiment) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -2,18 +2,24 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func quick() RunConfig { return RunConfig{Quick: true} }
 
+// runExperiment runs one experiment in quick mode and checks what holds
+// for every experiment: the report has the recorded schema (schema_test.go)
+// and the run left no goroutines behind.
 func runExperiment(t *testing.T, id string) *Report {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
+	before := runtime.NumGoroutine()
 	rep, err := e.Run(quick())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
@@ -22,7 +28,58 @@ func runExperiment(t *testing.T, id string) *Report {
 		t.Fatalf("%s produced empty report", id)
 	}
 	t.Logf("\n%s", rep)
+	if err := checkSchema(rep); err != nil {
+		t.Errorf("%s report changed shape: %v", id, err)
+	}
+	checkNoGoroutineLeak(t, id, before)
 	return rep
+}
+
+// checkNoGoroutineLeak fails the test if, 10 s after `what` finished, more
+// goroutines run than before it started. Endpoint close is asynchronous,
+// so it polls; the slack tolerates runtime goroutines that come and go
+// (the bound and polling of core.TestStopReleasesGoroutines). The leak
+// this guards against is O(deployment size): a network nobody shut down.
+func checkNoGoroutineLeak(t *testing.T, what string, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		now := runtime.NumGoroutine()
+		if now <= before+5 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("%s leaked goroutines: %d before, %d after", what, before, now)
+			return
+		}
+	}
+}
+
+// skipUnderRace skips a measurement-based shape test under the race
+// detector, whose 5-20x slowdown distorts every ratio the gates look at.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("measurement-based shape test skipped under the race detector")
+	}
+}
+
+// shapeTest runs a measurement-based experiment and checks its report
+// against gates, up to `attempts` times: the gates compare windows taken
+// at different times (modeled throughput follows wall-clock batching
+// windows; latency gates compare two ~100 µs measurements), so under the
+// whole-repo parallel `go test ./...` one side can be handed a bad window.
+// A persistent failure is real.
+func shapeTest(t *testing.T, id string, attempts int, gates func(*Report) error) {
+	t.Helper()
+	skipUnderRace(t)
+	var err error
+	for attempt := 1; attempt <= attempts; attempt++ {
+		if err = gates(runExperiment(t, id)); err == nil {
+			return
+		}
+		t.Logf("attempt %d: %v", attempt, err)
+	}
+	t.Error(err)
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -48,9 +105,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
+	skipUnderRace(t)
 	rep := runExperiment(t, "table1")
 	for _, fn := range []string{"Video processing", "Gzip compression"} {
 		total, ok := rep.Value(fn, "Total")
@@ -66,9 +121,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
+	skipUnderRace(t)
 	rep := runExperiment(t, "fig1")
 	for _, label := range []string{"64", "1024", "8192"} {
 		pm, ok1 := rep.Value("pmem_read", label)
@@ -271,22 +324,7 @@ func TestTieringShape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
-	// The modeled throughput depends on how ordering requests coalesce,
-	// which follows wall-clock batching windows — a slow window on a
-	// loaded machine skews the 3-vs-6-shard ratio. Retry once before
-	// declaring a regression, like the other shape tests.
-	var err error
-	for attempt := 1; attempt <= 2; attempt++ {
-		rep := runExperiment(t, "fig11")
-		if err = fig11ShapeGates(rep); err == nil {
-			return
-		}
-		t.Logf("attempt %d: %v", attempt, err)
-	}
-	t.Error(err)
+	shapeTest(t, "fig11", 2, fig11ShapeGates)
 }
 
 func fig11ShapeGates(rep *Report) error {
@@ -340,9 +378,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestAblateClientBatchShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
+	skipUnderRace(t)
 	rep := runExperiment(t, "ablate-clientbatch")
 	thrOff, ok1 := rep.Value("Append throughput", "off")
 	thrOn, ok2 := rep.Value("Append throughput", "on")
@@ -375,22 +411,7 @@ func TestAblateClientBatchShape(t *testing.T) {
 }
 
 func TestAblateReadPathShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
-	// The latency gate compares two ~100 µs measurements taken in separate
-	// windows; when the whole-repo test sweep runs every package in
-	// parallel, a scheduler stall on one side shows up as a multi-x
-	// "regression". Retry once before failing.
-	var err error
-	for attempt := 1; attempt <= 2; attempt++ {
-		rep := runExperiment(t, "ablate-readpath")
-		if err = readPathShapeGates(rep); err == nil {
-			return
-		}
-		t.Logf("attempt %d: %v", attempt, err)
-	}
-	t.Error(err)
+	shapeTest(t, "ablate-readpath", 2, readPathShapeGates)
 }
 
 // readPathShapeGates checks one ablate-readpath report against the
@@ -434,9 +455,7 @@ func readPathShapeGates(rep *Report) error {
 }
 
 func TestAblateWritePathShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
+	skipUnderRace(t)
 	rep := runExperiment(t, "ablate-writepath")
 	// ISSUE acceptance: >= 4x modeled append throughput at the largest
 	// writer count across >= 8 colors with the full write path vs the
@@ -485,22 +504,7 @@ func TestAblateWritePathShape(t *testing.T) {
 }
 
 func TestAblateSeqShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
-	// Both the throughput model (wall-clock batching windows decide how
-	// order requests coalesce) and the latency gate (two ~100 µs
-	// measurements in separate windows) are noise-sensitive on a loaded
-	// machine; retry once before declaring a regression.
-	var err error
-	for attempt := 1; attempt <= 2; attempt++ {
-		rep := runExperiment(t, "ablate-seq")
-		if err = seqPathShapeGates(rep); err == nil {
-			return
-		}
-		t.Logf("attempt %d: %v", attempt, err)
-	}
-	t.Error(err)
+	shapeTest(t, "ablate-seq", 2, seqPathShapeGates)
 }
 
 // seqPathShapeGates checks one ablate-seq report against the acceptance
@@ -559,40 +563,11 @@ func TestExtBurstShape(t *testing.T) {
 }
 
 func TestAblateCodecShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
-	// The gates compare socket throughput measured in separate time
-	// windows, so a loaded machine (e.g. the whole-repo `go test ./...`
-	// sweep running every package in parallel) can hand one codec a bad
-	// window. Retry before declaring a regression.
-	var err error
-	for attempt := 1; attempt <= 3; attempt++ {
-		rep := runExperiment(t, "ablate-codec")
-		if err = codecShapeGates(rep); err == nil {
-			return
-		}
-		t.Logf("attempt %d: %v", attempt, err)
-	}
-	t.Error(err)
+	shapeTest(t, "ablate-codec", 3, codecShapeGates)
 }
 
 func TestAblateQoSShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
-	// Both gates compare wall-clock measurements taken in separate time
-	// windows, so a loaded machine can hand one side a bad window; retry
-	// once before declaring a regression.
-	var err error
-	for attempt := 1; attempt <= 2; attempt++ {
-		rep := runExperiment(t, "ablate-qos")
-		if err = qosShapeGates(rep); err == nil {
-			return
-		}
-		t.Logf("attempt %d: %v", attempt, err)
-	}
-	t.Error(err)
+	shapeTest(t, "ablate-qos", 2, qosShapeGates)
 }
 
 // qosShapeGates checks one ablate-qos report against the acceptance bars:
@@ -682,20 +657,7 @@ func codecShapeGates(rep *Report) error {
 }
 
 func TestAblateReconfigShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measurement-based shape test skipped under the race detector")
-	}
-	// Three wall-clock windows on a shared machine can each catch a bad
-	// scheduling patch; retry once before declaring a regression.
-	var err error
-	for attempt := 1; attempt <= 2; attempt++ {
-		rep := runExperiment(t, "ablate-reconfig")
-		if err = reconfigShapeGates(rep); err == nil {
-			return
-		}
-		t.Logf("attempt %d: %v", attempt, err)
-	}
-	t.Error(err)
+	shapeTest(t, "ablate-reconfig", 2, reconfigShapeGates)
 }
 
 // reconfigShapeGates checks one ablate-reconfig report against the

@@ -13,14 +13,6 @@ import (
 	"flexlog/internal/types"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "chaos",
-		Title: "Extension: availability under seeded nemeses (chaos engine + history checker)",
-		Run:   runChaos,
-	})
-}
-
 // chaosBenchSeed pins the nemesis schedules and the network fault rng so
 // the reported numbers replay bit-for-bit.
 const chaosBenchSeed int64 = 20260805
@@ -91,29 +83,31 @@ func runChaos(cfg RunConfig) (*Report, error) {
 		}},
 	}
 
-	notes := []string{fmt.Sprintf("seed=%d, %s per family; availability = acked appends / attempted", chaosBenchSeed, dur)}
-	for _, fam := range families {
-		ccfg := core.TestClusterConfig()
-		ccfg.FailureTimeout = 100 * time.Millisecond
-		// Publish the soak's clusters into the shared registry so
-		// flexlog-bench -metrics-dump captures injection counters and
-		// per-node state from the last family run.
-		ccfg.Obs = cfg.Obs
-		cl, err := core.TreeCluster(ccfg, 2, 1)
+	// family runs the recorded workload on a fresh cluster under one
+	// family's schedule and checks the history once everything has healed.
+	family := func(events func(replicas []types.NodeID) []chaos.Event) (chaos.Stats, []histcheck.Violation, error) {
+		f, err := newClusterFixture(clusterSpec{test: true, regions: 2, shards: 1, tweak: func(c *core.ClusterConfig) {
+			c.FailureTimeout = 100 * time.Millisecond
+			// Publish the soak's clusters into the shared registry so
+			// flexlog-bench -metrics-dump captures injection counters and
+			// per-node state from the last family run.
+			c.Obs = cfg.Obs
+		}})
 		if err != nil {
-			return nil, err
+			return chaos.Stats{}, nil, err
 		}
+		defer f.stop()
 		var replicas []types.NodeID
 		for _, c := range colors {
-			for _, sh := range cl.Topology().ShardsInRegion(c) {
+			for _, sh := range f.cl.Topology().ShardsInRegion(c) {
 				replicas = append(replicas, sh.Replicas...)
 			}
 		}
-		sched := chaos.Schedule{Seed: chaosBenchSeed, Duration: dur, Events: fam.events(replicas)}
-		eng := chaos.NewEngine(cl, sched)
+		eng := chaos.NewEngine(f.cl, chaos.Schedule{Seed: chaosBenchSeed, Duration: dur, Events: events(replicas)})
 
 		ctx, cancel := context.WithTimeout(context.Background(), dur)
-		wl, err := chaos.StartWorkload(ctx, cl, chaos.WorkloadConfig{
+		defer cancel()
+		wl, err := chaos.StartWorkload(ctx, f.cl, chaos.WorkloadConfig{
 			Seed:      chaosBenchSeed,
 			Colors:    colors,
 			Writers:   2,
@@ -121,29 +115,29 @@ func runChaos(cfg RunConfig) (*Report, error) {
 			OpTimeout: 2 * time.Second,
 		})
 		if err != nil {
-			cancel()
-			cl.Stop()
-			return nil, err
+			return chaos.Stats{}, nil, err
 		}
 		eng.Run(ctx)
 		<-ctx.Done()
-		cancel()
 		wl.Wait()
 
 		if err := eng.HealAndRecover(replicas, colors, 20*time.Second); err != nil {
-			cl.Stop()
-			return nil, fmt.Errorf("%s: %w", fam.label, err)
+			return chaos.Stats{}, nil, err
 		}
-		time.Sleep(10 * ccfg.RetryTimeout)
-		final, err := chaos.CollectFinal(cl, colors)
+		time.Sleep(10 * f.cfg.RetryTimeout)
+		final, err := chaos.CollectFinal(f.cl, colors)
 		if err != nil {
-			cl.Stop()
+			return chaos.Stats{}, nil, err
+		}
+		return wl.Stats(), histcheck.Check(wl.Recorder().Ops(), final), nil
+	}
+
+	notes := []string{fmt.Sprintf("seed=%d, %s per family; availability = acked appends / attempted", chaosBenchSeed, dur)}
+	for _, fam := range families {
+		st, violations, err := family(fam.events)
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", fam.label, err)
 		}
-		violations := histcheck.Check(wl.Recorder().Ops(), final)
-		st := wl.Stats()
-		cl.Stop()
-
 		total := st.Appends + st.AppendFails
 		pct := 100.0
 		if total > 0 {

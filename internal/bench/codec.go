@@ -17,14 +17,6 @@ import (
 	"flexlog/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "ablate-codec",
-		Title: "Ablation: wire codec (hand-rolled binary vs gob) on the TCP deployment path",
-		Run:   runAblateCodec,
-	})
-}
-
 // codecRegisterGob installs the proto gob dictionary once, for the gob
 // side of the ablation (the binary side never consults it).
 var codecRegisterGob = sync.OnceFunc(proto.RegisterGob)
@@ -56,26 +48,22 @@ func runAblateCodec(cfg RunConfig) (*Report, error) {
 		codecs = []transport.Codec{c}
 	}
 
-	series := make(map[transport.Codec]*metrics.Series, len(codecs))
-	rates := make(map[transport.Codec]map[int]float64, len(codecs))
-	for _, c := range codecs {
-		series[c] = metrics.NewSeries(c.String(), "kRec/s")
-		rates[c] = make(map[int]float64, len(senderCounts))
-	}
 	notes := []string{
 		fmt.Sprintf("real loopback TCP, 64x64B records per append frame, %v window per point", window),
 		codecAllocNote(),
 	}
 
+	var series []*metrics.Series
 	var maxBatch uint64
 	for _, codec := range codecs {
+		s := metrics.NewSeries(codec.String(), "kRec/s")
+		series = append(series, s)
 		for _, senders := range senderCounts {
 			rate, stats, err := codecOneWayRate(codec, senders, window)
 			if err != nil {
 				return nil, fmt.Errorf("ablate-codec %s/%d: %w", codec, senders, err)
 			}
-			series[codec].Add(fmt.Sprint(senders), rate/1e3)
-			rates[codec][senders] = rate
+			s.Add(fmt.Sprint(senders), rate/1e3)
 			if codec == transport.CodecBinary && stats.WritevMax > maxBatch {
 				maxBatch = stats.WritevMax
 			}
@@ -84,21 +72,17 @@ func runAblateCodec(cfg RunConfig) (*Report, error) {
 	if maxBatch > 0 {
 		notes = append(notes, fmt.Sprintf("largest writev batch: %d frames in one syscall", maxBatch))
 	}
-	if len(codecs) == 2 {
+	if len(series) == 2 {
 		top := senderCounts[len(senderCounts)-1]
-		notes = append(notes, fmt.Sprintf("binary/gob speedup at %d senders: %.1fx",
-			top, rates[transport.CodecBinary][top]/rates[transport.CodecGob][top]))
-	}
-
-	out := make([]*metrics.Series, 0, len(codecs))
-	for _, c := range codecs {
-		out = append(out, series[c])
+		gob, _ := series[0].Value(fmt.Sprint(top))
+		binary, _ := series[1].Value(fmt.Sprint(top))
+		notes = append(notes, fmt.Sprintf("binary/gob speedup at %d senders: %.1fx", top, binary/gob))
 	}
 	return &Report{
 		ID:      "ablate-codec",
 		Title:   "wire codec on TCP: hand-rolled binary vs gob, one-way append stream",
 		XHeader: "senders",
-		Series:  out,
+		Series:  series,
 		Notes:   notes,
 	}, nil
 }
@@ -135,20 +119,17 @@ func codecOneWayRate(codec transport.Codec, senders int, window time.Duration) (
 		Records: codecRecords(), Client: 1}
 
 	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errc := make(chan error, senders)
-	for w := 0; w < senders; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	sent := make(chan error, 1)
+	go func() {
+		sent <- fanOut(senders, func(int) error {
 			for !stop.Load() {
 				if err := driver.Send(2, msg); err != nil {
-					errc <- err
-					return
+					return err
 				}
 			}
-		}()
-	}
+			return nil
+		})
+	}()
 
 	// Warm up (dial, pool, gob type dictionary), then measure two
 	// consecutive windows and keep the better one: both codecs are
@@ -164,9 +145,7 @@ func codecOneWayRate(codec transport.Codec, senders int, window time.Duration) (
 		}
 	}
 	stop.Store(true)
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
+	if err := <-sent; err != nil {
 		return 0, transport.TCPStats{}, err
 	}
 	if count == 0 {

@@ -10,14 +10,6 @@ import (
 	"flexlog/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig1",
-		Title: "Storage latency for read and write operations vs block size (Figure 1)",
-		Run:   runFig1,
-	})
-}
-
 // runFig1 measures the six curves of Figure 1: PM via kernel bypass, PM
 // via OS syscalls and SSD file I/O, reads and writes, across block sizes
 // 64 B – 8 KiB.

@@ -12,14 +12,6 @@ import (
 	"flexlog/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig10",
-		Title: "Replica recovery time vs number of committed records (Figure 10)",
-		Run:   runFig10,
-	})
-}
-
 // recoverySweep is the Fig. 10 x axis.
 var recoverySweep = []int{100, 1_000, 5_000, 10_000, 100_000, 1_000_000, 3_000_000}
 
@@ -42,7 +34,7 @@ func runFig10(cfg RunConfig) (*Report, error) {
 			entry := int(uint64(recordBytes) + 48)
 			segSize := uint64(8 << 20)
 			numSegs := (n*entry)/int(segSize-32) + 2
-			st, err := storage.New(storage.Config{
+			st, err := storage.Open(storage.Config{
 				SegmentSize: segSize,
 				NumSegments: numSegs,
 				CacheBytes:  0, // recovery reads PM, not the cache

@@ -2,23 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"flexlog/internal/core"
 	"flexlog/internal/metrics"
-	"flexlog/internal/types"
 	"flexlog/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "fig11",
-		Title: "Latency vs throughput for 3 vs 6 shards, 95%R/5%W (Figure 11)",
-		Run:   runFig11,
-	})
-}
 
 // runFig11 deploys the paper's two data-layer scales — 3 shards under one
 // leaf sequencer, and 6 shards under two leaves of a 3-sequencer tree —
@@ -42,14 +31,14 @@ func runFig11(cfg RunConfig) (*Report, error) {
 	for _, clients := range clientCounts {
 		label := fmt.Sprint(clients)
 		for _, setup := range []struct {
-			leaves, shardsPerLeaf int
-			thr, app, rd          *metrics.Series
+			leaves       int // 3 shards under each
+			thr, app, rd *metrics.Series
 		}{
-			{1, 3, thrS3, appS3, rdS3},
-			{2, 3, thrS6, appS6, rdS6},
+			{1, thrS3, appS3, rdS3},
+			{2, thrS6, appS6, rdS6},
 		} {
 			// Throughput: functional run, accounting-based.
-			ops, err := fig11Throughput(setup.leaves, setup.shardsPerLeaf, clients, thrOps)
+			ops, _, _, err := fig11Point(setup.leaves, clients, thrOps)
 			if err != nil {
 				return nil, err
 			}
@@ -59,7 +48,7 @@ func runFig11(cfg RunConfig) (*Report, error) {
 			var appLat, rdLat time.Duration
 			err = withLatencyInjection(func() error {
 				var err error
-				appLat, rdLat, err = fig11Latency(setup.leaves, setup.shardsPerLeaf, clients, latOps)
+				_, appLat, rdLat, err = fig11Point(setup.leaves, clients, latOps)
 				return err
 			})
 			if err != nil {
@@ -81,176 +70,22 @@ func runFig11(cfg RunConfig) (*Report, error) {
 	}, nil
 }
 
-// fig11Cluster builds one of the two deployments.
-func fig11Cluster(leaves, shardsPerLeaf int) (*core.Cluster, error) {
-	ccfg := core.BenchClusterConfig()
-	ccfg.SeqBackups = 0
-	return core.TreeCluster(ccfg, leaves, shardsPerLeaf)
-}
-
-// fig11Workload runs the 95%R/5%W mix with the given per-client op count.
-// Each client first appends a small warm-up set (the records it will read
-// back, as a function reading its own state would); afterWarmup fires once
-// all clients are warm — the throughput accounting snapshots its baseline
-// there so the measured phase reflects steady state.
-func fig11Workload(cl *core.Cluster, clients, opsPerClient int, appendH, readH *metrics.Histogram, afterWarmup func()) error {
-	payload := workload.Payload(1024, 5)
-	var firstErr error
-	var mu sync.Mutex
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	type workerState struct {
-		c   *core.Client
-		own []types.SN
-	}
-	workers := make([]*workerState, clients)
-	var warm sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		c, err := cl.NewClient()
-		if err != nil {
-			return err
-		}
-		workers[w] = &workerState{c: c}
-		warm.Add(1)
-		go func(ws *workerState) {
-			defer warm.Done()
-			for i := 0; i < 8; i++ {
-				sn, err := ws.c.Append([][]byte{payload}, types.MasterColor)
-				if err != nil {
-					fail(fmt.Errorf("warmup append: %w", err))
-					return
-				}
-				ws.own = append(ws.own, sn)
-			}
-		}(workers[w])
-	}
-	warm.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if afterWarmup != nil {
-		afterWarmup()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int, ws *workerState) {
-			defer wg.Done()
-			mix := workload.NewMix(95, int64(w)+3)
-			rng := rand.New(rand.NewSource(int64(w) + 17))
-			for i := 0; i < opsPerClient; i++ {
-				if mix.NextIsRead() {
-					sn := ws.own[rng.Intn(len(ws.own))]
-					t0 := time.Now()
-					if _, err := ws.c.Read(sn, types.MasterColor); err != nil {
-						fail(fmt.Errorf("read: %w", err))
-						return
-					}
-					if readH != nil {
-						readH.Record(time.Since(t0))
-					}
-					continue
-				}
-				t0 := time.Now()
-				sn, err := ws.c.Append([][]byte{payload}, types.MasterColor)
-				if err != nil {
-					fail(fmt.Errorf("append: %w", err))
-					return
-				}
-				if appendH != nil {
-					appendH.Record(time.Since(t0))
-				}
-				ws.own = append(ws.own, sn)
-				if len(ws.own) > 64 {
-					ws.own = ws.own[1:]
-				}
-			}
-		}(w, workers[w])
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// fig11Throughput returns the modeled ops/s of a functional run.
-func fig11Throughput(leaves, shardsPerLeaf, clients, opsPerClient int) (float64, error) {
-	cl, err := fig11Cluster(leaves, shardsPerLeaf)
+// fig11Point runs the 95%R/5%W mix on a fresh deployment of the given
+// scale, each client reading back its own records. Throughput comes from
+// modeledRate, which snapshots its baseline once all clients are warm so
+// the measured phase reflects steady state; latency from the workload's
+// own histograms.
+func fig11Point(leaves, clients, opsPerClient int) (opsPerSec float64, appendLat, readLat time.Duration, err error) {
+	f, err := newClusterFixture(clusterSpec{regions: leaves, shards: 3, tweak: func(c *core.ClusterConfig) { c.SeqBackups = 0 }})
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
-	defer cl.Stop()
-	var baseMsgs map[types.NodeID]uint64
-	var baseDev map[types.NodeID]time.Duration
-	err = fig11Workload(cl, clients, opsPerClient, nil, nil, func() {
-		baseMsgs = cl.Network().NodeDelivered()
-		baseDev = replicaDeviceTime(cl)
-	})
+	defer f.stop()
+	cs, err := f.clients(clients)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
-	busiest := busiestNodeTime(cl, baseMsgs, baseDev)
-	if busiest <= 0 {
-		return 0, fmt.Errorf("fig11: no modeled busy time")
-	}
-	return float64(clients*opsPerClient) / busiest.Seconds(), nil
-}
-
-// fig11Latency returns measured mean append/read latency under injection.
-func fig11Latency(leaves, shardsPerLeaf, clients, opsPerClient int) (time.Duration, time.Duration, error) {
-	cl, err := fig11Cluster(leaves, shardsPerLeaf)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer cl.Stop()
-	appendH, readH := metrics.NewHistogram(), metrics.NewHistogram()
-	if err := fig11Workload(cl, clients, opsPerClient, appendH, readH, nil); err != nil {
-		return 0, 0, err
-	}
-	return appendH.Mean(), readH.Mean(), nil
-}
-
-// replicaDeviceTime snapshots per-replica modeled device time using the
-// bench configuration's calibrated device models.
-func replicaDeviceTime(cl *core.Cluster) map[types.NodeID]time.Duration {
-	storageCfg := core.BenchClusterConfig().Storage
-	out := make(map[types.NodeID]time.Duration)
-	for _, sh := range cl.Topology().ShardsInRegion(types.MasterColor) {
-		for _, id := range sh.Replicas {
-			r := cl.Replica(id)
-			if r == nil {
-				continue
-			}
-			s := r.Store().Stats()
-			out[id] = storageCfg.PMModel.TimeOf(s.PM) + storageCfg.SSDModel.TimeOf(s.SSD)
-		}
-	}
-	return out
-}
-
-// busiestNodeTime computes max over cluster nodes of modeled busy time
-// accumulated since the baseline snapshots (messages x ProcCost + device
-// time for replicas). Client nodes are excluded: they model the paper's
-// load-generating function fleet.
-func busiestNodeTime(cl *core.Cluster, baseMsgs map[types.NodeID]uint64, baseDev map[types.NodeID]time.Duration) time.Duration {
-	proc := cl.Network().Model().ProcCost
-	msgs := cl.Network().NodeDelivered()
-	dev := replicaDeviceTime(cl)
-	var busiest time.Duration
-	for id, n := range msgs {
-		if id >= 100_000 {
-			continue // clients
-		}
-		busy := time.Duration(n-baseMsgs[id]) * proc
-		busy += dev[id] - baseDev[id]
-		if busy > busiest {
-			busiest = busy
-		}
-	}
-	return busiest
+	mix := newReadOwnWrites(cs, clients, 95, workload.Payload(1024, 5), 3, 17)
+	opsPerSec, _, err = f.modeledRate(clients, opsPerClient, mix.load(), laneModel{})
+	return opsPerSec, mix.appendH.Mean(), mix.readH.Mean(), err
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,25 +16,7 @@ import (
 	"flexlog/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig5",
-		Title: "Storage-layer throughput vs record size: FlexLog(PM) vs Boki(RocksDB) (Figure 5)",
-		Run:   runFig5,
-	})
-	register(Experiment{
-		ID:    "fig6",
-		Title: "Storage-layer throughput vs threads: FlexLog(PM) vs Boki(RocksDB) (Figure 6)",
-		Run:   runFig6,
-	})
-	register(Experiment{
-		ID:    "fig7",
-		Title: "Storage-layer throughput vs R/W ratio: FlexLog(PM) vs Boki(RocksDB) (Figure 7)",
-		Run:   runFig7,
-	})
-}
-
-// Throughput methodology: the single-core bench host cannot host the
+// Throughput methodology: the 2-vCPU bench host cannot host the
 // paper's 12-core testbed in real time, so the storage comparisons run the
 // engines functionally (latency injection off) and convert the observed
 // device-operation counts into modeled time using the same calibrated
@@ -80,7 +63,7 @@ func newFlexStorage(recordBytes int) (*flexStorage, error) {
 		PMModel:     pmem.OptaneBypass(),
 		SSDModel:    ssd.NVMe(),
 	}
-	st, err := storage.New(cfg)
+	st, err := storage.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -216,29 +199,13 @@ func runStoragePoint(mk func(recordBytes int) (storageEngine, error), recordByte
 	base := eng.cost() // exclude preload costs
 	payload := workload.Payload(recordBytes, 7)
 
-	var wg sync.WaitGroup
-	var firstErr atomic.Value
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < opsPerThread; i++ {
-				isRead := (w*31+i*17)%100 < readPercent
-				var err error
-				if isRead {
-					err = eng.read(w, i)
-				} else {
-					err = eng.write(w, i, payload)
-				}
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
+	err = closedLoop(threads, opsPerThread, load{op: func(w, i int, _ bool) error {
+		if (w*31+i*17)%100 < readPercent {
+			return eng.read(w, i)
+		}
+		return eng.write(w, i, payload)
+	}}, nil)
+	if err != nil {
 		return 0, err
 	}
 	c := eng.cost()
@@ -259,41 +226,47 @@ func runStoragePoint(mk func(recordBytes int) (storageEngine, error), recordByte
 func mkFlex(recordBytes int) (storageEngine, error) { return newFlexStorage(recordBytes) }
 func mkBoki(recordBytes int) (storageEngine, error) { return newBokiStorage(recordBytes) }
 
-func storagePointOps(cfg RunConfig) int {
+// storageSweep fills rep with one figure's two curves: both engines at
+// every value of the swept parameter, which point turns into a (record
+// size, thread count, read share) triple.
+func storageSweep(cfg RunConfig, rep *Report, sweep []int, label func(int) string, point func(v int) (recordBytes, threads, readPercent int)) (*Report, error) {
+	opsPerThread := 20_000
 	if cfg.Quick {
-		return 2_000
+		opsPerThread = 2_000
 	}
-	return 20_000
+	engines := []struct {
+		series *metrics.Series
+		mk     func(recordBytes int) (storageEngine, error)
+	}{
+		{metrics.NewSeries("FlexLog (PM)", "ops/s"), mkFlex},
+		{metrics.NewSeries("Boki (RocksDB)", "ops/s"), mkBoki},
+	}
+	for _, v := range sweep {
+		recordBytes, threads, readPercent := point(v)
+		for _, e := range engines {
+			ops, err := runStoragePoint(e.mk, recordBytes, threads, readPercent, opsPerThread)
+			if err != nil {
+				return nil, err
+			}
+			e.series.Add(label(v), ops)
+		}
+	}
+	rep.Series = []*metrics.Series{engines[0].series, engines[1].series}
+	return rep, nil
 }
 
 func runFig5(cfg RunConfig) (*Report, error) {
-	threads := 8
+	const threads = 8
 	sizes := workload.RecordSizes
 	if cfg.Quick {
 		sizes = []int{64, 1024, 8192}
 	}
-	flex := metrics.NewSeries("FlexLog (PM)", "ops/s")
-	boki := metrics.NewSeries("Boki (RocksDB)", "ops/s")
-	for _, sz := range sizes {
-		label := sizeLabel(sz)
-		ops, err := runStoragePoint(mkFlex, sz, threads, 50, storagePointOps(cfg))
-		if err != nil {
-			return nil, err
-		}
-		flex.Add(label, ops)
-		ops, err = runStoragePoint(mkBoki, sz, threads, 50, storagePointOps(cfg))
-		if err != nil {
-			return nil, err
-		}
-		boki.Add(label, ops)
-	}
-	return &Report{
+	return storageSweep(cfg, &Report{
 		ID:      "fig5",
 		Title:   "storage throughput vs record size; paper: FlexLog ~10x Boki, both roughly flat in size",
 		XHeader: "record sz (B)",
-		Series:  []*metrics.Series{flex, boki},
 		Notes:   []string{fmt.Sprintf("%d threads, 50%%R; modeled from calibrated device costs", threads)},
-	}, nil
+	}, sizes, sizeLabel, func(sz int) (int, int, int) { return sz, threads, 50 })
 }
 
 func runFig6(cfg RunConfig) (*Report, error) {
@@ -301,28 +274,12 @@ func runFig6(cfg RunConfig) (*Report, error) {
 	if cfg.Quick {
 		threads = []int{1, 4, 12}
 	}
-	flex := metrics.NewSeries("FlexLog (PM)", "ops/s")
-	boki := metrics.NewSeries("Boki (RocksDB)", "ops/s")
-	for _, th := range threads {
-		label := fmt.Sprint(th)
-		ops, err := runStoragePoint(mkFlex, 1024, th, 50, storagePointOps(cfg))
-		if err != nil {
-			return nil, err
-		}
-		flex.Add(label, ops)
-		ops, err = runStoragePoint(mkBoki, 1024, th, 50, storagePointOps(cfg))
-		if err != nil {
-			return nil, err
-		}
-		boki.Add(label, ops)
-	}
-	return &Report{
+	return storageSweep(cfg, &Report{
 		ID:      "fig6",
 		Title:   "storage throughput vs threads; paper: both scale, FlexLog >10x higher",
 		XHeader: "threads",
-		Series:  []*metrics.Series{flex, boki},
 		Notes:   []string{"1 KiB records, 50%R; Boki scales via WAL group commit until the sync stream saturates"},
-	}, nil
+	}, threads, strconv.Itoa, func(th int) (int, int, int) { return 1024, th, 50 })
 }
 
 func runFig7(cfg RunConfig) (*Report, error) {
@@ -330,28 +287,12 @@ func runFig7(cfg RunConfig) (*Report, error) {
 	if cfg.Quick {
 		mixes = []int{0, 50, 99}
 	}
-	flex := metrics.NewSeries("FlexLog (PM)", "ops/s")
-	boki := metrics.NewSeries("Boki (RocksDB)", "ops/s")
-	for _, rp := range mixes {
-		label := fmt.Sprint(rp)
-		ops, err := runStoragePoint(mkFlex, 1024, 8, rp, storagePointOps(cfg))
-		if err != nil {
-			return nil, err
-		}
-		flex.Add(label, ops)
-		ops, err = runStoragePoint(mkBoki, 1024, 8, rp, storagePointOps(cfg))
-		if err != nil {
-			return nil, err
-		}
-		boki.Add(label, ops)
-	}
-	return &Report{
+	return storageSweep(cfg, &Report{
 		ID:      "fig7",
 		Title:   "storage throughput vs R/W ratio; paper: read-heavy faster (MemTable/cache), FlexLog >10x",
 		XHeader: "Reads (%)",
-		Series:  []*metrics.Series{flex, boki},
 		Notes:   []string{"1 KiB records, 8 threads"},
-	}, nil
+	}, mixes, strconv.Itoa, func(rp int) (int, int, int) { return 1024, 8, rp })
 }
 
 func sizeLabel(sz int) string {

@@ -2,22 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"flexlog/internal/core"
 	"flexlog/internal/metrics"
-	"flexlog/internal/types"
 	"flexlog/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "fig8",
-		Title: "Append/read latency vs replication factor, one shard (Figure 8)",
-		Run:   runFig8,
-	})
-}
 
 // replicationFactors is the Fig. 8 sweep.
 var replicationFactors = []int{2, 3, 4, 6, 8}
@@ -38,7 +28,7 @@ func runFig8(cfg RunConfig) (*Report, error) {
 
 	err := withLatencyInjection(func() error {
 		for _, rf := range factors {
-			app, rd, err := measureClusterLatency(rf, 1, opsPerPoint, 5)
+			app, rd, err := measureClusterLatency(rf, opsPerPoint, 5)
 			if err != nil {
 				return err
 			}
@@ -60,67 +50,29 @@ func runFig8(cfg RunConfig) (*Report, error) {
 }
 
 // measureClusterLatency runs a single closed-loop client against a fresh
-// single-region cluster with `shards` shards of `rf` replicas, measuring
-// mean append and read latency at the given read percentage.
-func measureClusterLatency(rf, shards, ops, readPercent int) (appendLat, readLat time.Duration, err error) {
-	ccfg := core.BenchClusterConfig()
-	ccfg.ReplicationFactor = rf
-	ccfg.SeqBackups = 0 // ordering fault tolerance is orthogonal here
-	cl := core.NewCluster(ccfg)
-	defer cl.Stop()
-	if err := cl.AddRegion(types.MasterColor, types.MasterColor); err != nil {
-		return 0, 0, err
-	}
-	for i := 0; i < shards; i++ {
-		if _, err := cl.AddShard(types.MasterColor); err != nil {
-			return 0, 0, err
-		}
-	}
-	c, err := cl.NewClient()
+// single-region cluster with one shard of `rf` replicas, measuring mean
+// append and read latency at the given read percentage.
+func measureClusterLatency(rf, ops, readPercent int) (appendLat, readLat time.Duration, err error) {
+	f, err := newClusterFixture(clusterSpec{shards: 1, rf: rf, tweak: func(c *core.ClusterConfig) {
+		c.SeqBackups = 0 // ordering fault tolerance is orthogonal here
+	}})
 	if err != nil {
 		return 0, 0, err
 	}
-	payload := workload.Payload(1024, 1)
-	// Seed a few records so reads always have targets.
-	var sns []types.SN
-	for i := 0; i < 8; i++ {
-		sn, err := c.Append([][]byte{payload}, types.MasterColor)
-		if err != nil {
-			return 0, 0, err
-		}
-		sns = append(sns, sn)
+	defer f.stop()
+	client, err := f.clients(1)
+	if err != nil {
+		return 0, 0, err
 	}
-	appendH, readH := metrics.NewHistogram(), metrics.NewHistogram()
-	mix := workload.NewMix(readPercent, 7)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < ops; i++ {
-		if mix.NextIsRead() {
-			sn := sns[rng.Intn(len(sns))]
-			start := time.Now()
-			if _, err := c.Read(sn, types.MasterColor); err != nil {
-				return 0, 0, fmt.Errorf("read: %w", err)
-			}
-			readH.Record(time.Since(start))
-			continue
-		}
-		start := time.Now()
-		sn, err := c.Append([][]byte{payload}, types.MasterColor)
-		if err != nil {
-			return 0, 0, fmt.Errorf("append: %w", err)
-		}
-		appendH.Record(time.Since(start))
-		sns = append(sns, sn)
-		if len(sns) > 64 {
-			sns = sns[1:]
-		}
+	mix := newReadOwnWrites(client, 1, readPercent, workload.Payload(1024, 1), 7, 11)
+	if err := closedLoop(1, ops, mix.load(), nil); err != nil {
+		return 0, 0, err
 	}
-	if readH.Count() == 0 {
+	if mix.readH.Count() == 0 {
 		// Guarantee at least one read sample.
-		start := time.Now()
-		if _, err := c.Read(sns[0], types.MasterColor); err != nil {
+		if err := mix.read(0); err != nil {
 			return 0, 0, err
 		}
-		readH.Record(time.Since(start))
 	}
-	return appendH.Mean(), readH.Mean(), nil
+	return mix.appendH.Mean(), mix.readH.Mean(), nil
 }

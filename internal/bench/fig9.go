@@ -2,21 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"flexlog/internal/metrics"
-	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "fig9",
-		Title: "Ordering-layer scalability vs number of leaf sequencers (Figure 9)",
-		Run:   runFig9,
-	})
-}
 
 // leafCounts is the Fig. 9 sweep.
 var leafCounts = []int{1, 2, 4, 6}
@@ -37,59 +26,17 @@ func runFig9(cfg RunConfig) (*Report, error) {
 	}
 	series := metrics.NewSeries("FlexLog ordering", "MReqs/s")
 	for _, leaves := range leafCounts {
-		net := transport.NewNetwork(transport.DatacenterLink())
-		leafIDs, stop, err := buildSeqStar(net, leaves, throughputBatchWindow)
+		drivers := driversPerLeaf * leaves
+		f, err := newOrderingFixture(orderingSpec{n: leaves, star: true, batch: throughputBatchWindow, drivers: drivers})
 		if err != nil {
 			return nil, err
 		}
-		drivers := driversPerLeaf * leaves
-		ds := make([]*orderDriver, drivers)
-		for i := range ds {
-			d, err := newOrderDriver(net, types.NodeID(100+i))
-			if err != nil {
-				stop()
-				return nil, err
-			}
-			ds[i] = d
+		ops, _, err := f.modeledRate(drivers, opsPerDriver, f.orderLoad([]types.ColorID{types.MasterColor}, 0), laneModel{})
+		f.stop()
+		if err != nil {
+			return nil, err
 		}
-		var wg sync.WaitGroup
-		var firstErr error
-		var mu sync.Mutex
-		for w := 0; w < drivers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				target := leafIDs[w%len(leafIDs)]
-				for i := 0; i < opsPerDriver; i++ {
-					if _, err := ds[w].request(target, types.MasterColor, 1, 30*time.Second); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		stop()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		perNode := net.NodeDelivered()
-		var maxMsgs uint64
-		for id, n := range perNode {
-			if id < 9000 {
-				continue // drivers model client machines
-			}
-			if n > maxMsgs {
-				maxMsgs = n
-			}
-		}
-		busy := time.Duration(maxMsgs) * net.Model().ProcCost
-		total := float64(drivers * opsPerDriver)
-		series.Add(fmt.Sprint(leaves), total/busy.Seconds()/1e6)
+		series.Add(fmt.Sprint(leaves), ops/1e6)
 	}
 	return &Report{
 		ID:      "fig9",

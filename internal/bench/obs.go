@@ -2,148 +2,98 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"flexlog/internal/core"
-	"flexlog/internal/metrics"
 	"flexlog/internal/obs"
 	"flexlog/internal/types"
 	"flexlog/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "ablate-obs",
-		Title: "Ablation: observability overhead (tracing + registry on vs off)",
-		Run:   runAblateObs,
-	})
-}
 
 // obsOverheadBudget is the acceptance bound: with tracing on, modeled
 // append throughput must stay within this fraction of the tracing-off
 // run. The experiment fails (make verify's obs smoke) if it does not.
 const obsOverheadBudget = 5.0 // percent
 
-// runAblateObs measures what full observability costs on the append hot
+// obsAblation measures what full observability costs on the append hot
 // path. Two identical functional runs — concurrent callers appending
 // through one handle — differ only in the registry: off is a nil registry
 // (instrumentation no-ops on nil receivers), on is a live registry with
 // every tracer enabled, a 0-threshold slow ring (every request is
 // recorded — the worst case), and client-side context traces on every
-// append. The asserted number is the modeled throughput delta — message
-// counts x per-message cost + device time, the fig4/fig11 methodology —
-// which is deterministic; the wall-clock delta is reported as a note (it
+// append. The asserted number is the modeled throughput delta (model.go,
+// nothing laned), which is deterministic; the wall-clock delta is reported as a note (it
 // carries scheduler noise, so it informs DESIGN.md's overhead budget but
 // does not gate).
-func runAblateObs(cfg RunConfig) (*Report, error) {
-	callers := 32
-	opsPerCaller := 300
+func obsAblation(cfg RunConfig) laneAblation {
+	payload := workload.Payload(128, 17)
+	callers, ops := 32, 300
 	if cfg.Quick {
-		callers, opsPerCaller = 8, 100
+		callers, ops = 8, 100
 	}
-
-	modeledS := metrics.NewSeries("Modeled append throughput", "kRec/s")
-	wallS := metrics.NewSeries("Wall-clock append rate", "kRec/s")
-
-	var modeled, wallRate [2]float64
-	var familyCount int
-	for i, mode := range []string{"off", "on"} {
-		ccfg := core.BenchClusterConfig()
-		var reg *obs.Registry
-		if mode == "on" {
-			reg = cfg.Obs
-			if reg == nil {
-				reg = obs.NewRegistry()
-			}
-			ccfg.Obs = reg
-			ccfg.TraceSlow = time.Nanosecond // every request enters the slow ring
-		}
-		cl, err := core.SimpleCluster(ccfg, 1)
-		if err != nil {
-			return nil, err
-		}
-		c, err := cl.NewClient()
-		if err != nil {
-			cl.Stop()
-			return nil, err
-		}
-		baseMsgs := cl.Network().NodeDelivered()
-		baseDev := replicaDeviceTime(cl)
-		payload := workload.Payload(128, 17)
-
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		wallStart := time.Now()
-		for w := 0; w < callers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for j := 0; j < opsPerCaller; j++ {
-					ctx := context.Background()
-					var tr *obs.Trace
-					if reg != nil {
-						tr = obs.NewTrace("append")
-						ctx = obs.WithTrace(ctx, tr)
-					}
-					if _, err := c.AppendCtx(ctx, [][]byte{payload}, types.MasterColor); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("caller %d op %d: %w", w, j, err)
-						}
-						mu.Unlock()
-						return
-					}
-					tr.Finish()
+	var offModeled, offWall float64 // the off mode's rates, for the on mode's deltas
+	return laneAblation{
+		title:   "observability overhead: full tracing + registry vs nil registry",
+		xHeader: "observability",
+		unit:    "kRec/s",
+		total:   "Modeled append throughput",
+		modes: []ablationMode{
+			{name: "off"},
+			{name: "on", tweak: func(c *core.ClusterConfig) {
+				c.Obs = cfg.Obs
+				if c.Obs == nil {
+					c.Obs = obs.NewRegistry()
 				}
-			}(w)
-		}
-		wg.Wait()
-		wallElapsed := time.Since(wallStart)
-		if firstErr != nil {
-			cl.Stop()
-			return nil, firstErr
-		}
-		busiest := busiestNodeTime(cl, baseMsgs, baseDev)
-		if busiest <= 0 {
-			cl.Stop()
-			return nil, fmt.Errorf("ablate-obs: no modeled busy time")
-		}
-		records := float64(callers * opsPerCaller)
-		modeled[i] = records / busiest.Seconds()
-		wallRate[i] = records / wallElapsed.Seconds()
-		modeledS.Add(mode, modeled[i]/1e3)
-		wallS.Add(mode, wallRate[i]/1e3)
-		if reg != nil {
+				c.TraceSlow = time.Nanosecond // every request enters the slow ring
+			}},
+		},
+		loads:   []int{callers},
+		ops:     ops,
+		cluster: clusterSpec{shards: 1},
+		workload: func(f *fixture, _ ablationMode, _ int, _ bool) (load, error) {
+			handle, err := f.clients(1)
+			if err != nil {
+				return load{}, err
+			}
+			return load{op: func(w, i int, _ bool) error {
+				ctx := context.Background()
+				var tr *obs.Trace
+				if f.cfg.Obs != nil {
+					tr = obs.NewTrace("append")
+					ctx = obs.WithTrace(ctx, tr)
+				}
+				if _, err := handle[0].AppendCtx(ctx, [][]byte{payload}, types.MasterColor); err != nil {
+					return fmt.Errorf("caller %d op %d: %w", w, i, err)
+				}
+				tr.Finish()
+				return nil
+			}}, nil
+		},
+		observe: func(p ablationPoint, record func(series, unit string, v float64)) ([]string, error) {
+			wallRate := float64(p.workers*ops) / p.wall.Seconds()
+			record("Wall-clock append rate", "kRec/s", wallRate/1e3)
+			reg := p.f.cfg.Obs
+			if reg == nil {
+				offModeled, offWall = p.rate, wallRate
+				return nil, nil
+			}
 			// Exercise a full scrape while the cluster is live, and check
 			// the registry actually covers the stack.
-			if snap := reg.Snapshot(); len(snap) == 0 {
-				cl.Stop()
-				return nil, fmt.Errorf("ablate-obs: empty registry snapshot")
+			if len(reg.Snapshot()) == 0 {
+				return nil, errors.New("empty registry snapshot")
 			}
-			familyCount = len(reg.Families())
-		}
-		cl.Stop()
-	}
-
-	modeledDelta := 100 * (modeled[0] - modeled[1]) / modeled[0]
-	wallDelta := 100 * (wallRate[0] - wallRate[1]) / wallRate[0]
-	if modeledDelta > obsOverheadBudget {
-		return nil, fmt.Errorf("ablate-obs: modeled throughput dropped %.2f%% with tracing on (budget %.1f%%)",
-			modeledDelta, obsOverheadBudget)
-	}
-	return &Report{
-		ID:      "ablate-obs",
-		Title:   "observability overhead: full tracing + registry vs nil registry",
-		XHeader: "observability",
-		Series:  []*metrics.Series{modeledS, wallS},
-		Notes: []string{
-			fmt.Sprintf("modeled delta %.2f%%, wall-clock delta %.2f%% (budget %.1f%%, modeled gates)",
-				modeledDelta, wallDelta, obsOverheadBudget),
-			fmt.Sprintf("%d metric families registered; slow-ring threshold 1ns (every request recorded)", familyCount),
-			fmt.Sprintf("%d callers x %d appends per mode, 128B payloads", callers, opsPerCaller),
+			modeledDelta := 100 * (offModeled - p.rate) / offModeled
+			wallDelta := 100 * (offWall - wallRate) / offWall
+			if modeledDelta > obsOverheadBudget {
+				return nil, fmt.Errorf("modeled throughput dropped %.2f%% with tracing on (budget %.1f%%)", modeledDelta, obsOverheadBudget)
+			}
+			return []string{
+				fmt.Sprintf("modeled delta %.2f%%, wall-clock delta %.2f%% (budget %.1f%%, modeled gates)", modeledDelta, wallDelta, obsOverheadBudget),
+				fmt.Sprintf("%d metric families registered; slow-ring threshold 1ns (every request recorded)", len(reg.Families())),
+				fmt.Sprintf("%d callers x %d appends per mode, 128B payloads", p.workers, ops),
+			}, nil
 		},
-	}, nil
+	}
 }

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"flexlog/internal/proto"
-	"flexlog/internal/seq"
-	"flexlog/internal/topology"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
@@ -24,11 +22,11 @@ type orderDriver struct {
 	ctr atomic.Uint32
 
 	mu    sync.Mutex
-	waits map[types.Token]chan types.SN
+	waits map[types.Token]chan struct{}
 }
 
 func newOrderDriver(net *transport.Network, id types.NodeID) (*orderDriver, error) {
-	d := &orderDriver{id: id, fid: uint32(id), waits: make(map[types.Token]chan types.SN)}
+	d := &orderDriver{id: id, fid: uint32(id), waits: make(map[types.Token]chan struct{})}
 	ep, err := net.Register(id, func(from types.NodeID, msg transport.Message) {
 		resp, ok := msg.(proto.OrderResp)
 		if !ok {
@@ -39,7 +37,7 @@ func newOrderDriver(net *transport.Network, id types.NodeID) (*orderDriver, erro
 		delete(d.waits, resp.Token)
 		d.mu.Unlock()
 		if ch != nil {
-			ch <- resp.LastSN
+			ch <- struct{}{}
 		}
 	})
 	if err != nil {
@@ -49,108 +47,28 @@ func newOrderDriver(net *transport.Network, id types.NodeID) (*orderDriver, erro
 	return d, nil
 }
 
-// request asks the target sequencer for n SNs in color and waits for the
-// response, returning the round-trip latency.
-func (d *orderDriver) request(target types.NodeID, color types.ColorID, n uint32, timeout time.Duration) (time.Duration, error) {
+// orderTimeout bounds one order round-trip; hitting it fails the run.
+const orderTimeout = 30 * time.Second
+
+// request asks the target sequencer for one SN in color and waits for the
+// response.
+func (d *orderDriver) request(target types.NodeID, color types.ColorID) error {
 	token := types.MakeToken(d.fid, d.ctr.Add(1))
-	ch := make(chan types.SN, 1)
+	ch := make(chan struct{}, 1)
 	d.mu.Lock()
 	d.waits[token] = ch
 	d.mu.Unlock()
-	req := proto.OrderReq{Color: color, Token: token, NRecords: n, Replicas: []types.NodeID{d.id}}
-	start := time.Now()
+	req := proto.OrderReq{Color: color, Token: token, NRecords: 1, Replicas: []types.NodeID{d.id}}
 	if err := d.ep.Send(target, req); err != nil {
-		return 0, err
+		return err
 	}
 	select {
 	case <-ch:
-		return time.Since(start), nil
-	case <-time.After(timeout):
+		return nil
+	case <-time.After(orderTimeout):
 		d.mu.Lock()
 		delete(d.waits, token)
 		d.mu.Unlock()
-		return 0, fmt.Errorf("order request timed out after %v", timeout)
+		return fmt.Errorf("order request timed out after %v", orderTimeout)
 	}
-}
-
-// seqTreeConfig builds seq.Config values with bench-appropriate timings.
-func benchSeqConfig(id types.NodeID, region types.ColorID, topo *topology.Topology, batch time.Duration) seq.Config {
-	cfg := seq.DefaultConfig()
-	cfg.ID = id
-	cfg.Region = region
-	cfg.Topo = topo
-	cfg.BatchInterval = batch
-	cfg.HeartbeatInterval = 50 * time.Millisecond
-	cfg.FailureTimeout = time.Second
-	cfg.RetryTimeout = 2 * time.Second
-	cfg.StartAsLeader = true
-	return cfg
-}
-
-// buildSeqTree constructs the paper's 3-sequencer chain (root–middle–leaf,
-// §9.1) and returns (leafID, leafColor, stop). Drivers send master-color
-// requests to the leaf for total ordering, or leaf-color requests for
-// FlexLog-P partial ordering.
-func buildSeqTree(net *transport.Network, batch time.Duration) (leafID types.NodeID, leafColor types.ColorID, stop func(), err error) {
-	topo := topology.New()
-	if err := topo.AddRegion(0, 0, 9000, nil); err != nil {
-		return 0, 0, nil, err
-	}
-	if err := topo.AddRegion(1, 0, 9010, nil); err != nil {
-		return 0, 0, nil, err
-	}
-	if err := topo.AddRegion(2, 1, 9020, nil); err != nil {
-		return 0, 0, nil, err
-	}
-	var seqs []*seq.Sequencer
-	for _, sc := range []struct {
-		id     types.NodeID
-		region types.ColorID
-	}{{9000, 0}, {9010, 1}, {9020, 2}} {
-		s, err := seq.New(benchSeqConfig(sc.id, sc.region, topo, batch), net)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		seqs = append(seqs, s)
-	}
-	stop = func() {
-		for _, s := range seqs {
-			s.Stop()
-		}
-	}
-	return 9020, 2, stop, nil
-}
-
-// buildSeqStar constructs a root with `leaves` leaf sequencers (the Fig. 9
-// scalability topology) and returns the leaf ids.
-func buildSeqStar(net *transport.Network, leaves int, batch time.Duration) (leafIDs []types.NodeID, stop func(), err error) {
-	topo := topology.New()
-	if err := topo.AddRegion(0, 0, 9000, nil); err != nil {
-		return nil, nil, err
-	}
-	var seqs []*seq.Sequencer
-	root, err := seq.New(benchSeqConfig(9000, 0, topo, batch), net)
-	if err != nil {
-		return nil, nil, err
-	}
-	seqs = append(seqs, root)
-	for i := 1; i <= leaves; i++ {
-		color := types.ColorID(i)
-		id := types.NodeID(9000 + 10*i)
-		if err := topo.AddRegion(color, 0, id, nil); err != nil {
-			return nil, nil, err
-		}
-		s, err := seq.New(benchSeqConfig(id, color, topo, batch), net)
-		if err != nil {
-			return nil, nil, err
-		}
-		seqs = append(seqs, s)
-		leafIDs = append(leafIDs, id)
-	}
-	stop = func() {
-		for _, s := range seqs {
-			s.Stop()
-		}
-	}
-	return leafIDs, stop, nil
 }

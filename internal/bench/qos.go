@@ -3,8 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,14 +13,6 @@ import (
 	"flexlog/internal/types"
 	"flexlog/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "ablate-qos",
-		Title: "Ablation: multi-tenant QoS (admission + weighted-fair lanes) and hedged reads",
-		Run:   runAblateQoS,
-	})
-}
 
 // Tenant identities of the QoS ablation: the victim carries the paying
 // workload (weighted 4, never rate-limited), the aggressor floods under
@@ -73,28 +63,25 @@ func runAblateQoS(cfg RunConfig) (*Report, error) {
 		return nil, err
 	}
 
-	victim := metrics.NewSeries("victim appends", "kOps/s")
-	victim.Add("baseline", float64(solo.victimOps)/dur.Seconds()/1e3)
-	victim.Add("qos", float64(noisy.victimOps)/dur.Seconds()/1e3)
-	// Server-side fairness, from the replicas' own per-tenant books: the
-	// victim's share of all records the shard actually served. Unlike the
-	// wall-clock rows this is insensitive to how fast the bench host
-	// happened to run each window.
-	share := metrics.NewSeries("victim served share", "%")
-	share.Add("baseline", solo.victimShare()*100)
-	share.Add("qos", noisy.victimShare()*100)
-	throttled := metrics.NewSeries("agg throttled", "records")
-	throttled.Add("baseline", 0)
-	throttled.Add("qos", float64(noisy.aggThrottled))
-	sheds := metrics.NewSeries("lane sheds", "msgs")
-	sheds.Add("baseline", float64(solo.sheds))
-	sheds.Add("qos", float64(noisy.sheds))
-	p99 := metrics.NewSeries("read P99", "usec")
-	p99.Add("baseline", float64(unhedgedP99)/1e3)
-	p99.Add("qos", float64(hedgedP99)/1e3)
-	hedgeCount := metrics.NewSeries("hedged rounds", "count")
-	hedgeCount.Add("baseline", 0)
-	hedgeCount.Add("qos", float64(hedges))
+	// Each series is a (baseline, qos) pair.
+	pair := func(name, unit string, baseline, qos float64) *metrics.Series {
+		s := metrics.NewSeries(name, unit)
+		s.Add("baseline", baseline)
+		s.Add("qos", qos)
+		return s
+	}
+	series := []*metrics.Series{
+		pair("victim appends", "kOps/s", float64(solo.victimOps)/dur.Seconds()/1e3, float64(noisy.victimOps)/dur.Seconds()/1e3),
+		// Server-side fairness, from the replicas' own per-tenant books: the
+		// victim's share of all records the shard actually served. Unlike the
+		// wall-clock rows this is insensitive to how fast the bench host
+		// happened to run each window.
+		pair("victim served share", "%", solo.victimShare()*100, noisy.victimShare()*100),
+		pair("agg throttled", "records", 0, float64(noisy.aggThrottled)),
+		pair("lane sheds", "msgs", float64(solo.sheds), float64(noisy.sheds)),
+		pair("read P99", "usec", float64(unhedgedP99)/1e3, float64(hedgedP99)/1e3),
+		pair("hedged rounds", "count", 0, float64(hedges)),
+	}
 
 	ratio := 0.0
 	if solo.victimOps > 0 {
@@ -104,7 +91,7 @@ func runAblateQoS(cfg RunConfig) (*Report, error) {
 		ID:      "ablate-qos",
 		Title:   "multi-tenant QoS: admission + weighted-fair lanes contain the aggressor; hedged reads cut the slow-replica tail",
 		XHeader: "scenario",
-		Series:  []*metrics.Series{victim, share, throttled, sheds, p99, hedgeCount},
+		Series:  series,
 		Notes: []string{
 			"'victim appends'/'agg throttled'/'lane sheds': baseline = victim solo, qos = victim + rate-capped aggressor flood; wall-clock closed-loop over " + dur.String(),
 			fmt.Sprintf("victim keeps %.0f%% of solo throughput with the aggressor flooding (acceptance bar: >= ~80%% on an idle host)", ratio*100),
@@ -140,85 +127,67 @@ func (r qosIsoResult) victimShare() float64 {
 // qosIsolationRun drives the noisy-neighbor scenario for dur.
 func qosIsolationRun(withAggressor bool, dur time.Duration) (qosIsoResult, error) {
 	var res qosIsoResult
-	ccfg := core.TestClusterConfig()
 	// The aggressor's envelope must be small relative to shard capacity —
 	// that is what an operator's rate cap is for. Capacity on this
-	// single-core host also shrinks several-fold when the process or the
+	// 2-vCPU host also shrinks several-fold when the process or the
 	// machine is busy (the full test sweep), so the cap is sized against
 	// the degraded case: 200 rec/s admitted stays a small slice of even a
 	// quartered victim capacity.
-	ccfg.Tenants = []qos.TenantConfig{
-		{ID: qosVictim, Weight: 4},
-		{ID: qosAggressor, Weight: 1, Rate: 200, Burst: 20},
-	}
-	cl, err := core.SimpleCluster(ccfg, 1)
+	f, err := newClusterFixture(clusterSpec{test: true, shards: 1, tweak: func(c *core.ClusterConfig) {
+		c.Tenants = []qos.TenantConfig{
+			{ID: qosVictim, Weight: 4},
+			{ID: qosAggressor, Weight: 1, Rate: 200, Burst: 20},
+		}
+	}})
 	if err != nil {
 		return res, err
 	}
-	defer cl.Stop()
+	defer f.stop()
 
+	// Four victim writers and, with the aggressor, two flood workers — not
+	// four: the aggressor and victim share the bench host's CPU as ordinary
+	// goroutines, and QoS governs the cluster's resources, not the flooding
+	// process's own CPU — more workers would measure Go scheduler
+	// fair-share, not lane fairness.
+	const victims = 4
+	clients, err := f.clients(victims, core.WithTenant(qosVictim))
+	if err == nil && withAggressor {
+		var flood []*core.Client
+		flood, err = f.clients(2, core.WithTenant(qosAggressor))
+		clients = append(clients, flood...)
+	}
+	if err != nil {
+		return res, err
+	}
 	payload := workload.Payload(128, 11)
 	ctx, cancel := context.WithTimeout(context.Background(), dur)
 	defer cancel()
 	var ok atomic.Uint64
-	var wg sync.WaitGroup
-	runner := func(t types.TenantID, count bool) error {
-		c, cerr := cl.NewClient(core.WithTenant(t))
-		if cerr != nil {
-			return cerr
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				opCtx, opCancel := context.WithTimeout(ctx, time.Second)
-				_, err := c.AppendCtx(opCtx, [][]byte{payload}, types.MasterColor)
-				opCancel()
-				if err == nil && count {
-					ok.Add(1)
-				}
-				// Aggressor errors are the mechanism working: throttled
-				// appends surface ErrThrottled with a retry-after hint the
-				// client backoff honors on the next attempt.
+	// No worker reports an error: aggressor errors are the mechanism
+	// working — throttled appends surface ErrThrottled with a retry-after
+	// hint the client backoff honors on the next attempt.
+	_ = fanOut(len(clients), func(w int) error {
+		for ctx.Err() == nil {
+			opCtx, opCancel := context.WithTimeout(ctx, time.Second)
+			_, err := clients[w].AppendCtx(opCtx, [][]byte{payload}, types.MasterColor)
+			opCancel()
+			if err == nil && w < victims {
+				ok.Add(1)
 			}
-		}()
+		}
 		return nil
-	}
-	for i := 0; i < 4; i++ {
-		if err := runner(qosVictim, true); err != nil {
-			return res, err
-		}
-	}
-	// Two flood workers, not four: the aggressor and victim share the
-	// bench host's CPU as ordinary goroutines, and QoS governs the
-	// cluster's resources, not the flooding process's own CPU — more
-	// workers would measure Go scheduler fair-share, not lane fairness.
-	if withAggressor {
-		for i := 0; i < 2; i++ {
-			if err := runner(qosAggressor, false); err != nil {
-				return res, err
-			}
-		}
-	}
-	<-ctx.Done()
-	wg.Wait()
+	})
 
-	for _, sh := range cl.Topology().ShardsInRegion(types.MasterColor) {
-		for _, id := range sh.Replicas {
-			r := cl.Replica(id)
-			if r == nil {
-				continue
+	for _, r := range f.replicas() {
+		for _, ts := range r.TenantStats() {
+			switch ts.Tenant {
+			case qosAggressor:
+				res.aggThrottled += ts.Throttled
+				res.aggRecs += ts.Records
+			case qosVictim:
+				res.victimRecs += ts.Records
 			}
-			for _, ts := range r.TenantStats() {
-				switch ts.Tenant {
-				case qosAggressor:
-					res.aggThrottled += ts.Throttled
-					res.aggRecs += ts.Records
-				case qosVictim:
-					res.victimRecs += ts.Records
-				}
-				res.sheds += ts.Shed
-			}
+			res.sheds += ts.Shed
 		}
 	}
 	res.victimOps = ok.Load()
@@ -229,11 +198,11 @@ func qosIsolationRun(withAggressor bool, dur time.Duration) (qosIsoResult, error
 // jitter-degraded replica, with hedging off or on, and reports how many
 // rounds actually hedged.
 func qosHedgedTail(hedged bool, reads int) (p99 time.Duration, hedges uint64, err error) {
-	cl, err := core.SimpleCluster(core.TestClusterConfig(), 1)
+	f, err := newClusterFixture(clusterSpec{test: true, shards: 1})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer cl.Stop()
+	defer f.stop()
 
 	var opts []core.Option
 	if hedged {
@@ -242,35 +211,20 @@ func qosHedgedTail(hedged bool, reads int) (p99 time.Duration, hedges uint64, er
 			BudgetPercent: 60,
 		}))
 	}
-	c, err := cl.NewClient(opts...)
+	reader, err := f.clients(1, opts...)
 	if err != nil {
 		return 0, 0, err
 	}
 
-	// Warm a small working set before degrading the replica: appends need
-	// acks from ALL replicas, so warming under jitter would only slow the
-	// setup without adding signal.
-	payload := workload.Payload(128, 13)
-	var sns []types.SN
-	for i := 0; i < 32; i++ {
-		sn, err := c.Append([][]byte{payload}, types.MasterColor)
-		if err != nil {
-			return 0, 0, err
-		}
-		sns = append(sns, sn)
-	}
-	slow := cl.Topology().ShardsInRegion(types.MasterColor)[0].Replicas[0]
-	cl.Network().SetNodeFaults(slow, transport.FaultModel{JitterMax: 3 * time.Millisecond})
-
-	h := metrics.NewHistogram()
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < reads; i++ {
-		sn := sns[rng.Intn(len(sns))]
-		t0 := time.Now()
-		if _, err := c.Read(sn, types.MasterColor); err != nil {
-			return 0, 0, err
-		}
-		h.Record(time.Since(t0))
-	}
-	return h.Percentile(99), c.HedgedReads(), nil
+	// The reader warms a working set of 32 records before the replica is
+	// degraded: appends need acks from ALL replicas, so warming under
+	// jitter would only slow the setup without adding signal.
+	mix := newReadOwnWrites(reader, 1, 100, workload.Payload(128, 13), 0, 17)
+	l := mix.load()
+	l.warmOps = 32
+	err = closedLoop(1, reads, l, func() {
+		slow := f.cl.Topology().ShardsInRegion(types.MasterColor)[0].Replicas[0]
+		f.net.SetNodeFaults(slow, transport.FaultModel{JitterMax: 3 * time.Millisecond})
+	})
+	return mix.readH.Percentile(99), reader[0].HedgedReads(), err
 }

@@ -2,23 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"flexlog/internal/core"
 	"flexlog/internal/ctrlplane"
 	"flexlog/internal/metrics"
 	"flexlog/internal/types"
 	"flexlog/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "ablate-reconfig",
-		Title: "Ablation: append availability through a live shard split + replica drain",
-		Run:   runAblateReconfig,
-	})
-}
 
 // reconfigWriters is the closed-loop append fleet size.
 const reconfigWriters = 4
@@ -43,52 +33,27 @@ func runAblateReconfig(cfg RunConfig) (*Report, error) {
 		opsPerWriter = 300
 	}
 
-	ccfg := core.TestClusterConfig()
-	cl, err := core.SimpleCluster(ccfg, 1)
+	f, err := newClusterFixture(clusterSpec{test: true, shards: 1})
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Stop()
+	defer f.stop()
+	cl := f.cl
 	ctrl := ctrlplane.New(cl, ctrlplane.Config{
 		PollInterval: time.Millisecond,
 		DrainTimeout: 10 * time.Second,
 	})
-
-	payload := workload.Payload(128, 17)
-	clients := make([]*core.Client, reconfigWriters)
-	for w := range clients {
-		c, err := cl.NewClient()
-		if err != nil {
-			return nil, err
-		}
-		clients[w] = c
+	clients, err := f.clients(reconfigWriters)
+	if err != nil {
+		return nil, err
 	}
+	appends := appendLoad(clients, []types.ColorID{types.MasterColor}, workload.Payload(128, 17), 0)
 
 	// measure runs one closed-loop phase and returns kOps/s of wall time.
 	measure := func(ops int) (float64, error) {
-		var firstErr error
-		var mu sync.Mutex
 		start := time.Now()
-		var wg sync.WaitGroup
-		for w := range clients {
-			wg.Add(1)
-			go func(c *core.Client) {
-				defer wg.Done()
-				for i := 0; i < ops; i++ {
-					if _, err := c.Append([][]byte{payload}, types.MasterColor); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-				}
-			}(clients[w])
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return 0, firstErr
+		if err := closedLoop(reconfigWriters, ops, appends, nil); err != nil {
+			return 0, err
 		}
 		return float64(reconfigWriters*ops) / 1e3 / time.Since(start).Seconds(), nil
 	}

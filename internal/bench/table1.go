@@ -8,14 +8,6 @@ import (
 	"flexlog/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "table1",
-		Title: "Profiling of two serverless functions: % of CPU time in storage calls (Table 1)",
-		Run:   runTable1,
-	})
-}
-
 func runTable1(cfg RunConfig) (*Report, error) {
 	frames, frameBytes := 60, 256<<10
 	if cfg.Quick {

@@ -12,14 +12,6 @@ import (
 	"flexlog/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "ablate-tiering",
-		Title: "Ablation: storage lifecycle (PM budget + checkpoints) vs recovery cost growth",
-		Run:   runAblateTiering,
-	})
-}
-
 // runAblateTiering contrasts the background storage lifecycle against the
 // lifecycle-less store as the log grows 1x → 4x with a constant live
 // window (rolling trims). With the lifecycle on — a PM budget of two

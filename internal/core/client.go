@@ -280,6 +280,9 @@ func (c *Client) placement(color types.ColorID, sn types.SN) (types.ShardID, boo
 // FID returns the client's function id.
 func (c *Client) FID() uint32 { return c.cfg.FID }
 
+// ID returns the client's node id on the network.
+func (c *Client) ID() types.NodeID { return c.cfg.ID }
+
 // SetColorAdder wires the provisioning backend used by AddColor.
 func (c *Client) SetColorAdder(a ColorAdder) { c.adder = a }
 

@@ -554,10 +554,30 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 			return v, nil
 		}
 	}
-	l0 := append([]*sstable(nil), db.l0...)
-	l1 := db.l1
-	db.mu.RUnlock()
+	for {
+		l0 := append([]*sstable(nil), db.l0...)
+		l1 := db.l1
+		compactions := db.stats.Compactions
+		db.mu.RUnlock()
 
+		v, err := db.getFromTables(l0, l1, key)
+		if !errors.Is(err, ssd.ErrNotFound) {
+			return v, err
+		}
+		// A compaction that finished after the snapshot above deleted the
+		// files it merged; what they held is in the new L1, so look
+		// again. A missing file with no compaction since is a real error.
+		db.mu.RLock()
+		if db.stats.Compactions == compactions {
+			db.mu.RUnlock()
+			return nil, err
+		}
+	}
+}
+
+// getFromTables looks key up in one snapshot of the table set, newest
+// table first.
+func (db *DB) getFromTables(l0 []*sstable, l1 *sstable, key []byte) ([]byte, error) {
 	for _, t := range l0 {
 		if !t.bloom.mayContain(key) {
 			db.hot.bloomSkips.Add(1)

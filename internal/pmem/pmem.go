@@ -33,8 +33,8 @@ import (
 const headerSize = 8
 
 // DataStart is the offset of the first allocation in any pool — exposed so
-// re-attaching consumers (storage.Attach) can locate their regions in a
-// restored snapshot without re-allocating.
+// re-attaching consumers (storage.Open with WithAttach) can locate their
+// regions in a restored snapshot without re-allocating.
 const DataStart uint64 = headerSize
 
 var (

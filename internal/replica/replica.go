@@ -104,7 +104,7 @@ type Config struct {
 	// across sequencer failover).
 	RetryTimeout time.Duration
 	// StoreFactory overrides how the storage stack is built (e.g. to
-	// re-attach to restored device snapshots); nil uses storage.New(Store).
+	// re-attach to restored device snapshots); nil uses storage.Open(Store).
 	StoreFactory func(storage.Config) (*storage.Store, error)
 	// JoinBudget caps the records per color one join catch-up round may
 	// carry (DESIGN.md §15); 0 uses 2048. Smaller rounds bound the memory
@@ -351,7 +351,7 @@ func buildStore(cfg Config) (*storage.Store, error) {
 	if cfg.StoreFactory != nil {
 		return cfg.StoreFactory(cfg.Store)
 	}
-	return storage.New(cfg.Store)
+	return storage.Open(cfg.Store)
 }
 
 func newReplica(cfg Config, st *storage.Store) *Replica {

@@ -34,7 +34,7 @@ func (s *Sequencer) PublishObs(reg *obs.Registry) {
 		{"flexlog_seq_dup_tokens_total", "Duplicate order requests absorbed by the token cache.", func(st Stats) uint64 { return st.DupTokens }},
 		{"flexlog_seq_dropped_stale_total", "Stale-epoch messages dropped.", func(st Stats) uint64 { return st.DroppedStale }},
 		{"flexlog_seq_flush_rounds_total", "Flusher passes over the pending per-color queues.", func(st Stats) uint64 { return st.FlushRounds }},
-		{"flexlog_seq_urgent_flushes_total", "Flush rounds triggered early by a queue crossing FlushThreshold.", func(st Stats) uint64 { return st.UrgentFlushes }},
+		{"flexlog_seq_urgent_flushes_total", "Flush rounds triggered early by a queue crossing the 256-record flush threshold.", func(st Stats) uint64 { return st.UrgentFlushes }},
 		{"flexlog_seq_pipelined_batches_total", "Upward batches sent while a prior round for the same color was still unanswered.", func(st Stats) uint64 { return st.PipelinedBatches }},
 	} {
 		fn := c.fn

@@ -99,11 +99,6 @@ type Config struct {
 	// on: messages for different colors run on different workers while one
 	// color stays FIFO on one worker. 0 keeps the single delivery loop.
 	OrderWorkers int
-	// FlushThreshold is the pending-record count at which a color's queue
-	// triggers an urgent flush, skipping the rest of the BatchInterval
-	// linger (only when PipelinedFlush is on). 0 uses a default of 256;
-	// negative disables urgency entirely.
-	FlushThreshold int
 	// PipelinedFlush lets the flusher start a new upward round for a color
 	// while the previous round is still unanswered, and combines the
 	// rounds of multiple colors into a single AggOrderReqBatch frame to
@@ -112,8 +107,9 @@ type Config struct {
 	PipelinedFlush bool
 }
 
-// defaultFlushThreshold is the urgent-flush pending-record trigger when
-// Config.FlushThreshold is zero.
+// defaultFlushThreshold is the pending-record count at which a color's
+// queue triggers an urgent flush, skipping the rest of the BatchInterval
+// linger (only when PipelinedFlush is on).
 const defaultFlushThreshold = 256
 
 // DefaultConfig fills the timing knobs with test-friendly values.
@@ -167,7 +163,7 @@ type Stats struct {
 	DroppedStale uint64
 
 	FlushRounds      uint64 // flusher passes over the pending queues
-	UrgentFlushes    uint64 // rounds triggered early by FlushThreshold
+	UrgentFlushes    uint64 // rounds triggered early (a queue crossed defaultFlushThreshold)
 	PipelinedBatches uint64 // upward batches sent while a prior round for the same color was unanswered
 }
 
@@ -199,8 +195,7 @@ type Sequencer struct {
 	batchSeq atomic.Uint64
 	inflight sync.Map // batchID uint64 → *inflight
 
-	urgent         atomic.Bool // a queue crossed FlushThreshold; skip the linger
-	flushThreshold int
+	urgent atomic.Bool // a queue crossed defaultFlushThreshold; skip the linger
 
 	// Per-tenant accounting: built once at construction, read-only after.
 	tenantTotals  map[types.TenantID]*atomic.Uint64
@@ -316,14 +311,6 @@ func newSequencer(cfg Config) *Sequencer {
 	}
 	for i := range s.aggSeen {
 		s.aggSeen[i].m = make(map[childKey]types.SN)
-	}
-	switch {
-	case cfg.FlushThreshold > 0:
-		s.flushThreshold = cfg.FlushThreshold
-	case cfg.FlushThreshold == 0:
-		s.flushThreshold = defaultFlushThreshold
-	default:
-		s.flushThreshold = 0 // disabled
 	}
 	s.buildTenantCounters()
 	epoch := types.Epoch(1)
@@ -673,12 +660,12 @@ func replicaSetKey(shard types.ShardID, replicas []types.NodeID) string {
 }
 
 // enqueue appends one member to color's pending queue and wakes the
-// flusher; crossing FlushThreshold flags the round urgent so the flusher
-// skips the remainder of its linger window.
+// flusher; crossing defaultFlushThreshold flags the round urgent so the
+// flusher skips the remainder of its linger window.
 func (s *Sequencer) enqueue(color types.ColorID, m member, se types.Epoch) {
 	q := s.queueFor(color)
 	q.push(m, se)
-	if s.cfg.PipelinedFlush && s.flushThreshold > 0 && q.nrec.Load() >= int64(s.flushThreshold) {
+	if s.cfg.PipelinedFlush && q.nrec.Load() >= defaultFlushThreshold {
 		if s.urgent.CompareAndSwap(false, true) {
 			s.c.urgentFlushes.Add(1)
 		}
@@ -694,7 +681,7 @@ func (s *Sequencer) kickFlusher() {
 }
 
 // flusherLoop merges pending members per color and sends them upward every
-// BatchInterval; an urgent flag (queue crossed FlushThreshold) cuts the
+// BatchInterval; an urgent flag (queue crossed defaultFlushThreshold) cuts the
 // window short so a loaded leaf pipelines rounds back-to-back.
 func (s *Sequencer) flusherLoop() {
 	defer s.stopped.Done()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -284,15 +285,27 @@ func TestEpochBumpDuringFlood(t *testing.T) {
 	defer s.Stop()
 
 	// The collector is the "replica" every request names: it records each
-	// OrderResp broadcast to it.
+	// OrderResp broadcast to it, and which epochs have answered so far.
+	// The marker is the request sent after the flood; its response is the
+	// last one.
+	marker := types.MakeToken(999, 1)
+	drained := make(chan struct{})
 	var respMu sync.Mutex
 	var resps []proto.OrderResp
+	answered := map[uint32]bool{}
 	if _, err := net.Register(100, func(from types.NodeID, msg transport.Message) {
-		if resp, ok := msg.(proto.OrderResp); ok {
-			respMu.Lock()
-			resps = append(resps, resp)
-			respMu.Unlock()
+		resp, ok := msg.(proto.OrderResp)
+		if !ok {
+			return
 		}
+		if resp.Token == marker {
+			close(drained)
+			return
+		}
+		respMu.Lock()
+		resps = append(resps, resp)
+		answered[resp.LastSN.Epoch()] = true
+		respMu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +317,15 @@ func TestEpochBumpDuringFlood(t *testing.T) {
 	s.mu.Unlock()
 
 	// Fire-and-forget flood: unique tokens, no duplicates — every response
-	// must be a fresh assignment.
+	// must be a fresh assignment. The flood is tied to the bumper, not to a
+	// request count: a fixed-size flood can be drained whole inside one
+	// stood-down window (a stale drop costs ~40 ns), leaving nothing to
+	// check. Each sender keeps sending until the bumper is done.
 	const senders = 4
-	const perSender = 1500
+	const perSender = 1500 // at least
+	bumperDone := make(chan struct{})
 	var floodWG sync.WaitGroup
+	var sent atomic.Uint64
 	for i := 0; i < senders; i++ {
 		ep, err := net.Register(types.NodeID(200+i), func(types.NodeID, transport.Message) {})
 		if err != nil {
@@ -317,7 +335,15 @@ func TestEpochBumpDuringFlood(t *testing.T) {
 		go func(i int, ep transport.Endpoint) {
 			defer floodWG.Done()
 			fid := uint32(200 + i)
-			for c := 0; c < perSender; c++ {
+			for c := 0; ; c++ {
+				if c >= perSender {
+					select {
+					case <-bumperDone:
+						sent.Add(uint64(c))
+						return
+					default:
+					}
+				}
 				req := proto.OrderReq{
 					Color:    0,
 					Token:    types.MakeToken(fid, uint32(c+1)),
@@ -330,12 +356,29 @@ func TestEpochBumpDuringFlood(t *testing.T) {
 	}
 
 	// The bumper: poison the word (stand down), then re-serve under a
-	// bumped epoch, repeatedly, while the flood is in flight.
-	bumperDone := make(chan struct{})
+	// bumped epoch, repeatedly, while the flood is in flight. It stands
+	// down only once the epoch it is leaving has answered a request, so
+	// every transition happens with assignments on both sides of it.
+	var bumpedFrom []uint32
 	go func() {
 		defer close(bumperDone)
 		for k := 0; k < 8; k++ {
-			time.Sleep(time.Millisecond)
+			s.mu.Lock()
+			cur := uint32(s.epoch)
+			s.mu.Unlock()
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+				respMu.Lock()
+				ok := answered[cur]
+				respMu.Unlock()
+				if ok {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Errorf("epoch %d answered no request in 10s of flood", cur)
+					return
+				}
+			}
+			bumpedFrom = append(bumpedFrom, cur)
 			s.mu.Lock()
 			s.stopServingLocked()
 			s.mu.Unlock()
@@ -350,20 +393,29 @@ func TestEpochBumpDuringFlood(t *testing.T) {
 		}
 	}()
 
-	floodWG.Wait()
 	<-bumperDone
-	// Let queued deliveries drain; the final epoch is serving, so anything
-	// still in flight either assigns under it or was already dropped.
-	time.Sleep(100 * time.Millisecond)
+	floodWG.Wait()
+	if t.Failed() {
+		return
+	}
+	// Drain: the final epoch is serving and one color's requests stay FIFO
+	// from the network through its lane worker to the collector, so the
+	// marker's response follows every response the flood will ever get.
+	markerEP, err := net.Register(999, func(types.NodeID, transport.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := markerEP.Send(9000, proto.OrderReq{Color: 0, Token: marker, NRecords: 1, Replicas: []types.NodeID{100}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the marker request sent after the flood was never answered")
+	}
 
 	respMu.Lock()
 	defer respMu.Unlock()
-	if len(resps) == 0 {
-		t.Fatal("flood produced no responses")
-	}
-	if len(resps) > senders*perSender {
-		t.Fatalf("more responses (%d) than requests (%d)", len(resps), senders*perSender)
-	}
 
 	byEpoch := make(map[uint32][]snRange)
 	for _, r := range resps {
@@ -395,6 +447,12 @@ func TestEpochBumpDuringFlood(t *testing.T) {
 			expect = uint64(r.last.Counter())
 		}
 	}
+	// Every epoch the bumper left had answered, so all eight are here.
+	for _, ep := range bumpedFrom {
+		if len(byEpoch[ep]) == 0 {
+			t.Errorf("bumped-from epoch %d has no responses", ep)
+		}
+	}
 	t.Logf("flood: %d/%d responses across %d served epochs, stats %+v",
-		len(resps), senders*perSender, len(byEpoch), s.Stats())
+		len(resps), sent.Load(), len(byEpoch), s.Stats())
 }

@@ -71,7 +71,7 @@ func TestBatchPartialTrim(t *testing.T) {
 }
 
 func TestBatchSurvivesRecovery(t *testing.T) {
-	st, _ := New(smallConfig())
+	st, _ := Open(smallConfig())
 	st.PutBatch(colorA, tok(1), [][]byte{[]byte("aa"), []byte("bb")})
 	st.Commit(tok(1), sn(2))
 	st.PutBatch(colorA, tok(2), [][]byte{[]byte("cc"), []byte("dd")}) // uncommitted

@@ -14,7 +14,7 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte{16, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
-	st, err := New(TestConfig())
+	st, err := Open(TestConfig())
 	if err == nil {
 		st.Put(1, tok(1), payload(1))
 		img := make([]byte, 256)

@@ -19,7 +19,7 @@ func TestScanRejectsCorruptPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := ssd.New(ssd.Zero())
-	st, err := NewWithDevices(cfg, pool, dev)
+	st, err := Open(cfg, WithPMTier(pool), WithSSDTier(dev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestScanSegmentBounds(t *testing.T) {
 func TestFlushedSegmentServesAfterRecovery(t *testing.T) {
 	cfg := smallConfig()
 	cfg.CacheBytes = 0 // force device reads
-	st, err := New(cfg)
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFlushedSegmentServesAfterRecovery(t *testing.T) {
 // segment is reused directly (no flush), keeping trim cheap.
 func TestTrimReclaimsDeadSegmentsWithoutSSDWrites(t *testing.T) {
 	cfg := smallConfig()
-	st, err := New(cfg)
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestWriteOnceSemantics(t *testing.T) {
 // path.
 func TestAttachRestoresFromSnapshots(t *testing.T) {
 	cfg := smallConfig()
-	st, err := New(cfg)
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestAttachRestoresFromSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Attach(cfg, pool, dev)
+	st2, err := Open(cfg, WithPMTier(pool), WithSSDTier(dev), WithAttach())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestAttachRestoresFromSnapshots(t *testing.T) {
 func TestAttachRejectsNonSnapshots(t *testing.T) {
 	cfg := smallConfig()
 	pool, _ := pmem.New(int(cfg.SegmentSize)*cfg.NumSegments+64, pmem.Zero())
-	if _, err := Attach(cfg, pool, ssd.New(ssd.Zero())); err == nil {
+	if _, err := Open(cfg, WithPMTier(pool), WithSSDTier(ssd.New(ssd.Zero())), WithAttach()); err == nil {
 		t.Fatal("attach to a virgin pool should fail (no layout)")
 	}
 	tiny, _ := pmem.New(64, pmem.Zero())
-	if _, err := Attach(cfg, tiny, ssd.New(ssd.Zero())); err == nil {
+	if _, err := Open(cfg, WithPMTier(tiny), WithSSDTier(ssd.New(ssd.Zero())), WithAttach()); err == nil {
 		t.Fatal("attach to an undersized pool should fail")
 	}
 }

@@ -10,17 +10,14 @@ import (
 )
 
 // Option configures Open beyond the sizing knobs in Config: which devices
-// (or Tier implementations) back the hot and cold tiers, the lifecycle
-// budgets, and whether the store formats fresh media or attaches to a
-// surviving layout.
+// (or Tier implementations) back the hot and cold tiers, and whether the
+// store formats fresh media or attaches to a surviving layout.
 type Option func(*openConfig)
 
 type openConfig struct {
-	pool      *pmem.Pool
-	cold      tier.Tier
-	attach    bool
-	pmBudget  *uint64
-	ckptEvery *int
+	pool   *pmem.Pool
+	cold   tier.Tier
+	attach bool
 }
 
 // WithPMTier backs the hot tier with an existing persistent-memory pool
@@ -42,17 +39,6 @@ func WithColdTier(t tier.Tier) Option {
 	return func(oc *openConfig) { oc.cold = t }
 }
 
-// WithPMBudget sets Config.PMBudget (see there); as an Option it composes
-// with call sites that pass a shared Config value they must not mutate.
-func WithPMBudget(bytes uint64) Option {
-	return func(oc *openConfig) { oc.pmBudget = &bytes }
-}
-
-// WithCheckpointEvery sets Config.CheckpointEvery (see there).
-func WithCheckpointEvery(entries int) Option {
-	return func(oc *openConfig) { oc.ckptEvery = &entries }
-}
-
 // WithAttach re-opens a store over media holding a previous incarnation's
 // data (e.g. snapshots restored by cmd/flexlog-server): the PM slots are
 // located at their canonical offsets — the same layout a fresh Open
@@ -70,12 +56,6 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 	var oc openConfig
 	for _, opt := range opts {
 		opt(&oc)
-	}
-	if oc.pmBudget != nil {
-		cfg.PMBudget = *oc.pmBudget
-	}
-	if oc.ckptEvery != nil {
-		cfg.CheckpointEvery = *oc.ckptEvery
 	}
 	if cfg.SegmentSize < segHeaderSize+entryHeaderSize {
 		return nil, fmt.Errorf("storage: segment size %d too small", cfg.SegmentSize)

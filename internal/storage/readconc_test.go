@@ -17,7 +17,7 @@ func TestConcurrentGetsDuringFlush(t *testing.T) {
 	cfg.SegmentSize = 512
 	cfg.NumSegments = 3
 	cfg.CacheBytes = 0 // force every read to the device tiers
-	st, err := New(cfg)
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

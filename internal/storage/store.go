@@ -227,21 +227,6 @@ type Store struct {
 	checkpointH *obs.Histogram // checkpoint write latency
 }
 
-// New creates a Store with fresh devices per cfg.
-//
-// Deprecated: use Open. New delegates to Open with no options.
-func New(cfg Config) (*Store, error) {
-	return Open(cfg)
-}
-
-// NewWithDevices creates a Store over existing devices (used by tests and
-// by recovery flows that re-attach to surviving media).
-//
-// Deprecated: use Open with WithPMTier and WithSSDTier.
-func NewWithDevices(cfg Config, pool *pmem.Pool, dev *ssd.Device) (*Store, error) {
-	return Open(cfg, WithPMTier(pool), WithSSDTier(dev))
-}
-
 // Close stops the background lifecycle and the group committer (if any),
 // draining queued writes. The store remains readable; further writes fail
 // with ErrCommitterClosed.
@@ -1230,16 +1215,6 @@ func (st *Store) Stats() Stats {
 		s.GC = st.gc.stats()
 	}
 	return s
-}
-
-// Attach re-opens a store over devices holding a previous incarnation's
-// data (e.g. snapshots restored by cmd/flexlog-server): the PM slots are
-// located at their canonical offsets (the same layout Open creates) and
-// every volatile index is rebuilt by Recover's scan.
-//
-// Deprecated: use Open with WithPMTier, WithSSDTier and WithAttach.
-func Attach(cfg Config, pool *pmem.Pool, dev *ssd.Device) (*Store, error) {
-	return Open(cfg, WithPMTier(pool), WithSSDTier(dev), WithAttach())
 }
 
 // ssdDevice returns the raw device backing the cold tier, if it has one

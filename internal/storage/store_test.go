@@ -13,7 +13,7 @@ import (
 
 func newTestStore(t *testing.T) *Store {
 	t.Helper()
-	st, err := New(TestConfig())
+	st, err := Open(TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,12 @@ const colorB types.ColorID = 2
 func TestConfigValidation(t *testing.T) {
 	c := TestConfig()
 	c.SegmentSize = 10
-	if _, err := New(c); err == nil {
+	if _, err := Open(c); err == nil {
 		t.Error("tiny segment size should be rejected")
 	}
 	c = TestConfig()
 	c.NumSegments = 0
-	if _, err := New(c); err == nil {
+	if _, err := Open(c); err == nil {
 		t.Error("zero segments should be rejected")
 	}
 }
@@ -240,7 +240,7 @@ func TestUncommitted(t *testing.T) {
 }
 
 func TestSegmentRolloverAndFlushToSSD(t *testing.T) {
-	st, err := New(smallConfig())
+	st, err := Open(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSegmentRolloverAndFlushToSSD(t *testing.T) {
 }
 
 func TestOversizedRecordRejected(t *testing.T) {
-	st, _ := New(smallConfig())
+	st, _ := Open(smallConfig())
 	if err := st.Put(colorA, tok(1), make([]byte, 1024)); err == nil {
 		t.Fatal("oversized record should be rejected")
 	}
@@ -281,7 +281,7 @@ func TestOversizedRecordRejected(t *testing.T) {
 func TestUncommittedBlocksFlushUntilOutOfSpace(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NumSegments = 2
-	st, _ := New(cfg)
+	st, _ := Open(cfg)
 	// Fill PM with uncommitted records only: nothing is flushable, so the
 	// store must eventually report out of space rather than lose data.
 	var lastErr error
@@ -297,7 +297,7 @@ func TestUncommittedBlocksFlushUntilOutOfSpace(t *testing.T) {
 }
 
 func TestRecoveryRebuildsIndexes(t *testing.T) {
-	st, _ := New(smallConfig())
+	st, _ := Open(smallConfig())
 	const n = 60
 	for i := 1; i <= n; i++ {
 		st.Put(colorA, tok(i), payload(i))
@@ -343,7 +343,7 @@ func TestRecoveryRebuildsIndexes(t *testing.T) {
 }
 
 func TestRecoveryIsRepeatable(t *testing.T) {
-	st, _ := New(smallConfig())
+	st, _ := Open(smallConfig())
 	for i := 1; i <= 30; i++ {
 		st.Put(colorA, tok(i), payload(i))
 		st.Commit(tok(i), sn(i))
@@ -378,7 +378,7 @@ func TestCachePathServesReads(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	cfg := TestConfig()
 	cfg.CacheBytes = 0
-	st, _ := New(cfg)
+	st, _ := Open(cfg)
 	st.Put(colorA, tok(1), payload(1))
 	st.Commit(tok(1), sn(1))
 	got, err := st.Get(colorA, sn(1))
@@ -427,7 +427,7 @@ func TestConcurrentPutCommitGet(t *testing.T) {
 // and recovery, the committed-and-untrimmed set is exactly preserved.
 func TestRecoveryPreservesCommittedProperty(t *testing.T) {
 	f := func(commitMask uint16, trimAt uint8) bool {
-		st, err := New(smallConfig())
+		st, err := Open(smallConfig())
 		if err != nil {
 			return false
 		}

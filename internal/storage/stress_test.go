@@ -17,7 +17,7 @@ import (
 // the store remains fully operational.
 func TestConcurrentAppendTrimReadStress(t *testing.T) {
 	cfg := Config{SegmentSize: 8 << 10, NumSegments: 6, CacheBytes: 32 << 10}
-	st, err := New(cfg)
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

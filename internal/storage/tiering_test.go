@@ -43,19 +43,18 @@ func evictAll(t *testing.T, st *Store) int {
 
 func TestOpenOptionsCompose(t *testing.T) {
 	cfg := smallConfig()
-	st, err := Open(cfg, WithPMBudget(1024), WithCheckpointEvery(4))
+	cfg.PMBudget, cfg.CheckpointEvery = 1024, 4
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.cfg.PMBudget != 1024 || st.cfg.CheckpointEvery != 4 {
-		t.Fatalf("options not applied: %+v", st.cfg)
-	}
 	if st.lc == nil {
 		t.Fatal("lifecycle not started despite budget")
 	}
-	// The deprecated shims must produce equivalent stores.
-	st2, err := New(smallConfig())
+	// With no options and no lifecycle fields: fresh devices, SSD cold
+	// tier, no background goroutine.
+	st2, err := Open(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // allocator lock, and the committer windows together.
 func TestParallelWritePathStress(t *testing.T) {
 	cfg := Config{SegmentSize: 16 << 10, NumSegments: 8, CacheBytes: 64 << 10, GroupCommit: true}
-	st, err := New(cfg)
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestParallelWritePathStress(t *testing.T) {
 func TestGroupCommitCrashMidWindow(t *testing.T) {
 	cfg := TestConfig()
 	cfg.GroupCommit = true
-	st, err := New(cfg)
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
