@@ -25,11 +25,13 @@ race:
 # The line counts every deletion PR states before and after in
 # CHANGES.md: non-test and test Go lines of the program (the benchmark
 # module and its build directory are not the program), and the non-test
-# lines of internal/bench, the package the design diet is judged on.
+# lines of the packages the design diet is judged on.
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
-	@printf 'internal/bench non-test Go lines: '; find internal/bench -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+	@for pkg in internal/bench internal/storage internal/proto internal/replica; do \
+		printf '%s non-test Go lines: ' $$pkg; find $$pkg -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; \
+	done
 
 # Flake rate of one test: make flake PKG=./internal/seq/ RUN=TestEpochBumpDuringFlood N=200
 # runs it N times and prints failures/N (add GOFLAGS=-race for the race
@@ -126,7 +128,11 @@ reconfig-smoke:
 # control plane's operator-facing API) must carry a doc comment
 # (OPERATIONS.md's coverage test guards the metric names; this guards the
 # API docs). -flags verifies every flexlog-server / flexlog-cli flag is
-# documented in README.md or OPERATIONS.md.
+# documented in README.md or OPERATIONS.md. -unused fails on an exported
+# name under internal/ or cmd/ that no Go file of the repository mentions
+# besides its declaration: an option nothing uses is deleted when it
+# appears, not by the next diet PR.
 docs-check:
 	$(GO) run ./cmd/docs-check internal/obs internal/ctrlplane
 	$(GO) run ./cmd/docs-check -flags cmd/flexlog-server cmd/flexlog-cli
+	$(GO) run ./cmd/docs-check -unused internal cmd

@@ -1,4 +1,4 @@
-// Command docs-check enforces two documentation gates:
+// Command docs-check enforces three gates on the documented surface:
 //
 //   - godoc coverage: every exported top-level declaration (and exported
 //     method) in the given package directories must carry a doc comment,
@@ -7,11 +7,20 @@
 //     (flag.String / sub.Bool / ... — any *"name", ...* flag-package call)
 //     must be mentioned as -name in README.md or OPERATIONS.md, so the
 //     operator surface can't drift ahead of its documentation.
+//   - unused exports (-unused): every exported top-level func, method,
+//     type, const or var declared under the given directories must be
+//     mentioned by name somewhere in the repository's Go files — program,
+//     tests, examples, benchmark/ — besides where it is declared. An
+//     option or accessor nothing calls is surface someone has to document,
+//     test and keep working; this fails the build on the next one. The scan
+//     is by name, not by type, so it under-reports (one caller of any
+//     Stats keeps every Stats) and never needs a build context.
 //
 // Usage:
 //
 //	docs-check [dir ...]           # godoc gate; default: internal/obs
 //	docs-check -flags [cmddir ...] # flag gate; default: cmd/flexlog-server cmd/flexlog-cli
+//	docs-check -unused [dir ...]   # unused-export gate; default: internal cmd
 //
 // It exits non-zero listing each miss, so `make docs-check` fails the
 // build when documentation drifts. It parses source directly (go/parser),
@@ -24,64 +33,82 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 )
 
 func main() {
 	flagMode := flag.Bool("flags", false, "check that every registered command-line flag is documented in README.md or OPERATIONS.md")
+	unusedMode := flag.Bool("unused", false, "list exported top-level names that no Go file of the repository mentions besides their declaration")
 	flag.Parse()
 	dirs := flag.Args()
 
-	var misses []string
-	if *flagMode {
+	switch {
+	case *unusedMode:
+		if len(dirs) == 0 {
+			dirs = []string{"internal", "cmd"}
+		}
+		misses, err := checkUnused(".", dirs)
+		if err != nil {
+			fatal(err)
+		}
+		report(misses, "exported names nothing mentions (delete them, or the callers that should exist are missing)")
+		fmt.Printf("docs-check: every exported name under %s is mentioned somewhere\n", strings.Join(dirs, ", "))
+	case *flagMode:
 		if len(dirs) == 0 {
 			dirs = []string{"cmd/flexlog-server", "cmd/flexlog-cli"}
 		}
 		docs, err := loadDocs("README.md", "OPERATIONS.md")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "docs-check: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
+		var misses []string
 		for _, dir := range dirs {
 			m, err := checkFlags(dir, docs)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "docs-check: %s: %v\n", dir, err)
-				os.Exit(1)
+				fatal(fmt.Errorf("%s: %w", dir, err))
 			}
 			misses = append(misses, m...)
 		}
-		if len(misses) > 0 {
-			fmt.Fprintf(os.Stderr, "docs-check: %d undocumented flags (add -name to README.md or OPERATIONS.md):\n", len(misses))
-			for _, m := range misses {
-				fmt.Fprintf(os.Stderr, "  %s\n", m)
-			}
-			os.Exit(1)
-		}
+		report(misses, "undocumented flags (add -name to README.md or OPERATIONS.md)")
 		fmt.Printf("docs-check: flags in %d command(s) all documented\n", len(dirs))
+	default:
+		if len(dirs) == 0 {
+			dirs = []string{"internal/obs"}
+		}
+		var misses []string
+		for _, dir := range dirs {
+			m, err := checkDir(dir)
+			if err != nil {
+				fatal(fmt.Errorf("%s: %w", dir, err))
+			}
+			misses = append(misses, m...)
+		}
+		report(misses, "undocumented exported symbols")
+		fmt.Printf("docs-check: %d package(s) clean\n", len(dirs))
+	}
+}
+
+// fatal exits on a gate that could not run.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "docs-check: %v\n", err)
+	os.Exit(1)
+}
+
+// report lists a gate's misses and exits non-zero if there are any.
+func report(misses []string, what string) {
+	if len(misses) == 0 {
 		return
 	}
-
-	if len(dirs) == 0 {
-		dirs = []string{"internal/obs"}
+	fmt.Fprintf(os.Stderr, "docs-check: %d %s:\n", len(misses), what)
+	for _, m := range misses {
+		fmt.Fprintf(os.Stderr, "  %s\n", m)
 	}
-	for _, dir := range dirs {
-		m, err := checkDir(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "docs-check: %s: %v\n", dir, err)
-			os.Exit(1)
-		}
-		misses = append(misses, m...)
-	}
-	if len(misses) > 0 {
-		fmt.Fprintf(os.Stderr, "docs-check: %d undocumented exported symbols:\n", len(misses))
-		for _, m := range misses {
-			fmt.Fprintf(os.Stderr, "  %s\n", m)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("docs-check: %d package(s) clean\n", len(dirs))
+	os.Exit(1)
 }
 
 // loadDocs concatenates the named markdown files (a missing file is an
@@ -259,4 +286,108 @@ func receiverName(fl *ast.FieldList) string {
 		return id.Name
 	}
 	return ""
+}
+
+// stdlibCalled are the methods only the standard library calls (through
+// error, fmt.Stringer and errors.Unwrap), so no file of the repository has
+// to mention them.
+var stdlibCalled = map[string]bool{"Error": true, "String": true, "Unwrap": true}
+
+// checkUnused parses every Go file under root (tests, examples and the
+// benchmark module included; the benchmark's build directory and VCS
+// metadata are not source) and returns one line per exported top-level
+// name declared in a non-test file under dirs that is never mentioned: a
+// name all of whose identifier occurrences, across the repository, are
+// top-level declarations of it.
+func checkUnused(root string, dirs []string) ([]string, error) {
+	var (
+		fset      = token.NewFileSet()
+		mentioned = make(map[string]int)      // identifier occurrences, declarations included
+		declared  = make(map[string]int)      // top-level declarations of the name, any file
+		exported  = make(map[string][]string) // name -> "pos: kind Name" per reportable declaration
+	)
+	for i, dir := range dirs {
+		// A renamed directory must fail the gate, not empty it.
+		if _, err := os.Stat(dir); err != nil {
+			return nil, err
+		}
+		dirs[i] = filepath.Clean(dir) + string(filepath.Separator)
+	}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				mentioned[id.Name]++
+			}
+			return true
+		})
+		reportable := !strings.HasSuffix(path, "_test.go") &&
+			slices.ContainsFunc(dirs, func(dir string) bool { return strings.HasPrefix(path, dir) })
+		declare := func(id *ast.Ident, kind string, allowed bool) {
+			declared[id.Name]++
+			if reportable && id.IsExported() && !allowed {
+				exported[id.Name] = append(exported[id.Name], fmt.Sprintf("%s: %s%s", fset.Position(id.Pos()), kind, id.Name))
+			}
+		}
+		for _, gd := range f.Decls {
+			switch d := gd.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					declare(d.Name, "func ", false)
+				} else {
+					declare(d.Name, "method "+receiverName(d.Recv)+".", stdlibCalled[d.Name.Name])
+				}
+			case *ast.GenDecl:
+				for i, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						declare(s.Name, "type ", false)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							// The zero member of an enum is what a zero value
+							// already is; code rarely has to name it.
+							declare(id, strings.ToLower(d.Tok.String())+" ", i == 0 && isIota(s))
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for name, decls := range exported {
+		if mentioned[name] == declared[name] {
+			out = append(out, decls...)
+		}
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// isIota reports whether a const spec's value is iota: the first member of
+// an enumeration.
+func isIota(s *ast.ValueSpec) bool {
+	if len(s.Values) != 1 {
+		return false
+	}
+	id, ok := s.Values[0].(*ast.Ident)
+	return ok && id.Name == "iota"
 }

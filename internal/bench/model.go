@@ -39,12 +39,12 @@ type nodeCounters struct {
 // snapshot reads every charged node of a fixture at one moment.
 type snapshot map[types.NodeID]nodeCounters
 
-// laneSide picks the lane an experiment's model treats as parallel.
+// laneSide picks the lane an experiment's model treats as parallel; the
+// zero value picks none.
 type laneSide int
 
 const (
-	noLane laneSide = iota
-	readSide
+	readSide laneSide = iota + 1
 	writeSide
 )
 

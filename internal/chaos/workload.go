@@ -22,7 +22,10 @@ type WorkloadConfig struct {
 	Seed int64
 	// Colors are the leaf colors written, read and trimmed.
 	Colors []types.ColorID
-	// Writers / Readers are goroutine counts per color.
+	// Writers / Readers are goroutine counts per color. Writers append one
+	// to three records per call, and every second one runs on a batching
+	// client — the deployed default — so the history holds tokens of
+	// several records, the unit replicas persist, order and transfer.
 	Writers int
 	Readers int
 	// Trims enables one trimmer per color.
@@ -88,8 +91,8 @@ func StartWorkload(ctx context.Context, cl *core.Cluster, cfg WorkloadConfig) (*
 		acked:   make(map[types.ColorID][]types.SN),
 		lastAck: time.Now(),
 	}
-	spawn := func(fn func(cli *core.Client, rng *rand.Rand), salt int64) error {
-		cli, err := cl.NewClient()
+	spawn := func(fn func(cli *core.Client, rng *rand.Rand), salt int64, opts ...core.Option) error {
+		cli, err := cl.NewClient(opts...)
 		if err != nil {
 			return err
 		}
@@ -106,9 +109,13 @@ func StartWorkload(ctx context.Context, cl *core.Cluster, cfg WorkloadConfig) (*
 		color := color
 		for i := 0; i < cfg.Writers; i++ {
 			id := salt
+			var opts []core.Option
+			if i%2 == 1 {
+				opts = append(opts, core.WithBatching(core.DefaultBatchConfig()))
+			}
 			if err := spawn(func(cli *core.Client, rng *rand.Rand) {
 				w.writer(ctx, cli, rng, color, id)
-			}, salt); err != nil {
+			}, salt, opts...); err != nil {
 				return nil, err
 			}
 			salt++
@@ -210,24 +217,37 @@ func (w *Workload) trimFrontier(color types.ColorID) (types.SN, bool) {
 	return frontier, true
 }
 
+// writer appends one to three records per call. The history records a call
+// of n records as n appends over the same interval — the call returns the
+// SN of its last record, and a batch occupies consecutive SNs — so the
+// checker needs no notion of a batch.
 func (w *Workload) writer(ctx context.Context, cli *core.Client, rng *rand.Rand, color types.ColorID, id int64) {
 	n := 0
 	for ctx.Err() == nil {
-		n++
-		payload := []byte(fmt.Sprintf("s%x-c%d-w%d-%06d", w.cfg.Seed, color, id, n))
-		p := w.rec.BeginAppend(color, payload)
+		records := make([][]byte, 1+rng.Intn(3))
+		pending := make([]*histcheck.PendingOp, len(records))
+		for i := range records {
+			n++
+			records[i] = []byte(fmt.Sprintf("s%x-c%d-w%d-%06d", w.cfg.Seed, color, id, n))
+			pending[i] = w.rec.BeginAppend(color, records[i])
+		}
 		opCtx, cancel := context.WithTimeout(ctx, w.cfg.OpTimeout)
-		sn, err := cli.AppendCtx(opCtx, [][]byte{payload}, color)
+		last, err := cli.AppendCtx(opCtx, records, color)
 		cancel()
 		if err != nil {
-			p.Fail()
+			for _, p := range pending {
+				p.Fail()
+			}
 			w.appendFails.Add(1)
 			sleepJitter(ctx, rng, 2*time.Millisecond)
 			continue
 		}
-		p.Ack(sn)
+		for i, p := range pending {
+			sn := last - types.SN(len(records)-1-i)
+			p.Ack(sn)
+			w.noteAck(color, sn)
+		}
 		w.appends.Add(1)
-		w.noteAck(color, sn)
 		sleepJitter(ctx, rng, time.Millisecond)
 	}
 }

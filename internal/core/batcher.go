@@ -8,7 +8,6 @@ import (
 
 	"flexlog/internal/metrics"
 	"flexlog/internal/proto"
-	"flexlog/internal/topology"
 	"flexlog/internal/types"
 )
 
@@ -113,7 +112,7 @@ type batcherKey struct {
 type shardBatcher struct {
 	c     *Client
 	color types.ColorID
-	shard topology.ShardInfo
+	shard types.ShardID // the membership is resolved per batch, never cached
 	cfg   BatchConfig
 
 	mu          sync.Mutex
@@ -127,7 +126,7 @@ type shardBatcher struct {
 	wake chan struct{}
 }
 
-func newShardBatcher(c *Client, color types.ColorID, shard topology.ShardInfo, cfg BatchConfig) *shardBatcher {
+func newShardBatcher(c *Client, color types.ColorID, shard types.ShardID, cfg BatchConfig) *shardBatcher {
 	return &shardBatcher{
 		c:     c,
 		color: color,
@@ -153,7 +152,7 @@ func (c *Client) enqueueAppend(records [][]byte, color types.ColorID) (*AppendFu
 	key := batcherKey{color, shard.ID}
 	b := c.batchers[key]
 	if b == nil {
-		b = newShardBatcher(c, color, shard, c.cfg.Batch)
+		b = newShardBatcher(c, color, shard.ID, c.cfg.Batch)
 		c.batchers[key] = b
 		go b.run()
 	}
@@ -265,13 +264,25 @@ func (b *shardBatcher) cutLocked() (items []*pendingAppend, recs, bytes int) {
 // so the next batch can pipeline behind this one.
 func (b *shardBatcher) flush(items []*pendingAppend, recs, bytes int) {
 	c := b.c
+	// The batcher outlives reconfigurations of its shard, so the membership
+	// is resolved per batch, as the unbatched path resolves it per append:
+	// a replica added since the batcher was created must persist and
+	// acknowledge the batch too, or it is acked without being on every
+	// member.
+	cur, err := c.topo.Shard(b.shard)
+	if err != nil {
+		b.landed()
+		b.fail(items, fmt.Errorf("%w: shard %v removed", ErrReconfiguring, b.shard))
+		return
+	}
 	token := c.nextToken()
 	w := &appendWait{
-		needed: make(map[types.NodeID]bool, len(b.shard.Replicas)),
-		acked:  make(map[types.NodeID]bool, len(b.shard.Replicas)),
+		shard:  b.shard,
+		needed: make(map[types.NodeID]bool, len(cur.Replicas)),
+		acked:  make(map[types.NodeID]bool, len(cur.Replicas)),
 		done:   make(chan struct{}),
 	}
-	for _, id := range b.shard.Replicas {
+	for _, id := range cur.Replicas {
 		w.needed[id] = true
 	}
 	c.mu.Lock()
@@ -294,7 +305,7 @@ func (b *shardBatcher) flush(items []*pendingAppend, recs, bytes int) {
 		sets[i] = it.records
 	}
 	req := proto.AppendBatchReq{Color: b.color, Token: token, Sets: sets, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
-	c.ep.Broadcast(b.shard.Replicas, req)
+	c.ep.Broadcast(cur.Replicas, req)
 	go b.await(token, w, req, items, recs)
 }
 
@@ -331,20 +342,15 @@ func (b *shardBatcher) await(token types.Token, w *appendWait, req proto.AppendB
 			// barrier from the shard's current membership minus prior
 			// responders before re-broadcasting. A removed shard fails the
 			// batch with the typed retryable rejection.
-			cur, err := c.topo.Shard(b.shard.ID)
+			cur, err := c.topo.Shard(b.shard)
 			if err != nil {
-				b.fail(items, fmt.Errorf("%w: shard %v removed during batched append %v", ErrReconfiguring, b.shard.ID, token))
+				b.fail(items, fmt.Errorf("%w: shard %v removed during batched append %v", ErrReconfiguring, b.shard, token))
 				return
 			}
 			c.mu.Lock()
 			if !w.closed {
 				clear(w.needed)
-				for _, id := range cur.Replicas {
-					if !w.acked[id] {
-						w.needed[id] = true
-					}
-				}
-				if len(w.needed) == 0 {
+				if w.covers(cur.Replicas) {
 					w.closed = true
 					close(w.done)
 				}
@@ -385,7 +391,7 @@ func (b *shardBatcher) complete(items []*pendingAppend, recs int, last types.SN)
 		b.fail(items, fmt.Errorf("flexlog: batch committed without an SN"))
 		return
 	}
-	b.c.rememberPlacement(b.color, last, recs, b.shard.ID)
+	b.c.rememberPlacement(b.color, last, recs, b.shard)
 	b.c.met.BatchedAppends.Add(uint64(recs))
 	cum := 0
 	for _, it := range items {

@@ -88,8 +88,6 @@ type ClientConfig struct {
 	RetryInterval time.Duration
 	// Timeout bounds every blocking operation.
 	Timeout time.Duration
-	// Seed seeds shard selection; 0 derives one from the FID.
-	Seed int64
 	// Batch configures client-side append batching & pipelining; the zero
 	// value disables it (see WithBatching).
 	Batch BatchConfig
@@ -153,6 +151,7 @@ type ColorAdder interface {
 }
 
 type appendWait struct {
+	shard  types.ShardID
 	needed map[types.NodeID]bool
 	acked  map[types.NodeID]bool // responders so far, kept across membership changes
 	sn     types.SN
@@ -234,16 +233,12 @@ func newClient(cfg ClientConfig, opts []Option) *Client {
 	if cfg.Batch.enabled() {
 		cfg.Batch = cfg.Batch.withDefaults()
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = int64(cfg.FID)*2654435761 + 1
-	}
 	return &Client{
 		cfg:      cfg,
 		topo:     cfg.Topo,
 		met:      newClientMetrics(),
 		closedCh: make(chan struct{}),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(rand.NewSource(int64(cfg.FID)*2654435761 + 1)), // shard selection
 		appends:  make(map[types.Token]*appendWait),
 		reads:    make(map[uint64]*readWait),
 		subs:     make(map[uint64]*subWait),
@@ -318,7 +313,7 @@ func (c *Client) handle(from types.NodeID, msg transport.Message) {
 			if m.SN.Valid() {
 				w.sn = m.SN
 			}
-			if len(w.needed) == 0 {
+			if len(w.needed) == 0 && c.everyMemberAcked(w) {
 				w.closed = true
 				close(w.done)
 			}
@@ -430,6 +425,32 @@ func (c *Client) handle(from types.NodeID, msg transport.Message) {
 	}
 }
 
+// everyMemberAcked closes the window between resolving an append's shard
+// membership and completing it: a replica promoted into the shard in
+// between is not in the barrier the append was sent with, and an append
+// the old members alone acknowledged after the promotion's sync-phase is
+// missing on the new one for good. So the membership is resolved once more
+// when the barrier empties, and a member that has not acked goes back into
+// it — the waiter's next retry tick sends it the request. Caller holds c.mu.
+func (c *Client) everyMemberAcked(w *appendWait) bool {
+	cur, err := c.topo.Shard(w.shard)
+	if err != nil {
+		return true // shard removed: its records migrated with the members that acked
+	}
+	return w.covers(cur.Replicas)
+}
+
+// covers puts every given member that has not acked into the barrier and
+// reports whether the barrier is empty. Caller holds the client's mu.
+func (w *appendWait) covers(members []types.NodeID) bool {
+	for _, id := range members {
+		if !w.acked[id] {
+			w.needed[id] = true
+		}
+	}
+	return len(w.needed) == 0
+}
+
 // Append appends records to the log of color c and returns the SN of the
 // last record (Table 2; Alg. 1 client role). The call completes only after
 // every replica of the chosen shard committed and acknowledged the batch.
@@ -508,6 +529,7 @@ func (c *Client) AsyncAppend(records [][]byte, color types.ColorID) *AppendFutur
 func (c *Client) appendToShard(ctx context.Context, records [][]byte, color types.ColorID, shard topology.ShardInfo) (types.SN, types.Token, error) {
 	token := c.nextToken()
 	w := &appendWait{
+		shard:  shard.ID,
 		needed: make(map[types.NodeID]bool, len(shard.Replicas)),
 		acked:  make(map[types.NodeID]bool, len(shard.Replicas)),
 		done:   make(chan struct{}),
@@ -584,12 +606,7 @@ func (c *Client) appendToShard(ctx context.Context, records [][]byte, color type
 			c.mu.Lock()
 			if !w.closed {
 				clear(w.needed)
-				for _, id := range cur.Replicas {
-					if !w.acked[id] {
-						w.needed[id] = true
-					}
-				}
-				if len(w.needed) == 0 {
+				if w.covers(cur.Replicas) {
 					w.closed = true
 					close(w.done)
 				}

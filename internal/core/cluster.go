@@ -67,8 +67,8 @@ type ClusterConfig struct {
 	// ClientTimeout bounds client operations.
 	ClientTimeout time.Duration
 	// ClientBatch, when non-zero, enables the append batching & pipelining
-	// layer on every client the cluster creates (overridable per client
-	// with WithBatching/WithoutBatching options).
+	// layer on every client the cluster creates (a client's own
+	// WithBatching option replaces the tuning).
 	ClientBatch BatchConfig
 	// Obs, when set, wires the whole deployment into one observability
 	// registry: every replica (and through it, its storage stack), every

@@ -17,7 +17,7 @@ import (
 // replica acks its SeqInit — so a host-scheduling-induced spurious
 // failover while a replica is down stalls the region until that replica
 // recovers, deadlocking tests that only want to exercise replica recovery.
-func newSimpleNoFailover(t *testing.T, shards int) (*Cluster, *Client) {
+func newSimpleNoFailover(t *testing.T, shards int, opts ...Option) (*Cluster, *Client) {
 	t.Helper()
 	cfg := TestClusterConfig()
 	cfg.FailureTimeout = 30 * time.Second
@@ -26,19 +26,87 @@ func newSimpleNoFailover(t *testing.T, shards int) (*Cluster, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	c, err := cl.NewClient()
+	c, err := cl.NewClient(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cl, c
 }
 
+// syncLoad is how a sync test appends: plain (one record per append on an
+// unbatched client, the paper's Alg. 1 call) or batched (three records per
+// append on a batching client, what deployments run). The sync-phase moves
+// append batches between replicas, and a batch of one record hides every
+// way of getting that wrong.
+type syncLoad struct {
+	per  int
+	opts []Option
+}
+
+// bothLoads runs a sync test under each load.
+func bothLoads(t *testing.T, test func(t *testing.T, load syncLoad)) {
+	t.Run("plain", func(t *testing.T) { test(t, syncLoad{per: 1}) })
+	t.Run("batched", func(t *testing.T) {
+		test(t, syncLoad{per: 3, opts: []Option{WithBatching(DefaultBatchConfig())}})
+	})
+}
+
+// records builds one append's payloads; the last one is name itself, so a
+// read at the SN the append returned finds name under either load.
+func (l syncLoad) records(name string) [][]byte {
+	out := make([][]byte, l.per)
+	for i := range out {
+		out[i] = []byte(fmt.Sprintf("%s.%d", name, i))
+	}
+	out[l.per-1] = []byte(name)
+	return out
+}
+
+// shardConverged waits until every replica of the shard holds the same
+// committed log, record for record (appends the test abandoned may still
+// be committing when it starts looking).
+func shardConverged(t *testing.T, cl *Cluster, shard types.ShardID) {
+	t.Helper()
+	reps := cl.Replicas(shard)
+	differ := func() string {
+		want, err := reps[0].Store().Scan(types.MasterColor)
+		if err != nil {
+			return err.Error()
+		}
+		for _, r := range reps[1:] {
+			got, err := r.Store().Scan(types.MasterColor)
+			if err != nil {
+				return err.Error()
+			}
+			if len(got) != len(want) {
+				return fmt.Sprintf("replica %d holds %d records, replica %d holds %d", r.ID(), len(got), reps[0].ID(), len(want))
+			}
+			for i := range want {
+				if got[i].SN != want[i].SN || got[i].Token != want[i].Token || !bytes.Equal(got[i].Data, want[i].Data) {
+					return fmt.Sprintf("replica %d record %d = %v %q, replica %d has %v %q",
+						r.ID(), i, got[i].SN, got[i].Data, reps[0].ID(), want[i].SN, want[i].Data)
+				}
+			}
+		}
+		return ""
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for d := differ(); d != ""; d = differ() {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard %d did not converge: %s", shard, d)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestReplicaCrashRecoverySyncsState is the §6.3 replica-recovery scenario:
 // a replica crashes, the shard keeps committing (it can't — appends to that
 // shard block, so we use another shard), the replica recovers, the
 // sync-phase converges the shard, and appends flow again.
-func TestReplicaCrashRecoverySyncsState(t *testing.T) {
-	cl, c := newSimpleNoFailover(t, 1)
+func TestReplicaCrashRecoverySyncsState(t *testing.T) { bothLoads(t, testReplicaCrashRecovery) }
+
+func testReplicaCrashRecovery(t *testing.T, load syncLoad) {
+	cl, c := newSimpleNoFailover(t, 1, load.opts...)
 	sh, err := cl.Topology().Shard(1)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +115,7 @@ func TestReplicaCrashRecoverySyncsState(t *testing.T) {
 	// Seed some records.
 	var sns []types.SN
 	for i := 0; i < 5; i++ {
-		sn, err := c.Append([][]byte{[]byte(fmt.Sprintf("pre%d", i))}, types.MasterColor)
+		sn, err := c.Append(load.records(fmt.Sprintf("pre%d", i)), types.MasterColor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,10 +130,12 @@ func TestReplicaCrashRecoverySyncsState(t *testing.T) {
 	}
 
 	// Appends to this (only) shard block while a replica is down — §4:
-	// "upon replicas' failures we choose to sacrifice availability".
-	quick, _ := cl.NewClient()
+	// "upon replicas' failures we choose to sacrifice availability". The
+	// live replicas still persist and commit the batch, so the victim has
+	// it to fetch in its sync-phase.
+	quick, _ := cl.NewClient(load.opts...)
 	quick.cfg.Timeout = 200 * time.Millisecond
-	if _, err := quick.Append([][]byte{[]byte("blocked")}, types.MasterColor); err == nil {
+	if _, err := quick.Append(load.records("blocked"), types.MasterColor); err == nil {
 		t.Fatal("append should block while a replica is down")
 	}
 
@@ -89,7 +159,7 @@ func TestReplicaCrashRecoverySyncsState(t *testing.T) {
 			t.Fatalf("pre-crash record %d: %q, %v", i, got, err)
 		}
 	}
-	sn, err := c.Append([][]byte{[]byte("post")}, types.MasterColor)
+	sn, err := c.Append(load.records("post"), types.MasterColor)
 	if err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
@@ -101,14 +171,17 @@ func TestReplicaCrashRecoverySyncsState(t *testing.T) {
 	if victim.Store().MaxSN(types.MasterColor) < sn {
 		t.Fatal("victim store did not converge")
 	}
+	shardConverged(t, cl, sh.ID)
 }
 
 // TestLaggingReplicaCatchesUpViaSync verifies the §6.3 fetch path: a
 // replica that missed commits (crashed before they happened) fetches them
 // from the most up-to-date peer during its sync-phase.
-func TestLaggingReplicaCatchesUpViaSync(t *testing.T) {
+func TestLaggingReplicaCatchesUpViaSync(t *testing.T) { bothLoads(t, testLaggingReplica) }
+
+func testLaggingReplica(t *testing.T, load syncLoad) {
 	// Two shards so appends continue while one shard's replica is down.
-	cl, c := newSimpleNoFailover(t, 2)
+	cl, c := newSimpleNoFailover(t, 2, load.opts...)
 	sh, _ := cl.Topology().Shard(1)
 	victim := cl.Replica(sh.Replicas[1])
 
@@ -117,7 +190,7 @@ func TestLaggingReplicaCatchesUpViaSync(t *testing.T) {
 	seed := func(n int) []types.SN {
 		var out []types.SN
 		for len(out) < n {
-			sn, err := c.Append([][]byte{[]byte(fmt.Sprintf("s%d", len(out)))}, types.MasterColor)
+			sn, err := c.Append(load.records(fmt.Sprintf("s%d", len(out))), types.MasterColor)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,11 +206,11 @@ func TestLaggingReplicaCatchesUpViaSync(t *testing.T) {
 	// Keep appending: the other shard still accepts (random shard choice
 	// retries may hit the broken shard and stall; use a dedicated client
 	// with its own rng until enough new records landed on shard 2).
-	w, _ := cl.NewClient()
+	w, _ := cl.NewClient(load.opts...)
 	w.cfg.Timeout = 300 * time.Millisecond
 	extra := 0
 	for extra < 10 {
-		if _, err := w.Append([][]byte{[]byte(fmt.Sprintf("x%d", extra))}, types.MasterColor); err == nil {
+		if _, err := w.Append(load.records(fmt.Sprintf("x%d", extra)), types.MasterColor); err == nil {
 			extra++
 		}
 	}
@@ -167,16 +240,21 @@ func TestLaggingReplicaCatchesUpViaSync(t *testing.T) {
 	// At least the 10 seeds and 10 acknowledged extras must be present;
 	// timed-out appends that still committed on live replicas are legal
 	// extras (an incomplete operation may or may not take effect).
-	if len(recs) < 20 {
-		t.Fatalf("subscribe found %d records, want >= 20", len(recs))
+	if len(recs) < 20*load.per {
+		t.Fatalf("subscribe found %d records, want >= %d", len(recs), 20*load.per)
 	}
+	// The appends that hit shard 1 while the victim was down timed out, but
+	// its live replicas committed them: the victim fetched those.
+	shardConverged(t, cl, sh.ID)
 }
 
 // TestShardDivergenceHealsOnSync creates real divergence inside one shard
 // (one replica misses a commit) and verifies the sync-phase fetch repairs
 // it.
-func TestShardDivergenceHealsOnSync(t *testing.T) {
-	cl, c := newSimpleNoFailover(t, 1)
+func TestShardDivergenceHealsOnSync(t *testing.T) { bothLoads(t, testShardDivergence) }
+
+func testShardDivergence(t *testing.T, load syncLoad) {
+	cl, c := newSimpleNoFailover(t, 1, load.opts...)
 	sh, _ := cl.Topology().Shard(1)
 	lagger := cl.Replica(sh.Replicas[2])
 
@@ -187,7 +265,7 @@ func TestShardDivergenceHealsOnSync(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 30; i++ {
-			c.Append([][]byte{[]byte(fmt.Sprintf("d%02d", i))}, types.MasterColor)
+			c.Append(load.records(fmt.Sprintf("d%02d", i)), types.MasterColor)
 		}
 	}()
 	<-done
@@ -214,8 +292,9 @@ func TestShardDivergenceHealsOnSync(t *testing.T) {
 			t.Fatalf("replica %v frontier %v != %v", id, got, frontier)
 		}
 	}
+	shardConverged(t, cl, sh.ID)
 	// And the shard serves appends again.
-	if _, err := c.Append([][]byte{[]byte("after")}, types.MasterColor); err != nil {
+	if _, err := c.Append(load.records("after"), types.MasterColor); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -76,12 +76,6 @@ func WithFID(fid uint32) Option {
 	return func(c *ClientConfig) { c.FID = fid }
 }
 
-// WithNodeID sets the client's transport node id. Connect auto-allocates
-// one when unset; cluster-created clients are always assigned one.
-func WithNodeID(id types.NodeID) Option {
-	return func(c *ClientConfig) { c.ID = id }
-}
-
 // WithRetryInterval sets how often an unanswered (idempotent) request is
 // re-broadcast. Default 50ms.
 func WithRetryInterval(d time.Duration) Option {
@@ -93,21 +87,10 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *ClientConfig) { c.Timeout = d }
 }
 
-// WithSeed seeds shard selection; 0 derives one from the FID.
-func WithSeed(seed int64) Option {
-	return func(c *ClientConfig) { c.Seed = seed }
-}
-
 // WithBatching enables the client-side append batching & pipelining layer
 // with the given tuning (zero fields are filled from DefaultBatchConfig).
 func WithBatching(b BatchConfig) Option {
 	return func(c *ClientConfig) { c.Batch = b }
-}
-
-// WithoutBatching disables append batching (the default), overriding a
-// cluster-wide ClientBatch setting.
-func WithoutBatching() Option {
-	return func(c *ClientConfig) { c.Batch = BatchConfig{} }
 }
 
 // WithTenant sets the tenant identity carried in this client's append and
@@ -145,17 +128,15 @@ const autoClientIDBase types.NodeID = 1_000_000
 //	    core.WithBatching(core.DefaultBatchConfig()),
 //	    core.WithTimeout(2*time.Second))
 //
-// Node and function ids are auto-allocated when not given explicitly via
-// WithNodeID/WithFID. Cluster.NewClient accepts the same options and is
-// the usual entry point for in-process deployments.
+// The node id is auto-allocated, and so is the function id unless WithFID
+// gives one. Cluster.NewClient accepts the same options and is the usual
+// entry point for in-process deployments.
 func Connect(topo *topology.Topology, net *transport.Network, opts ...Option) (*Client, error) {
 	cfg := ClientConfig{Topo: topo}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.ID == 0 {
-		cfg.ID = autoClientIDBase + types.NodeID(autoClientID.Add(1))
-	}
+	cfg.ID = autoClientIDBase + types.NodeID(autoClientID.Add(1))
 	if cfg.FID == 0 {
 		cfg.FID = uint32(cfg.ID)
 	}

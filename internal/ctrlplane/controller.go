@@ -561,19 +561,29 @@ func pendingTotal(reps []*replica.Replica) int {
 }
 
 // migrateRecords copies every committed record the donor holds into every
-// destination replica at its authoritative SN. Ingestion is idempotent, so
-// a partially-failed migration can simply be re-run.
+// destination replica at its authoritative SN, in the replicas' own
+// budgeted catch-up rounds (replica/catchup.go). The cursor is the last SN
+// shipped per color, not a destination frontier: a merge destination
+// already holds records of the same colors above the donor's, interleaved
+// with them. Ingestion is idempotent, so a partially-failed migration can
+// simply be re-run.
 func migrateRecords(donor *replica.Replica, dsts []*replica.Replica) error {
-	recs, err := donor.CommittedRecords()
-	if err != nil {
-		return fmt.Errorf("ctrlplane: scanning merge donor: %w", err)
-	}
-	for color, wire := range recs {
+	shipped := make(map[types.ColorID]types.SN)
+	for {
+		round, err := donor.ServeCatchup(shipped, 0)
+		if err != nil {
+			return fmt.Errorf("ctrlplane: scanning merge donor: %w", err)
+		}
 		for _, d := range dsts {
-			d.IngestCommitted(color, wire)
+			d.IngestCatchup(round.Records)
+		}
+		for color, recs := range round.Records {
+			shipped[color] = recs[len(recs)-1].SN
+		}
+		if !round.More {
+			return nil
 		}
 	}
-	return nil
 }
 
 // ---- Sequencer-tree growth ----

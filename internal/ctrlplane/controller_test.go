@@ -1,8 +1,10 @@
 package ctrlplane_test
 
 import (
+	"bytes"
 	"fmt"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -33,26 +35,69 @@ func newController(cl *core.Cluster, reg *obs.Registry) *ctrlplane.Controller {
 	})
 }
 
-func appendN(t *testing.T, c *core.Client, color types.ColorID, n int) []types.SN {
+// appendN issues n appends of per records each and returns the SN of every
+// record appended.
+func appendN(t *testing.T, c *core.Client, color types.ColorID, n, per int) []types.SN {
 	t.Helper()
-	sns := make([]types.SN, 0, n)
+	sns := make([]types.SN, 0, n*per)
 	for i := 0; i < n; i++ {
-		sn, err := c.Append([][]byte{[]byte(fmt.Sprintf("rec-%d-%d", color, i))}, color)
+		records := make([][]byte, per)
+		for j := range records {
+			records[j] = []byte(fmt.Sprintf("rec-%d-%d.%d", color, i, j))
+		}
+		last, err := c.Append(records, color)
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
-		sns = append(sns, sn)
+		for j := per - 1; j >= 0; j-- {
+			sns = append(sns, last-types.SN(j))
+		}
 	}
 	return sns
 }
 
-func TestAddReplicaCatchesUpAndPromotes(t *testing.T) {
+// scanLog returns the replica's committed log of the master color.
+func scanLog(t *testing.T, cl *core.Cluster, id types.NodeID) []types.Record {
+	t.Helper()
+	recs, err := cl.Replica(id).Store().Scan(types.MasterColor)
+	if err != nil {
+		t.Fatalf("scanning replica %d: %v", id, err)
+	}
+	return recs
+}
+
+// sameRecords fails unless got is want, record for record.
+func sameRecords(t *testing.T, what string, got, want []types.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s holds %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].SN != want[i].SN || got[i].Token != want[i].Token || !bytes.Equal(got[i].Data, want[i].Data) {
+			t.Fatalf("%s record %d = %v %q, want %v %q", what, i, got[i].SN, got[i].Data, want[i].SN, want[i].Data)
+		}
+	}
+}
+
+// perAppend runs a test with single-record appends, with 3-record appends,
+// and with 3-record appends on a batching client (what deployments run):
+// catch-up moves append batches, and a batch of one hides every way of
+// getting that wrong.
+func perAppend(t *testing.T, test func(t *testing.T, per int, opts ...core.Option)) {
+	t.Run("1-per-append", func(t *testing.T) { test(t, 1) })
+	t.Run("3-per-append", func(t *testing.T) { test(t, 3) })
+	t.Run("3-per-append-batched", func(t *testing.T) { test(t, 3, core.WithBatching(core.DefaultBatchConfig())) })
+}
+
+func TestAddReplicaCatchesUpAndPromotes(t *testing.T) { perAppend(t, testAddReplica) }
+
+func testAddReplica(t *testing.T, per int, opts ...core.Option) {
 	cl := newCluster(t, 1)
-	c, err := cl.NewClient()
+	c, err := cl.NewClient(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, c, types.MasterColor, 200)
+	appendN(t, c, types.MasterColor, 200, per)
 
 	ctrl := newController(cl, nil)
 	sh := cl.Topology().Snapshot().Shards[0]
@@ -73,21 +118,18 @@ func TestAddReplicaCatchesUpAndPromotes(t *testing.T) {
 		t.Fatalf("shard has %d replicas, want %d", len(after.Replicas), before+1)
 	}
 
-	// The promoted replica must hold the full committed history: its commit
-	// frontier matches the donor's.
-	donor := cl.Replica(plan.Donor)
-	joined := cl.Replica(plan.Node)
-	if joined == nil {
+	// The promoted replica must hold the full committed history: the
+	// donor's log, record for record.
+	if cl.Replica(plan.Node) == nil {
 		t.Fatal("joined replica not found")
 	}
-	want := donor.Store().MaxSN(types.MasterColor)
-	if got := joined.Store().MaxSN(types.MasterColor); got != want {
-		t.Fatalf("joined replica frontier %v, donor %v", got, want)
-	}
+	sameRecords(t, "joined replica", scanLog(t, cl, plan.Node), scanLog(t, cl, plan.Donor))
 
-	// And the widened shard keeps serving appends (the client needs acks
-	// from ALL members, including the new one).
-	appendN(t, c, types.MasterColor, 20)
+	// And the widened shard keeps serving appends: the client — a batching
+	// one too, whose per-shard batcher predates the promotion — needs acks
+	// from ALL members, so the new one holds these as well.
+	appendN(t, c, types.MasterColor, 20, per)
+	sameRecords(t, "joined replica after new appends", scanLog(t, cl, plan.Node), scanLog(t, cl, plan.Donor))
 }
 
 func TestDrainReplicaFlushesAndRemoves(t *testing.T) {
@@ -96,7 +138,7 @@ func TestDrainReplicaFlushesAndRemoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, c, types.MasterColor, 50)
+	appendN(t, c, types.MasterColor, 50, 1)
 
 	ctrl := newController(cl, nil)
 	sh := cl.Topology().Snapshot().Shards[0]
@@ -117,7 +159,7 @@ func TestDrainReplicaFlushesAndRemoves(t *testing.T) {
 		t.Fatalf("drained replica %d still registered", plan.Node)
 	}
 	// Acked history survives on the remaining members.
-	sns := appendN(t, c, types.MasterColor, 20)
+	sns := appendN(t, c, types.MasterColor, 20, 1)
 	if _, err := c.Read(sns[len(sns)-1], types.MasterColor); err != nil {
 		t.Fatalf("read after drain: %v", err)
 	}
@@ -143,7 +185,7 @@ func TestSplitShardKeepsHistoryReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := appendN(t, c, types.MasterColor, 30)
+	pre := appendN(t, c, types.MasterColor, 30, 1)
 
 	ctrl := newController(cl, nil)
 	plan, err := ctrl.SplitShard(types.MasterColor)
@@ -163,21 +205,30 @@ func TestSplitShardKeepsHistoryReadable(t *testing.T) {
 			t.Fatalf("read %v after split: %v", sn, err)
 		}
 	}
-	appendN(t, c, types.MasterColor, 30)
+	appendN(t, c, types.MasterColor, 30, 1)
 }
 
-func TestMergeShardMigratesRecords(t *testing.T) {
+func TestMergeShardMigratesRecords(t *testing.T) { perAppend(t, testMergeShard) }
+
+func testMergeShard(t *testing.T, per int, opts ...core.Option) {
 	cl := newCluster(t, 2)
-	c, err := cl.NewClient()
+	c, err := cl.NewClient(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Spread records across both shards (random shard choice per append).
-	pre := appendN(t, c, types.MasterColor, 60)
+	pre := appendN(t, c, types.MasterColor, 60, per)
 
 	shards := cl.Topology().Snapshot().Shards
 	if len(shards) != 2 {
 		t.Fatalf("want 2 shards, got %d", len(shards))
+	}
+	// What every destination replica must hold afterwards: its shard's log
+	// and the source shard's, merged by SN.
+	want := append(scanLog(t, cl, shards[0].Replicas[0]), scanLog(t, cl, shards[1].Replicas[0])...)
+	sort.Slice(want, func(i, j int) bool { return want[i].SN < want[j].SN })
+	if len(want) != len(pre) {
+		t.Fatalf("the two shards hold %d records before the merge, %d were appended", len(want), len(pre))
 	}
 	ctrl := newController(cl, nil)
 	plan, err := ctrl.MergeShard(shards[0].ID, shards[1].ID)
@@ -192,13 +243,17 @@ func TestMergeShardMigratesRecords(t *testing.T) {
 			t.Fatalf("source replica %d still registered", id)
 		}
 	}
-	// Every pre-merge record is still readable from the surviving shard.
+	// Every destination replica holds both logs, record for record, and
+	// every pre-merge record is still readable from the surviving shard.
+	for _, id := range shards[1].Replicas {
+		sameRecords(t, fmt.Sprintf("destination replica %d", id), scanLog(t, cl, id), want)
+	}
 	for _, sn := range pre {
 		if _, err := c.Read(sn, types.MasterColor); err != nil {
 			t.Fatalf("read %v after merge: %v", sn, err)
 		}
 	}
-	appendN(t, c, types.MasterColor, 20)
+	appendN(t, c, types.MasterColor, 20, per)
 }
 
 func TestAddRegionMakesColorServable(t *testing.T) {

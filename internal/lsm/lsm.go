@@ -93,6 +93,11 @@ type DB struct {
 	bgWG      sync.WaitGroup // flushes + compactions
 	loopWG    sync.WaitGroup // committer loop
 
+	// compactMu admits one compaction at a time. Two at once would each
+	// merge their own snapshot of L0+L1, and the one finishing last would
+	// install an L1 that lacks the other's output — lost keys.
+	compactMu sync.Mutex
+
 	closeMu sync.RWMutex // guards closed + enqueue into writeCh
 	closed  bool
 	writeCh chan *pendingWrite
@@ -443,14 +448,19 @@ func (db *DB) flushLoop() {
 	}
 }
 
-// compact merges all L0 tables and L1 into a new L1 (universal style).
+// compact merges all L0 tables and L1 into a new L1 (universal style). A
+// compaction that had to wait for one in progress takes its snapshot after
+// it, and finds nothing to do if that one merged the tables it was started
+// for.
 func (db *DB) compact() {
 	defer db.bgWG.Done()
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
 	db.mu.Lock()
 	l0 := append([]*sstable(nil), db.l0...)
 	l1 := db.l1
 	db.mu.Unlock()
-	if len(l0) == 0 {
+	if len(l0) < db.cfg.CompactionTrigger {
 		return
 	}
 	// Merge newest-first: the first writer of a key wins.
@@ -628,13 +638,6 @@ func (db *DB) Stats() Stats {
 	s.BloomSkips = db.hot.bloomSkips.Load()
 	s.SSD = db.dev.Stats()
 	return s
-}
-
-// L0Count returns the current number of level-0 tables (test hook).
-func (db *DB) L0Count() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.l0)
 }
 
 // Close waits for background work and marks the engine closed.

@@ -306,7 +306,7 @@ type Sample struct {
 
 // Samples scrapes every instance of the named counter or gauge family.
 // Counters include their func-backed component; histogram families return
-// nil (use MaxQuantile). Nil registry or unknown family returns nil.
+// nil. Nil registry or unknown family returns nil.
 func (r *Registry) Samples(name string) []Sample {
 	if r == nil {
 		return nil
@@ -358,34 +358,6 @@ func (r *Registry) SumCounter(name string) uint64 {
 		sum += uint64(s.Value)
 	}
 	return sum
-}
-
-// MaxQuantile returns the largest per-instance q-th percentile of a
-// histogram family (q in percent, e.g. 99 for p99). Zero when the family
-// is unknown, empty, or not a histogram.
-func (r *Registry) MaxQuantile(name string, q float64) time.Duration {
-	if r == nil {
-		return 0
-	}
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil || f.kind != KindHistogram {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var max time.Duration
-	for _, key := range f.order {
-		h := f.byKey[key].hist.HDR()
-		if h == nil || h.Count() == 0 {
-			continue
-		}
-		if p := h.Percentile(q); p > max {
-			max = p
-		}
-	}
-	return max
 }
 
 // quantiles exposed for each histogram family.

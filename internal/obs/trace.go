@@ -213,14 +213,6 @@ func (t *Tracer) SetEnabled(on bool) {
 	}
 }
 
-// SetSlowThreshold changes the latency above which a request enters the
-// slow-request ring. Safe on nil.
-func (t *Tracer) SetSlowThreshold(d time.Duration) {
-	if t != nil {
-		t.slow.Store(int64(d))
-	}
-}
-
 // Op returns the traced operation name ("" on nil).
 func (t *Tracer) Op() string {
 	if t == nil {

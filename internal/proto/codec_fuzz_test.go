@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 )
 
@@ -10,10 +11,18 @@ import (
 // decode→encode round normalizes the frame (varints may arrive
 // non-minimal, map keys in any order), after which decode→encode must be
 // byte-stable. Seeded with every golden frame so the corpus covers all
-// message types from run one.
+// message types from run one, and with the last images of the retired
+// tags, which must be rejected like any unknown tag.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, g := range goldenFrames {
 		frame := encodeFrame(f, g.msg)
+		f.Add(frame[4:])
+	}
+	for _, tag := range []byte{29, 30} {
+		frame, err := hex.DecodeString(retiredFrames[tag])
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(frame[4:])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -46,7 +55,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // FuzzCodecDecodeNoPanic hammers every typed decoder with raw bytes under
-// all 32 tags plus invalid ones: any outcome but a panic or a runaway
+// all tags plus retired and invalid ones: any outcome but a panic or a runaway
 // allocation is acceptable.
 func FuzzCodecDecodeNoPanic(f *testing.F) {
 	f.Add(byte(1), []byte{})

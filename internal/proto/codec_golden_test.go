@@ -2,6 +2,7 @@ package proto
 
 import (
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"flexlog/internal/types"
@@ -82,10 +83,6 @@ var goldenFrames = []struct {
 		"050000001bf4030602"},
 	{"SyncState", SyncState{ID: 0x6, Epoch: 0x2, MaxSNs: map[types.ColorID]types.SN{0x0: 0x100000004, 0x3: 0x100000002}, Trimmed: map[types.ColorID]types.SN{0x0: 0x100000001}, From: 0x2},
 		"1a0000001cf4030602020084808080100382808080100100818080801002"},
-	{"SyncFetch", SyncFetch{ID: 0x6, Have: map[types.ColorID]types.SN{0x0: 0x100000002}, From: 0x2},
-		"0c0000001df403060100828080801002"},
-	{"SyncEntries", SyncEntries{ID: 0x6, Records: map[types.ColorID][]WireRecord{0x0: []WireRecord{WireRecord{Token: 0x1, SN: 0x100000003, Data: []uint8{0x65}}}}},
-		"0f0000001ef403060100010183808080100165"},
 	{"SyncCatchup", SyncCatchup{ID: 0x6, UpToDate: 0x3, Max: map[types.ColorID]types.SN{0x0: 0x100000004}, Trimmed: map[types.ColorID]types.SN(nil), Epoch: 0x2, From: 0x2},
 		"0f0000001ff403060301008480808010000202"},
 	{"SyncDone", SyncDone{ID: 0x6, From: 0x3},
@@ -141,6 +138,36 @@ func TestCodecGoldenBytes(t *testing.T) {
 	}
 }
 
+// retiredFrames are the last wire images of the two retired tags (29 and
+// 30, the sync-phase's former fetch pair): well-formed under the old
+// codec, malformed now.
+var retiredFrames = map[byte]string{
+	29: "0c0000001df403060100828080801002",
+	30: "0f0000001ef403060100010183808080100165",
+}
+
+// TestCodecRetiredTagsAreBadFrames: a peer still sending a retired tag
+// gets ErrBadFrame from both decode entry points, never a reinterpreted
+// message.
+func TestCodecRetiredTagsAreBadFrames(t *testing.T) {
+	for tag, h := range retiredFrames {
+		raw, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw[4] != tag {
+			t.Fatalf("frame for tag %d carries tag %d", tag, raw[4])
+		}
+		if _, msg, err := DecodeFrame(raw[4:]); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("DecodeFrame(tag %d) = %#v, %v; want ErrBadFrame", tag, msg, err)
+		}
+		var fd FrameDecoder
+		if _, msg, err := fd.Decode(raw[4:]); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("FrameDecoder.Decode(tag %d) = %#v, %v; want ErrBadFrame", tag, msg, err)
+		}
+	}
+}
+
 // TestCodecGoldenCoversAllTags ensures the golden table exercises every
 // codec-native tag, so adding a message type without pinning its bytes
 // fails here.
@@ -154,8 +181,17 @@ func TestCodecGoldenCoversAllTags(t *testing.T) {
 		seen[wm.wireTag()] = true
 	}
 	for tag := TagAppendReq; tag <= TagCtrlAck; tag++ {
+		if _, retired := retiredFrames[tag]; retired {
+			if seen[tag] || bodyDecoders[tag] != nil {
+				t.Errorf("retired tag %d is in use again", tag)
+			}
+			continue
+		}
 		if !seen[tag] {
 			t.Errorf("no golden frame for tag %d", tag)
+		}
+		if bodyDecoders[tag] == nil {
+			t.Errorf("no decoder for tag %d", tag)
 		}
 	}
 }

@@ -106,7 +106,8 @@ type SubscribeReq struct {
 	Client types.NodeID
 }
 
-// WireRecord is a record as shipped in subscribe responses and sync fetches.
+// WireRecord is a record as shipped in subscribe responses and catch-up
+// rounds.
 type WireRecord struct {
 	Token types.Token
 	SN    types.SN
@@ -388,23 +389,10 @@ type SyncState struct {
 	From    types.NodeID
 }
 
-// SyncFetch asks the most up-to-date replica for records the requester is
-// missing (per color, everything above Have).
-type SyncFetch struct {
-	ID   uint64
-	Have map[types.ColorID]types.SN
-	From types.NodeID
-}
-
-// SyncEntries returns the missing committed records.
-type SyncEntries struct {
-	ID      uint64
-	Records map[types.ColorID][]WireRecord
-}
-
 // SyncCatchup is the coordinator's round-2 broadcast naming the most
 // up-to-date replica; outdated peers fetch missing entries from it (§6.3:
-// "it broadcasts the most up-to-date replica id").
+// "it broadcasts the most up-to-date replica id") in JoinFetch/JoinEntries
+// rounds carrying the sync run's ID.
 type SyncCatchup struct {
 	ID       uint64
 	UpToDate types.NodeID
@@ -426,23 +414,25 @@ type SyncDone struct {
 
 // ---- Reconfiguration control plane (DESIGN.md §15) ----
 
-// JoinFetch is a catch-up request from a replica outside (or being merged
-// out of) a shard's serving set to a donor replica: send committed records
-// above Have, per color. Unlike the sync-phase SyncFetch it never pauses
-// the donor — catch-up runs in the background under live traffic. Budget
-// bounds the records per color in one reply so a far-behind joiner fetches
-// in rounds instead of one giant frame.
+// JoinFetch is one round of replica-to-replica catch-up: send committed
+// records above Have, per color. A joining replica sends it to its donor
+// in the background under live traffic (ID = the join's id), a replica in
+// a sync-phase to the most up-to-date peer (ID = the sync run's id, §6.3).
+// Serving it never pauses the donor. Budget bounds the records per color
+// in one reply — rounded up to the end of an append batch, which is never
+// split — so a far-behind replica fetches in rounds instead of one giant
+// frame.
 type JoinFetch struct {
 	ID     uint64
 	Have   map[types.ColorID]types.SN
-	Budget uint32 // max records per color per reply; 0 = unlimited
+	Budget uint32 // max records per color per reply; 0 = the donor's default
 	From   types.NodeID
 }
 
 // JoinEntries is the donor's reply to a JoinFetch: the missing committed
-// records plus the donor's own committed frontier, from which the joiner
+// records plus the donor's own committed frontier, from which a joiner
 // computes its catch-up lag (the promotion gate). More marks a reply
-// truncated by the fetch budget — the joiner immediately fetches again.
+// truncated by the fetch budget — the requester fetches again.
 type JoinEntries struct {
 	ID       uint64
 	Records  map[types.ColorID][]WireRecord
@@ -553,8 +543,6 @@ func RegisterGob() {
 	gob.Register(SyncRequest{})
 	gob.Register(SyncState{})
 	gob.Register(SyncCatchup{})
-	gob.Register(SyncFetch{})
-	gob.Register(SyncEntries{})
 	gob.Register(SyncDone{})
 	gob.Register(Reject{})
 	gob.Register(JoinFetch{})

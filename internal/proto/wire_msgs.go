@@ -648,42 +648,6 @@ func (m *SyncState) Decode(b []byte) error {
 func (m SyncState) wireTag() byte { return TagSyncState }
 
 // AppendTo appends the message body to b. See wire.go.
-func (m SyncFetch) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.ID)
-	b = appendSNMap(b, m.Have)
-	b = appendUvarint(b, uint64(m.From))
-	return b
-}
-
-// Decode parses a message body, reusing the map storage.
-func (m *SyncFetch) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.ID = r.uvarint()
-	m.Have = readSNMap(&r, m.Have)
-	m.From = types.NodeID(r.u32())
-	return r.done()
-}
-
-func (m SyncFetch) wireTag() byte { return TagSyncFetch }
-
-// AppendTo appends the message body to b. See wire.go.
-func (m SyncEntries) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.ID)
-	b = appendRecordsMap(b, m.Records)
-	return b
-}
-
-// Decode parses a message body, aliasing record payloads into b.
-func (m *SyncEntries) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.ID = r.uvarint()
-	m.Records = readRecordsMap(&r, m.Records)
-	return r.done()
-}
-
-func (m SyncEntries) wireTag() byte { return TagSyncEntries }
-
-// AppendTo appends the message body to b. See wire.go.
 func (m SyncCatchup) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendUvarint(b, uint64(m.UpToDate))

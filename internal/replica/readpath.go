@@ -336,7 +336,7 @@ func (r *Replica) expireHeldReads(now time.Time) {
 // synchronized and release the store lock across device reads.
 func (r *Replica) onSubscribe(from types.NodeID, m proto.SubscribeReq) {
 	r.stats.subscribes.Add(1)
-	recs, err := r.st.ScanFrom(m.Color, m.From)
+	recs, err := r.st.ScanFrom(m.Color, m.From, 0)
 	if err != nil {
 		// Never leave the subscriber hanging on a failed scan: an empty
 		// view is indistinguishable from a lagging replica, so the client
@@ -344,9 +344,5 @@ func (r *Replica) onSubscribe(from types.NodeID, m proto.SubscribeReq) {
 		r.ep.Send(from, proto.SubscribeResp{ID: m.ID, Color: m.Color})
 		return
 	}
-	out := make([]proto.WireRecord, len(recs))
-	for i, rec := range recs {
-		out[i] = proto.WireRecord{Token: rec.Token, SN: rec.SN, Data: rec.Data}
-	}
-	r.ep.Send(from, proto.SubscribeResp{ID: m.ID, Color: m.Color, Records: out})
+	r.ep.Send(from, proto.SubscribeResp{ID: m.ID, Color: m.Color, Records: wireRecords(recs)})
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"flexlog/internal/proto"
-	"flexlog/internal/storage"
 	"flexlog/internal/types"
 )
 
@@ -17,10 +16,8 @@ import (
 // pauses the whole shard, which is exactly what adding capacity must not
 // do. A joining replica instead lives OUTSIDE the topology — clients never
 // address it — and pulls committed history from a donor replica in bounded
-// rounds (JoinFetch/JoinEntries) while the shard keeps serving. The donor
-// side is stateless, like onSyncFetch: every round is answered from
-// current storage, so donor crashes or message loss cost one retry, never
-// a wedged transfer. Only when the catch-up lag reaches zero does the
+// rounds (JoinFetch/JoinEntries, served and ingested by catchup.go) while
+// the shard keeps serving. Only when the catch-up lag reaches zero does the
 // control plane add the node to the shard and call Promote, which runs one
 // ordinary sync-phase to converge the final in-flight tail — the shard
 // pause is then proportional to the tail, not to the log.
@@ -34,10 +31,6 @@ import (
 // Removal never loses acked data: an acked append was committed on every
 // member at ack time, so the surviving members hold it.
 
-// defaultJoinBudget bounds the records per color one catch-up round may
-// carry when Config.JoinBudget is unset.
-const defaultJoinBudget = 2048
-
 // drainRetryAfter is the retry hint attached to Reject(reconfiguring):
 // long enough for the client's next resolve to see the new membership.
 const drainRetryAfter = 2 * time.Millisecond
@@ -50,8 +43,7 @@ const joinLagUnknown = ^uint64(0)
 type joinState struct {
 	id        uint64
 	donor     types.NodeID
-	started   time.Time
-	lastDrive time.Time
+	lastDrive time.Time // last round sent or answered; zero before the first
 }
 
 // StartJoin begins pulling committed history from the donor. The replica
@@ -61,11 +53,11 @@ func (r *Replica) StartJoin(donor types.NodeID) {
 	r.mu.Lock()
 	r.syncSeq++
 	id := uint64(r.cfg.ID)<<32 | r.syncSeq
-	r.join = &joinState{id: id, donor: donor, started: time.Now()}
+	r.join = &joinState{id: id, donor: donor}
 	r.mu.Unlock()
 	r.joinLag.Store(joinLagUnknown)
 	r.mode.store(ModeJoining)
-	r.sendJoinFetch()
+	r.retryJoin(time.Now())
 }
 
 // JoinLag estimates how many records this replica is behind its donor:
@@ -101,28 +93,11 @@ func (r *Replica) PendingOrders() int {
 	return len(r.pending)
 }
 
-// sendJoinFetch issues the next catch-up round to the donor.
-func (r *Replica) sendJoinFetch() {
-	r.mu.Lock()
-	j := r.join
-	if j == nil {
-		r.mu.Unlock()
-		return
-	}
-	j.lastDrive = time.Now()
-	id, donor := j.id, j.donor
-	have := r.maxSNsLocked()
-	r.mu.Unlock()
-	budget := r.cfg.JoinBudget
-	if budget <= 0 {
-		budget = defaultJoinBudget
-	}
-	r.ep.Send(donor, proto.JoinFetch{ID: id, Have: have, Budget: uint32(budget), From: r.cfg.ID})
-}
-
-// retryJoin re-drives a catch-up round that got no answer (lost message or
-// donor hiccup) and keeps polling the donor's frontier once caught up, so
-// records committed under live traffic keep flowing to the joiner.
+// retryJoin sends the joiner's next catch-up round when none was sent or
+// answered for a retry interval: the first round, a round that got no
+// answer (lost message or donor hiccup), and the poll of the donor's
+// frontier once caught up, so records committed under live traffic keep
+// flowing to the joiner.
 func (r *Replica) retryJoin(now time.Time) {
 	retry := r.cfg.RetryTimeout
 	if retry <= 0 {
@@ -130,88 +105,14 @@ func (r *Replica) retryJoin(now time.Time) {
 	}
 	r.mu.Lock()
 	j := r.join
-	stale := j != nil && now.Sub(j.lastDrive) >= retry
-	r.mu.Unlock()
-	if stale {
-		r.sendJoinFetch()
-	}
-}
-
-// onJoinFetch is the donor side: serve committed records above the
-// joiner's frontier, budget-capped per color, plus the current frontier so
-// the joiner can measure its lag. Stateless — every round is answered from
-// current storage.
-func (r *Replica) onJoinFetch(from types.NodeID, m proto.JoinFetch) {
-	budget := int(m.Budget)
-	if budget <= 0 {
-		budget = defaultJoinBudget
-	}
-	out := make(map[types.ColorID][]proto.WireRecord)
-	frontier := make(map[types.ColorID]types.SN)
-	more := false
-	for _, c := range r.topo.Colors() {
-		if sn := r.st.MaxSN(c); sn.Valid() {
-			frontier[c] = sn
-		}
-		recs, err := r.st.ScanFrom(c, m.Have[c])
-		if err != nil || len(recs) == 0 {
-			continue
-		}
-		if len(recs) > budget {
-			recs, more = recs[:budget], true
-		}
-		wire := make([]proto.WireRecord, len(recs))
-		for i, rec := range recs {
-			wire[i] = proto.WireRecord{Token: rec.Token, SN: rec.SN, Data: rec.Data}
-		}
-		out[c] = wire
-	}
-	r.ep.Send(from, proto.JoinEntries{ID: m.ID, Records: out, Frontier: frontier, More: more, From: r.cfg.ID})
-}
-
-// onJoinEntries ingests one catch-up round: persist + commit each record
-// at its authoritative SN (idempotent for records already present), skip
-// anything at or below the local trim frontier, then refresh the lag
-// estimate. More=true chains the next round immediately; otherwise the
-// timer keeps polling so the joiner tracks live traffic.
-func (r *Replica) onJoinEntries(m proto.JoinEntries) {
-	r.mu.Lock()
-	j := r.join
-	if j == nil || j.id != m.ID {
+	if j == nil || now.Sub(j.lastDrive) < retry {
 		r.mu.Unlock()
 		return
 	}
-	j.lastDrive = time.Now()
+	j.lastDrive = now
+	id, donor := j.id, j.donor
 	r.mu.Unlock()
-	r.stats.joinRounds.Add(1)
-	for color, recs := range m.Records {
-		frontier := r.st.Trimmed(color)
-		for _, rec := range recs {
-			if rec.SN.Valid() && rec.SN <= frontier {
-				continue
-			}
-			if !r.st.Has(rec.Token) {
-				if err := r.st.Put(color, rec.Token, rec.Data); err != nil {
-					continue
-				}
-			}
-			if err := r.st.Commit(rec.Token, rec.SN); err != nil && err != storage.ErrUnknownToken {
-				continue
-			}
-			r.maxSeen.bump(color, rec.SN)
-			r.stats.joinRecords.Add(1)
-		}
-	}
-	var lag uint64
-	for c, sn := range m.Frontier {
-		if mine := r.st.MaxSN(c); mine < sn {
-			lag += uint64(sn - mine)
-		}
-	}
-	r.joinLag.Store(lag)
-	if m.More {
-		r.sendJoinFetch()
-	}
+	r.ep.Send(donor, r.catchupFetch(id))
 }
 
 // rejectDraining answers an append that reached a draining replica with
@@ -278,51 +179,6 @@ func (r *Replica) ctrlLag() uint64 {
 		return uint64(r.PendingOrders())
 	}
 	return 0
-}
-
-// CommittedRecords scans every committed record this replica holds, per
-// color — the donor side of a shard merge. Records at or below the trim
-// frontier were discarded on every member and are not included.
-func (r *Replica) CommittedRecords() (map[types.ColorID][]proto.WireRecord, error) {
-	out := make(map[types.ColorID][]proto.WireRecord)
-	for _, c := range r.topo.Colors() {
-		recs, err := r.st.ScanFrom(c, 0)
-		if err != nil {
-			return nil, err
-		}
-		if len(recs) == 0 {
-			continue
-		}
-		wire := make([]proto.WireRecord, len(recs))
-		for i, rec := range recs {
-			wire[i] = proto.WireRecord{Token: rec.Token, SN: rec.SN, Data: rec.Data}
-		}
-		out[c] = wire
-	}
-	return out, nil
-}
-
-// IngestCommitted installs already-ordered records at their authoritative
-// SNs — the destination side of a shard merge. Identical to catch-up
-// ingestion: idempotent for records already present, skips anything at or
-// below the local trim frontier, and bumps the commit watermark so held
-// reads wake.
-func (r *Replica) IngestCommitted(color types.ColorID, recs []proto.WireRecord) {
-	frontier := r.st.Trimmed(color)
-	for _, rec := range recs {
-		if rec.SN.Valid() && rec.SN <= frontier {
-			continue
-		}
-		if !r.st.Has(rec.Token) {
-			if err := r.st.Put(color, rec.Token, rec.Data); err != nil {
-				continue
-			}
-		}
-		if err := r.st.Commit(rec.Token, rec.SN); err != nil && err != storage.ErrUnknownToken {
-			continue
-		}
-		r.maxSeen.bump(color, rec.SN)
-	}
 }
 
 // orderReplicas returns the commit fan-out list for an order request: the

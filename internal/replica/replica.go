@@ -106,9 +106,10 @@ type Config struct {
 	// StoreFactory overrides how the storage stack is built (e.g. to
 	// re-attach to restored device snapshots); nil uses storage.Open(Store).
 	StoreFactory func(storage.Config) (*storage.Store, error)
-	// JoinBudget caps the records per color one join catch-up round may
-	// carry (DESIGN.md §15); 0 uses 2048. Smaller rounds bound the memory
-	// and wire footprint of a catch-up under live traffic.
+	// JoinBudget caps the records per color one catch-up round may carry —
+	// a joiner's, and a recovering replica's in its sync-phase (DESIGN.md
+	// §15.3); 0 uses 2048. Smaller rounds bound the memory and wire
+	// footprint of a catch-up under live traffic.
 	JoinBudget int
 	// Tenants declares the multi-tenant QoS envelope (DESIGN.md §13):
 	// per-tenant weighted-fair scheduling on both service lanes,
@@ -503,10 +504,6 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 		r.onSyncState(m)
 	case proto.SyncCatchup:
 		r.onSyncCatchup(m)
-	case proto.SyncFetch:
-		r.onSyncFetch(from, m)
-	case proto.SyncEntries:
-		r.onSyncEntries(m)
 	case proto.SyncDone:
 		r.onSyncDone(m)
 	case proto.JoinFetch:

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"flexlog/internal/proto"
-	"flexlog/internal/storage"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
@@ -29,7 +28,6 @@ type syncRun struct {
 	coordinator  types.NodeID
 	states       map[types.NodeID]proto.SyncState // coordinator only
 	dones        map[types.NodeID]bool
-	fetching     bool
 	caughtUp     bool
 	participants []types.NodeID // shard replicas (incl. self)
 
@@ -37,8 +35,7 @@ type syncRun struct {
 	// every stage is re-driven until the run completes (retrySyncRuns).
 	started     time.Time
 	lastDrive   time.Time
-	fetchTarget types.NodeID
-	fetchHave   map[types.ColorID]types.SN
+	fetchTarget types.NodeID // the peer the fetch stage pulls from; 0 outside it
 }
 
 // syncAbortRetries bounds how long a sync run may stall before it is
@@ -96,7 +93,7 @@ func (r *Replica) startSyncPhase() {
 	r.mode.store(ModeSyncing)
 	r.stats.syncs.Add(1)
 	// Record our own state.
-	run.states[r.cfg.ID] = proto.SyncState{ID: id, Epoch: r.epoch, MaxSNs: r.maxSNsLocked(), Trimmed: r.maxTrimsLocked(), From: r.cfg.ID}
+	run.states[r.cfg.ID] = proto.SyncState{ID: id, Epoch: r.epoch, MaxSNs: r.maxSNs(), Trimmed: r.maxTrims(), From: r.cfg.ID}
 	r.mu.Unlock()
 
 	if len(peers) == 0 {
@@ -112,9 +109,9 @@ func (r *Replica) startSyncPhase() {
 	r.ep.Broadcast(peers, proto.SyncRequest{ID: id, From: r.cfg.ID})
 }
 
-// maxSNsLocked snapshots this replica's per-color committed frontier.
-// Caller holds r.mu (storage does its own locking).
-func (r *Replica) maxSNsLocked() map[types.ColorID]types.SN {
+// maxSNs snapshots this replica's per-color committed frontier (storage
+// does its own locking).
+func (r *Replica) maxSNs() map[types.ColorID]types.SN {
 	out := make(map[types.ColorID]types.SN)
 	for _, c := range r.topo.Colors() {
 		if sn := r.st.MaxSN(c); sn.Valid() {
@@ -124,10 +121,10 @@ func (r *Replica) maxSNsLocked() map[types.ColorID]types.SN {
 	return out
 }
 
-// maxTrimsLocked snapshots this replica's per-color trim frontier; it
-// rides along with the committed frontier in SyncState so recovering
-// replicas learn about trims that ran during their downtime.
-func (r *Replica) maxTrimsLocked() map[types.ColorID]types.SN {
+// maxTrims snapshots this replica's per-color trim frontier; it rides
+// along with the committed frontier in SyncState so recovering replicas
+// learn about trims that ran during their downtime.
+func (r *Replica) maxTrims() map[types.ColorID]types.SN {
 	out := make(map[types.ColorID]types.SN)
 	for _, c := range r.topo.Colors() {
 		if sn := r.st.Trimmed(c); sn.Valid() {
@@ -149,19 +146,15 @@ func (r *Replica) onSyncRequest(from types.NodeID, m proto.SyncRequest) {
 			id:           m.ID,
 			coordinator:  m.From,
 			dones:        make(map[types.NodeID]bool),
-			participants: append([]types.NodeID{r.cfg.ID}, r.shardPeersLocked()...),
+			participants: append([]types.NodeID{r.cfg.ID}, r.shardPeers()...),
 			started:      time.Now(),
 		}
 	}
 	r.syncRuns[m.ID].lastDrive = time.Now()
-	state := proto.SyncState{ID: m.ID, Epoch: r.epoch, MaxSNs: r.maxSNsLocked(), Trimmed: r.maxTrimsLocked(), From: r.cfg.ID}
+	state := proto.SyncState{ID: m.ID, Epoch: r.epoch, MaxSNs: r.maxSNs(), Trimmed: r.maxTrims(), From: r.cfg.ID}
 	r.mu.Unlock()
 	r.ep.Send(m.From, state)
 }
-
-// shardPeersLocked is shardPeers without retaking topology locks under mu
-// (topology has its own synchronization; this is just a naming helper).
-func (r *Replica) shardPeersLocked() []types.NodeID { return r.shardPeers() }
 
 func (r *Replica) onSyncState(m proto.SyncState) {
 	r.mu.Lock()
@@ -257,82 +250,24 @@ func (r *Replica) onSyncCatchup(m proto.SyncCatchup) {
 		}
 	}
 	// Work out whether we are missing anything the up-to-date replica has.
-	need := make(map[types.ColorID]types.SN)
-	have := make(map[types.ColorID]types.SN)
+	behind := false
 	for c, maxSN := range m.Max {
-		mine := r.st.MaxSN(c)
-		have[c] = mine
-		if mine < maxSN {
-			need[c] = mine
+		if r.st.MaxSN(c) < maxSN {
+			behind = true
 		}
 	}
-	if len(need) == 0 || m.UpToDate == r.cfg.ID {
+	if !behind || m.UpToDate == r.cfg.ID {
 		run.caughtUp = true
-		run.lastDrive = time.Now()
 		r.mu.Unlock()
 		r.broadcastSyncDone(m.ID)
 		return
 	}
-	run.fetching = true
+	// Fetch stage: budgeted catch-up rounds against the up-to-date replica
+	// (catchup.go); the round whose More is false ends it in onJoinEntries.
 	run.fetchTarget = m.UpToDate
-	run.fetchHave = have
 	run.lastDrive = time.Now()
 	r.mu.Unlock()
-	r.ep.Send(m.UpToDate, proto.SyncFetch{ID: m.ID, Have: have, From: r.cfg.ID})
-}
-
-func (r *Replica) onSyncFetch(from types.NodeID, m proto.SyncFetch) {
-	// Serve missing committed records above the requester's frontier
-	// ("the outdated replicas fetch the missing entries from the most
-	// up-to-date one", §6.3).
-	out := make(map[types.ColorID][]proto.WireRecord)
-	for _, c := range r.topo.Colors() {
-		after := m.Have[c]
-		recs, err := r.st.ScanFrom(c, after)
-		if err != nil || len(recs) == 0 {
-			continue
-		}
-		wire := make([]proto.WireRecord, len(recs))
-		for i, rec := range recs {
-			wire[i] = proto.WireRecord{Token: rec.Token, SN: rec.SN, Data: rec.Data}
-		}
-		out[c] = wire
-	}
-	r.ep.Send(from, proto.SyncEntries{ID: m.ID, Records: out})
-}
-
-func (r *Replica) onSyncEntries(m proto.SyncEntries) {
-	r.mu.Lock()
-	run := r.syncRuns[m.ID]
-	if run == nil || !run.fetching {
-		r.mu.Unlock()
-		return
-	}
-	run.fetching = false
-	run.caughtUp = true
-	r.mu.Unlock()
-	// Ingest: persist + commit each record at its authoritative SN.
-	// Tokens already present are just committed (idempotent). Records at
-	// or below the local trim frontier are skipped — they were garbage-
-	// collected by a trim that raced the fetch.
-	for color, recs := range m.Records {
-		frontier := r.st.Trimmed(color)
-		for _, rec := range recs {
-			if rec.SN.Valid() && rec.SN <= frontier {
-				continue
-			}
-			if !r.st.Has(rec.Token) {
-				if err := r.st.Put(color, rec.Token, rec.Data); err != nil {
-					continue
-				}
-			}
-			if err := r.st.Commit(rec.Token, rec.SN); err != nil && err != storage.ErrUnknownToken {
-				continue
-			}
-			r.maxSeen.bump(color, rec.SN)
-		}
-	}
-	r.broadcastSyncDone(m.ID)
+	r.ep.Send(m.UpToDate, r.catchupFetch(m.ID))
 }
 
 // broadcastSyncDone performs this replica's half of the all-to-all barrier.
@@ -441,7 +376,8 @@ func (r *Replica) finishSyncLocked() {
 // until the run's all-to-all barrier completes:
 //
 //   - a coordinator still collecting states re-broadcasts SyncRequest;
-//   - a fetching replica re-sends its SyncFetch;
+//   - a fetching replica asks for its next catch-up round again, from the
+//     frontier it has reached by now;
 //   - a replica past catch-up re-broadcasts its SyncDone;
 //   - a participant still waiting for the coordinator's round 2 re-sends
 //     its SyncState (the coordinator re-broadcasts SyncCatchup when its
@@ -486,11 +422,8 @@ func (r *Replica) retrySyncRuns(now time.Time) {
 				}
 			}
 			acts = append(acts, action{to: missing, msg: proto.SyncRequest{ID: run.id, From: r.cfg.ID}})
-		case run.fetching:
-			acts = append(acts, action{
-				to:  []types.NodeID{run.fetchTarget},
-				msg: proto.SyncFetch{ID: run.id, Have: run.fetchHave, From: r.cfg.ID},
-			})
+		case run.fetchTarget != 0:
+			acts = append(acts, action{to: []types.NodeID{run.fetchTarget}, msg: r.catchupFetch(run.id)})
 		case run.caughtUp:
 			var peers []types.NodeID
 			for _, p := range run.participants {
@@ -501,7 +434,7 @@ func (r *Replica) retrySyncRuns(now time.Time) {
 			acts = append(acts, action{to: peers, msg: proto.SyncDone{ID: run.id, From: r.cfg.ID}})
 		default:
 			// Waiting for SyncCatchup: nudge the coordinator with our state.
-			state := proto.SyncState{ID: run.id, Epoch: r.epoch, MaxSNs: r.maxSNsLocked(), Trimmed: r.maxTrimsLocked(), From: r.cfg.ID}
+			state := proto.SyncState{ID: run.id, Epoch: r.epoch, MaxSNs: r.maxSNs(), Trimmed: r.maxTrims(), From: r.cfg.ID}
 			acts = append(acts, action{to: []types.NodeID{run.coordinator}, msg: state})
 		}
 	}

@@ -92,32 +92,20 @@ func (st *Store) initObs() {
 	reg.CounterFunc("flexlog_pm_tx_total",
 		"Persistent-memory transactions, by outcome.", withKV(lb, "outcome", "rollback"),
 		func() uint64 { return st.pm.Stats().RecoveryRollbks })
-	// The closures read through ssdDevice()/st.cold at scrape time, so
-	// they stay live if a future option swaps the tier implementation.
 	reg.CounterFunc("flexlog_ssd_ops_total",
 		"SSD tier operations, by op.", withKV(lb, "op", "read"),
-		func() uint64 {
-			if dev := st.ssdDevice(); dev != nil {
-				return dev.Stats().Reads
-			}
-			return 0
-		})
+		func() uint64 { return st.cold.Device().Stats().Reads })
 	reg.CounterFunc("flexlog_ssd_ops_total",
 		"SSD tier operations, by op.", withKV(lb, "op", "write"),
-		func() uint64 {
-			if dev := st.ssdDevice(); dev != nil {
-				return dev.Stats().Writes
-			}
-			return 0
-		})
+		func() uint64 { return st.cold.Device().Stats().Writes })
 
-	// Cold tier (blob-level, regardless of backend) and lifecycle.
+	// Cold tier (blob-level) and lifecycle.
 	st.evictionH = reg.Histogram("flexlog_tier_eviction_seconds",
 		"Duration of one background segment eviction (PM snapshot through cold-tier sync).", lb)
 	st.checkpointH = reg.Histogram("flexlog_checkpoint_seconds",
 		"Duration of one checkpoint write (snapshot encode through cold-tier sync).", lb)
 
-	coldLb := withKV(lb, "tier", st.cold.Kind())
+	coldLb := withKV(lb, "tier", "ssd")
 	reg.CounterFunc("flexlog_tier_ops_total",
 		"Cold-tier blob operations, by op.", withKV(coldLb, "op", "put"),
 		func() uint64 { return st.cold.Stats().Puts })

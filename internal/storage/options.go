@@ -10,13 +10,13 @@ import (
 )
 
 // Option configures Open beyond the sizing knobs in Config: which devices
-// (or Tier implementations) back the hot and cold tiers, and whether the
-// store formats fresh media or attaches to a surviving layout.
+// back the hot and cold tiers, and whether the store formats fresh media
+// or attaches to a surviving layout.
 type Option func(*openConfig)
 
 type openConfig struct {
 	pool   *pmem.Pool
-	cold   tier.Tier
+	cold   *tier.SSD
 	attach bool
 }
 
@@ -33,12 +33,6 @@ func WithSSDTier(dev *ssd.Device) Option {
 	return func(oc *openConfig) { oc.cold = tier.NewSSD(dev) }
 }
 
-// WithColdTier backs the cold tier with an arbitrary Tier implementation —
-// e.g. tier.NewLSM for a compacted, indexed cold store, or a test double.
-func WithColdTier(t tier.Tier) Option {
-	return func(oc *openConfig) { oc.cold = t }
-}
-
 // WithAttach re-opens a store over media holding a previous incarnation's
 // data (e.g. snapshots restored by cmd/flexlog-server): the PM slots are
 // located at their canonical offsets — the same layout a fresh Open
@@ -50,7 +44,7 @@ func WithAttach() Option {
 
 // Open creates a Store per cfg and the given options. With no options it
 // formats fresh devices (a pmem pool sized for cfg and an SSD cold tier);
-// WithPMTier/WithSSDTier/WithColdTier substitute existing media, and
+// WithPMTier/WithSSDTier substitute existing media, and
 // WithAttach recovers a previous layout instead of formatting.
 func Open(cfg Config, opts ...Option) (*Store, error) {
 	var oc openConfig

@@ -171,7 +171,7 @@ type Store struct {
 	cfg Config
 
 	pm    *pmem.Pool
-	cold  tier.Tier // the tier below PM (SSD, LSM, …); never nil
+	cold  *tier.SSD // the tier below PM; never nil
 	cache *stripedCache
 	gc    *groupCommitter // nil unless cfg.GroupCommit
 
@@ -516,14 +516,6 @@ func (st *Store) Commit(token types.Token, lastSN types.SN) error {
 	return nil
 }
 
-// Has reports whether the token has been persisted (committed or not).
-func (st *Store) Has(token types.Token) bool {
-	st.alloc.RLock()
-	defer st.alloc.RUnlock()
-	_, ok := st.byToken[token]
-	return ok
-}
-
 // TokenSN returns the last SN assigned to a persisted token (InvalidSN if
 // uncommitted) and whether the token is known.
 func (st *Store) TokenSN(token types.Token) (types.SN, bool) {
@@ -664,14 +656,18 @@ func (st *Store) Bounds(color types.ColorID) (head, tail types.SN) {
 // Scan returns all committed records of the color sorted by SN (the
 // replica-local half of the Subscribe protocol, §6.2).
 func (st *Store) Scan(color types.ColorID) ([]types.Record, error) {
-	return st.ScanFrom(color, types.InvalidSN)
+	return st.ScanFrom(color, types.InvalidSN, 0)
 }
 
 // ScanFrom returns committed records of the color with SN > after, sorted.
 // Only the matching refs are snapshotted and read — a subscriber tailing
 // the log no longer pays device reads for the prefix it already has — and
-// each device read runs with no store lock held (see Get).
-func (st *Store) ScanFrom(color types.ColorID, after types.SN) ([]types.Record, error) {
+// each device read runs with no store lock held (see Get). limit > 0 caps
+// the result at that many records, rounded up to the end of the append
+// batch the cap falls in: a caller paging through the log (replica
+// catch-up) reads only the page it ships and never sees a batch split
+// across two pages.
+func (st *Store) ScanFrom(color types.ColorID, after types.SN, limit int) ([]types.Record, error) {
 	type snRef struct {
 		sn  types.SN
 		ref recordRef
@@ -689,6 +685,12 @@ func (st *Store) ScanFrom(color types.ColorID, after types.SN) ([]types.Record, 
 	}
 	ci.mu.RUnlock()
 	sort.Slice(refs, func(i, j int) bool { return refs[i].sn < refs[j].sn })
+	if limit > 0 && len(refs) > limit {
+		for limit < len(refs) && refs[limit].ref.loc == refs[limit-1].ref.loc {
+			limit++
+		}
+		refs = refs[:limit]
+	}
 	out := make([]types.Record, 0, len(refs))
 	for _, r := range refs {
 		data, err := st.readLive(r.ref.loc, r.ref.idx)
@@ -856,9 +858,7 @@ func (st *Store) Recover() error {
 	st.alloc.Lock()
 	defer st.alloc.Unlock()
 	st.pm.Recover()
-	if err := st.cold.Recover(); err != nil {
-		return err
-	}
+	st.cold.Recover()
 
 	st.segs = make(map[uint64]*segment)
 	st.byToken = make(map[types.Token]*entryLoc)
@@ -1165,7 +1165,7 @@ type Stats struct {
 
 	GC   GCStats
 	PM   pmem.Stats
-	SSD  ssd.Stats // zero unless the cold tier is device-backed
+	SSD  ssd.Stats // the device under the cold tier
 	Cold tier.Stats
 }
 
@@ -1208,34 +1208,18 @@ func (st *Store) Stats() Stats {
 			s.ResidentBytes += seg.used
 		}
 	}
-	if dev := st.ssdDevice(); dev != nil {
-		s.SSD = dev.Stats()
-	}
+	s.SSD = st.cold.Device().Stats()
 	if st.gc != nil {
 		s.GC = st.gc.stats()
 	}
 	return s
 }
 
-// ssdDevice returns the raw device backing the cold tier, if it has one
-// (the SSD and LSM backends do).
-func (st *Store) ssdDevice() *ssd.Device {
-	if d, ok := st.cold.(interface{ Device() *ssd.Device }); ok {
-		return d.Device()
-	}
-	return nil
-}
-
 // SaveDevices snapshots both device tiers to files (see pmem.SaveTo and
-// ssd.SaveTo); Attach restores a store from them on the next boot. It
-// fails when the cold tier is not backed by a raw device.
+// ssd.SaveTo); Open(WithAttach) restores a store from them on the next boot.
 func (st *Store) SaveDevices(pmPath, ssdPath string) error {
-	dev := st.ssdDevice()
-	if dev == nil {
-		return fmt.Errorf("storage: cold tier %q has no snapshot-able device", st.cold.Kind())
-	}
 	if err := st.pm.SaveTo(pmPath); err != nil {
 		return err
 	}
-	return dev.SaveTo(ssdPath)
+	return st.cold.Device().SaveTo(ssdPath)
 }

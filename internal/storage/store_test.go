@@ -20,6 +20,12 @@ func newTestStore(t *testing.T) *Store {
 	return st
 }
 
+// has reports whether the token has been persisted (committed or not).
+func has(st *Store, token types.Token) bool {
+	_, known := st.TokenSN(token)
+	return known
+}
+
 func smallConfig() Config {
 	c := TestConfig()
 	c.SegmentSize = 512
@@ -78,7 +84,7 @@ func TestPutDuplicateToken(t *testing.T) {
 	if err := st.Put(colorA, tok(1), payload(1)); !errors.Is(err, ErrDuplicateToken) {
 		t.Fatalf("duplicate put: %v", err)
 	}
-	if !st.Has(tok(1)) || st.Has(tok(2)) {
+	if !has(st, tok(1)) || has(st, tok(2)) {
 		t.Fatal("Has() wrong")
 	}
 }
@@ -169,12 +175,33 @@ func TestScanFrom(t *testing.T) {
 		st.Put(colorA, tok(i), payload(i))
 		st.Commit(tok(i), sn(i))
 	}
-	recs, err := st.ScanFrom(colorA, sn(3))
+	recs, err := st.ScanFrom(colorA, sn(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 || recs[0].SN != sn(4) || recs[1].SN != sn(5) {
 		t.Fatalf("scanFrom = %v", recs)
+	}
+	// A limit caps the page, but never inside an append batch: with a
+	// 3-record batch at SNs 6..8 a limit of 3 above SN 3 ships 4, 5 and the
+	// whole batch, and a limit the page does not reach ships everything.
+	st.PutBatch(colorA, tok(6), [][]byte{payload(6), payload(7), payload(8)})
+	st.Commit(tok(6), sn(8))
+	st.Put(colorA, tok(9), payload(9))
+	st.Commit(tok(9), sn(9))
+	for _, c := range []struct{ limit, want int }{{1, 1}, {2, 2}, {3, 5}, {5, 5}, {6, 6}, {7, 6}} {
+		recs, err := st.ScanFrom(colorA, sn(3), c.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != c.want {
+			t.Errorf("limit %d: %d records, want %d", c.limit, len(recs), c.want)
+		}
+		for i, rec := range recs {
+			if rec.SN != sn(4+i) || !bytes.Equal(rec.Data, payload(4+i)) {
+				t.Errorf("limit %d: record %d = %v %q", c.limit, i, rec.SN, rec.Data)
+			}
+		}
 	}
 }
 

@@ -1,17 +1,15 @@
 package tier
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
 	"flexlog/internal/ssd"
 )
 
-// SSD adapts an *ssd.Device to the Tier interface: one blob per device
-// file. Put replaces the file wholesale (Create truncates); Sync syncs
-// only the files dirtied since the last Sync, so the durability barrier
-// stays proportional to what was written, not to the blob population.
+// SSD is the cold store over an *ssd.Device: one blob per device file.
+// Put replaces the file wholesale (Create truncates); Sync syncs only the
+// files dirtied since the last Sync, so the durability barrier stays
+// proportional to what was written, not to the blob population.
 type SSD struct {
 	dev *ssd.Device
 
@@ -20,7 +18,7 @@ type SSD struct {
 	stats Stats
 }
 
-// NewSSD wraps a device as a tier.
+// NewSSD wraps a device as the cold store.
 func NewSSD(dev *ssd.Device) *SSD {
 	return &SSD{dev: dev, dirty: make(map[string]bool)}
 }
@@ -29,10 +27,8 @@ func NewSSD(dev *ssd.Device) *SSD {
 // and for publishing the device-level counters next to the tier's).
 func (t *SSD) Device() *ssd.Device { return t.dev }
 
-// Kind implements Tier.
-func (t *SSD) Kind() string { return "ssd" }
-
-// Put implements Tier: the named file is truncated and rewritten.
+// Put replaces the named blob (volatile until Sync): the file is truncated
+// and rewritten.
 func (t *SSD) Put(name string, data []byte) error {
 	if err := t.dev.Create(name); err != nil {
 		return err
@@ -48,12 +44,10 @@ func (t *SSD) Put(name string, data []byte) error {
 	return nil
 }
 
-// Get implements Tier.
+// Get fills buf with the blob's bytes starting at off (ssd.ErrNotFound for
+// a missing blob).
 func (t *SSD) Get(name string, off int64, buf []byte) error {
 	if err := t.dev.ReadAt(name, off, buf); err != nil {
-		if errors.Is(err, ssd.ErrNotFound) {
-			return fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
 		return err
 	}
 	t.mu.Lock()
@@ -63,7 +57,7 @@ func (t *SSD) Get(name string, off int64, buf []byte) error {
 	return nil
 }
 
-// Delete implements Tier.
+// Delete removes the blob. Deleting a missing blob is not an error.
 func (t *SSD) Delete(name string) error {
 	if err := t.dev.Delete(name); err != nil {
 		return err
@@ -75,19 +69,14 @@ func (t *SSD) Delete(name string) error {
 	return nil
 }
 
-// Size implements Tier.
-func (t *SSD) Size(name string) (int64, error) {
-	sz, err := t.dev.Size(name)
-	if errors.Is(err, ssd.ErrNotFound) {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return sz, err
-}
+// Size returns the blob's length, or ssd.ErrNotFound.
+func (t *SSD) Size(name string) (int64, error) { return t.dev.Size(name) }
 
-// List implements Tier.
+// List returns the names of all blobs (unordered).
 func (t *SSD) List() []string { return t.dev.List() }
 
-// Sync implements Tier: every file dirtied since the last Sync is synced.
+// Sync makes every previous Put durable: every file dirtied since the last
+// Sync is synced.
 func (t *SSD) Sync() error {
 	t.mu.Lock()
 	names := make([]string, 0, len(t.dirty))
@@ -109,7 +98,7 @@ func (t *SSD) Sync() error {
 	return nil
 }
 
-// Stats implements Tier. Occupancy is computed from the device listing so
+// Stats returns the activity counters. Occupancy is computed from the device listing so
 // it reflects crashes (unsynced blobs vanish) without bookkeeping drift.
 func (t *SSD) Stats() Stats {
 	t.mu.Lock()
@@ -124,7 +113,7 @@ func (t *SSD) Stats() Stats {
 	return s
 }
 
-// Crash implements Tier.
+// Crash simulates a power failure: unsynced writes are dropped.
 func (t *SSD) Crash() {
 	t.dev.Crash()
 	t.mu.Lock()
@@ -132,8 +121,5 @@ func (t *SSD) Crash() {
 	t.mu.Unlock()
 }
 
-// Recover implements Tier.
-func (t *SSD) Recover() error {
-	t.dev.Recover()
-	return nil
-}
+// Recover re-opens the store after a Crash.
+func (t *SSD) Recover() { t.dev.Recover() }

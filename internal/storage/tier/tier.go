@@ -1,15 +1,13 @@
-// Package tier defines the composable storage-tier abstraction of the
-// FlexLog store (§5.2). A Tier is a named-blob device: the store's
-// lifecycle machinery (segment spilling, checkpointing, trim-driven GC)
-// talks to whatever sits below PM — a raw SSD, an LSM engine over the
-// SSD, or a reserved PM region — through this one interface instead of
-// hard-wiring *ssd.Device.
+// Package tier is the cold store below PM of the FlexLog store (§5.2): a
+// named-blob adapter over the simulated SSD. The store's lifecycle
+// machinery (segment spilling, checkpointing, trim-driven GC) talks to the
+// device through it instead of through raw files.
 //
-// The contract every backend provides:
+// The contract:
 //
 //   - Put replaces the named blob wholesale. The bytes are volatile until
 //     the next successful Sync (a crash before Sync may lose or truncate
-//     them — exactly the simulated devices' semantics).
+//     them — exactly the simulated device's semantics).
 //   - Get reads len(buf) bytes at off. Reading a missing blob or past its
 //     end is an error; blobs are immutable between Put calls, so readers
 //     never see torn data.
@@ -21,35 +19,6 @@
 // Blob names are flat strings chosen by the caller (the store uses
 // "seg-<id>" for spilled segments and "ckpt-<seq>" for checkpoints).
 package tier
-
-import "errors"
-
-// ErrNotFound is returned by Get/Size for a blob that does not exist.
-var ErrNotFound = errors.New("tier: blob not found")
-
-// Tier is one level of the storage hierarchy, addressed as named blobs.
-type Tier interface {
-	// Kind labels the backend ("ssd", "lsm", "pm") for stats and metrics.
-	Kind() string
-	// Put replaces the named blob with data (volatile until Sync).
-	Put(name string, data []byte) error
-	// Get fills buf with the blob's bytes starting at off.
-	Get(name string, off int64, buf []byte) error
-	// Delete removes the blob. Deleting a missing blob is not an error.
-	Delete(name string) error
-	// Size returns the blob's length, or ErrNotFound.
-	Size(name string) (int64, error)
-	// List returns the names of all blobs (unordered).
-	List() []string
-	// Sync makes every previous Put durable.
-	Sync() error
-	// Stats returns the tier's activity counters.
-	Stats() Stats
-	// Crash simulates a power failure: unsynced writes are dropped.
-	Crash()
-	// Recover re-opens the tier after a Crash.
-	Recover() error
-}
 
 // Stats counts tier activity. Counters are cumulative; Blobs and Bytes
 // are the current occupancy.

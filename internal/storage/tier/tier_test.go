@@ -7,75 +7,28 @@ import (
 	"sort"
 	"testing"
 
-	"flexlog/internal/lsm"
-	"flexlog/internal/pmem"
 	"flexlog/internal/ssd"
 )
 
-// backends builds one instance of every Tier implementation, paired with
-// a crash+reopen function that simulates a process restart over the same
-// (surviving) media.
+// backends builds the cold store, paired with a reopen function that
+// simulates a process restart over the same (surviving) media; the map key
+// names the subtests.
 func backends(t *testing.T) map[string]struct {
-	tier   Tier
-	reopen func() Tier
+	tier   *SSD
+	reopen func() *SSD
 } {
 	t.Helper()
-	out := make(map[string]struct {
-		tier   Tier
-		reopen func() Tier
-	})
-
 	sdev := ssd.New(ssd.Zero())
-	out["ssd"] = struct {
-		tier   Tier
-		reopen func() Tier
-	}{NewSSD(sdev), func() Tier { return NewSSD(sdev) }}
-
-	pool, err := pmem.New(1<<20, pmem.Zero())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := NewPM(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["pm"] = struct {
-		tier   Tier
-		reopen func() Tier
-	}{pt, func() Tier {
-		nt, err := NewPM(pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nt
-	}}
-
-	ldev := ssd.New(ssd.Zero())
-	lcfg := lsm.Config{MemTableBytes: 4 << 10, CompactionTrigger: 2, SyncWAL: true}
-	lt, err := NewLSM(lcfg, ldev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["lsm"] = struct {
-		tier   Tier
-		reopen func() Tier
-	}{lt, func() Tier {
-		nt, err := NewLSM(lcfg, ldev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nt
-	}}
-	return out
+	return map[string]struct {
+		tier   *SSD
+		reopen func() *SSD
+	}{"ssd": {NewSSD(sdev), func() *SSD { return NewSSD(sdev) }}}
 }
 
 func TestTierPutGetDeleteRoundTrip(t *testing.T) {
 	for kind, b := range backends(t) {
 		t.Run(kind, func(t *testing.T) {
 			tr := b.tier
-			if tr.Kind() != kind {
-				t.Fatalf("Kind() = %q, want %q", tr.Kind(), kind)
-			}
 			data := []byte("the quick brown fox jumps over the lazy dog")
 			if err := tr.Put("blob-a", data); err != nil {
 				t.Fatal(err)
@@ -117,10 +70,10 @@ func TestTierPutGetDeleteRoundTrip(t *testing.T) {
 			if err := tr.Delete("blob-a"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tr.Size("blob-a"); !errors.Is(err, ErrNotFound) {
+			if _, err := tr.Size("blob-a"); !errors.Is(err, ssd.ErrNotFound) {
 				t.Fatalf("Size after delete: %v", err)
 			}
-			if err := tr.Get("blob-a", 0, make([]byte, 1)); !errors.Is(err, ErrNotFound) {
+			if err := tr.Get("blob-a", 0, make([]byte, 1)); !errors.Is(err, ssd.ErrNotFound) {
 				t.Fatalf("Get after delete: %v", err)
 			}
 		})
@@ -172,25 +125,23 @@ func TestTierCrashSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr.Crash()
-			if err := tr.Recover(); err != nil {
-				t.Fatal(err)
-			}
+			tr.Recover()
 			buf := make([]byte, len("synced bytes"))
 			if err := tr.Get("durable", 0, buf); err != nil || string(buf) != "synced bytes" {
 				t.Fatalf("durable blob after crash: %q, %v", buf, err)
 			}
-			// An unsynced put must not survive intact: either the blob is
-			// gone (pm, lsm) or truncated to its synced prefix (ssd).
+			// An unsynced put must not survive intact: the blob is gone or
+			// truncated to its synced prefix.
 			if sz, err := tr.Size("volatile"); err == nil && sz == int64(len("never synced")) {
 				t.Fatalf("unsynced blob survived the crash intact (%d bytes)", sz)
-			} else if err != nil && !errors.Is(err, ErrNotFound) {
+			} else if err != nil && !errors.Is(err, ssd.ErrNotFound) {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// TestTierReopen: a fresh tier instance over the surviving media (the
+// TestTierReopen: a fresh instance over the surviving media (the
 // process-restart path) sees every synced blob.
 func TestTierReopen(t *testing.T) {
 	for kind, b := range backends(t) {
@@ -201,10 +152,6 @@ func TestTierReopen(t *testing.T) {
 			}
 			if err := tr.Sync(); err != nil {
 				t.Fatal(err)
-			}
-			if kind == "lsm" {
-				// Release the engine's device before a second Open.
-				tr.(*LSM).db.Close()
 			}
 			nt := b.reopen()
 			buf := make([]byte, len("persistent"))

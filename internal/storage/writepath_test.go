@@ -96,7 +96,7 @@ func TestParallelWritePathStress(t *testing.T) {
 	for c := 0; c < colors; c++ {
 		color := types.ColorID(c + 1)
 		floor := trimFloor[c].Load()
-		recs, err := st.ScanFrom(color, types.MakeSN(1, floor))
+		recs, err := st.ScanFrom(color, types.MakeSN(1, floor), 0)
 		if err != nil {
 			t.Fatalf("color %d scan: %v", c, err)
 		}
@@ -179,10 +179,10 @@ func TestGroupCommitCrashMidWindow(t *testing.T) {
 	// Burst batches: present iff their persistence call succeeded.
 	for i := 1; i <= burst; i++ {
 		tok := types.MakeToken(2, uint32(i))
-		if persisted[i].Load() && !st.Has(tok) {
+		if persisted[i].Load() && !has(st, tok) {
 			t.Fatalf("acked batch %d lost by crash", i)
 		}
-		if !persisted[i].Load() && st.Has(tok) {
+		if !persisted[i].Load() && has(st, tok) {
 			t.Fatalf("failed batch %d resurrected by recovery", i)
 		}
 	}
@@ -199,7 +199,7 @@ func TestGroupCommitCrashMidWindow(t *testing.T) {
 	next := 1
 	for i := 1; i <= burst; i++ {
 		tok := types.MakeToken(2, uint32(i))
-		if !st.Has(tok) {
+		if !has(st, tok) {
 			continue
 		}
 		if err := st.Commit(tok, types.MakeSN(1, uint32(next))); err != nil {

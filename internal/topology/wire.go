@@ -12,12 +12,6 @@ import (
 // dropped. proto stays free of topology imports (it is below everything on
 // the dependency graph), so the conversion lives here.
 
-// WireSnapshot encodes the current layout as a broadcastable TopoUpdate
-// stamped with the given sender.
-func (t *Topology) WireSnapshot(from types.NodeID) proto.TopoUpdate {
-	return SnapshotToWire(t.Snapshot(), from)
-}
-
 // SnapshotToWire converts a snapshot to its wire form.
 func SnapshotToWire(s Snapshot, from types.NodeID) proto.TopoUpdate {
 	m := proto.TopoUpdate{Version: s.Version, From: from}

@@ -107,6 +107,3 @@ func (s ShardID) String() string { return fmt.Sprintf("shard#%d", s) }
 // time a sequencer fails over; it forms the high half of every SN issued by
 // the new leader.
 type Epoch uint32
-
-// SNFor composes the SN for a counter value within this epoch.
-func (e Epoch) SNFor(counter uint32) SN { return MakeSN(uint32(e), counter) }
