@@ -23,7 +23,6 @@ import (
 	"flexlog/internal/deploy"
 	"flexlog/internal/obs"
 	"flexlog/internal/pmem"
-	"flexlog/internal/qos"
 	"flexlog/internal/replica"
 	"flexlog/internal/seq"
 	"flexlog/internal/ssd"
@@ -98,32 +97,19 @@ func main() {
 
 	switch role.Kind {
 	case "replica":
-		cfg := replica.DefaultConfig()
-		cfg.ID = nodeID
-		cfg.Shard = role.Shard
-		cfg.Topo = topo
-		cfg.Obs = reg
-		cfg.Store = storage.Config{
+		cfg := m.ReplicaConfig(topo, nodeID, storage.Config{
 			SegmentSize: uint64(*segMB) << 20,
 			NumSegments: *segments,
 			CacheBytes:  *cacheMB << 20,
 			PMModel:     storage.DefaultConfig().PMModel,
 			SSDModel:    storage.DefaultConfig().SSDModel,
-			GroupCommit: true,
 
 			// Storage lifecycle (DESIGN.md §11): PM→SSD eviction under a
 			// budget, and checkpoints that bound recovery replay.
 			PMBudget:        uint64(*pmBudgetMB) << 20,
 			CheckpointEvery: *ckptEvery,
-		}
-		// Deployed replicas run the full parallel write path: the keyed
-		// write lane comes with DefaultConfig; group commit and
-		// order-request coalescing are opted into here.
-		cfg.OrderCoalesce = true
-		cfg.ReadHoldTimeout = time.Millisecond
-		cfg.HeartbeatInterval = 100 * time.Millisecond
-		cfg.RetryTimeout = time.Second
-		cfg.Tenants = m.TenantConfigs()
+		})
+		cfg.Obs = reg
 
 		// Device snapshots make the simulated PM/SSD survive process
 		// restarts (standing in for reopening a PMDK pool file).
@@ -185,21 +171,10 @@ func main() {
 			}
 		}
 	case "sequencer":
-		si, err := topo.Sequencer(role.Region)
+		cfg, err := m.SequencerConfig(topo, nodeID, *seqWorkers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := seq.DefaultConfig()
-		cfg.ID = nodeID
-		cfg.Region = role.Region
-		cfg.Topo = topo
-		cfg.BatchInterval = time.Microsecond
-		cfg.HeartbeatInterval = 100 * time.Millisecond
-		cfg.FailureTimeout = time.Second
-		cfg.RetryTimeout = 2 * time.Second
-		cfg.StartAsLeader = si.Leader == nodeID
-		cfg.TenantOf = qos.ColorMap(m.TenantConfigs())
-		cfg.OrderWorkers = *seqWorkers
 		// Durable epochs: a cold restart must resume ABOVE every epoch the
 		// previous incarnation could have used, or SNs would repeat.
 		var epochPath string

@@ -116,7 +116,7 @@ var experiments = []Experiment{
 	ablationRow("ablate-clientbatch", "Ablation: client-side append batching & pipelining (v2 API)", clientBatchAblation),
 	ablationRow("ablate-readpath", "Ablation: parallel replica read path (read lane + striped cache)", readPathAblation),
 	ablationRow("ablate-writepath", "Ablation: parallel replica write path (write lanes + group commit + order coalescing)", writePathAblation),
-	ablationRow("ablate-seq", "Ablation: lock-free sequencer hot path (order lanes + pipelined flush)", seqPathAblation),
+	ablationRow("ablate-seq", "Ablation: lock-free sequencer hot path (order lanes)", seqPathAblation),
 	{"ablate-tiering", "Ablation: storage lifecycle (PM budget + checkpoints) vs recovery cost growth", runAblateTiering},
 	{"ablate-codec", "Ablation: wire codec (hand-rolled binary vs gob) on the TCP deployment path", runAblateCodec},
 	{"ablate-qos", "Ablation: multi-tenant QoS (admission + weighted-fair lanes) and hedged reads", runAblateQoS},

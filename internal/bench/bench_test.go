@@ -520,11 +520,6 @@ func seqPathShapeGates(rep *Report) error {
 	if thrFull < 3*thrSerial {
 		return fmt.Errorf("hot-path gain too small at 64 colors: full=%.0fk serial=%.0fk (<3x)", thrFull, thrSerial)
 	}
-	// The order lane alone must not regress the serialized loop.
-	thrLanes, ok := rep.Value("+lanes", "64")
-	if !ok || thrLanes < thrSerial {
-		return fmt.Errorf("order lanes alone regressed throughput: lanes=%.0fk serial=%.0fk", thrLanes, thrSerial)
-	}
 	// ISSUE acceptance: a lone closed-loop driver's order round-trip must
 	// stay within 10% (plus scheduling slack for loaded CI machines).
 	latSerial, ok1 := rep.Value("1-driver lat serial", "1")

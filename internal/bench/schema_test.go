@@ -128,7 +128,6 @@ var quickSchema = map[string]reportSchema{
 	}},
 	"ablate-seq": {xHeader: "concurrent colors", series: []seriesSchema{
 		{"serial", "kReqs/s", []string{"4", "16", "64"}},
-		{"+lanes", "kReqs/s", []string{"4", "16", "64"}},
 		{"full", "kReqs/s", []string{"4", "16", "64"}},
 		{"1-driver lat serial", "usec", []string{"1"}},
 		{"1-driver lat full", "usec", []string{"1"}},

@@ -16,16 +16,17 @@ const seqPathWorkers = 16
 // distinct colors — one closed-loop driver pinned to each — all enter at
 // ONE sequencer and climb to their owners. With the serialized delivery
 // loop every color contends on that one goroutine; with the order lane
-// they only share atomics. The modes are cumulative:
+// they only share atomics. Two modes:
 //
-//   - serial: OrderWorkers=0, PipelinedFlush=false — every order message
-//     runs on the sequencer's single delivery loop and the flusher sends
-//     one upward frame per color, the pre-lock-free behavior.
-//   - +lanes: the keyed order lane delivers different colors on different
+//   - serial: OrderWorkers=0 — every order message runs on the
+//     sequencer's single delivery loop.
+//   - full:   the keyed order lane delivers different colors on different
 //     workers (one color stays FIFO on one worker), so the atomic SN word
 //     and the striped dedup/pending structures actually run concurrently.
-//   - full:   the flusher additionally pipelines upward rounds and packs
-//     multiple colors into one AggOrderReqBatch frame to the parent.
+//
+// The flusher pipelines upward rounds and packs a round's colors into one
+// frame in both; the lane without that (the retired +lanes row, 10 MReqs/s
+// at 64 colors) is a record in EXPERIMENTS.md, not a code path.
 //
 // Throughput is modeled from a functional run (model.go): per sequencer
 // node, unlaned messages are serial while laned messages charge the
@@ -33,23 +34,19 @@ const seqPathWorkers = 16
 // bounds the lane). Latency is a separate injected run, serial vs
 // full, with one closed-loop driver on the paper's 3-sequencer chain
 // asking for master-color SNs at the leaf — the full two-stage climb, so
-// every mechanism under test sits on its critical path but neither the
-// lane nor pipelining can help; the bar is that they also do not hurt.
+// every mechanism under test sits on its critical path but the lane
+// cannot help; the bar is that it also does not hurt.
 func seqPathAblation(cfg RunConfig) laneAblation {
-	mode := func(name, lone string, workers int, pipelined bool) ablationMode {
-		return ablationMode{name: name, lone: lone, seqTweak: func(c *seq.Config) {
-			c.OrderWorkers = workers
-			c.PipelinedFlush = pipelined
-		}}
+	mode := func(name, lone string, workers int) ablationMode {
+		return ablationMode{name: name, lone: lone, seqTweak: func(c *seq.Config) { c.OrderWorkers = workers }}
 	}
 	a := laneAblation{
-		title:   "sequencer hot-path ablation: order lanes unserialize concurrent colors, pipelined flush overlaps and packs upward rounds",
+		title:   "sequencer hot-path ablation: order lanes unserialize concurrent colors",
 		xHeader: "concurrent colors",
 		unit:    "kReqs/s",
 		modes: []ablationMode{
-			mode("serial", "1-driver lat serial", 0, false),
-			mode("+lanes", "", seqPathWorkers, false),
-			mode("full", "1-driver lat full", seqPathWorkers, true),
+			mode("serial", "1-driver lat serial", 0),
+			mode("full", "1-driver lat full", seqPathWorkers),
 		},
 		loads:   []int{4, 16, 64},
 		ops:     300,

@@ -16,7 +16,7 @@ type backoff struct {
 	base time.Duration
 	cap  time.Duration
 	env  time.Duration // current envelope: min(cap, base·2^attempt)
-	rng  *rand.Rand
+	rng  rand.PCG
 }
 
 // backoffCapFactor bounds the envelope at this multiple of the base
@@ -29,24 +29,25 @@ const backoffStream = 0x9E3779B97F4A7C15
 // newBackoff derives a per-operation backoff from the client's seeded
 // rng: pacing is reproducible for a fixed client seed, yet decorrelated
 // across concurrent operations of the same client. One is made per append
-// batch and per read, so the jitter source is a PCG (two words of state,
-// seeded in O(1)), not math/rand's 607-word lagged-Fibonacci source.
-func (c *Client) newBackoff() *backoff {
+// batch and per read, so the jitter source is a PCG held by value (two
+// words of state, seeded in O(1), nothing on the heap), not math/rand's
+// 607-word lagged-Fibonacci source.
+func (c *Client) newBackoff() backoff {
 	c.mu.Lock()
 	seed := c.rng.Int63()
 	c.mu.Unlock()
 	return newBackoff(c.cfg.RetryInterval, seed)
 }
 
-func newBackoff(base time.Duration, seed int64) *backoff {
+func newBackoff(base time.Duration, seed int64) backoff {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	return &backoff{
+	return backoff{
 		base: base,
 		cap:  backoffCapFactor * base,
 		env:  base,
-		rng:  rand.New(rand.NewPCG(uint64(seed), backoffStream)),
+		rng:  *rand.NewPCG(uint64(seed), backoffStream),
 	}
 }
 
@@ -54,7 +55,7 @@ func newBackoff(base time.Duration, seed int64) *backoff {
 // envelope for the attempt after it.
 func (b *backoff) next() time.Duration {
 	floor := b.base / 2
-	wait := floor + time.Duration(b.rng.Int64N(int64(b.env-floor)+1))
+	wait := floor + time.Duration(b.rng.Uint64()%uint64(b.env-floor+1)) // modulo bias is noise in a jitter
 	if b.env < b.cap {
 		b.env *= 2
 		if b.env > b.cap {

@@ -259,115 +259,40 @@ func (b *shardBatcher) cutLocked() (items []*pendingAppend, recs, bytes int) {
 	return items, recs, bytes
 }
 
-// flush sends one coalesced batch: register the ack waiter, broadcast the
-// AppendBatchReq inline, then hand retries and completion to a goroutine
-// so the next batch can pipeline behind this one.
+// flush sends one coalesced batch: start its append inline (flush order
+// is broadcast order), then hand retries and completion to a goroutine so
+// the next batch can pipeline behind this one. The batcher outlives
+// reconfigurations of its shard and startAppend resolves the membership
+// per batch: a replica added since the batcher was created must persist and
+// acknowledge the batch too.
 func (b *shardBatcher) flush(items []*pendingAppend, recs, bytes int) {
 	c := b.c
-	// The batcher outlives reconfigurations of its shard, so the membership
-	// is resolved per batch, as the unbatched path resolves it per append:
-	// a replica added since the batcher was created must persist and
-	// acknowledge the batch too, or it is acked without being on every
-	// member.
-	cur, err := c.topo.Shard(b.shard)
-	if err != nil {
-		b.landed()
-		b.fail(items, fmt.Errorf("%w: shard %v removed", ErrReconfiguring, b.shard))
-		return
-	}
-	token := c.nextToken()
-	w := &appendWait{
-		shard:  b.shard,
-		needed: make(map[types.NodeID]bool, len(cur.Replicas)),
-		acked:  make(map[types.NodeID]bool, len(cur.Replicas)),
-		done:   make(chan struct{}),
-	}
-	for _, id := range cur.Replicas {
-		w.needed[id] = true
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		b.landed()
-		b.fail(items, ErrClosed)
-		return
-	}
-	c.appends[token] = w
-	c.mu.Unlock()
-
-	c.met.BatchRecords.RecordValue(uint64(recs))
-	c.met.BatchBytes.RecordValue(uint64(bytes))
-	c.met.QueueDelay.Record(time.Since(items[0].enqueued))
-	c.met.Batches.Add(1)
-
 	sets := make([][][]byte, len(items))
 	for i, it := range items {
 		sets[i] = it.records
 	}
-	req := proto.AppendBatchReq{Color: b.color, Token: token, Sets: sets, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
-	c.ep.Broadcast(cur.Replicas, req)
-	go b.await(token, w, req, items, recs)
-}
-
-// await drives one in-flight batch to completion: retry the broadcast
-// until every replica acked, the timeout expired, or the client closed.
-func (b *shardBatcher) await(token types.Token, w *appendWait, req proto.AppendBatchReq, items []*pendingAppend, recs int) {
-	c := b.c
-	defer func() {
-		c.mu.Lock()
-		delete(c.appends, token)
-		c.mu.Unlock()
+	queued := time.Since(items[0].enqueued)
+	token := c.nextToken()
+	a, err := c.startAppend(b.shard, token, proto.AppendBatchReq{Color: b.color, Token: token, Sets: sets, Client: c.cfg.ID, Tenant: c.cfg.Tenant})
+	if err != nil {
 		b.landed()
-	}()
-	deadline := time.Now().Add(c.cfg.Timeout)
-	bo := c.newBackoff()
-	for {
-		select {
-		case <-w.done:
-			b.complete(items, recs, w.sn)
-			return
-		case <-time.After(bo.nextAfter(c.takeAppendHint(w))):
-			if time.Now().After(deadline) {
-				c.mu.Lock()
-				rej := w.rej
-				c.mu.Unlock()
-				if rej != nil {
-					b.fail(items, fmt.Errorf("%w: batched append %v to %v", rej, token, b.color))
-					return
-				}
-				b.fail(items, fmt.Errorf("%w: batched append %v to %v", ErrTimeout, token, b.color))
-				return
-			}
-			// Epoch fencing, as on the unbatched path: rebuild the ack
-			// barrier from the shard's current membership minus prior
-			// responders before re-broadcasting. A removed shard fails the
-			// batch with the typed retryable rejection.
-			cur, err := c.topo.Shard(b.shard)
-			if err != nil {
-				b.fail(items, fmt.Errorf("%w: shard %v removed during batched append %v", ErrReconfiguring, b.shard, token))
-				return
-			}
-			c.mu.Lock()
-			if !w.closed {
-				clear(w.needed)
-				if w.covers(cur.Replicas) {
-					w.closed = true
-					close(w.done)
-				}
-			}
-			c.mu.Unlock()
-			select {
-			case <-w.done:
-				b.complete(items, recs, w.sn)
-				return
-			default:
-			}
-			c.ep.Broadcast(cur.Replicas, req)
-		case <-c.closedCh:
-			b.fail(items, ErrClosed)
+		b.fail(items, err)
+		return
+	}
+	c.met.BatchRecords.RecordValue(uint64(recs))
+	c.met.BatchBytes.RecordValue(uint64(bytes))
+	c.met.QueueDelay.Record(queued)
+	c.met.Batches.Add(1)
+	go func() {
+		defer b.landed()
+		defer a.retire()
+		// The batch belongs to no single caller: only Close abandons it.
+		if err := c.await(context.Background(), &a.call, a.resend); err != nil {
+			b.fail(items, err)
 			return
 		}
-	}
+		b.complete(items, recs, a.sn)
+	}()
 }
 
 // landed takes one batch out of flight and, if appends queued behind it,

@@ -27,7 +27,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -112,7 +114,7 @@ type Client struct {
 	reqSeq  atomic.Uint64 // correlation ids for read/subscribe/trim/multi
 
 	met      *ClientMetrics
-	closedCh chan struct{} // closed by Close; unblocks batchers and waiters
+	closedCh chan struct{} // closed by Close; ends batchers and every in-flight call
 
 	// Read hedging state (see hedge.go).
 	readLat    latencyTracker
@@ -121,11 +123,7 @@ type Client struct {
 
 	mu       sync.Mutex
 	rng      *rand.Rand
-	appends  map[types.Token]*appendWait
-	reads    map[uint64]*readWait
-	subs     map[uint64]*subWait
-	trims    map[uint64]*trimWaitC
-	multis   map[uint64]*multiWait
+	calls    map[callKey]*call // every in-flight request (see call.go)
 	batchers map[batcherKey]*shardBatcher
 	closed   bool
 
@@ -148,53 +146,6 @@ const placeCacheLimit = 8192
 // in-process Cluster implements it; TCP deployments provision statically.
 type ColorAdder interface {
 	AddColor(color, parent types.ColorID) error
-}
-
-type appendWait struct {
-	shard  types.ShardID
-	needed map[types.NodeID]bool
-	acked  map[types.NodeID]bool // responders so far, kept across membership changes
-	sn     types.SN
-	rej    error         // last QoS rejection cause (ErrThrottled/ErrOverloaded/ErrReconfiguring)
-	hint   time.Duration // server retry-after hint; consumed by the retry loop
-	done   chan struct{}
-	closed bool
-}
-
-type readWait struct {
-	waiting  int                   // shards that have not answered
-	seen     map[types.NodeID]bool // responders counted (dup-delivery safe)
-	shardOf  map[types.NodeID]int  // replica → shard slot (primaries + hedges)
-	answered []bool                // per-shard: first response landed
-	data     []byte
-	found    bool
-	status   uint8         // highest proto.ReadStatus* across ⊥ responses
-	rej      error         // QoS rejection cause, if any replica shed the read
-	hint     time.Duration // server retry-after hint
-	done     chan struct{}
-	closed   bool
-}
-
-type subWait struct {
-	waiting int
-	seen    map[types.NodeID]bool
-	records []proto.WireRecord
-	done    chan struct{}
-	closed  bool
-}
-
-type trimWaitC struct {
-	waiting int
-	seen    map[types.NodeID]bool
-	head    types.SN
-	tail    types.SN
-	done    chan struct{}
-	closed  bool
-}
-
-type multiWait struct {
-	done   chan struct{}
-	closed bool
 }
 
 // NewClient attaches a client to the in-process network. Options, if any,
@@ -239,11 +190,7 @@ func newClient(cfg ClientConfig, opts []Option) *Client {
 		met:      newClientMetrics(),
 		closedCh: make(chan struct{}),
 		rng:      rand.New(rand.NewSource(int64(cfg.FID)*2654435761 + 1)), // shard selection
-		appends:  make(map[types.Token]*appendWait),
-		reads:    make(map[uint64]*readWait),
-		subs:     make(map[uint64]*subWait),
-		trims:    make(map[uint64]*trimWaitC),
-		multis:   make(map[uint64]*multiWait),
+		calls:    make(map[callKey]*call),
 		batchers: make(map[batcherKey]*shardBatcher),
 		place:    make(map[placeKey]types.ShardID),
 	}
@@ -281,8 +228,8 @@ func (c *Client) ID() types.NodeID { return c.cfg.ID }
 // SetColorAdder wires the provisioning backend used by AddColor.
 func (c *Client) SetColorAdder(a ColorAdder) { c.adder = a }
 
-// Close detaches the client. Queued and in-flight batched appends fail
-// with ErrClosed.
+// Close detaches the client. Every queued or in-flight operation returns
+// ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	already := c.closed
@@ -296,159 +243,6 @@ func (c *Client) Close() error {
 
 func (c *Client) nextToken() types.Token {
 	return types.MakeToken(c.cfg.FID, c.counter.Add(1))
-}
-
-// handle dispatches responses to their waiters.
-func (c *Client) handle(from types.NodeID, msg transport.Message) {
-	switch m := msg.(type) {
-	case proto.AppendAck:
-		c.mu.Lock()
-		w := c.appends[m.Token]
-		// The closed guard covers every mutation, not just the close: a
-		// duplicated ack (lossy-link DupProb) arriving after completion
-		// must not touch w.sn while the waiter is reading it.
-		if w != nil && !w.closed {
-			delete(w.needed, from)
-			w.acked[from] = true
-			if m.SN.Valid() {
-				w.sn = m.SN
-			}
-			if len(w.needed) == 0 && c.everyMemberAcked(w) {
-				w.closed = true
-				close(w.done)
-			}
-		}
-		c.mu.Unlock()
-	case proto.ReadResp:
-		c.mu.Lock()
-		w := c.reads[m.ID]
-		// Count each responder once: a duplicated response must not
-		// double-decrement waiting, or an all-⊥ round could complete with
-		// a shard still unanswered and report a spurious ⊥. Accounting is
-		// per shard, not per replica: with hedging two replicas of one
-		// shard may both answer, and only the first counts.
-		if w != nil && !w.closed && !w.seen[from] {
-			w.seen[from] = true
-			if si, ok := w.shardOf[from]; ok && !w.answered[si] {
-				w.answered[si] = true
-				w.waiting--
-			}
-			if m.Found {
-				w.data, w.found = m.Data, true
-			} else if m.Status > w.status {
-				// ⊥ qualifiers merge by precedence (evicted > checkpoint-
-				// truncated > trimmed > none), see proto.ReadStatus*.
-				w.status = m.Status
-			}
-			// First hit wins; all-⊥ completes when every shard answered.
-			if w.found || w.waiting <= 0 {
-				w.closed = true
-				close(w.done)
-			}
-		}
-		c.mu.Unlock()
-	case proto.Reject:
-		// Typed QoS backpressure: a replica refused the request — admission
-		// control (throttled, with a refill-derived retry-after) or a full
-		// lane queue (overloaded). The waiter records the cause and hint;
-		// the retry loops wait max(hint, backoff) before re-driving and
-		// surface the cause if the deadline passes first.
-		cause := ErrOverloaded
-		switch m.Code {
-		case proto.RejectThrottled:
-			cause = ErrThrottled
-		case proto.RejectReconfiguring:
-			cause = ErrReconfiguring
-		}
-		c.mu.Lock()
-		if !m.IsRead {
-			if w := c.appends[m.Token]; w != nil && !w.closed {
-				w.rej, w.hint = cause, m.RetryAfter()
-			}
-		} else if w := c.reads[m.ID]; w != nil && !w.closed && !w.seen[from] {
-			// A shed read counts as the shard's (non-authoritative) answer:
-			// the round completes without it and the caller retries.
-			w.seen[from] = true
-			w.rej, w.hint = cause, m.RetryAfter()
-			if si, ok := w.shardOf[from]; ok && !w.answered[si] {
-				w.answered[si] = true
-				w.waiting--
-			}
-			if w.waiting <= 0 {
-				w.closed = true
-				close(w.done)
-			}
-		}
-		c.mu.Unlock()
-	case proto.SubscribeResp:
-		c.mu.Lock()
-		w := c.subs[m.ID]
-		if w != nil && !w.closed && !w.seen[from] {
-			w.seen[from] = true
-			w.waiting--
-			w.records = append(w.records, m.Records...)
-			if w.waiting <= 0 {
-				w.closed = true
-				close(w.done)
-			}
-		}
-		c.mu.Unlock()
-	case proto.TrimAck:
-		c.mu.Lock()
-		w := c.trims[m.ID]
-		if w != nil && !w.closed && !w.seen[from] {
-			w.seen[from] = true
-			w.waiting--
-			// Replicas report their local bounds; the color's global head
-			// is the smallest surviving SN, the tail the largest.
-			if m.Head.Valid() && (!w.head.Valid() || m.Head < w.head) {
-				w.head = m.Head
-			}
-			if m.Tail > w.tail {
-				w.tail = m.Tail
-			}
-			if w.waiting <= 0 {
-				w.closed = true
-				close(w.done)
-			}
-		}
-		c.mu.Unlock()
-	case proto.MultiAppendAck:
-		c.mu.Lock()
-		w := c.multis[m.ID]
-		if w != nil && !w.closed {
-			// Alg. 2 line 6: "wait(ack) from any replica in shard".
-			w.closed = true
-			close(w.done)
-		}
-		c.mu.Unlock()
-	}
-}
-
-// everyMemberAcked closes the window between resolving an append's shard
-// membership and completing it: a replica promoted into the shard in
-// between is not in the barrier the append was sent with, and an append
-// the old members alone acknowledged after the promotion's sync-phase is
-// missing on the new one for good. So the membership is resolved once more
-// when the barrier empties, and a member that has not acked goes back into
-// it — the waiter's next retry tick sends it the request. Caller holds c.mu.
-func (c *Client) everyMemberAcked(w *appendWait) bool {
-	cur, err := c.topo.Shard(w.shard)
-	if err != nil {
-		return true // shard removed: its records migrated with the members that acked
-	}
-	return w.covers(cur.Replicas)
-}
-
-// covers puts every given member that has not acked into the barrier and
-// reports whether the barrier is empty. Caller holds the client's mu.
-func (w *appendWait) covers(members []types.NodeID) bool {
-	for _, id := range members {
-		if !w.acked[id] {
-			w.needed[id] = true
-		}
-	}
-	return len(w.needed) == 0
 }
 
 // Append appends records to the log of color c and returns the SN of the
@@ -479,18 +273,12 @@ func (c *Client) AppendCtx(ctx context.Context, records [][]byte, color types.Co
 		endWait()
 		return sn, err
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return types.InvalidSN, opError("append", color, types.InvalidSN, ErrClosed)
-	}
-	shard, err := c.topo.RandomShard(color, c.rng)
-	c.mu.Unlock()
+	shard, err := c.randomShard(color)
 	if err != nil {
 		return types.InvalidSN, opError("append", color, types.InvalidSN, err)
 	}
 	endRTT := tr.StartSpan("append_rtt")
-	sn, _, err := c.appendToShard(ctx, records, color, shard)
+	sn, _, err := c.appendTo(ctx, shard.ID, color, records)
 	endRTT()
 	if err != nil {
 		return types.InvalidSN, opError("append", color, types.InvalidSN, err)
@@ -499,6 +287,14 @@ func (c *Client) AppendCtx(ctx context.Context, records [][]byte, color types.Co
 		c.rememberPlacement(color, sn, len(records), shard.ID)
 	}
 	return sn, nil
+}
+
+// randomShard picks the shard an operation on color goes to (Alg. 1: "a
+// (random) shard of c").
+func (c *Client) randomShard(color types.ColorID) (topology.ShardInfo, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.topo.RandomShard(color, c.rng)
 }
 
 // AsyncAppend submits an append and returns immediately with a future for
@@ -524,111 +320,135 @@ func (c *Client) AsyncAppend(records [][]byte, color types.ColorID) *AppendFutur
 	return fut
 }
 
-// appendToShard runs the append protocol against a specific shard and
-// returns the assigned SN together with the token used.
-func (c *Client) appendToShard(ctx context.Context, records [][]byte, color types.ColorID, shard topology.ShardInfo) (types.SN, types.Token, error) {
-	token := c.nextToken()
-	w := &appendWait{
-		shard:  shard.ID,
-		needed: make(map[types.NodeID]bool, len(shard.Replicas)),
-		acked:  make(map[types.NodeID]bool, len(shard.Replicas)),
-		done:   make(chan struct{}),
-	}
-	for _, id := range shard.Replicas {
-		w.needed[id] = true
-	}
-	c.mu.Lock()
-	c.appends[token] = w
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.appends, token)
-		c.mu.Unlock()
-	}()
-
-	req := proto.AppendReq{Color: color, Token: token, Records: records, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
-	deadline := time.Now().Add(c.cfg.Timeout)
-	bo := c.newBackoff()
-	for {
-		c.ep.Broadcast(shard.Replicas, req)
-		select {
-		case <-w.done:
-			return w.sn, token, nil
-		case <-ctx.Done():
-			c.mu.Lock()
-			rej, hint := w.rej, w.hint
-			c.mu.Unlock()
-			if rej != nil {
-				// The caller's deadline passed while the server was
-				// rejecting: overload is never silent, so the error carries
-				// both the context sentinel and the typed QoS cause (plus
-				// the server's hint, for callers driving their own retries).
-				return types.InvalidSN, token, &RetryAfterError{
-					Err:   fmt.Errorf("%w: %w: append %v to %v", ctx.Err(), rej, token, color),
-					After: hint,
-				}
-			}
-			return types.InvalidSN, token, ctx.Err()
-		case <-time.After(bo.nextAfter(c.takeAppendHint(w))):
-			if time.Now().After(deadline) {
-				c.mu.Lock()
-				rej, hint := w.rej, w.hint
-				c.mu.Unlock()
-				if rej != nil {
-					// The deadline passed while the server was rejecting:
-					// surface the typed QoS cause, not a bare timeout.
-					return types.InvalidSN, token, &RetryAfterError{
-						Err:   fmt.Errorf("%w: append %v to %v", rej, token, color),
-						After: hint,
-					}
-				}
-				return types.InvalidSN, token, fmt.Errorf("%w: append %v to %v", ErrTimeout, token, color)
-			}
-			// Epoch fencing: the shard's membership may have changed under
-			// this append (replica drained out, or a caught-up replica
-			// promoted in). Re-resolve before re-broadcasting and rebuild
-			// the ack barrier as the CURRENT members minus those that
-			// already acked — a departed replica can no longer wedge the
-			// wait, a newly promoted one must ack before completion. A
-			// shard removed outright (merge cutover) surfaces the typed
-			// retryable rejection.
-			cur, err := c.topo.Shard(shard.ID)
-			if err != nil {
-				c.mu.Lock()
-				hint := w.hint
-				c.mu.Unlock()
-				return types.InvalidSN, token, &RetryAfterError{
-					Err:   fmt.Errorf("%w: shard %v removed during append %v to %v", ErrReconfiguring, shard.ID, token, color),
-					After: hint,
-				}
-			}
-			shard = cur
-			c.mu.Lock()
-			if !w.closed {
-				clear(w.needed)
-				if w.covers(cur.Replicas) {
-					w.closed = true
-					close(w.done)
-				}
-			}
-			c.mu.Unlock()
-			select {
-			case <-w.done:
-				return w.sn, token, nil
-			default:
-			}
-		}
-	}
+// appendCall drives one append token through Alg. 1's client role: register
+// the ack barrier from the shard's current members, broadcast, rebuild the
+// barrier from the live membership on every retry tick and once more when
+// it empties. AppendCtx, the multi-append staging phase and the batcher are
+// its callers; they differ only in the request they build (AppendReq vs
+// AppendBatchReq) and in what they do with the SN.
+type appendCall struct {
+	call
+	c      *Client
+	token  types.Token
+	shard  types.ShardID
+	req    transport.Message
+	needed map[types.NodeID]bool // the ack barrier: members that have not acked
+	acked  map[types.NodeID]bool // responders so far, kept across membership changes
+	sn     types.SN
 }
 
-// takeAppendHint consumes the wait's pending retry-after hint (one-shot:
-// each rejection stretches exactly one retry interval).
-func (c *Client) takeAppendHint(w *appendWait) time.Duration {
+// startAppend registers the append of req under token and broadcasts it
+// to the shard's members. It runs inline in its caller so the batcher's
+// batches reach the replicas in flush order; the caller then drives it with
+// await(ctx, &a.call, a.resend), reads a.sn and retires it. (There is no
+// wait method wrapping those three: a batch's goroutine runs them on a
+// fresh stack, see await.)
+func (c *Client) startAppend(shard types.ShardID, token types.Token, req transport.Message) (*appendCall, error) {
+	cur, err := c.topo.Shard(shard)
+	if err != nil {
+		return nil, fmt.Errorf("%w: shard %v removed", ErrReconfiguring, shard)
+	}
+	a := &appendCall{
+		c:      c,
+		token:  token,
+		shard:  shard,
+		req:    req,
+		needed: make(map[types.NodeID]bool, len(cur.Replicas)),
+		acked:  make(map[types.NodeID]bool, len(cur.Replicas)),
+	}
+	a.call = call{fold: a.fold, done: make(chan struct{})}
+	a.covers(cur.Replicas)
+	if err := c.register(tokenKey(token), &a.call); err != nil {
+		return nil, err
+	}
+	c.ep.Broadcast(cur.Replicas, req)
+	return a, nil
+}
+
+// fold is the one place an AppendAck lands. A member that rejects has not
+// acked: it stays in the barrier and the next tick asks it again.
+func (a *appendCall) fold(from types.NodeID, msg transport.Message) bool {
+	m, ok := msg.(proto.AppendAck)
+	if !ok {
+		return false
+	}
+	delete(a.needed, from)
+	a.acked[from] = true
+	if m.SN.Valid() {
+		a.sn = m.SN
+	}
+	return len(a.needed) == 0 && a.everyMemberAcked()
+}
+
+// everyMemberAcked closes the window between resolving an append's shard
+// membership and completing it: a replica promoted into the shard in
+// between is not in the barrier the append was sent with, and an append
+// the old members alone acknowledged after the promotion's sync-phase is
+// missing on the new one for good. So the membership is resolved once more
+// when the barrier empties, and a member that has not acked goes back into
+// it — the next retry tick sends it the request. Caller holds c.mu.
+func (a *appendCall) everyMemberAcked() bool {
+	cur, err := a.c.topo.Shard(a.shard)
+	if err != nil {
+		return true // shard removed: its records migrated with the members that acked
+	}
+	return a.covers(cur.Replicas)
+}
+
+// covers puts every given member that has not acked into the barrier and
+// reports whether the barrier is empty. Caller holds c.mu.
+func (a *appendCall) covers(members []types.NodeID) bool {
+	for _, id := range members {
+		if !a.acked[id] {
+			a.needed[id] = true
+		}
+	}
+	return len(a.needed) == 0
+}
+
+// resend is the append's retry tick. Epoch fencing: the shard's membership
+// may have changed under the append (replica drained out, or a caught-up
+// replica promoted in), so the barrier is rebuilt as the CURRENT members
+// minus those that already acked — a departed replica can no longer wedge
+// the wait, a newly promoted one must ack before completion. A shard
+// removed outright (merge cutover) surfaces the typed retryable rejection.
+func (a *appendCall) resend() error {
+	c := a.c
+	cur, err := c.topo.Shard(a.shard)
+	if err != nil {
+		return c.failure(&a.call, fmt.Errorf("%w: shard %v removed", ErrReconfiguring, a.shard))
+	}
 	c.mu.Lock()
-	hint := w.hint
-	w.hint = 0
+	if !a.closed {
+		clear(a.needed)
+		a.completeLocked(a.covers(cur.Replicas))
+	}
+	done := a.closed
 	c.mu.Unlock()
-	return hint
+	if !done {
+		c.ep.Broadcast(cur.Replicas, a.req)
+	}
+	return nil
+}
+
+// retire unregisters the append. Its caller does that after it has passed
+// the SN on, so that taking the client's lock once more is not on the path
+// to whoever waits for the SN.
+func (a *appendCall) retire() { a.c.unregister(tokenKey(a.token), &a.call) }
+
+// appendTo runs one unbatched append against a shard and returns the
+// assigned SN together with the token used.
+func (c *Client) appendTo(ctx context.Context, shard types.ShardID, color types.ColorID, records [][]byte) (types.SN, types.Token, error) {
+	token := c.nextToken()
+	a, err := c.startAppend(shard, token, proto.AppendReq{Color: color, Token: token, Records: records, Client: c.cfg.ID, Tenant: c.cfg.Tenant})
+	if err != nil {
+		return types.InvalidSN, token, err
+	}
+	defer a.retire()
+	if err := c.await(ctx, &a.call, a.resend); err != nil {
+		return types.InvalidSN, token, err
+	}
+	return a.sn, token, nil
 }
 
 // Read returns the record with the given SN from the c-colored log, or
@@ -643,10 +463,6 @@ func (c *Client) Read(sn types.SN, color types.ColorID) ([]byte, error) {
 // between (and within) retry rounds.
 func (c *Client) ReadCtx(ctx context.Context, sn types.SN, color types.ColorID) ([]byte, error) {
 	defer obs.FromContext(ctx).StartSpan("read_rtt")()
-	shards := c.topo.ShardsInRegion(color)
-	if len(shards) == 0 {
-		return nil, opError("read", color, sn, fmt.Errorf("no shards"))
-	}
 	// Placement fast path: if the client knows which shard stores the SN
 	// (it appended it), ask a single replica of that shard only. A miss
 	// (stale hint, trimmed record) falls back to the full protocol.
@@ -657,136 +473,91 @@ func (c *Client) ReadCtx(ctx context.Context, sn types.SN, color types.ColorID) 
 			}
 		}
 	}
-	deadline := time.Now().Add(c.cfg.Timeout)
-	bo := c.newBackoff()
-	var hint time.Duration
-	for {
-		// The round window doubles as the retry pacing; a server retry-after
-		// hint from the previous round stretches it (max of hint and the
-		// jittered backoff), so a throttled client never hammers.
-		data, err := c.readOnce(ctx, sn, color, shards, bo.nextAfter(hint))
-		if err == nil {
-			return data, nil
-		}
-		if errors.Is(err, ErrNotFound) || errors.Is(err, ErrClosed) || ctx.Err() != nil {
-			return nil, opError("read", color, sn, err)
-		}
-		if time.Now().After(deadline) {
-			// Keep the last round's cause matchable (e.g. ErrEvicted when
-			// every retry found the cold tier unavailable).
-			return nil, opError("read", color, sn, fmt.Errorf("%w: read %v of %v: %w", ErrTimeout, sn, color, err))
-		}
-		hint = retryAfterHint(err)
-		// Retry against (probably) different replicas — the paper's §6.3
-		// "forces the FaaS application to re-execute the read" — and
-		// against the CURRENT shard set: a shard split mid-read must be
-		// consulted in the next round (the record may land there), a
-		// merged-away shard must not wedge it (epoch fencing).
-		if cur := c.topo.ShardsInRegion(color); len(cur) > 0 {
-			shards = cur
+	var data []byte
+	err := c.rounds(ctx, color, func(shards []topology.ShardInfo, window time.Duration) (err error) {
+		data, err = c.readOnce(ctx, sn, color, shards, window)
+		return err
+	})
+	if err != nil {
+		return nil, opError("read", color, sn, err)
+	}
+	return data, nil
+}
+
+// readRound is the fold state of one read round.
+type readRound struct {
+	shardOf  map[types.NodeID]int // replica → shard slot (primaries + hedges)
+	answered []bool               // per-shard: first response landed
+	waiting  int                  // shards that have not answered
+	data     []byte
+	found    bool
+	status   uint8 // highest proto.ReadStatus* across ⊥ responses
+}
+
+// fold counts one replica's answer. Accounting is per shard, not per
+// replica: with hedging two replicas of one shard may both answer, and
+// only the first counts. A shed read (Reject) counts as its shard's
+// non-authoritative answer: the round completes without it and the
+// operation retries.
+func (r *readRound) fold(from types.NodeID, msg transport.Message) bool {
+	if si, ok := r.shardOf[from]; ok && !r.answered[si] {
+		r.answered[si] = true
+		r.waiting--
+	}
+	if m, ok := msg.(proto.ReadResp); ok {
+		if m.Found {
+			r.data, r.found = m.Data, true
+		} else if m.Status > r.status {
+			// ⊥ qualifiers merge by precedence (evicted > checkpoint-
+			// truncated > trimmed > none), see proto.ReadStatus*.
+			r.status = m.Status
 		}
 	}
+	// First hit wins; all-⊥ completes when every shard answered.
+	return r.found || r.waiting <= 0
 }
 
 // readOnce runs one round of the read protocol against one replica of each
 // given shard. It returns ErrNotFound when every shard answered ⊥ and
-// ErrTimeout when some shard did not answer within the given window.
+// errRoundUnanswered when some shard gave no authoritative answer within
+// the given window.
 func (c *Client) readOnce(ctx context.Context, sn types.SN, color types.ColorID, shards []topology.ShardInfo, window time.Duration) ([]byte, error) {
-	id := c.reqSeq.Add(1)
 	start := time.Now()
 	c.readRounds.Add(1)
-	w := &readWait{
-		waiting:  len(shards),
-		seen:     make(map[types.NodeID]bool, len(shards)),
+	id, targets := c.pick(shards)
+	r := &readRound{
 		shardOf:  make(map[types.NodeID]int, len(shards)),
 		answered: make([]bool, len(shards)),
-		done:     make(chan struct{}),
+		waiting:  len(shards),
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+	for i, t := range targets {
+		r.shardOf[t] = i
 	}
-	c.reads[id] = w
-	targets := make([]types.NodeID, len(shards))
-	for i, sh := range shards {
-		targets[i] = sh.Replicas[c.rng.Intn(len(sh.Replicas))]
-		w.shardOf[targets[i]] = i
-	}
-	c.mu.Unlock()
-
+	w := newCall(r.fold)
 	req := proto.ReadReq{ID: id, Color: color, SN: sn, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
-	for _, t := range targets {
-		c.ep.Send(t, req)
-	}
-	var timedOut bool
-	var ctxErr error
-	remaining := window
 	// Hedging leg: when the round outlives the straggler threshold (and the
 	// hedge budget allows), clone the request to a backup replica per shard
 	// and keep waiting — first response per shard wins.
+	var hedgeAfter time.Duration
 	if hd := c.hedgeDelay(); hd > 0 && hd < window && c.hedgeAllowed() {
-		select {
-		case <-w.done:
-		case <-ctx.Done():
-			ctxErr = ctx.Err()
-		case <-time.After(hd):
-			c.sendHedges(w, req, shards, targets)
-			remaining = window - hd
-		}
+		hedgeAfter = hd
 	}
-	roundOver := ctxErr != nil
-	if !roundOver {
-		select {
-		case <-w.done:
-			roundOver = true
-		default:
-		}
-	}
-	if !roundOver {
-		select {
-		case <-w.done:
-		case <-ctx.Done():
-			ctxErr = ctx.Err()
-		case <-time.After(remaining):
-			timedOut = true
-		}
-	}
-	c.mu.Lock()
-	if !w.closed {
-		w.closed = true
-		close(w.done)
-	}
-	delete(c.reads, id)
-	found, data, status := w.found, w.data, w.status
-	rej, hint := w.rej, w.hint
-	c.mu.Unlock()
-	if found {
+	err := c.round(ctx, id, w, targets, req, window, hedgeAfter, func() { c.sendHedges(w, r, req, shards, targets) })
+	switch {
+	case r.found:
 		c.readLat.record(time.Since(start))
-		return data, nil
-	}
-	if ctxErr != nil {
-		if rej != nil {
-			// As on the append path: a caller deadline must not mask an
-			// active QoS rejection.
-			return nil, &RetryAfterError{Err: fmt.Errorf("%w: %w: read round", ctxErr, rej), After: hint}
-		}
-		return nil, ctxErr
-	}
-	if timedOut {
-		return nil, fmt.Errorf("%w: read round", ErrTimeout)
-	}
-	if rej != nil {
+		return r.data, nil
+	case err != nil:
+		return nil, err
+	case w.rej != nil:
 		// Some replica shed or throttled the read, so the all-⊥ answer is
 		// not authoritative: retryable, carrying the server's hint.
-		return nil, &RetryAfterError{Err: rej, After: hint}
-	}
-	switch status {
-	case proto.ReadStatusEvicted:
+		return nil, c.failure(w, errRoundUnanswered)
+	case r.status == proto.ReadStatusEvicted:
 		// Transient cold-tier failure: not ErrNotFound, so ReadCtx keeps
 		// retrying (likely against a recovered replica) until its deadline.
 		return nil, fmt.Errorf("%w (sn %v)", ErrEvicted, sn)
-	case proto.ReadStatusCkptTruncated:
+	case r.status == proto.ReadStatusCkptTruncated:
 		// Terminal ⊥ with a cause the caller can distinguish.
 		return nil, fmt.Errorf("%w: %w", ErrNotFound, ErrCheckpointTruncated)
 	}
@@ -797,63 +568,33 @@ func (c *Client) readOnce(ctx context.Context, sn types.SN, color types.ColorID,
 // across shards and sorted by SN (Table 2; §6.2). From is exclusive; use
 // types.InvalidSN for the full log.
 func (c *Client) Subscribe(color types.ColorID, from types.SN) ([]types.Record, error) {
-	shards := c.topo.ShardsInRegion(color)
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("flexlog: no shards for %v", color)
-	}
-	deadline := time.Now().Add(c.cfg.Timeout)
-	bo := c.newBackoff()
-	for {
-		// Re-resolve the shard set every round: a split adds a shard whose
-		// records the merge must include; a merged-away shard must not be
-		// waited on (epoch fencing).
-		if cur := c.topo.ShardsInRegion(color); len(cur) > 0 {
-			shards = cur
-		}
-		id := c.reqSeq.Add(1)
-		w := &subWait{waiting: len(shards), seen: make(map[types.NodeID]bool, len(shards)), done: make(chan struct{})}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClosed
-		}
-		c.subs[id] = w
-		targets := make([]types.NodeID, len(shards))
-		for i, sh := range shards {
-			targets[i] = sh.Replicas[c.rng.Intn(len(sh.Replicas))]
-		}
-		c.mu.Unlock()
+	return c.subscribe(context.Background(), color, from)
+}
 
-		req := proto.SubscribeReq{ID: id, Color: color, From: from, Client: c.cfg.ID}
-		for _, t := range targets {
-			c.ep.Send(t, req)
-		}
-		var ok bool
-		select {
-		case <-w.done:
-			ok = true
-		case <-time.After(bo.next()):
-		}
-		c.mu.Lock()
-		if !w.closed {
-			w.closed = true
-			close(w.done)
-		}
-		delete(c.subs, id)
-		records := w.records
-		c.mu.Unlock()
-		if ok {
-			out := make([]types.Record, len(records))
-			for i, rec := range records {
-				out[i] = types.Record{Token: rec.Token, SN: rec.SN, Color: color, Data: rec.Data}
+func (c *Client) subscribe(ctx context.Context, color types.ColorID, from types.SN) ([]types.Record, error) {
+	var records []proto.WireRecord
+	err := c.rounds(ctx, color, func(shards []topology.ShardInfo, window time.Duration) error {
+		id, targets := c.pick(shards)
+		records = nil
+		waiting := len(targets)
+		w := newCall(func(_ types.NodeID, msg transport.Message) bool {
+			if m, ok := msg.(proto.SubscribeResp); ok {
+				records = append(records, m.Records...)
+				waiting--
 			}
-			sort.Slice(out, func(i, j int) bool { return out[i].SN < out[j].SN })
-			return out, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%w: subscribe %v", ErrTimeout, color)
-		}
+			return waiting <= 0
+		})
+		return c.round(ctx, id, w, targets, proto.SubscribeReq{ID: id, Color: color, From: from, Client: c.cfg.ID}, window, 0, nil)
+	})
+	if err != nil {
+		return nil, opError("subscribe", color, from, err)
 	}
+	out := make([]types.Record, len(records))
+	for i, rec := range records {
+		out[i] = types.Record{Token: rec.Token, SN: rec.SN, Color: color, Data: rec.Data}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].SN < out[j].SN })
+	return out, nil
 }
 
 // SubscribeChan returns a live stream of the c-colored log: all current
@@ -874,7 +615,7 @@ func (c *Client) SubscribeChan(ctx context.Context, color types.ColorID, poll ti
 		defer close(out)
 		var cursor types.SN
 		for {
-			records, err := c.Subscribe(color, cursor)
+			records, err := c.subscribe(ctx, color, cursor)
 			if err == nil {
 				for _, r := range records {
 					select {
@@ -906,83 +647,63 @@ func (c *Client) Trim(sn types.SN, color types.ColorID) (head, tail types.SN, er
 
 // TrimCtx is the context-first trim: it honors cancellation and deadlines
 // while waiting for the region's replicas to acknowledge.
-func (c *Client) TrimCtx(ctx context.Context, sn types.SN, color types.ColorID) (head, tail types.SN, err error) {
+func (c *Client) TrimCtx(ctx context.Context, sn types.SN, color types.ColorID) (types.SN, types.SN, error) {
 	replicas := c.topo.ReplicasInRegion(color)
 	if len(replicas) == 0 {
 		return 0, 0, opError("trim", color, sn, fmt.Errorf("no replicas"))
 	}
-	id := c.reqSeq.Add(1)
-	w := &trimWaitC{waiting: len(replicas), seen: make(map[types.NodeID]bool, len(replicas)), done: make(chan struct{})}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, 0, opError("trim", color, sn, ErrClosed)
+	needed := make(map[types.NodeID]bool, len(replicas))
+	for _, id := range replicas {
+		needed[id] = true
 	}
-	c.trims[id] = w
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.trims, id)
-		c.mu.Unlock()
-	}()
-
-	req := proto.TrimReq{ID: id, Color: color, SN: sn, Client: c.cfg.ID}
-	deadline := time.Now().Add(c.cfg.Timeout)
-	bo := c.newBackoff()
-	for {
-		c.ep.Broadcast(replicas, req)
-		select {
-		case <-w.done:
-			return w.head, w.tail, nil
-		case <-ctx.Done():
-			return 0, 0, opError("trim", color, sn, ctx.Err())
-		case <-time.After(bo.next()):
-			if time.Now().After(deadline) {
-				return 0, 0, opError("trim", color, sn, fmt.Errorf("%w: trim %v of %v", ErrTimeout, sn, color))
+	var head, tail types.SN
+	w := newCall(func(from types.NodeID, msg transport.Message) bool {
+		// Replicas report their local bounds; the color's global head is
+		// the smallest surviving SN, the tail the largest.
+		if m, ok := msg.(proto.TrimAck); ok {
+			if m.Head.Valid() && (!head.Valid() || m.Head < head) {
+				head = m.Head
 			}
-			// Epoch fencing: a replica drained out of the region can no
-			// longer acknowledge — shrink the barrier to the surviving
-			// intersection so the trim completes. (Replicas promoted after
-			// the trim started adopt the frontier via their sync-phase; the
-			// barrier only ever shrinks.)
-			curSet := make(map[types.NodeID]bool)
-			for _, id := range c.topo.ReplicasInRegion(color) {
-				curSet[id] = true
+			if m.Tail > tail {
+				tail = m.Tail
 			}
-			survivors := replicas[:0:0]
-			for _, rid := range replicas {
-				if curSet[rid] {
-					survivors = append(survivors, rid)
-				}
-			}
-			if len(survivors) == len(replicas) {
-				continue
-			}
-			c.mu.Lock()
-			if !w.closed {
-				for _, rid := range replicas {
-					if !curSet[rid] && !w.seen[rid] {
-						w.seen[rid] = true
-						w.waiting--
-					}
-				}
-				if w.waiting <= 0 {
-					w.closed = true
-					close(w.done)
-				}
-			}
-			c.mu.Unlock()
-			replicas = survivors
-			select {
-			case <-w.done:
-				return w.head, w.tail, nil
-			default:
-			}
-			if len(replicas) == 0 {
-				return 0, 0, opError("trim", color, sn, fmt.Errorf("%w: region %v replicas all reconfigured away", ErrReconfiguring, color))
-			}
+			delete(needed, from)
 		}
+		return len(needed) == 0
+	})
+	key := idKey(c.reqSeq.Add(1))
+	if err := c.register(key, w); err != nil {
+		return 0, 0, opError("trim", color, sn, err)
 	}
+	defer c.unregister(key, w)
+	req := proto.TrimReq{ID: key.id, Color: color, SN: sn, Client: c.cfg.ID}
+	c.ep.Broadcast(replicas, req)
+	err := c.await(ctx, w, func() error {
+		// Epoch fencing: a replica drained out of the region can no longer
+		// acknowledge — shrink the barrier to the surviving intersection so
+		// the trim completes. (Replicas promoted after the trim started
+		// adopt the frontier via their sync-phase; the barrier only ever
+		// shrinks.) The survivors that already answered are asked again:
+		// that is what makes them re-send the peer acks of the replicas'
+		// all-to-all round to one that missed them.
+		live := make(map[types.NodeID]bool)
+		for _, id := range c.topo.ReplicasInRegion(color) {
+			live[id] = true
+		}
+		replicas = slices.DeleteFunc(replicas, func(id types.NodeID) bool { return !live[id] })
+		c.mu.Lock()
+		maps.DeleteFunc(needed, func(id types.NodeID, _ bool) bool { return !live[id] })
+		done := w.completeLocked(len(needed) == 0)
+		c.mu.Unlock()
+		if !done {
+			c.ep.Broadcast(replicas, req)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, opError("trim", color, sn, err)
+	}
+	return head, tail, nil
 }
 
 // AddColor creates a new c-colored log with parent as its parent region
@@ -1009,13 +730,7 @@ func (c *Client) MultiAppendCtx(ctx context.Context, sets [][][]byte, colors []t
 		return opError("multi-append", special, types.InvalidSN,
 			fmt.Errorf("%d record sets vs %d colors", len(sets), len(colors)))
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return opError("multi-append", special, types.InvalidSN, ErrClosed)
-	}
-	shard, err := c.topo.RandomShard(special, c.rng)
-	c.mu.Unlock()
+	shard, err := c.randomShard(special)
 	if err != nil {
 		return opError("multi-append", special, types.InvalidSN, err)
 	}
@@ -1023,7 +738,7 @@ func (c *Client) MultiAppendCtx(ctx context.Context, sets [][][]byte, colors []t
 	tokens := make([]types.Token, len(sets))
 	for i, records := range sets {
 		staged := replica.EncodeStaged(colors[i], c.cfg.FID, records)
-		_, token, err := c.appendToShard(ctx, [][]byte{staged}, special, shard)
+		_, token, err := c.appendTo(ctx, shard.ID, special, [][]byte{staged})
 		if err != nil {
 			return opError("multi-append", special, types.InvalidSN,
 				fmt.Errorf("staging set %d: %w", i, err))
@@ -1031,37 +746,25 @@ func (c *Client) MultiAppendCtx(ctx context.Context, sets [][][]byte, colors []t
 		tokens[i] = token
 	}
 	// Phase 2: broadcast the end marker and wait for any broker ack
-	// (Alg. 2 lines 5–6).
-	id := c.reqSeq.Add(1)
-	w := &multiWait{done: make(chan struct{})}
-	c.mu.Lock()
-	c.multis[id] = w
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.multis, id)
-		c.mu.Unlock()
-	}()
-
-	endMsg := proto.MultiAppendEnd{ID: id, FID: c.cfg.FID, Tokens: tokens, Client: c.cfg.ID}
-	deadline := time.Now().Add(c.cfg.Timeout)
-	bo := c.newBackoff()
-	for {
-		c.ep.Broadcast(shard.Replicas, endMsg)
-		select {
-		case <-w.done:
-			return nil
-		case <-ctx.Done():
-			return opError("multi-append", special, types.InvalidSN, ctx.Err())
-		case <-time.After(bo.next()):
-			if time.Now().After(deadline) {
-				return opError("multi-append", special, types.InvalidSN, fmt.Errorf("%w: multi-append", ErrTimeout))
-			}
-			// Epoch fencing: re-resolve the broker shard so the end marker
-			// reaches its current membership (any broker replica may ack).
-			if cur, err := c.topo.Shard(shard.ID); err == nil {
-				shard = cur
-			}
-		}
+	// (Alg. 2 lines 5–6: "wait(ack) from any replica in shard").
+	w := newCall(func(_ types.NodeID, msg transport.Message) bool {
+		_, ok := msg.(proto.MultiAppendAck)
+		return ok
+	})
+	key := idKey(c.reqSeq.Add(1))
+	if err := c.register(key, w); err != nil {
+		return opError("multi-append", special, types.InvalidSN, err)
 	}
+	defer c.unregister(key, w)
+	endMsg := proto.MultiAppendEnd{ID: key.id, FID: c.cfg.FID, Tokens: tokens, Client: c.cfg.ID}
+	c.ep.Broadcast(shard.Replicas, endMsg)
+	return opError("multi-append", special, types.InvalidSN, c.await(ctx, w, func() error {
+		// Epoch fencing: re-resolve the broker shard so the end marker
+		// reaches its current membership (any broker replica may ack).
+		if cur, err := c.topo.Shard(shard.ID); err == nil {
+			shard = cur
+		}
+		c.ep.Broadcast(shard.Replicas, endMsg)
+		return nil
+	}))
 }

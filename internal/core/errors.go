@@ -20,7 +20,7 @@ import (
 // Context cancellation and deadline expiry surface here too:
 // errors.Is(err, context.Canceled) / context.DeadlineExceeded.
 type OpError struct {
-	Op    string        // "append", "read", "trim", "multi-append"
+	Op    string        // "append", "read", "subscribe", "trim", "multi-append"
 	Color types.ColorID // the log the operation targeted
 	SN    types.SN      // the SN involved, if the operation names one
 	Err   error         // the underlying cause

@@ -108,10 +108,10 @@ func (c *Client) HedgedReads() uint64 { return c.hedges.Load() }
 
 // sendHedges clones an outstanding read to one extra replica per shard
 // (distinct from the round's primary target). The backups are registered
-// in the wait's shard map first, so their responses participate in the
+// in the round's shard map first, so their responses participate in the
 // round's per-shard accounting: the first response per shard counts,
 // duplicates are absorbed.
-func (c *Client) sendHedges(w *readWait, req proto.ReadReq, shards []topology.ShardInfo, primary []types.NodeID) {
+func (c *Client) sendHedges(w *call, r *readRound, req proto.ReadReq, shards []topology.ShardInfo, primary []types.NodeID) {
 	var backups []types.NodeID
 	c.mu.Lock()
 	if w.closed || c.closed {
@@ -134,10 +134,10 @@ func (c *Client) sendHedges(w *readWait, req proto.ReadReq, shards []topology.Sh
 		if alt == 0 {
 			continue
 		}
-		if _, dup := w.shardOf[alt]; dup {
+		if _, dup := r.shardOf[alt]; dup {
 			continue
 		}
-		w.shardOf[alt] = i
+		r.shardOf[alt] = i
 		backups = append(backups, alt)
 	}
 	c.mu.Unlock()

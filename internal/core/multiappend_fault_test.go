@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -156,6 +159,91 @@ func TestMultiAppendSurvivesBrokerReplicaCrash(t *testing.T) {
 			t.Fatalf("acked multi-append incomplete: a=%d b=%d", na, nb)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFailedReplayReleasesItsGoroutines: a broker replica replays a staged
+// set once per token, and every retried end marker that finds the replay
+// in flight waits for it. A replay that cannot complete (a target replica
+// unreachable) must release those waiters when it gives up or the replica
+// stops — none may outlive Stop.
+func TestFailedReplayReleasesItsGoroutines(t *testing.T) {
+	cl, err := TreeCluster(TestClusterConfig(), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := false
+	defer func() {
+		if !stopped {
+			cl.Stop()
+		}
+	}()
+	if _, err := cl.AddShard(types.MasterColor); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cl.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Network().Isolate(cl.Topology().ShardsInRegion(1)[0].Replicas[0])
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	// Brokered by color 2, whose shard is whole: staging succeeds, the end
+	// marker is retried until the deadline, every retry reaches the brokers.
+	if err := c.MultiAppendCtx(ctx, [][][]byte{{[]byte("never")}}, []types.ColorID{1}, 2); err == nil {
+		t.Fatal("multi-append into a shard with an isolated replica succeeded")
+	}
+	inReplay := func() int {
+		buf := make([]byte, 1<<20)
+		return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("replayOne"))
+	}
+	if inReplay() == 0 {
+		t.Fatal("no replay in flight: the scenario does not exercise replayOne")
+	}
+	cl.Stop()
+	stopped = true
+	eventually(t, "every replayOne goroutine to return", func() bool { return inReplay() == 0 })
+}
+
+// TestReplayDropsDrainedMember: a replay in flight re-resolves its target
+// shard on every retry tick, so a replica drained out of the shard stops
+// being waited for — the multi-append completes a tick or two after the
+// drain instead of wedging the brokers' replay for 50 retry intervals.
+func TestReplayDropsDrainedMember(t *testing.T) {
+	cfg := TestClusterConfig()
+	cfg.RetryTimeout = 100 * time.Millisecond // the wedge would last 5 s
+	cl, err := TreeCluster(cfg, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	c, err := cl.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := cl.Topology().ShardsInRegion(1)[0]
+	gone := target.Replicas[0]
+	cl.Network().Isolate(gone)
+	done := make(chan error, 1)
+	go func() { done <- c.MultiAppend([][][]byte{{[]byte("drained")}}, []types.ColorID{1}, 2) }()
+	eventually(t, "the end marker to be in flight", func() bool { return inFlight(c, false) })
+	if err := cl.Topology().RemoveReplicaFromShard(target.ID, gone); err != nil {
+		t.Fatal(err)
+	}
+	drainedAt := time.Now()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("multi-append never completed")
+	}
+	if d := time.Since(drainedAt); d > 25*cfg.RetryTimeout {
+		t.Fatalf("multi-append completed %v after the drain: the replay waited out a departed member", d)
+	}
+	if n := countIn(t, c, 1, "drained"); n != 1 {
+		t.Fatalf("color 1 has %d copies of the record", n)
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 )
 
 // TestTCPClusterEndToEnd deploys a complete FlexLog — a sequencer group
-// and one shard of three replicas — over real TCP sockets on loopback and
-// exercises the public API through a TCP client, validating that the
-// protocols (and their gob encodings) survive a real network.
+// and one shard of three replicas, each configured as flexlog-server
+// configures it — over real TCP sockets on loopback and exercises the
+// public API through a TCP client, validating that the protocols (and
+// their wire encodings) survive a real network.
 func TestTCPClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP deployment test skipped in -short mode")
@@ -58,31 +59,17 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Sequencer.
-	scfg := seq.DefaultConfig()
-	scfg.ID = 900
-	scfg.Region = 0
-	scfg.Topo = topo
-	scfg.BatchInterval = 0
-	scfg.HeartbeatInterval = 50 * time.Millisecond
-	scfg.FailureTimeout = time.Second
-	scfg.StartAsLeader = true
+	scfg, err := m.SequencerConfig(topo, 900, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := seq.NewWithEndpoint(scfg, attach(900))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
-
-	// Replicas.
 	for _, id := range []types.NodeID{1, 2, 3} {
-		rcfg := replica.DefaultConfig()
-		rcfg.ID = id
-		rcfg.Shard = 1
-		rcfg.Topo = topo
-		rcfg.Store = storage.TestConfig()
-		rcfg.HeartbeatInterval = 50 * time.Millisecond
-		rcfg.RetryTimeout = 500 * time.Millisecond
-		r, err := replica.NewWithEndpoint(rcfg, attach(id))
+		r, err := replica.NewWithEndpoint(m.ReplicaConfig(topo, id, storage.TestConfig()), attach(id))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 // Package deploy loads the JSON cluster manifest used by the TCP
 // deployment binaries (cmd/flexlog-server, cmd/flexlog-cli): node
 // addresses, the region (color) tree with each region's sequencer group,
-// and the shard layout.
+// and the shard layout. It also defines, once, what a deployed node is:
+// ReplicaConfig and SequencerConfig are the per-role configurations
+// flexlog-server itself runs with.
 package deploy
 
 import (
@@ -9,9 +11,13 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"flexlog/internal/proto"
 	"flexlog/internal/qos"
+	"flexlog/internal/replica"
+	"flexlog/internal/seq"
+	"flexlog/internal/storage"
 	"flexlog/internal/topology"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
@@ -263,6 +269,49 @@ func (m *Manifest) RoleOf(id types.NodeID) Role {
 		}
 	}
 	return Role{Kind: "unknown"}
+}
+
+// ReplicaConfig is the configuration a deployed replica runs with: node id
+// in the shard the manifest gives it, over a store of the caller's sizing.
+// Deployed replicas run the full parallel write path: the keyed write lane
+// comes with replica.DefaultConfig; group commit and order-request
+// coalescing are opted into here.
+func (m *Manifest) ReplicaConfig(topo *topology.Topology, id types.NodeID, store storage.Config) replica.Config {
+	cfg := replica.DefaultConfig()
+	cfg.ID = id
+	cfg.Shard = m.RoleOf(id).Shard
+	cfg.Topo = topo
+	cfg.Store = store
+	cfg.Store.GroupCommit = true
+	cfg.OrderCoalesce = true
+	cfg.ReadHoldTimeout = time.Millisecond
+	cfg.HeartbeatInterval = 100 * time.Millisecond
+	cfg.RetryTimeout = time.Second
+	cfg.Tenants = m.TenantConfigs()
+	return cfg
+}
+
+// SequencerConfig is the configuration a deployed sequencer runs with:
+// node id in the group of the region the manifest gives it, leading it if
+// the topology says so, with the given number of order-lane workers.
+func (m *Manifest) SequencerConfig(topo *topology.Topology, id types.NodeID, orderWorkers int) (seq.Config, error) {
+	region := m.RoleOf(id).Region
+	si, err := topo.Sequencer(region)
+	if err != nil {
+		return seq.Config{}, err
+	}
+	cfg := seq.DefaultConfig()
+	cfg.ID = id
+	cfg.Region = region
+	cfg.Topo = topo
+	cfg.BatchInterval = time.Microsecond
+	cfg.HeartbeatInterval = 100 * time.Millisecond
+	cfg.FailureTimeout = time.Second
+	cfg.RetryTimeout = 2 * time.Second
+	cfg.StartAsLeader = si.Leader == id
+	cfg.TenantOf = qos.ColorMap(m.TenantConfigs())
+	cfg.OrderWorkers = orderWorkers
+	return cfg, nil
 }
 
 // NodeIDs returns every node id in the manifest, sorted.

@@ -3,6 +3,7 @@ package replica
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"flexlog/internal/proto"
@@ -88,11 +89,22 @@ func ReplayToken(staged types.Token) types.Token {
 }
 
 // replayWait tracks one replayed set awaiting AppendAcks from the target
-// shard's replicas.
+// shard's replicas. Guarded by the replica's mu, except that ok may be read
+// once done is closed.
 type replayWait struct {
-	needed map[types.NodeID]bool
-	done   chan struct{}
+	needed map[types.NodeID]bool // members that have not acked
+	done   chan struct{}         // closed when the replay ends, either way
+	ok     bool                  // every member acked
 	closed bool
+}
+
+// settle ends the replay, once: successfully if nobody is left to ack, or
+// with the failure if failed is set. Caller holds r.mu.
+func (w *replayWait) settle(failed bool) {
+	if !w.closed && (failed || len(w.needed) == 0) {
+		w.closed, w.ok = true, !failed
+		close(w.done)
+	}
 }
 
 // onMultiAppendEnd replays each staged set into its target color and acks
@@ -149,20 +161,27 @@ func (r *Replica) replayOne(staged types.Token) bool {
 	sh := shards[int(uint64(staged)%uint64(len(shards)))]
 	token := ReplayToken(staged)
 
+	r.mu.Lock()
+	if existing, dup := r.replays[token]; dup {
+		// A retried end marker found the replay in flight: share its
+		// outcome, whichever it is.
+		r.mu.Unlock()
+		select {
+		case <-existing.done:
+			return existing.ok
+		case <-r.stopCh:
+			return false
+		}
+	}
 	wait := &replayWait{needed: make(map[types.NodeID]bool, len(sh.Replicas)), done: make(chan struct{})}
 	for _, id := range sh.Replicas {
 		wait.needed[id] = true
-	}
-	r.mu.Lock()
-	if existing, dup := r.replays[token]; dup {
-		r.mu.Unlock()
-		<-existing.done
-		return true
 	}
 	r.replays[token] = wait
 	r.mu.Unlock()
 	defer func() {
 		r.mu.Lock()
+		wait.settle(true) // a failed replay releases its followers with the failure
 		delete(r.replays, token)
 		r.mu.Unlock()
 	}()
@@ -173,13 +192,31 @@ func (r *Replica) replayOne(staged types.Token) bool {
 		r.ep.Broadcast(sh.Replicas, req)
 		select {
 		case <-wait.done:
-			return true
+			return wait.ok
 		case <-r.stopCh:
 			return false
 		case <-time.After(r.cfg.RetryTimeout):
 			if time.Now().After(deadline) {
 				return false
 			}
+			// As the client's append driver does on its retry tick,
+			// re-resolve the target shard: a replica drained out of it can
+			// no longer ack and must not wedge the replay. A shard removed
+			// outright fails it; the client's retried end marker picks a
+			// shard of the new set.
+			cur, err := r.topo.Shard(sh.ID)
+			if err != nil {
+				return false
+			}
+			sh = cur
+			r.mu.Lock()
+			for id := range wait.needed {
+				if !slices.Contains(sh.Replicas, id) {
+					delete(wait.needed, id)
+				}
+			}
+			wait.settle(false)
+			r.mu.Unlock()
 		}
 	}
 }
@@ -194,9 +231,6 @@ func (r *Replica) onAppendAck(from types.NodeID, m proto.AppendAck) {
 		return
 	}
 	delete(wait.needed, from)
-	if len(wait.needed) == 0 && !wait.closed {
-		wait.closed = true
-		close(wait.done)
-	}
+	wait.settle(false)
 	r.mu.Unlock()
 }

@@ -99,17 +99,11 @@ type Config struct {
 	// on: messages for different colors run on different workers while one
 	// color stays FIFO on one worker. 0 keeps the single delivery loop.
 	OrderWorkers int
-	// PipelinedFlush lets the flusher start a new upward round for a color
-	// while the previous round is still unanswered, and combines the
-	// rounds of multiple colors into a single AggOrderReqBatch frame to
-	// the parent. Off, the flusher behaves like the classic one-frame-
-	// per-color stage (still correct, just not overlapped).
-	PipelinedFlush bool
 }
 
 // defaultFlushThreshold is the pending-record count at which a color's
 // queue triggers an urgent flush, skipping the rest of the BatchInterval
-// linger (only when PipelinedFlush is on).
+// linger.
 const defaultFlushThreshold = 256
 
 // DefaultConfig fills the timing knobs with test-friendly values.
@@ -120,7 +114,6 @@ func DefaultConfig() Config {
 		FailureTimeout:    25 * time.Millisecond,
 		RetryTimeout:      50 * time.Millisecond,
 		TokenCacheSize:    1 << 20,
-		PipelinedFlush:    true,
 	}
 }
 
@@ -665,7 +658,7 @@ func replicaSetKey(shard types.ShardID, replicas []types.NodeID) string {
 func (s *Sequencer) enqueue(color types.ColorID, m member, se types.Epoch) {
 	q := s.queueFor(color)
 	q.push(m, se)
-	if s.cfg.PipelinedFlush && q.nrec.Load() >= defaultFlushThreshold {
+	if q.nrec.Load() >= defaultFlushThreshold {
 		if s.urgent.CompareAndSwap(false, true) {
 			s.c.urgentFlushes.Add(1)
 		}
@@ -719,8 +712,9 @@ func (s *Sequencer) flusherLoop() {
 }
 
 // flushPending drains every pending queue and sends the aggregated rounds
-// upward — one AggOrderReq per color, or, with PipelinedFlush, a single
-// AggOrderReqBatch combining all colors of the round. It never takes s.mu:
+// upward in one frame: an AggOrderReqBatch combining all colors of the
+// round, or the compact AggOrderReq when there is one. A color's new round
+// may start while its previous one is unanswered. It never takes s.mu:
 // staleness is decided per member by comparing its enqueue epoch against
 // the serving epoch, which also covers the not-leader case (serving epoch
 // 0 matches no member).
@@ -728,7 +722,6 @@ func (s *Sequencer) flushPending() {
 	s.c.flushRounds.Add(1)
 	se := s.servingEpoch()
 	parent, hasParent := s.parentLeader()
-	var singles []proto.AggOrderReq
 	var items []proto.AggOrderItem
 	for _, q := range s.pendingQueues() {
 		var members []member
@@ -764,11 +757,7 @@ func (s *Sequencer) flushPending() {
 		}
 		s.inflight.Store(id, inf)
 		s.c.batchesSent.Add(1)
-		if s.cfg.PipelinedFlush {
-			items = append(items, proto.AggOrderItem{Color: q.color, BatchID: id, Total: total})
-		} else {
-			singles = append(singles, proto.AggOrderReq{Color: q.color, BatchID: id, Total: total, From: s.cfg.ID})
-		}
+		items = append(items, proto.AggOrderItem{Color: q.color, BatchID: id, Total: total})
 	}
 	switch len(items) {
 	case 0:
@@ -778,9 +767,6 @@ func (s *Sequencer) flushPending() {
 		s.ep.Send(parent, proto.AggOrderReq{Color: it.Color, BatchID: it.BatchID, Total: it.Total, From: s.cfg.ID})
 	default:
 		s.ep.Send(parent, proto.AggOrderReqBatch{From: s.cfg.ID, Items: items})
-	}
-	for _, r := range singles {
-		s.ep.Send(parent, r)
 	}
 }
 
