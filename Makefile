@@ -25,11 +25,12 @@ race:
 # The line counts every deletion PR states before and after in
 # CHANGES.md: non-test and test Go lines of the program (the benchmark
 # module and its build directory are not the program), and the non-test
-# lines of the packages the design diet is judged on.
+# lines of the packages (and the deployed binaries, cmd) the design diet is
+# judged on.
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
-	@for pkg in internal/bench internal/storage internal/proto internal/replica internal/core; do \
+	@for pkg in internal/bench internal/storage internal/proto internal/replica internal/core internal/ctrlplane cmd; do \
 		printf '%s non-test Go lines: ' $$pkg; find $$pkg -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; \
 	done
 
@@ -115,13 +116,15 @@ seq-smoke:
 	$(GO) test -race -count=1 -run 'TestConcurrentOrderingStress|TestEpochBumpDuringFlood' ./internal/seq/
 	timeout 120 $(GO) test -count=1 -run 'TestAblateSeqShape' ./internal/bench/
 
-# Reconfiguration smoke (DESIGN.md §15): the -race stress test (appends
-# flooding two colors through a concurrent shard split + replica drain +
-# replica add, gated by the histcheck oracle) plus the quick
-# ablate-reconfig curve (bounded dip during the window, post-split
-# throughput >= 95% of pre-split).
+# Reconfiguration smoke (DESIGN.md §15): under -race, the stress test
+# (appends flooding two colors through a concurrent shard split + replica
+# drain + replica add, gated by the histcheck oracle), the controller over
+# the wire (lossy control links, targets that never answer, the static
+# deployment flexlog-cli reconfig runs on) and the replica's control-op
+# handler; plus the quick ablate-reconfig curve (bounded dip during the
+# window, post-split throughput >= 95% of pre-split).
 reconfig-smoke:
-	$(GO) test -race -count=1 -run 'TestReconfigUnderLoad' ./internal/ctrlplane/
+	$(GO) test -race -count=1 -run 'TestReconfigUnderLoad|TestPlans|TestStaticDeployment|TestAddReplicaRollsBack|TestCtrlReconfigHandler' ./internal/ctrlplane/ ./internal/replica/
 	timeout 60 $(GO) test -count=1 -run 'TestAblateReconfigShape' ./internal/bench/
 
 # Godoc coverage gate: every exported symbol in internal/obs (and the

@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"flexlog/internal/ctrlplane"
 	"flexlog/internal/deploy"
 	"flexlog/internal/proto"
 	"flexlog/internal/replica"
@@ -15,138 +16,61 @@ import (
 	"flexlog/internal/types"
 )
 
-// ctrlConn is a minimal control-plane client: a raw transport endpoint
-// whose handler routes CtrlAck replies back to the caller by Seq. The
-// data-path client (core.Client) is deliberately not used — control
-// operations must work against a replica that is joining or draining and
-// therefore rejecting data-path traffic.
-type ctrlConn struct {
-	ep      transport.Endpoint
-	timeout time.Duration
-	seq     uint64
-	acks    chan proto.CtrlAck
+// command runs one control round trip and prints the node's answer.
+func command(ctrl *ctrlplane.Controller, node types.NodeID, op uint8, donor types.NodeID, timeout time.Duration) {
+	ack, err := ctrl.Command(node, op, donor, timeout)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("node %d: ok mode=%s lag=%d topology-version=%d\n",
+		ack.From, replica.Mode(ack.Mode), ack.Lag, ack.Version)
 }
 
-func dialCtrl(book *transport.AddressBook, codec transport.Codec, id types.NodeID, timeout time.Duration) (*ctrlConn, error) {
-	c := &ctrlConn{timeout: timeout, acks: make(chan proto.CtrlAck, 16)}
-	ep, err := transport.ListenTCP(id, book, func(from types.NodeID, msg transport.Message) {
-		if ack, ok := msg.(proto.CtrlAck); ok {
-			select {
-			case c.acks <- ack:
-			default:
+// runPlan runs one of the controller's plans to its terminal state,
+// printing the plan line — the one /debug/topology's history shows —
+// whenever its state or progress figure changes.
+func runPlan(ctrl *ctrlplane.Controller, poll time.Duration, run func() (ctrlplane.Plan, error)) ctrlplane.Plan {
+	last := ""
+	show := func() {
+		for _, p := range ctrl.Plans() {
+			if line := p.String(); line != last {
+				fmt.Println(line)
+				last = line
 			}
 		}
-	}, transport.WithTCPCodec(codec))
-	if err != nil {
-		return nil, err
 	}
-	c.ep = ep
-	return c, nil
-}
-
-func (c *ctrlConn) close() { c.ep.Close() }
-
-// roundTrip sends one CtrlReconfig to node and waits for the Seq-matched
-// CtrlAck, retransmitting periodically: a server replying to a fresh CLI
-// process over a cached-but-dead reverse connection loses exactly one
-// reply (the failed write evicts the connection), so the retry's answer
-// gets through. All ctrl ops are idempotent, and stray acks from earlier
-// rounds are discarded by Seq.
-func (c *ctrlConn) roundTrip(node types.NodeID, op uint8, donor types.NodeID) (proto.CtrlAck, error) {
-	c.seq++
-	req := proto.CtrlReconfig{Seq: c.seq, Op: op, Donor: donor, From: c.ep.ID()}
-	if err := c.ep.Send(node, req); err != nil {
-		return proto.CtrlAck{}, fmt.Errorf("send to node %d: %w", node, err)
-	}
-	retry := c.timeout / 4
-	if retry > 500*time.Millisecond {
-		retry = 500 * time.Millisecond
-	}
-	resend := time.NewTicker(retry)
-	defer resend.Stop()
-	deadline := time.After(c.timeout)
+	var (
+		plan ctrlplane.Plan
+		err  error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		plan, err = run()
+	}()
+	tick := time.NewTicker(poll)
+	defer tick.Stop()
 	for {
 		select {
-		case ack := <-c.acks:
-			if ack.Seq == c.seq {
-				return ack, nil
+		case <-tick.C:
+			show()
+		case <-done:
+			show()
+			if err != nil {
+				log.Fatalf("plan %d %s: %v", plan.ID, plan.State, err)
 			}
-		case <-resend.C:
-			if err := c.ep.Send(node, req); err != nil {
-				return proto.CtrlAck{}, fmt.Errorf("send to node %d: %w", node, err)
-			}
-		case <-deadline:
-			return proto.CtrlAck{}, fmt.Errorf("node %d: no CtrlAck within %s", node, c.timeout)
+			return plan
 		}
 	}
 }
 
-// replicaNodes lists every replica-role node in the manifest (members
-// and spares), sorted.
-func replicaNodes(m *deploy.Manifest) []types.NodeID {
-	var out []types.NodeID
-	for _, id := range m.NodeIDs() {
-		if m.RoleOf(id).Kind == "replica" {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// pushTopoAll ships a mutated snapshot to every replica-role node. The
-// manifest's layout can lag the live cluster (earlier reconfigurations
-// bumped versions the manifest never saw), so the snapshot is stamped
-// strictly above every node's live version first — otherwise the fencing
-// rule would rightly drop it as stale.
-func (c *ctrlConn) pushTopoAll(m *deploy.Manifest, snap topology.Snapshot) error {
-	nodes := replicaNodes(m)
-	for _, id := range nodes {
-		ack, err := c.roundTrip(id, proto.CtrlOpStatus, 0)
-		if err != nil {
-			return fmt.Errorf("probing node %d's topology version: %w", id, err)
-		}
-		if ack.Version >= snap.Version {
-			snap.Version = ack.Version + 1
-		}
-	}
-	for _, id := range nodes {
-		if err := c.pushTopo(id, snap); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pushTopo ships a topology snapshot to node and confirms via a status
-// round-trip that the node's fencing version advanced to it.
-func (c *ctrlConn) pushTopo(node types.NodeID, snap topology.Snapshot) error {
-	if err := c.ep.Send(node, topology.SnapshotToWire(snap, c.ep.ID())); err != nil {
-		return fmt.Errorf("send to node %d: %w", node, err)
-	}
-	ack, err := c.roundTrip(node, proto.CtrlOpStatus, 0)
-	if err != nil {
-		return err
-	}
-	if ack.Version < snap.Version {
-		return fmt.Errorf("node %d still at topology version %d (pushed %d) — stale snapshots are fenced; bump -version past the node's", node, ack.Version, snap.Version)
-	}
-	fmt.Printf("node %d now at topology version %d\n", node, ack.Version)
-	return nil
-}
-
-func printAck(ack proto.CtrlAck) {
-	status := "ok"
-	if !ack.OK {
-		status = "REFUSED"
-	}
-	fmt.Printf("node %d: %s mode=%s lag=%d topology-version=%d\n",
-		ack.From, status, replica.Mode(ack.Mode), ack.Lag, ack.Version)
-}
-
-// runReconfig dispatches the `reconfig` subcommand family. Each operation
-// is one CtrlReconfig round-trip (or an orchestrated sequence of them for
-// add-replica); the OPERATIONS.md "Reconfiguration runbook" walks through
-// the full add/drain procedures these commands implement.
+// runReconfig dispatches the `reconfig` subcommand family. status, join,
+// promote, drain and push-topo are one control round trip each;
+// add-replica and remove-replica run the controller's AddReplica and
+// DrainReplica plans (DESIGN.md §15) — the ones the in-process clusters
+// run — over a ctrlplane.Static: the replica added is the manifest's
+// spare, already running, and stopping a drained one is left to the
+// operator. The OPERATIONS.md "Reconfiguration runbook" walks through both.
 func runReconfig(m *deploy.Manifest, topo *topology.Topology, book *transport.AddressBook, codec transport.Codec, id types.NodeID, timeout time.Duration, args []string) {
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: flexlog-cli ... reconfig <status|join|promote|drain|push-topo|add-replica|remove-replica> [flags]")
@@ -155,10 +79,10 @@ func runReconfig(m *deploy.Manifest, topo *topology.Topology, book *transport.Ad
 	cmd, rest := args[0], args[1:]
 	sub := flag.NewFlagSet("reconfig "+cmd, flag.ExitOnError)
 	node := sub.Uint("node", 0, "target node id")
-	donor := sub.Uint("donor", 0, "donor node id (join, add-replica)")
+	donor := sub.Uint("donor", 0, "donor node id (join; add-replica, where 0 picks the shard's first operational member)")
 	lag := sub.Uint64("lag", 256, "promotion lag threshold in records (add-replica)")
 	version := sub.Uint64("version", 0, "override the pushed topology version (push-topo); 0 keeps the manifest's")
-	poll := sub.Duration("poll", 200*time.Millisecond, "status poll interval (add-replica)")
+	poll := sub.Duration("poll", 200*time.Millisecond, "status poll interval (add-replica, remove-replica)")
 	if err := sub.Parse(rest); err != nil {
 		log.Fatal(err)
 	}
@@ -167,185 +91,60 @@ func runReconfig(m *deploy.Manifest, topo *topology.Topology, book *transport.Ad
 	}
 	target := types.NodeID(*node)
 
-	conn, err := dialCtrl(book, codec, id, timeout)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer conn.close()
+	static := &ctrlplane.Static{Topo: topo, Dial: func(h transport.Handler) (transport.Endpoint, error) {
+		return transport.ListenTCP(id, book, h, transport.WithTCPCodec(codec))
+	}}
+	// -timeout bounds every wait of a plan: a catch-up that stops making
+	// progress, the promotion sync-phase, a drain's flush.
+	ctrl := ctrlplane.New(static, ctrlplane.Config{
+		PollInterval:    *poll,
+		PromoteLag:      *lag,
+		CatchupTimeout:  timeout,
+		ConvergeTimeout: timeout,
+		DrainTimeout:    timeout,
+	})
+	defer ctrl.Close()
 
 	switch cmd {
 	case "status":
-		ack, err := conn.roundTrip(target, proto.CtrlOpStatus, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printAck(ack)
+		command(ctrl, target, proto.CtrlOpStatus, 0, timeout)
 	case "join":
 		if *donor == 0 {
 			log.Fatal("reconfig join: -donor is required")
 		}
-		ack, err := conn.roundTrip(target, proto.CtrlOpJoin, types.NodeID(*donor))
-		if err != nil {
-			log.Fatal(err)
-		}
-		printAck(ack)
+		command(ctrl, target, proto.CtrlOpJoin, types.NodeID(*donor), timeout)
 	case "promote":
-		ack, err := conn.roundTrip(target, proto.CtrlOpPromote, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printAck(ack)
+		command(ctrl, target, proto.CtrlOpPromote, 0, timeout)
 	case "drain":
-		ack, err := conn.roundTrip(target, proto.CtrlOpDrain, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printAck(ack)
+		command(ctrl, target, proto.CtrlOpDrain, 0, timeout)
 	case "push-topo":
-		snap := topo.Snapshot()
-		if *version != 0 {
-			snap.Version = *version
+		topo.RaiseVersion(*version)
+		ack, err := ctrl.PushTopology(target, timeout)
+		if err != nil {
+			log.Fatalf("%v — stale snapshots are fenced; bump -version past the node's", err)
 		}
-		if err := conn.pushTopo(target, snap); err != nil {
-			log.Fatal(err)
-		}
+		fmt.Printf("node %d now at topology version %d\n", target, ack.Version)
 	case "add-replica":
-		if *donor == 0 {
-			log.Fatal("reconfig add-replica: -donor is required")
+		role := m.RoleOf(target)
+		if role.Kind != "replica" {
+			log.Fatalf("node %d has no replica role in the manifest — declare it under \"spares\"", target)
 		}
-		if err := addReplica(conn, m, topo, target, types.NodeID(*donor), *lag, *poll); err != nil {
-			log.Fatal(err)
-		}
+		static.Spares = map[types.ShardID]types.NodeID{role.Shard: target}
+		plan := runPlan(ctrl, *poll, func() (ctrlplane.Plan, error) {
+			return ctrl.AddReplicaFrom(role.Shard, types.NodeID(*donor))
+		})
+		fmt.Printf("node %d operational in shard %d at topology version %d\n", plan.Node, plan.Shard, topo.Version())
+		fmt.Println("next: move the node from \"spares\" into the shard's replica list in the manifest (see OPERATIONS.md)")
 	case "remove-replica":
-		if err := removeReplica(conn, m, topo, target, *poll); err != nil {
-			log.Fatal(err)
+		sh, ok := topo.ShardOfReplica(target)
+		if !ok {
+			log.Fatalf("node %d is not a member of any shard", target)
 		}
+		plan := runPlan(ctrl, *poll, func() (ctrlplane.Plan, error) { return ctrl.DrainReplica(sh.ID, target) })
+		fmt.Printf("node %d drained out of shard %d at topology version %d\n", plan.Node, plan.Shard, topo.Version())
+		fmt.Println("next: stop the process and delete the node from the shard's replica list in the manifest (see OPERATIONS.md)")
 	default:
 		fmt.Fprintf(os.Stderr, "unknown reconfig command %q\n", cmd)
 		os.Exit(2)
 	}
-}
-
-// addReplica runs the orchestrated replica-add against an already-running
-// spare replica process, in the same order as the in-process controller
-// (DESIGN.md §15): start the join, poll until the catch-up lag is at or
-// below the threshold, push the WIDENED membership to every replica-role
-// node (the spare's peers must know about it before it syncs, or its
-// sync-phase pulls and subsequent replication would be refused), promote,
-// and poll until the replica reports operational. The operator then moves
-// the node from "spares" into the shard's replica list in the manifest so
-// restarts and future clients see the widened membership — see the
-// runbook for the full procedure.
-func addReplica(conn *ctrlConn, m *deploy.Manifest, topo *topology.Topology, target, donor types.NodeID, lagThreshold uint64, poll time.Duration) error {
-	// Resolve the shard the spare targets (manifest spares entry, or the
-	// donor's shard when the operator skipped the spares declaration).
-	role := m.RoleOf(target)
-	if role.Kind != "replica" {
-		return fmt.Errorf("node %d has no replica role in the manifest — declare it under \"spares\"", target)
-	}
-	sh, err := topo.Shard(role.Shard)
-	if err != nil {
-		return err
-	}
-	for _, r := range sh.Replicas {
-		if r == target {
-			return fmt.Errorf("node %d is already a member of shard %d", target, role.Shard)
-		}
-	}
-
-	ack, err := conn.roundTrip(target, proto.CtrlOpJoin, donor)
-	if err != nil {
-		return err
-	}
-	if !ack.OK {
-		return fmt.Errorf("node %d refused join (donor %d)", target, donor)
-	}
-	fmt.Printf("node %d joining shard %d from donor %d\n", target, role.Shard, donor)
-	for {
-		time.Sleep(poll)
-		ack, err = conn.roundTrip(target, proto.CtrlOpStatus, 0)
-		if err != nil {
-			return err
-		}
-		if replica.Mode(ack.Mode) != replica.ModeJoining {
-			break // already promoted out-of-band, or join collapsed
-		}
-		fmt.Printf("  catch-up lag %d (threshold %d)\n", ack.Lag, lagThreshold)
-		if ack.Lag <= lagThreshold {
-			break
-		}
-	}
-
-	// Membership cutover BEFORE promote: widen the local copy of the
-	// layout (bumping the fencing version) and ship it to every
-	// replica-role node, the target included. Sequencers only consume the
-	// region tree, which this does not change.
-	if err := topo.AddReplicaToShard(role.Shard, target); err != nil {
-		return err
-	}
-	if err := conn.pushTopoAll(m, topo.Snapshot()); err != nil {
-		return fmt.Errorf("pushing widened membership: %w", err)
-	}
-
-	ack, err = conn.roundTrip(target, proto.CtrlOpPromote, 0)
-	if err != nil {
-		return err
-	}
-	if !ack.OK {
-		return fmt.Errorf("node %d refused promote", target)
-	}
-	for replica.Mode(ack.Mode) != replica.ModeOperational {
-		time.Sleep(poll)
-		ack, err = conn.roundTrip(target, proto.CtrlOpStatus, 0)
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Printf("node %d operational in shard %d at topology version %d\n", target, role.Shard, ack.Version)
-	fmt.Println("next: move the node from \"spares\" into the shard's replica list in the manifest (see OPERATIONS.md)")
-	return nil
-}
-
-// removeReplica runs the orchestrated drain, in the same order as the
-// in-process controller: narrow the membership FIRST and push it to every
-// replica-role node (peers must stop counting on the leaver's acks before
-// it starts rejecting appends), then drain the leaver and poll until its
-// pending orders flush. The operator then stops the process and deletes
-// the node from the manifest's shard replica list.
-func removeReplica(conn *ctrlConn, m *deploy.Manifest, topo *topology.Topology, target types.NodeID, poll time.Duration) error {
-	sh, ok := topo.ShardOfReplica(target)
-	if !ok {
-		return fmt.Errorf("node %d is not a member of any shard", target)
-	}
-	if len(sh.Replicas) <= 1 {
-		return fmt.Errorf("node %d is shard %d's last replica — draining it would lose the shard", target, sh.ID)
-	}
-	if err := topo.RemoveReplicaFromShard(sh.ID, target); err != nil {
-		return err
-	}
-	if err := conn.pushTopoAll(m, topo.Snapshot()); err != nil {
-		return fmt.Errorf("pushing narrowed membership: %w", err)
-	}
-
-	ack, err := conn.roundTrip(target, proto.CtrlOpDrain, 0)
-	if err != nil {
-		return err
-	}
-	if !ack.OK {
-		return fmt.Errorf("node %d refused drain", target)
-	}
-	for {
-		ack, err = conn.roundTrip(target, proto.CtrlOpStatus, 0)
-		if err != nil {
-			return err
-		}
-		if replica.Mode(ack.Mode) != replica.ModeDraining || ack.Lag == 0 {
-			break
-		}
-		fmt.Printf("  draining: %d pending orders\n", ack.Lag)
-		time.Sleep(poll)
-	}
-	fmt.Printf("node %d drained out of shard %d at topology version %d\n", target, sh.ID, ack.Version)
-	fmt.Println("next: stop the process and delete the node from the shard's replica list in the manifest (see OPERATIONS.md)")
-	return nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"log"
 	"net/http"
 	"time"
@@ -11,65 +10,19 @@ import (
 	"flexlog/internal/obs"
 	"flexlog/internal/replica"
 	"flexlog/internal/topology"
-	"flexlog/internal/types"
 )
-
-// manifestCluster adapts one server process to the ctrlplane.Cluster
-// interface so the controller's /debug/topology page and the advisory
-// autoscaler can run against a static TCP deployment. A single process
-// cannot mutate cluster membership — new replicas are separate OS
-// processes an operator (or an external orchestrator) must start — so
-// every mutating method returns errStaticDeployment. The autoscaler runs
-// in Advisory mode only and never calls them; a mis-wired caller gets a
-// typed error instead of a silent no-op.
-type manifestCluster struct {
-	topo  *topology.Topology
-	id    types.NodeID
-	local *replica.Replica // nil on sequencer nodes
-}
-
-// errStaticDeployment is returned by every topology-mutating method: a
-// TCP deployment reconfigures via operator-driven flexlog-cli reconfig
-// (see the OPERATIONS.md runbook), not in-process spawning.
-var errStaticDeployment = errors.New("static TCP deployment: use flexlog-cli reconfig (see OPERATIONS.md)")
-
-// Topology returns the manifest-derived layout (updated by push-topo).
-func (m *manifestCluster) Topology() *topology.Topology { return m.topo }
-
-// SpawnReplica cannot start a new OS process; see errStaticDeployment.
-func (m *manifestCluster) SpawnReplica(types.ShardID) (types.NodeID, error) {
-	return 0, errStaticDeployment
-}
-
-// RemoveReplicaNode cannot stop another process; see errStaticDeployment.
-func (m *manifestCluster) RemoveReplicaNode(types.NodeID) error { return errStaticDeployment }
-
-// AddShard requires spawning replica processes; see errStaticDeployment.
-func (m *manifestCluster) AddShard(types.ColorID) (types.ShardID, error) {
-	return 0, errStaticDeployment
-}
-
-// AddRegion requires spawning processes; see errStaticDeployment.
-func (m *manifestCluster) AddRegion(color, parent types.ColorID) error { return errStaticDeployment }
-
-// Replica returns the process-local replica for this node's own id and
-// nil for every other (remote) node — /debug/topology renders those
-// without mode detail.
-func (m *manifestCluster) Replica(id types.NodeID) *replica.Replica {
-	if id == m.id {
-		return m.local
-	}
-	return nil
-}
 
 // startCtrlPlane wires the operator surface of a server process: mounts
 // /debug/topology on the debug mux and, when autoscale is set, runs the
 // autoscaler in Advisory mode — it polls this node's registry against the
 // default policy thresholds and LOGS the reconfiguration it would issue
 // (split-shard / add-replica, with the reason) instead of executing it.
-// The operator acts on the advice with flexlog-cli reconfig.
-func startCtrlPlane(topo *topology.Topology, id types.NodeID, local *replica.Replica, reg *obs.Registry, autoscale bool) map[string]http.Handler {
-	ctrl := ctrlplane.New(&manifestCluster{topo: topo, id: id, local: local}, ctrlplane.Config{Obs: reg})
+// The operator acts on the advice with flexlog-cli reconfig: one server
+// process cannot change the cluster's membership, so its controller runs
+// over a ctrlplane.Static with no endpoint and a mis-wired mutating call
+// gets the typed ErrStaticDeployment instead of a silent no-op.
+func startCtrlPlane(topo *topology.Topology, local *replica.Replica, reg *obs.Registry, autoscale bool) map[string]http.Handler {
+	ctrl := ctrlplane.New(&ctrlplane.Static{Topo: topo, Local: local}, ctrlplane.Config{Obs: reg})
 	if autoscale {
 		as := ctrlplane.NewAutoscaler(ctrl, reg, ctrlplane.Policy{Advisory: true}, time.Second)
 		as.Start(context.Background())

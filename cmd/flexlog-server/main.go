@@ -149,7 +149,7 @@ func main() {
 				Registry: reg,
 				Tracers:  r.Tracers(),
 				Lanes:    r.LaneSnapshots,
-				Extra:    startCtrlPlane(topo, nodeID, r, reg, *autoscale),
+				Extra:    startCtrlPlane(topo, r, reg, *autoscale),
 			})
 		} else if *autoscale {
 			log.Fatal("-autoscale requires -debug-addr (the autoscaler polls this node's metrics registry)")
@@ -195,7 +195,7 @@ func main() {
 			startDebugServer(*debugAddr, obs.MuxConfig{
 				Registry: reg,
 				Lanes:    s.LaneSnapshots,
-				Extra:    startCtrlPlane(topo, nodeID, nil, reg, *autoscale),
+				Extra:    startCtrlPlane(topo, nil, reg, *autoscale),
 			})
 		} else if *autoscale {
 			log.Fatal("-autoscale requires -debug-addr (the autoscaler polls this node's metrics registry)")

@@ -303,6 +303,17 @@ func (cl *Cluster) SpawnReplica(shard types.ShardID) (types.NodeID, error) {
 	return id, nil
 }
 
+// Attach registers the control plane's endpoint on the in-process fabric,
+// under a fresh id of the client band: the controller commands replicas by
+// message here as it does over TCP (DESIGN.md §15).
+func (cl *Cluster) Attach(h transport.Handler) (transport.Endpoint, error) {
+	cl.mu.Lock()
+	id := cl.nextCli
+	cl.nextCli++
+	cl.mu.Unlock()
+	return cl.net.Register(id, h)
+}
+
 // RemoveReplicaNode stops a replica process and releases its resources —
 // the final cutover of a drain, or the rollback of an abandoned join. The
 // caller must already have removed the node from the topology.

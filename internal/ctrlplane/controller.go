@@ -7,8 +7,15 @@
 // Every mutation runs as a Plan: a small state machine
 // (Pending → CatchingUp → Converging → Cutover → Done, with Failed and
 // RolledBack exits) whose transitions are the protocol steps described in
-// DESIGN.md §15. Correctness rests on three rules, enforced here and in
-// the data plane:
+// DESIGN.md §15. There is one executor of those steps. The controller
+// reaches a replica only by message — the four control ops and topology
+// publication of node.go, from one endpoint on whatever fabric the cluster
+// runs on — so an in-process cluster (tests, chaos, bench) and a deployment
+// of separate processes (flexlog-cli reconfig) run the same plans and
+// differ only in their Cluster adapter. Plans run one at a time: a plan
+// that overlapped another's node removal would wait on a node that is
+// gone. Correctness rests on three rules, enforced here and in the data
+// plane:
 //
 //   - epoch fencing: every topology mutation bumps the layout version;
 //     snapshots only apply forward, and clients re-resolve membership on
@@ -31,20 +38,28 @@ package ctrlplane
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"flexlog/internal/obs"
+	"flexlog/internal/proto"
 	"flexlog/internal/replica"
 	"flexlog/internal/topology"
+	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
 
-// Cluster is the node-lifecycle surface the controller drives. core.Cluster
-// implements it; tests may substitute fakes.
+// Cluster is the node-lifecycle surface the controller drives: core.Cluster
+// for an in-process deployment, Static for separately started processes;
+// tests may substitute fakes.
 type Cluster interface {
-	// Topology returns the shared layout the controller mutates.
+	// Topology returns the layout the controller mutates: the one every
+	// node shares in process, the controller's own copy otherwise.
 	Topology() *topology.Topology
+	// Attach opens the controller's endpoint on the fabric the cluster's
+	// nodes listen on. Called at most once, on the first control op.
+	Attach(h transport.Handler) (transport.Endpoint, error)
 	// SpawnReplica creates a replica process for a shard without adding it
 	// to the shard's membership.
 	SpawnReplica(shard types.ShardID) (types.NodeID, error)
@@ -54,7 +69,9 @@ type Cluster interface {
 	AddShard(leaf types.ColorID) (types.ShardID, error)
 	// AddRegion declares a color and spawns its sequencer group.
 	AddRegion(color, parent types.ColorID) error
-	// Replica returns a live replica handle by node id (nil if unknown).
+	// Replica returns an in-process replica handle by node id, nil for an
+	// unknown or remote node. /debug/topology inspects through it and a
+	// merge migrates records through it; no plan commands a replica by it.
 	Replica(id types.NodeID) *replica.Replica
 }
 
@@ -70,22 +87,14 @@ const (
 	KindAddRegion
 )
 
+var kindNames = [...]string{"add-replica", "drain-replica", "split-shard", "merge-shard", "add-region"}
+
 // String returns the CLI-facing kind label (e.g. "add-replica").
 func (k PlanKind) String() string {
-	switch k {
-	case KindAddReplica:
-		return "add-replica"
-	case KindDrainReplica:
-		return "drain-replica"
-	case KindSplitShard:
-		return "split-shard"
-	case KindMergeShard:
-		return "merge-shard"
-	case KindAddRegion:
-		return "add-region"
-	default:
-		return "unknown"
+	if uint(k) < uint(len(kindNames)) {
+		return kindNames[k]
 	}
+	return "unknown"
 }
 
 // PlanState is a plan's position in the reconfiguration state machine.
@@ -93,35 +102,23 @@ type PlanState int
 
 // Plan states. Terminal states are StateDone, StateFailed, StateRolledBack.
 const (
-	StatePending    PlanState = iota
-	StateCatchingUp           // joiner pulling history from its donor
-	StateConverging           // promoted joiner running the sync-phase tail
-	StateCutover              // membership changed; flushing / migrating
+	StatePending    PlanState = iota // registered; waiting for its turn
+	StateCatchingUp                  // joiner pulling history from its donor
+	StateConverging                  // promoted joiner running the sync-phase tail
+	StateCutover                     // membership changed; flushing / migrating
 	StateDone
 	StateFailed
 	StateRolledBack
 )
 
+var stateNames = [...]string{"pending", "catching-up", "converging", "cutover", "done", "failed", "rolled-back"}
+
 // String returns the state label shown in /debug/topology plan history.
 func (s PlanState) String() string {
-	switch s {
-	case StatePending:
-		return "pending"
-	case StateCatchingUp:
-		return "catching-up"
-	case StateConverging:
-		return "converging"
-	case StateCutover:
-		return "cutover"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	case StateRolledBack:
-		return "rolled-back"
-	default:
-		return "unknown"
+	if uint(s) < uint(len(stateNames)) {
+		return stateNames[s]
 	}
+	return "unknown"
 }
 
 // Terminal reports whether the state machine has exited.
@@ -130,7 +127,7 @@ func (s PlanState) Terminal() bool {
 }
 
 // Plan is one reconfiguration operation and its progress. Fields are
-// snapshots — read them through Controller.Plans or Controller.Plan.
+// snapshots — read them through Controller.Plans.
 type Plan struct {
 	ID     uint64
 	Kind   PlanKind
@@ -141,6 +138,7 @@ type Plan struct {
 	Node   types.NodeID  // replica added or drained
 	Donor  types.NodeID  // catch-up donor (add-replica)
 	State  PlanState
+	Lag    uint64 // last progress figure the subject reported: catch-up lag, or pending orders of a drain
 	Err    string // failure cause in terminal Failed/RolledBack states
 	Start  time.Time
 	End    time.Time // zero until terminal
@@ -149,7 +147,8 @@ type Plan struct {
 }
 
 // String renders one plan-history line: id, kind, the ids it touched,
-// its state, and the failure cause if it exited Failed/RolledBack.
+// its state, the progress figure while it runs, and the failure cause if
+// it exited Failed/RolledBack.
 func (p *Plan) String() string {
 	s := fmt.Sprintf("plan %d %s", p.ID, p.Kind)
 	switch p.Kind {
@@ -165,6 +164,9 @@ func (p *Plan) String() string {
 		s += fmt.Sprintf(" color=%d parent=%d shard=%d", p.Color, p.Parent, p.Target)
 	}
 	s += fmt.Sprintf(" state=%s", p.State)
+	if !p.State.Terminal() && p.Lag > 0 {
+		s += fmt.Sprintf(" lag=%d", p.Lag)
+	}
 	if p.Err != "" {
 		s += fmt.Sprintf(" err=%q", p.Err)
 	}
@@ -174,30 +176,41 @@ func (p *Plan) String() string {
 // Config parameterizes a Controller.
 type Config struct {
 	// PollInterval is the progress-polling cadence (catch-up lag, drain
-	// flush, sync convergence); 0 uses 2ms.
+	// flush, sync convergence) and the retransmission interval of an
+	// unanswered control op; 0 uses 2ms.
 	PollInterval time.Duration
 	// PromoteLag is the catch-up lag (records behind the donor) at or
 	// below which a joiner is promoted; the promotion sync-phase converges
 	// the remainder. 0 uses 256.
 	PromoteLag uint64
-	// CatchupTimeout bounds StateCatchingUp: a joiner that cannot reach
-	// PromoteLag within it is rolled back (stopped and removed). 0 uses 30s.
+	// CatchupTimeout bounds lack of progress in StateCatchingUp, not the
+	// transfer: a joiner whose lag reaches no new low for this long (or
+	// that stops answering) is rolled back, however large the log. It also
+	// bounds the survey before a replica add. 0 uses 30s.
 	CatchupTimeout time.Duration
-	// DrainTimeout bounds the pending-order flush of a drain; on expiry the
-	// node is removed anyway (acked data is committed on the survivors).
-	// 0 uses 10s.
+	// DrainTimeout bounds a drain — survey, publication and pending-order
+	// flush; once the node is out of the membership, expiry removes it
+	// anyway (acked data is committed on the survivors). 0 uses 10s.
 	DrainTimeout time.Duration
-	// ConvergeTimeout bounds the promotion sync-phase. 0 uses 30s.
+	// ConvergeTimeout bounds the promotion sync-phase, and every other
+	// wait for the replicas to confirm a published layout. 0 uses 30s.
 	ConvergeTimeout time.Duration
 	// Obs, when set, publishes the flexlog_ctrl_* metric families.
 	Obs *obs.Registry
 }
 
 // Controller owns reconfiguration plans for one cluster. All methods are
-// safe for concurrent use; each blocking operation drives its own plan.
+// safe for concurrent use; each blocking operation drives its own plan,
+// and concurrent ones take turns.
 type Controller struct {
 	cl  Cluster
 	cfg Config
+
+	turn sync.Mutex // held by the one plan that is past StatePending
+
+	attach    sync.Once // guards nc, attachErr (node.go)
+	nc        *nodeClient
+	attachErr error
 
 	mu     sync.Mutex
 	nextID uint64
@@ -225,7 +238,19 @@ func New(cl Cluster, cfg Config) *Controller {
 		cfg.ConvergeTimeout = 30 * time.Second
 	}
 	c := &Controller{cl: cl, cfg: cfg}
-	c.initObs()
+	// The flexlog_ctrl_* families (OPERATIONS.md §2.10); a nil registry
+	// takes them as no-ops.
+	cfg.Obs.GaugeFunc("flexlog_ctrl_plans_active",
+		"Reconfiguration plans currently in flight.", nil,
+		func() float64 {
+			n := 0
+			for _, p := range c.Plans() {
+				if !p.State.Terminal() {
+					n++
+				}
+			}
+			return float64(n)
+		})
 	return c
 }
 
@@ -243,22 +268,11 @@ func (c *Controller) Plans() []Plan {
 	return out
 }
 
-// Plan returns a snapshot of one plan by id.
-func (c *Controller) Plan(id uint64) (Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, p := range c.plans {
-		if p.ID == id {
-			return *p, true
-		}
-	}
-	return Plan{}, false
-}
-
-// Abort cancels an in-flight plan: the driving goroutine observes the
-// abort at its next poll tick and rolls back what it can (a joining
-// replica is stopped and removed; later stages finish their step first).
-// The operator surface for a stuck plan — see the OPERATIONS.md runbook.
+// Abort cancels an in-flight plan: its wait on a node, or its next poll
+// tick, ends with ErrAborted and the plan rolls back what it can (a
+// joining replica is narrowed out again, stopped and removed; a drain past
+// its cutover stops flushing and removes the node). The operator surface
+// for a stuck plan — see the OPERATIONS.md runbook.
 func (c *Controller) Abort(id uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -279,182 +293,225 @@ func (c *Controller) Abort(id uint64) error {
 	return fmt.Errorf("ctrlplane: unknown plan %d", id)
 }
 
-// newPlan registers a plan in StatePending.
-func (c *Controller) newPlan(kind PlanKind) *Plan {
+// run registers a plan (StatePending), waits for its turn, executes its
+// steps and records the terminal state and cause they return.
+func (c *Controller) run(plan Plan, steps func(p *Plan) (PlanState, error)) (Plan, error) {
 	c.mu.Lock()
 	c.nextID++
-	p := &Plan{ID: c.nextID, Kind: kind, State: StatePending, Start: time.Now(), abort: make(chan struct{})}
+	plan.ID, plan.State, plan.Start, plan.abort = c.nextID, StatePending, time.Now(), make(chan struct{})
+	p := &plan
 	c.plans = append(c.plans, p)
 	c.mu.Unlock()
-	c.countStart(kind)
-	return p
+	c.cfg.Obs.Counter("flexlog_ctrl_plans_total",
+		"Reconfiguration plans started, per kind.", obs.Labels{"kind": plan.Kind.String()}).Inc()
+
+	c.turn.Lock()
+	defer c.turn.Unlock()
+	state, err := steps(p)
+	c.update(func() {
+		p.State, p.End = state, time.Now()
+		if err != nil {
+			p.Err = err.Error()
+		}
+	})
+	if err == nil {
+		c.cfg.Obs.Counter("flexlog_ctrl_plans_done_total",
+			"Reconfiguration plans completed successfully.", nil).Inc()
+	} else {
+		c.cfg.Obs.Counter("flexlog_ctrl_plans_failed_total",
+			"Reconfiguration plans that failed or were rolled back.", nil).Inc()
+	}
+	return *p, err
 }
 
-// setState advances a plan's visible state under the controller lock.
-func (c *Controller) setState(p *Plan, s PlanState) {
+// update changes a registered plan's fields under the controller lock,
+// which Plans copies them under.
+func (c *Controller) update(set func()) {
 	c.mu.Lock()
-	p.State = s
-	if s.Terminal() {
-		p.End = time.Now()
-	}
+	set()
 	c.mu.Unlock()
-	if s == StateDone {
-		c.countDone()
-	}
-}
-
-// fail moves a plan to a terminal failure state with its cause.
-func (c *Controller) fail(p *Plan, state PlanState, err error) error {
-	c.mu.Lock()
-	p.State = state
-	p.Err = err.Error()
-	p.End = time.Now()
-	c.mu.Unlock()
-	c.countFailed()
-	return err
-}
-
-// aborted reports whether the plan was cancelled.
-func (p *Plan) aborted() bool {
-	select {
-	case <-p.abort:
-		return true
-	default:
-		return false
-	}
 }
 
 // poll waits one tick, reporting false when the plan was aborted.
 func (c *Controller) poll(p *Plan) bool {
-	time.Sleep(c.cfg.PollInterval)
-	return !p.aborted()
+	select {
+	case <-p.abort:
+		return false
+	case <-time.After(c.cfg.PollInterval):
+		return true
+	}
 }
 
-// ---- Replica add (spawn → catch-up → promote → converge) ----
+// ---- Replica add (survey → spawn → catch-up → widen → promote → converge) ----
 
-// AddReplica grows a shard by one replica under live traffic: spawn the
-// node outside the topology, background catch-up from a donor until the
-// lag is within PromoteLag, then add it to the membership and converge the
-// tail with a sync-phase. Blocks until the plan is terminal.
+// AddReplica grows a shard by one replica under live traffic, catching up
+// from the shard's first operational member. See AddReplicaFrom.
 func (c *Controller) AddReplica(shard types.ShardID) (Plan, error) {
-	p := c.newPlan(KindAddReplica)
-	p.Shard = shard
-	topo := c.cl.Topology()
-	sh, err := topo.Shard(shard)
-	if err != nil {
-		return *p, c.fail(p, StateFailed, err)
-	}
-	donor, ok := c.pickDonor(sh.Replicas)
-	if !ok {
-		return *p, c.fail(p, StateFailed, fmt.Errorf("ctrlplane: shard %d has no operational donor", shard))
-	}
-	p.Donor = donor
-	id, err := c.cl.SpawnReplica(shard)
-	if err != nil {
-		return *p, c.fail(p, StateFailed, err)
-	}
-	p.Node = id
-	rep := c.cl.Replica(id)
-	if rep == nil {
-		return *p, c.fail(p, StateFailed, fmt.Errorf("ctrlplane: spawned replica %d not found", id))
-	}
-
-	// Catch-up: the joiner pulls history in bounded rounds while the shard
-	// keeps serving. Stuck transfers roll back — the joiner never entered
-	// the topology, so rollback is just stopping the process.
-	c.setState(p, StateCatchingUp)
-	rep.StartJoin(donor)
-	deadline := time.Now().Add(c.cfg.CatchupTimeout)
-	for rep.JoinLag() > c.cfg.PromoteLag {
-		if time.Now().After(deadline) {
-			_ = c.cl.RemoveReplicaNode(id)
-			return *p, c.fail(p, StateRolledBack,
-				fmt.Errorf("ctrlplane: catch-up stuck (lag %d after %v)", rep.JoinLag(), c.cfg.CatchupTimeout))
-		}
-		if !c.poll(p) {
-			_ = c.cl.RemoveReplicaNode(id)
-			return *p, c.fail(p, StateRolledBack, ErrAborted)
-		}
-	}
-
-	// Promote: enter the membership (version bump fences stale snapshots),
-	// then one ordinary §6.3 sync-phase converges the in-flight tail. The
-	// shard pause is proportional to the tail, not the log.
-	c.setState(p, StateConverging)
-	if err := topo.AddReplicaToShard(shard, id); err != nil {
-		_ = c.cl.RemoveReplicaNode(id)
-		return *p, c.fail(p, StateRolledBack, err)
-	}
-	rep.Promote()
-	deadline = time.Now().Add(c.cfg.ConvergeTimeout)
-	for rep.Mode() != replica.ModeOperational {
-		if time.Now().After(deadline) {
-			return *p, c.fail(p, StateFailed,
-				fmt.Errorf("ctrlplane: promotion sync-phase did not converge within %v", c.cfg.ConvergeTimeout))
-		}
-		if !c.poll(p) {
-			return *p, c.fail(p, StateFailed, ErrAborted)
-		}
-	}
-	c.setState(p, StateDone)
-	return *p, nil
+	return c.AddReplicaFrom(shard, 0)
 }
 
-// pickDonor chooses the first operational replica as catch-up donor.
-func (c *Controller) pickDonor(ids []types.NodeID) (types.NodeID, bool) {
-	for _, id := range ids {
-		if r := c.cl.Replica(id); r != nil && r.Mode() == replica.ModeOperational {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// ---- Replica drain (membership removal → flush → stop) ----
-
-// DrainReplica removes one replica from a shard under live traffic: the
-// topology drops it first (clients re-resolve away from it; Alg. 1
-// guarantees survivors hold everything acked), then the node rejects new
-// appends while its pending orders flush, and is stopped once they have
-// (or DrainTimeout expires). Pass node 0 to drain the highest-id replica.
-// Blocks until the plan is terminal.
-func (c *Controller) DrainReplica(shard types.ShardID, node types.NodeID) (Plan, error) {
-	p := c.newPlan(KindDrainReplica)
-	p.Shard = shard
-	topo := c.cl.Topology()
-	if node == 0 {
+// AddReplicaFrom grows a shard by one replica under live traffic: the node
+// starts outside the topology, catches up in the background from donor (0
+// picks the shard's first operational member) until its lag is within
+// PromoteLag, then enters the membership — published to every replica —
+// and converges the tail with a sync-phase. A failure at any point after
+// the spawn ends RolledBack: the membership is narrowed again (and that
+// published) if it had been widened, and the node is removed. Blocks until
+// the plan is terminal.
+func (c *Controller) AddReplicaFrom(shard types.ShardID, donor types.NodeID) (Plan, error) {
+	return c.run(Plan{Kind: KindAddReplica, Shard: shard}, func(p *Plan) (PlanState, error) {
+		topo := c.cl.Topology()
 		sh, err := topo.Shard(shard)
 		if err != nil {
-			return *p, c.fail(p, StateFailed, err)
+			return StateFailed, err
 		}
-		for _, id := range sh.Replicas {
-			if id > node {
-				node = id
-			}
+		acks, err := c.survey(time.Now().Add(c.cfg.CatchupTimeout), p.abort)
+		if err != nil {
+			return StateFailed, err
 		}
+		candidates := sh.Replicas
+		if donor != 0 {
+			candidates = []types.NodeID{donor}
+		}
+		i := slices.IndexFunc(candidates, func(id types.NodeID) bool {
+			ack, ok := acks[id]
+			return ok && replica.Mode(ack.Mode) == replica.ModeOperational
+		})
+		if i < 0 {
+			return StateFailed, fmt.Errorf("ctrlplane: shard %d has no operational donor among %v", shard, candidates)
+		}
+		id, err := c.cl.SpawnReplica(shard)
+		if err != nil {
+			return StateFailed, err
+		}
+		c.update(func() { p.Donor, p.Node = candidates[i], id })
+
+		widened, err := c.joinAndPromote(p, topo)
+		if err == nil {
+			return StateDone, nil
+		}
+		// Roll back, whatever the plan's abort says. Narrowing is safe: by
+		// Alg. 1 everything acked is committed on every earlier member.
+		if widened && topo.RemoveReplicaFromShard(shard, id) == nil {
+			// Best effort: a replica this misses is told by the next plan.
+			_ = c.publish(0, time.Now().Add(c.cfg.ConvergeTimeout), nil)
+		}
+		_ = c.cl.RemoveReplicaNode(id) // the plan already failed; its cause is the one to report
+		return StateRolledBack, err
+	})
+}
+
+// joinAndPromote takes a spawned node from outside the topology to an
+// operational member, reporting whether it widened the membership.
+func (c *Controller) joinAndPromote(p *Plan, topo *topology.Topology) (widened bool, err error) {
+	// Catch-up: the joiner pulls history in bounded rounds while the shard
+	// keeps serving. CatchupTimeout bounds lack of progress, not the
+	// transfer: the deadline moves out whenever the lag reaches a new low.
+	c.update(func() { p.State = StateCatchingUp })
+	stuck := time.Now().Add(c.cfg.CatchupTimeout)
+	ack, err := c.command(p.Node, proto.CtrlOpJoin, p.Donor, nil, stuck, p.abort)
+	if err != nil {
+		return false, err
 	}
-	p.Node = node
-	rep := c.cl.Replica(node)
-	if rep == nil {
-		return *p, c.fail(p, StateFailed, fmt.Errorf("ctrlplane: unknown replica %d", node))
-	}
-	if err := topo.RemoveReplicaFromShard(shard, node); err != nil {
-		return *p, c.fail(p, StateFailed, err)
+	for best := ack.Lag; ack.Lag > c.cfg.PromoteLag; {
+		if !c.poll(p) {
+			return false, ErrAborted
+		}
+		if ack, err = c.command(p.Node, proto.CtrlOpStatus, 0, nil, stuck, p.abort); err != nil {
+			return false, err
+		}
+		c.update(func() { p.Lag = ack.Lag })
+		switch {
+		case replica.Mode(ack.Mode) != replica.ModeJoining:
+			// The node restarted or was taken over: it reports no lag and
+			// holds no history, and a membership that needs its acks
+			// would wedge the shard.
+			return false, fmt.Errorf("ctrlplane: join collapsed: node %d is %s, not joining", p.Node, replica.Mode(ack.Mode))
+		case ack.Lag < best:
+			best, stuck = ack.Lag, time.Now().Add(c.cfg.CatchupTimeout)
+		case time.Now().After(stuck):
+			return false, fmt.Errorf("ctrlplane: catch-up stuck (lag %d for %v)", ack.Lag, c.cfg.CatchupTimeout)
+		}
 	}
 
-	c.setState(p, StateCutover)
-	rep.Drain()
-	deadline := time.Now().Add(c.cfg.DrainTimeout)
-	for rep.PendingOrders() > 0 && time.Now().Before(deadline) {
-		if !c.poll(p) {
-			break // abort: stop now; acked data is safe on the survivors
+	// Promote: enter the membership (version bump fences stale snapshots)
+	// and tell every replica before the joiner syncs — its sync-phase pulls
+	// and the replication that follows would be refused by a peer that does
+	// not know it. Then one ordinary §6.3 sync-phase converges the
+	// in-flight tail: the shard pause is proportional to the tail, not the
+	// log.
+	c.update(func() { p.State, p.Lag = StateConverging, 0 })
+	until := time.Now().Add(c.cfg.ConvergeTimeout)
+	if err := topo.AddReplicaToShard(p.Shard, p.Node); err != nil {
+		return false, err
+	}
+	if err := c.publish(p.Node, until, p.abort); err != nil {
+		return true, err
+	}
+	ack, err = c.command(p.Node, proto.CtrlOpPromote, 0, nil, until, p.abort)
+	for err == nil && replica.Mode(ack.Mode) != replica.ModeOperational {
+		if time.Now().After(until) {
+			err = fmt.Errorf("node %d still %s after %v", p.Node, replica.Mode(ack.Mode), c.cfg.ConvergeTimeout)
+		} else if !c.poll(p) {
+			return true, ErrAborted
+		} else {
+			ack, err = c.command(p.Node, proto.CtrlOpStatus, 0, nil, until, p.abort)
 		}
 	}
-	if err := c.cl.RemoveReplicaNode(node); err != nil {
-		return *p, c.fail(p, StateFailed, err)
+	if err != nil {
+		return true, fmt.Errorf("ctrlplane: promotion sync-phase did not converge: %w", err)
 	}
-	c.setState(p, StateDone)
-	return *p, nil
+	return true, nil
+}
+
+// ---- Replica drain (survey → narrow → drain → flush → stop) ----
+
+// DrainReplica removes one replica from a shard under live traffic: the
+// topology drops it first and every replica is told (clients re-resolve
+// away from it; Alg. 1 guarantees survivors hold everything acked), then
+// the node rejects new appends while its pending orders flush, and is
+// stopped once they have (or DrainTimeout expires). A narrowing that
+// cannot be published is undone and the plan ends RolledBack. Pass node 0
+// to drain the highest-id replica. Blocks until the plan is terminal.
+func (c *Controller) DrainReplica(shard types.ShardID, node types.NodeID) (Plan, error) {
+	return c.run(Plan{Kind: KindDrainReplica, Shard: shard, Node: node}, func(p *Plan) (PlanState, error) {
+		topo := c.cl.Topology()
+		if node == 0 {
+			sh, err := topo.Shard(shard)
+			if err != nil {
+				return StateFailed, err
+			}
+			node = slices.Max(sh.Replicas)
+			c.update(func() { p.Node = node })
+		}
+		until := time.Now().Add(c.cfg.DrainTimeout)
+		if _, err := c.survey(until, p.abort); err != nil {
+			return StateFailed, err
+		}
+		if err := topo.RemoveReplicaFromShard(shard, node); err != nil {
+			return StateFailed, err
+		}
+		if err := c.publish(node, until, p.abort); err != nil {
+			if topo.AddReplicaToShard(shard, node) == nil {
+				_ = c.publish(0, time.Now().Add(c.cfg.DrainTimeout), nil) // best effort, as in AddReplicaFrom
+			}
+			return StateRolledBack, err
+		}
+
+		// From here the node is out of the membership and acked data is safe
+		// on the survivors: an unreachable node, the timeout and an abort
+		// all end the flush early, and the node is stopped regardless.
+		c.update(func() { p.State = StateCutover })
+		ack, err := c.command(node, proto.CtrlOpDrain, 0, nil, until, p.abort)
+		for err == nil && replica.Mode(ack.Mode) == replica.ModeDraining && ack.Lag > 0 && c.poll(p) {
+			c.update(func() { p.Lag = ack.Lag })
+			ack, err = c.command(node, proto.CtrlOpStatus, 0, nil, until, p.abort)
+		}
+		if err := c.cl.RemoveReplicaNode(node); err != nil {
+			return StateFailed, err
+		}
+		return StateDone, nil
+	})
 }
 
 // ---- Shard split / merge ----
@@ -464,18 +521,24 @@ func (c *Controller) DrainReplica(shard types.ShardID, node types.NodeID) (Plan,
 // a color, so the new shard simply starts absorbing new appends — the
 // FlexLog analogue of splitting a partition. Blocks until terminal.
 func (c *Controller) SplitShard(leaf types.ColorID) (Plan, error) {
-	p := c.newPlan(KindSplitShard)
-	p.Color = leaf
-	c.setState(p, StateCutover)
+	return c.run(Plan{Kind: KindSplitShard, Color: leaf}, func(p *Plan) (PlanState, error) {
+		c.update(func() { p.State = StateCutover })
+		return c.addShard(p, leaf)
+	})
+}
+
+// addShard attaches a shard to leaf as the cutover of a split or a region
+// add, and publishes the grown layout.
+func (c *Controller) addShard(p *Plan, leaf types.ColorID) (PlanState, error) {
 	id, err := c.cl.AddShard(leaf)
 	if err != nil {
-		return *p, c.fail(p, StateFailed, err)
+		return StateFailed, err
 	}
-	c.mu.Lock()
-	p.Target = id
-	c.mu.Unlock()
-	c.setState(p, StateDone)
-	return *p, nil
+	c.update(func() { p.Target = id })
+	if err := c.publish(0, time.Now().Add(c.cfg.ConvergeTimeout), p.abort); err != nil {
+		return StateFailed, err
+	}
+	return StateDone, nil
 }
 
 // MergeShard folds shard src into dst (same leaf): src replicas drain
@@ -483,81 +546,78 @@ func (c *Controller) SplitShard(leaf types.ColorID) (Plan, error) {
 // records are migrated into every dst replica at their authoritative SNs
 // (idempotent — the SN space is per color, assigned once), then src leaves
 // the topology and its replicas stop. Reads of migrated records are served
-// by dst from then on. Blocks until terminal.
+// by dst from then on. The migration runs on in-process replica handles,
+// so a deployment of separate processes gets ErrStaticDeployment. Blocks
+// until terminal.
 func (c *Controller) MergeShard(src, dst types.ShardID) (Plan, error) {
-	p := c.newPlan(KindMergeShard)
-	p.Shard, p.Target = src, dst
-	topo := c.cl.Topology()
-	srcSh, err := topo.Shard(src)
-	if err != nil {
-		return *p, c.fail(p, StateFailed, err)
-	}
-	dstSh, err := topo.Shard(dst)
-	if err != nil {
-		return *p, c.fail(p, StateFailed, err)
-	}
-	if src == dst || srcSh.Leaf != dstSh.Leaf {
-		return *p, c.fail(p, StateFailed,
-			fmt.Errorf("ctrlplane: merge requires distinct shards of one leaf (src leaf %d, dst leaf %d)", srcSh.Leaf, dstSh.Leaf))
-	}
-
-	// Quiesce src: every replica drains, so no new appends land there while
-	// we migrate. Src stays in the topology — its records remain readable
-	// throughout.
-	c.setState(p, StateCutover)
-	var srcReps []*replica.Replica
-	for _, id := range srcSh.Replicas {
-		rep := c.cl.Replica(id)
-		if rep == nil {
-			return *p, c.fail(p, StateFailed, fmt.Errorf("ctrlplane: unknown replica %d", id))
+	return c.run(Plan{Kind: KindMergeShard, Shard: src, Target: dst}, func(p *Plan) (PlanState, error) {
+		topo := c.cl.Topology()
+		srcSh, err := topo.Shard(src)
+		if err != nil {
+			return StateFailed, err
 		}
-		srcReps = append(srcReps, rep)
-	}
-	for _, rep := range srcReps {
-		rep.Drain()
-	}
-	deadline := time.Now().Add(c.cfg.DrainTimeout)
-	for pendingTotal(srcReps) > 0 && time.Now().Before(deadline) {
-		if !c.poll(p) {
-			return *p, c.fail(p, StateFailed, ErrAborted)
+		dstSh, err := topo.Shard(dst)
+		if err != nil {
+			return StateFailed, err
 		}
-	}
-
-	// Migrate: pull every committed src record into every dst replica.
-	donor := srcReps[0]
-	var dstReps []*replica.Replica
-	for _, id := range dstSh.Replicas {
-		rep := c.cl.Replica(id)
-		if rep == nil {
-			return *p, c.fail(p, StateFailed, fmt.Errorf("ctrlplane: unknown replica %d", id))
+		if src == dst || srcSh.Leaf != dstSh.Leaf {
+			return StateFailed, fmt.Errorf("ctrlplane: merge requires distinct shards of one leaf (src leaf %d, dst leaf %d)", srcSh.Leaf, dstSh.Leaf)
 		}
-		dstReps = append(dstReps, rep)
-	}
-	if err := migrateRecords(donor, dstReps); err != nil {
-		return *p, c.fail(p, StateFailed, err)
-	}
-
-	// Cut src out of the layout (version bump → clients re-resolve), then
-	// stop its processes.
-	if err := topo.RemoveShard(src); err != nil {
-		return *p, c.fail(p, StateFailed, err)
-	}
-	for _, id := range srcSh.Replicas {
-		if err := c.cl.RemoveReplicaNode(id); err != nil {
-			return *p, c.fail(p, StateFailed, err)
+		donor := c.cl.Replica(srcSh.Replicas[0])
+		var dstReps []*replica.Replica
+		for _, id := range dstSh.Replicas {
+			dstReps = append(dstReps, c.cl.Replica(id))
 		}
-	}
-	c.setState(p, StateDone)
-	return *p, nil
-}
+		if donor == nil || slices.Contains(dstReps, nil) {
+			return StateFailed, fmt.Errorf("ctrlplane: merge migrates through in-process replica handles: %w", ErrStaticDeployment)
+		}
+		until := time.Now().Add(c.cfg.DrainTimeout)
+		if _, err := c.survey(until, p.abort); err != nil {
+			return StateFailed, err
+		}
 
-// pendingTotal sums the un-flushed pending orders across replicas.
-func pendingTotal(reps []*replica.Replica) int {
-	total := 0
-	for _, r := range reps {
-		total += r.PendingOrders()
-	}
-	return total
+		// Quiesce src: every replica drains, so no new appends land there
+		// while we migrate. Src stays in the topology — its records remain
+		// readable throughout. The drain op doubles as the poll (it is
+		// idempotent and its ack carries the pending orders); a flush that
+		// outlasts DrainTimeout is cut short: what is still pending there
+		// was never acked.
+		c.update(func() { p.State = StateCutover })
+		for pending := uint64(1); pending > 0 && time.Now().Before(until); {
+			pending = 0
+			for _, id := range srcSh.Replicas {
+				ack, err := c.command(id, proto.CtrlOpDrain, 0, nil, until, p.abort)
+				if err != nil {
+					return StateFailed, err
+				}
+				pending += ack.Lag
+			}
+			c.update(func() { p.Lag = pending })
+			if pending > 0 && !c.poll(p) {
+				return StateFailed, ErrAborted
+			}
+		}
+
+		// Migrate: pull every committed src record into every dst replica.
+		if err := migrateRecords(donor, dstReps); err != nil {
+			return StateFailed, err
+		}
+
+		// Cut src out of the layout (version bump → clients re-resolve),
+		// tell the replicas, then stop its processes.
+		if err := topo.RemoveShard(src); err != nil {
+			return StateFailed, err
+		}
+		if err := c.publish(0, time.Now().Add(c.cfg.ConvergeTimeout), p.abort); err != nil {
+			return StateFailed, err
+		}
+		for _, id := range srcSh.Replicas {
+			if err := c.cl.RemoveReplicaNode(id); err != nil {
+				return StateFailed, err
+			}
+		}
+		return StateDone, nil
+	})
 }
 
 // migrateRecords copies every committed record the donor holds into every
@@ -592,67 +652,11 @@ func migrateRecords(donor *replica.Replica, dsts []*replica.Replica) error {
 // parent, with one shard attached so the color is immediately appendable.
 // Blocks until terminal.
 func (c *Controller) AddRegion(color, parent types.ColorID) (Plan, error) {
-	p := c.newPlan(KindAddRegion)
-	p.Color, p.Parent = color, parent
-	c.setState(p, StateCutover)
-	if err := c.cl.AddRegion(color, parent); err != nil {
-		return *p, c.fail(p, StateFailed, err)
-	}
-	shard, err := c.cl.AddShard(color)
-	if err != nil {
-		return *p, c.fail(p, StateFailed, err)
-	}
-	c.mu.Lock()
-	p.Target = shard
-	c.mu.Unlock()
-	c.setState(p, StateDone)
-	return *p, nil
-}
-
-// ---- Observability ----
-
-// initObs publishes the flexlog_ctrl_* families (OPERATIONS.md §2.10).
-func (c *Controller) initObs() {
-	reg := c.cfg.Obs
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("flexlog_ctrl_plans_active",
-		"Reconfiguration plans currently in flight.", nil,
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			n := 0
-			for _, p := range c.plans {
-				if !p.State.Terminal() {
-					n++
-				}
-			}
-			return float64(n)
-		})
-}
-
-func (c *Controller) countStart(kind PlanKind) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Counter("flexlog_ctrl_plans_total",
-		"Reconfiguration plans started, per kind.",
-		obs.Labels{"kind": kind.String()}).Inc()
-}
-
-func (c *Controller) countDone() {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Counter("flexlog_ctrl_plans_done_total",
-		"Reconfiguration plans completed successfully.", nil).Inc()
-}
-
-func (c *Controller) countFailed() {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Counter("flexlog_ctrl_plans_failed_total",
-		"Reconfiguration plans that failed or were rolled back.", nil).Inc()
+	return c.run(Plan{Kind: KindAddRegion, Color: color, Parent: parent}, func(p *Plan) (PlanState, error) {
+		c.update(func() { p.State = StateCutover })
+		if err := c.cl.AddRegion(color, parent); err != nil {
+			return StateFailed, err
+		}
+		return c.addShard(p, color)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func newCluster(t *testing.T, shards int) *core.Cluster {
 	return cl
 }
 
-func newController(cl *core.Cluster, reg *obs.Registry) *ctrlplane.Controller {
+func newController(cl ctrlplane.Cluster, reg *obs.Registry) *ctrlplane.Controller {
 	return ctrlplane.New(cl, ctrlplane.Config{
 		PollInterval:   time.Millisecond,
 		PromoteLag:     64,
@@ -388,4 +389,52 @@ func TestAutoscalerExecutesSplit(t *testing.T) {
 	if adv := as.Evaluate(); adv != nil {
 		t.Fatalf("action during cooldown: %+v", adv)
 	}
+}
+
+// TestAddReplicaRollsBackWhenPromotionDoesNotConverge: a joiner whose
+// promotion sync-phase cannot finish (here: it cannot reach one member)
+// must not stay in the membership — every append to the shard would wait
+// for the ack of a replica that never leaves ModeSyncing. The plan ends
+// RolledBack, the old membership is back, and the shard accepts appends.
+func TestAddReplicaRollsBackWhenPromotionDoesNotConverge(t *testing.T) {
+	cl := newCluster(t, 1)
+	c, err := cl.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, c, types.MasterColor, 50, 1)
+	sh := cl.Topology().Snapshot().Shards[0]
+
+	// Node ids are handed out in order, so the joiner will be the next
+	// one: cut it off from a member that is not its donor (the first).
+	joiner := slices.Max(sh.Replicas) + 1
+	cl.Network().Partition(joiner, sh.Replicas[1])
+
+	ctrl := ctrlplane.New(cl, ctrlplane.Config{
+		PollInterval:    time.Millisecond,
+		CatchupTimeout:  10 * time.Second,
+		ConvergeTimeout: 300 * time.Millisecond,
+	})
+	plan, err := ctrl.AddReplica(sh.ID)
+	if plan.Node != joiner {
+		t.Fatalf("joiner is node %d, the test cut off node %d", plan.Node, joiner)
+	}
+	if err == nil || plan.State != ctrlplane.StateRolledBack {
+		t.Fatalf("plan = %v, err = %v; want rolled-back", &plan, err)
+	}
+	after, err := cl.Topology().Shard(sh.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after.Replicas, sh.Replicas) {
+		t.Fatalf("membership after rollback = %v, want %v", after.Replicas, sh.Replicas)
+	}
+	if cl.Replica(plan.Node) != nil {
+		t.Fatalf("rolled-back joiner %d still registered", plan.Node)
+	}
+	quick, err := cl.NewClient(core.WithTimeout(5 * time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, quick, types.MasterColor, 5, 1)
 }

@@ -18,7 +18,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		frame := encodeFrame(f, g.msg)
 		f.Add(frame[4:])
 	}
-	for _, tag := range []byte{29, 30} {
+	for _, tag := range []byte{26, 29, 30} {
 		frame, err := hex.DecodeString(retiredFrames[tag])
 		if err != nil {
 			f.Fatal(err)

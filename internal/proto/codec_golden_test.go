@@ -77,8 +77,6 @@ var goldenFrames = []struct {
 		"0600000018f403038507"},
 	{"SeqInitAck", SeqInitAck{Epoch: 0x3, From: 0x1},
 		"0500000019f4030301"},
-	{"ReplicaHeartbeat", ReplicaHeartbeat{From: 0x2},
-		"040000001af40302"},
 	{"SyncRequest", SyncRequest{ID: 0x6, From: 0x2},
 		"050000001bf4030602"},
 	{"SyncState", SyncState{ID: 0x6, Epoch: 0x2, MaxSNs: map[types.ColorID]types.SN{0x0: 0x100000004, 0x3: 0x100000002}, Trimmed: map[types.ColorID]types.SN{0x0: 0x100000001}, From: 0x2},
@@ -138,10 +136,11 @@ func TestCodecGoldenBytes(t *testing.T) {
 	}
 }
 
-// retiredFrames are the last wire images of the two retired tags (29 and
-// 30, the sync-phase's former fetch pair): well-formed under the old
-// codec, malformed now.
+// retiredFrames are the last wire images of the retired tags (26, the
+// replica liveness beat nothing read; 29 and 30, the sync-phase's former
+// fetch pair): well-formed under the old codec, malformed now.
 var retiredFrames = map[byte]string{
+	26: "040000001af40302",
 	29: "0c0000001df403060100828080801002",
 	30: "0f0000001ef403060100010183808080100165",
 }

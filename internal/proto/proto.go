@@ -364,13 +364,7 @@ type SeqInitAck struct {
 	From  types.NodeID
 }
 
-// ---- Replica heartbeating & sync-phase (§6.3) ----
-
-// ReplicaHeartbeat is exchanged between a replica and its leaf sequencer
-// (and peers) for failure detection.
-type ReplicaHeartbeat struct {
-	From types.NodeID
-}
+// ---- Sync-phase (§6.3) ----
 
 // SyncRequest starts a sync-phase: the recovering replica asks all shard
 // peers to pause and report their state.
@@ -539,7 +533,6 @@ func RegisterGob() {
 	gob.Register(EpochReject{})
 	gob.Register(SeqInit{})
 	gob.Register(SeqInitAck{})
-	gob.Register(ReplicaHeartbeat{})
 	gob.Register(SyncRequest{})
 	gob.Register(SyncState{})
 	gob.Register(SyncCatchup{})

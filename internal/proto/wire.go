@@ -48,10 +48,11 @@ var Magic = [4]byte{'F', 'L', 'X', '1'}
 const MaxFrame = 1 << 28
 
 // Wire type tags, one per message (DESIGN.md §12 pins these: changing a
-// value breaks cross-version framing and the golden-bytes test). Tags 29
-// and 30 are retired — do not reuse: they framed SyncFetch and SyncEntries,
-// the sync-phase's own fetch pair, until recovery moved onto
-// JoinFetch/JoinEntries, and a frame carrying either is malformed.
+// value breaks cross-version framing and the golden-bytes test). Tags 26,
+// 29 and 30 are retired — do not reuse: 26 framed ReplicaHeartbeat, a
+// liveness beat no receiver ever read, 29 and 30 SyncFetch and
+// SyncEntries, the sync-phase's own fetch pair, until recovery moved onto
+// JoinFetch/JoinEntries. A frame carrying any of them is malformed.
 const (
 	TagAppendReq         byte = 1
 	TagAppendBatchReq    byte = 2
@@ -78,7 +79,6 @@ const (
 	TagEpochReject       byte = 23
 	TagSeqInit           byte = 24
 	TagSeqInitAck        byte = 25
-	TagReplicaHeartbeat  byte = 26
 	TagSyncRequest       byte = 27
 	TagSyncState         byte = 28
 	TagSyncCatchup       byte = 31
@@ -256,7 +256,6 @@ var bodyDecoders = [256]func(body []byte) (any, error){
 	TagEpochReject:       func(b []byte) (any, error) { var m EpochReject; err := m.Decode(b); return m, err },
 	TagSeqInit:           func(b []byte) (any, error) { var m SeqInit; err := m.Decode(b); return m, err },
 	TagSeqInitAck:        func(b []byte) (any, error) { var m SeqInitAck; err := m.Decode(b); return m, err },
-	TagReplicaHeartbeat:  func(b []byte) (any, error) { var m ReplicaHeartbeat; err := m.Decode(b); return m, err },
 	TagSyncRequest:       func(b []byte) (any, error) { var m SyncRequest; err := m.Decode(b); return m, err },
 	TagSyncState:         func(b []byte) (any, error) { var m SyncState; err := m.Decode(b); return m, err },
 	TagSyncCatchup:       func(b []byte) (any, error) { var m SyncCatchup; err := m.Decode(b); return m, err },

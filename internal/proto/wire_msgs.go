@@ -594,20 +594,6 @@ func (m *SeqInitAck) Decode(b []byte) error {
 func (m SeqInitAck) wireTag() byte { return TagSeqInitAck }
 
 // AppendTo appends the message body to b. See wire.go.
-func (m ReplicaHeartbeat) AppendTo(b []byte) []byte {
-	return appendUvarint(b, uint64(m.From))
-}
-
-// Decode parses a message body.
-func (m *ReplicaHeartbeat) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.From = types.NodeID(r.u32())
-	return r.done()
-}
-
-func (m ReplicaHeartbeat) wireTag() byte { return TagReplicaHeartbeat }
-
-// AppendTo appends the message body to b. See wire.go.
 func (m SyncRequest) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendUvarint(b, uint64(m.From))

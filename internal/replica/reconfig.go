@@ -65,6 +65,16 @@ func (r *Replica) StartJoin(donor types.NodeID) {
 // local one, summed. MaxUint64 until the first round answers.
 func (r *Replica) JoinLag() uint64 { return r.joinLag.Load() }
 
+// joinDonor returns the donor of the running join, 0 when there is none.
+func (r *Replica) joinDonor() types.NodeID {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.join == nil {
+		return 0
+	}
+	return r.join.donor
+}
+
 // Promote ends the catch-up and converges the final in-flight tail with
 // the shard through an ordinary sync-phase. The control plane must have
 // added this node to the shard's membership first, so the sync-phase
@@ -141,27 +151,30 @@ func (r *Replica) onTopoUpdate(m proto.TopoUpdate) {
 
 // onCtrlReconfig executes one control-plane operation and answers with a
 // CtrlAck carrying the replica's mode, lag, and topology version — the
-// controller's polling surface.
+// controller's polling surface. The controller retransmits a command
+// until it is acknowledged, so each one is idempotent: a join already
+// running from the named donor is not restarted, and a promote acts only
+// on a joining replica (a second one would pause the shard for a needless
+// sync-phase).
 func (r *Replica) onCtrlReconfig(from types.NodeID, m proto.CtrlReconfig) {
 	ack := proto.CtrlAck{Seq: m.Seq, Op: m.Op, From: r.cfg.ID}
+	joining := r.mode.load() == ModeJoining
 	switch m.Op {
 	case proto.CtrlOpJoin:
-		if m.Donor == 0 {
-			ack.OK = false
-		} else {
+		ack.OK = m.Donor != 0
+		if ack.OK && !(joining && r.joinDonor() == m.Donor) {
 			r.StartJoin(m.Donor)
-			ack.OK = true
 		}
 	case proto.CtrlOpPromote:
-		r.Promote()
+		if joining {
+			r.Promote()
+		}
 		ack.OK = true
 	case proto.CtrlOpDrain:
 		r.Drain()
 		ack.OK = true
 	case proto.CtrlOpStatus:
 		ack.OK = true
-	default:
-		ack.OK = false
 	}
 	ack.Mode = uint8(r.mode.load())
 	ack.Lag = r.ctrlLag()

@@ -98,7 +98,8 @@ type Config struct {
 	// AppendReq; 0 uses a large default. Tests shrink it to exercise
 	// eviction.
 	EarlyBound int
-	// HeartbeatInterval is the replica→sequencer liveness beat.
+	// HeartbeatInterval bounds the timer tick (retries of sync runs,
+	// pending orders and join rounds are checked this often).
 	HeartbeatInterval time.Duration
 	// RetryTimeout re-issues order requests that got no response (e.g.
 	// across sequencer failover).
@@ -297,7 +298,6 @@ type Replica struct {
 	replays    map[types.Token]*replayWait
 	early      map[types.Token]proto.OrderResp // OResps that beat the AppendReq
 	earlyOrder []types.Token                   // insertion order of early entries (oldest first)
-	lastBeat   time.Time                       // last ReplicaHeartbeat sent (timer goroutine only)
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	wg         sync.WaitGroup
@@ -514,8 +514,6 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 		r.onTopoUpdate(m)
 	case proto.CtrlReconfig:
 		r.onCtrlReconfig(from, m)
-	case proto.ReplicaHeartbeat:
-		// peer liveness; nothing to do in the happy path
 	}
 }
 
@@ -881,7 +879,10 @@ func (r *Replica) finishTrim(id uint64) {
 
 func (r *Replica) timerLoop() {
 	defer r.wg.Done()
-	interval := r.heartbeatInterval()
+	interval := r.cfg.HeartbeatInterval
+	if interval <= 0 {
+		interval = 5 * time.Millisecond
+	}
 	if hold := r.cfg.ReadHoldTimeout; hold > 0 && hold < interval {
 		interval = hold
 	}
@@ -897,28 +898,17 @@ func (r *Replica) timerLoop() {
 	}
 }
 
-func (r *Replica) heartbeatInterval() time.Duration {
-	if r.cfg.HeartbeatInterval > 0 {
-		return r.cfg.HeartbeatInterval
-	}
-	return 5 * time.Millisecond
-}
-
 // tick runs the periodic work due at now. The ticker is as fine as the
-// read-hold timeout so held reads expire on time; the liveness beat keeps
-// its own, coarser HeartbeatInterval. Only the timer goroutine calls tick.
+// read-hold timeout so held reads expire on time. Only the timer
+// goroutine calls tick.
 func (r *Replica) tick(now time.Time) {
 	switch r.mode.load() {
 	case ModeOperational, ModeDraining:
-		// Draining keeps the order-retry and heartbeat machinery alive so
-		// its pending appends flush before Stop.
+		// Draining keeps the order-retry machinery alive so its pending
+		// appends flush before Stop.
 		r.expireHeldReads(now)
 		r.retrySyncRuns(now)
 		r.retryPendingOrders(now)
-		if now.Sub(r.lastBeat) >= r.heartbeatInterval() {
-			r.lastBeat = now
-			r.ep.Send(r.sequencer(), proto.ReplicaHeartbeat{From: r.cfg.ID})
-		}
 	case ModeSyncing:
 		r.expireHeldReads(now)
 		r.retrySyncRuns(now)

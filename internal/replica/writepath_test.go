@@ -214,10 +214,11 @@ func steppedReplica(t *testing.T, edit func(*Config)) (*Replica, *recordingEndpo
 	return r, ep
 }
 
-// TestHeartbeatCadence steps the timer through one second of 1 ms ticks
-// (the cadence the read-hold timeout imposes on it): the liveness beat
-// must go out once per HeartbeatInterval, not once per tick.
-func TestHeartbeatCadence(t *testing.T) {
+// TestIdleReplicaSendsNothing steps the timer through one second of 1 ms
+// ticks (the cadence the read-hold timeout imposes on it): a replica with
+// no append, sync run or join in flight has no background traffic
+// (OPERATIONS.md §2.2).
+func TestIdleReplicaSendsNothing(t *testing.T) {
 	r, ep := steppedReplica(t, func(cfg *Config) {
 		cfg.ReadHoldTimeout = time.Millisecond
 		cfg.HeartbeatInterval = 100 * time.Millisecond
@@ -226,14 +227,8 @@ func TestHeartbeatCadence(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		r.tick(start.Add(time.Duration(i) * time.Millisecond))
 	}
-	beats := 0
-	for _, m := range ep.sent {
-		if _, ok := m.(proto.ReplicaHeartbeat); ok {
-			beats++
-		}
-	}
-	if beats != 10 {
-		t.Fatalf("%d heartbeats over 1000 ticks of 1 ms at a 100 ms interval, want 10", beats)
+	if len(ep.sent) != 0 {
+		t.Fatalf("idle replica sent %d messages over 1000 ticks, first %T; want none", len(ep.sent), ep.sent[0])
 	}
 }
 

@@ -138,3 +138,43 @@ func TestEpochInSNsAfterManualElection(t *testing.T) {
 		t.Fatalf("SN order violated across failover: %v <= %v", newSN, oldSN)
 	}
 }
+
+// TestChildBatchDedupIsBounded: the owner's (child, batch id) → SN map
+// shares the token cache's bounded FIFO, so a region owner's memory does
+// not grow with every upward batch it ever served — and a resend of a
+// recent batch still gets its original range back.
+func TestChildBatchDedupIsBounded(t *testing.T) {
+	net := transport.NewNetwork(transport.ZeroLink())
+	topo := topology.New()
+	topo.AddRegion(0, 0, 100, nil)
+	cfg := testConfig(100, 0, topo)
+	cfg.TokenCacheSize = 1024
+	root, err := New(cfg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Stop()
+
+	const batches = 20 * 1024
+	var last proto.AggOrderResp
+	for id := uint64(1); id <= batches; id++ {
+		resp, ok := root.handleAggItem(110, 0, id, 2)
+		if !ok {
+			t.Fatalf("owner did not answer batch %d", id)
+		}
+		last = resp
+	}
+	if again, ok := root.handleAggItem(110, 0, batches, 2); !ok || again.LastSN != last.LastSN {
+		t.Fatalf("resend of the latest batch got %v (ok=%v), want its original %v", again.LastSN, ok, last.LastSN)
+	}
+	if got := root.Stats().Assigned; got != 2*batches {
+		t.Fatalf("assigned %d SNs for %d two-record batches and one resend", got, batches)
+	}
+	held := 0
+	for i := range root.aggSeen {
+		held += len(root.aggSeen[i].m)
+	}
+	if held > cfg.TokenCacheSize {
+		t.Fatalf("child-batch dedup holds %d entries after %d batches, budget %d", held, batches, cfg.TokenCacheSize)
+	}
+}

@@ -78,11 +78,45 @@ func (s *Sequencer) setEpochLocked(e types.Epoch) {
 	s.epochMirror.Store(uint32(e))
 }
 
-// ---- Striped token dedup (Alg. 1 lines 28–31) ----
+// ---- Striped bounded dedup: tokens (Alg. 1 lines 28–31), child batches ----
 
-// tokenStripes is the number of independent token-cache shards. 64 keeps
-// cross-core contention negligible at a few cache lines of overhead.
-const tokenStripes = 64
+// dedupStripes is the number of independent shards of each dedup map. 64
+// keeps cross-core contention negligible at a few cache lines of overhead.
+const dedupStripes = 64
+
+// dedupStripe is one shard of a bounded dedup map with its own FIFO
+// eviction ring. The sequencer keeps two striped maps of it, each
+// budgeted TokenCacheSize entries (cap = TokenCacheSize/dedupStripes per
+// stripe): token → assignment at the entry, and (child, batch id) →
+// assigned SN at a region owner. A caller holds mu across its whole
+// check-assign-remember sequence, so a duplicate racing the original can
+// never burn a second SN range.
+type dedupStripe[K comparable, V any] struct {
+	mu    sync.Mutex
+	m     map[K]V
+	order []K
+	head  int // order[head:] are live, in insertion order
+}
+
+// remember inserts or overwrites dedup state with FIFO eviction. Caller
+// holds st.mu.
+func (st *dedupStripe[K, V]) remember(k K, v V, cap int) {
+	if _, exists := st.m[k]; !exists {
+		st.order = append(st.order, k)
+	}
+	st.m[k] = v
+	for len(st.m) > cap && st.head < len(st.order) {
+		old := st.order[st.head]
+		st.head++
+		delete(st.m, old)
+	}
+	if st.head > len(st.order)/2 {
+		// Compact, so the ring's memory follows the live entries and not
+		// every key ever inserted.
+		st.order = st.order[:copy(st.order, st.order[st.head:])]
+		st.head = 0
+	}
+}
 
 // tokenEntry is the dedup state for one token, stamped with the serving
 // epoch it was created under. Entries from older epochs are treated as
@@ -95,22 +129,16 @@ type tokenEntry struct {
 	lastSN   types.SN
 }
 
-// tokenStripe is one shard of the token cache with its own FIFO eviction
-// ring (cap = TokenCacheSize/tokenStripes).
-type tokenStripe struct {
-	mu    sync.Mutex
-	m     map[types.Token]tokenEntry
-	order []types.Token
-	head  int // order[head:] are live, in insertion order
-}
+// tokenStripe is one shard of the token cache.
+type tokenStripe = dedupStripe[types.Token, tokenEntry]
 
-// lookup returns the entry for t unless it predates the serving epoch se,
-// in which case it is deleted (a new leadership never trusts dedup state
-// from a previous term). Entries stamped NEWER than se are hits: epochs
-// only grow, so a newer stamp means the caller's se read is the stale side
-// of an in-flight epoch bump and the entry belongs to the current term.
-// Caller holds st.mu.
-func (st *tokenStripe) lookup(t types.Token, se types.Epoch) (tokenEntry, bool) {
+// lookupToken returns the entry for t unless it predates the serving
+// epoch se, in which case it is deleted (a new leadership never trusts
+// dedup state from a previous term). Entries stamped NEWER than se are
+// hits: epochs only grow, so a newer stamp means the caller's se read is
+// the stale side of an in-flight epoch bump and the entry belongs to the
+// current term. Caller holds st.mu.
+func lookupToken(st *tokenStripe, t types.Token, se types.Epoch) (tokenEntry, bool) {
 	e, ok := st.m[t]
 	if !ok {
 		return tokenEntry{}, false
@@ -122,27 +150,9 @@ func (st *tokenStripe) lookup(t types.Token, se types.Epoch) (tokenEntry, bool) 
 	return e, true
 }
 
-// remember inserts or overwrites dedup state with FIFO eviction. Caller
-// holds st.mu.
-func (st *tokenStripe) remember(t types.Token, e tokenEntry, cap int) {
-	if _, exists := st.m[t]; !exists {
-		st.order = append(st.order, t)
-	}
-	st.m[t] = e
-	for len(st.m) > cap && st.head < len(st.order) {
-		old := st.order[st.head]
-		st.head++
-		delete(st.m, old)
-	}
-	if st.head > 0 && st.head == len(st.order) {
-		st.order = st.order[:0]
-		st.head = 0
-	}
-}
-
 // tokenStripeFor hashes a token onto its stripe.
 func (s *Sequencer) tokenStripeFor(t types.Token) *tokenStripe {
-	return &s.tokens[mix64(uint64(t))%tokenStripes]
+	return &s.tokens[mix64(uint64(t))%dedupStripes]
 }
 
 // mix64 is a splitmix64-style finalizer: cheap, and good enough to spread
@@ -245,22 +255,13 @@ func (s *Sequencer) pendingQueues() []*colorQueue {
 	return nil
 }
 
-// ---- Striped child-batch dedup (owner side) ----
-
-const aggStripes = 64
-
-// aggStripe is one shard of the (from, batchID) → assigned-SN dedup map.
-// The stripe mutex is held across the check-assign-record sequence so a
-// duplicate resend racing the original can never burn a second SN range.
-// Entries deliberately survive epoch changes, like the pre-lock-free map:
-// a resend after failover must get the ORIGINAL assignment back.
-type aggStripe struct {
-	mu sync.Mutex
-	m  map[childKey]types.SN
-}
+// aggStripe is one shard of the owner-side (from, batchID) → assigned-SN
+// dedup map. Entries deliberately survive epoch changes: a resend after
+// failover must get the ORIGINAL assignment back.
+type aggStripe = dedupStripe[childKey, types.SN]
 
 func (s *Sequencer) aggStripeFor(k childKey) *aggStripe {
-	return &s.aggSeen[mix64(uint64(k.from)^k.batchID<<17)%aggStripes]
+	return &s.aggSeen[mix64(uint64(k.from)^k.batchID<<17)%dedupStripes]
 }
 
 // ---- Atomic counter block ----

@@ -176,14 +176,14 @@ type Sequencer struct {
 	epochMirror atomic.Uint32 // wait-free mirror of epoch for Epoch()/obs
 	c           counters
 
-	tokens   [tokenStripes]tokenStripe // entry-side token dedup
-	tokenCap int                       // per-stripe FIFO capacity
+	tokens   [dedupStripes]tokenStripe // entry-side token dedup
+	tokenCap int                       // per-stripe FIFO capacity, of tokens and aggSeen alike
 
 	pendQ    sync.Map // types.ColorID → *colorQueue
 	pendMu   sync.Mutex
 	pendList atomic.Pointer[[]*colorQueue]
 
-	aggSeen [aggStripes]aggStripe // owner-side dedup of child batches
+	aggSeen [dedupStripes]aggStripe // owner-side dedup of child batches
 
 	batchSeq atomic.Uint64
 	inflight sync.Map // batchID uint64 → *inflight
@@ -295,7 +295,7 @@ func newSequencer(cfg Config) *Sequencer {
 		stopCh: make(chan struct{}),
 		kick:   make(chan struct{}, 1),
 	}
-	s.tokenCap = cfg.TokenCacheSize / tokenStripes
+	s.tokenCap = cfg.TokenCacheSize / dedupStripes
 	if s.tokenCap < 1 {
 		s.tokenCap = 1
 	}
@@ -429,8 +429,6 @@ func (s *Sequencer) handle(from types.NodeID, msg transport.Message) {
 		s.onEpochReject(m)
 	case proto.SeqInitAck:
 		s.onSeqInitAck(m)
-	case proto.ReplicaHeartbeat:
-		// Replica liveness; sequencers do not act on it beyond receipt.
 	}
 }
 
@@ -476,7 +474,7 @@ func (s *Sequencer) orderItems(from types.NodeID, color types.ColorID, shard typ
 	for _, it := range reqs {
 		st := s.tokenStripeFor(it.Token)
 		st.mu.Lock()
-		if e, ok := st.lookup(it.Token, se); ok {
+		if e, ok := lookupToken(st, it.Token, se); ok {
 			st.mu.Unlock()
 			s.c.dupTokens.Add(1)
 			if e.assigned {
@@ -575,7 +573,7 @@ func (s *Sequencer) handleAggItem(from types.NodeID, color types.ColorID, batchI
 			s.c.droppedStale.Add(1)
 			return proto.AggOrderResp{}, false
 		}
-		ag.m[key] = last
+		ag.remember(key, last, s.tokenCap)
 		ag.mu.Unlock()
 		return proto.AggOrderResp{BatchID: batchID, LastSN: last, Color: color}, true
 	}

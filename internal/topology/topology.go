@@ -322,6 +322,19 @@ func (t *Topology) Version() uint64 {
 	return t.version
 }
 
+// RaiseVersion lifts the fencing epoch to at least v without changing the
+// layout. A control plane whose copy of the layout is older than a node's
+// (a manifest that predates earlier reconfigurations) calls it with every
+// version it is told, so the next mutation it publishes is newer than any
+// of them instead of being fenced as stale.
+func (t *Topology) RaiseVersion(v uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if v > t.version {
+		t.version = v
+	}
+}
+
 // AddReplicaToShard promotes a caught-up replica into a shard's read/write
 // set. From this point appends broadcast to it and reads may consult it.
 func (t *Topology) AddReplicaToShard(id types.ShardID, node types.NodeID) error {
