@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race loc flake benchmark-check bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
+.PHONY: verify build test vet race loc flake benchmark-check shape-check bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
 
-verify: build test vet race benchmark-check chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
+verify: build test vet race benchmark-check shape-check chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -48,11 +48,20 @@ flake:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# The wall-clock Table-1 shape tests (compute/storage split of the video
+# and gzip profiles): built only with -tags shape, so full-parallel
+# `go test ./...` load cannot distort them; run here alone.
+shape-check:
+	$(GO) test -tags shape -count=1 -run 'TestProfileVideoShape|TestProfileGzipShape' ./internal/workload/
+
 # Short seeded chaos soak (drop/dup/reorder/jitter + replica crashes +
 # leader kills) under -race; a failure prints the seed and the nemesis
-# schedule to replay it (FLEXLOG_CHAOS_SEED=<seed>).
+# schedule to replay it (FLEXLOG_CHAOS_SEED=<seed>). Beside it, the two
+# scripted schedules that once gave one token two SNs across a leader kill
+# (ROADMAP item 1), ten times each.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoakShort|TestScheduleDeterminism' ./internal/chaos/
+	$(GO) test -race -count=10 -run 'TestLostOrderRespThenLeaderKill|TestSplitFrontiersThenLeafLeaderKill' ./internal/core/
 
 # Full ≥30s acceptance soak (see EXPERIMENTS.md "chaos soak").
 chaos-soak:

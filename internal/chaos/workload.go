@@ -339,21 +339,42 @@ func sleepJitter(ctx context.Context, rng *rand.Rand, d time.Duration) {
 }
 
 // CollectFinal takes the quiesced end-of-run view the checker validates
-// against: one full subscribe per color. Any single replica must be able
+// against: one full subscribe per color — any single replica must be able
 // to serve the complete committed log (Alg. 1 acks require all replicas),
-// so one subscribe per color is the strongest faithful read.
+// so one subscribe per color is the strongest faithful read — and, in
+// process, every color of every replica of the colors' shards, which the
+// checker compares token by token.
 func CollectFinal(cl *core.Cluster, colors []types.ColorID) (histcheck.FinalState, error) {
 	cli, err := cl.NewClient()
 	if err != nil {
 		return histcheck.FinalState{}, err
 	}
-	final := histcheck.FinalState{Logs: make(map[types.ColorID][]types.Record, len(colors))}
+	final := histcheck.FinalState{
+		Logs:     make(map[types.ColorID][]types.Record, len(colors)),
+		Replicas: make(map[types.NodeID][]types.Record),
+	}
 	for _, c := range colors {
 		recs, err := cli.Subscribe(c, types.InvalidSN)
 		if err != nil {
 			return histcheck.FinalState{}, fmt.Errorf("chaos: final subscribe of color %d: %w", c, err)
 		}
 		final.Logs[c] = recs
+		for _, sh := range cl.Topology().ShardsInRegion(c) {
+			for _, r := range cl.Replicas(sh.ID) {
+				if _, done := final.Replicas[r.ID()]; done {
+					continue
+				}
+				var all []types.Record
+				for _, held := range cl.Topology().Colors() {
+					recs, err := r.Store().Scan(held)
+					if err != nil {
+						return histcheck.FinalState{}, fmt.Errorf("chaos: scanning color %d on replica %d: %w", held, r.ID(), err)
+					}
+					all = append(all, recs...)
+				}
+				final.Replicas[r.ID()] = all
+			}
+		}
 	}
 	return final, nil
 }

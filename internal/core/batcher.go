@@ -66,7 +66,8 @@ func (f *AppendFuture) Wait(ctx context.Context) (types.SN, error) {
 	}
 }
 
-// ClientMetrics exposes the batching layer's per-client instrumentation.
+// ClientMetrics exposes the client's per-client instrumentation: the
+// batching layer's and the appends that ended in ErrSNConflict.
 type ClientMetrics struct {
 	// BatchRecords/BatchBytes are value histograms of flushed batch sizes.
 	BatchRecords *metrics.Histogram
@@ -78,6 +79,9 @@ type ClientMetrics struct {
 	// they carried.
 	Batches        *metrics.Counter
 	BatchedAppends *metrics.Counter
+	// SNConflicts counts appends, batched or not, that failed with
+	// ErrSNConflict.
+	SNConflicts *metrics.Counter
 }
 
 func newClientMetrics() *ClientMetrics {
@@ -87,6 +91,7 @@ func newClientMetrics() *ClientMetrics {
 		QueueDelay:     metrics.NewHistogram(),
 		Batches:        metrics.NewCounter(),
 		BatchedAppends: metrics.NewCounter(),
+		SNConflicts:    metrics.NewCounter(),
 	}
 }
 

@@ -32,6 +32,7 @@ type call struct {
 	// folding an answer twice is harmless.
 	seen map[types.NodeID]bool
 
+	err   error         // set by a fold that ends the operation as a failure
 	rej   error         // last typed rejection (ErrThrottled/ErrOverloaded/ErrReconfiguring)
 	after time.Duration // its retry-after hint, surfaced with rej when the call fails
 	hint  time.Duration // after, until a loop consumes it: one rejection stretches one interval
@@ -186,7 +187,7 @@ func (c *Client) await(ctx context.Context, w *call, resend func() error) error 
 		interval := min(bo.nextAfter(c.takeHint(w)), time.Until(deadline))
 		select {
 		case <-w.done:
-			return nil
+			return w.err // set before done closed, and never after
 		case <-ctx.Done():
 			return c.failure(w, ctx.Err())
 		case <-c.closedCh:

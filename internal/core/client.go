@@ -78,6 +78,11 @@ var (
 	// deadline. Callers retry with a fresh append (the usual §6.3
 	// re-execution), which lands on the surviving shards.
 	ErrReconfiguring = errors.New("flexlog: shard reconfiguring")
+	// ErrSNConflict fails an append two replicas acknowledged at different
+	// SNs: one token was ordered twice, and at least one of the SNs does not
+	// read back everywhere. Never retried; ClientMetrics.SNConflicts counts
+	// it (ROADMAP item 1).
+	ErrSNConflict = errors.New("flexlog: append acknowledged at two SNs")
 )
 
 // ClientConfig parameterizes a client handle.
@@ -366,7 +371,9 @@ func (c *Client) startAppend(shard types.ShardID, token types.Token, req transpo
 }
 
 // fold is the one place an AppendAck lands. A member that rejects has not
-// acked: it stays in the barrier and the next tick asks it again.
+// acked: it stays in the barrier and the next tick asks it again. Two
+// valid acks at different SNs end the append with ErrSNConflict — no ack
+// wins over another.
 func (a *appendCall) fold(from types.NodeID, msg transport.Message) bool {
 	m, ok := msg.(proto.AppendAck)
 	if !ok {
@@ -375,6 +382,11 @@ func (a *appendCall) fold(from types.NodeID, msg transport.Message) bool {
 	delete(a.needed, from)
 	a.acked[from] = true
 	if m.SN.Valid() {
+		if a.sn.Valid() && a.sn != m.SN {
+			a.err = fmt.Errorf("%w: token %v at %v and %v", ErrSNConflict, a.token, a.sn, m.SN)
+			a.c.met.SNConflicts.Add(1)
+			return true
+		}
 		a.sn = m.SN
 	}
 	return len(a.needed) == 0 && a.everyMemberAcked()

@@ -630,7 +630,7 @@ func (c *Controller) MergeShard(src, dst types.ShardID) (Plan, error) {
 func migrateRecords(donor *replica.Replica, dsts []*replica.Replica) error {
 	shipped := make(map[types.ColorID]types.SN)
 	for {
-		round, err := donor.ServeCatchup(shipped, 0)
+		round, err := donor.ServeCatchup(shipped, nil, 0)
 		if err != nil {
 			return fmt.Errorf("ctrlplane: scanning merge donor: %w", err)
 		}

@@ -20,7 +20,10 @@
 //     nothing at or below t (no resurrection) and everything acked above
 //     t (no lost suffix);
 //   - multi-atomicity: a multi-color append is visible in all of its
-//     target colors or in none, and in all if it was acknowledged.
+//     target colors or in none, and in all if it was acknowledged;
+//   - token-sn: an append batch (one token) sits at one SN on every
+//     replica that holds it — a token ordered twice acknowledges an SN
+//     some replica reads as ⊥ (ROADMAP item 1).
 //
 // Operations that time out are indeterminate: their effects may or may
 // not have applied, and the checker treats both outcomes as legal.
@@ -210,9 +213,11 @@ func (v Violation) String() string {
 
 // FinalState is the quiesced end-of-run view the checker validates the
 // history against: one full subscribe per color after all faults healed
-// and recoveries finished.
+// and recoveries finished, and every replica's committed log read
+// separately, record for record.
 type FinalState struct {
-	Logs map[types.ColorID][]types.Record
+	Logs     map[types.ColorID][]types.Record
+	Replicas map[types.NodeID][]types.Record // every color a replica holds
 }
 
 // Check validates the recorded history against the final state and
@@ -429,6 +434,26 @@ func Check(ops []Op, final FinalState) []Violation {
 				Prop: "multi-atomicity", Op: op.ID,
 				Msg: fmt.Sprintf("unacked multi-append partially visible: %d of %d colors", visible, len(op.Colors)),
 			})
+		}
+	}
+
+	// One SN per token on every replica. A batch's SN is its last record's,
+	// which a trim of its prefix leaves in place.
+	first := make(map[types.Token]types.SN)
+	for node, recs := range final.Replicas {
+		last := make(map[types.Token]types.SN)
+		for _, rec := range recs {
+			last[rec.Token] = max(last[rec.Token], rec.SN)
+		}
+		for token, sn := range last {
+			if prev, seen := first[token]; !seen {
+				first[token] = sn
+			} else if prev != sn {
+				out = append(out, Violation{
+					Prop: "token-sn",
+					Msg:  fmt.Sprintf("token %v is at %v on replica %d and at %v on another replica", token, sn, node, prev),
+				})
+			}
 		}
 	}
 

@@ -60,6 +60,32 @@ func TestLostAckedAppendCaught(t *testing.T) {
 	}
 }
 
+// TestTokenAtTwoSNsCaught: the same batch at two SNs on two replicas is a
+// violation; the same batch with a trimmed prefix on one of them is not.
+func TestTokenAtTwoSNsCaught(t *testing.T) {
+	batch := func(token types.Token, sns ...types.SN) []types.Record {
+		var out []types.Record
+		for _, sn := range sns {
+			out = append(out, types.Record{Token: token, SN: sn})
+		}
+		return out
+	}
+	agree := FinalState{Replicas: map[types.NodeID][]types.Record{
+		1: batch(7, 4, 5, 6),
+		2: batch(7, 6), // a trim took SNs 4 and 5
+	}}
+	if vs := Check(nil, agree); len(vs) != 0 {
+		t.Fatalf("one SN per token produced violations: %v", vs)
+	}
+	split := FinalState{Replicas: map[types.NodeID][]types.Record{
+		1: batch(7, 6),
+		2: batch(7, 9),
+	}}
+	if vs := Check(nil, split); !hasProp(vs, "token-sn") {
+		t.Fatalf("token at two SNs not caught: %v", vs)
+	}
+}
+
 func TestUnackedAppendMayOrMayNotSurvive(t *testing.T) {
 	r := NewRecorder()
 	r.BeginAppend(0, []byte("timed-out")).Fail()

@@ -79,18 +79,14 @@ var goldenFrames = []struct {
 		"0500000019f4030301"},
 	{"SyncRequest", SyncRequest{ID: 0x6, From: 0x2},
 		"050000001bf4030602"},
-	{"SyncState", SyncState{ID: 0x6, Epoch: 0x2, MaxSNs: map[types.ColorID]types.SN{0x0: 0x100000004, 0x3: 0x100000002}, Trimmed: map[types.ColorID]types.SN{0x0: 0x100000001}, From: 0x2},
-		"1a0000001cf4030602020084808080100382808080100100818080801002"},
-	{"SyncCatchup", SyncCatchup{ID: 0x6, UpToDate: 0x3, Max: map[types.ColorID]types.SN{0x0: 0x100000004}, Trimmed: map[types.ColorID]types.SN(nil), Epoch: 0x2, From: 0x2},
-		"0f0000001ff403060301008480808010000202"},
 	{"SyncDone", SyncDone{ID: 0x6, From: 0x3},
 		"0500000020f4030603"},
 	{"Reject", Reject{Token: 0xb, ID: 0x4d, Color: 0x3, Tenant: 0x7, Code: RejectThrottled, IsRead: false, RetryAfterMicros: 1500},
 		"0b00000021f4030b4d03070100dc0b"},
-	{"JoinFetch", JoinFetch{ID: 0x6, Have: map[types.ColorID]types.SN{0x0: 0x100000002}, Budget: 0x80, From: 0x2},
-		"0e00000024f4030601008280808010800102"},
-	{"JoinEntries", JoinEntries{ID: 0x6, Records: map[types.ColorID][]WireRecord{0x0: {WireRecord{Token: 0x1, SN: 0x100000003, Data: []uint8{0x65}}}}, Frontier: map[types.ColorID]types.SN{0x0: 0x100000004}, More: true, From: 0x3},
-		"1800000025f403060100010183808080100165010084808080100103"},
+	{"JoinFetch", JoinFetch{ID: 0x6, Have: map[types.ColorID]types.SN{0x0: 0x100000002}, Tokens: []types.Token{0x700000009}, Budget: 0x80, From: 0x2},
+		"1400000024f4030601008280808010018980808070800102"},
+	{"JoinEntries", JoinEntries{ID: 0x6, Records: map[types.ColorID][]WireRecord{0x0: {WireRecord{Token: 0x1, SN: 0x100000003, Data: []uint8{0x65}}}}, Frontier: map[types.ColorID]types.SN{0x0: 0x100000004}, Trimmed: map[types.ColorID]types.SN{0x0: 0x100000001}, Epoch: 0x2, More: true, From: 0x3},
+		"2000000025f4030601000101838080801001650100848080801001008180808010020103"},
 	{"TopoUpdate", TopoUpdate{Version: 0x7, Regions: []TopoRegion{
 		{Color: 0x0, Parent: 0x0, Leader: 0x64, Backups: []types.NodeID{0x65}, Members: []types.NodeID{0x64, 0x65}, IsRoot: true},
 		{Color: 0x1, Parent: 0x0, Leader: 0x6e, Backups: nil, Members: []types.NodeID{0x6e}, IsRoot: false},
@@ -138,11 +134,14 @@ func TestCodecGoldenBytes(t *testing.T) {
 
 // retiredFrames are the last wire images of the retired tags (26, the
 // replica liveness beat nothing read; 29 and 30, the sync-phase's former
-// fetch pair): well-formed under the old codec, malformed now.
+// fetch pair; 28 and 31, SyncState and SyncCatchup, the "most up-to-date"
+// election): well-formed under the old codec, malformed now.
 var retiredFrames = map[byte]string{
 	26: "040000001af40302",
+	28: "1a0000001cf4030602020084808080100382808080100100818080801002",
 	29: "0c0000001df403060100828080801002",
 	30: "0f0000001ef403060100010183808080100165",
+	31: "0f0000001ff403060301008480808010000202",
 }
 
 // TestCodecRetiredTagsAreBadFrames: a peer still sending a retired tag

@@ -366,37 +366,12 @@ type SeqInitAck struct {
 
 // ---- Sync-phase (§6.3) ----
 
-// SyncRequest starts a sync-phase: the recovering replica asks all shard
-// peers to pause and report their state.
+// SyncRequest starts a sync-phase: the coordinator asks all shard peers to
+// pause and pull from each other in JoinFetch/JoinEntries rounds carrying
+// the run's ID.
 type SyncRequest struct {
 	ID   uint64
 	From types.NodeID
-}
-
-// SyncState is a peer's reply: its known sequencer epoch and, per color,
-// its maximum committed SN and trim frontier.
-type SyncState struct {
-	ID      uint64
-	Epoch   types.Epoch
-	MaxSNs  map[types.ColorID]types.SN
-	Trimmed map[types.ColorID]types.SN
-	From    types.NodeID
-}
-
-// SyncCatchup is the coordinator's round-2 broadcast naming the most
-// up-to-date replica; outdated peers fetch missing entries from it (§6.3:
-// "it broadcasts the most up-to-date replica id") in JoinFetch/JoinEntries
-// rounds carrying the sync run's ID.
-type SyncCatchup struct {
-	ID       uint64
-	UpToDate types.NodeID
-	Max      map[types.ColorID]types.SN
-	// Trimmed carries the shard's maximum trim frontier per color: a
-	// recovering replica applies it before serving so records garbage-
-	// collected during its downtime are never resurrected (§6.2 + §6.3).
-	Trimmed map[types.ColorID]types.SN
-	Epoch   types.Epoch
-	From    types.NodeID
 }
 
 // SyncDone is the all-to-all barrier message ending the sync-phase: a
@@ -409,29 +384,36 @@ type SyncDone struct {
 // ---- Reconfiguration control plane (DESIGN.md §15) ----
 
 // JoinFetch is one round of replica-to-replica catch-up: send committed
-// records above Have, per color. A joining replica sends it to its donor
-// in the background under live traffic (ID = the join's id), a replica in
-// a sync-phase to the most up-to-date peer (ID = the sync run's id, §6.3).
-// Serving it never pauses the donor. Budget bounds the records per color
-// in one reply — rounded up to the end of an append batch, which is never
-// split — so a far-behind replica fetches in rounds instead of one giant
-// frame.
+// records above Have, per color, and the SN of every listed token the donor
+// has committed. A joining replica sends it to its donor in the background
+// under live traffic (ID = the join's id), a replica in a sync-phase to
+// each shard peer in turn (ID = the sync run's id, §6.3). Serving it never
+// pauses the donor. Budget bounds the records per color in one reply —
+// rounded up to the end of an append batch, which is never split — so a
+// far-behind replica fetches in rounds instead of one giant frame.
 type JoinFetch struct {
-	ID     uint64
-	Have   map[types.ColorID]types.SN
+	ID   uint64
+	Have map[types.ColorID]types.SN
+	// Tokens are the requester's persisted but unordered batches, at most
+	// Budget of them: a batch below Have that a peer ordered is found by
+	// its token, never by a frontier.
+	Tokens []types.Token
 	Budget uint32 // max records per color per reply; 0 = the donor's default
 	From   types.NodeID
 }
 
 // JoinEntries is the donor's reply to a JoinFetch: the missing committed
 // records plus the donor's own committed frontier, from which a joiner
-// computes its catch-up lag (the promotion gate). More marks a reply
+// computes its catch-up lag (the promotion gate), its trim frontier and
+// its sequencer epoch, which the requester adopts. More marks a reply
 // truncated by the fetch budget — the requester fetches again.
 type JoinEntries struct {
 	ID       uint64
 	Records  map[types.ColorID][]WireRecord
 	Frontier map[types.ColorID]types.SN // donor's committed frontier per color
-	More     bool                       // reply truncated by Budget; fetch again
+	Trimmed  map[types.ColorID]types.SN // donor's trim frontier per color
+	Epoch    types.Epoch
+	More     bool // reply truncated by Budget; fetch again
 	From     types.NodeID
 }
 
@@ -534,8 +516,6 @@ func RegisterGob() {
 	gob.Register(SeqInit{})
 	gob.Register(SeqInitAck{})
 	gob.Register(SyncRequest{})
-	gob.Register(SyncState{})
-	gob.Register(SyncCatchup{})
 	gob.Register(SyncDone{})
 	gob.Register(Reject{})
 	gob.Register(JoinFetch{})

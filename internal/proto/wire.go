@@ -49,10 +49,12 @@ const MaxFrame = 1 << 28
 
 // Wire type tags, one per message (DESIGN.md §12 pins these: changing a
 // value breaks cross-version framing and the golden-bytes test). Tags 26,
-// 29 and 30 are retired — do not reuse: 26 framed ReplicaHeartbeat, a
-// liveness beat no receiver ever read, 29 and 30 SyncFetch and
+// 28, 29, 30 and 31 are retired — do not reuse: 26 framed ReplicaHeartbeat,
+// a liveness beat no receiver ever read, 29 and 30 SyncFetch and
 // SyncEntries, the sync-phase's own fetch pair, until recovery moved onto
-// JoinFetch/JoinEntries. A frame carrying any of them is malformed.
+// JoinFetch/JoinEntries, 28 and 31 the sync-phase's state report and its
+// election of a "most up-to-date" replica, until every replica pulled from
+// every peer. A frame carrying any of them is malformed.
 const (
 	TagAppendReq         byte = 1
 	TagAppendBatchReq    byte = 2
@@ -80,8 +82,6 @@ const (
 	TagSeqInit           byte = 24
 	TagSeqInitAck        byte = 25
 	TagSyncRequest       byte = 27
-	TagSyncState         byte = 28
-	TagSyncCatchup       byte = 31
 	TagSyncDone          byte = 32
 	TagReject            byte = 33
 	TagAggOrderReqBatch  byte = 34
@@ -257,8 +257,6 @@ var bodyDecoders = [256]func(body []byte) (any, error){
 	TagSeqInit:           func(b []byte) (any, error) { var m SeqInit; err := m.Decode(b); return m, err },
 	TagSeqInitAck:        func(b []byte) (any, error) { var m SeqInitAck; err := m.Decode(b); return m, err },
 	TagSyncRequest:       func(b []byte) (any, error) { var m SyncRequest; err := m.Decode(b); return m, err },
-	TagSyncState:         func(b []byte) (any, error) { var m SyncState; err := m.Decode(b); return m, err },
-	TagSyncCatchup:       func(b []byte) (any, error) { var m SyncCatchup; err := m.Decode(b); return m, err },
 	TagSyncDone:          func(b []byte) (any, error) { var m SyncDone; err := m.Decode(b); return m, err },
 	TagReject:            func(b []byte) (any, error) { var m Reject; err := m.Decode(b); return m, err },
 	TagJoinFetch:         func(b []byte) (any, error) { var m JoinFetch; err := m.Decode(b); return m, err },
@@ -297,6 +295,14 @@ func appendNodeIDs(b []byte, ids []types.NodeID) []byte {
 	b = appendUvarint(b, uint64(len(ids)))
 	for _, id := range ids {
 		b = appendUvarint(b, uint64(id))
+	}
+	return b
+}
+
+func appendTokens(b []byte, tokens []types.Token) []byte {
+	b = appendUvarint(b, uint64(len(tokens)))
+	for _, t := range tokens {
+		b = appendUvarint(b, uint64(t))
 	}
 	return b
 }
@@ -490,6 +496,15 @@ func readNodeIDs(r *wireReader, dst []types.NodeID) []types.NodeID {
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
 		dst = append(dst, types.NodeID(r.u32()))
+	}
+	return dst
+}
+
+func readTokens(r *wireReader, dst []types.Token) []types.Token {
+	n := r.count(1)
+	dst = dst[:0]
+	for i := 0; i < n; i++ {
+		dst = append(dst, types.Token(r.uvarint()))
 	}
 	return dst
 }

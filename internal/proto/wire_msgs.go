@@ -228,10 +228,7 @@ func (m TrimAck) wireTag() byte { return TagTrimAck }
 func (m MultiAppendEnd) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendUvarint(b, uint64(m.FID))
-	b = appendUvarint(b, uint64(len(m.Tokens)))
-	for _, tok := range m.Tokens {
-		b = appendUvarint(b, uint64(tok))
-	}
+	b = appendTokens(b, m.Tokens)
 	b = appendUvarint(b, uint64(m.Client))
 	return b
 }
@@ -241,11 +238,7 @@ func (m *MultiAppendEnd) Decode(b []byte) error {
 	r := wireReader{b: b}
 	m.ID = r.uvarint()
 	m.FID = r.u32()
-	n := r.count(1)
-	m.Tokens = m.Tokens[:0]
-	for i := 0; i < n; i++ {
-		m.Tokens = append(m.Tokens, types.Token(r.uvarint()))
-	}
+	m.Tokens = readTokens(&r, m.Tokens)
 	m.Client = types.NodeID(r.u32())
 	return r.done()
 }
@@ -611,54 +604,6 @@ func (m *SyncRequest) Decode(b []byte) error {
 func (m SyncRequest) wireTag() byte { return TagSyncRequest }
 
 // AppendTo appends the message body to b. See wire.go.
-func (m SyncState) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.ID)
-	b = appendUvarint(b, uint64(m.Epoch))
-	b = appendSNMap(b, m.MaxSNs)
-	b = appendSNMap(b, m.Trimmed)
-	b = appendUvarint(b, uint64(m.From))
-	return b
-}
-
-// Decode parses a message body, reusing the map storage.
-func (m *SyncState) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.ID = r.uvarint()
-	m.Epoch = types.Epoch(r.u32())
-	m.MaxSNs = readSNMap(&r, m.MaxSNs)
-	m.Trimmed = readSNMap(&r, m.Trimmed)
-	m.From = types.NodeID(r.u32())
-	return r.done()
-}
-
-func (m SyncState) wireTag() byte { return TagSyncState }
-
-// AppendTo appends the message body to b. See wire.go.
-func (m SyncCatchup) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.ID)
-	b = appendUvarint(b, uint64(m.UpToDate))
-	b = appendSNMap(b, m.Max)
-	b = appendSNMap(b, m.Trimmed)
-	b = appendUvarint(b, uint64(m.Epoch))
-	b = appendUvarint(b, uint64(m.From))
-	return b
-}
-
-// Decode parses a message body, reusing the map storage.
-func (m *SyncCatchup) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.ID = r.uvarint()
-	m.UpToDate = types.NodeID(r.u32())
-	m.Max = readSNMap(&r, m.Max)
-	m.Trimmed = readSNMap(&r, m.Trimmed)
-	m.Epoch = types.Epoch(r.u32())
-	m.From = types.NodeID(r.u32())
-	return r.done()
-}
-
-func (m SyncCatchup) wireTag() byte { return TagSyncCatchup }
-
-// AppendTo appends the message body to b. See wire.go.
 func (m Reject) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, uint64(m.Token))
 	b = appendUvarint(b, m.ID)
@@ -689,16 +634,18 @@ func (m Reject) wireTag() byte { return TagReject }
 func (m JoinFetch) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendSNMap(b, m.Have)
+	b = appendTokens(b, m.Tokens)
 	b = appendUvarint(b, uint64(m.Budget))
 	b = appendUvarint(b, uint64(m.From))
 	return b
 }
 
-// Decode parses a message body, reusing the map storage.
+// Decode parses a message body, reusing the map and slice storage.
 func (m *JoinFetch) Decode(b []byte) error {
 	r := wireReader{b: b}
 	m.ID = r.uvarint()
 	m.Have = readSNMap(&r, m.Have)
+	m.Tokens = readTokens(&r, m.Tokens)
 	m.Budget = r.u32()
 	m.From = types.NodeID(r.u32())
 	return r.done()
@@ -711,6 +658,8 @@ func (m JoinEntries) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendRecordsMap(b, m.Records)
 	b = appendSNMap(b, m.Frontier)
+	b = appendSNMap(b, m.Trimmed)
+	b = appendUvarint(b, uint64(m.Epoch))
 	b = appendBool(b, m.More)
 	b = appendUvarint(b, uint64(m.From))
 	return b
@@ -722,6 +671,8 @@ func (m *JoinEntries) Decode(b []byte) error {
 	m.ID = r.uvarint()
 	m.Records = readRecordsMap(&r, m.Records)
 	m.Frontier = readSNMap(&r, m.Frontier)
+	m.Trimmed = readSNMap(&r, m.Trimmed)
+	m.Epoch = types.Epoch(r.u32())
 	m.More = r.bool()
 	m.From = types.NodeID(r.u32())
 	return r.done()

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -16,9 +17,9 @@ import (
 //
 //   - a joining replica's poll loop (reconfig.go): rounds against its donor
 //     under live traffic until the control plane promotes it;
-//   - the fetch stage of a sync-phase (sync.go, §6.3 "the outdated replicas
-//     fetch the missing entries from the most up-to-date one"): rounds
-//     against SyncCatchup.UpToDate until More is false, then SyncDone;
+//   - a sync-phase (sync.go, §6.3 "the outdated replicas fetch the missing
+//     entries"): every participant pulls from each shard peer in turn,
+//     rounds until More is false, then the next peer, then SyncDone;
 //   - ctrlplane's shard merge, in process, with its own cursor —
 //
 // and all of them use one wire pair (JoinFetch / JoinEntries, the ID naming
@@ -26,7 +27,11 @@ import (
 // stateless — every round is answered from current storage, so a donor
 // crash or a lost message costs one retry, never a wedged transfer — and
 // bounded: at most Budget records per color, read from the devices only
-// after the cut.
+// after the cut, plus one per listed token. A round also resolves the
+// requester's persisted but unordered batches by token — a batch can be
+// missing below any frontier the requester names (it lost the OrderResp
+// and committed later ones) — so a peer's SN is adopted instead of asking
+// a new leader for a second.
 //
 // The unit of transfer is the append batch, because that is the unit of
 // storage (Alg. 1 line 17 persists records[] under ONE token): a round is
@@ -46,20 +51,39 @@ func wireRecords(recs []types.Record) []proto.WireRecord {
 	return out
 }
 
-// ServeCatchup is the donor side of one catch-up round: per color, the
+// ServeCatchup is the donor side of one catch-up round: the last record of
+// every listed token this replica committed below have, then per color the
 // committed records above have, at most budget of them (0 = the default)
-// plus the rest of the batch the budget falls in, and the committed
-// frontier. More reports that some color holds records above what was
-// shipped. A failed scan fails the round: the requester's retry asks again,
-// and a round is never answered with part of what it asked for.
-func (r *Replica) ServeCatchup(have map[types.ColorID]types.SN, budget int) (proto.JoinEntries, error) {
+// plus the rest of the batch the budget falls in, and the committed and
+// trim frontiers and the epoch. More reports that some color holds records
+// above what was shipped. A failed scan fails the round: the requester's
+// retry asks again, and a round is never answered with part of what it
+// asked for.
+func (r *Replica) ServeCatchup(have map[types.ColorID]types.SN, tokens []types.Token, budget int) (proto.JoinEntries, error) {
 	if budget <= 0 {
 		budget = defaultJoinBudget
 	}
+	r.mu.Lock()
+	epoch := r.epoch
+	r.mu.Unlock()
 	out := proto.JoinEntries{
 		Records:  make(map[types.ColorID][]proto.WireRecord),
 		Frontier: make(map[types.ColorID]types.SN),
+		Trimmed:  make(map[types.ColorID]types.SN),
+		Epoch:    epoch,
 		From:     r.cfg.ID,
+	}
+	for _, t := range tokens {
+		// A batch above have comes with the scan. For one below, the last
+		// record is enough: the requester holds the batch and commits it
+		// with its own record count (see IngestCatchup).
+		color, last, ok := r.st.TokenInfo(t)
+		if !ok || !last.Valid() || last > have[color] {
+			continue
+		}
+		if data, err := r.st.Get(color, last); err == nil {
+			out.Records[color] = append(out.Records[color], proto.WireRecord{Token: t, SN: last, Data: data})
+		}
 	}
 	for _, c := range r.topo.Colors() {
 		recs, err := r.st.ScanFrom(c, have[c], budget)
@@ -72,8 +96,11 @@ func (r *Replica) ServeCatchup(have map[types.ColorID]types.SN, budget int) (pro
 		if frontier.Valid() {
 			out.Frontier[c] = frontier
 		}
+		if trimmed := r.st.Trimmed(c); trimmed.Valid() {
+			out.Trimmed[c] = trimmed
+		}
 		if len(recs) > 0 {
-			out.Records[c] = wireRecords(recs)
+			out.Records[c] = append(out.Records[c], wireRecords(recs)...)
 			out.More = out.More || recs[len(recs)-1].SN < frontier
 		}
 	}
@@ -93,7 +120,9 @@ func (r *Replica) ServeCatchup(have map[types.ColorID]types.SN, budget int) (pro
 // with the count they arrived with, and a batch this replica had persisted
 // before it fell behind (and never committed) keeps its own full count, so
 // it lands on the SNs its peers committed it at. Idempotent: a token
-// already committed here is skipped.
+// already committed here is skipped. A committed run settles the token's
+// pending order: its clients are acked with the SN the shard already
+// assigned, and it is never re-issued.
 func (r *Replica) IngestCatchup(records map[types.ColorID][]proto.WireRecord) (ingested int) {
 	for color, recs := range records {
 		trimmed := r.st.Trimmed(color)
@@ -134,6 +163,15 @@ func (r *Replica) IngestCatchup(records map[types.ColorID][]proto.WireRecord) (i
 			}
 			r.maxSeen.bump(color, last)
 			ingested += len(run)
+			r.mu.Lock()
+			po := r.pending[token]
+			delete(r.pending, token)
+			r.mu.Unlock()
+			if po != nil {
+				for c := range po.clients {
+					r.ep.Send(c, proto.AppendAck{Token: token, SN: last})
+				}
+			}
 		}
 		r.wakeHeld(color, r.frontier(color))
 	}
@@ -143,22 +181,31 @@ func (r *Replica) IngestCatchup(records map[types.ColorID][]proto.WireRecord) (i
 // catchupFetch builds this replica's next round request: everything above
 // its committed frontier — or its trim frontier where that is higher,
 // because records at or below it are dropped on arrival and asking for them
-// again would never advance a budgeted transfer. An unset JoinBudget
-// travels as 0, the donor's default.
+// again would never advance a budgeted transfer — and the SNs of its
+// persisted but uncommitted batches, as many as the budget. An unset
+// JoinBudget travels as 0, the donor's default.
 func (r *Replica) catchupFetch(id uint64) proto.JoinFetch {
-	have := r.maxSNs()
-	for c, sn := range r.maxTrims() {
-		if sn > have[c] {
+	have := make(map[types.ColorID]types.SN)
+	for _, c := range r.topo.Colors() {
+		if sn := max(r.st.MaxSN(c), r.st.Trimmed(c)); sn.Valid() {
 			have[c] = sn
 		}
 	}
-	return proto.JoinFetch{ID: id, Have: have, Budget: uint32(max(r.cfg.JoinBudget, 0)), From: r.cfg.ID}
+	budget := max(r.cfg.JoinBudget, 0)
+	var tokens []types.Token
+	for _, b := range r.st.Uncommitted() {
+		if len(tokens) == cmp.Or(budget, defaultJoinBudget) {
+			break
+		}
+		tokens = append(tokens, b.Token)
+	}
+	return proto.JoinFetch{ID: id, Have: have, Tokens: tokens, Budget: uint32(budget), From: r.cfg.ID}
 }
 
 // onJoinFetch answers one round. A failed serve sends nothing; the
 // requester's retry timer re-drives the round.
 func (r *Replica) onJoinFetch(from types.NodeID, m proto.JoinFetch) {
-	out, err := r.ServeCatchup(m.Have, int(m.Budget))
+	out, err := r.ServeCatchup(m.Have, m.Tokens, int(m.Budget))
 	if err != nil {
 		return
 	}
@@ -167,30 +214,38 @@ func (r *Replica) onJoinFetch(from types.NodeID, m proto.JoinFetch) {
 }
 
 // onJoinEntries ingests one round on behalf of whichever transfer the ID
-// names — this replica's join, or the fetch stage of one of its sync runs —
-// and decides what follows: a truncated round chains the next one at once,
-// but only if it made progress (a duplicate reply, or a store that refuses
-// every batch, leaves the next round to the retry timer instead of
+// names — this replica's join, or its pull from one peer in one of its sync
+// runs — and decides what follows: a truncated round chains the next one at
+// once, but only if it made progress (a duplicate reply, or a store that
+// refuses every batch, leaves the next round to the retry timer instead of
 // spinning); a joiner's last round refreshes its lag and the timer keeps
-// polling so it tracks live traffic; a sync run's last round ends its fetch
-// stage and enters the SyncDone barrier.
+// polling so it tracks live traffic; a sync run's last round from a peer
+// moves its pull on to the next peer. The donor's epoch and trim frontier
+// are adopted first, so records it garbage-collected are never resurrected
+// here (§6.2 + §6.3).
 func (r *Replica) onJoinEntries(m proto.JoinEntries) {
 	now := time.Now()
 	r.mu.Lock()
 	j, run := r.join, r.syncRuns[m.ID]
 	joining := j != nil && j.id == m.ID
-	var donor types.NodeID
+	donor := m.From
 	switch {
 	case joining:
 		j.lastDrive, donor = now, j.donor
-	case run != nil && run.fetchTarget != 0:
-		run.lastDrive, donor = now, run.fetchTarget
+	case run != nil && len(run.pulls) > 0 && run.pulls[0] == m.From:
+		run.lastDrive = now
 	default:
 		r.mu.Unlock()
 		return
 	}
+	r.epoch = max(r.epoch, m.Epoch)
 	r.mu.Unlock()
 
+	for c, sn := range m.Trimmed {
+		if sn > r.st.Trimmed(c) {
+			r.st.Trim(c, sn)
+		}
+	}
 	n := r.IngestCatchup(m.Records)
 	if joining {
 		r.stats.joinRounds.Add(1)
@@ -207,12 +262,6 @@ func (r *Replica) onJoinEntries(m proto.JoinEntries) {
 	case m.More && n > 0:
 		r.ep.Send(donor, r.catchupFetch(m.ID))
 	case !m.More && !joining:
-		r.mu.Lock()
-		if run := r.syncRuns[m.ID]; run != nil {
-			run.fetchTarget = 0
-			run.caughtUp = true
-		}
-		r.mu.Unlock()
-		r.broadcastSyncDone(m.ID)
+		r.pulled(m.ID, m.From)
 	}
 }

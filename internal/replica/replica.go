@@ -499,11 +499,7 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 	case proto.SeqInit:
 		r.onSeqInit(m)
 	case proto.SyncRequest:
-		r.onSyncRequest(from, m)
-	case proto.SyncState:
-		r.onSyncState(m)
-	case proto.SyncCatchup:
-		r.onSyncCatchup(m)
+		r.onSyncRequest(m)
 	case proto.SyncDone:
 		r.onSyncDone(m)
 	case proto.JoinFetch:

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"sort"
 	"time"
 
 	"flexlog/internal/proto"
@@ -12,30 +11,36 @@ import (
 // This file implements the §6.3 recovery protocols:
 //
 //   - replica crash/recovery with the sync-phase: the recovering replica
-//     pauses the shard, peers exchange (epoch, max committed SN), outdated
-//     replicas fetch missing entries from the most up-to-date one, and an
-//     all-to-all SyncDone barrier gates the return to operational mode;
+//     pauses the shard with SyncRequest, every replica then pulls from each
+//     shard peer in turn through the catch-up path (catchup.go) — the
+//     committed records above its own frontier, the SNs its peers gave the
+//     batches it persisted but never saw ordered, the peer's trim frontier
+//     and epoch — and an all-to-all SyncDone barrier gates the return to
+//     operational mode;
 //   - sequencer failover handling: on SeqInit from a new leader the shard
 //     passes through a sync-phase and only then acknowledges, guaranteeing
 //     that interrupted broadcasts of the previous epoch are received by all
 //     replicas before the new epoch starts;
-//   - re-issuing of order requests for records that have no SN after the
-//     sync-phase.
+//   - re-issuing of order requests for the records no peer has ordered
+//     after the sync-phase.
+//
+// There is no "most up-to-date" replica to elect (DESIGN.md §4): a shard
+// that holds several colors may have each color's frontier on a different
+// replica, and a batch may be missing below any frontier a replica names.
+// Pulling from every peer by frontier and by token covers both.
 
 // syncRun tracks one sync-phase this replica participates in.
 type syncRun struct {
 	id           uint64
 	coordinator  types.NodeID
-	states       map[types.NodeID]proto.SyncState // coordinator only
-	dones        map[types.NodeID]bool
-	caughtUp     bool
 	participants []types.NodeID // shard replicas (incl. self)
+	pulls        []types.NodeID // peers not yet pulled from, in turn; empty once caught up
+	dones        map[types.NodeID]bool
 
 	// Retry state: sync messages are fire-and-forget, so on lossy links
 	// every stage is re-driven until the run completes (retrySyncRuns).
-	started     time.Time
-	lastDrive   time.Time
-	fetchTarget types.NodeID // the peer the fetch stage pulls from; 0 outside it
+	started   time.Time
+	lastDrive time.Time
 }
 
 // syncAbortRetries bounds how long a sync run may stall before it is
@@ -74,31 +79,34 @@ func (r *Replica) Recover() error {
 	return nil
 }
 
+// enterSyncLocked registers run id, coordinated by coordinator, over the
+// shard's current membership and pauses the replica. Caller holds r.mu.
+func (r *Replica) enterSyncLocked(id uint64, coordinator types.NodeID) *syncRun {
+	peers := r.shardPeers()
+	now := time.Now()
+	run := &syncRun{
+		id:           id,
+		coordinator:  coordinator,
+		participants: append([]types.NodeID{r.cfg.ID}, peers...),
+		pulls:        peers,
+		dones:        make(map[types.NodeID]bool),
+		started:      now,
+		lastDrive:    now,
+	}
+	r.syncRuns[id] = run
+	r.mode.store(ModeSyncing)
+	return run
+}
+
 // startSyncPhase begins a sync-phase with this replica as coordinator.
 func (r *Replica) startSyncPhase() {
-	peers := r.shardPeers()
 	r.mu.Lock()
 	r.syncSeq++
 	id := uint64(r.cfg.ID)<<32 | r.syncSeq
-	run := &syncRun{
-		id:           id,
-		coordinator:  r.cfg.ID,
-		states:       make(map[types.NodeID]proto.SyncState),
-		dones:        make(map[types.NodeID]bool),
-		participants: append([]types.NodeID{r.cfg.ID}, peers...),
-	}
-	run.started = time.Now()
-	run.lastDrive = run.started
-	r.syncRuns[id] = run
-	r.mode.store(ModeSyncing)
+	peers := r.enterSyncLocked(id, r.cfg.ID).pulls
 	r.stats.syncs.Add(1)
-	// Record our own state.
-	run.states[r.cfg.ID] = proto.SyncState{ID: id, Epoch: r.epoch, MaxSNs: r.maxSNs(), Trimmed: r.maxTrims(), From: r.cfg.ID}
-	r.mu.Unlock()
-
 	if len(peers) == 0 {
 		// Singleton shard: nothing to converge with.
-		r.mu.Lock()
 		delete(r.syncRuns, id)
 		if len(r.syncRuns) == 0 {
 			r.finishSyncLocked()
@@ -106,168 +114,52 @@ func (r *Replica) startSyncPhase() {
 		r.mu.Unlock()
 		return
 	}
+	r.mu.Unlock()
 	r.ep.Broadcast(peers, proto.SyncRequest{ID: id, From: r.cfg.ID})
+	r.ep.Send(peers[0], r.catchupFetch(id))
 }
 
-// maxSNs snapshots this replica's per-color committed frontier (storage
-// does its own locking).
-func (r *Replica) maxSNs() map[types.ColorID]types.SN {
-	out := make(map[types.ColorID]types.SN)
-	for _, c := range r.topo.Colors() {
-		if sn := r.st.MaxSN(c); sn.Valid() {
-			out[c] = sn
-		}
-	}
-	return out
-}
-
-// maxTrims snapshots this replica's per-color trim frontier; it rides
-// along with the committed frontier in SyncState so recovering replicas
-// learn about trims that ran during their downtime.
-func (r *Replica) maxTrims() map[types.ColorID]types.SN {
-	out := make(map[types.ColorID]types.SN)
-	for _, c := range r.topo.Colors() {
-		if sn := r.st.Trimmed(c); sn.Valid() {
-			out[c] = sn
-		}
-	}
-	return out
-}
-
-func (r *Replica) onSyncRequest(from types.NodeID, m proto.SyncRequest) {
+// onSyncRequest enters a run and starts pulling. Sync mode stops appends
+// (§6.3); reads keep being served — committed entries stay readable.
+// Concurrent recoveries each coordinate their own run; a replica
+// participates in all of them and resumes when the last completes. A
+// repeated request comes from a coordinator that misses this replica's
+// SyncDone: once caught up, it is sent again.
+func (r *Replica) onSyncRequest(m proto.SyncRequest) {
 	r.mu.Lock()
-	// Enter sync mode: stop processing appends and sequencer messages
-	// (§6.3). Reads keep being served — committed entries stay readable.
-	// Concurrent recoveries each coordinate their own run; a replica
-	// participates in all of them and resumes when the last completes.
-	r.mode.store(ModeSyncing)
-	if r.syncRuns[m.ID] == nil {
-		r.syncRuns[m.ID] = &syncRun{
-			id:           m.ID,
-			coordinator:  m.From,
-			dones:        make(map[types.NodeID]bool),
-			participants: append([]types.NodeID{r.cfg.ID}, r.shardPeers()...),
-			started:      time.Now(),
-		}
+	run, known := r.syncRuns[m.ID]
+	if !known {
+		run = r.enterSyncLocked(m.ID, m.From)
 	}
-	r.syncRuns[m.ID].lastDrive = time.Now()
-	state := proto.SyncState{ID: m.ID, Epoch: r.epoch, MaxSNs: r.maxSNs(), Trimmed: r.maxTrims(), From: r.cfg.ID}
+	pulls := run.pulls
 	r.mu.Unlock()
-	r.ep.Send(m.From, state)
-}
-
-func (r *Replica) onSyncState(m proto.SyncState) {
-	r.mu.Lock()
-	run := r.syncRuns[m.ID]
-	if run == nil || run.coordinator != r.cfg.ID {
-		r.mu.Unlock()
-		return
-	}
-	run.states[m.From] = m
-	if len(run.states) < len(run.participants) {
-		r.mu.Unlock()
-		return
-	}
-	// All states collected. If epochs disagree, adopt the highest (the
-	// paper retries until the old sequencer is gone; with our reliable
-	// in-proc links adopting the maximum converges immediately).
-	maxEpoch := r.epoch
-	for _, st := range run.states {
-		if st.Epoch > maxEpoch {
-			maxEpoch = st.Epoch
-		}
-	}
-	r.epoch = maxEpoch
-	// Determine the most up-to-date replica: the one with the highest
-	// total committed frontier (ties broken by node id for determinism).
-	best := r.cfg.ID
-	bestScore := scoreFrontier(run.states[r.cfg.ID].MaxSNs)
-	ids := make([]types.NodeID, 0, len(run.states))
-	for id := range run.states {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	maxFrontier := make(map[types.ColorID]types.SN)
-	maxTrimmed := make(map[types.ColorID]types.SN)
-	for _, id := range ids {
-		st := run.states[id]
-		for c, sn := range st.MaxSNs {
-			if sn > maxFrontier[c] {
-				maxFrontier[c] = sn
-			}
-		}
-		for c, sn := range st.Trimmed {
-			if sn > maxTrimmed[c] {
-				maxTrimmed[c] = sn
-			}
-		}
-		if sc := scoreFrontier(st.MaxSNs); sc > bestScore || (sc == bestScore && id > best) {
-			best, bestScore = id, sc
-		}
-	}
-	epoch := r.epoch
-	id := run.id
-	run.lastDrive = time.Now()
-	participants := append([]types.NodeID(nil), run.participants...)
-	r.mu.Unlock()
-
-	// Round 2: broadcast the most up-to-date replica id (§6.3).
-	msg := proto.SyncCatchup{ID: id, UpToDate: best, Max: maxFrontier, Trimmed: maxTrimmed, Epoch: epoch, From: r.cfg.ID}
-	for _, p := range participants {
-		if p == r.cfg.ID {
-			r.onSyncCatchup(msg)
-		} else {
-			r.ep.Send(p, msg)
-		}
-	}
-}
-
-// scoreFrontier sums a frontier's counters as an up-to-dateness measure.
-func scoreFrontier(m map[types.ColorID]types.SN) uint64 {
-	var total uint64
-	for _, sn := range m {
-		total += uint64(sn)
-	}
-	return total
-}
-
-func (r *Replica) onSyncCatchup(m proto.SyncCatchup) {
-	r.mu.Lock()
-	run := r.syncRuns[m.ID]
-	if run == nil {
-		r.mu.Unlock()
-		return
-	}
-	if m.Epoch > r.epoch {
-		r.epoch = m.Epoch
-	}
-	// Converge on the shard's trim frontier first: records trimmed while
-	// this replica was down must not be resurrected (and must not be
-	// re-fetched below).
-	for c, sn := range m.Trimmed {
-		if sn > r.st.Trimmed(c) {
-			r.st.Trim(c, sn)
-		}
-	}
-	// Work out whether we are missing anything the up-to-date replica has.
-	behind := false
-	for c, maxSN := range m.Max {
-		if r.st.MaxSN(c) < maxSN {
-			behind = true
-		}
-	}
-	if !behind || m.UpToDate == r.cfg.ID {
-		run.caughtUp = true
-		r.mu.Unlock()
+	switch {
+	case len(pulls) == 0:
 		r.broadcastSyncDone(m.ID)
+	case !known:
+		r.ep.Send(pulls[0], r.catchupFetch(m.ID))
+	}
+}
+
+// pulled ends this replica's pull from peer in run id — the peer's last
+// catch-up round said nothing more remains — and starts the pull from the
+// next peer; after the last one the replica enters the SyncDone barrier.
+func (r *Replica) pulled(id uint64, peer types.NodeID) {
+	r.mu.Lock()
+	run := r.syncRuns[id]
+	if run == nil || len(run.pulls) == 0 || run.pulls[0] != peer {
+		r.mu.Unlock()
+		return // a late duplicate of a finished pull
+	}
+	run.pulls = run.pulls[1:]
+	run.lastDrive = time.Now()
+	next := run.pulls
+	r.mu.Unlock()
+	if len(next) > 0 {
+		r.ep.Send(next[0], r.catchupFetch(id))
 		return
 	}
-	// Fetch stage: budgeted catch-up rounds against the up-to-date replica
-	// (catchup.go); the round whose More is false ends it in onJoinEntries.
-	run.fetchTarget = m.UpToDate
-	run.lastDrive = time.Now()
-	r.mu.Unlock()
-	r.ep.Send(m.UpToDate, r.catchupFetch(m.ID))
+	r.broadcastSyncDone(id)
 }
 
 // broadcastSyncDone performs this replica's half of the all-to-all barrier.
@@ -336,7 +228,9 @@ func (r *Replica) completeSync(id uint64) {
 }
 
 // finishSyncLocked transitions to operational, acks a pending SeqInit, and
-// re-drives uncommitted batches. Caller holds r.mu.
+// re-drives the batches still uncommitted: the pulls committed every batch
+// a peer had ordered, so only those no peer ordered are left. Caller holds
+// r.mu.
 func (r *Replica) finishSyncLocked() {
 	r.mode.store(ModeOperational)
 	initSeq, initEpo := r.initSeq, r.initEpo
@@ -375,13 +269,12 @@ func (r *Replica) finishSyncLocked() {
 // therefore idempotent and re-driven from this replica's current state
 // until the run's all-to-all barrier completes:
 //
-//   - a coordinator still collecting states re-broadcasts SyncRequest;
-//   - a fetching replica asks for its next catch-up round again, from the
-//     frontier it has reached by now;
-//   - a replica past catch-up re-broadcasts its SyncDone;
-//   - a participant still waiting for the coordinator's round 2 re-sends
-//     its SyncState (the coordinator re-broadcasts SyncCatchup when its
-//     state set is already complete).
+//   - a coordinator re-sends SyncRequest to every participant whose
+//     SyncDone it misses (one that never got the request has not started);
+//   - a pulling replica asks its current peer for the next catch-up round
+//     again, from the frontier it has reached by now;
+//   - a caught-up replica re-sends its SyncDone to the participants whose
+//     SyncDone it misses.
 func (r *Replica) retrySyncRuns(now time.Time) {
 	retry := r.cfg.RetryTimeout
 	if retry <= 0 {
@@ -413,29 +306,19 @@ func (r *Replica) retrySyncRuns(now time.Time) {
 		}
 		run.lastDrive = now
 		r.stats.syncRetries.Add(1)
-		switch {
-		case run.coordinator == r.cfg.ID && len(run.states) < len(run.participants):
-			var missing []types.NodeID
-			for _, p := range run.participants {
-				if _, ok := run.states[p]; !ok {
-					missing = append(missing, p)
-				}
+		var missing []types.NodeID
+		for _, p := range run.participants {
+			if p != r.cfg.ID && !run.dones[p] {
+				missing = append(missing, p)
 			}
+		}
+		if run.coordinator == r.cfg.ID {
 			acts = append(acts, action{to: missing, msg: proto.SyncRequest{ID: run.id, From: r.cfg.ID}})
-		case run.fetchTarget != 0:
-			acts = append(acts, action{to: []types.NodeID{run.fetchTarget}, msg: r.catchupFetch(run.id)})
-		case run.caughtUp:
-			var peers []types.NodeID
-			for _, p := range run.participants {
-				if p != r.cfg.ID && !run.dones[p] {
-					peers = append(peers, p)
-				}
-			}
-			acts = append(acts, action{to: peers, msg: proto.SyncDone{ID: run.id, From: r.cfg.ID}})
-		default:
-			// Waiting for SyncCatchup: nudge the coordinator with our state.
-			state := proto.SyncState{ID: run.id, Epoch: r.epoch, MaxSNs: r.maxSNs(), Trimmed: r.maxTrims(), From: r.cfg.ID}
-			acts = append(acts, action{to: []types.NodeID{run.coordinator}, msg: state})
+		}
+		if len(run.pulls) > 0 {
+			acts = append(acts, action{to: run.pulls[:1], msg: r.catchupFetch(run.id)})
+		} else {
+			acts = append(acts, action{to: missing, msg: proto.SyncDone{ID: run.id, From: r.cfg.ID}})
 		}
 	}
 	// Only the abort path may finish here: Recover stores ModeSyncing just

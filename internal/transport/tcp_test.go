@@ -198,7 +198,7 @@ func TestTCPCodecRoundTrip(t *testing.T) {
 		proto.AppendReq{Color: 3, Token: types.MakeToken(7, 9), Records: [][]byte{[]byte("alpha"), nil, []byte("beta")}, Client: 1},
 		proto.ReadResp{ID: 42, SN: types.MakeSN(1, 5), Data: []byte("payload"), Found: true},
 		proto.OrderResp{Token: 11, LastSN: types.MakeSN(2, 8), NRecords: 4, Color: 3},
-		proto.SyncState{ID: 1, Epoch: 2, MaxSNs: map[types.ColorID]types.SN{0: 5, 9: 7}, From: 1},
+		proto.JoinFetch{ID: 1, Have: map[types.ColorID]types.SN{0: 5, 9: 7}, Tokens: []types.Token{3}, Budget: 2, From: 1},
 	}
 	for _, m := range sent {
 		if err := a.Send(2, m); err != nil {
@@ -220,9 +220,9 @@ func TestTCPCodecRoundTrip(t *testing.T) {
 	if or.NRecords != 4 || or.LastSN != types.MakeSN(2, 8) {
 		t.Fatalf("OrderResp = %+v", or)
 	}
-	ss := got[3].(proto.SyncState)
-	if ss.MaxSNs[9] != 7 || ss.Epoch != 2 {
-		t.Fatalf("SyncState = %+v", ss)
+	jf := got[3].(proto.JoinFetch)
+	if jf.Have[9] != 7 || len(jf.Tokens) != 1 || jf.Budget != 2 {
+		t.Fatalf("JoinFetch = %+v", jf)
 	}
 	st := a.Stats()
 	if st.GobFrames != 0 {
