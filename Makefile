@@ -30,7 +30,7 @@ race:
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
-	@for pkg in internal/bench internal/storage internal/proto internal/replica internal/core internal/ctrlplane cmd; do \
+	@for pkg in internal/bench internal/storage internal/ssd internal/pmem internal/proto internal/replica internal/core internal/ctrlplane cmd; do \
 		printf '%s non-test Go lines: ' $$pkg; find $$pkg -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; \
 	done
 
@@ -86,11 +86,16 @@ bench-write-smoke:
 	timeout 30 $(GO) run ./cmd/flexlog-bench -quick -blockprofile .bench_build/block.pprof ablate-writepath
 
 # Tiered-storage lifecycle smoke: the checkpoint-bounded-recovery unit
-# test (replay stays flat while the log grows under a PM budget) plus the
-# quick ablate-tiering curve (eviction under budget, cold-tier reads,
-# flat recovery vs the lifecycle-less baseline). See DESIGN.md §11.
+# test (replay stays flat while the log grows under a PM budget), the
+# crash points of the one spill path (lifecycle and on-demand), the
+# checkpoint write and the freed slot, five times each under -race, a
+# short fuzz of the checkpoint decoder, plus the quick ablate-tiering
+# curve (eviction under budget, cold-tier reads, flat recovery vs the
+# lifecycle-less baseline). See DESIGN.md §11.
 tiering-smoke:
 	$(GO) test -count=1 -run 'TestCheckpointBoundsRecoveryReplay|TestBackgroundEvictionUnderBudget' ./internal/storage/
+	$(GO) test -race -count=5 -run 'TestCrashMidEviction|TestCrashMidOnDemandSpill|TestCrashMidCheckpoint|TestFreedSlotIsNotReplayed' ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s ./internal/storage/
 	timeout 60 $(GO) test -count=1 -run 'TestTieringShape' ./internal/bench/
 
 # Observability overhead smoke: the ablation runs the same append workload

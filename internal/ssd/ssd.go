@@ -91,9 +91,9 @@ type Device struct {
 
 // Stats counts device operations.
 type Stats struct {
-	Reads, Writes, Syncs uint64
-	BytesRead            uint64
-	BytesWritten         uint64
+	Reads, Writes, Syncs, Deletes uint64
+	BytesRead                     uint64
+	BytesWritten                  uint64
 }
 
 // New creates an empty device with the given latency model.
@@ -204,7 +204,8 @@ func (d *Device) Sync(name string) error {
 	return nil
 }
 
-// Delete removes the named file. Deleting a missing file is a no-op.
+// Delete removes the named file, durably at once (no Sync needed).
+// Deleting a missing file is a no-op.
 func (d *Device) Delete(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -212,6 +213,7 @@ func (d *Device) Delete(name string) error {
 		return ErrCrashed
 	}
 	delete(d.files, name)
+	d.stats.Deletes++
 	return nil
 }
 
@@ -224,6 +226,18 @@ func (d *Device) List() []string {
 		names = append(names, n)
 	}
 	return names
+}
+
+// Occupancy returns the number of files on the device and their total
+// length, unsynced bytes included (a crash drops those, and the next
+// call no longer counts them).
+func (d *Device) Occupancy() (files int, bytes uint64) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, f := range d.files {
+		bytes += uint64(len(f.data))
+	}
+	return len(d.files), bytes
 }
 
 // Crash simulates a power failure: unsynced bytes are dropped from every

@@ -58,6 +58,9 @@ type ckptSeg struct {
 	marks   []trimMark
 }
 
+// count is the number of entries the segment holds, trim markers included.
+func (s *ckptSeg) count() int { return len(s.entries) + len(s.marks) }
+
 type ckptEntry struct {
 	token      types.Token
 	color      types.ColorID
@@ -149,14 +152,14 @@ func (st *Store) writeCheckpoint(force bool) error {
 	}
 
 	start := time.Now()
-	if err := st.cold.Put(ckptName(seq), encodeCheckpoint(&img)); err != nil {
+	if err := st.putBlob(ckptName(seq), encodeCheckpoint(&img)); err != nil {
 		return err
 	}
 	if st.failpoint.CompareAndSwap(uint32(CrashMidCheckpoint), 0) {
 		st.Crash()
 		return ErrInjectedCrash
 	}
-	if err := st.cold.Sync(); err != nil {
+	if err := st.cold.Sync(ckptName(seq)); err != nil {
 		return err
 	}
 	st.checkpointH.Since(start)
@@ -187,7 +190,7 @@ func (st *Store) writeCheckpoint(force bool) error {
 			}
 		}
 	}
-	return st.cold.Sync()
+	return nil
 }
 
 // loadCheckpoint returns the newest parsable checkpoint on the cold tier,
@@ -204,16 +207,10 @@ func (st *Store) loadCheckpoint() *ckptImage {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	for _, seq := range seqs {
-		sz, err := st.cold.Size(ckptName(seq))
-		if err != nil {
-			continue
-		}
-		raw := make([]byte, sz)
-		if err := st.cold.Get(ckptName(seq), 0, raw); err != nil {
-			continue
-		}
-		if img, err := decodeCheckpoint(raw); err == nil {
-			return img
+		if raw, err := st.readBlob(ckptName(seq)); err == nil {
+			if img, err := decodeCheckpoint(raw); err == nil {
+				return img
+			}
 		}
 	}
 	return nil

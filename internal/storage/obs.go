@@ -69,8 +69,8 @@ func (st *Store) initObs() {
 			return st.gc.fused.Load()
 		})
 
-	// Device tiers: the simulated PM pool and SSD keep their own op
-	// counters; publish them per direction/outcome.
+	// The simulated PM pool keeps its own op counters; publish them per
+	// direction/outcome.
 	reg.CounterFunc("flexlog_pm_ops_total",
 		"Persistent-memory device operations, by op.", withKV(lb, "op", "read"),
 		func() uint64 { return st.pm.Stats().Reads })
@@ -92,14 +92,8 @@ func (st *Store) initObs() {
 	reg.CounterFunc("flexlog_pm_tx_total",
 		"Persistent-memory transactions, by outcome.", withKV(lb, "outcome", "rollback"),
 		func() uint64 { return st.pm.Stats().RecoveryRollbks })
-	reg.CounterFunc("flexlog_ssd_ops_total",
-		"SSD tier operations, by op.", withKV(lb, "op", "read"),
-		func() uint64 { return st.cold.Device().Stats().Reads })
-	reg.CounterFunc("flexlog_ssd_ops_total",
-		"SSD tier operations, by op.", withKV(lb, "op", "write"),
-		func() uint64 { return st.cold.Device().Stats().Writes })
 
-	// Cold tier (blob-level) and lifecycle.
+	// Cold tier (the SSD device, one blob per file) and lifecycle.
 	st.evictionH = reg.Histogram("flexlog_tier_eviction_seconds",
 		"Duration of one background segment eviction (PM snapshot through cold-tier sync).", lb)
 	st.checkpointH = reg.Histogram("flexlog_checkpoint_seconds",
@@ -108,10 +102,10 @@ func (st *Store) initObs() {
 	coldLb := withKV(lb, "tier", "ssd")
 	reg.CounterFunc("flexlog_tier_ops_total",
 		"Cold-tier blob operations, by op.", withKV(coldLb, "op", "put"),
-		func() uint64 { return st.cold.Stats().Puts })
+		func() uint64 { return st.cold.Stats().Writes })
 	reg.CounterFunc("flexlog_tier_ops_total",
 		"Cold-tier blob operations, by op.", withKV(coldLb, "op", "get"),
-		func() uint64 { return st.cold.Stats().Gets })
+		func() uint64 { return st.cold.Stats().Reads })
 	reg.CounterFunc("flexlog_tier_ops_total",
 		"Cold-tier blob operations, by op.", withKV(coldLb, "op", "delete"),
 		func() uint64 { return st.cold.Stats().Deletes })
@@ -120,16 +114,16 @@ func (st *Store) initObs() {
 		func() uint64 { return st.cold.Stats().Syncs })
 	reg.CounterFunc("flexlog_tier_bytes_total",
 		"Cold-tier bytes moved, by direction.", withKV(coldLb, "dir", "in"),
-		func() uint64 { return st.cold.Stats().BytesIn })
+		func() uint64 { return st.cold.Stats().BytesWritten })
 	reg.CounterFunc("flexlog_tier_bytes_total",
 		"Cold-tier bytes moved, by direction.", withKV(coldLb, "dir", "out"),
-		func() uint64 { return st.cold.Stats().BytesOut })
+		func() uint64 { return st.cold.Stats().BytesRead })
 	reg.GaugeFunc("flexlog_tier_blobs",
 		"Blobs currently stored on the cold tier.", coldLb,
-		func() float64 { return float64(st.cold.Stats().Blobs) })
+		func() float64 { n, _ := st.cold.Occupancy(); return float64(n) })
 	reg.GaugeFunc("flexlog_tier_occupied_bytes",
 		"Bytes currently occupied on the cold tier.", coldLb,
-		func() float64 { return float64(st.cold.Stats().Bytes) })
+		func() float64 { _, b := st.cold.Occupancy(); return float64(b) })
 
 	reg.CounterFunc("flexlog_tier_evictions_total",
 		"Segments evicted from PM to the cold tier by the background lifecycle.", lb,
@@ -138,10 +132,10 @@ func (st *Store) initObs() {
 		"Bytes evicted from PM to the cold tier by the background lifecycle.", lb,
 		func() uint64 { st.alloc.RLock(); defer st.alloc.RUnlock(); return st.evictedBytes })
 	reg.CounterFunc("flexlog_tier_gc_segments_total",
-		"Segments reclaimed by trim-driven garbage collection (both tiers).", lb,
+		"Segments reclaimed by trim-driven garbage collection (both tiers, on demand or in the background).", lb,
 		func() uint64 { st.alloc.RLock(); defer st.alloc.RUnlock(); return st.gcSegments })
 	reg.CounterFunc("flexlog_tier_gc_bytes_total",
-		"Bytes reclaimed by trim-driven garbage collection (both tiers).", lb,
+		"Bytes reclaimed by trim-driven garbage collection (both tiers, on demand or in the background).", lb,
 		func() uint64 { st.alloc.RLock(); defer st.alloc.RUnlock(); return st.gcBytes })
 	reg.CounterFunc("flexlog_tier_miss_reads_total",
 		"PM-miss reads served from the cold tier.", lb,

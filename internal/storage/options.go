@@ -5,7 +5,6 @@ import (
 
 	"flexlog/internal/pmem"
 	"flexlog/internal/ssd"
-	"flexlog/internal/storage/tier"
 	"flexlog/internal/types"
 )
 
@@ -16,7 +15,7 @@ type Option func(*openConfig)
 
 type openConfig struct {
 	pool   *pmem.Pool
-	cold   *tier.SSD
+	cold   *ssd.Device
 	attach bool
 }
 
@@ -27,10 +26,10 @@ func WithPMTier(pool *pmem.Pool) Option {
 	return func(oc *openConfig) { oc.pool = pool }
 }
 
-// WithSSDTier backs the cold tier with an existing SSD device, wrapped in
-// the tier.SSD adapter (one blob per device file).
+// WithSSDTier backs the cold tier with an existing SSD device (one blob
+// per device file).
 func WithSSDTier(dev *ssd.Device) Option {
-	return func(oc *openConfig) { oc.cold = tier.NewSSD(dev) }
+	return func(oc *openConfig) { oc.cold = dev }
 }
 
 // WithAttach re-opens a store over media holding a previous incarnation's
@@ -71,7 +70,7 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 	}
 	cold := oc.cold
 	if cold == nil {
-		cold = tier.NewSSD(ssd.New(cfg.SSDModel))
+		cold = ssd.New(cfg.SSDModel)
 	}
 
 	st := &Store{

@@ -38,19 +38,18 @@ const (
 
 // segment is the DRAM descriptor of one PM segment slot.
 //
-// Ownership: id and pmOff are immutable; used, total, sealed and tokens are
+// Ownership: id and pmOff are immutable; used, total and tokens are
 // guarded by the store's allocator lock. slot and live are atomics because
-// the lock-free read path (Get/readLive) consults slot to pick the device
+// the lock-free read path (readLive) consults slot to pick the device
 // tier, and commits/trims of different colors adjust live concurrently
-// while holding only their color lock.
+// while holding only their color lock. slot only ever goes to -1.
 type segment struct {
 	id     uint64        // monotonically increasing; names the SSD file when flushed
-	slot   atomic.Int64  // index of the PM slot currently holding it (-1 if flushed)
+	slot   atomic.Int64  // index of the PM slot holding it (-1 once it left PM)
 	pmOff  uint64        // base offset of the slot in the pmem pool
 	used   uint64        // bytes used including header (mirrors the PM watermark)
 	live   atomic.Int64  // entries not yet trimmed
 	total  int           // entries appended
-	sealed bool          // no more appends (slot full)
 	tokens []types.Token // tokens of entries in this segment (for reclamation)
 
 	// evicting is the background evictor's claim: while set, the allocator
@@ -228,7 +227,6 @@ func encodeEntry(kind uint32, color types.ColorID, token types.Token, sn types.S
 // or through the group committer. Caller holds st.alloc.
 func (st *Store) reserveEntry(need uint64) (*segment, uint64, error) {
 	if st.active.used+need > st.cfg.SegmentSize {
-		st.active.sealed = true
 		if err := st.newActiveSegment(); err != nil {
 			return nil, 0, err
 		}
@@ -305,24 +303,19 @@ func (st *Store) commitEntrySN(loc *entryLoc, sn types.SN) error {
 	return tx.Commit()
 }
 
-// readRecordData fetches one record of an entry from PM or the SSD tier.
-// Caller holds st.mu (the tier is decided by the segment's current state).
-func (st *Store) readRecordData(loc *entryLoc, idx int) ([]byte, error) {
-	return st.readRecordAt(loc, idx, loc.seg.flushed())
-}
-
-// readRecordAt is readRecordData with the tier fixed by the caller's
-// snapshot, so it can run without st.mu (the unlocked read path; PM reads
-// must then be revalidated against slot reuse).
-func (st *Store) readRecordAt(loc *entryLoc, idx int, flushed bool) ([]byte, error) {
+// readRecordAt fetches one record of an entry from PM, or from the cold
+// tier when cold is set. It runs without a store lock: a PM read must be
+// revalidated against slot reuse (see readLive) unless the entry is still
+// uncommitted and so pinned in PM.
+func (st *Store) readRecordAt(loc *entryLoc, idx int, cold bool) ([]byte, error) {
 	if idx < 0 || idx >= loc.count() {
 		return nil, fmt.Errorf("storage: record index %d out of batch of %d", idx, loc.count())
 	}
 	sp := loc.spans[idx]
 	buf := make([]byte, sp.len)
 	dataOff := loc.off + entryHeaderSize + uint64(sp.off)
-	if flushed {
-		if err := st.cold.Get(loc.seg.ssdName(), int64(dataOff), buf); err != nil {
+	if cold {
+		if err := st.cold.ReadAt(loc.seg.ssdName(), int64(dataOff), buf); err != nil {
 			return nil, err
 		}
 		return buf, nil
@@ -331,6 +324,30 @@ func (st *Store) readRecordAt(loc *entryLoc, idx int, flushed bool) ([]byte, err
 		return nil, err
 	}
 	return buf, nil
+}
+
+// decodeSegment decodes a segment image (a PM slot or a flushed SSD file,
+// starting at the segment header) into the per-segment form a checkpoint
+// stores, so that recovery registers both the same way.
+func decodeSegment(id uint64, raw []byte) (ckptSeg, error) {
+	s := ckptSeg{id: id, used: uint64(len(raw))}
+	err := scanSegment(raw, func(off uint64, e decodedEntry, data []byte) error {
+		switch e.kind {
+		case entryKindRecord:
+			spans, err := batchSpans(data)
+			if err != nil {
+				return err
+			}
+			s.entries = append(s.entries, ckptEntry{
+				token: e.token, color: e.color, off: off,
+				payloadLen: e.dataLen, firstSN: e.sn, spans: spans,
+			})
+		case entryKindTrim:
+			s.marks = append(s.marks, trimMark{color: e.color, sn: e.sn})
+		}
+		return nil
+	})
+	return s, err
 }
 
 // scanSegment walks the entries of a segment image (either a PM slot or a

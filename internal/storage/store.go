@@ -40,7 +40,6 @@ import (
 	"flexlog/internal/obs"
 	"flexlog/internal/pmem"
 	"flexlog/internal/ssd"
-	"flexlog/internal/storage/tier"
 	"flexlog/internal/types"
 )
 
@@ -151,6 +150,25 @@ func (ci *colorIndex) lookupLocked(sn types.SN) (recordRef, error) {
 	return ref, nil
 }
 
+// publishLocked indexes the records of an entry committed at first, for a
+// commit and for recovery alike. Write-Once-Read-Many (§4): an SN never
+// changes its record, so a colliding record loses and is dead — a correct
+// ordering layer never produces one, and recovery registers segments in
+// persist order, so the earlier record keeps the SN as the live index
+// did. A record at or below the trim watermark is dead too (a trim raced
+// ahead of its commit). Caller holds ci.mu.
+func (ci *colorIndex) publishLocked(loc *entryLoc, first types.SN) {
+	for i := range loc.spans {
+		sn := first + types.SN(i)
+		if _, taken := ci.bySN[sn]; taken || sn <= ci.trimmed {
+			loc.kill()
+			continue
+		}
+		ci.bySN[sn] = recordRef{loc: loc, idx: i}
+		ci.maxSN = max(ci.maxSN, sn)
+	}
+}
+
 // boundsLocked returns the [head, tail] SN pair. Caller holds ci.mu.
 func (ci *colorIndex) boundsLocked() (head, tail types.SN) {
 	if len(ci.bySN) == 0 {
@@ -171,7 +189,7 @@ type Store struct {
 	cfg Config
 
 	pm    *pmem.Pool
-	cold  *tier.SSD // the tier below PM; never nil
+	cold  *ssd.Device // the tier below PM, one blob per file; never nil
 	cache *stripedCache
 	gc    *groupCommitter // nil unless cfg.GroupCommit
 
@@ -257,23 +275,15 @@ func (st *Store) colorIfExists(c types.ColorID) (*colorIndex, bool) {
 	return v.(*colorIndex), true
 }
 
-// newActiveSegment claims a free slot (flushing the oldest committed
-// segment if none is free) and installs a fresh segment in it.
-// Caller holds st.alloc.
+// newActiveSegment claims a free slot (freeing one through flushOldest if
+// none is) and installs a fresh segment in it. Caller holds st.alloc.
 func (st *Store) newActiveSegment() error {
-	slot := -1
-	for i, s := range st.slotSeg {
-		if s == nil {
-			slot = i
-			break
-		}
-	}
+	slot := st.emptySlot()
 	if slot < 0 {
-		var err error
-		slot, err = st.flushOldest()
-		if err != nil {
+		if err := st.flushOldest(); err != nil {
 			return err
 		}
+		slot = st.emptySlot()
 	}
 	seg := newSegment(st.nextSeg, slot, st.slots[slot], segHeaderSize)
 	st.nextSeg++
@@ -289,63 +299,37 @@ func (st *Store) newActiveSegment() error {
 	return nil
 }
 
-// flushOldest frees one PM slot: a fully-trimmed (dead) segment is simply
-// reclaimed; otherwise the oldest fully-committed sealed segment is flushed
-// to the SSD ("a contiguous portion from the start of the log is flushed to
-// SSD and removed from PM", §5.2). Caller holds st.alloc.
-func (st *Store) flushOldest() (int, error) {
-	// Prefer reclaiming a dead segment — trimmed data needs no SSD write.
-	// Segments claimed by the background evictor are skipped everywhere:
-	// the evictor reads their PM bytes without the allocator lock, so
-	// reusing their slot under it would hand the evictor torn data.
-	var dead *segment
-	for _, seg := range st.segs {
-		if seg.flushed() || seg == st.active || seg.live.Load() > 0 || seg.evicting.Load() {
-			continue
-		}
-		if !st.segmentFlushable(seg) {
-			continue // has uncommitted entries
-		}
-		if dead == nil || seg.id < dead.id {
-			dead = seg
+// emptySlot returns the index of a free PM slot, or -1. Caller holds
+// st.alloc.
+func (st *Store) emptySlot() int {
+	for i, s := range st.slotSeg {
+		if s == nil {
+			return i
 		}
 	}
-	if dead != nil {
-		slot := dead.slotIdx()
-		st.dropSegmentLocked(dead)
-		return slot, nil
-	}
-	var victim *segment
-	for _, seg := range st.segs {
-		if seg.flushed() || seg == st.active || seg.evicting.Load() {
-			continue
-		}
-		if !st.segmentFlushable(seg) {
-			continue
-		}
-		if victim == nil || seg.id < victim.id {
-			victim = seg
-		}
+	return -1
+}
+
+// flushOldest frees a PM slot on demand, when every slot is taken: dead
+// segments are reclaimed, and if that freed none, the oldest
+// fully-committed segment is spilled to the SSD ("a contiguous portion
+// from the start of the log is flushed to SSD and removed from PM",
+// §5.2). It is the lifecycle's spill with the allocator lock held across
+// the copy, so the slot is reused at once and an armed failpoint crashes
+// the devices without taking the lock again. Caller holds st.alloc.
+func (st *Store) flushOldest() error {
+	victim := st.reclaimDeadLocked()
+	if st.emptySlot() >= 0 {
+		return nil
 	}
 	if victim == nil {
-		return -1, ErrOutOfSpace
+		return ErrOutOfSpace
 	}
-	raw := make([]byte, victim.used)
-	if err := st.pm.Read(victim.pmOff, raw); err != nil {
-		return -1, err
+	if err := st.spill(victim, victim.used, st.crashDevices); err != nil {
+		return err
 	}
-	if err := st.cold.Put(victim.ssdName(), raw); err != nil {
-		return -1, err
-	}
-	if err := st.cold.Sync(); err != nil {
-		return -1, err
-	}
-	slot := victim.slotIdx()
-	victim.slot.Store(-1)
-	st.slotSeg[slot] = nil
-	st.flushes++
-	st.uncovered += uint64(victim.total)
-	return slot, nil
+	st.retireSpilledLocked(victim, false)
+	return nil
 }
 
 // segmentFlushable reports whether every live entry of the segment is
@@ -360,20 +344,6 @@ func (st *Store) segmentFlushable(seg *segment) bool {
 		}
 	}
 	return true
-}
-
-// dropSegmentLocked removes a fully-dead segment and all token index
-// entries pointing into it. Caller holds st.alloc.
-func (st *Store) dropSegmentLocked(seg *segment) {
-	for _, tok := range seg.tokens {
-		if loc := st.byToken[tok]; loc != nil && loc.seg == seg {
-			delete(st.byToken, tok)
-		}
-	}
-	if !seg.flushed() {
-		st.slotSeg[seg.slotIdx()] = nil
-	}
-	delete(st.segs, seg.id)
 }
 
 // Put persists a single-record append (convenience wrapper over PutBatch).
@@ -414,18 +384,7 @@ func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]by
 		st.alloc.Unlock()
 		return err
 	}
-	loc := &entryLoc{
-		seg:        seg,
-		off:        off,
-		payloadLen: len(payload),
-		spans:      spans,
-		token:      token,
-		color:      color,
-	}
-	loc.liveCount.Store(int32(len(spans)))
-	st.byToken[token] = loc
-	seg.tokens = append(seg.tokens, token)
-	seg.live.Add(1)
+	loc := st.addEntryLocked(seg, ckptEntry{token: token, color: color, off: off, payloadLen: len(payload), spans: spans})
 	wait, err := st.persistEntry(seg, off, buf)
 	st.alloc.Unlock()
 	if wait != nil {
@@ -483,31 +442,16 @@ func (st *Store) Commit(token types.Token, lastSN types.SN) error {
 	if err := st.commitEntrySN(loc, firstSN); err != nil {
 		return err
 	}
-	for i := 0; i < loc.count(); i++ {
+	ci.publishLocked(loc, firstSN)
+	// Freshly appended records also populate the cache (§5.2). The entry is
+	// still uncommitted (firstSN unpublished), so its segment cannot leave
+	// PM from under these reads.
+	for i := range loc.spans {
 		sn := firstSN + types.SN(i)
-		if sn <= ci.trimmed {
-			// Committed below the trim watermark: immediately dead
-			// (a trim raced ahead of this commit).
-			loc.kill()
-			continue
+		if ref, ok := ci.bySN[sn]; !ok || ref.loc != loc {
+			continue // dead on arrival
 		}
-		if _, taken := ci.bySN[sn]; taken {
-			// Write-Once-Read-Many (§4): an SN never changes its record.
-			// A colliding assignment (which a correct ordering layer never
-			// produces) loses; its slot becomes a dead entry.
-			loc.kill()
-			continue
-		}
-		ci.bySN[sn] = recordRef{loc: loc, idx: i}
-		if sn > ci.maxSN {
-			ci.maxSN = sn
-		}
-		// Freshly appended records also populate the cache (§5.2). The
-		// entry is still uncommitted (firstSN unpublished), so its segment
-		// cannot be flushed from under this PM read.
-		sp := loc.spans[i]
-		data := make([]byte, sp.len)
-		if err := st.pm.Read(loc.seg.pmOff+loc.off+entryHeaderSize+uint64(sp.off), data); err == nil {
+		if data, err := st.readRecordAt(loc, i, false); err == nil {
 			st.cache.put(loc.color, sn, data)
 		}
 	}
@@ -540,14 +484,9 @@ func (st *Store) TokenInfo(token types.Token) (types.ColorID, types.SN, bool) {
 
 // Get returns the payload of the committed record (color, sn), consulting
 // cache, then PM, then SSD (§5.2: "the volatile cache is first read, then
-// PM, then the SSD").
-//
-// The device access runs with no store lock held, so concurrent readers
-// (the replica's read lane) overlap their PM/SSD latency instead of
-// serializing. PM slots are reused when a segment is flushed to the SSD,
-// so an unlocked PM read is revalidated afterwards: if the segment lost
-// its slot mid-read the bytes may be torn and the lookup is retried (the
-// record then resolves to its SSD copy, which is immutable).
+// PM, then the SSD"). The device access is readLive's, with no store lock
+// held, so concurrent readers (the replica's read lane) overlap their
+// PM/SSD latency instead of serializing.
 func (st *Store) Get(color types.ColorID, sn types.SN) ([]byte, error) {
 	if data, ok := st.cache.get(color, sn); ok {
 		return data, nil
@@ -556,64 +495,30 @@ func (st *Store) Get(color types.ColorID, sn types.SN) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; ; attempt++ {
 		ci.mu.RLock()
 		ref, err := ci.lookupLocked(sn)
 		ci.mu.RUnlock()
 		if err != nil {
 			return nil, err
 		}
-		seg := ref.loc.seg
-		flushed := seg.flushed()
-		data, derr := st.readRecordAt(ref.loc, ref.idx, flushed)
-		if flushed {
-			// Cold blobs are written once and never mutated, so a success
-			// is final. A failure is retried through the lookup: the blob
-			// may have been garbage collected after a trim landed, in
-			// which case the next lookup reports ErrTrimmed.
-			if derr == nil {
+		data, cold, err := st.readLive(ref.loc, ref.idx)
+		switch {
+		case err == nil:
+			if cold {
 				st.coldMisses.Add(1)
-				st.cache.put(color, sn, data)
-				return data, nil
 			}
-			continue
-		}
-		if derr == nil {
-			st.alloc.RLock()
-			valid := !seg.flushed() && st.slotSeg[seg.slotIdx()] == seg
-			st.alloc.RUnlock()
-			if valid {
-				st.cache.put(color, sn, data)
-				return data, nil
-			}
-		}
-		// The PM slot was flushed or reclaimed mid-read: retry the lookup
-		// (the record moved to the cold tier, or was trimmed away).
-	}
-	// Still racing after retries (or the device read keeps failing):
-	// resolve with the allocator lock held across the read, where no flush
-	// can interleave (lock order: color, then allocator).
-	ci.mu.RLock()
-	defer ci.mu.RUnlock()
-	ref, err := ci.lookupLocked(sn)
-	if err != nil {
-		return nil, err
-	}
-	st.alloc.RLock()
-	data, err := st.readRecordData(ref.loc, ref.idx)
-	flushed := ref.loc.seg.flushed()
-	st.alloc.RUnlock()
-	if err != nil {
-		if flushed {
+			st.cache.put(color, sn, data)
+			return data, nil
+		case !cold:
+			return nil, err
+		case attempt > 0:
 			return nil, fmt.Errorf("%w: segment %d: %v", ErrEvicted, ref.loc.seg.id, err)
 		}
-		return nil, err
+		// A failed cold read is looked up once more: cold GC may have
+		// deleted the blob after a trim landed, and the lookup then
+		// reports ErrTrimmed.
 	}
-	if flushed {
-		st.coldMisses.Add(1)
-	}
-	st.cache.put(color, sn, data)
-	return data, nil
 }
 
 // MaxSN returns the largest committed SN seen for the color.
@@ -693,8 +598,11 @@ func (st *Store) ScanFrom(color types.ColorID, after types.SN, limit int) ([]typ
 	}
 	out := make([]types.Record, 0, len(refs))
 	for _, r := range refs {
-		data, err := st.readLive(r.ref.loc, r.ref.idx)
+		data, _, err := st.readLive(r.ref.loc, r.ref.idx)
 		if err != nil {
+			if r.ref.loc.dead.Load() {
+				continue // trimmed, and its segment reclaimed, since the snapshot
+			}
 			return nil, err
 		}
 		out = append(out, types.Record{Token: r.ref.loc.token, SN: r.sn, Color: color, Data: data})
@@ -703,27 +611,21 @@ func (st *Store) ScanFrom(color types.ColorID, after types.SN, limit int) ([]typ
 }
 
 // readLive reads one record with no store lock held across the device
-// access, revalidating PM reads against slot reuse (see Get for the
-// hazard).
-func (st *Store) readLive(loc *entryLoc, idx int) ([]byte, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		flushed := loc.seg.flushed()
-		data, err := st.readRecordAt(loc, idx, flushed)
-		if flushed {
-			return data, err // SSD files are immutable: both outcomes final
-		}
-		if err == nil {
-			st.alloc.RLock()
-			valid := !loc.seg.flushed() && st.slotSeg[loc.seg.slotIdx()] == loc.seg
-			st.alloc.RUnlock()
-			if valid {
-				return data, nil
-			}
+// access; cold reports that the cold tier served it. A PM slot is reused
+// once its segment leaves PM, so a PM read is revalidated afterwards. A
+// segment is marked as gone from PM before its slot can be reused
+// (freeSlotLocked), so if the mark is set after the read the bytes may be
+// torn, and the record is read again from the cold tier. Cold blobs are
+// written once and never mutated: a cold read, success or failure, is
+// final.
+func (st *Store) readLive(loc *entryLoc, idx int) (data []byte, cold bool, err error) {
+	for {
+		cold = loc.seg.flushed()
+		data, err = st.readRecordAt(loc, idx, cold)
+		if cold || err != nil || !loc.seg.flushed() {
+			return data, cold, err
 		}
 	}
-	st.alloc.RLock()
-	defer st.alloc.RUnlock()
-	return st.readRecordData(loc, idx)
 }
 
 // Uncommitted returns batches persisted but not yet assigned SNs, used by
@@ -741,18 +643,14 @@ func (st *Store) Uncommitted() []Batch {
 	out := make([]Batch, 0, len(locs))
 	for _, loc := range locs {
 		b := Batch{Token: loc.token, Color: loc.color}
-		ok := true
 		for i := 0; i < loc.count(); i++ {
-			st.alloc.RLock()
-			data, err := st.readRecordData(loc, i)
-			st.alloc.RUnlock()
+			data, _, err := st.readLive(loc, i)
 			if err != nil {
-				ok = false
 				break
 			}
 			b.Records = append(b.Records, data)
 		}
-		if ok {
+		if len(b.Records) == loc.count() {
 			out = append(out, b)
 		}
 	}
@@ -842,10 +740,17 @@ func unlockColors(locked map[types.ColorID]*colorIndex) {
 func (st *Store) Crash() {
 	locked := st.lockAllColors()
 	st.alloc.Lock()
-	st.pm.Crash()
-	st.cold.Crash()
+	st.crashDevices()
 	st.alloc.Unlock()
 	unlockColors(locked)
+}
+
+// crashDevices is Crash for a caller that already holds the allocator lock
+// (taking the color locks now would invert the lock order): the devices
+// fail at once, and every other path sees the crash at its next access.
+func (st *Store) crashDevices() {
+	st.pm.Crash()
+	st.cold.Crash()
 }
 
 // Recover re-opens the devices and rebuilds every volatile index by
@@ -860,6 +765,12 @@ func (st *Store) Recover() error {
 	st.pm.Recover()
 	st.cold.Recover()
 
+	// The old segments leave PM: an unlocked reader still holding one of
+	// their refs goes to the cold tier and, failing there, looks the SN up
+	// again in the rebuilt index (see readLive and Get).
+	for _, seg := range st.segs {
+		seg.slot.Store(-1)
+	}
 	st.segs = make(map[uint64]*segment)
 	st.byToken = make(map[types.Token]*entryLoc)
 	st.cache = newStripedCache(st.cfg.CacheBytes)
@@ -886,70 +797,25 @@ func (st *Store) Recover() error {
 		ci.ckptFloor = types.InvalidSN
 	}
 
-	type pendingTrim struct {
-		color types.ColorID
-		sn    types.SN
-	}
-	var trims []pendingTrim
-
-	ingest := func(seg *segment, raw []byte) error {
-		return scanSegment(raw, func(off uint64, e decodedEntry, data []byte) error {
-			seg.total++
-			switch e.kind {
-			case entryKindRecord:
-				spans, err := batchSpans(data)
-				if err != nil {
-					return err
-				}
-				seg.live.Add(1)
-				loc := &entryLoc{
-					seg: seg, off: off, payloadLen: e.dataLen, spans: spans,
-					token: e.token, color: e.color,
-				}
-				loc.firstSN.Store(uint64(e.sn))
-				loc.liveCount.Store(int32(len(spans)))
-				st.byToken[e.token] = loc
-				seg.tokens = append(seg.tokens, e.token)
-				if e.sn.Valid() {
-					ci := colorLocked(e.color)
-					for i := range spans {
-						sn := e.sn + types.SN(i)
-						if _, taken := ci.bySN[sn]; taken {
-							// Write-Once (§4): recovery replays segments in
-							// ascending id (persist) order, so the earlier
-							// record keeps the SN exactly as the live index
-							// did; a later colliding entry is dead.
-							loc.kill()
-							continue
-						}
-						ci.bySN[sn] = recordRef{loc: loc, idx: i}
-						if sn > ci.maxSN {
-							ci.maxSN = sn
-						}
-					}
-				}
-				return nil
-			case entryKindTrim:
-				seg.trimMarks = append(seg.trimMarks, trimMark{color: e.color, sn: e.sn})
-				trims = append(trims, pendingTrim{color: e.color, sn: e.sn})
-			}
-			return nil
-		})
-	}
-
-	var stats RecoveryStats
-
-	// Collect every segment image — PM slots first (header, then only the
-	// used prefix: the sequential scan whose cost Fig. 10 measures). The PM
-	// copy of a segment always wins over its cold blob: eviction only frees
-	// the slot after the cold copy is synced, so a surviving resident copy
-	// means the blob may be torn.
-	type pendingSeg struct {
+	// Every segment comes back in the checkpoint's per-segment form,
+	// whether a scanned image or checkpoint metadata produced it.
+	type image struct {
 		seg *segment
-		raw []byte   // image to scan; nil when restored from checkpoint
-		ck  *ckptSeg // checkpoint metadata (raw == nil)
+		s   ckptSeg
 	}
-	var images []pendingSeg
+	var images []image
+	var stats RecoveryStats
+	replayed := func(s *ckptSeg) {
+		stats.ScannedSegments++
+		stats.ReplayedEntries += s.count()
+		stats.ReplayedBytes += s.used
+	}
+
+	// PM slots first (header, then only the used prefix: the sequential
+	// scan whose cost Fig. 10 measures). The PM copy of a segment always
+	// wins over its cold blob: a slot is only freed after the cold copy is
+	// synced, so a surviving resident copy means the blob may be torn.
+	pmIDs := make(map[uint64]bool)
 	for i, base := range st.slots {
 		var hdr [segHeaderSize]byte
 		if err := st.pm.Read(base, hdr[:]); err != nil {
@@ -958,17 +824,19 @@ func (st *Store) Recover() error {
 		used := binary.LittleEndian.Uint64(hdr[0:8])
 		id := binary.LittleEndian.Uint64(hdr[8:16])
 		if id == 0 || used < segHeaderSize || used > st.cfg.SegmentSize {
-			continue // never-used slot
+			continue // never-used or freed slot
 		}
 		raw := make([]byte, used)
 		if err := st.pm.Read(base, raw); err != nil {
 			return err
 		}
-		images = append(images, pendingSeg{seg: newSegment(id, i, base, used), raw: raw})
-	}
-	pmIDs := make(map[uint64]bool, len(images))
-	for _, im := range images {
-		pmIDs[im.seg.id] = true
+		s, err := decodeSegment(id, raw)
+		if err != nil {
+			return err
+		}
+		images = append(images, image{newSegment(id, i, base, used), s})
+		pmIDs[id] = true
+		replayed(&s)
 	}
 
 	// Restore covered segments from the newest durable checkpoint: their
@@ -980,111 +848,72 @@ func (st *Store) Recover() error {
 	if ck != nil {
 		stats.CheckpointSeq = ck.seq
 		stats.CoveredSegments = len(ck.segs)
-		for i := range ck.segs {
-			s := &ck.segs[i]
+		for _, s := range ck.segs {
 			covered[s.id] = true
-			if pmIDs[s.id] {
-				continue
+			if !pmIDs[s.id] {
+				images = append(images, image{newSegment(s.id, -1, 0, s.used), s})
+				stats.RestoredEntries += len(s.entries)
 			}
-			images = append(images, pendingSeg{seg: newSegment(s.id, -1, 0, s.used), ck: s})
 		}
 	}
 
 	// Scan the cold blobs flushed after the checkpoint (the bounded replay
-	// suffix). Blobs that are gone or torn are skipped, not fatal: a blob
-	// is only load-bearing once its eviction synced, and then either it is
-	// readable or the PM copy survived (handled above). Unreadable
-	// leftovers are torn artifacts of an unsynced eviction or blobs the
-	// cold GC deleted under checkpoint cover.
+	// suffix); everything scanned off the cold tier is uncovered again.
+	// Blobs that are gone or torn are skipped, not fatal: a blob is only
+	// load-bearing once its spill synced, and then either it is readable
+	// or the PM copy survived (handled above). Unreadable leftovers are
+	// torn artifacts of an unsynced spill or blobs the cold GC deleted
+	// under checkpoint cover.
+	st.uncovered = 0
 	for _, name := range st.cold.List() {
 		var id uint64
-		if _, err := fmt.Sscanf(name, "seg-%d", &id); err != nil {
+		if _, err := fmt.Sscanf(name, "seg-%d", &id); err != nil || pmIDs[id] || covered[id] {
 			continue
 		}
-		if pmIDs[id] || covered[id] {
-			continue
+		raw, err := st.readBlob(name)
+		var s ckptSeg
+		if err == nil {
+			s, err = decodeSegment(id, raw)
 		}
-		sz, err := st.cold.Size(name)
 		if err != nil {
 			stats.MissingBlobs++
 			continue
 		}
-		raw := make([]byte, sz)
-		if err := st.cold.Get(name, 0, raw); err != nil {
-			stats.MissingBlobs++
-			continue
-		}
-		if err := scanSegment(raw, func(uint64, decodedEntry, []byte) error { return nil }); err != nil {
-			stats.MissingBlobs++
-			continue
-		}
-		images = append(images, pendingSeg{seg: newSegment(id, -1, 0, uint64(sz)), raw: raw})
+		images = append(images, image{newSegment(id, -1, 0, s.used), s})
+		replayed(&s)
+		st.uncovered += uint64(s.count())
 	}
 
-	// Ingest in ascending segment-id (persist) order so the rebuilt indexes
-	// match the pre-crash ones deterministically.
+	// Register in ascending segment-id (persist) order so the rebuilt
+	// indexes match the pre-crash ones deterministically.
 	sort.Slice(images, func(i, j int) bool { return images[i].seg.id < images[j].seg.id })
-	var flushedUncovered uint64
-	for _, im := range images {
-		if im.ck != nil {
-			st.restoreCkptSeg(im.seg, im.ck, colorLocked)
-			stats.RestoredEntries += len(im.ck.entries)
-		} else {
-			if err := ingest(im.seg, im.raw); err != nil {
-				return err
-			}
-			stats.ScannedSegments++
-			stats.ReplayedEntries += im.seg.total
-			stats.ReplayedBytes += uint64(len(im.raw))
-			if im.seg.flushed() {
-				flushedUncovered += uint64(im.seg.total)
-			}
-		}
-		st.segs[im.seg.id] = im.seg
-		if !im.seg.flushed() {
-			st.slotSeg[im.seg.slotIdx()] = im.seg
-		}
-		if im.seg.id >= st.nextSeg {
-			st.nextSeg = im.seg.id + 1
-		}
+	for i := range images {
+		st.registerLocked(images[i].seg, &images[i].s, colorLocked)
 	}
 
-	// Trims: the checkpoint's color floors first (they subsume every trim
-	// the checkpoint observed applied), then the covered segments'
-	// preserved markers, then the markers replayed from scanned images.
+	// Trims in one pass: the checkpoint's color floors (they subsume every
+	// trim the checkpoint observed applied), then every segment's markers.
+	// applyTrimLocked is a max plus a delete of every SN ≤ sn, so trims
+	// commute and their order does not matter. The restored checkpoint
+	// becomes the durable one.
+	st.ckptCovered = covered
+	st.ckptTrimmed = make(map[types.ColorID]types.SN)
+	st.ckptSeq, st.ckptEntries = 0, 0
 	if ck != nil {
+		st.ckptSeq, st.ckptEntries = ck.seq, stats.RestoredEntries
 		for c, cc := range ck.colors {
 			ci := colorLocked(c)
 			ci.ckptFloor = cc.trimmed
 			st.applyTrimLocked(ci, c, cc.trimmed)
-			if cc.maxSN > ci.maxSN {
-				ci.maxSN = cc.maxSN
-			}
-		}
-		for _, s := range ck.segs {
-			for _, m := range s.marks {
-				st.applyTrimLocked(colorLocked(m.color), m.color, m.sn)
-			}
-		}
-	}
-	for _, tr := range trims {
-		st.applyTrimLocked(colorLocked(tr.color), tr.color, tr.sn)
-	}
-
-	// Lifecycle bookkeeping: the restored checkpoint becomes the durable
-	// one; everything scanned off the cold tier is uncovered again.
-	st.ckptCovered = covered
-	st.ckptTrimmed = make(map[types.ColorID]types.SN)
-	st.ckptSeq = 0
-	st.ckptEntries = 0
-	if ck != nil {
-		st.ckptSeq = ck.seq
-		st.ckptEntries = stats.RestoredEntries
-		for c, cc := range ck.colors {
+			ci.maxSN = max(ci.maxSN, cc.maxSN)
 			st.ckptTrimmed[c] = cc.trimmed
 		}
 	}
-	st.uncovered = flushedUncovered
+	for _, seg := range st.segs {
+		for _, m := range seg.trimMarks {
+			st.applyTrimLocked(colorLocked(m.color), m.color, m.sn)
+		}
+	}
 
 	// Pick or create the active segment.
 	for _, seg := range st.segs {
@@ -1105,41 +934,37 @@ func (st *Store) Recover() error {
 	return nil
 }
 
-// restoreCkptSeg registers a checkpoint-covered segment from metadata alone
-// (no device read). Caller holds st.alloc and the color locks regime of
-// Recover; colorLocked resolves (locking on demand) a color's index.
-func (st *Store) restoreCkptSeg(seg *segment, s *ckptSeg, colorLocked func(types.ColorID) *colorIndex) {
-	seg.sealed = true
-	seg.trimMarks = append([]trimMark(nil), s.marks...)
+// registerLocked installs one recovered segment, given in the checkpoint's
+// per-segment form, in the segment map and the token and SN indexes — the
+// one builder behind both a scanned image and checkpoint metadata.
+// Recover calls it in persist order (see publishLocked). Caller holds
+// st.alloc; colorLocked resolves (locking on demand) a color's index.
+func (st *Store) registerLocked(seg *segment, s *ckptSeg, colorLocked func(types.ColorID) *colorIndex) {
+	seg.trimMarks = s.marks
+	seg.total = s.count()
 	for _, e := range s.entries {
-		loc := &entryLoc{
-			seg: seg, off: e.off, payloadLen: e.payloadLen, spans: e.spans,
-			token: e.token, color: e.color,
-		}
-		loc.firstSN.Store(uint64(e.firstSN))
-		loc.liveCount.Store(int32(len(e.spans)))
-		seg.live.Add(1)
-		seg.total++
-		st.byToken[e.token] = loc
-		seg.tokens = append(seg.tokens, e.token)
-		if !e.firstSN.Valid() {
-			continue
-		}
-		ci := colorLocked(e.color)
-		for i := range e.spans {
-			sn := e.firstSN + types.SN(i)
-			if _, taken := ci.bySN[sn]; taken {
-				// Write-Once (§4): ids are processed in persist order, so
-				// the earlier record keeps the SN (see ingest).
-				loc.kill()
-				continue
-			}
-			ci.bySN[sn] = recordRef{loc: loc, idx: i}
-			if sn > ci.maxSN {
-				ci.maxSN = sn
-			}
+		loc := st.addEntryLocked(seg, e)
+		if e.firstSN.Valid() {
+			colorLocked(e.color).publishLocked(loc, e.firstSN)
 		}
 	}
+	st.segs[seg.id] = seg
+	if !seg.flushed() {
+		st.slotSeg[seg.slotIdx()] = seg
+	}
+	st.nextSeg = max(st.nextSeg, seg.id+1)
+}
+
+// addEntryLocked indexes a persisted entry of seg by its token (committed
+// when e.firstSN is valid). Caller holds st.alloc.
+func (st *Store) addEntryLocked(seg *segment, e ckptEntry) *entryLoc {
+	loc := &entryLoc{seg: seg, off: e.off, payloadLen: e.payloadLen, spans: e.spans, token: e.token, color: e.color}
+	loc.firstSN.Store(uint64(e.firstSN))
+	loc.liveCount.Store(int32(len(e.spans)))
+	st.byToken[e.token] = loc
+	seg.tokens = append(seg.tokens, e.token)
+	seg.live.Add(1)
+	return loc
 }
 
 // Stats reports storage-stack counters.
@@ -1163,10 +988,9 @@ type Stats struct {
 	ResidentBytes    uint64 // PM bytes those segments occupy
 	ColdSegments     int    // flushed segments (cold-tier only)
 
-	GC   GCStats
-	PM   pmem.Stats
-	SSD  ssd.Stats // the device under the cold tier
-	Cold tier.Stats
+	GC  GCStats
+	PM  pmem.Stats
+	SSD ssd.Stats // the cold tier's device
 }
 
 // Stats returns a snapshot of counters across the tiers.
@@ -1198,7 +1022,7 @@ func (st *Store) Stats() Stats {
 		CheckpointSeq: st.ckptSeq,
 		ColdMissReads: st.coldMisses.Load(),
 		PM:            st.pm.Stats(),
-		Cold:          st.cold.Stats(),
+		SSD:           st.cold.Stats(),
 	}
 	for _, seg := range st.segs {
 		if seg.flushed() {
@@ -1208,7 +1032,6 @@ func (st *Store) Stats() Stats {
 			s.ResidentBytes += seg.used
 		}
 	}
-	s.SSD = st.cold.Device().Stats()
 	if st.gc != nil {
 		s.GC = st.gc.stats()
 	}
@@ -1221,5 +1044,5 @@ func (st *Store) SaveDevices(pmPath, ssdPath string) error {
 	if err := st.pm.SaveTo(pmPath); err != nil {
 		return err
 	}
-	return st.cold.Device().SaveTo(ssdPath)
+	return st.cold.SaveTo(ssdPath)
 }

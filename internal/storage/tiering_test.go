@@ -95,7 +95,7 @@ func TestBackgroundEvictionUnderBudget(t *testing.T) {
 	if st.Stats().ColdMissReads == 0 {
 		t.Fatal("no read was served from the cold tier")
 	}
-	if st.Stats().Cold.Puts == 0 {
+	if st.Stats().SSD.Writes == 0 {
 		t.Fatal("cold tier saw no puts")
 	}
 }
@@ -239,6 +239,54 @@ func TestCrashMidEviction(t *testing.T) {
 		got, err := st.Get(colorA, sn(i))
 		if err != nil || !bytes.Equal(got, payload(i)) {
 			t.Fatalf("get %d after mid-eviction crash = %q, %v", i, got, err)
+		}
+	}
+}
+
+// TestCrashMidOnDemandSpill: with no lifecycle, a segment roll that finds
+// every PM slot full spills the oldest segment itself, through the same
+// spill as the lifecycle — so the armed failpoint must fire there, and
+// recovery must lose nothing because the PM copy wins over the torn blob.
+func TestCrashMidOnDemandSpill(t *testing.T) {
+	cfg := smallConfig() // PMBudget 0, CheckpointEvery 0: no lifecycle
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	i := 1
+	for ; st.Stats().ResidentSegments < cfg.NumSegments; i++ {
+		fill(t, st, colorA, i, i+1)
+	}
+	if f := st.Stats().Flushes; f != 0 {
+		t.Fatalf("%d spills before every slot was full", f)
+	}
+	st.InjectCrash(CrashMidEviction)
+	for limit := i + 20; ; i++ {
+		if i == limit {
+			t.Fatal("no segment roll hit the armed failpoint")
+		}
+		err := st.Put(colorA, tok(i), payload(i))
+		if errors.Is(err, ErrInjectedCrash) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		if err := st.Commit(tok(i), sn(i)); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if r := st.LastRecovery(); r.ScannedSegments != cfg.NumSegments {
+		t.Fatalf("recovery scanned %d segments, want the %d resident ones: %+v", r.ScannedSegments, cfg.NumSegments, r)
+	}
+	for j := 1; j < i; j++ {
+		got, err := st.Get(colorA, sn(j))
+		if err != nil || !bytes.Equal(got, payload(j)) {
+			t.Fatalf("get %d after mid-spill crash = %q, %v", j, got, err)
 		}
 	}
 }
