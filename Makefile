@@ -30,7 +30,7 @@ race:
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
-	@for pkg in internal/bench internal/storage internal/ssd internal/pmem internal/proto internal/replica internal/core internal/ctrlplane cmd; do \
+	@for pkg in internal/bench internal/storage internal/ssd internal/pmem internal/seq internal/proto internal/replica internal/core internal/ctrlplane cmd; do \
 		printf '%s non-test Go lines: ' $$pkg; find $$pkg -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; \
 	done
 

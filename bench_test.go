@@ -92,7 +92,7 @@ func BenchmarkFig11Shards(b *testing.B) {
 }
 
 func BenchmarkAblateBatchWindow(b *testing.B) {
-	runQuick(b, "ablate-batch", "Root msgs per request", "100µs", "root_msgs_per_req")
+	runQuick(b, "ablate-batch", "Root msgs per request", "64", "root_msgs_per_req")
 }
 
 func BenchmarkAblateCache(b *testing.B) {

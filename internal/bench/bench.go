@@ -110,7 +110,7 @@ var experiments = []Experiment{
 	{"fig9", "Ordering-layer scalability vs number of leaf sequencers (Figure 9)", runFig9},
 	{"fig10", "Replica recovery time vs number of committed records (Figure 10)", runFig10},
 	{"fig11", "Latency vs throughput for 3 vs 6 shards, 95%R/5%W (Figure 11)", runFig11},
-	{"ablate-batch", "Ablation: sequencer aggregation window vs ordering latency and root load", runAblateBatch},
+	{"ablate-batch", "Ablation: sequencer upward batching vs load (root messages per request, lone-driver latency)", runAblateBatch},
 	{"ablate-cache", "Ablation: DRAM cache on/off in the storage read path", runAblateCache},
 	{"ablate-readhold", "Ablation: read-hold timeout vs ⊥ rate for reads racing appends (§6.3)", runAblateReadHold},
 	ablationRow("ablate-clientbatch", "Ablation: client-side append batching & pipelining (v2 API)", clientBatchAblation),

@@ -349,14 +349,16 @@ func fig11ShapeGates(rep *Report) error {
 
 func TestAblations(t *testing.T) {
 	batch := runExperiment(t, "ablate-batch")
-	// Larger windows must reduce per-request root messages.
-	small, _ := batch.Value("Root msgs per request", "0s")
-	big, ok := batch.Value("Root msgs per request", "100µs")
+	// More requests behind each unanswered round must reduce per-request
+	// root messages.
+	lone, _ := batch.Value("Root msgs per request", "1")
+	mid, _ := batch.Value("Root msgs per request", "8")
+	busy, ok := batch.Value("Root msgs per request", "64")
 	if !ok {
-		t.Fatal("missing 100µs point")
+		t.Fatal("missing 64-driver point")
 	}
-	if big > small {
-		t.Errorf("aggregation not reducing root load: %.3f -> %.3f", small, big)
+	if !(busy < mid && mid < lone) {
+		t.Errorf("aggregation not reducing root load as load rises: %.3f -> %.3f -> %.3f", lone, mid, busy)
 	}
 
 	cache := runExperiment(t, "ablate-cache")

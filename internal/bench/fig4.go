@@ -14,10 +14,6 @@ import (
 // fig4ReadPercents are the workload mixes of Figure 4.
 var fig4ReadPercents = []int{10, 15, 50}
 
-// throughputBatchWindow is the aggregation window used by the functional
-// throughput runs (see the fig4thr note on why it is wider than 1 µs).
-const throughputBatchWindow = 20 * time.Microsecond
-
 // bokiBatchInterval is the Scalog/Boki counter commit interval: the
 // ordering layer advances the replicated tail once per interval, so every
 // append pays half of it in expectation on top of the Paxos round.
@@ -41,7 +37,7 @@ func runFig4Latency(cfg RunConfig) (*Report, error) {
 		spec   orderingSpec
 	}{
 		// FlexLog: root–middle–leaf tree, total order (master color).
-		{metrics.NewSeries("FlexLog", "usec"), orderingSpec{n: 2, batch: time.Microsecond, drivers: 1}},
+		{metrics.NewSeries("FlexLog", "usec"), orderingSpec{n: 2, drivers: 1}},
 		// Boki: aggregator + classic-Paxos counter with the Scalog commit
 		// interval.
 		{metrics.NewSeries("Boki", "usec"), orderingSpec{drivers: 1, scalog: &scalog.Config{
@@ -117,11 +113,7 @@ func runFig4Throughput(cfg RunConfig) (*Report, error) {
 		drivers = 8
 		opsPerDriver = 800
 	}
-	// FlexLog's aggregation window is widened from the paper's 1 µs because
-	// the functional run on a 2-vCPU host serializes arrivals that a parallel
-	// testbed would overlap within 1 µs; the wider window restores the same
-	// requests-per-batch regime.
-	tree := orderingSpec{n: 2, batch: throughputBatchWindow, drivers: drivers}
+	tree := orderingSpec{n: 2, drivers: drivers}
 	systems := []struct {
 		series *metrics.Series
 		spec   orderingSpec

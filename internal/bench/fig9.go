@@ -27,7 +27,7 @@ func runFig9(cfg RunConfig) (*Report, error) {
 	series := metrics.NewSeries("FlexLog ordering", "MReqs/s")
 	for _, leaves := range leafCounts {
 		drivers := driversPerLeaf * leaves
-		f, err := newOrderingFixture(orderingSpec{n: leaves, star: true, batch: throughputBatchWindow, drivers: drivers})
+		f, err := newOrderingFixture(orderingSpec{n: leaves, star: true, drivers: drivers})
 		if err != nil {
 			return nil, err
 		}

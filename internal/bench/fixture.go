@@ -152,8 +152,7 @@ func (f *fixture) clients(n int, opts ...core.Option) ([]*core.Client, error) {
 type orderingSpec struct {
 	n       int
 	star    bool
-	batch   time.Duration     // sequencer aggregation window
-	tweak   func(*seq.Config) // nil keeps seq.DefaultConfig's lane and flush settings
+	tweak   func(*seq.Config) // nil keeps seq.DefaultConfig's lane settings
 	scalog  *scalog.Config    // the baseline orderer instead of sequencers; ID and Acceptors are the fixture's to fill
 	drivers int
 }
@@ -205,7 +204,6 @@ func (f *fixture) buildOrdering(spec orderingSpec) error {
 			cfg.ID = seqNodeID(c)
 			cfg.Region = types.ColorID(c)
 			cfg.Topo = topo
-			cfg.BatchInterval = spec.batch
 			cfg.HeartbeatInterval = 50 * time.Millisecond
 			cfg.FailureTimeout = time.Second
 			cfg.RetryTimeout = 2 * time.Second

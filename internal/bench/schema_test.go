@@ -74,9 +74,9 @@ var quickSchema = map[string]reportSchema{
 		{"Read lat (3 shards)", "ms", []string{"1", "4"}},
 		{"Read lat (6 shards)", "ms", []string{"1", "4"}},
 	}},
-	"ablate-batch": {xHeader: "window", series: []seriesSchema{
-		{"Append order latency", "usec", []string{"0s", "1µs", "10µs", "100µs"}},
-		{"Root msgs per request", "", []string{"0s", "1µs", "10µs", "100µs"}},
+	"ablate-batch": {xHeader: "drivers", series: []seriesSchema{
+		{"Root msgs per request", "", []string{"1", "8", "64"}},
+		{"Append order latency", "usec", []string{"1"}},
 	}},
 	"ablate-cache": {xHeader: "cache", series: []seriesSchema{
 		{"Read throughput", "ops/s", []string{"on", "off"}},

@@ -24,9 +24,8 @@ const seqPathWorkers = 16
 //     workers (one color stays FIFO on one worker), so the atomic SN word
 //     and the striped dedup/pending structures actually run concurrently.
 //
-// The flusher pipelines upward rounds and packs a round's colors into one
-// frame in both; the lane without that (the retired +lanes row, 10 MReqs/s
-// at 64 colors) is a record in EXPERIMENTS.md, not a code path.
+// In both, each color ships its round as its own frame the moment it has
+// none unanswered, and combines only behind that round.
 //
 // Throughput is modeled from a functional run (model.go): per sequencer
 // node, unlaned messages are serial while laned messages charge the
@@ -56,7 +55,7 @@ func seqPathAblation(cfg RunConfig) laneAblation {
 			if lone {
 				depth = 2
 			}
-			return orderingSpec{n: depth, batch: throughputBatchWindow, tweak: m.seqTweak, drivers: colors}
+			return orderingSpec{n: depth, tweak: m.seqTweak, drivers: colors}
 		},
 		workload: func(f *fixture, _ ablationMode, colors int, lone bool) (load, error) {
 			if lone {
@@ -79,8 +78,8 @@ func seqPathAblation(cfg RunConfig) laneAblation {
 				return nil, nil
 			}
 			st := p.f.seqs[len(p.f.seqs)-1].Stats() // the entry leaf
-			return []string{fmt.Sprintf("leaf flusher at %d colors (full): %d flush rounds (%d urgent) carried %d upward batches, %d pipelined on top of an unanswered round",
-				p.workers, st.FlushRounds, st.UrgentFlushes, st.BatchesSent, st.PipelinedBatches)}, nil
+			return []string{fmt.Sprintf("entry leaf at %d colors (full): %d order requests left as %d upward rounds, one per color at a time",
+				p.workers, st.DirectReqs, st.BatchesSent)}, nil
 		},
 	}
 	if cfg.Quick {

@@ -37,8 +37,6 @@ type ClusterConfig struct {
 	// SeqBackups is the number of backup nodes per sequencer (2f; default
 	// 2, tolerating one failure).
 	SeqBackups int
-	// BatchInterval is the sequencer aggregation window (paper: 1 µs).
-	BatchInterval time.Duration
 	// HeartbeatInterval / FailureTimeout / RetryTimeout tune failure
 	// detection for tests vs benches.
 	HeartbeatInterval time.Duration
@@ -93,7 +91,6 @@ func TestClusterConfig() ClusterConfig {
 		Storage:           storage.TestConfig(),
 		ReplicationFactor: 3,
 		SeqBackups:        2,
-		BatchInterval:     0,
 		HeartbeatInterval: 3 * time.Millisecond,
 		// Generous relative to the heartbeat so CPU-contention hiccups in
 		// tests do not trigger spurious failovers: a new leader cannot
@@ -119,7 +116,6 @@ func BenchClusterConfig() ClusterConfig {
 	cfg := TestClusterConfig()
 	cfg.Link = transport.DatacenterLink()
 	cfg.Storage = storage.DefaultConfig()
-	cfg.BatchInterval = time.Microsecond
 	cfg.HeartbeatInterval = 10 * time.Millisecond
 	cfg.FailureTimeout = 100 * time.Millisecond
 	cfg.RetryTimeout = 200 * time.Millisecond
@@ -190,36 +186,42 @@ func (cl *Cluster) AddRegion(color, parent types.ColorID) error {
 	if err := cl.topo.AddRegion(color, parent, leaderID, backupIDs); err != nil {
 		return err
 	}
-	mk := func(id types.NodeID, leader bool) error {
-		scfg := seq.DefaultConfig()
-		scfg.ID = id
-		scfg.Region = color
-		scfg.Topo = cl.topo
-		scfg.BatchInterval = cl.cfg.BatchInterval
-		scfg.HeartbeatInterval = cl.cfg.HeartbeatInterval
-		scfg.FailureTimeout = cl.cfg.FailureTimeout
-		scfg.RetryTimeout = cl.cfg.RetryTimeout
-		scfg.StartAsLeader = leader
-		scfg.TenantOf = qos.ColorMap(cl.cfg.Tenants)
-		scfg.OrderWorkers = cl.cfg.SeqWorkers
-		s, err := seq.New(scfg, cl.net)
-		if err != nil {
-			return err
-		}
-		s.PublishObs(cl.cfg.Obs)
-		cl.mu.Lock()
-		cl.seqs[id] = s
-		cl.mu.Unlock()
-		return nil
-	}
-	if err := mk(leaderID, true); err != nil {
+	if err := cl.startSequencer(leaderID, color, true, 0); err != nil {
 		return err
 	}
 	for _, id := range backupIDs {
-		if err := mk(id, false); err != nil {
+		if err := cl.startSequencer(id, color, false, 0); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// startSequencer starts sequencer id of region's group from the cluster's
+// config and publishes it as cl.seqs[id], replacing any previous process
+// there (and its scrape closures: re-publishing under the same identity
+// shows the fresh counters instead of the dead ones). epoch 0 starts at
+// seq's default epoch.
+func (cl *Cluster) startSequencer(id types.NodeID, region types.ColorID, leader bool, epoch types.Epoch) error {
+	scfg := seq.DefaultConfig()
+	scfg.ID = id
+	scfg.Region = region
+	scfg.Topo = cl.topo
+	scfg.HeartbeatInterval = cl.cfg.HeartbeatInterval
+	scfg.FailureTimeout = cl.cfg.FailureTimeout
+	scfg.RetryTimeout = cl.cfg.RetryTimeout
+	scfg.StartAsLeader = leader
+	scfg.TenantOf = qos.ColorMap(cl.cfg.Tenants)
+	scfg.OrderWorkers = cl.cfg.SeqWorkers
+	scfg.InitialEpoch = epoch
+	s, err := seq.New(scfg, cl.net)
+	if err != nil {
+		return err
+	}
+	s.PublishObs(cl.cfg.Obs)
+	cl.mu.Lock()
+	cl.seqs[id] = s
+	cl.mu.Unlock()
 	return nil
 }
 
@@ -419,31 +421,9 @@ func (cl *Cluster) RestartSequencer(id types.NodeID) error {
 	}
 	old.Stop()
 	cl.net.Deregister(id)
-	scfg := seq.DefaultConfig()
-	scfg.ID = id
-	scfg.Region = old.Region()
-	scfg.Topo = cl.topo
-	scfg.BatchInterval = cl.cfg.BatchInterval
-	scfg.HeartbeatInterval = cl.cfg.HeartbeatInterval
-	scfg.FailureTimeout = cl.cfg.FailureTimeout
-	scfg.RetryTimeout = cl.cfg.RetryTimeout
-	scfg.StartAsLeader = false
-	scfg.TenantOf = qos.ColorMap(cl.cfg.Tenants)
-	scfg.OrderWorkers = cl.cfg.SeqWorkers
 	// Rejoin at the epoch the group has reached so the fresh process does
 	// not grant stale claims from before its crash.
-	scfg.InitialEpoch = old.Epoch()
-	s, err := seq.New(scfg, cl.net)
-	if err != nil {
-		return err
-	}
-	// Re-publishing under the same identity replaces the scrape closures,
-	// so the fresh process's counters show up instead of the dead one's.
-	s.PublishObs(cl.cfg.Obs)
-	cl.mu.Lock()
-	cl.seqs[id] = s
-	cl.mu.Unlock()
-	return nil
+	return cl.startSequencer(id, old.Region(), false, old.Epoch())
 }
 
 // LeaderOf returns the currently-serving leader sequencer of a color.

@@ -304,7 +304,6 @@ func (m *Manifest) SequencerConfig(topo *topology.Topology, id types.NodeID, ord
 	cfg.ID = id
 	cfg.Region = region
 	cfg.Topo = topo
-	cfg.BatchInterval = time.Microsecond
 	cfg.HeartbeatInterval = 100 * time.Millisecond
 	cfg.FailureTimeout = time.Second
 	cfg.RetryTimeout = 2 * time.Second

@@ -59,10 +59,6 @@ var goldenFrames = []struct {
 		"0800000011f4030013068407"},
 	{"AggOrderResp", AggOrderResp{BatchID: 0x13, LastSN: 0x200000002, Color: 0x0},
 		"0a00000012f40313828080802000"},
-	{"AggOrderReqBatch", AggOrderReqBatch{From: 0x384, Items: []AggOrderItem{{Color: 0x1, BatchID: 0x13, Total: 0x6}, {Color: 0x2, BatchID: 0x14, Total: 0x3}}},
-		"0c00000022f403840702011306021403"},
-	{"AggOrderRespBatch", AggOrderRespBatch{From: 0x384, Items: []AggOrderRespItem{{Color: 0x1, BatchID: 0x13, LastSN: 0x200000002}, {Color: 0x2, BatchID: 0x14, LastSN: 0x200000005}}},
-		"1400000023f4038407020113828080802002148580808020"},
 	{"SeqHeartbeat", SeqHeartbeat{Epoch: 0x2, From: 0x384},
 		"0600000013f403028407"},
 	{"SeqHeartbeatAck", SeqHeartbeatAck{Epoch: 0x2, From: 0x385},
@@ -135,13 +131,16 @@ func TestCodecGoldenBytes(t *testing.T) {
 // retiredFrames are the last wire images of the retired tags (26, the
 // replica liveness beat nothing read; 29 and 30, the sync-phase's former
 // fetch pair; 28 and 31, SyncState and SyncCatchup, the "most up-to-date"
-// election): well-formed under the old codec, malformed now.
+// election; 34 and 35, the multi-color aggregated order request and its
+// answer): well-formed under the old codec, malformed now.
 var retiredFrames = map[byte]string{
 	26: "040000001af40302",
 	28: "1a0000001cf4030602020084808080100382808080100100818080801002",
 	29: "0c0000001df403060100828080801002",
 	30: "0f0000001ef403060100010183808080100165",
 	31: "0f0000001ff403060301008480808010000202",
+	34: "0c00000022f403840702011306021403",
+	35: "1400000023f4038407020113828080802002148580808020",
 }
 
 // TestCodecRetiredTagsAreBadFrames: a peer still sending a retired tag

@@ -278,37 +278,6 @@ type AggOrderResp struct {
 	Color   types.ColorID
 }
 
-// AggOrderItem is one color's aggregated round inside an AggOrderReqBatch.
-type AggOrderItem struct {
-	Color   types.ColorID
-	BatchID uint64
-	Total   uint32
-}
-
-// AggOrderReqBatch combines the upward rounds of several colors flushed in
-// the same window by child sequencer From into one frame — the pipelined
-// flusher's fan-in (DESIGN.md §14). Semantically identical to sending each
-// item as its own AggOrderReq.
-type AggOrderReqBatch struct {
-	From  types.NodeID
-	Items []AggOrderItem
-}
-
-// AggOrderRespItem is one batch's answer inside an AggOrderRespBatch.
-type AggOrderRespItem struct {
-	Color   types.ColorID
-	BatchID uint64
-	LastSN  types.SN
-}
-
-// AggOrderRespBatch returns the answers to several aggregated rounds in
-// one frame, sent by sequencer From. Semantically identical to one
-// AggOrderResp per item.
-type AggOrderRespBatch struct {
-	From  types.NodeID
-	Items []AggOrderRespItem
-}
-
 // ---- Sequencer fault tolerance (§5.2 sequencer replication) ----
 
 // SeqHeartbeat is sent by the active sequencer to its backups.
@@ -506,8 +475,6 @@ func RegisterGob() {
 	gob.Register(OrderRespBatch{})
 	gob.Register(AggOrderReq{})
 	gob.Register(AggOrderResp{})
-	gob.Register(AggOrderReqBatch{})
-	gob.Register(AggOrderRespBatch{})
 	gob.Register(SeqHeartbeat{})
 	gob.Register(SeqHeartbeatAck{})
 	gob.Register(EpochClaim{})

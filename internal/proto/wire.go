@@ -49,48 +49,49 @@ const MaxFrame = 1 << 28
 
 // Wire type tags, one per message (DESIGN.md §12 pins these: changing a
 // value breaks cross-version framing and the golden-bytes test). Tags 26,
-// 28, 29, 30 and 31 are retired — do not reuse: 26 framed ReplicaHeartbeat,
-// a liveness beat no receiver ever read, 29 and 30 SyncFetch and
-// SyncEntries, the sync-phase's own fetch pair, until recovery moved onto
-// JoinFetch/JoinEntries, 28 and 31 the sync-phase's state report and its
-// election of a "most up-to-date" replica, until every replica pulled from
-// every peer. A frame carrying any of them is malformed.
+// 28, 29, 30, 31, 34 and 35 are retired — do not reuse: 26 framed
+// ReplicaHeartbeat, a liveness beat no receiver ever read, 29 and 30
+// SyncFetch and SyncEntries, the sync-phase's own fetch pair, until
+// recovery moved onto JoinFetch/JoinEntries, 28 and 31 the sync-phase's
+// state report and its election of a "most up-to-date" replica, until
+// every replica pulled from every peer, 34 and 35 the multi-color
+// aggregated order request and its answer, several colors' upward rounds
+// in one frame, until a sequencer shipped each color's round as its own
+// AggOrderReq. A frame carrying any of them is malformed.
 const (
-	TagAppendReq         byte = 1
-	TagAppendBatchReq    byte = 2
-	TagAppendAck         byte = 3
-	TagReadReq           byte = 4
-	TagReadResp          byte = 5
-	TagSubscribeReq      byte = 6
-	TagSubscribeResp     byte = 7
-	TagTrimReq           byte = 8
-	TagTrimPeerAck       byte = 9
-	TagTrimAck           byte = 10
-	TagMultiAppendEnd    byte = 11
-	TagMultiAppendAck    byte = 12
-	TagOrderReq          byte = 13
-	TagOrderResp         byte = 14
-	TagOrderReqBatch     byte = 15
-	TagOrderRespBatch    byte = 16
-	TagAggOrderReq       byte = 17
-	TagAggOrderResp      byte = 18
-	TagSeqHeartbeat      byte = 19
-	TagSeqHeartbeatAck   byte = 20
-	TagEpochClaim        byte = 21
-	TagEpochGrant        byte = 22
-	TagEpochReject       byte = 23
-	TagSeqInit           byte = 24
-	TagSeqInitAck        byte = 25
-	TagSyncRequest       byte = 27
-	TagSyncDone          byte = 32
-	TagReject            byte = 33
-	TagAggOrderReqBatch  byte = 34
-	TagAggOrderRespBatch byte = 35
-	TagJoinFetch         byte = 36
-	TagJoinEntries       byte = 37
-	TagTopoUpdate        byte = 38
-	TagCtrlReconfig      byte = 39
-	TagCtrlAck           byte = 40
+	TagAppendReq       byte = 1
+	TagAppendBatchReq  byte = 2
+	TagAppendAck       byte = 3
+	TagReadReq         byte = 4
+	TagReadResp        byte = 5
+	TagSubscribeReq    byte = 6
+	TagSubscribeResp   byte = 7
+	TagTrimReq         byte = 8
+	TagTrimPeerAck     byte = 9
+	TagTrimAck         byte = 10
+	TagMultiAppendEnd  byte = 11
+	TagMultiAppendAck  byte = 12
+	TagOrderReq        byte = 13
+	TagOrderResp       byte = 14
+	TagOrderReqBatch   byte = 15
+	TagOrderRespBatch  byte = 16
+	TagAggOrderReq     byte = 17
+	TagAggOrderResp    byte = 18
+	TagSeqHeartbeat    byte = 19
+	TagSeqHeartbeatAck byte = 20
+	TagEpochClaim      byte = 21
+	TagEpochGrant      byte = 22
+	TagEpochReject     byte = 23
+	TagSeqInit         byte = 24
+	TagSeqInitAck      byte = 25
+	TagSyncRequest     byte = 27
+	TagSyncDone        byte = 32
+	TagReject          byte = 33
+	TagJoinFetch       byte = 36
+	TagJoinEntries     byte = 37
+	TagTopoUpdate      byte = 38
+	TagCtrlReconfig    byte = 39
+	TagCtrlAck         byte = 40
 	// TagGobFallback frames a gob-encoded payload for message types the
 	// binary codec does not know.
 	TagGobFallback byte = 255
@@ -233,36 +234,34 @@ var bodyDecoders = [256]func(body []byte) (any, error){
 		return env.Msg, nil
 	},
 
-	TagAppendAck:         func(b []byte) (any, error) { var m AppendAck; err := m.Decode(b); return m, err },
-	TagReadReq:           func(b []byte) (any, error) { var m ReadReq; err := m.Decode(b); return m, err },
-	TagSubscribeReq:      func(b []byte) (any, error) { var m SubscribeReq; err := m.Decode(b); return m, err },
-	TagTrimReq:           func(b []byte) (any, error) { var m TrimReq; err := m.Decode(b); return m, err },
-	TagTrimPeerAck:       func(b []byte) (any, error) { var m TrimPeerAck; err := m.Decode(b); return m, err },
-	TagTrimAck:           func(b []byte) (any, error) { var m TrimAck; err := m.Decode(b); return m, err },
-	TagMultiAppendEnd:    func(b []byte) (any, error) { var m MultiAppendEnd; err := m.Decode(b); return m, err },
-	TagMultiAppendAck:    func(b []byte) (any, error) { var m MultiAppendAck; err := m.Decode(b); return m, err },
-	TagOrderReq:          func(b []byte) (any, error) { var m OrderReq; err := m.Decode(b); return m, err },
-	TagOrderResp:         func(b []byte) (any, error) { var m OrderResp; err := m.Decode(b); return m, err },
-	TagOrderReqBatch:     func(b []byte) (any, error) { var m OrderReqBatch; err := m.Decode(b); return m, err },
-	TagOrderRespBatch:    func(b []byte) (any, error) { var m OrderRespBatch; err := m.Decode(b); return m, err },
-	TagAggOrderReq:       func(b []byte) (any, error) { var m AggOrderReq; err := m.Decode(b); return m, err },
-	TagAggOrderResp:      func(b []byte) (any, error) { var m AggOrderResp; err := m.Decode(b); return m, err },
-	TagAggOrderReqBatch:  func(b []byte) (any, error) { var m AggOrderReqBatch; err := m.Decode(b); return m, err },
-	TagAggOrderRespBatch: func(b []byte) (any, error) { var m AggOrderRespBatch; err := m.Decode(b); return m, err },
-	TagSeqHeartbeat:      func(b []byte) (any, error) { var m SeqHeartbeat; err := m.Decode(b); return m, err },
-	TagSeqHeartbeatAck:   func(b []byte) (any, error) { var m SeqHeartbeatAck; err := m.Decode(b); return m, err },
-	TagEpochClaim:        func(b []byte) (any, error) { var m EpochClaim; err := m.Decode(b); return m, err },
-	TagEpochGrant:        func(b []byte) (any, error) { var m EpochGrant; err := m.Decode(b); return m, err },
-	TagEpochReject:       func(b []byte) (any, error) { var m EpochReject; err := m.Decode(b); return m, err },
-	TagSeqInit:           func(b []byte) (any, error) { var m SeqInit; err := m.Decode(b); return m, err },
-	TagSeqInitAck:        func(b []byte) (any, error) { var m SeqInitAck; err := m.Decode(b); return m, err },
-	TagSyncRequest:       func(b []byte) (any, error) { var m SyncRequest; err := m.Decode(b); return m, err },
-	TagSyncDone:          func(b []byte) (any, error) { var m SyncDone; err := m.Decode(b); return m, err },
-	TagReject:            func(b []byte) (any, error) { var m Reject; err := m.Decode(b); return m, err },
-	TagJoinFetch:         func(b []byte) (any, error) { var m JoinFetch; err := m.Decode(b); return m, err },
-	TagTopoUpdate:        func(b []byte) (any, error) { var m TopoUpdate; err := m.Decode(b); return m, err },
-	TagCtrlReconfig:      func(b []byte) (any, error) { var m CtrlReconfig; err := m.Decode(b); return m, err },
-	TagCtrlAck:           func(b []byte) (any, error) { var m CtrlAck; err := m.Decode(b); return m, err },
+	TagAppendAck:       func(b []byte) (any, error) { var m AppendAck; err := m.Decode(b); return m, err },
+	TagReadReq:         func(b []byte) (any, error) { var m ReadReq; err := m.Decode(b); return m, err },
+	TagSubscribeReq:    func(b []byte) (any, error) { var m SubscribeReq; err := m.Decode(b); return m, err },
+	TagTrimReq:         func(b []byte) (any, error) { var m TrimReq; err := m.Decode(b); return m, err },
+	TagTrimPeerAck:     func(b []byte) (any, error) { var m TrimPeerAck; err := m.Decode(b); return m, err },
+	TagTrimAck:         func(b []byte) (any, error) { var m TrimAck; err := m.Decode(b); return m, err },
+	TagMultiAppendEnd:  func(b []byte) (any, error) { var m MultiAppendEnd; err := m.Decode(b); return m, err },
+	TagMultiAppendAck:  func(b []byte) (any, error) { var m MultiAppendAck; err := m.Decode(b); return m, err },
+	TagOrderReq:        func(b []byte) (any, error) { var m OrderReq; err := m.Decode(b); return m, err },
+	TagOrderResp:       func(b []byte) (any, error) { var m OrderResp; err := m.Decode(b); return m, err },
+	TagOrderReqBatch:   func(b []byte) (any, error) { var m OrderReqBatch; err := m.Decode(b); return m, err },
+	TagOrderRespBatch:  func(b []byte) (any, error) { var m OrderRespBatch; err := m.Decode(b); return m, err },
+	TagAggOrderReq:     func(b []byte) (any, error) { var m AggOrderReq; err := m.Decode(b); return m, err },
+	TagAggOrderResp:    func(b []byte) (any, error) { var m AggOrderResp; err := m.Decode(b); return m, err },
+	TagSeqHeartbeat:    func(b []byte) (any, error) { var m SeqHeartbeat; err := m.Decode(b); return m, err },
+	TagSeqHeartbeatAck: func(b []byte) (any, error) { var m SeqHeartbeatAck; err := m.Decode(b); return m, err },
+	TagEpochClaim:      func(b []byte) (any, error) { var m EpochClaim; err := m.Decode(b); return m, err },
+	TagEpochGrant:      func(b []byte) (any, error) { var m EpochGrant; err := m.Decode(b); return m, err },
+	TagEpochReject:     func(b []byte) (any, error) { var m EpochReject; err := m.Decode(b); return m, err },
+	TagSeqInit:         func(b []byte) (any, error) { var m SeqInit; err := m.Decode(b); return m, err },
+	TagSeqInitAck:      func(b []byte) (any, error) { var m SeqInitAck; err := m.Decode(b); return m, err },
+	TagSyncRequest:     func(b []byte) (any, error) { var m SyncRequest; err := m.Decode(b); return m, err },
+	TagSyncDone:        func(b []byte) (any, error) { var m SyncDone; err := m.Decode(b); return m, err },
+	TagReject:          func(b []byte) (any, error) { var m Reject; err := m.Decode(b); return m, err },
+	TagJoinFetch:       func(b []byte) (any, error) { var m JoinFetch; err := m.Decode(b); return m, err },
+	TagTopoUpdate:      func(b []byte) (any, error) { var m TopoUpdate; err := m.Decode(b); return m, err },
+	TagCtrlReconfig:    func(b []byte) (any, error) { var m CtrlReconfig; err := m.Decode(b); return m, err },
+	TagCtrlAck:         func(b []byte) (any, error) { var m CtrlAck; err := m.Decode(b); return m, err },
 }
 
 // ---- encode helpers ----

@@ -406,66 +406,6 @@ func (m *AggOrderResp) Decode(b []byte) error {
 func (m AggOrderResp) wireTag() byte { return TagAggOrderResp }
 
 // AppendTo appends the message body to b. See wire.go.
-func (m AggOrderReqBatch) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.From))
-	b = appendUvarint(b, uint64(len(m.Items)))
-	for _, it := range m.Items {
-		b = appendUvarint(b, uint64(it.Color))
-		b = appendUvarint(b, it.BatchID)
-		b = appendUvarint(b, uint64(it.Total))
-	}
-	return b
-}
-
-// Decode parses a message body, reusing the Items capacity.
-func (m *AggOrderReqBatch) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.From = types.NodeID(r.u32())
-	n := r.count(3)
-	m.Items = m.Items[:0]
-	for i := 0; i < n; i++ {
-		m.Items = append(m.Items, AggOrderItem{
-			Color:   types.ColorID(r.u32()),
-			BatchID: r.uvarint(),
-			Total:   r.u32(),
-		})
-	}
-	return r.done()
-}
-
-func (m AggOrderReqBatch) wireTag() byte { return TagAggOrderReqBatch }
-
-// AppendTo appends the message body to b. See wire.go.
-func (m AggOrderRespBatch) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.From))
-	b = appendUvarint(b, uint64(len(m.Items)))
-	for _, it := range m.Items {
-		b = appendUvarint(b, uint64(it.Color))
-		b = appendUvarint(b, it.BatchID)
-		b = appendUvarint(b, uint64(it.LastSN))
-	}
-	return b
-}
-
-// Decode parses a message body, reusing the Items capacity.
-func (m *AggOrderRespBatch) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.From = types.NodeID(r.u32())
-	n := r.count(3)
-	m.Items = m.Items[:0]
-	for i := 0; i < n; i++ {
-		m.Items = append(m.Items, AggOrderRespItem{
-			Color:   types.ColorID(r.u32()),
-			BatchID: r.uvarint(),
-			LastSN:  types.SN(r.uvarint()),
-		})
-	}
-	return r.done()
-}
-
-func (m AggOrderRespBatch) wireTag() byte { return TagAggOrderRespBatch }
-
-// AppendTo appends the message body to b. See wire.go.
 func (m SeqHeartbeat) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, uint64(m.Epoch))
 	b = appendUvarint(b, uint64(m.From))

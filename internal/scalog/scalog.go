@@ -96,7 +96,7 @@ func New(cfg Config, net *transport.Network) (*Orderer, error) {
 	}
 	o.ep = ep
 	o.stopped.Add(1)
-	go o.flusherLoop()
+	go o.commitLoop()
 	return o, nil
 }
 
@@ -171,7 +171,7 @@ func (o *Orderer) decideOne(req proto.OrderReq) {
 	o.ep.Broadcast(req.Replicas, proto.OrderResp{Token: req.Token, LastSN: sn, NRecords: req.NRecords, Color: req.Color})
 }
 
-func (o *Orderer) flusherLoop() {
+func (o *Orderer) commitLoop() {
 	defer o.stopped.Done()
 	for {
 		select {

@@ -14,7 +14,7 @@ import (
 // two-level tree and verifies the root-assigned ranges are split without
 // overlap or gap reuse (§5.2: "assigns all SNs in the range [s, s+n]").
 func TestAggregatedRangesAreDisjoint(t *testing.T) {
-	_, root, _, reps := twoLevel(t, 2*time.Millisecond)
+	_, root, _, reps := twoLevel(t, nil)
 	const n = 30
 	sizes := make(map[types.Token]uint32)
 	for i := uint32(1); i <= n; i++ {

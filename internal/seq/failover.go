@@ -326,17 +326,21 @@ func (s *Sequencer) becomeLeaderLocked(epoch types.Epoch) {
 	s.hbAcks = make(map[types.NodeID]time.Time)
 	// Reset aggregation state: in-flight work from the old epoch is
 	// re-driven by replica retries. Token dedup entries invalidate lazily
-	// (they are stamped with their creation epoch), and pending-queue
-	// members from the old term are dropped at the next flush the same
-	// way. aggSeen deliberately survives: a child's resend after our
-	// failover must still get its ORIGINAL assigned range back.
+	// (they are stamped with their creation epoch). Every color's
+	// unanswered round goes with the inflight table, which releases what
+	// was held behind it: old-term members are dropped there, and the
+	// color ships its next request at once instead of waiting on an
+	// answer nobody tracks. aggSeen deliberately survives: a child's
+	// resend after our failover must still get its ORIGINAL assigned
+	// range back.
 	s.inflight.Range(func(k, _ any) bool {
 		s.inflight.Delete(k)
 		return true
 	})
-	for _, q := range s.pendingQueues() {
-		q.outstanding.Store(0)
-	}
+	s.batches.Range(func(_, v any) bool {
+		s.release(v.(*colorBatch), 0)
+		return true
+	})
 
 	replicas := s.topo.ReplicasInRegion(s.cfg.Region)
 	s.initAcks = make(map[types.NodeID]bool, len(replicas))
@@ -437,10 +441,11 @@ func (s *Sequencer) resendExpired(now time.Time) {
 		id := k.(uint64)
 		inf := v.(*inflight)
 		if se != 0 && inf.epoch != se {
-			// Flushed under a dead local term (raced the re-election's
-			// inflight clear): discard, replicas re-drive the work.
+			// Shipped under a dead local term (raced the re-election's
+			// inflight clear): discard, replicas re-drive the work, and
+			// release what the color held behind it.
 			if _, loaded := s.inflight.LoadAndDelete(id); loaded {
-				s.queueFor(inf.color).outstanding.Add(-1)
+				s.release(s.batchFor(inf.color), id)
 			}
 			return true
 		}

@@ -9,7 +9,7 @@ import (
 
 // This file holds the lock-free machinery of the sequencer hot path
 // (DESIGN.md §14): the packed epoch/counter SN word, the striped token
-// dedup cache, the per-color MPSC pending queues, the striped child-batch
+// dedup cache, the per-color upward batches, the striped child-batch
 // dedup map, and the all-atomic counter block. An ordering round touches
 // only these structures; the big s.mu survives solely for the cold
 // election/failover paths in failover.go.
@@ -164,95 +164,44 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// ---- Per-color MPSC pending queues ----
+// ---- Per-color upward batches ----
 
-// pnode is one pending aggregation member on an intrusive MPSC list,
-// stamped with the serving epoch it was enqueued under (stale nodes are
-// dropped at drain time — the lock-free equivalent of clearing the
-// pending map on re-election).
-type pnode struct {
-	next  atomic.Pointer[pnode]
-	m     member
-	epoch types.Epoch
-}
-
-// colorQueue is a Vyukov-style intrusive MPSC queue: any handler
-// goroutine pushes, only the flusher pops. Per-color FIFO holds because a
-// color's messages arrive on one lane worker (or the single delivery
-// loop) and the push is a single atomic swap.
-type colorQueue struct {
+// colorBatch is one color's upward batching state — the client batcher's
+// rule applied per color: a member that finds no unanswered round ships at
+// once, otherwise it is held here until that round's answer (or its
+// discard) ships everything held as the next round. FIFO within a color
+// holds because a color's messages arrive on one lane worker (or the
+// single delivery loop) and held members ship in arrival order.
+type colorBatch struct {
 	color types.ColorID
-	tail  atomic.Pointer[pnode] // producers swap the new node in here
-	head  *pnode                // consumer-owned; head is the stub
 
-	// nrec is the pending record count — the adaptive flusher's urgency
-	// signal and the obs pending gauge.
+	mu    sync.Mutex
+	held  []member
+	round uint64 // batch id of the color's unanswered round; 0 = none
+
+	// nrec is the held record count, read by the obs pending gauge.
 	nrec atomic.Int64
-	// outstanding counts this color's upward batches in flight; >1 at
-	// send time means the flusher pipelined a round on top of an
-	// unanswered one.
-	outstanding atomic.Int32
 }
 
-func newColorQueue(c types.ColorID) *colorQueue {
-	stub := &pnode{}
-	q := &colorQueue{color: c, head: stub}
-	q.tail.Store(stub)
-	return q
+// batchFor returns color's batch, creating it on first use (one lock-free
+// sync.Map hit after that).
+func (s *Sequencer) batchFor(color types.ColorID) *colorBatch {
+	if v, ok := s.batches.Load(color); ok {
+		return v.(*colorBatch)
+	}
+	v, _ := s.batches.LoadOrStore(color, &colorBatch{color: color})
+	return v.(*colorBatch)
 }
 
-// push appends one member (multi-producer safe, wait-free).
-func (q *colorQueue) push(m member, e types.Epoch) {
-	n := &pnode{m: m, epoch: e}
-	prev := q.tail.Swap(n)
-	prev.next.Store(n)
-	q.nrec.Add(int64(m.n))
-}
-
-// pop removes the next member (flusher only). ok=false when the queue is
-// empty or a producer's link is mid-flight — the producer's kick after
-// linking guarantees the flusher runs again, so nothing is lost.
-func (q *colorQueue) pop() (member, types.Epoch, bool) {
-	next := q.head.next.Load()
-	if next == nil {
-		return member{}, 0, false
-	}
-	q.head = next
-	m := next.m
-	e := next.epoch
-	next.m = member{} // release request references from the new stub
-	q.nrec.Add(-int64(m.n))
-	return m, e, true
-}
-
-// queueFor returns color's pending queue, creating it on first use. The
-// read path is one lock-free sync.Map hit; creation also appends to the
-// copy-on-write pendList snapshot the flusher iterates.
-func (s *Sequencer) queueFor(color types.ColorID) *colorQueue {
-	if v, ok := s.pendQ.Load(color); ok {
-		return v.(*colorQueue)
-	}
-	q := newColorQueue(color)
-	if actual, loaded := s.pendQ.LoadOrStore(color, q); loaded {
-		return actual.(*colorQueue)
-	}
-	s.pendMu.Lock()
-	var list []*colorQueue
-	if old := s.pendList.Load(); old != nil {
-		list = append(list, *old...)
-	}
-	list = append(list, q)
-	s.pendList.Store(&list)
-	s.pendMu.Unlock()
-	return q
-}
-
-// pendingQueues snapshots the flusher's iteration list.
-func (s *Sequencer) pendingQueues() []*colorQueue {
-	if p := s.pendList.Load(); p != nil {
-		return *p
-	}
-	return nil
+// heldRecords sums the records held behind unanswered rounds (wait-free:
+// one atomic load per color).
+func (s *Sequencer) heldRecords() int64 {
+	var n int64
+	s.batches.Range(func(_, v any) bool {
+		n += v.(*colorBatch).nrec.Load()
+		return true
+	})
+	return n
 }
 
 // aggStripe is one shard of the owner-side (from, batchID) → assigned-SN
@@ -280,27 +229,21 @@ type counters struct {
 	epochGrants  atomic.Uint64
 	dupTokens    atomic.Uint64
 	droppedStale atomic.Uint64
-
-	flushRounds      atomic.Uint64
-	urgentFlushes    atomic.Uint64
-	pipelinedBatches atomic.Uint64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Assigned:         c.assigned.Load(),
-		DirectReqs:       c.directReqs.Load(),
-		ReqBatches:       c.reqBatches.Load(),
-		ChildReqs:        c.childReqs.Load(),
-		BatchesSent:      c.batchesSent.Load(),
-		Resends:          c.resends.Load(),
-		Elections:        c.elections.Load(),
-		EpochGrants:      c.epochGrants.Load(),
-		DupTokens:        c.dupTokens.Load(),
-		DroppedStale:     c.droppedStale.Load(),
-		FlushRounds:      c.flushRounds.Load(),
-		UrgentFlushes:    c.urgentFlushes.Load(),
-		PipelinedBatches: c.pipelinedBatches.Load(),
+		Assigned:     c.assigned.Load(),
+		DirectReqs:   c.directReqs.Load(),
+		ReqBatches:   c.reqBatches.Load(),
+		ChildReqs:    c.childReqs.Load(),
+		BatchesSent:  c.batchesSent.Load(),
+		Resends:      c.resends.Load(),
+		Elections:    c.elections.Load(),
+		EpochGrants:  c.epochGrants.Load(),
+		DupTokens:    c.dupTokens.Load(),
+		DroppedStale: c.droppedStale.Load(),
+		FlushRounds:  c.batchesSent.Load(),
 	}
 }
 

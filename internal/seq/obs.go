@@ -33,9 +33,6 @@ func (s *Sequencer) PublishObs(reg *obs.Registry) {
 		{"flexlog_seq_epoch_grants_total", "Epochs granted to child groups.", func(st Stats) uint64 { return st.EpochGrants }},
 		{"flexlog_seq_dup_tokens_total", "Duplicate order requests absorbed by the token cache.", func(st Stats) uint64 { return st.DupTokens }},
 		{"flexlog_seq_dropped_stale_total", "Stale-epoch messages dropped.", func(st Stats) uint64 { return st.DroppedStale }},
-		{"flexlog_seq_flush_rounds_total", "Flusher passes over the pending per-color queues.", func(st Stats) uint64 { return st.FlushRounds }},
-		{"flexlog_seq_urgent_flushes_total", "Flush rounds triggered early by a queue crossing the 256-record flush threshold.", func(st Stats) uint64 { return st.UrgentFlushes }},
-		{"flexlog_seq_pipelined_batches_total", "Upward batches sent while a prior round for the same color was still unanswered.", func(st Stats) uint64 { return st.PipelinedBatches }},
 	} {
 		fn := c.fn
 		reg.CounterFunc(c.name, c.help, lb, func() uint64 { return fn(s.Stats()) })
@@ -44,17 +41,8 @@ func (s *Sequencer) PublishObs(reg *obs.Registry) {
 		"Ordering epoch this sequencer currently serves.", lb,
 		func() float64 { return float64(s.Epoch()) })
 	reg.GaugeFunc("flexlog_seq_pending_records",
-		"Records waiting in the per-color pending queues for the next upward flush.", lb,
-		func() float64 {
-			var n int64
-			for _, q := range s.pendingQueues() {
-				n += q.nrec.Load()
-			}
-			if n < 0 {
-				n = 0
-			}
-			return float64(n)
-		})
+		"Records held behind their color's unanswered upward round.", lb,
+		func() float64 { return float64(s.heldRecords()) })
 	reg.GaugeFunc("flexlog_seq_inflight_batches",
 		"Aggregated upward batches awaiting a parent response.", lb,
 		func() float64 {

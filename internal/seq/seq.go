@@ -6,16 +6,18 @@
 // enters the tree at the leaf sequencer of the issuing shard and climbs
 // toward the root sequencer of region c, which assigns the SN range; the
 // response descends the same path. Sequencers below the owner act as
-// aggregators: order requests for the same color that arrive within the
-// batching interval are merged into a single upward request for the sum of
-// their record counts (§5.2 "To improve throughput…").
+// aggregators (§5.2 "To improve throughput…"): a color with no unanswered
+// upward round ships its request at once, and requests arriving while a
+// round is unanswered are merged into the next round, one upward request
+// for the sum of their record counts.
 //
-// The ordering hot path is lock-free (DESIGN.md §14): SN assignment is one
-// atomic fetch-add on a packed (epoch<<32)|counter word, token dedup and
-// owner-side batch dedup live in striped maps, pending aggregation uses
-// per-color MPSC queues, and all accounting is atomic. The global mutex
-// survives only on the election/failover slow path (failover.go), which
-// swaps the packed word when epochs change. With OrderWorkers > 0 the
+// The ordering hot path is lock-free but for short per-color locks
+// (DESIGN.md §14): SN assignment is one atomic fetch-add on a packed
+// (epoch<<32)|counter word, token dedup and owner-side batch dedup live in
+// striped maps, a color's held requests sit behind one short mutex, and
+// all accounting is atomic. The global mutex survives only on the
+// election/failover slow path (failover.go), which swaps the packed word
+// when epochs change. With OrderWorkers > 0 the
 // transport delivers order traffic on a keyed write lane (per-color FIFO,
 // colors parallel) so concurrent colors never serialize on one goroutine.
 //
@@ -30,7 +32,6 @@
 package seq
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,10 +69,9 @@ type Config struct {
 	Region types.ColorID
 	Topo   *topology.Topology
 
-	// BatchInterval is the aggregation window for upward order requests
-	// (1 µs in the paper's evaluation). Zero still batches whatever is
-	// pending when the flusher runs, i.e. it effectively disables the
-	// deliberate wait.
+	// BatchInterval is ignored: a color's upward round ships at once and
+	// combines only behind that color's unanswered round, with no window.
+	// The field stays because the wall-clock benchmark module sets it.
 	BatchInterval time.Duration
 	// HeartbeatInterval is the leader→backup heartbeat period.
 	HeartbeatInterval time.Duration
@@ -101,15 +101,9 @@ type Config struct {
 	OrderWorkers int
 }
 
-// defaultFlushThreshold is the pending-record count at which a color's
-// queue triggers an urgent flush, skipping the rest of the BatchInterval
-// linger.
-const defaultFlushThreshold = 256
-
 // DefaultConfig fills the timing knobs with test-friendly values.
 func DefaultConfig() Config {
 	return Config{
-		BatchInterval:     time.Microsecond,
 		HeartbeatInterval: 5 * time.Millisecond,
 		FailureTimeout:    25 * time.Millisecond,
 		RetryTimeout:      50 * time.Millisecond,
@@ -117,12 +111,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// member is one constituent of a pending/in-flight aggregated batch.
+// member is one constituent of a held or in-flight aggregated round,
+// stamped with the serving epoch it was accepted under (members of a dead
+// term are dropped when their round ships).
 type member struct {
 	// Exactly one of req / child is set.
 	req   *proto.OrderReq // direct request from a replica (entry point)
 	child *childBatch     // merged batch from a child sequencer
 	n     uint32
+	epoch types.Epoch
 }
 
 type childBatch struct {
@@ -131,7 +128,7 @@ type childBatch struct {
 }
 
 // inflight tracks an aggregated request sent to the parent. It is stamped
-// with the serving epoch it was flushed under; a new local leadership
+// with the serving epoch it was shipped under; a new local leadership
 // clears the inflight table, and the resend loop discards stragglers whose
 // epoch no longer matches.
 type inflight struct {
@@ -155,9 +152,14 @@ type Stats struct {
 	DupTokens    uint64
 	DroppedStale uint64
 
-	FlushRounds      uint64 // flusher passes over the pending queues
-	UrgentFlushes    uint64 // rounds triggered early (a queue crossed defaultFlushThreshold)
-	PipelinedBatches uint64 // upward batches sent while a prior round for the same color was unanswered
+	// FlushRounds counts the upward rounds shipped: it reads BatchesSent,
+	// and stays because the wall-clock benchmark module reads it.
+	FlushRounds uint64
+	// UrgentFlushes and PipelinedBatches always read 0: there is no flush
+	// window to cut short and no second round in flight per color. They
+	// stay because the wall-clock benchmark module reads them.
+	UrgentFlushes    uint64
+	PipelinedBatches uint64
 }
 
 // Sequencer is one ordering-layer node.
@@ -179,16 +181,12 @@ type Sequencer struct {
 	tokens   [dedupStripes]tokenStripe // entry-side token dedup
 	tokenCap int                       // per-stripe FIFO capacity, of tokens and aggSeen alike
 
-	pendQ    sync.Map // types.ColorID → *colorQueue
-	pendMu   sync.Mutex
-	pendList atomic.Pointer[[]*colorQueue]
+	batches sync.Map // types.ColorID → *colorBatch
 
 	aggSeen [dedupStripes]aggStripe // owner-side dedup of child batches
 
 	batchSeq atomic.Uint64
 	inflight sync.Map // batchID uint64 → *inflight
-
-	urgent atomic.Bool // a queue crossed defaultFlushThreshold; skip the linger
 
 	// Per-tenant accounting: built once at construction, read-only after.
 	tenantTotals  map[types.TenantID]*atomic.Uint64
@@ -217,7 +215,6 @@ type Sequencer struct {
 
 	stopCh  chan struct{}
 	stopped sync.WaitGroup
-	kick    chan struct{} // wakes the flusher
 
 	// lanes is the sequencer's message dispatcher: order traffic on the
 	// keyed lane, the rest inline. Built once, attached to whichever
@@ -230,11 +227,9 @@ type childKey struct {
 	batchID uint64
 }
 
-// seqWriteClass keys order traffic onto the write lane: per-color frames
-// hash by color (one color stays FIFO on one worker; colors run in
-// parallel), multi-color batch frames hash by their sender so a child's
-// combined rounds stay ordered. Election and heartbeat traffic stays on
-// the inline delivery path.
+// seqWriteClass keys order traffic onto the write lane by color (one
+// color stays FIFO on one worker; colors run in parallel). Election and
+// heartbeat traffic stays on the inline delivery path.
 func seqWriteClass(msg transport.Message) (uint64, bool) {
 	switch m := msg.(type) {
 	case proto.OrderReq:
@@ -245,10 +240,6 @@ func seqWriteClass(msg transport.Message) (uint64, bool) {
 		return uint64(m.Color), true
 	case proto.AggOrderResp:
 		return uint64(m.Color), true
-	case proto.AggOrderReqBatch:
-		return uint64(m.From), true
-	case proto.AggOrderRespBatch:
-		return uint64(m.From), true
 	}
 	return 0, false
 }
@@ -293,7 +284,6 @@ func newSequencer(cfg Config) *Sequencer {
 		topo:   cfg.Topo,
 		hbAcks: make(map[types.NodeID]time.Time),
 		stopCh: make(chan struct{}),
-		kick:   make(chan struct{}, 1),
 	}
 	s.tokenCap = cfg.TokenCacheSize / dedupStripes
 	if s.tokenCap < 1 {
@@ -325,8 +315,7 @@ func newSequencer(cfg Config) *Sequencer {
 }
 
 func (s *Sequencer) start() {
-	s.stopped.Add(2)
-	go s.flusherLoop()
+	s.stopped.Add(1)
 	go s.timerLoop()
 }
 
@@ -411,12 +400,8 @@ func (s *Sequencer) handle(from types.NodeID, msg transport.Message) {
 		s.onOrderReqBatch(from, m)
 	case proto.AggOrderReq:
 		s.onAggOrderReq(m)
-	case proto.AggOrderReqBatch:
-		s.onAggOrderReqBatch(m)
 	case proto.AggOrderResp:
 		s.onAggOrderResp(m)
-	case proto.AggOrderRespBatch:
-		s.onAggOrderRespBatch(m)
 	case proto.SeqHeartbeat:
 		s.onHeartbeat(m)
 	case proto.SeqHeartbeatAck:
@@ -500,7 +485,7 @@ func (s *Sequencer) orderItems(from types.NodeID, color types.ColorID, shard typ
 		st.remember(it.Token, tokenEntry{epoch: se}, s.tokenCap)
 		st.mu.Unlock()
 		req := &proto.OrderReq{Color: color, Token: it.Token, NRecords: it.NRecords, Shard: shard, Replicas: replicas}
-		s.enqueue(color, member{req: req, n: it.NRecords}, se)
+		s.enqueue(color, member{req: req, n: it.NRecords, epoch: se})
 	}
 	if len(fresh) > 0 {
 		s.ep.Broadcast(replicas, orderRespFrame(color, fresh))
@@ -523,26 +508,6 @@ func orderRespFrame(color types.ColorID, items []proto.OrderRespItem) transport.
 func (s *Sequencer) onAggOrderReq(m proto.AggOrderReq) {
 	if resp, ok := s.handleAggItem(m.From, m.Color, m.BatchID, m.Total); ok {
 		s.ep.Send(m.From, resp)
-	}
-}
-
-// onAggOrderReqBatch handles a child's combined upward rounds (several
-// colors flushed in one frame). Items this node can answer now — owner
-// assignments and dup resends — are returned in a single AggOrderRespBatch;
-// the rest are enqueued toward this node's own parent.
-func (s *Sequencer) onAggOrderReqBatch(m proto.AggOrderReqBatch) {
-	var items []proto.AggOrderRespItem
-	for _, it := range m.Items {
-		if resp, ok := s.handleAggItem(m.From, it.Color, it.BatchID, it.Total); ok {
-			items = append(items, proto.AggOrderRespItem{Color: resp.Color, BatchID: resp.BatchID, LastSN: resp.LastSN})
-		}
-	}
-	if len(items) == 1 {
-		s.ep.Send(m.From, proto.AggOrderResp{BatchID: items[0].BatchID, LastSN: items[0].LastSN, Color: items[0].Color})
-		return
-	}
-	if len(items) > 0 {
-		s.ep.Send(m.From, proto.AggOrderRespBatch{From: s.cfg.ID, Items: items})
 	}
 }
 
@@ -578,7 +543,7 @@ func (s *Sequencer) handleAggItem(from types.NodeID, color types.ColorID, batchI
 		return proto.AggOrderResp{BatchID: batchID, LastSN: last, Color: color}, true
 	}
 	ag.mu.Unlock()
-	s.enqueue(color, member{child: &childBatch{batchID: batchID, from: from}, n: total}, se)
+	s.enqueue(color, member{child: &childBatch{batchID: batchID, from: from}, n: total, epoch: se})
 	return proto.AggOrderResp{}, false
 }
 
@@ -588,7 +553,7 @@ func (s *Sequencer) onAggOrderResp(m proto.AggOrderResp) {
 		return
 	}
 	inf := v.(*inflight)
-	s.queueFor(inf.color).outstanding.Add(-1)
+	s.release(s.batchFor(inf.color), m.BatchID)
 	// Split the assigned range [last-total+1, last] across the members in
 	// order (§5.2: "assigns all SNs in the range … which are distributed
 	// to their respective origin").
@@ -632,13 +597,6 @@ func (s *Sequencer) onAggOrderResp(m proto.AggOrderResp) {
 	}
 }
 
-// onAggOrderRespBatch unpacks a parent's combined answers.
-func (s *Sequencer) onAggOrderRespBatch(m proto.AggOrderRespBatch) {
-	for _, it := range m.Items {
-		s.onAggOrderResp(proto.AggOrderResp{BatchID: it.BatchID, LastSN: it.LastSN, Color: it.Color})
-	}
-}
-
 // replicaSetKey builds the response-grouping key for one order request's
 // destination set.
 func replicaSetKey(shard types.ShardID, replicas []types.NodeID) string {
@@ -650,122 +608,68 @@ func replicaSetKey(shard types.ShardID, replicas []types.NodeID) string {
 	return string(b)
 }
 
-// enqueue appends one member to color's pending queue and wakes the
-// flusher; crossing defaultFlushThreshold flags the round urgent so the
-// flusher skips the remainder of its linger window.
-func (s *Sequencer) enqueue(color types.ColorID, m member, se types.Epoch) {
-	q := s.queueFor(color)
-	q.push(m, se)
-	if q.nrec.Load() >= defaultFlushThreshold {
-		if s.urgent.CompareAndSwap(false, true) {
-			s.c.urgentFlushes.Add(1)
-		}
+// enqueue holds m in its color's batch and, when the color has no
+// unanswered upward round, ships the batch at once on the calling
+// goroutine (the color's lane worker, or the delivery loop). Otherwise m
+// waits for that round's answer, which ships everything held behind it.
+func (s *Sequencer) enqueue(color types.ColorID, m member) {
+	b := s.batchFor(color)
+	b.mu.Lock()
+	b.held = append(b.held, m)
+	b.nrec.Add(int64(m.n))
+	if b.round != 0 {
+		b.mu.Unlock()
+		return
 	}
-	s.kickFlusher()
+	s.shipLocked(b)
 }
 
-func (s *Sequencer) kickFlusher() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
+// release ends b's unanswered round id — answered, or discarded as stale —
+// and ships whatever was held behind it as the next round. id 0 ends the
+// round whatever it is (a new leadership cleared the inflight table).
+func (s *Sequencer) release(b *colorBatch, id uint64) {
+	b.mu.Lock()
+	if id != 0 && b.round != id {
+		b.mu.Unlock()
+		return
 	}
+	b.round = 0
+	s.shipLocked(b)
 }
 
-// flusherLoop merges pending members per color and sends them upward every
-// BatchInterval; an urgent flag (queue crossed defaultFlushThreshold) cuts the
-// window short so a loaded leaf pipelines rounds back-to-back.
-func (s *Sequencer) flusherLoop() {
-	defer s.stopped.Done()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-s.kick:
-		}
-		if w := s.cfg.BatchInterval; w > 0 && !s.urgent.Load() {
-			// The aggregation window: requests arriving in this interval
-			// are merged (§5.2). Use stepped sleeps for ≥1ms windows and a
-			// spin for microsecond ones, re-checking urgency either way.
-			start := time.Now()
-			if w >= time.Millisecond {
-				for {
-					left := w - time.Since(start)
-					if left <= 0 || s.urgent.Load() {
-						break
-					}
-					if left > 200*time.Microsecond {
-						left = 200 * time.Microsecond
-					}
-					time.Sleep(left)
-				}
-			} else {
-				for time.Since(start) < w && !s.urgent.Load() {
-					runtime.Gosched() // let requests join the window
-				}
-			}
-		}
-		s.urgent.Store(false)
-		s.flushPending()
-	}
-}
-
-// flushPending drains every pending queue and sends the aggregated rounds
-// upward in one frame: an AggOrderReqBatch combining all colors of the
-// round, or the compact AggOrderReq when there is one. A color's new round
-// may start while its previous one is unanswered. It never takes s.mu:
-// staleness is decided per member by comparing its enqueue epoch against
-// the serving epoch, which also covers the not-leader case (serving epoch
-// 0 matches no member).
-func (s *Sequencer) flushPending() {
-	s.c.flushRounds.Add(1)
+// shipLocked sends b's held members upward as one AggOrderReq and makes it
+// the color's unanswered round. Members held under a dead term (or while
+// not serving — serving epoch 0 matches no member) are dropped, as is
+// everything when there is no parent (the tree root asked for a color it
+// does not own: misrouted); replicas re-drive both. Caller holds b.mu;
+// shipLocked releases it and sends outside the lock.
+func (s *Sequencer) shipLocked(b *colorBatch) {
 	se := s.servingEpoch()
 	parent, hasParent := s.parentLeader()
-	var items []proto.AggOrderItem
-	for _, q := range s.pendingQueues() {
-		var members []member
-		var total uint32
-		for {
-			m, e, ok := q.pop()
-			if !ok {
-				break
-			}
-			if se == 0 || e != se {
-				// Enqueued under a dead term (or we are no longer serving):
-				// drop; replicas re-drive.
-				s.c.droppedStale.Add(1)
-				continue
-			}
-			members = append(members, m)
-			total += m.n
-		}
-		if len(members) == 0 {
+	members := b.held[:0] // filtered in place; the round takes the array
+	var total uint32
+	for _, m := range b.held {
+		if !hasParent || m.epoch != se {
+			s.c.droppedStale.Add(1)
 			continue
 		}
-		if !hasParent {
-			// No parent (we are the tree root) yet the color is not ours:
-			// misrouted; drop, replicas will retry.
-			s.c.droppedStale.Add(uint64(len(members)))
-			continue
-		}
-		id := s.batchSeq.Add(1)
-		inf := &inflight{color: q.color, epoch: se, total: total, members: members}
-		inf.sentAt.Store(time.Now().UnixNano())
-		if q.outstanding.Add(1) > 1 {
-			s.c.pipelinedBatches.Add(1)
-		}
-		s.inflight.Store(id, inf)
-		s.c.batchesSent.Add(1)
-		items = append(items, proto.AggOrderItem{Color: q.color, BatchID: id, Total: total})
+		members = append(members, m)
+		total += m.n
 	}
-	switch len(items) {
-	case 0:
-	case 1:
-		// A single color's round keeps the compact legacy frame.
-		it := items[0]
-		s.ep.Send(parent, proto.AggOrderReq{Color: it.Color, BatchID: it.BatchID, Total: it.Total, From: s.cfg.ID})
-	default:
-		s.ep.Send(parent, proto.AggOrderReqBatch{From: s.cfg.ID, Items: items})
+	b.held = nil
+	b.nrec.Store(0)
+	if len(members) == 0 {
+		b.mu.Unlock()
+		return
 	}
+	id := s.batchSeq.Add(1)
+	b.round = id
+	inf := &inflight{color: b.color, epoch: se, total: total, members: members}
+	inf.sentAt.Store(time.Now().UnixNano())
+	s.inflight.Store(id, inf)
+	b.mu.Unlock()
+	s.c.batchesSent.Add(1)
+	s.ep.Send(parent, proto.AggOrderReq{Color: b.color, BatchID: id, Total: total, From: s.cfg.ID})
 }
 
 // parentLeader resolves the current leader of the parent region. The

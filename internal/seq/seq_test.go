@@ -73,7 +73,6 @@ func testConfig(id types.NodeID, region types.ColorID, topo *topology.Topology) 
 	cfg.ID = id
 	cfg.Region = region
 	cfg.Topo = topo
-	cfg.BatchInterval = 0
 	cfg.HeartbeatInterval = 2 * time.Millisecond
 	cfg.FailureTimeout = 12 * time.Millisecond
 	cfg.RetryTimeout = 30 * time.Millisecond
@@ -200,8 +199,9 @@ func TestTokenDedupSameSN(t *testing.T) {
 	}
 }
 
-// twoLevel builds root(0) ← leaf(1), shard 1 on leaf region 1.
-func twoLevel(t *testing.T, batch time.Duration) (*transport.Network, *Sequencer, *Sequencer, []*fakeReplica) {
+// twoLevel builds root(0) ← leaf(1), shard 1 on leaf region 1; a non-nil
+// tweak adjusts the leaf's config.
+func twoLevel(t *testing.T, tweak func(*Config)) (*transport.Network, *Sequencer, *Sequencer, []*fakeReplica) {
 	t.Helper()
 	net := transport.NewNetwork(transport.ZeroLink())
 	topo := topology.New()
@@ -217,7 +217,9 @@ func twoLevel(t *testing.T, batch time.Duration) (*transport.Network, *Sequencer
 		t.Fatal(err)
 	}
 	cfgLeaf := testConfig(110, 1, topo)
-	cfgLeaf.BatchInterval = batch
+	if tweak != nil {
+		tweak(&cfgLeaf)
+	}
 	leaf, err := New(cfgLeaf, net)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +229,7 @@ func twoLevel(t *testing.T, batch time.Duration) (*transport.Network, *Sequencer
 }
 
 func TestTreeForwardsToRoot(t *testing.T) {
-	_, root, leaf, reps := twoLevel(t, 0)
+	_, root, leaf, reps := twoLevel(t, nil)
 	// A total-order request (color 0) entering at the leaf must be
 	// assigned by the root.
 	req := orderReq(1, 0, 1)
@@ -246,7 +248,7 @@ func TestTreeForwardsToRoot(t *testing.T) {
 }
 
 func TestLeafOwnedColorSkipsRoot(t *testing.T) {
-	_, root, leaf, reps := twoLevel(t, 0)
+	_, root, leaf, reps := twoLevel(t, nil)
 	// FlexLog-P: appends to the leaf's own color are serialized by the
 	// leaf alone (§9.1).
 	reps[0].ep.Send(110, orderReq(1, 1, 1))
@@ -260,28 +262,76 @@ func TestLeafOwnedColorSkipsRoot(t *testing.T) {
 	}
 }
 
+// TestAggregationMergesRequests pins the leaf's one batching rule without
+// timing luck: a color with no unanswered round ships at once, and what
+// arrives while the round is unanswered is held and ships together as the
+// next round once the answer arrives. The root's first answer is dropped,
+// so round one stays unanswered until its resend: the n requests must
+// leave the leaf as exactly two rounds, the first alone and the rest
+// together.
 func TestAggregationMergesRequests(t *testing.T) {
-	_, root, leaf, reps := twoLevel(t, 3*time.Millisecond)
+	net, root, leaf, reps := twoLevel(t, func(c *Config) { c.RetryTimeout = 300 * time.Millisecond })
+	net.SetLinkFaults(100, 110, transport.FaultModel{DropNext: 1})
 	const n = 20
 	for i := uint32(1); i <= n; i++ {
 		reps[0].ep.Send(110, orderReq(i, 0, 1))
 	}
+	waitUntil(t, 2*time.Second, func() bool { return leaf.heldRecords() == n-1 }, "the rest held behind round one")
+	if st := leaf.Stats(); st.BatchesSent != 1 || st.Resends != 0 {
+		t.Fatalf("before the resend: %d rounds, %d resends; want round one alone", st.BatchesSent, st.Resends)
+	}
 	r := reps[1]
-	waitUntil(t, 2*time.Second, func() bool { return len(r.responses()) == n }, "all aggregated responses")
-	// With a 3ms window, far fewer upward batches than requests.
-	if sent := leaf.Stats().BatchesSent; sent >= n {
-		t.Fatalf("aggregation ineffective: %d batches for %d reqs", sent, n)
+	waitUntil(t, 5*time.Second, func() bool { return len(r.responses()) == n }, "all aggregated responses")
+	if st := leaf.Stats(); st.BatchesSent != 2 || st.Resends != 1 {
+		t.Fatalf("%d rounds and %d resends for %d requests; want 2 and 1", st.BatchesSent, st.Resends, n)
 	}
 	if root.Stats().Assigned != n {
 		t.Fatalf("root assigned = %d", root.Stats().Assigned)
 	}
-	// All SNs distinct.
+	// Round one carried token 1 alone (SN 1); round two the other n-1.
 	seen := make(map[types.SN]bool)
 	for _, resp := range r.responses() {
 		if seen[resp.LastSN] {
 			t.Fatalf("duplicate SN %v", resp.LastSN)
 		}
 		seen[resp.LastSN] = true
+		if resp.Token == types.MakeToken(9, 1) && resp.LastSN != types.MakeSN(1, 1) {
+			t.Fatalf("round one's request got SN %v, want %v", resp.LastSN, types.MakeSN(1, 1))
+		}
+	}
+}
+
+// TestReelectionReleasesHeldRound: a new leadership clears the inflight
+// table, so the round a color's requests were held behind will never be
+// answered. The clear must release the color, or every later request for
+// it would be held forever.
+func TestReelectionReleasesHeldRound(t *testing.T) {
+	net, root, leaf, reps := twoLevel(t, func(c *Config) { c.RetryTimeout = time.Hour })
+	net.SetLinkFaults(100, 110, transport.FaultModel{DropProb: 1}) // the root's answers never arrive
+	reps[0].ep.Send(110, orderReq(1, 0, 1))
+	reps[0].ep.Send(110, orderReq(2, 0, 1))
+	waitUntil(t, 2*time.Second, func() bool { return root.Stats().Assigned == 1 && leaf.heldRecords() == 1 },
+		"request 2 held behind request 1's unanswered round")
+
+	// The transition a won election runs; the fake replicas ack SeqInit.
+	leaf.mu.Lock()
+	leaf.becomeLeaderLocked(leaf.epoch + 1)
+	leaf.mu.Unlock()
+	waitUntil(t, 2*time.Second, leaf.Serving, "leaf serves its new epoch")
+	net.SetLinkFaults(100, 110, transport.FaultModel{})
+
+	reps[0].ep.Send(110, orderReq(3, 0, 1))
+	r := reps[0]
+	waitUntil(t, 2*time.Second, func() bool {
+		for _, resp := range r.responses() {
+			if resp.Token == types.MakeToken(9, 3) {
+				return true
+			}
+		}
+		return false
+	}, "request 3 answered after the re-election")
+	if got := leaf.heldRecords(); got != 0 {
+		t.Fatalf("%d records still held after the re-election", got)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 
 // This file holds the -race stress tests of the lock-free hot path: many
 // colors ordered concurrently through the full tree (lanes, striped token
-// dedup, MPSC pending queues, pipelined flush), and an epoch bump forced
-// into the middle of a request flood (the packed SN word's poison
-// protocol). The assertions are the ordering layer's core invariants:
+// dedup, per-color upward batches held behind unanswered rounds), and an
+// epoch bump forced into the middle of a request flood (the packed SN
+// word's poison protocol). The assertions are the ordering layer's core invariants:
 // ranges never overlap, streams stay FIFO, duplicates get their original
 // SN back, and no SN is ever minted under an epoch the node did not serve.
 
@@ -27,7 +27,6 @@ func stressSeqConfig(id types.NodeID, region types.ColorID, topo *topology.Topol
 	cfg.ID = id
 	cfg.Region = region
 	cfg.Topo = topo
-	cfg.BatchInterval = 100 * time.Microsecond
 	cfg.HeartbeatInterval = 50 * time.Millisecond
 	cfg.FailureTimeout = time.Second
 	cfg.RetryTimeout = time.Second
