@@ -30,7 +30,7 @@ race:
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
-	@for pkg in internal/bench internal/storage internal/ssd internal/pmem internal/seq internal/proto internal/replica internal/core internal/ctrlplane cmd; do \
+	@for pkg in internal/bench internal/storage internal/ssd internal/pmem internal/seq internal/proto internal/transport internal/replica internal/core internal/ctrlplane cmd; do \
 		printf '%s non-test Go lines: ' $$pkg; find $$pkg -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; \
 	done
 
@@ -48,11 +48,13 @@ flake:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The wall-clock Table-1 shape tests (compute/storage split of the video
-# and gzip profiles): built only with -tags shape, so full-parallel
+# The wall-clock shape tests — Table 1's compute/storage split of the
+# video and gzip profiles, and ablate-reconfig's throughput dip across a
+# live split + drain: built only with -tags shape, so full-parallel
 # `go test ./...` load cannot distort them; run here alone.
 shape-check:
 	$(GO) test -tags shape -count=1 -run 'TestProfileVideoShape|TestProfileGzipShape' ./internal/workload/
+	timeout 60 $(GO) test -tags shape -count=1 -run 'TestAblateReconfigShape' ./internal/bench/
 
 # Short seeded chaos soak (drop/dup/reorder/jitter + replica crashes +
 # leader kills) under -race; a failure prints the seed and the nemesis
@@ -105,12 +107,9 @@ obs-smoke:
 	timeout 60 $(GO) run ./cmd/flexlog-bench -quick ablate-obs
 
 # Wire-codec smoke (DESIGN.md §12): the 0 allocs/op ceiling on the hot
-# frame types, the golden-bytes pin of the wire format, and the quick
-# TCP-deployment ablation (binary must hold >= 2x gob append throughput
-# over real loopback sockets).
+# frame types and the golden-bytes pin of the wire format.
 codec-smoke:
 	$(GO) test -count=1 -run 'TestCodecZeroAllocHotPath|TestCodecGolden' ./internal/proto/
-	timeout 120 $(GO) test -count=1 -run 'TestAblateCodecShape' ./internal/bench/
 
 # Multi-tenant QoS smoke (DESIGN.md §13): the quick ablate-qos run must
 # show noisy-neighbor isolation (victim keeps >= ~80% of solo throughput
@@ -135,11 +134,10 @@ seq-smoke:
 # drain + replica add, gated by the histcheck oracle), the controller over
 # the wire (lossy control links, targets that never answer, the static
 # deployment flexlog-cli reconfig runs on) and the replica's control-op
-# handler; plus the quick ablate-reconfig curve (bounded dip during the
-# window, post-split throughput >= 95% of pre-split).
+# handler. The quick ablate-reconfig curve (bounded dip during the window,
+# post-split throughput >= 95% of pre-split) runs in shape-check.
 reconfig-smoke:
 	$(GO) test -race -count=1 -run 'TestReconfigUnderLoad|TestPlans|TestStaticDeployment|TestAddReplicaRollsBack|TestCtrlReconfigHandler' ./internal/ctrlplane/ ./internal/replica/
-	timeout 60 $(GO) test -count=1 -run 'TestAblateReconfigShape' ./internal/bench/
 
 # Godoc coverage gate: every exported symbol in internal/obs (and the
 # control plane's operator-facing API) must carry a doc comment

@@ -4,13 +4,13 @@
 // Usage:
 //
 //	flexlog-bench -list
-//	flexlog-bench [-quick] [-chaos] [-duration 2s] [-codec binary] [-cpuprofile f] [-memprofile f] [-blockprofile f] [-mutexprofile f] <experiment-id>... | all
+//	flexlog-bench [-quick] [-chaos] [-duration 2s] [-cpuprofile f] [-memprofile f] [-blockprofile f] [-mutexprofile f] <experiment-id>... | all
 //
 // Experiment ids: table1, fig1, fig4lat, fig4thr, fig5, fig6, fig7, fig8,
 // fig9, fig10, fig11, ablate-batch, ablate-cache, ablate-readhold,
 // ablate-clientbatch, ablate-readpath, ablate-writepath, ablate-tiering,
-// ablate-obs, ablate-codec, ablate-qos, ablate-seq, ext-burst, chaos (also
-// runnable via -chaos).
+// ablate-obs, ablate-qos, ablate-seq, ablate-reconfig, ext-burst, chaos
+// (also runnable via -chaos).
 package main
 
 import (
@@ -35,7 +35,6 @@ func main() {
 	blockprofile := flag.String("blockprofile", "", "write a blocking profile (lock/channel contention) of the experiment runs to this file")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile (who held locks others waited on) of the experiment runs to this file")
 	metricsDump := flag.String("metrics-dump", "", "wire the obs-aware experiments into a registry and write its Prometheus snapshot to this file on exit (\"-\" for stdout)")
-	codec := flag.String("codec", "", "pin the TCP wire codec (gob|binary) for socket-level experiments like ablate-codec (default: run both)")
 	flag.Parse()
 
 	if *list {
@@ -62,7 +61,7 @@ func main() {
 		ids = args
 	}
 
-	rcfg := bench.RunConfig{Quick: *quick, Duration: *duration, Codec: *codec}
+	rcfg := bench.RunConfig{Quick: *quick, Duration: *duration}
 	var reg *obs.Registry
 	if *metricsDump != "" {
 		reg = obs.NewRegistry()

@@ -38,7 +38,6 @@ func main() {
 	config := flag.String("config", "", "cluster manifest (JSON)")
 	id := flag.Uint("id", 0, "client node id from the manifest")
 	timeout := flag.Duration("timeout", 10*time.Second, "operation timeout")
-	codecName := flag.String("codec", "binary", "outbound wire codec: binary or gob (inbound is auto-detected)")
 	flag.Parse()
 
 	args := flag.Args()
@@ -50,11 +49,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	deploy.RegisterWire()
-	codec, err := transport.ParseCodec(*codecName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	topo, err := m.Topology()
 	if err != nil {
 		log.Fatal(err)
@@ -63,7 +57,7 @@ func main() {
 	nodeID := types.NodeID(*id)
 
 	if args[0] == "reconfig" {
-		runReconfig(m, topo, book, codec, nodeID, *timeout, args[1:])
+		runReconfig(m, topo, book, nodeID, *timeout, args[1:])
 		return
 	}
 
@@ -83,7 +77,7 @@ func main() {
 		Topo:    topo,
 		Timeout: *timeout,
 	}, func(h transport.Handler) (transport.Endpoint, error) {
-		return transport.ListenTCP(nodeID, book, h, transport.WithTCPCodec(codec))
+		return transport.ListenTCP(nodeID, book, h)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -71,7 +71,7 @@ func runPlan(ctrl *ctrlplane.Controller, poll time.Duration, run func() (ctrlpla
 // run — over a ctrlplane.Static: the replica added is the manifest's
 // spare, already running, and stopping a drained one is left to the
 // operator. The OPERATIONS.md "Reconfiguration runbook" walks through both.
-func runReconfig(m *deploy.Manifest, topo *topology.Topology, book *transport.AddressBook, codec transport.Codec, id types.NodeID, timeout time.Duration, args []string) {
+func runReconfig(m *deploy.Manifest, topo *topology.Topology, book *transport.AddressBook, id types.NodeID, timeout time.Duration, args []string) {
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: flexlog-cli ... reconfig <status|join|promote|drain|push-topo|add-replica|remove-replica> [flags]")
 		os.Exit(2)
@@ -92,7 +92,7 @@ func runReconfig(m *deploy.Manifest, topo *topology.Topology, book *transport.Ad
 	target := types.NodeID(*node)
 
 	static := &ctrlplane.Static{Topo: topo, Dial: func(h transport.Handler) (transport.Endpoint, error) {
-		return transport.ListenTCP(id, book, h, transport.WithTCPCodec(codec))
+		return transport.ListenTCP(id, book, h)
 	}}
 	// -timeout bounds every wait of a plan: a catch-up that stops making
 	// progress, the promotion sync-phase, a drain's flush.

@@ -42,7 +42,6 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "write a recovery checkpoint every N flushed entries (0 = no checkpoints)")
 	dataDir := flag.String("data-dir", "", "directory for device snapshots; empty = volatile (replicas only)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/traces, /debug/lanes, /debug/pprof on this address (e.g. :8080); empty disables observability")
-	codecName := flag.String("codec", "binary", "outbound wire codec: binary (length-prefixed custom framing) or gob (legacy); inbound frames are auto-detected per connection either way")
 	seqWorkers := flag.Int("seq-workers", 4, "sequencer order-lane workers (per-color FIFO; 0 = serialized delivery loop)")
 	autoscale := flag.Bool("autoscale", false, "run the advisory autoscaler: poll this node's metrics against the default policy thresholds and log the reconfiguration it would issue (requires -debug-addr); execute advice with flexlog-cli reconfig")
 	flag.Parse()
@@ -63,7 +62,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	deploy.RegisterWire()
 	topo, err := m.Topology()
 	if err != nil {
 		log.Fatal(err)
@@ -71,11 +69,6 @@ func main() {
 	book := m.AddressBook()
 	nodeID := types.NodeID(*id)
 	role := m.RoleOf(nodeID)
-
-	codec, err := transport.ParseCodec(*codecName)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// One registry per process; the node's components publish into it and
 	// the debug server scrapes it. Nil (observability off) when -debug-addr
@@ -87,7 +80,7 @@ func main() {
 	}
 
 	attach := func(h transport.Handler) (transport.Endpoint, error) {
-		ep, err := transport.ListenTCP(nodeID, book, h, transport.WithTCPCodec(codec))
+		ep, err := transport.ListenTCP(nodeID, book, h)
 		if err != nil {
 			return nil, err
 		}

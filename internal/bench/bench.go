@@ -41,10 +41,6 @@ type RunConfig struct {
 	// support it (the chaos soak, ablate-obs) so flexlog-bench can dump a
 	// registry snapshot on exit (-metrics-dump).
 	Obs *obs.Registry
-	// Codec pins the TCP wire codec ("gob" or "binary") for experiments
-	// that exercise real sockets (ablate-codec). Empty runs both sides of
-	// the ablation.
-	Codec string
 }
 
 // PointDuration resolves the per-point measurement window.
@@ -115,10 +111,9 @@ var experiments = []Experiment{
 	{"ablate-readhold", "Ablation: read-hold timeout vs ⊥ rate for reads racing appends (§6.3)", runAblateReadHold},
 	ablationRow("ablate-clientbatch", "Ablation: client-side append batching & pipelining (v2 API)", clientBatchAblation),
 	ablationRow("ablate-readpath", "Ablation: parallel replica read path (read lane + striped cache)", readPathAblation),
-	ablationRow("ablate-writepath", "Ablation: parallel replica write path (write lanes + group commit + order coalescing)", writePathAblation),
+	ablationRow("ablate-writepath", "Ablation: parallel replica write path (write lanes over group commit + order coalescing)", writePathAblation),
 	ablationRow("ablate-seq", "Ablation: lock-free sequencer hot path (order lanes)", seqPathAblation),
 	{"ablate-tiering", "Ablation: storage lifecycle (PM budget + checkpoints) vs recovery cost growth", runAblateTiering},
-	{"ablate-codec", "Ablation: wire codec (hand-rolled binary vs gob) on the TCP deployment path", runAblateCodec},
 	{"ablate-qos", "Ablation: multi-tenant QoS (admission + weighted-fair lanes) and hedged reads", runAblateQoS},
 	{"ablate-reconfig", "Ablation: append availability through a live shard split + replica drain", runAblateReconfig},
 	ablationRow("ablate-obs", "Ablation: observability overhead (tracing + registry on vs off)", obsAblation),

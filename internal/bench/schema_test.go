@@ -100,8 +100,6 @@ var quickSchema = map[string]reportSchema{
 	}},
 	"ablate-writepath": {xHeader: "writers", series: []seriesSchema{
 		{"serial", "kOps/s", []string{"1", "64"}},
-		{"+lanes", "kOps/s", []string{"1", "64"}},
-		{"+group-commit", "kOps/s", []string{"1", "64"}},
 		{"full", "kOps/s", []string{"1", "64"}},
 		{"1-writer lat serial", "usec", []string{"1"}},
 		{"1-writer lat full", "usec", []string{"1"}},
@@ -113,10 +111,6 @@ var quickSchema = map[string]reportSchema{
 		{"Recovery (lifecycle off)", "ms", []string{"1x", "2x", "3x", "4x"}},
 		{"Replay (lifecycle on)", "entries", []string{"1x", "2x", "3x", "4x"}},
 		{"Replay (lifecycle off)", "entries", []string{"1x", "2x", "3x", "4x"}},
-	}},
-	"ablate-codec": {xHeader: "senders", series: []seriesSchema{
-		{"gob", "kRec/s", []string{"2", "8"}},
-		{"binary", "kRec/s", []string{"2", "8"}},
 	}},
 	"ablate-qos": {xHeader: "scenario", series: []seriesSchema{
 		{"victim appends", "kOps/s", []string{"baseline", "qos"}},

@@ -15,19 +15,18 @@ import (
 // land on the same replicas — the worst case for a serialized write path.
 const writePathChainDepth = 7
 
-// writePathAblation measures what each layer of the parallel write path
-// buys, on a deployment designed to stress it: a region chain
-// master←c1←…←c7 with one shard at the deepest leaf, so 8 colors' append
-// streams converge on one replica set. The modes are cumulative:
+// writePathAblation measures what the parallel write path buys, on a
+// deployment designed to stress it: a region chain master←c1←…←c7 with
+// one shard at the deepest leaf, so 8 colors' append streams converge on
+// one replica set. Two modes:
 //
-//   - serial:        WriteWorkers=0, GroupCommit=false, OrderCoalesce=false
-//     — every mutation runs on the replica's delivery loop and every PM
-//     batch is its own transaction, the pre-PR behavior.
-//   - +lanes:        the keyed write lane spreads mutation-class messages
-//     (and their PM work) across the worker pool by color.
-//   - +group-commit: concurrent PM batches fold into shared transactions.
-//   - full:          order requests additionally coalesce per color on the
-//     replica→sequencer edge.
+//   - serial: WriteWorkers=0 — every mutation runs on the replica's
+//     delivery loop, so group commit and order coalescing (which every
+//     replica runs) find nothing to fold.
+//   - full:   the keyed write lane spreads mutation-class messages (and
+//     their PM work) across the worker pool by color; concurrent PM
+//     batches fold into shared group-commit windows and order requests
+//     coalesce per color on the replica→sequencer edge.
 //
 // Throughput is modeled from a functional run (model.go) with the write
 // side divided by the lane's workers (a sequencer's order lane counts as
@@ -35,36 +34,31 @@ const writePathChainDepth = 7
 // messages). Each writer owns the chain color colors[w mod 8] and appends
 // there through its own unbatched client — the comparison isolates the
 // replica-side write path, not client coalescing. Latency is a separate
-// injected run with one closed-loop writer, serial vs full, where none of
-// the three mechanisms can help; the bar is that they also do not hurt
-// (group commit and the coalescer add no hand-off when nothing is in
-// flight). Drop counters (appends abandoned by storage hard-failures,
-// order requests dropped before reaching a sequencer) are reported for
-// the full mode and must stay zero.
+// injected run with one closed-loop writer, serial vs full, where the
+// lane cannot help; the bar is that it also does not hurt. Drop counters
+// (appends abandoned by storage hard-failures, order requests dropped
+// before reaching a sequencer) are reported for the full mode and must
+// stay zero.
 func writePathAblation(cfg RunConfig) laneAblation {
 	colors := []types.ColorID{types.MasterColor}
 	for i := 1; i <= writePathChainDepth; i++ {
 		colors = append(colors, types.ColorID(i))
 	}
-	mode := func(name, lone string, lanes, groupCommit, coalesce bool) ablationMode {
+	mode := func(name, lone string, lanes bool) ablationMode {
 		return ablationMode{name: name, lone: lone, tweak: func(c *core.ClusterConfig) {
 			c.SeqBackups = 0
 			if !lanes {
 				c.WriteWorkers = 0
 			}
-			c.GroupCommit = groupCommit
-			c.OrderCoalesce = coalesce
 		}}
 	}
 	a := laneAblation{
-		title:   "write-path ablation: lanes unserialize per-color appends, group commit folds PM transactions, coalescing thins the sequencer edge",
+		title:   "write-path ablation: lanes unserialize per-color appends, so group commit folds PM transactions and coalescing thins the sequencer edge",
 		xHeader: "writers",
 		unit:    "kOps/s",
 		modes: []ablationMode{
-			mode("serial", "1-writer lat serial", false, false, false),
-			mode("+lanes", "", true, false, false),
-			mode("+group-commit", "", true, true, false),
-			mode("full", "1-writer lat full", true, true, true),
+			mode("serial", "1-writer lat serial", false),
+			mode("full", "1-writer lat full", true),
 		},
 		loads:   []int{1, 4, 16, 64},
 		ops:     300,

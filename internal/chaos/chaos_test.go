@@ -171,11 +171,9 @@ func runSoak(t *testing.T, seed int64, dur time.Duration) {
 	// SeqInit acks from ALL region replicas, so a false positive while a
 	// replica is crashed stalls the region for the whole crash window.
 	ccfg.FailureTimeout = 100 * time.Millisecond
-	// Soak the FULL parallel write path: TestClusterConfig already turns
-	// on the write lane and group commit; add order-request coalescing so
-	// lane parallelism, folded PM windows and batched ordering all face
-	// the nemeses together.
-	ccfg.OrderCoalesce = true
+	// TestClusterConfig runs the full parallel write path (write lane,
+	// group commit, order coalescing), so lane parallelism, folded PM
+	// windows and batched ordering all face the nemeses together.
 	// Run the full tiered-storage lifecycle under chaos: segments small
 	// enough that the workload actually fills them, a PM budget tight
 	// enough to force background evictions, and frequent checkpoints so

@@ -56,12 +56,6 @@ type ClusterConfig struct {
 	// pinned to a worker by color); 0 keeps ordering on the serialized
 	// delivery loop (the ablation baseline).
 	SeqWorkers int
-	// GroupCommit enables the storage layer's PM group-commit engine:
-	// concurrent persistence waits fold into shared transactions.
-	GroupCommit bool
-	// OrderCoalesce lets each replica ship the order requests that queue
-	// up behind one being sent as one OrderReqBatch per color.
-	OrderCoalesce bool
 	// ClientTimeout bounds client operations.
 	ClientTimeout time.Duration
 	// ClientBatch, when non-zero, enables the append batching & pipelining
@@ -104,7 +98,6 @@ func TestClusterConfig() ClusterConfig {
 		ReadWorkers:     4,
 		WriteWorkers:    4,
 		SeqWorkers:      4,
-		GroupCommit:     true,
 		ClientTimeout:   10 * time.Second,
 	}
 }
@@ -123,8 +116,6 @@ func BenchClusterConfig() ClusterConfig {
 	cfg.ReadWorkers = 16                   // the testbed's spare cores per replica
 	cfg.WriteWorkers = 16
 	cfg.SeqWorkers = 16
-	cfg.GroupCommit = true
-	cfg.OrderCoalesce = true
 	return cfg
 }
 
@@ -266,11 +257,9 @@ func (cl *Cluster) buildReplica(id types.NodeID, shardID types.ShardID) (*replic
 	rcfg.Shard = shardID
 	rcfg.Topo = cl.topo
 	rcfg.Store = cl.cfg.Storage
-	rcfg.Store.GroupCommit = cl.cfg.GroupCommit
 	rcfg.ReadHoldTimeout = cl.cfg.ReadHoldTimeout
 	rcfg.ReadWorkers = cl.cfg.ReadWorkers
 	rcfg.WriteWorkers = cl.cfg.WriteWorkers
-	rcfg.OrderCoalesce = cl.cfg.OrderCoalesce
 	rcfg.HeartbeatInterval = cl.cfg.HeartbeatInterval
 	rcfg.RetryTimeout = cl.cfg.RetryTimeout
 	rcfg.Obs = cl.cfg.Obs

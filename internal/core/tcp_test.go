@@ -23,8 +23,6 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP deployment test skipped in -short mode")
 	}
-	deploy.RegisterWire()
-
 	// Reserve loopback ports.
 	ids := []types.NodeID{1, 2, 3, 900, 500}
 	addrs := make(map[types.NodeID]string, len(ids))

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"time"
 
-	"flexlog/internal/proto"
 	"flexlog/internal/qos"
 	"flexlog/internal/replica"
 	"flexlog/internal/seq"
@@ -274,16 +273,14 @@ func (m *Manifest) RoleOf(id types.NodeID) Role {
 // ReplicaConfig is the configuration a deployed replica runs with: node id
 // in the shard the manifest gives it, over a store of the caller's sizing.
 // Deployed replicas run the full parallel write path: the keyed write lane
-// comes with replica.DefaultConfig; group commit and order-request
-// coalescing are opted into here.
+// of replica.DefaultConfig plus the group commit and order-request
+// coalescing every replica runs.
 func (m *Manifest) ReplicaConfig(topo *topology.Topology, id types.NodeID, store storage.Config) replica.Config {
 	cfg := replica.DefaultConfig()
 	cfg.ID = id
 	cfg.Shard = m.RoleOf(id).Shard
 	cfg.Topo = topo
 	cfg.Store = store
-	cfg.Store.GroupCommit = true
-	cfg.OrderCoalesce = true
 	cfg.ReadHoldTimeout = time.Millisecond
 	cfg.HeartbeatInterval = 100 * time.Millisecond
 	cfg.RetryTimeout = time.Second
@@ -323,8 +320,10 @@ func (m *Manifest) NodeIDs() []types.NodeID {
 	return ids
 }
 
-// RegisterWire registers every protocol message for gob (TCP transport).
-func RegisterWire() { proto.RegisterGob() }
+// RegisterWire is a no-op: the binary codec frames every protocol message
+// without registration. Inert until the benchmark module stops calling it
+// (ROADMAP 1b).
+func RegisterWire() {}
 
 // Example returns a ready-to-edit single-host manifest: one master region
 // with a 3-sequencer group and one shard of three replicas.

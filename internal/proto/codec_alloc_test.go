@@ -2,7 +2,6 @@ package proto
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"flexlog/internal/types"
@@ -126,8 +125,7 @@ func typeName(msg any) string {
 }
 
 // BenchmarkCodecEncode / BenchmarkCodecDecode measure the binary codec on
-// a 4×128 B append frame; the Gob variants are the baseline the ablation
-// (EXPERIMENTS.md ablate-codec) quotes.
+// a 4×128 B append frame.
 func BenchmarkCodecEncode(b *testing.B) {
 	var msg any = hotMessages()[0]
 	buf := make([]byte, 0, 4096)
@@ -168,34 +166,6 @@ func BenchmarkCodecDecodeFrame(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := DecodeFrame(body); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGobEncode(b *testing.B) {
-	req := hotMessages()[0].(AppendReq)
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGobDecode(b *testing.B) {
-	req := hotMessages()[0].(AppendReq)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var m AppendReq
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
 			b.Fatal(err)
 		}
 	}

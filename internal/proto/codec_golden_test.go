@@ -132,15 +132,17 @@ func TestCodecGoldenBytes(t *testing.T) {
 // replica liveness beat nothing read; 29 and 30, the sync-phase's former
 // fetch pair; 28 and 31, SyncState and SyncCatchup, the "most up-to-date"
 // election; 34 and 35, the multi-color aggregated order request and its
-// answer): well-formed under the old codec, malformed now.
+// answer; 255, a gob-encoded value of a type the codec did not know):
+// well-formed under the old codec, malformed now.
 var retiredFrames = map[byte]string{
-	26: "040000001af40302",
-	28: "1a0000001cf4030602020084808080100382808080100100818080801002",
-	29: "0c0000001df403060100828080801002",
-	30: "0f0000001ef403060100010183808080100165",
-	31: "0f0000001ff403060301008480808010000202",
-	34: "0c00000022f403840702011306021403",
-	35: "1400000023f4038407020113828080802002148580808020",
+	26:  "040000001af40302",
+	28:  "1a0000001cf4030602020084808080100382808080100100818080801002",
+	29:  "0c0000001df403060100828080801002",
+	30:  "0f0000001ef403060100010183808080100165",
+	31:  "0f0000001ff403060301008480808010000202",
+	34:  "0c00000022f403840702011306021403",
+	35:  "1400000023f4038407020113828080802002148580808020",
+	255: "6e000000fff403207f0301010b676f6246616c6c6261636b01ff8000010101034d736701100000003fff80011c666c65786c6f672f696e7465726e616c2f70726f746f2e616c69656eff8103010105616c69656e01ff82000102010141010400010142010400000009ff8205010201040000",
 }
 
 // TestCodecRetiredTagsAreBadFrames: a peer still sending a retired tag

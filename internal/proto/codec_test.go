@@ -3,9 +3,9 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"flexlog/internal/types"
@@ -130,24 +130,16 @@ func TestCodecFrameSizeLimit(t *testing.T) {
 	}
 }
 
-// TestCodecGobFallback frames a type the codec does not know and expects
-// it back intact through tag 255.
-func TestCodecGobFallback(t *testing.T) {
+// TestCodecUnknownMessageFails: a Go type with no wire tag cannot be
+// framed. The typed error names the type, and b comes back unchanged.
+func TestCodecUnknownMessageFails(t *testing.T) {
 	type alien struct{ A, B int }
-	gob.Register(alien{})
-	frame := encodeFrame(t, alien{A: 1, B: 2})
-	if frame[4] != TagGobFallback {
-		t.Fatalf("tag = %d, want %d", frame[4], TagGobFallback)
+	b, err := AppendFrame([]byte("prefix"), goldenFrom, alien{A: 1, B: 2})
+	if !errors.Is(err, ErrUnknownMessage) || !strings.Contains(err.Error(), "alien") {
+		t.Fatalf("AppendFrame(alien) error = %v, want ErrUnknownMessage naming the type", err)
 	}
-	from, msg, err := DecodeFrame(frame[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if from != goldenFrom {
-		t.Fatalf("from = %v", from)
-	}
-	if got := msg.(alien); got != (alien{A: 1, B: 2}) {
-		t.Fatalf("fallback round trip = %+v", got)
+	if string(b) != "prefix" {
+		t.Fatalf("AppendFrame(alien) left %q, want the input unchanged", b)
 	}
 }
 

@@ -6,13 +6,10 @@
 //
 // On the wire every message travels in the hand-rolled binary framing of
 // wire.go (zero-alloc encode, length-prefixed, one-byte type tag; see
-// DESIGN.md §12). The gob registration below remains as the legacy /
-// fallback path: tag-255 frames for types the codec does not know, and
-// full-gob streams from peers running `-codec=gob`.
+// DESIGN.md §12).
 package proto
 
 import (
-	"encoding/gob"
 	"time"
 
 	"flexlog/internal/types"
@@ -451,43 +448,4 @@ type CtrlAck struct {
 	Lag     uint64
 	Version uint64
 	From    types.NodeID
-}
-
-// RegisterGob registers every message type for the TCP transport. It is
-// safe to call multiple times (gob panics only on conflicting
-// registrations, which cannot happen here).
-func RegisterGob() {
-	gob.Register(AppendReq{})
-	gob.Register(AppendBatchReq{})
-	gob.Register(AppendAck{})
-	gob.Register(ReadReq{})
-	gob.Register(ReadResp{})
-	gob.Register(SubscribeReq{})
-	gob.Register(SubscribeResp{})
-	gob.Register(TrimReq{})
-	gob.Register(TrimPeerAck{})
-	gob.Register(TrimAck{})
-	gob.Register(MultiAppendEnd{})
-	gob.Register(MultiAppendAck{})
-	gob.Register(OrderReq{})
-	gob.Register(OrderResp{})
-	gob.Register(OrderReqBatch{})
-	gob.Register(OrderRespBatch{})
-	gob.Register(AggOrderReq{})
-	gob.Register(AggOrderResp{})
-	gob.Register(SeqHeartbeat{})
-	gob.Register(SeqHeartbeatAck{})
-	gob.Register(EpochClaim{})
-	gob.Register(EpochGrant{})
-	gob.Register(EpochReject{})
-	gob.Register(SeqInit{})
-	gob.Register(SeqInitAck{})
-	gob.Register(SyncRequest{})
-	gob.Register(SyncDone{})
-	gob.Register(Reject{})
-	gob.Register(JoinFetch{})
-	gob.Register(JoinEntries{})
-	gob.Register(TopoUpdate{})
-	gob.Register(CtrlReconfig{})
-	gob.Register(CtrlAck{})
 }

@@ -1,8 +1,6 @@
 package proto
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -39,35 +37,37 @@ func everyMessage() []interface{} {
 		SeqInitAck{Epoch: 1, From: 2},
 		SyncRequest{ID: 1, From: 2},
 		SyncDone{ID: 1, From: 2},
+		Reject{Token: 1, ID: 2, Color: 3, Tenant: 4, Code: RejectThrottled, RetryAfterMicros: 5},
+		JoinFetch{ID: 1, Have: map[types.ColorID]types.SN{0: 2}, Tokens: []types.Token{3}, Budget: 4, From: 5},
+		JoinEntries{ID: 1, Records: map[types.ColorID][]WireRecord{0: {{Token: 2, SN: 3, Data: []byte("e")}}},
+			Frontier: map[types.ColorID]types.SN{0: 3}, Trimmed: map[types.ColorID]types.SN{0: 1}, Epoch: 2, More: true, From: 4},
+		TopoUpdate{Version: 1, Regions: []TopoRegion{{Color: 0, Leader: 2, Backups: []types.NodeID{3}, Members: []types.NodeID{2, 3}, IsRoot: true}},
+			Shards: []TopoShard{{ID: 1, Leaf: 0, Replicas: []types.NodeID{4}}}, From: 5},
+		CtrlReconfig{Seq: 1, Op: CtrlOpJoin, Donor: 2, From: 3},
+		CtrlAck{Seq: 1, Op: CtrlOpJoin, OK: true, Mode: 2, Lag: 3, Version: 4, From: 5},
 	}
 }
 
-// TestGobRoundTripAllMessages encodes each message as an interface value
+// TestCodecRoundTripAllMessages frames each message as an interface value
 // (the way the TCP transport ships them) and verifies it decodes
-// identically — catching both unregistered types and lossy encodings.
-func TestGobRoundTripAllMessages(t *testing.T) {
-	RegisterGob()
-	RegisterGob() // idempotent
+// identically, catching lossy encodings.
+func TestCodecRoundTripAllMessages(t *testing.T) {
 	for _, msg := range everyMessage() {
-		var buf bytes.Buffer
-		type envelope struct {
-			From types.NodeID
-			Msg  interface{}
-		}
-		if err := gob.NewEncoder(&buf).Encode(envelope{From: 9, Msg: msg}); err != nil {
+		frame, err := AppendFrame(nil, 9, msg)
+		if err != nil {
 			t.Fatalf("%T: encode: %v", msg, err)
 		}
-		var got envelope
-		if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		from, got, err := DecodeFrame(frame[4:])
+		if err != nil {
 			t.Fatalf("%T: decode: %v", msg, err)
 		}
-		if !reflect.DeepEqual(normalize(got.Msg), normalize(msg)) {
-			t.Errorf("%T: round trip mismatch:\n got %#v\nwant %#v", msg, got.Msg, msg)
+		if from != 9 || !reflect.DeepEqual(normalize(got), normalize(msg)) {
+			t.Errorf("%T: round trip mismatch:\n got %#v\nwant %#v", msg, got, msg)
 		}
 	}
 }
 
-// normalize maps gob's nil-vs-empty slice ambiguity away.
+// normalize maps the codec's nil-vs-empty slice ambiguity away.
 func normalize(v interface{}) interface{} {
 	if ar, ok := v.(AppendReq); ok {
 		for i, r := range ar.Records {
@@ -80,11 +80,25 @@ func normalize(v interface{}) interface{} {
 	return v
 }
 
-// TestMessageCountMatchesRegistry keeps everyMessage in sync with the
-// RegisterGob list: a new message type must be added to both.
+// TestMessageCountMatchesRegistry keeps everyMessage in lockstep with the
+// codec: every entry has a decoder row, and every live tag has an entry,
+// so a new message type without a codec entry (or without a round-trip
+// check) fails here.
 func TestMessageCountMatchesRegistry(t *testing.T) {
-	const registered = 27 // keep in lockstep with RegisterGob
-	if got := len(everyMessage()); got != registered {
-		t.Fatalf("everyMessage has %d entries, RegisterGob registers %d — update both together", got, registered)
+	seen := map[byte]bool{}
+	for _, msg := range everyMessage() {
+		wm, ok := msg.(wireMessage)
+		if !ok {
+			t.Fatalf("%T has no wire tag", msg)
+		}
+		if bodyDecoders[wm.wireTag()] == nil {
+			t.Errorf("%T: tag %d has no bodyDecoders row", msg, wm.wireTag())
+		}
+		seen[wm.wireTag()] = true
+	}
+	for tag, dec := range bodyDecoders {
+		if dec != nil && !seen[byte(tag)] {
+			t.Errorf("tag %d has no everyMessage entry", tag)
+		}
 	}
 }

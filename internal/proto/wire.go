@@ -20,16 +20,14 @@
 // self-contained message (byte fields copied out) so pooled read buffers
 // can be recycled as soon as it returns.
 //
-// Tag 255 frames a gob-encoded payload: the escape hatch for message
-// types the codec does not know (tests, future rolling upgrades). The
-// connection-level preamble Magic lets an accepting endpoint distinguish
-// a binary-codec peer from a legacy pure-gob stream.
+// The codec is the only wire format: a message type without a tag cannot
+// be framed (ErrUnknownMessage), and a connection opens with the Magic
+// preamble or is dropped.
 package proto
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
@@ -37,9 +35,8 @@ import (
 	"flexlog/internal/types"
 )
 
-// Magic is the 4-byte preamble a binary-codec connection sends after
-// dialing; an accepting endpoint that sees it switches to frame decoding,
-// anything else is treated as a legacy gob stream.
+// Magic is the 4-byte preamble a connection sends after dialing; an
+// accepting endpoint drops a connection that opens with anything else.
 var Magic = [4]byte{'F', 'L', 'X', '1'}
 
 // MaxFrame bounds the post-length size of a single frame (type tag +
@@ -57,7 +54,8 @@ const MaxFrame = 1 << 28
 // every replica pulled from every peer, 34 and 35 the multi-color
 // aggregated order request and its answer, several colors' upward rounds
 // in one frame, until a sequencer shipped each color's round as its own
-// AggOrderReq. A frame carrying any of them is malformed.
+// AggOrderReq. Tag 255 is retired too: it framed a gob-encoded value of a
+// type the codec did not know. A frame carrying any of them is malformed.
 const (
 	TagAppendReq       byte = 1
 	TagAppendBatchReq  byte = 2
@@ -92,9 +90,6 @@ const (
 	TagTopoUpdate      byte = 38
 	TagCtrlReconfig    byte = 39
 	TagCtrlAck         byte = 40
-	// TagGobFallback frames a gob-encoded payload for message types the
-	// binary codec does not know.
-	TagGobFallback byte = 255
 )
 
 // ErrBadFrame reports a malformed or truncated frame.
@@ -112,30 +107,23 @@ type wireMessage interface {
 	wireTag() byte
 }
 
-// gobFallback wraps an unknown message type for tag-255 frames.
-type gobFallback struct{ Msg any }
+// ErrUnknownMessage is returned by AppendFrame for a Go type that has no
+// wire tag; the error names the type.
+var ErrUnknownMessage = errors.New("proto: message type has no wire tag")
 
 // AppendFrame appends one complete frame (length prefix, tag, sender,
-// body) for msg to b and returns the extended slice. Message types the
-// codec does not know are framed as gob (tag 255); their concrete type
-// must be gob-registered on both ends. On error b is returned truncated
-// to its original length.
+// body) for msg to b and returns the extended slice. On error b is
+// returned truncated to its original length.
 func AppendFrame(b []byte, from types.NodeID, msg any) ([]byte, error) {
+	wm, ok := msg.(wireMessage)
+	if !ok {
+		return b, fmt.Errorf("%w: %T", ErrUnknownMessage, msg)
+	}
 	start := len(b)
 	b = append(b, 0, 0, 0, 0) // length back-filled below
-	if wm, ok := msg.(wireMessage); ok {
-		b = append(b, wm.wireTag())
-		b = appendUvarint(b, uint64(from))
-		b = wm.AppendTo(b)
-	} else {
-		b = append(b, TagGobFallback)
-		b = appendUvarint(b, uint64(from))
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&gobFallback{Msg: msg}); err != nil {
-			return b[:start], fmt.Errorf("proto: gob fallback encode: %w", err)
-		}
-		b = append(b, buf.Bytes()...)
-	}
+	b = append(b, wm.wireTag())
+	b = appendUvarint(b, uint64(from))
+	b = wm.AppendTo(b)
 	n := len(b) - start - 4
 	if n > MaxFrame {
 		return b[:start], ErrFrameTooLarge
@@ -226,14 +214,6 @@ var bodyDecoders = [256]func(body []byte) (any, error){
 		}
 		return m, nil
 	},
-	TagGobFallback: func(body []byte) (any, error) {
-		var env gobFallback
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-			return nil, fmt.Errorf("proto: gob fallback decode: %w", err)
-		}
-		return env.Msg, nil
-	},
-
 	TagAppendAck:       func(b []byte) (any, error) { var m AppendAck; err := m.Decode(b); return m, err },
 	TagReadReq:         func(b []byte) (any, error) { var m ReadReq; err := m.Decode(b); return m, err },
 	TagSubscribeReq:    func(b []byte) (any, error) { var m SubscribeReq; err := m.Decode(b); return m, err },

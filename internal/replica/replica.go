@@ -89,10 +89,9 @@ type Config struct {
 	// to a worker by color (FIFO within a color, parallel across colors).
 	// 0 keeps all mutations on the serialized delivery loop.
 	WriteWorkers int
-	// OrderCoalesce ships the order requests that queue up while one is
-	// being sent to the leaf sequencer as one OrderReqBatch per color (the
-	// replica-edge analogue of §5.2 aggregation); an idle replica still
-	// sends each request at once.
+	// OrderCoalesce is inert: every replica coalesces its order requests
+	// (writepath.go). Kept until the benchmark module stops setting it
+	// (ROADMAP 1b).
 	OrderCoalesce bool
 	// EarlyBound caps the buffer of OrderResps that arrive before their
 	// AppendReq; 0 uses a large default. Tests shrink it to exercise
@@ -272,9 +271,9 @@ type Replica struct {
 	maxSeen watermarks   // per-color highest SN observed (commit or sync)
 	held    heldRegistry // parked reads keyed by (color, SN)
 	stats   counters
-	coal    *orderCoalescer // per-color order-request batching (nil = direct)
-	admit   *qos.Admission  // per-tenant append admission (nil = unlimited)
-	tenants tenantRegistry  // per-tenant QoS counters
+	coal    orderCoalescer // per-color order-request batching
+	admit   *qos.Admission // per-tenant append admission (nil = unlimited)
+	tenants tenantRegistry // per-tenant QoS counters
 
 	// Tracers for the two service paths (nil when Config.Obs is unset;
 	// every method is nil-safe). See obs.go.
@@ -373,9 +372,7 @@ func newReplica(cfg Config, st *storage.Store) *Replica {
 	r.initObs()
 	read, write := r.laneConfigs()
 	r.lanes = transport.NewLanes(r.handle, read, write)
-	if cfg.OrderCoalesce {
-		r.coal = &orderCoalescer{r: r}
-	}
+	r.coal.r = r
 	if sh, err := cfg.Topo.Shard(cfg.Shard); err == nil {
 		if si, err := cfg.Topo.Sequencer(sh.Leaf); err == nil {
 			r.seqNode = si.Leader
@@ -655,15 +652,11 @@ func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.T
 	r.sendOrderReq(token, color, uint32(len(records)))
 }
 
-// sendOrderReq issues the round-2 order request to the leaf sequencer,
-// either directly or through the coalescer.
+// sendOrderReq issues the round-2 order request to the leaf sequencer
+// through the coalescer: at once when no send is running, else with the
+// next one.
 func (r *Replica) sendOrderReq(token types.Token, color types.ColorID, n uint32) {
-	it := proto.OrderItem{Token: token, NRecords: n}
-	if r.coal != nil {
-		r.coal.enqueue(color, it)
-		return
-	}
-	r.sendOrderItems(color, []proto.OrderItem{it})
+	r.coal.enqueue(color, proto.OrderItem{Token: token, NRecords: n})
 }
 
 // sendOrderItems ships one color's order requests to the leaf sequencer as

@@ -263,7 +263,7 @@ func TestDupAppendRedrivesOnce(t *testing.T) {
 // return nothing may be left behind — the sender that was running shipped
 // its followers' items before it returned.
 func TestOrderCoalescerStress(t *testing.T) {
-	r, ep := steppedReplica(t, func(cfg *Config) { cfg.OrderCoalesce = true })
+	r, ep := steppedReplica(t, nil)
 	ep.inSend = func(transport.Message) { time.Sleep(50 * time.Microsecond) }
 	const submitters, each, colors = 8, 200, 3
 	var wg sync.WaitGroup

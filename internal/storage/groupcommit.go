@@ -190,16 +190,21 @@ func (g *groupCommitter) commitWindow(window []*gcOp) error {
 	return nil
 }
 
-// close refuses further writes, then commits what is still queued and
-// thereby waits out a running leader. Idempotent.
-func (g *groupCommitter) close() {
-	g.mu.Lock()
-	g.closed = true
-	g.mu.Unlock()
+// drain makes every write submitted so far durable (or failed): it waits
+// out a running leader, then commits what is still queued.
+func (g *groupCommitter) drain() {
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
 	for g.commitNext() {
 	}
+}
+
+// close refuses further writes, then drains. Idempotent.
+func (g *groupCommitter) close() {
+	g.mu.Lock()
+	g.closed = true
+	g.mu.Unlock()
+	g.drain()
 }
 
 // GCStats reports group-commit counters.

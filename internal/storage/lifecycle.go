@@ -166,7 +166,16 @@ func (st *Store) reclaimDeadResident() {
 // returned as the spill victim, or nil. segmentFlushable walks the
 // segment's tokens, so a live segment pays it only when it would be the
 // oldest so far. Caller holds st.alloc.
+//
+// The scan first drains the group committer. Entries are reserved under
+// the allocator lock but written after it is released, and a trim marker
+// pins nothing (segmentFlushable sees only record entries): without the
+// drain a segment could leave PM with its marker still queued, copying no
+// marker to the cold tier and later writing it into a slot the segment no
+// longer owns. Holding st.alloc, no new entry can be reserved, so after
+// the drain every entry of every candidate is durable.
 func (st *Store) reclaimDeadLocked() *segment {
+	st.gc.drain()
 	var victim *segment
 	for _, seg := range st.segs {
 		if seg.flushed() || seg == st.active || seg.evicting.Load() {

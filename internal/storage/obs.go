@@ -7,23 +7,25 @@ import (
 // This file publishes the storage stack into the observability registry.
 // Everything is func-backed: the store's existing counters (cache,
 // flush/recovery, group commit, PM and SSD device stats) stay the single
-// source of truth and are read at scrape time. The only live recording is
-// the two latency histograms — PM transaction time and group-commit
-// window time — created in initObs and recorded by the write paths; both
-// are nil-safe, so a store built without a registry pays nothing.
+// source of truth and are read at scrape time. The live recording is the
+// latency histograms — PM transaction and group-commit window time,
+// recorded by the committer, plus eviction and checkpoint time — created
+// in initObs; all are nil-safe, so a store built without a registry pays
+// nothing.
 
 // initObs creates the store's histograms and registers its func-backed
-// metrics. Called by every constructor before the group committer is made;
-// a nil cfg.Obs leaves every histogram nil (recording no-ops).
-func (st *Store) initObs() {
+// metrics, returning the two the group committer records into (PM
+// transaction and window latency). A nil cfg.Obs leaves every histogram
+// nil (recording no-ops).
+func (st *Store) initObs() (txH, windowH *obs.Histogram) {
 	reg := st.cfg.Obs
 	if reg == nil {
-		return
+		return nil, nil
 	}
 	lb := obs.Labels{"node": st.cfg.ObsNode}
-	st.pmTxH = reg.Histogram("flexlog_pm_tx_seconds",
+	txH = reg.Histogram("flexlog_pm_tx_seconds",
 		"Duration of one persistent-memory transaction (undo-log snapshot through commit).", lb)
-	st.gcWindowH = reg.Histogram("flexlog_gc_window_seconds",
+	windowH = reg.Histogram("flexlog_gc_window_seconds",
 		"Duration of one group-commit window: the leader cutting it through its writes marked done.", lb)
 
 	reg.CounterFunc("flexlog_store_cache_hits_total",
@@ -42,32 +44,17 @@ func (st *Store) initObs() {
 		"Persisted append batches currently indexed (committed or not).", lb,
 		func() float64 { st.alloc.RLock(); defer st.alloc.RUnlock(); return float64(len(st.byToken)) })
 
-	// Group-commit engine (zero until cfg.GroupCommit creates it; the
-	// closures tolerate a nil committer so registration order is free).
+	// Group-commit engine (Open builds it after this returns, so the
+	// closures read st.gc at scrape time).
 	reg.CounterFunc("flexlog_gc_windows_total",
 		"Group-commit windows committed (PM transactions shared by concurrent writers).", lb,
-		func() uint64 {
-			if st.gc == nil {
-				return 0
-			}
-			return st.gc.windows.Load()
-		})
+		func() uint64 { return st.gc.windows.Load() })
 	reg.CounterFunc("flexlog_gc_ops_total",
 		"Writes submitted to the group committer.", lb,
-		func() uint64 {
-			if st.gc == nil {
-				return 0
-			}
-			return st.gc.ops.Load()
-		})
+		func() uint64 { return st.gc.ops.Load() })
 	reg.CounterFunc("flexlog_gc_fused_total",
 		"Payload writes saved by contiguous fusion inside group-commit windows.", lb,
-		func() uint64 {
-			if st.gc == nil {
-				return 0
-			}
-			return st.gc.fused.Load()
-		})
+		func() uint64 { return st.gc.fused.Load() })
 
 	// The simulated PM pool keeps its own op counters; publish them per
 	// direction/outcome.
@@ -169,6 +156,7 @@ func (st *Store) initObs() {
 	reg.GaugeFunc("flexlog_checkpoint_uncovered_entries",
 		"Entries flushed to the cold tier since the last durable checkpoint (replay debt).", lb,
 		func() float64 { st.alloc.RLock(); defer st.alloc.RUnlock(); return float64(st.uncovered) })
+	return txH, windowH
 }
 
 // withKV copies a label set and adds one more label.

@@ -116,10 +116,8 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 		}
 	}
 
-	st.initObs()
-	if cfg.GroupCommit {
-		st.gc = newGroupCommitter(pool, st.pmTxH, st.gcWindowH)
-	}
+	txH, windowH := st.initObs()
+	st.gc = newGroupCommitter(pool, txH, windowH)
 	if cfg.PMBudget > 0 || cfg.CheckpointEvery > 0 {
 		st.lc = newLifecycle(st, cfg.LifecycleInterval)
 	}

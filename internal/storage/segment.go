@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync/atomic"
-	"time"
 
 	"flexlog/internal/types"
 )
@@ -18,9 +17,10 @@ import (
 //	[u32 kind][u32 color][u64 token][u64 sn][u32 dataLen][u32 crc][data…]
 //
 // The watermark is the validity frontier: recovery scans entries up to it.
-// Appends write the entry then advance the watermark inside one pmem
-// transaction, so a crash never exposes a torn entry. The sn field is
-// rewritten in place when the ordering layer commits the record.
+// An append's entry and the watermark advance commit in one group-commit
+// window (one pmem transaction), so a crash never exposes a torn entry.
+// The sn field is rewritten in place when the ordering layer commits the
+// record.
 //
 // When PM fills up, the oldest fully-committed segment is flushed verbatim
 // to the SSD tier and its PM slot is reused ("a contiguous portion from the
@@ -223,8 +223,8 @@ func encodeEntry(kind uint32, color types.ColorID, token types.Token, sn types.S
 
 // reserveEntry claims space for one entry in the active segment, sealing it
 // and rolling to a fresh one when full. It only advances the DRAM frontier;
-// the PM bytes (entry + watermark) are written afterwards, either directly
-// or through the group committer. Caller holds st.alloc.
+// the PM bytes (entry + watermark) are written afterwards, through the
+// group committer. Caller holds st.alloc.
 func (st *Store) reserveEntry(need uint64) (*segment, uint64, error) {
 	if st.active.used+need > st.cfg.SegmentSize {
 		if err := st.newActiveSegment(); err != nil {
@@ -238,48 +238,20 @@ func (st *Store) reserveEntry(need uint64) (*segment, uint64, error) {
 	return seg, off, nil
 }
 
-// writeEntryDirect persists a reserved entry and advances the segment's PM
-// watermark inside one pmem transaction — the serial path used when group
-// commit is disabled. Caller holds st.alloc, so entries of one segment
-// become durable in reservation order (the watermark never covers torn
-// bytes).
-func (st *Store) writeEntryDirect(seg *segment, off uint64, buf []byte) error {
-	txStart := time.Now()
-	defer st.pmTxH.Since(txStart)
-	tx, err := st.pm.Begin()
-	if err != nil {
-		return err
-	}
-	if err := tx.Put(seg.pmOff+off, buf); err != nil {
-		tx.Abort()
-		return err
-	}
-	var wm [8]byte
-	binary.LittleEndian.PutUint64(wm[:], off+uint64(len(buf)))
-	if err := tx.Put(seg.pmOff, wm[:]); err != nil {
-		tx.Abort()
-		return err
-	}
-	return tx.Commit()
+// persistEntry submits a reserved entry and its segment's new watermark
+// to the group committer. Called with st.alloc held; the caller invokes
+// the returned wait after releasing the lock (enqueue order under the lock
+// = reservation order, so the committer sees each segment's entries in
+// frontier order).
+func (st *Store) persistEntry(seg *segment, off uint64, buf []byte) (wait func() error) {
+	return st.gc.submit(seg.pmOff+off, buf, true, seg.pmOff, off+uint64(len(buf)))
 }
 
-// persistEntry makes a reserved entry durable via the group committer when
-// enabled, else directly. Called with st.alloc held; when group commit is
-// on it returns a wait function the caller invokes after releasing the
-// lock (enqueue order under the lock = reservation order, so the committer
-// sees each segment's entries in frontier order).
-func (st *Store) persistEntry(seg *segment, off uint64, buf []byte) (wait func() error, err error) {
-	if st.gc != nil {
-		return st.gc.submit(seg.pmOff+off, buf, true, seg.pmOff, off+uint64(len(buf))), nil
-	}
-	return nil, st.writeEntryDirect(seg, off, buf)
-}
-
-// commitEntrySN rewrites the sn field of an entry in place (transactional,
-// or folded into the current group-commit window). Caller holds the
-// entry's color lock and the entry is still uncommitted, so its segment is
-// pinned in PM (segmentFlushable refuses segments with uncommitted
-// entries) and the in-place write cannot race a slot reuse.
+// commitEntrySN rewrites the sn field of an entry in place, folded into
+// the current group-commit window. Caller holds the entry's color lock and
+// the entry is still uncommitted, so its segment is pinned in PM
+// (segmentFlushable refuses segments with uncommitted entries) and the
+// in-place write cannot race a slot reuse.
 func (st *Store) commitEntrySN(loc *entryLoc, sn types.SN) error {
 	if loc.seg.flushed() {
 		// A record can only be flushed once committed; uncommitted entries
@@ -288,19 +260,7 @@ func (st *Store) commitEntrySN(loc *entryLoc, sn types.SN) error {
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(sn))
-	off := loc.seg.pmOff + loc.off + 16
-	if st.gc != nil {
-		return st.gc.submit(off, buf[:], false, 0, 0)()
-	}
-	tx, err := st.pm.Begin()
-	if err != nil {
-		return err
-	}
-	if err := tx.Put(off, buf[:]); err != nil {
-		tx.Abort()
-		return err
-	}
-	return tx.Commit()
+	return st.gc.submit(loc.seg.pmOff+loc.off+16, buf[:], false, 0, 0)()
 }
 
 // readRecordAt fetches one record of an entry from PM, or from the cold

@@ -23,9 +23,8 @@
 // every color lock first). Mutable per-entry state (firstSN, liveCount,
 // dead) and the per-segment slot/live fields are atomics: they are written
 // under the owning color's lock but read lock-free from allocator paths.
-// With Config.GroupCommit set, PM writes additionally flow through a
-// group-commit engine (see groupcommit.go) instead of paying one pmem
-// transaction each.
+// Every PM write flows through the group-commit engine (see
+// groupcommit.go): concurrent writers share one pmem transaction.
 package storage
 
 import (
@@ -74,7 +73,10 @@ type Config struct {
 	SegmentSize uint64 // bytes per PM segment (including 16-byte header)
 	NumSegments int    // PM slots
 	CacheBytes  int    // DRAM cache capacity; 0 disables the cache
-	GroupCommit bool   // fold concurrent PM writes into shared transactions
+	// GroupCommit is inert: every store commits through the group
+	// committer. Kept until the benchmark module stops setting it
+	// (ROADMAP 1b).
+	GroupCommit bool
 	PMModel     pmem.LatencyModel
 	SSDModel    ssd.LatencyModel
 
@@ -191,7 +193,7 @@ type Store struct {
 	pm    *pmem.Pool
 	cold  *ssd.Device // the tier below PM, one blob per file; never nil
 	cache *stripedCache
-	gc    *groupCommitter // nil unless cfg.GroupCommit
+	gc    *groupCommitter
 
 	// colors maps ColorID -> *colorIndex; entries are created on first use
 	// and never removed (Recover clears them in place under their locks).
@@ -239,22 +241,18 @@ type Store struct {
 	failpoint  atomic.Uint32
 
 	// Observability (nil-safe when cfg.Obs is unset; see obs.go).
-	pmTxH       *obs.Histogram // PM transaction latency
-	gcWindowH   *obs.Histogram // group-commit window latency
 	evictionH   *obs.Histogram // background eviction latency
 	checkpointH *obs.Histogram // checkpoint write latency
 }
 
-// Close stops the background lifecycle and the group committer (if any),
-// draining queued writes. The store remains readable; further writes fail
-// with ErrCommitterClosed.
+// Close stops the background lifecycle and the group committer, draining
+// queued writes. The store remains readable; further writes fail with
+// ErrCommitterClosed.
 func (st *Store) Close() {
 	if st.lc != nil {
 		st.lc.stop()
 	}
-	if st.gc != nil {
-		st.gc.close()
-	}
+	st.gc.close()
 }
 
 // color returns (creating on first use) the color's index.
@@ -334,7 +332,7 @@ func (st *Store) flushOldest() error {
 
 // segmentFlushable reports whether every live entry of the segment is
 // committed (uncommitted entries must stay in PM because their sn field is
-// still mutable — and, under group commit, possibly not yet durable).
+// still mutable — and possibly not yet durable).
 // Caller holds st.alloc; the per-entry fields are atomics because commits
 // of any color may be setting them concurrently under their color lock.
 func (st *Store) segmentFlushable(seg *segment) bool {
@@ -356,9 +354,9 @@ func (st *Store) Put(color types.ColorID, token types.Token, data []byte) error 
 // are idempotent.
 //
 // The allocator lock is held only across the duplicate check and the
-// segment-space reservation; with group commit enabled the PM write itself
-// is awaited after release, so concurrent appends (different colors on the
-// write lane, plus the sync path) share one transaction window.
+// segment-space reservation; the PM write itself is awaited after release,
+// so concurrent appends (different colors on the write lane, plus the sync
+// path) share one transaction window.
 func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]byte) error {
 	if len(records) == 0 {
 		return fmt.Errorf("storage: empty batch for token %v", token)
@@ -385,12 +383,9 @@ func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]by
 		return err
 	}
 	loc := st.addEntryLocked(seg, ckptEntry{token: token, color: color, off: off, payloadLen: len(payload), spans: spans})
-	wait, err := st.persistEntry(seg, off, buf)
+	wait := st.persistEntry(seg, off, buf)
 	st.alloc.Unlock()
-	if wait != nil {
-		err = wait()
-	}
-	if err != nil {
+	if err := wait(); err != nil {
 		// The write never became durable (the pool is crashed or the
 		// committer closed): withdraw the volatile index entry so a retry
 		// after recovery is not mistaken for a duplicate.
@@ -675,12 +670,9 @@ func (st *Store) Trim(color types.ColorID, sn types.SN) (head, tail types.SN, er
 		return 0, 0, e
 	}
 	seg.trimMarks = append(seg.trimMarks, trimMark{color: color, sn: sn})
-	wait, e := st.persistEntry(seg, off, buf)
+	wait := st.persistEntry(seg, off, buf)
 	st.alloc.Unlock()
-	if wait != nil {
-		e = wait()
-	}
-	if e != nil {
+	if e := wait(); e != nil {
 		return 0, 0, e
 	}
 	st.applyTrimLocked(ci, color, sn)
@@ -1032,9 +1024,7 @@ func (st *Store) Stats() Stats {
 			s.ResidentBytes += seg.used
 		}
 	}
-	if st.gc != nil {
-		s.GC = st.gc.stats()
-	}
+	s.GC = st.gc.stats()
 	return s
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -496,5 +497,71 @@ func TestTieredLifecycleStress(t *testing.T) {
 				t.Fatalf("post-stress get %v/%d = %q, %v", color, i, got, err)
 			}
 		}
+	}
+}
+
+// TestPendingTrimMarkerKeepsSegmentInPM: Trim reserves its marker under
+// the allocator lock but writes it in a later group-commit window. A
+// segment that leaves PM before that window commits would copy no marker
+// to the cold tier, and the late write would land in a slot the segment
+// no longer owns: the trim is lost across a crash. The committer is held
+// busy while the marker waits, a put rolls the segment, and an eviction
+// runs; the eviction must not copy the segment before the marker is
+// durable.
+func TestPendingTrimMarkerKeepsSegmentInPM(t *testing.T) {
+	st, err := Open(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fill(t, st, colorA, 1, 4)
+
+	st.gc.commitMu.Lock() // a leader busy with another window
+	queued := func(n int) {
+		for {
+			st.gc.mu.Lock()
+			k := len(st.gc.pending)
+			st.gc.mu.Unlock()
+			if k >= n {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	trimmed := make(chan error, 1)
+	go func() { _, _, err := st.Trim(colorA, sn(2)); trimmed <- err }()
+	queued(1)
+	put := make(chan error, 1) // 440 bytes do not fit: the put rolls the segment
+	go func() { put <- st.Put(colorB, types.MakeToken(2, 1), make([]byte, 400)) }()
+	queued(2)
+	evicted := make(chan error, 1)
+	go func() { evicted <- st.ForceEvict() }()
+	// A store whose victim scan does not drain the committer finishes the
+	// eviction here, copying the segment while its marker is queued; one
+	// that drains waits for the busy leader instead.
+	select {
+	case err := <-evicted:
+		evicted <- err
+	case <-time.After(50 * time.Millisecond):
+	}
+	st.gc.commitMu.Unlock()
+	for _, ch := range []chan error{trimmed, put} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-evicted; err != nil {
+		t.Fatal(err)
+	}
+
+	st.Crash()
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Trimmed(colorA); got < sn(2) {
+		t.Fatalf("trim lost across the eviction: trimmed = %v, want >= %v", got, sn(2))
+	}
+	if data, err := st.Get(colorA, sn(3)); err != nil || !bytes.Equal(data, payload(3)) {
+		t.Fatalf("get %v = %q, %v", sn(3), data, err)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // with -race this exercises the per-color index locks, the narrow
 // allocator lock, and the committer windows together.
 func TestParallelWritePathStress(t *testing.T) {
-	cfg := Config{SegmentSize: 16 << 10, NumSegments: 8, CacheBytes: 64 << 10, GroupCommit: true}
+	cfg := Config{SegmentSize: 16 << 10, NumSegments: 8, CacheBytes: 64 << 10}
 	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +122,7 @@ func TestParallelWritePathStress(t *testing.T) {
 // returned an error was rolled back with its window and must be absent —
 // nothing in between, and nothing committed may be lost.
 func TestGroupCommitCrashMidWindow(t *testing.T) {
-	cfg := TestConfig()
-	cfg.GroupCommit = true
-	st, err := Open(cfg)
+	st, err := Open(TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,9 +70,6 @@ func (e *TCPEndpoint) PublishObs(reg *obs.Registry) {
 	reg.CounterFunc("flexlog_tcp_sends_total",
 		"Send/Broadcast destination deliveries (a broadcast counts once per peer, its frame once).",
 		nil, e.sendsOut.Load)
-	reg.CounterFunc("flexlog_tcp_gob_frames_total",
-		"Frames that fell back to gob encoding (codec=gob or unknown message type).",
-		nil, e.gobFrames.Load)
 	reg.CounterFunc("flexlog_tcp_buf_pool_total",
 		"Frame buffer pool lookups by result.",
 		obs.Labels{"result": "hit"}, e.poolHits.Load)
@@ -86,6 +83,6 @@ func (e *TCPEndpoint) PublishObs(reg *obs.Registry) {
 		"Largest number of frames coalesced into a single vectored write.",
 		nil, func() float64 { return float64(e.writevMax.Load()) })
 	reg.CounterFunc("flexlog_tcp_decode_errors_total",
-		"Inbound frames that failed to decode (connection is dropped).",
+		"Inbound connections dropped for a missing preamble or a frame that failed to decode.",
 		nil, e.decodeErrs.Load)
 }

@@ -2,9 +2,7 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -15,44 +13,14 @@ import (
 	"flexlog/internal/types"
 )
 
-// Codec selects the outbound framing of a TCPEndpoint. Inbound framing is
-// auto-detected per connection (binary-codec peers announce themselves
-// with proto.Magic), so endpoints with different codecs interoperate.
+// Codec named an outbound wire format when there were two. The binary
+// codec is now the only one; Codec, CodecBinary and WithTCPCodec are inert
+// until the benchmark module stops naming them (ROADMAP 1b).
 type Codec int
 
-const (
-	// CodecBinary is the hand-rolled length-prefixed binary codec
-	// (DESIGN.md §12): varint fields, pooled buffers, vectored writes.
-	CodecBinary Codec = iota
-	// CodecGob is the legacy reflection-driven encoding/gob stream, kept
-	// for the ablation baseline (-codec=gob) and rolling upgrades.
-	CodecGob
-)
-
-// ParseCodec maps a -codec flag value to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return 0, fmt.Errorf("transport: unknown codec %q (want binary or gob)", s)
-	}
-}
-
-func (c Codec) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
-
-// wireEnvelope is the gob frame exchanged on legacy gob connections.
-type wireEnvelope struct {
-	From types.NodeID
-	Msg  Message
-}
+// CodecBinary is the hand-rolled binary codec of package proto (DESIGN.md
+// §12), the only wire format. Inert; see Codec.
+const CodecBinary Codec = 0
 
 // AddressBook maps node ids to TCP addresses for a multi-process
 // deployment. It is immutable after construction.
@@ -92,20 +60,19 @@ type TCPStats struct {
 	BytesOut    uint64 // frame bytes written, including length prefixes
 	FramesIn    uint64 // frames decoded from inbound connections
 	BytesIn     uint64 // frame bytes read, including length prefixes
-	GobFrames   uint64 // messages that took a gob path (codec or fallback)
 	PoolHits    uint64 // frame buffers served from the pool
 	PoolMisses  uint64 // frame buffers freshly allocated
 	WritevCalls uint64 // vectored writes issued
 	WritevMax   uint64 // largest frame batch written by one writev
-	DecodeErrs  uint64 // inbound framing/decode failures (connection dropped)
+	DecodeErrs  uint64 // inbound preamble/framing/decode failures (connection dropped)
 }
 
 // WritevFrames is implied: SendsOut frames leave through WritevCalls
 // writes, so the mean writev batch is SendsOut/WritevCalls.
 
-// TCPEndpoint implements Endpoint over real TCP sockets. Outbound frames
-// use the binary wire codec by default (see package proto): encode
-// happens once into a pooled buffer, concurrent sends to the same peer
+// TCPEndpoint implements Endpoint over real TCP sockets, framing with the
+// binary wire codec of package proto. Encode happens once into a pooled
+// buffer, concurrent sends to the same peer
 // coalesce into a single vectored write (net.Buffers → one writev
 // syscall), and broadcasts encode once and write the same buffer to every
 // peer. Connections are established lazily and reused; each peer gets one
@@ -117,7 +84,6 @@ type TCPEndpoint struct {
 	book    *AddressBook
 	handler Handler
 	ln      net.Listener
-	codec   Codec
 	dial    func(addr string) (net.Conn, error) // swappable for tests
 
 	mu      sync.Mutex
@@ -131,7 +97,6 @@ type TCPEndpoint struct {
 	bytesOut    atomic.Uint64
 	framesIn    atomic.Uint64
 	bytesIn     atomic.Uint64
-	gobFrames   atomic.Uint64
 	poolHits    atomic.Uint64
 	poolMisses  atomic.Uint64
 	writevCalls atomic.Uint64
@@ -142,9 +107,10 @@ type TCPEndpoint struct {
 // TCPOption customizes a TCPEndpoint.
 type TCPOption func(*TCPEndpoint)
 
-// WithTCPCodec selects the outbound codec (default CodecBinary).
-func WithTCPCodec(c Codec) TCPOption {
-	return func(e *TCPEndpoint) { e.codec = c }
+// WithTCPCodec is a no-op: the binary codec is the only one. Inert; see
+// Codec.
+func WithTCPCodec(Codec) TCPOption {
+	return func(*TCPEndpoint) {}
 }
 
 // flushGroup is one round of frames bound for a peer. The first sender to
@@ -161,17 +127,14 @@ type flushGroup struct {
 // outConn is the cached outbound connection to one peer.
 type outConn struct {
 	addr     string
-	codec    Codec
 	dialOnce sync.Once
 	dialErr  error
 	c        net.Conn
 
 	mu       sync.Mutex
-	next     *flushGroup // accumulating group (binary codec)
+	next     *flushGroup // accumulating group
 	flushing bool
 	err      error // sticky write error; connection is dead
-
-	enc *gob.Encoder // gob codec only
 }
 
 // ListenTCP starts a TCP endpoint for node id at the address the book
@@ -186,7 +149,6 @@ func ListenTCP(id types.NodeID, book *AddressBook, h Handler, opts ...TCPOption)
 		id:      id,
 		book:    book,
 		handler: h,
-		codec:   CodecBinary,
 		dial:    func(a string) (net.Conn, error) { return net.Dial("tcp", a) },
 		conns:   make(map[types.NodeID]*outConn),
 		inbound: make(map[net.Conn]struct{}),
@@ -218,7 +180,6 @@ func (e *TCPEndpoint) Stats() TCPStats {
 		BytesOut:    e.bytesOut.Load(),
 		FramesIn:    e.framesIn.Load(),
 		BytesIn:     e.bytesIn.Load(),
-		GobFrames:   e.gobFrames.Load(),
 		PoolHits:    e.poolHits.Load(),
 		PoolMisses:  e.poolMisses.Load(),
 		WritevCalls: e.writevCalls.Load(),
@@ -247,9 +208,9 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
-// readLoop sniffs the connection preamble — binary-codec peers lead with
-// proto.Magic, anything else is a legacy gob stream — then decodes frames
-// until the connection breaks.
+// readLoop checks the connection preamble, proto.Magic, then decodes
+// frames until the connection breaks. A peer that opens with anything
+// else is not speaking the codec: it is dropped and counted in DecodeErrs.
 func (e *TCPEndpoint) readLoop(c net.Conn) {
 	defer e.wg.Done()
 	defer func() {
@@ -259,22 +220,21 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		e.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
-	head, err := br.Peek(len(proto.Magic))
-	if err != nil {
+	var head [len(proto.Magic)]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return
 	}
-	if bytes.Equal(head, proto.Magic[:]) {
-		br.Discard(len(proto.Magic))
-		e.readBinary(br)
+	if head != proto.Magic {
+		e.decodeErrs.Add(1)
 		return
 	}
-	e.readGob(br)
+	e.readFrames(br)
 }
 
-// readBinary drains length-prefixed codec frames. The frame buffer is
+// readFrames drains length-prefixed codec frames. The frame buffer is
 // pooled: proto.DecodeFrame returns self-contained messages, so the
 // buffer recycles as soon as a frame is decoded, before handler dispatch.
-func (e *TCPEndpoint) readBinary(br *bufio.Reader) {
+func (e *TCPEndpoint) readFrames(br *bufio.Reader) {
 	var hdr [4]byte
 	var fd proto.FrameDecoder // per-connection scratch (read loop is single-goroutine)
 	for {
@@ -320,20 +280,6 @@ func (e *TCPEndpoint) readBinary(br *bufio.Reader) {
 	}
 }
 
-// readGob drains a legacy gob stream.
-func (e *TCPEndpoint) readGob(br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	for {
-		var env wireEnvelope
-		if err := dec.Decode(&env); err != nil {
-			return
-		}
-		e.framesIn.Add(1)
-		e.gobFrames.Add(1)
-		e.handler(env.From, env.Msg)
-	}
-}
-
 // getBuf fetches a frame buffer with capacity ≥ n from the pool.
 func (e *TCPEndpoint) getBuf(n int) *[]byte {
 	if v := framePool.Get(); v != nil {
@@ -367,20 +313,16 @@ func (e *TCPEndpoint) encode(msg Message) (*[]byte, error) {
 	}
 	*bp = b
 	e.framesOut.Add(1)
-	if b[4] == proto.TagGobFallback {
-		e.gobFrames.Add(1)
-	}
 	return bp, nil
 }
 
-// Send marshals and writes msg on the (cached) connection to the peer.
+// Send marshals and writes msg on the (cached) connection to the peer. A
+// message the codec cannot frame (proto.ErrUnknownMessage) fails the call
+// and leaves the connection up.
 func (e *TCPEndpoint) Send(to types.NodeID, msg Message) error {
 	oc, err := e.conn(to)
 	if err != nil {
 		return err
-	}
-	if oc.codec == CodecGob {
-		return e.sendGob(to, oc, msg)
 	}
 	bp, err := e.encode(msg)
 	if err != nil {
@@ -393,33 +335,16 @@ func (e *TCPEndpoint) Send(to types.NodeID, msg Message) error {
 	return nil
 }
 
-// Broadcast sends msg to every listed node. With the binary codec the
-// message is encoded exactly once and the same buffer is written to every
-// peer.
+// Broadcast sends msg to every listed node. The message is encoded
+// exactly once and the same buffer is written to every peer; one the codec
+// cannot frame fails the call like Send does.
 func (e *TCPEndpoint) Broadcast(tos []types.NodeID, msg Message) error {
-	if e.codec == CodecGob {
-		var firstErr error
-		for _, to := range tos {
-			if err := e.Send(to, msg); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
 	var bp *[]byte
 	var firstErr error
 	for _, to := range tos {
 		oc, err := e.conn(to)
 		if err != nil {
 			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if oc.codec == CodecGob {
-			// A peer pinned to gob mid-list (not possible today — the
-			// codec is endpoint-wide — but cheap to keep correct).
-			if err := e.sendGob(to, oc, msg); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			continue
@@ -517,24 +442,6 @@ func finishGroup(g *flushGroup) {
 	close(g.done)
 }
 
-// sendGob writes one message on a gob-codec connection.
-func (e *TCPEndpoint) sendGob(to types.NodeID, oc *outConn, msg Message) error {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	if oc.err != nil {
-		return oc.err
-	}
-	e.sendsOut.Add(1)
-	e.framesOut.Add(1)
-	e.gobFrames.Add(1)
-	if err := oc.enc.Encode(wireEnvelope{From: e.id, Msg: msg}); err != nil {
-		oc.err = err
-		e.dropConn(to, oc)
-		return err
-	}
-	return nil
-}
-
 // conn returns the cached outbound connection to the peer, dialing it on
 // first use. The endpoint-wide lock covers only the map access: the dial
 // itself runs under a per-peer once-guard, so a slow or unreachable peer
@@ -552,7 +459,7 @@ func (e *TCPEndpoint) conn(to types.NodeID) (*outConn, error) {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("%w: %v", ErrUnknownNode, to)
 		}
-		oc = &outConn{addr: addr, codec: e.codec}
+		oc = &outConn{addr: addr}
 		e.conns[to] = oc
 	}
 	e.mu.Unlock()
@@ -562,14 +469,10 @@ func (e *TCPEndpoint) conn(to types.NodeID) (*outConn, error) {
 			oc.dialErr = err
 			return
 		}
-		if oc.codec == CodecBinary {
-			if _, err := c.Write(proto.Magic[:]); err != nil {
-				c.Close()
-				oc.dialErr = err
-				return
-			}
-		} else {
-			oc.enc = gob.NewEncoder(c)
+		if _, err := c.Write(proto.Magic[:]); err != nil {
+			c.Close()
+			oc.dialErr = err
+			return
 		}
 		// Publish the socket under e.mu: Close, which reads oc.c after
 		// taking it, then either sees the socket and closes it, or marked

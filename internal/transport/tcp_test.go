@@ -2,11 +2,11 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/hex"
 	"errors"
+	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,15 +14,6 @@ import (
 	"flexlog/internal/proto"
 	"flexlog/internal/types"
 )
-
-type tcpTestMsg struct {
-	Seq  int
-	Body string
-}
-
-func init() {
-	gob.Register(tcpTestMsg{})
-}
 
 // freeAddrs reserves n distinct loopback addresses.
 func freeAddrs(t *testing.T, n int) []string {
@@ -64,14 +55,14 @@ func TestTCPRoundTrip(t *testing.T) {
 
 	const count = 100
 	for i := 0; i < count; i++ {
-		if err := a.Send(2, tcpTestMsg{Seq: i, Body: "hi"}); err != nil {
+		if err := a.Send(2, proto.ReadResp{ID: uint64(i), Data: []byte("hi")}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rx.wait(t, count)
 	for i, m := range rx.snapshot() {
-		got := m.(tcpTestMsg)
-		if got.Seq != i || got.Body != "hi" {
+		got := m.(proto.ReadResp)
+		if got.ID != uint64(i) || string(got.Data) != "hi" {
 			t.Fatalf("message %d = %+v", i, got)
 		}
 		if rx.from[i] != 1 {
@@ -90,7 +81,7 @@ func TestTCPBroadcast(t *testing.T) {
 	defer c.Close()
 	a, _ := ListenTCP(1, book, func(types.NodeID, Message) {})
 	defer a.Close()
-	if err := a.Broadcast([]types.NodeID{2, 3}, tcpTestMsg{Seq: 1}); err != nil {
+	if err := a.Broadcast([]types.NodeID{2, 3}, proto.AppendAck{Token: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rx2.wait(t, 1)
@@ -102,7 +93,7 @@ func TestTCPUnknownDestination(t *testing.T) {
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0]})
 	a, _ := ListenTCP(1, book, func(types.NodeID, Message) {})
 	defer a.Close()
-	if err := a.Send(9, tcpTestMsg{}); !errors.Is(err, ErrUnknownNode) {
+	if err := a.Send(9, proto.AppendAck{}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("send to unknown: %v", err)
 	}
 }
@@ -122,7 +113,7 @@ func TestTCPSendAfterClose(t *testing.T) {
 	a, _ := ListenTCP(1, book, func(types.NodeID, Message) {})
 	a.Close()
 	a.Close() // double close is safe
-	if err := a.Send(2, tcpTestMsg{}); !errors.Is(err, ErrClosed) {
+	if err := a.Send(2, proto.AppendAck{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
 }
@@ -135,7 +126,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	a, _ := ListenTCP(1, book, func(types.NodeID, Message) {})
 	defer a.Close()
 
-	if err := a.Send(2, tcpTestMsg{Seq: 1}); err != nil {
+	if err := a.Send(2, proto.AppendAck{Token: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rx.wait(t, 1)
@@ -157,7 +148,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("could not reconnect to restarted peer")
 		}
-		_ = a.Send(2, tcpTestMsg{Seq: 2}) // error drops the cached conn
+		_ = a.Send(2, proto.AppendAck{Token: 2}) // error drops the cached conn
 		select {
 		case <-rx2.ch:
 			return
@@ -223,10 +214,6 @@ func TestTCPCodecRoundTrip(t *testing.T) {
 	jf := got[3].(proto.JoinFetch)
 	if jf.Have[9] != 7 || len(jf.Tokens) != 1 || jf.Budget != 2 {
 		t.Fatalf("JoinFetch = %+v", jf)
-	}
-	st := a.Stats()
-	if st.GobFrames != 0 {
-		t.Fatalf("codec-native messages took the gob path: %+v", st)
 	}
 }
 
@@ -322,57 +309,86 @@ func TestTCPSlowDialDoesNotBlockOtherPeers(t *testing.T) {
 	}
 }
 
-// TestTCPGobCodecInterop runs one endpoint pinned to the legacy gob codec
-// against a binary-codec endpoint: inbound framing is sniffed per
-// connection, so a mixed cluster keeps working during a rolling upgrade.
-func TestTCPGobCodecInterop(t *testing.T) {
-	deployRegisterOnce()
-	addrs := freeAddrs(t, 2)
-	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
-	rxGob, rxBin := newSink(), newSink()
-	gobEP, err := ListenTCP(1, book, rxGob.handler, WithTCPCodec(CodecGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gobEP.Close()
-	binEP, err := ListenTCP(2, book, rxBin.handler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer binEP.Close()
+// gobStream is the opening of the gob stream a peer pinned to the retired
+// gob codec sent: its type dictionary, then AppendAck{Token: 5, SN: 6}
+// from node 1.
+const gobStream = "2a7f0301010c77697265456e76656c6f706501ff80000102010446726f6d01060001034d736701100000004eff8001010120666c65786c6f672f696e7465726e616c2f70726f746f2e417070656e6441636bff8103010109417070656e6441636b01ff820001020105546f6b656e0106000102534e010600000009ff8205010501060000"
 
-	if err := gobEP.Send(2, proto.AppendAck{Token: 5, SN: 6}); err != nil {
+// TestTCPForeignStreamDropped: a connection that opens with anything but
+// proto.Magic (here a gob stream) is closed unread and counted in
+// DecodeErrs; nothing reaches the handler.
+func TestTCPForeignStreamDropped(t *testing.T) {
+	addrs := freeAddrs(t, 1)
+	book := NewAddressBook(map[types.NodeID]string{2: addrs[0]})
+	rx := newSink()
+	b, err := ListenTCP(2, book, rx.handler)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := binEP.Send(1, proto.AppendAck{Token: 7, SN: 8}); err != nil {
+	defer b.Close()
+	raw, err := hex.DecodeString(gobStream)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rxBin.wait(t, 1)
-	rxGob.wait(t, 1)
-	if got := rxBin.snapshot()[0].(proto.AppendAck); got.Token != 5 || got.SN != 6 {
-		t.Fatalf("gob→binary delivery = %+v", got)
+	c, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := rxGob.snapshot()[0].(proto.AppendAck); got.Token != 7 || got.SN != 8 {
-		t.Fatalf("binary→gob delivery = %+v", got)
+	defer c.Close()
+	if _, err := c.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("foreign stream: read = %d, %v; want the endpoint to close it (EOF)", n, err)
+	}
+	if st := b.Stats(); st.DecodeErrs != 1 || st.FramesIn != 0 {
+		t.Fatalf("foreign stream: DecodeErrs=%d FramesIn=%d, want 1 and 0", st.DecodeErrs, st.FramesIn)
+	}
+	if got := rx.snapshot(); len(got) != 0 {
+		t.Fatalf("foreign stream delivered %v", got)
 	}
 }
 
-var deployRegisterOnce = sync.OnceFunc(func() { proto.RegisterGob() })
-
-// TestParseCodec covers the -codec flag values.
-func TestParseCodec(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Codec
-		ok   bool
-	}{{"", CodecBinary, true}, {"binary", CodecBinary, true}, {"gob", CodecGob, true}, {"nope", 0, false}} {
-		got, err := ParseCodec(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseCodec(%q) = %v, %v", tc.in, got, err)
-		}
+// TestTCPUnknownMessageKeepsConnection: a type the codec cannot frame
+// fails Send and Broadcast with proto.ErrUnknownMessage, and the peer's
+// connection survives for the next message.
+func TestTCPUnknownMessageKeepsConnection(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
+	rx := newSink()
+	b, err := ListenTCP(2, book, rx.handler)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if CodecBinary.String() != "binary" || CodecGob.String() != "gob" {
-		t.Error("codec names wrong")
+	defer b.Close()
+	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Send(2, proto.AppendAck{Token: 1}); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	oc := a.conns[2]
+	a.mu.Unlock()
+	type alien struct{ A int }
+	if err := a.Send(2, alien{A: 1}); !errors.Is(err, proto.ErrUnknownMessage) {
+		t.Fatalf("Send(alien) = %v, want ErrUnknownMessage", err)
+	}
+	if err := a.Broadcast([]types.NodeID{2}, alien{A: 2}); !errors.Is(err, proto.ErrUnknownMessage) {
+		t.Fatalf("Broadcast(alien) = %v, want ErrUnknownMessage", err)
+	}
+	if err := a.Send(2, proto.AppendAck{Token: 2}); err != nil {
+		t.Fatal(err)
+	}
+	rx.wait(t, 2)
+	a.mu.Lock()
+	same := a.conns[2] == oc
+	a.mu.Unlock()
+	if !same {
+		t.Fatal("an unframeable message dropped the peer's connection")
 	}
 }
 
@@ -451,7 +467,6 @@ func TestTCPPublishObs(t *testing.T) {
 		"flexlog_tcp_frames_total",
 		"flexlog_tcp_bytes_total",
 		"flexlog_tcp_sends_total",
-		"flexlog_tcp_gob_frames_total",
 		"flexlog_tcp_buf_pool_total",
 		"flexlog_tcp_writev_calls_total",
 		"flexlog_tcp_writev_max_batch",
@@ -496,7 +511,7 @@ func TestTCPCloseAfterOneReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Send(2, tcpTestMsg{Seq: 1}); err != nil {
+	if err := a.Send(2, proto.AppendAck{Token: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rx.wait(t, 1)

@@ -9,8 +9,7 @@
 //     and the benchmarks (the paper's 10 Gbps RTT is injected here);
 //   - a TCP transport for real multi-process deployments via
 //     cmd/flexlog-server: length-prefixed binary frames (package proto's
-//     codec) by default, a gob stream when an endpoint asks for it,
-//     auto-detected per inbound connection.
+//     codec) behind a per-connection preamble.
 //
 // A node attaches to either through its Lanes, the dispatcher that decides
 // which inbound messages run on the node's worker pools and which inline.
@@ -26,9 +25,9 @@ import (
 	"flexlog/internal/types"
 )
 
-// Message is any protocol payload. On TCP the binary codec frames the
-// types package proto knows itself; any other type travels gob-encoded
-// inside a fallback frame and must be registered with encoding/gob.
+// Message is any protocol payload. On TCP only the types package proto
+// frames can travel; sending any other type fails with
+// proto.ErrUnknownMessage.
 type Message any
 
 // Handler processes one inbound message. An endpoint may invoke it from
