@@ -88,15 +88,18 @@ bench-write-smoke:
 	timeout 30 $(GO) run ./cmd/flexlog-bench -quick -blockprofile .bench_build/block.pprof ablate-writepath
 
 # Tiered-storage lifecycle smoke: the checkpoint-bounded-recovery unit
-# test (replay stays flat while the log grows under a PM budget), the
+# test (replay stays flat while the log grows under a PM budget) and the
+# append path's allocation guard (PutBatch+Commit allocate per batch, not
+# per record; a warm cache fill allocates nothing; DESIGN.md §8), the
 # crash points of the one spill path (lifecycle and on-demand), the
-# checkpoint write and the freed slot, five times each under -race, a
-# short fuzz of the checkpoint decoder, plus the quick ablate-tiering
-# curve (eviction under budget, cold-tier reads, flat recovery vs the
-# lifecycle-less baseline). See DESIGN.md §11.
+# checkpoint write, the freed slot, a fused group-commit window and
+# segment rolls waiting for an in-flight eviction, five times each under
+# -race, a short fuzz of the checkpoint decoder, plus the quick
+# ablate-tiering curve (eviction under budget, cold-tier reads, flat
+# recovery vs the lifecycle-less baseline). See DESIGN.md §11.
 tiering-smoke:
-	$(GO) test -count=1 -run 'TestCheckpointBoundsRecoveryReplay|TestBackgroundEvictionUnderBudget' ./internal/storage/
-	$(GO) test -race -count=5 -run 'TestCrashMidEviction|TestCrashMidOnDemandSpill|TestCrashMidCheckpoint|TestFreedSlotIsNotReplayed' ./internal/storage/
+	$(GO) test -count=1 -run 'TestCheckpointBoundsRecoveryReplay|TestBackgroundEvictionUnderBudget|TestAppendPathAllocsFlat' ./internal/storage/
+	$(GO) test -race -count=5 -run 'TestCrashMidEviction|TestCrashMidOnDemandSpill|TestCrashMidCheckpoint|TestFreedSlotIsNotReplayed|TestCrashInFusedWindowLeavesNoEntry|TestRollWaitsForInFlightEviction|TestRollWaitRechecksToken' ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s ./internal/storage/
 	timeout 60 $(GO) test -count=1 -run 'TestTieringShape' ./internal/bench/
 

@@ -59,6 +59,9 @@ type Pool struct {
 	// PM-resident undo log of libpmemobj.
 	txSeq  uint64
 	active map[uint64]*Tx
+	// spareUndo is the undo log of the last finished transaction, kept for
+	// the next Begin.
+	spareUndo *undoLog
 
 	stats Stats
 }

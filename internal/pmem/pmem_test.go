@@ -459,3 +459,127 @@ func TestLoadFromRejectsCorruption(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// TestTxUndoSurvivesRecycling: a finished transaction hands its undo log
+// to the next Begin. An active transaction's pre-images must survive other
+// transactions committing, aborting and reusing recycled logs, and Abort
+// and Recover must restore its exact pre-image.
+func TestTxUndoSurvivesRecycling(t *testing.T) {
+	for _, rollback := range []string{"abort", "recover"} {
+		t.Run(rollback, func(t *testing.T) {
+			p := newTestPool(t, 4096)
+			a, _ := p.Alloc(64)
+			b, _ := p.Alloc(64)
+			orig := bytes.Repeat([]byte("pre-image"), 8)[:64]
+			if err := p.Write(a, orig); err != nil {
+				t.Fatal(err)
+			}
+			tx1, _ := p.Begin()
+			if err := tx1.Put(a, bytes.Repeat([]byte{1}, 40)); err != nil {
+				t.Fatal(err)
+			}
+			// Other transactions finish, and reuse each other's logs, while
+			// tx1 is open.
+			for i := 0; i < 3; i++ {
+				tx, _ := p.Begin()
+				if err := tx.Put(b, bytes.Repeat([]byte{byte(10 + i)}, 64)); err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 {
+					tx.Abort()
+				} else if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx1.PutV(a+20, []byte("ab"), nil, bytes.Repeat([]byte{2}, 42)); err != nil {
+				t.Fatal(err)
+			}
+			if rollback == "abort" {
+				if err := tx1.Abort(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				p.Crash()
+				p.Recover()
+			}
+			got := make([]byte, 64)
+			p.Read(a, got)
+			if !bytes.Equal(got, orig) {
+				t.Fatalf("after %s: %q, want %q", rollback, got, orig)
+			}
+			p.Read(b, got)
+			if !bytes.Equal(got, bytes.Repeat([]byte{12}, 64)) {
+				t.Fatalf("committed neighbour changed by %s: %v", rollback, got)
+			}
+		})
+	}
+}
+
+// TestTxFinishRacesRecover: a Commit or Abort that races the Recover
+// rolling its transaction back either sees the crash or finds the
+// transaction done. It never succeeds, and never touches the log Recover
+// took.
+func TestTxFinishRacesRecover(t *testing.T) {
+	p := newTestPool(t, 4096)
+	off, _ := p.Alloc(64)
+	for i := 0; i < 200; i++ {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Put(off, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		p.Crash()
+		done := make(chan struct{})
+		go func() { p.Recover(); close(done) }()
+		finish := tx.Commit
+		if i%2 == 1 {
+			finish = tx.Abort
+		}
+		if err := finish(); !errors.Is(err, ErrCrashed) && !errors.Is(err, ErrTxDone) {
+			t.Fatalf("finish racing Recover = %v, want ErrCrashed or ErrTxDone", err)
+		}
+		<-done
+		if err := finish(); !errors.Is(err, ErrTxDone) {
+			t.Fatalf("finish after Recover = %v, want ErrTxDone", err)
+		}
+	}
+}
+
+// TestTxPutVIsOnePut: PutV of parts stores their concatenation and costs
+// exactly what a Put of the joined bytes costs — one undo snapshot and one
+// data write — and allocates nothing once the pool's undo log is warm.
+func TestTxPutVIsOnePut(t *testing.T) {
+	p := newTestPool(t, 4096)
+	off, _ := p.Alloc(64)
+	parts := [][]byte{[]byte("head"), {}, []byte("-middle-"), []byte("tail")}
+	joined := bytes.Join(parts, nil)
+	before := p.Stats()
+	tx, _ := p.Begin()
+	if err := tx.PutV(off, parts...); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(joined))
+	p.Read(off, got)
+	if !bytes.Equal(got, joined) {
+		t.Fatalf("PutV stored %q, want %q", got, joined)
+	}
+	s := p.Stats()
+	if w, n := s.Writes-before.Writes, s.BytesWritten-before.BytesWritten; w != 2 || n != 2*uint64(len(joined)) {
+		t.Fatalf("PutV counted %d writes of %d bytes, want 2 of %d", w, n, 2*len(joined))
+	}
+	if err := tx.PutV(off, parts...); !errors.Is(err, ErrTxDone) {
+		t.Fatalf("PutV on a committed tx: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tx, _ := p.Begin()
+		tx.PutV(off, parts...)
+		tx.Commit()
+	}); allocs > 1 { // the Tx itself
+		t.Fatalf("a warm transaction allocates %v times, want at most 1", allocs)
+	}
+}

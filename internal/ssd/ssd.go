@@ -145,6 +145,23 @@ func (d *Device) Append(name string, data []byte) (int64, error) {
 	return off, nil
 }
 
+// WriteFile replaces the named file with data in one write, taking
+// ownership of data: the caller must not modify it afterwards. Like Create
+// followed by one Append, the bytes are volatile until Sync.
+func (d *Device) WriteFile(name string, data []byte) error {
+	d.mu.Lock()
+	if d.crashed {
+		d.mu.Unlock()
+		return ErrCrashed
+	}
+	d.files[name] = &file{data: data}
+	d.stats.Writes++
+	d.stats.BytesWritten += uint64(len(data))
+	d.mu.Unlock()
+	simclock.Wait(d.model.WriteCost(len(data)))
+	return nil
+}
+
 // ReadAt reads len(buf) bytes at offset off of the named file.
 func (d *Device) ReadAt(name string, off int64, buf []byte) error {
 	d.mu.RLock()

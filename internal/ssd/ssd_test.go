@@ -219,3 +219,40 @@ func TestStats(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestWriteFileOwnershipAndCrash: WriteFile replaces a file in one write,
+// keeping the caller's buffer, and like Create+Append its bytes are lost
+// on a crash until Sync.
+func TestWriteFileOwnershipAndCrash(t *testing.T) {
+	d := New(Zero())
+	d.Append("f", []byte("old contents"))
+	d.Sync("f")
+	data := []byte("whole blob")
+	if err := d.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(data))
+	if err := d.ReadAt("f", 0, buf); err != nil || string(buf) != "whole blob" {
+		t.Fatalf("read = %q, %v", buf, err)
+	}
+	if s := d.Stats(); s.Writes != 2 || s.BytesWritten != uint64(len("old contents")+len(data)) {
+		t.Fatalf("stats = %+v", s)
+	}
+	d.Crash()
+	d.Recover()
+	if sz, err := d.Size("f"); err != nil || sz != 0 {
+		t.Fatalf("unsynced WriteFile survived a crash: size %d, %v", sz, err)
+	}
+	if err := d.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	d.Sync("f")
+	d.Crash()
+	if err := d.WriteFile("g", data); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("WriteFile on a crashed device: %v", err)
+	}
+	d.Recover()
+	if err := d.ReadAt("f", 0, buf); err != nil || string(buf) != "whole blob" {
+		t.Fatalf("synced WriteFile after crash = %q, %v", buf, err)
+	}
+}

@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -94,15 +96,18 @@ func TestBatchSurvivesRecovery(t *testing.T) {
 	}
 }
 
-// Property: batch framing round-trips arbitrary record sets.
+// Property: batch framing round-trips arbitrary record sets, and the
+// spans frameEntry notes while copying are the ones recovery's batchSpans
+// parses back.
 func TestBatchFramingRoundTripProperty(t *testing.T) {
 	f := func(recs [][]byte) bool {
 		if len(recs) == 0 {
 			recs = [][]byte{{}}
 		}
-		payload := encodeBatch(recs)
+		buf, framed := frameEntry(colorA, tok(1), recs)
+		payload := buf[entryHeaderSize:]
 		spans, err := batchSpans(payload)
-		if err != nil || len(spans) != len(recs) {
+		if err != nil || !reflect.DeepEqual(spans, framed) {
 			return false
 		}
 		for i, sp := range spans {
@@ -110,7 +115,8 @@ func TestBatchFramingRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		e := decodeEntryHeader(buf)
+		return e.kind == entryKindRecord && e.dataLen == len(payload) && e.crc == crc32.ChecksumIEEE(payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

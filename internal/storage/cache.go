@@ -24,6 +24,10 @@ type lruCache struct {
 	entries  map[cacheKey]*lruNode
 	head     *lruNode // most recently used
 	tail     *lruNode // least recently used
+	// free lists evicted nodes (linked by next) for reuse, so a put into
+	// a warm cache allocates no node; it never outgrows the cache's peak
+	// entry count.
+	free *lruNode
 
 	hits, misses uint64
 }
@@ -72,7 +76,13 @@ func (c *lruCache) put(color types.ColorID, sn types.SN, data []byte) {
 		n.data = data
 		c.moveToFront(n)
 	} else {
-		n := &lruNode{key: key, data: data}
+		n := c.free
+		if n != nil {
+			c.free = n.next
+			n.key, n.data = key, data
+		} else {
+			n = &lruNode{key: key, data: data}
+		}
 		c.entries[key] = n
 		c.pushFront(n)
 		c.size += len(data)
@@ -143,4 +153,6 @@ func (c *lruCache) evict(n *lruNode) {
 	c.unlink(n)
 	delete(c.entries, n.key)
 	c.size -= len(n.data)
+	n.data, n.next = nil, c.free
+	c.free = n
 }

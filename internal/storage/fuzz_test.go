@@ -91,7 +91,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 
 // FuzzBatchSpans feeds arbitrary payloads to the batch framing decoder.
 func FuzzBatchSpans(f *testing.F) {
-	f.Add(encodeBatch([][]byte{[]byte("a"), {}, []byte("ccc")}))
+	entry, _ := frameEntry(0, 1, [][]byte{[]byte("a"), {}, []byte("ccc")})
+	f.Add(entry[entryHeaderSize:])
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -50,8 +50,12 @@ type groupCommitter struct {
 
 	// commitMu is the leader lock: its holder commits windows. Waiters
 	// queue on it, so a follower wakes to find its op already finished.
-	// It also guards the ops' done/err fields.
+	// It also guards the ops' done/err fields and the leader's scratch:
+	// spare (the last window's array, reused as the next pending queue)
+	// and parts (one fused run's buffers).
 	commitMu sync.Mutex
+	spare    []*gcOp
+	parts    [][]byte
 
 	windows atomic.Uint64 // transactions committed
 	ops     atomic.Uint64 // writes submitted
@@ -81,29 +85,33 @@ func newGroupCommitter(pm *pmem.Pool, txH, windowH *obs.Histogram) *groupCommitt
 	return &groupCommitter{pm: pm, txH: txH, windowH: windowH}
 }
 
-// submit queues one write and returns a wait function that blocks until
-// the write's window is durable (or failed). Submitting under the
-// allocator lock and waiting after releasing it is what lets concurrent
-// callers share a window. Every submit must be followed by its wait: the
-// waiters are who commit.
-func (g *groupCommitter) submit(off uint64, buf []byte, hasWM bool, wmOff, wmVal uint64) func() error {
+// submit queues one write; wait then blocks until the write's window is
+// durable (or failed). Submitting under the allocator lock and waiting
+// after releasing it is what lets concurrent callers share a window.
+// Every submit must be followed by its wait: the waiters are who commit.
+func (g *groupCommitter) submit(off uint64, buf []byte, hasWM bool, wmOff, wmVal uint64) *gcOp {
 	op := &gcOp{off: off, buf: buf, hasWM: hasWM, wmOff: wmOff, wmVal: wmVal}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		return func() error { return ErrCommitterClosed }
+		op.done, op.err = true, ErrCommitterClosed
+		return op
 	}
 	g.pending = append(g.pending, op)
 	g.mu.Unlock()
 	g.ops.Add(1)
-	return func() error {
-		g.commitMu.Lock()
-		defer g.commitMu.Unlock()
-		for !op.done { // more than one pass only when maxWindow ops precede op
-			g.commitNext()
-		}
-		return op.err
+	return op
+}
+
+// wait blocks until op's window committed, committing it as leader when no
+// transaction is running, and returns the window's error.
+func (g *groupCommitter) wait(op *gcOp) error {
+	g.commitMu.Lock()
+	defer g.commitMu.Unlock()
+	for !op.done { // more than one pass only when maxWindow ops precede op
+		g.commitNext()
 	}
+	return op.err
 }
 
 // commitNext commits the oldest pending ops, at most maxWindow, as one
@@ -112,7 +120,7 @@ func (g *groupCommitter) submit(off uint64, buf []byte, hasWM bool, wmOff, wmVal
 func (g *groupCommitter) commitNext() bool {
 	g.mu.Lock()
 	window := g.pending
-	g.pending = nil
+	g.pending, g.spare = g.spare[:0], nil
 	if len(window) > maxWindow {
 		g.pending = append(g.pending, window[maxWindow:]...)
 		window = window[:maxWindow]
@@ -127,6 +135,8 @@ func (g *groupCommitter) commitNext() bool {
 		op.done, op.err = true, err
 	}
 	g.windowH.Since(windowStart)
+	clear(window) // the ops' buffers must not outlive their window
+	g.spare = window
 	return true
 }
 
@@ -138,29 +148,23 @@ func (g *groupCommitter) commitWindow(window []*gcOp) error {
 	if err != nil {
 		return err
 	}
-	// Contiguous fusion: merge runs of ops whose PM ranges are adjacent in
-	// submission order (back-to-back reservations in one segment).
+	// Contiguous fusion: a run of ops whose PM ranges are adjacent in
+	// submission order (back-to-back reservations in one segment) is one
+	// tx.PutV of their buffers.
 	for i := 0; i < len(window); {
-		j := i + 1
-		total := len(window[i].buf)
-		for j < len(window) && window[j].off == window[j-1].off+uint64(len(window[j-1].buf)) {
-			total += len(window[j].buf)
-			j++
+		parts := append(g.parts[:0], window[i].buf)
+		for j := i + 1; j < len(window) && window[j].off == window[j-1].off+uint64(len(window[j-1].buf)); j++ {
+			parts = append(parts, window[j].buf)
 		}
-		buf := window[i].buf
-		if j-i > 1 {
-			fused := make([]byte, 0, total)
-			for k := i; k < j; k++ {
-				fused = append(fused, window[k].buf...)
-			}
-			buf = fused
-			g.fused.Add(uint64(j - i - 1))
-		}
-		if err := tx.Put(window[i].off, buf); err != nil {
+		err := tx.PutV(window[i].off, parts...)
+		g.fused.Add(uint64(len(parts) - 1))
+		i += len(parts)
+		clear(parts)
+		g.parts = parts[:0]
+		if err != nil {
 			tx.Abort()
 			return err
 		}
-		i = j
 	}
 	// Watermark folding: one write per segment, at the window's final
 	// value (ops are in reservation order, so the last value is the max).

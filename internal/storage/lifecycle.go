@@ -281,7 +281,13 @@ func (st *Store) evictOldest() error {
 	seg.evicting.Store(true)
 	used := seg.used
 	st.alloc.Unlock()
-	err := st.spill(seg, used, st.Crash)
+	if st.evictClaimed != nil {
+		st.evictClaimed()
+	}
+	// A failpoint crashes the devices only: a segment roll waiting for
+	// this eviction (flushOldest) may hold a color lock, so taking every
+	// color lock, as Crash does, could wait on it forever.
+	err := st.spill(seg, used, st.crashDevices)
 	st.alloc.Lock()
 	// Finalize only if the segment is still resident (a concurrent Recover
 	// rebuilt the world while we were copying).
@@ -289,6 +295,7 @@ func (st *Store) evictOldest() error {
 		st.retireSpilledLocked(seg, true)
 	}
 	seg.evicting.Store(false)
+	st.evicted.Broadcast()
 	st.alloc.Unlock()
 	if err == nil {
 		st.evictionH.Since(start)
@@ -305,13 +312,10 @@ func (st *Store) ForceEvict() error { return st.evictOldest() }
 func (st *Store) ForceCheckpoint() error { return st.writeCheckpoint(true) }
 
 // putBlob writes a whole blob to the cold tier, replacing any previous one
-// of that name; the bytes are volatile until the writer syncs the name.
+// of that name, and hands data to the device (the caller must not touch it
+// again); the bytes are volatile until the writer syncs the name.
 func (st *Store) putBlob(name string, data []byte) error {
-	if err := st.cold.Create(name); err != nil {
-		return err
-	}
-	_, err := st.cold.Append(name, data)
-	return err
+	return st.cold.WriteFile(name, data)
 }
 
 // readBlob reads a whole blob off the cold tier.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync"
 
 	"flexlog/internal/pmem"
 	"flexlog/internal/ssd"
@@ -83,6 +84,7 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 		nextSeg:     1,
 		ckptTrimmed: make(map[types.ColorID]types.SN),
 	}
+	st.evicted = sync.NewCond(&st.alloc)
 
 	if oc.attach {
 		// Attach path: locate the slots at their canonical offsets and

@@ -92,20 +92,25 @@ type recSpan struct {
 // entryLoc records where an entry (one append batch) lives.
 //
 // seg, off, payloadLen, spans, token and color are immutable after
-// construction. The remaining fields are atomics: they are mutated under
-// the entry's color lock (Commit and Trim of one color are serialized),
-// but read lock-free by the allocator paths (segmentFlushable, TokenInfo,
-// Uncommitted) which hold only the allocator lock.
+// construction; buf is set before the entry is published to Commit. The
+// remaining fields are atomics: they are mutated under the entry's color
+// lock (Commit and Trim of one color are serialized), but read lock-free
+// by the allocator paths (segmentFlushable, TokenInfo, Uncommitted) which
+// hold only the allocator lock.
 type entryLoc struct {
 	seg        *segment
 	off        uint64 // offset of the entry header within the segment
 	payloadLen int    // framed payload length
 	spans      []recSpan
-	token      types.Token
-	color      types.ColorID
-	firstSN    atomic.Uint64 // InvalidSN (0) until committed; records occupy [firstSN, firstSN+count)
-	liveCount  atomic.Int32  // records not yet trimmed (== len(spans) initially)
-	dead       atomic.Bool   // every record trimmed
+	// buf is the framed entry PutBatch wrote, held until Commit fills the
+	// cache from it (guarded by the color lock; nil afterwards, and for
+	// entries Recover rebuilt).
+	buf       []byte
+	token     types.Token
+	color     types.ColorID
+	firstSN   atomic.Uint64 // InvalidSN (0) until committed; records occupy [firstSN, firstSN+count)
+	liveCount atomic.Int32  // records not yet trimmed (== len(spans) initially)
+	dead      atomic.Bool   // every record trimmed
 }
 
 func (l *entryLoc) count() int { return len(l.spans) }
@@ -133,25 +138,33 @@ type recordRef struct {
 	idx int
 }
 
-// encodeBatch frames a batch of records as [u32 count][u32 len_i][data_i]….
-func encodeBatch(records [][]byte) []byte {
-	total := 4
+// frameEntry builds a record entry ready for the PM write in one
+// allocation and one pass: the header, then the payload
+// [u32 count][u32 len_i][data_i]…, with each record's span noted as it is
+// copied. The buffer is also what Commit fills the cache from.
+func frameEntry(color types.ColorID, token types.Token, records [][]byte) ([]byte, []recSpan) {
+	payloadLen := 4
 	for _, r := range records {
-		total += 4 + len(r)
+		payloadLen += 4 + len(r)
 	}
-	buf := make([]byte, total)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(records)))
-	off := 4
-	for _, r := range records {
-		binary.LittleEndian.PutUint32(buf[off:off+4], uint32(len(r)))
+	buf := make([]byte, entryHeaderSize+payloadLen)
+	payload := buf[entryHeaderSize:]
+	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(records)))
+	spans := make([]recSpan, len(records))
+	off := uint32(4)
+	for i, r := range records {
+		binary.LittleEndian.PutUint32(payload[off:off+4], uint32(len(r)))
 		off += 4
-		copy(buf[off:], r)
-		off += len(r)
+		copy(payload[off:], r)
+		spans[i] = recSpan{off: off, len: uint32(len(r))}
+		off += uint32(len(r))
 	}
-	return buf
+	encodeEntryHeader(buf, entryKindRecord, color, token, types.InvalidSN, payload)
+	return buf, spans
 }
 
-// batchSpans decodes the framing of a batch payload into record spans.
+// batchSpans decodes the framing of a recovered batch payload into record
+// spans.
 func batchSpans(payload []byte) ([]recSpan, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("storage: batch payload too short")
@@ -213,18 +226,11 @@ func decodeEntryHeader(buf []byte) decodedEntry {
 	}
 }
 
-// encodeEntry frames one entry (header + payload) ready for the PM write.
-func encodeEntry(kind uint32, color types.ColorID, token types.Token, sn types.SN, data []byte) []byte {
-	buf := make([]byte, entryHeaderSize+len(data))
-	encodeEntryHeader(buf, kind, color, token, sn, data)
-	copy(buf[entryHeaderSize:], data)
-	return buf
-}
-
 // reserveEntry claims space for one entry in the active segment, sealing it
 // and rolling to a fresh one when full. It only advances the DRAM frontier;
 // the PM bytes (entry + watermark) are written afterwards, through the
-// group committer. Caller holds st.alloc.
+// group committer. A roll that waited for an eviction reserves nothing and
+// returns errRollWaited. Caller holds st.alloc.
 func (st *Store) reserveEntry(need uint64) (*segment, uint64, error) {
 	if st.active.used+need > st.cfg.SegmentSize {
 		if err := st.newActiveSegment(); err != nil {
@@ -239,11 +245,11 @@ func (st *Store) reserveEntry(need uint64) (*segment, uint64, error) {
 }
 
 // persistEntry submits a reserved entry and its segment's new watermark
-// to the group committer. Called with st.alloc held; the caller invokes
-// the returned wait after releasing the lock (enqueue order under the lock
+// to the group committer. Called with st.alloc held; the caller waits for
+// the returned op after releasing the lock (enqueue order under the lock
 // = reservation order, so the committer sees each segment's entries in
 // frontier order).
-func (st *Store) persistEntry(seg *segment, off uint64, buf []byte) (wait func() error) {
+func (st *Store) persistEntry(seg *segment, off uint64, buf []byte) *gcOp {
 	return st.gc.submit(seg.pmOff+off, buf, true, seg.pmOff, off+uint64(len(buf)))
 }
 
@@ -260,30 +266,7 @@ func (st *Store) commitEntrySN(loc *entryLoc, sn types.SN) error {
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(sn))
-	return st.gc.submit(loc.seg.pmOff+loc.off+16, buf[:], false, 0, 0)()
-}
-
-// readRecordAt fetches one record of an entry from PM, or from the cold
-// tier when cold is set. It runs without a store lock: a PM read must be
-// revalidated against slot reuse (see readLive) unless the entry is still
-// uncommitted and so pinned in PM.
-func (st *Store) readRecordAt(loc *entryLoc, idx int, cold bool) ([]byte, error) {
-	if idx < 0 || idx >= loc.count() {
-		return nil, fmt.Errorf("storage: record index %d out of batch of %d", idx, loc.count())
-	}
-	sp := loc.spans[idx]
-	buf := make([]byte, sp.len)
-	dataOff := loc.off + entryHeaderSize + uint64(sp.off)
-	if cold {
-		if err := st.cold.ReadAt(loc.seg.ssdName(), int64(dataOff), buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	if err := st.pm.Read(loc.seg.pmOff+dataOff, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return st.gc.wait(st.gc.submit(loc.seg.pmOff+loc.off+16, buf[:], false, 0, 0))
 }
 
 // decodeSegment decodes a segment image (a PM slot or a flushed SSD file,

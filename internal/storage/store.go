@@ -64,6 +64,11 @@ var (
 	ErrCheckpointTruncated = errors.New("storage: record below checkpoint recovery floor")
 )
 
+// errRollWaited is returned by a segment roll that waited for a lifecycle
+// eviction to end (flushOldest). The wait released the allocator lock, so
+// whatever the caller checked under it is stale: it starts over.
+var errRollWaited = errors.New("storage: segment roll waited for an eviction")
+
 // errCheckpointTrimmed matches both ErrTrimmed (the long-standing miss
 // sentinel) and ErrCheckpointTruncated (the cause).
 var errCheckpointTrimmed = fmt.Errorf("%w (%w)", ErrTrimmed, ErrCheckpointTruncated)
@@ -72,7 +77,14 @@ var errCheckpointTrimmed = fmt.Errorf("%w (%w)", ErrTrimmed, ErrCheckpointTrunca
 type Config struct {
 	SegmentSize uint64 // bytes per PM segment (including 16-byte header)
 	NumSegments int    // PM slots
-	CacheBytes  int    // DRAM cache capacity; 0 disables the cache
+	// CacheBytes caps the record bytes the DRAM cache holds; 0 disables
+	// the cache. It bounds record bytes, not DRAM: a record cached at its
+	// commit is a sub-slice of its append batch's framed entry, so the
+	// whole entry stays in DRAM until its last cached record is evicted.
+	// At worst, with one record of every entry kept hot, the cache pins
+	// CacheBytes × (entry size / record size) — 64× for a full 64-record
+	// batch.
+	CacheBytes int
 	// GroupCommit is inert: every store commits through the group
 	// committer. Kept until the benchmark module stops setting it
 	// (ROADMAP 1b).
@@ -158,9 +170,11 @@ func (ci *colorIndex) lookupLocked(sn types.SN) (recordRef, error) {
 // ordering layer never produces one, and recovery registers segments in
 // persist order, so the earlier record keeps the SN as the live index
 // did. A record at or below the trim watermark is dead too (a trim raced
-// ahead of its commit). Caller holds ci.mu.
-func (ci *colorIndex) publishLocked(loc *entryLoc, first types.SN) {
-	for i := range loc.spans {
+// ahead of its commit). Each record published is also put in cache, cut
+// from payload, when payload is the entry's framed payload (a commit's
+// fill; recovery passes nil). Caller holds ci.mu.
+func (ci *colorIndex) publishLocked(loc *entryLoc, first types.SN, cache *stripedCache, payload []byte) {
+	for i, sp := range loc.spans {
 		sn := first + types.SN(i)
 		if _, taken := ci.bySN[sn]; taken || sn <= ci.trimmed {
 			loc.kill()
@@ -168,6 +182,9 @@ func (ci *colorIndex) publishLocked(loc *entryLoc, first types.SN) {
 		}
 		ci.bySN[sn] = recordRef{loc: loc, idx: i}
 		ci.maxSN = max(ci.maxSN, sn)
+		if payload != nil {
+			cache.put(loc.color, sn, payload[sp.off:sp.off+sp.len:sp.off+sp.len])
+		}
 	}
 }
 
@@ -204,6 +221,7 @@ type Store struct {
 	// the token index, and the flush/recover counters. Acquired after a
 	// color lock, never before one.
 	alloc    sync.RWMutex
+	evicted  *sync.Cond // on st.alloc: a lifecycle eviction ended (or the store crashed or closed)
 	slots    []uint64   // pm offset of each slot
 	slotSeg  []*segment // segment currently occupying each slot (nil = free)
 	segs     map[uint64]*segment
@@ -212,6 +230,8 @@ type Store struct {
 	byToken  map[types.Token]*entryLoc
 	flushes  uint64
 	recovers uint64
+	// rollWaits counts segment rolls that waited for an eviction.
+	rollWaits uint64
 
 	// Lifecycle state (see lifecycle.go and checkpoint.go). The counters
 	// are guarded by alloc; ckptTrimmed holds the per-color trim floors of
@@ -239,6 +259,9 @@ type Store struct {
 	// lock-free paths.
 	coldMisses atomic.Uint64
 	failpoint  atomic.Uint32
+	// evictClaimed, when set (tests only), runs in evictOldest between the
+	// claim and the copy, with no lock held.
+	evictClaimed func()
 
 	// Observability (nil-safe when cfg.Obs is unset; see obs.go).
 	evictionH   *obs.Histogram // background eviction latency
@@ -253,6 +276,7 @@ func (st *Store) Close() {
 		st.lc.stop()
 	}
 	st.gc.close()
+	st.evicted.Broadcast()
 }
 
 // color returns (creating on first use) the color's index.
@@ -274,7 +298,9 @@ func (st *Store) colorIfExists(c types.ColorID) (*colorIndex, bool) {
 }
 
 // newActiveSegment claims a free slot (freeing one through flushOldest if
-// none is) and installs a fresh segment in it. Caller holds st.alloc.
+// none is) and installs a fresh segment in it. It returns errRollWaited,
+// having installed nothing, when flushOldest waited. Caller holds
+// st.alloc.
 func (st *Store) newActiveSegment() error {
 	slot := st.emptySlot()
 	if slot < 0 {
@@ -314,20 +340,45 @@ func (st *Store) emptySlot() int {
 // from the start of the log is flushed to SSD and removed from PM",
 // §5.2). It is the lifecycle's spill with the allocator lock held across
 // the copy, so the slot is reused at once and an armed failpoint crashes
-// the devices without taking the lock again. Caller holds st.alloc.
+// the devices without taking the lock again.
+//
+// When the only candidates are claimed by a lifecycle eviction in flight,
+// it waits for that eviction to end (st.evicted) and returns
+// errRollWaited: the wait released st.alloc, so the caller's duplicate
+// check and its need for a roll are stale, and it starts over. It never
+// waits when nothing is evicting: if PM holds only uncommitted entries,
+// the commit that would free a slot may be queued behind this caller on
+// its color's lane worker, so that is ErrOutOfSpace. Caller holds
+// st.alloc.
 func (st *Store) flushOldest() error {
 	victim := st.reclaimDeadLocked()
 	if st.emptySlot() >= 0 {
 		return nil
 	}
-	if victim == nil {
+	if victim != nil {
+		if err := st.spill(victim, victim.used, st.crashDevices); err != nil {
+			return err
+		}
+		st.retireSpilledLocked(victim, false)
+		return nil
+	}
+	if !st.evictingLocked() {
 		return ErrOutOfSpace
 	}
-	if err := st.spill(victim, victim.used, st.crashDevices); err != nil {
-		return err
+	st.rollWaits++
+	st.evicted.Wait()
+	return errRollWaited
+}
+
+// evictingLocked reports whether a lifecycle eviction holds a claim on a
+// resident segment. Caller holds st.alloc.
+func (st *Store) evictingLocked() bool {
+	for _, seg := range st.segs {
+		if !seg.flushed() && seg.evicting.Load() {
+			return true
+		}
 	}
-	st.retireSpilledLocked(victim, false)
-	return nil
+	return false
 }
 
 // segmentFlushable reports whether every live entry of the segment is
@@ -356,36 +407,42 @@ func (st *Store) Put(color types.ColorID, token types.Token, data []byte) error 
 // The allocator lock is held only across the duplicate check and the
 // segment-space reservation; the PM write itself is awaited after release,
 // so concurrent appends (different colors on the write lane, plus the sync
-// path) share one transaction window.
+// path) share one transaction window. A segment roll that had to wait for
+// an eviction released the lock meanwhile, so the duplicate check and the
+// reservation then start over.
 func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]byte) error {
 	if len(records) == 0 {
 		return fmt.Errorf("storage: empty batch for token %v", token)
 	}
-	payload := encodeBatch(records)
-	spans, err := batchSpans(payload)
-	if err != nil {
-		return err
+	buf, spans := frameEntry(color, token, records)
+	payloadLen := len(buf) - entryHeaderSize
+	if uint64(len(buf)) > st.cfg.SegmentSize-segHeaderSize {
+		return fmt.Errorf("storage: batch of %d bytes exceeds segment capacity", payloadLen)
 	}
-	buf := encodeEntry(entryKindRecord, color, token, types.InvalidSN, payload)
 
 	st.alloc.Lock()
-	if _, ok := st.byToken[token]; ok {
-		st.alloc.Unlock()
-		return ErrDuplicateToken
+	var seg *segment
+	var off uint64
+	for {
+		if _, ok := st.byToken[token]; ok {
+			st.alloc.Unlock()
+			return ErrDuplicateToken
+		}
+		var err error
+		seg, off, err = st.reserveEntry(uint64(len(buf)))
+		if err == nil {
+			break
+		}
+		if err != errRollWaited {
+			st.alloc.Unlock()
+			return err
+		}
 	}
-	if entrySize(len(payload)) > st.cfg.SegmentSize-segHeaderSize {
-		st.alloc.Unlock()
-		return fmt.Errorf("storage: batch of %d bytes exceeds segment capacity", len(payload))
-	}
-	seg, off, err := st.reserveEntry(uint64(len(buf)))
-	if err != nil {
-		st.alloc.Unlock()
-		return err
-	}
-	loc := st.addEntryLocked(seg, ckptEntry{token: token, color: color, off: off, payloadLen: len(payload), spans: spans})
-	wait := st.persistEntry(seg, off, buf)
+	loc := st.addEntryLocked(seg, ckptEntry{token: token, color: color, off: off, payloadLen: payloadLen, spans: spans})
+	loc.buf = buf
+	op := st.persistEntry(seg, off, buf)
 	st.alloc.Unlock()
-	if err := wait(); err != nil {
+	if err := st.gc.wait(op); err != nil {
 		// The write never became durable (the pool is crashed or the
 		// committer closed): withdraw the volatile index entry so a retry
 		// after recovery is not mistaken for a duplicate.
@@ -409,8 +466,8 @@ func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]by
 // durable SN write, so the write-lane FIFO and the sync path cannot
 // interleave commits of the same token); commits of different colors run
 // in parallel. The segment stays pinned in PM until firstSN is published,
-// which makes the in-place SN write and the cache fill safe against slot
-// reuse without holding the allocator lock.
+// which makes the in-place SN write safe against slot reuse without
+// holding the allocator lock.
 func (st *Store) Commit(token types.Token, lastSN types.SN) error {
 	if !lastSN.Valid() {
 		return fmt.Errorf("storage: cannot commit %v with invalid SN", token)
@@ -434,22 +491,21 @@ func (st *Store) Commit(token types.Token, lastSN types.SN) error {
 		}
 		return fmt.Errorf("storage: token %v already committed at %v, got %v", token, cur, firstSN)
 	}
+	// Freshly appended records also populate the cache (§5.2), as
+	// sub-slices of the entry PutBatch framed: the bytes just written to
+	// PM, with no read back. The entry drops the buffer here, even if the
+	// SN write fails, so a cached record pins at most its own entry (see
+	// Config.CacheBytes). An entry Recover rebuilt has no buffer and is
+	// cached by its first read instead.
+	var payload []byte
+	if loc.buf != nil {
+		payload = loc.buf[entryHeaderSize:]
+		loc.buf = nil
+	}
 	if err := st.commitEntrySN(loc, firstSN); err != nil {
 		return err
 	}
-	ci.publishLocked(loc, firstSN)
-	// Freshly appended records also populate the cache (§5.2). The entry is
-	// still uncommitted (firstSN unpublished), so its segment cannot leave
-	// PM from under these reads.
-	for i := range loc.spans {
-		sn := firstSN + types.SN(i)
-		if ref, ok := ci.bySN[sn]; !ok || ref.loc != loc {
-			continue // dead on arrival
-		}
-		if data, err := st.readRecordAt(loc, i, false); err == nil {
-			st.cache.put(loc.color, sn, data)
-		}
-	}
+	ci.publishLocked(loc, firstSN, st.cache, payload)
 	// Publish last: from here on segmentFlushable may evict the segment.
 	loc.firstSN.Store(uint64(firstSN))
 	return nil
@@ -612,13 +668,22 @@ func (st *Store) ScanFrom(color types.ColorID, after types.SN, limit int) ([]typ
 // (freeSlotLocked), so if the mark is set after the read the bytes may be
 // torn, and the record is read again from the cold tier. Cold blobs are
 // written once and never mutated: a cold read, success or failure, is
-// final.
+// final. An uncommitted entry is pinned in PM, so its read never retries.
 func (st *Store) readLive(loc *entryLoc, idx int) (data []byte, cold bool, err error) {
+	sp := loc.spans[idx]
+	dataOff := loc.off + entryHeaderSize + uint64(sp.off)
+	data = make([]byte, sp.len)
 	for {
-		cold = loc.seg.flushed()
-		data, err = st.readRecordAt(loc, idx, cold)
-		if cold || err != nil || !loc.seg.flushed() {
-			return data, cold, err
+		if cold = loc.seg.flushed(); cold {
+			err = st.cold.ReadAt(loc.seg.ssdName(), int64(dataOff), data)
+		} else {
+			err = st.pm.Read(loc.seg.pmOff+dataOff, data)
+		}
+		if err != nil {
+			return nil, cold, err
+		}
+		if cold || !loc.seg.flushed() {
+			return data, cold, nil
 		}
 	}
 }
@@ -662,17 +727,21 @@ func (st *Store) Trim(color types.ColorID, sn types.SN) (head, tail types.SN, er
 	ci := st.color(color)
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	buf := encodeEntry(entryKindTrim, color, 0, sn, nil)
+	buf := make([]byte, entryHeaderSize)
+	encodeEntryHeader(buf, entryKindTrim, color, 0, sn, nil)
 	st.alloc.Lock()
 	seg, off, e := st.reserveEntry(uint64(len(buf)))
+	for e == errRollWaited {
+		seg, off, e = st.reserveEntry(uint64(len(buf)))
+	}
 	if e != nil {
 		st.alloc.Unlock()
 		return 0, 0, e
 	}
 	seg.trimMarks = append(seg.trimMarks, trimMark{color: color, sn: sn})
-	wait := st.persistEntry(seg, off, buf)
+	op := st.persistEntry(seg, off, buf)
 	st.alloc.Unlock()
-	if e := wait(); e != nil {
+	if e := st.gc.wait(op); e != nil {
 		return 0, 0, e
 	}
 	st.applyTrimLocked(ci, color, sn)
@@ -733,13 +802,15 @@ func (st *Store) Crash() {
 	locked := st.lockAllColors()
 	st.alloc.Lock()
 	st.crashDevices()
+	st.evicted.Broadcast()
 	st.alloc.Unlock()
 	unlockColors(locked)
 }
 
-// crashDevices is Crash for a caller that already holds the allocator lock
-// (taking the color locks now would invert the lock order): the devices
-// fail at once, and every other path sees the crash at its next access.
+// crashDevices is Crash for a spill's failpoint, whose caller may hold the
+// allocator lock (taking the color locks would invert the lock order) or
+// be awaited by a roll holding a color lock: the devices fail at once, and
+// every other path sees the crash at its next access.
 func (st *Store) crashDevices() {
 	st.pm.Crash()
 	st.cold.Crash()
@@ -937,7 +1008,7 @@ func (st *Store) registerLocked(seg *segment, s *ckptSeg, colorLocked func(types
 	for _, e := range s.entries {
 		loc := st.addEntryLocked(seg, e)
 		if e.firstSN.Valid() {
-			colorLocked(e.color).publishLocked(loc, e.firstSN)
+			colorLocked(e.color).publishLocked(loc, e.firstSN, nil, nil)
 		}
 	}
 	st.segs[seg.id] = seg

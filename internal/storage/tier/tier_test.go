@@ -1,5 +1,5 @@
 // Package tier holds no code: the store keeps its cold tier directly on an
-// ssd.Device, one blob per file (a blob write is Create + Append, synced by
+// ssd.Device, one blob per file (a blob write is one WriteFile, synced by
 // name). These tests pin the blob semantics the store relies on from that
 // device; each runs as a subtest named after the device.
 package tier
@@ -20,13 +20,10 @@ func onDevice(t *testing.T, fn func(t *testing.T, d *ssd.Device)) {
 	t.Run("ssd", func(t *testing.T) { fn(t, ssd.New(ssd.Zero())) })
 }
 
-// putBlob writes a whole blob the way the store does.
+// putBlob writes a whole blob the way the store does: one WriteFile.
 func putBlob(t *testing.T, d *ssd.Device, name string, data []byte) {
 	t.Helper()
-	if err := d.Create(name); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Append(name, data); err != nil {
+	if err := d.WriteFile(name, data); err != nil {
 		t.Fatal(err)
 	}
 }

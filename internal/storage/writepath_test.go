@@ -247,9 +247,9 @@ func TestGroupCommitLeaderFollowerStress(t *testing.T) {
 				next++
 				var buf [8]byte
 				binary.LittleEndian.PutUint64(buf[:], uint64(slot)+1)
-				wait := g.submit(base+uint64(8*slot), buf[:], false, 0, 0)
+				op := g.submit(base+uint64(8*slot), buf[:], false, 0, 0)
 				order.Unlock()
-				if err := wait(); err != nil {
+				if err := g.wait(op); err != nil {
 					t.Errorf("slot %d: %v", slot, err)
 					return
 				}
@@ -274,7 +274,7 @@ func TestGroupCommitLeaderFollowerStress(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			if err := g.submit(base+uint64(8*k), []byte{byte(k)}, false, 0, 0)(); err != nil {
+			if err := g.wait(g.submit(base+uint64(8*k), []byte{byte(k)}, false, 0, 0)); err != nil {
 				t.Errorf("follower %d: %v", k, err)
 			}
 		}(k)
@@ -294,8 +294,8 @@ func TestGroupCommitLeaderFollowerStress(t *testing.T) {
 	// Close races a leader: whichever wins, the write is either durable or
 	// refused, and Close returns only once no transaction is running.
 	done := make(chan error, 1)
-	wait := g.submit(base, []byte{0xff}, false, 0, 0)
-	go func() { done <- wait() }()
+	op := g.submit(base, []byte{0xff}, false, 0, 0)
+	go func() { done <- g.wait(op) }()
 	g.close()
 	if err := <-done; err != nil {
 		t.Fatalf("write submitted before close: %v", err)
@@ -304,7 +304,7 @@ func TestGroupCommitLeaderFollowerStress(t *testing.T) {
 	if err := pool.Read(base, got[:]); err != nil || got[0] != 0xff {
 		t.Fatalf("write submitted before close is not durable after it: %v %v", got, err)
 	}
-	if err := g.submit(base, []byte{0}, false, 0, 0)(); !errors.Is(err, ErrCommitterClosed) {
+	if err := g.wait(g.submit(base, []byte{0}, false, 0, 0)); !errors.Is(err, ErrCommitterClosed) {
 		t.Fatalf("submit after close: %v, want ErrCommitterClosed", err)
 	}
 }

@@ -519,3 +519,56 @@ func TestTCPCloseAfterOneReply(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTCPLargeFramesBackToBack sends two AppendBatchReq frames longer
+// than the 64 KiB read window back to back. Each is assembled in a pooled
+// read buffer that recycles once the frame is decoded, so the first
+// message's records must still be byte-exact after the second frame was
+// read and decoded.
+func TestTCPLargeFramesBackToBack(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
+	rx := newSink()
+	b, err := ListenTCP(2, book, rx.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	batch := func(fill byte) proto.AppendBatchReq {
+		m := proto.AppendBatchReq{Color: 3, Token: types.Token(fill)}
+		for s := 0; s < 3; s++ {
+			var set [][]byte
+			for r := 0; r < 2; r++ {
+				set = append(set, bytes.Repeat([]byte{fill + byte(2*s+r)}, 16<<10))
+			}
+			m.Sets = append(m.Sets, set)
+		}
+		return m
+	}
+	sent := []proto.AppendBatchReq{batch(0x10), batch(0x80)}
+	for _, m := range sent {
+		if err := a.Send(2, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rx.wait(t, len(sent))
+	for i, msg := range rx.snapshot() {
+		got, ok := msg.(proto.AppendBatchReq)
+		if !ok || got.Token != sent[i].Token || len(got.Sets) != len(sent[i].Sets) {
+			t.Fatalf("message %d = %T %v", i, msg, msg)
+		}
+		for s := range got.Sets {
+			for r := range got.Sets[s] {
+				if !bytes.Equal(got.Sets[s][r], sent[i].Sets[s][r]) {
+					t.Fatalf("message %d set %d record %d changed after a later frame was decoded", i, s, r)
+				}
+			}
+		}
+	}
+}
