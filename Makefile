@@ -20,7 +20,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/... ./internal/qos/...
+	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/... ./internal/qos/... ./internal/pmem/... ./internal/topology/...
 
 # The line counts every deletion PR states before and after in
 # CHANGES.md: non-test and test Go lines of the program (the benchmark
@@ -88,19 +88,23 @@ bench-write-smoke:
 	timeout 30 $(GO) run ./cmd/flexlog-bench -quick -blockprofile .bench_build/block.pprof ablate-writepath
 
 # Tiered-storage lifecycle smoke: the checkpoint-bounded-recovery unit
-# test (replay stays flat while the log grows under a PM budget) and the
+# test (replay stays flat while the log grows under a PM budget), the
 # append path's allocation guard (PutBatch+Commit allocate per batch, not
-# per record; a warm cache fill allocates nothing; DESIGN.md §8), the
-# crash points of the one spill path (lifecycle and on-demand), the
-# checkpoint write, the freed slot, a fused group-commit window and
-# segment rolls waiting for an in-flight eviction, five times each under
-# -race, a short fuzz of the checkpoint decoder, plus the quick
-# ablate-tiering curve (eviction under budget, cold-tier reads, flat
-# recovery vs the lifecycle-less baseline). See DESIGN.md §11.
+# per record; a warm cache fill allocates nothing; DESIGN.md §8), the run
+# index against its per-record reference model, the cache's DRAM bound,
+# the PM arena on huge pages (skipped where THP is off), the crash points
+# of the one spill path (lifecycle and on-demand), the checkpoint write,
+# the freed slot, a fused group-commit window and segment rolls waiting
+# for an in-flight eviction, five times each under -race, short fuzzes of
+# the checkpoint decoder and the run index, plus the quick ablate-tiering
+# curve (eviction under budget, cold-tier reads, flat recovery vs the
+# lifecycle-less baseline). See DESIGN.md §11.
 tiering-smoke:
-	$(GO) test -count=1 -run 'TestCheckpointBoundsRecoveryReplay|TestBackgroundEvictionUnderBudget|TestAppendPathAllocsFlat' ./internal/storage/
+	$(GO) test -count=1 -run 'TestCheckpointBoundsRecoveryReplay|TestBackgroundEvictionUnderBudget|TestAppendPathAllocsFlat|TestRunIndexMatchesModel|TestRunIndexSplitRuns|TestCacheBytesBoundsDRAM' ./internal/storage/
+	$(GO) test -count=1 -run 'TestArenaAdvisedHuge' -v ./internal/pmem/
 	$(GO) test -race -count=5 -run 'TestCrashMidEviction|TestCrashMidOnDemandSpill|TestCrashMidCheckpoint|TestFreedSlotIsNotReplayed|TestCrashInFusedWindowLeavesNoEntry|TestRollWaitsForInFlightEviction|TestRollWaitRechecksToken' ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunIndex$$' -fuzztime=10s ./internal/storage/
 	timeout 60 $(GO) test -count=1 -run 'TestTieringShape' ./internal/bench/
 
 # Observability overhead smoke: the ablation runs the same append workload

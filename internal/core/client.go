@@ -132,20 +132,8 @@ type Client struct {
 	batchers map[batcherKey]*shardBatcher
 	closed   bool
 
-	// place is the client-side placement cache: SNs this client appended
-	// (or read) mapped to the shard storing them. A hit lets Read query a
-	// single replica of one shard instead of one replica of every shard;
-	// a stale hint degrades gracefully to the full protocol.
-	place map[placeKey]types.ShardID
+	place placeCache // see placement.go
 }
-
-type placeKey struct {
-	color types.ColorID
-	sn    types.SN
-}
-
-// placeCacheLimit bounds the placement cache.
-const placeCacheLimit = 8192
 
 // ColorAdder provisions new colored regions (Table 2 AddColor). The
 // in-process Cluster implements it; TCP deployments provision statically.
@@ -197,7 +185,6 @@ func newClient(cfg ClientConfig, opts []Option) *Client {
 		rng:      rand.New(rand.NewSource(int64(cfg.FID)*2654435761 + 1)), // shard selection
 		calls:    make(map[callKey]*call),
 		batchers: make(map[batcherKey]*shardBatcher),
-		place:    make(map[placeKey]types.ShardID),
 	}
 }
 
@@ -205,23 +192,14 @@ func newClient(cfg ClientConfig, opts []Option) *Client {
 func (c *Client) rememberPlacement(color types.ColorID, last types.SN, n int, shard types.ShardID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := 0; i < n; i++ {
-		if len(c.place) >= placeCacheLimit {
-			for k := range c.place { // drop an arbitrary entry
-				delete(c.place, k)
-				break
-			}
-		}
-		c.place[placeKey{color, last - types.SN(i)}] = shard
-	}
+	c.place.remember(color, last, n, shard)
 }
 
 // placement looks a cached SN location up.
 func (c *Client) placement(color types.ColorID, sn types.SN) (types.ShardID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sh, ok := c.place[placeKey{color, sn}]
-	return sh, ok
+	return c.place.lookup(color, sn)
 }
 
 // FID returns the client's function id.

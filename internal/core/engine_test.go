@@ -206,7 +206,7 @@ func TestTokenAndRequestIDKeySpaces(t *testing.T) {
 		// A read through the full protocol (no placement hint) and a
 		// subscribe, so request ids advance beside the token counter.
 		c.mu.Lock()
-		clear(c.place)
+		c.place = placeCache{}
 		c.mu.Unlock()
 		if data, err := c.Read(sn, types.MasterColor); err != nil || data[0] != byte(i) {
 			t.Fatalf("read %v = %v, %v", sn, data, err)

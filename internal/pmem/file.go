@@ -82,9 +82,10 @@ func LoadFrom(path string, model LatencyModel) (*Pool, error) {
 		return nil, fmt.Errorf("pmem: snapshot %s failed its checksum", path)
 	}
 	p := &Pool{
-		data:   append([]byte(nil), data...),
+		data:   newArena(len(data)),
 		model:  model,
 		active: make(map[uint64]*Tx),
 	}
+	copy(p.data, data)
 	return p, nil
 }

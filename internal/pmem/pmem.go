@@ -83,7 +83,7 @@ func New(size int, model LatencyModel) (*Pool, error) {
 		return nil, fmt.Errorf("pmem: pool size %d below minimum %d", size, headerSize)
 	}
 	p := &Pool{
-		data:   make([]byte, size),
+		data:   newArena(size),
 		model:  model,
 		active: make(map[uint64]*Tx),
 	}

@@ -10,7 +10,6 @@ import (
 
 	"flexlog/internal/pmem"
 	"flexlog/internal/simclock"
-	"flexlog/internal/types"
 )
 
 // records returns n records of size bytes, record i filled with byte i.
@@ -57,7 +56,7 @@ func TestPutBatchOwnsRecordBytes(t *testing.T) {
 		t.Fatal("the entry buffer outlived its commit")
 	}
 	for i := range want {
-		cached, ok := st.cache.get(colorA, sn(i+1))
+		cached, ok := st.cached(colorA, sn(i+1))
 		if !ok || !bytes.Equal(cached, want[i]) {
 			t.Fatalf("cached record %d = %q, %v; want %q", i, cached, ok, want[i])
 		}
@@ -70,7 +69,7 @@ func TestPutBatchOwnsRecordBytes(t *testing.T) {
 		}
 	}
 	// A cached record cannot be grown into its neighbour.
-	if c, _ := st.cache.get(colorA, sn(1)); cap(c) != len(c) {
+	if c, _ := st.cached(colorA, sn(1)); cap(c) != len(c) {
 		t.Fatalf("cached record has spare capacity %d", cap(c)-len(c))
 	}
 }
@@ -90,13 +89,13 @@ func TestRecoveredEntryIsCachedByItsFirstRead(t *testing.T) {
 	if err := st.Commit(tok(1), sn(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.cache.get(colorA, sn(1)); ok {
+	if _, ok := st.cached(colorA, sn(1)); ok {
 		t.Fatal("commit of a recovered entry filled the cache")
 	}
 	if got, err := st.Get(colorA, sn(2)); err != nil || string(got) != "b" {
 		t.Fatalf("get = %q, %v", got, err)
 	}
-	if got, ok := st.cache.get(colorA, sn(2)); !ok || string(got) != "b" {
+	if got, ok := st.cached(colorA, sn(2)); !ok || string(got) != "b" {
 		t.Fatalf("first read did not cache the record: %q, %v", got, ok)
 	}
 }
@@ -354,10 +353,14 @@ func TestAppendPathAllocsFlat(t *testing.T) {
 		t.Fatalf("PutBatch+Commit allocate %v times for 1 record and %v for 64: allocations grow with the record count", one, many)
 	}
 
-	c := newStripedCache(64 << 10)
+	c := newEntryCache(64 << 10)
 	rec := make([]byte, 1024)
-	k := types.SN(0)
-	put := func() { k++; c.put(colorA, k, rec) }
+	locs := make([]*entryLoc, 256)
+	for i := range locs {
+		locs[i], _ = recordEntry(i, 0)
+	}
+	k := 0
+	put := func() { k++; c.put(locs[k%len(locs)], 0, rec) }
 	for range 256 {
 		put()
 	}

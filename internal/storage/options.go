@@ -78,7 +78,7 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 		cfg:         cfg,
 		pm:          pool,
 		cold:        cold,
-		cache:       newStripedCache(cfg.CacheBytes),
+		cache:       newEntryCache(cfg.CacheBytes),
 		segs:        make(map[uint64]*segment),
 		byToken:     make(map[types.Token]*entryLoc),
 		nextSeg:     1,

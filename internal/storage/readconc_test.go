@@ -96,28 +96,31 @@ func (e *tornReadError) Error() string {
 	return "torn read of sn " + string(rune('0'+e.sn%10)) + ": " + string(e.data)
 }
 
-// TestStripedCacheBehavesLikeLRU checks the striped facade preserves the
-// cache contract: hits return the stored bytes, drops remove entries, and
-// stats aggregate across stripes.
+// TestStripedCacheBehavesLikeLRU checks the striping preserves the cache
+// contract: hits return the stored bytes, drops remove entries, and stats
+// aggregate across stripes.
 func TestStripedCacheBehavesLikeLRU(t *testing.T) {
-	c := newStripedCache(1 << 20)
+	c := newEntryCache(cacheStripes * stripeMinBytes)
 	if len(c.stripes) != cacheStripes {
 		t.Fatalf("large cache has %d stripes, want %d", len(c.stripes), cacheStripes)
 	}
-	for i := 0; i < 500; i++ {
-		c.put(colorA, sn(i+1), payload(i+1))
+	locs := make([]*entryLoc, 500)
+	for i := range locs {
+		var buf []byte
+		locs[i], buf = testEntry(colorA, i+1, payload(i+1), payload(-i))
+		c.put(locs[i], wholeEntry, buf)
 	}
-	for i := 0; i < 500; i++ {
-		data, ok := c.get(colorA, sn(i+1))
+	for i, loc := range locs {
+		data, ok := c.get(loc, 0)
 		if !ok || !bytes.Equal(data, payload(i+1)) {
-			t.Fatalf("miss or wrong data for sn %d", i+1)
+			t.Fatalf("miss or wrong data for entry %d", i+1)
 		}
 	}
-	if c.len() != 500 {
-		t.Fatalf("len = %d, want 500", c.len())
+	if c.units() != 500 {
+		t.Fatalf("units = %d, want 500", c.units())
 	}
-	c.drop(colorA, sn(3))
-	if _, ok := c.get(colorA, sn(3)); ok {
+	c.drop(locs[2])
+	if _, ok := c.get(locs[2], 1); ok {
 		t.Fatal("dropped entry still cached")
 	}
 	hits, misses := c.stats()
@@ -125,14 +128,14 @@ func TestStripedCacheBehavesLikeLRU(t *testing.T) {
 		t.Fatalf("stats = %d/%d, want 500 hits / 1 miss", hits, misses)
 	}
 
-	// Tiny caches degenerate to one stripe so capacity is not fragmented.
-	if tiny := newStripedCache(1024); len(tiny.stripes) != 1 {
-		t.Fatalf("tiny cache has %d stripes, want 1", len(tiny.stripes))
+	// Caches too small for a few batches per stripe keep one stripe.
+	if small := newEntryCache(cacheStripes*stripeMinBytes - 1); len(small.stripes) != 1 {
+		t.Fatalf("small cache has %d stripes, want 1", len(small.stripes))
 	}
 	// Disabled cache stays disabled.
-	off := newStripedCache(0)
-	off.put(colorA, sn(1), payload(1))
-	if _, ok := off.get(colorA, sn(1)); ok {
+	off := newEntryCache(0)
+	off.put(locs[0], 0, payload(1))
+	if _, ok := off.get(locs[0], 0); ok {
 		t.Fatal("zero-capacity cache stored an entry")
 	}
 }

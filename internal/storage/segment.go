@@ -105,7 +105,10 @@ type entryLoc struct {
 	// buf is the framed entry PutBatch wrote, held until Commit fills the
 	// cache from it (guarded by the color lock; nil afterwards, and for
 	// entries Recover rebuilt).
-	buf       []byte
+	buf []byte
+	// unit is the entry's cached bytes (see entryCache), guarded by the
+	// lock of its cache stripe.
+	unit      *cacheUnit
 	token     types.Token
 	color     types.ColorID
 	firstSN   atomic.Uint64 // InvalidSN (0) until committed; records occupy [firstSN, firstSN+count)
@@ -123,13 +126,15 @@ func (l *entryLoc) lastSN() types.SN {
 	return l.first() + types.SN(l.count()-1)
 }
 
-// kill marks one record of the entry dead; when the last record dies the
-// whole entry is retired and the segment's live count drops. Safe under
-// any lock regime: the dead transition is a CAS.
-func (l *entryLoc) kill() {
-	if l.liveCount.Add(-1) == 0 && l.dead.CompareAndSwap(false, true) {
-		l.seg.live.Add(-1)
+// killN marks n records of the entry dead and reports whether that retired
+// the entry: when its last record dies, the segment's live count drops.
+// Safe under any lock regime: the dead transition is a CAS.
+func (l *entryLoc) killN(n int32) bool {
+	if n == 0 || l.liveCount.Add(-n) != 0 || !l.dead.CompareAndSwap(false, true) {
+		return false
 	}
+	l.seg.live.Add(-1)
+	return true
 }
 
 // recordRef points at one record of a batch entry.

@@ -10,11 +10,12 @@
 //
 // One storage entry corresponds to one append batch (Alg. 1's records[]):
 // the batch is framed into a single crash-consistent entry and, once the
-// ordering layer assigns the batch its SN range, each record is indexed at
-// its own sequence number.
+// ordering layer assigns the batch its SN range, indexed as one run of
+// SNs and cached as one unit. Volatile bookkeeping is paid per batch, not
+// per record.
 //
 // Concurrency model (the parallel write path): the store is sharded by
-// color. Each color's volatile index (bySN, maxSN, trimmed) has its own
+// color. Each color's volatile index (runs, maxSN, trimmed) has its own
 // RWMutex, so commits, trims and reads of different colors never contend.
 // A narrow allocator lock (st.alloc) guards the shared segment machinery:
 // slot table, active segment, the token index, and segment bookkeeping.
@@ -31,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,13 +79,8 @@ var errCheckpointTrimmed = fmt.Errorf("%w (%w)", ErrTrimmed, ErrCheckpointTrunca
 type Config struct {
 	SegmentSize uint64 // bytes per PM segment (including 16-byte header)
 	NumSegments int    // PM slots
-	// CacheBytes caps the record bytes the DRAM cache holds; 0 disables
-	// the cache. It bounds record bytes, not DRAM: a record cached at its
-	// commit is a sub-slice of its append batch's framed entry, so the
-	// whole entry stays in DRAM until its last cached record is evicted.
-	// At worst, with one record of every entry kept hot, the cache pins
-	// CacheBytes × (entry size / record size) — 64× for a full 64-record
-	// batch.
+	// CacheBytes caps the DRAM the cache pins; 0 disables the cache. An
+	// entry cached at its commit is charged its full framed length.
 	CacheBytes int
 	// GroupCommit is inert: every store commits through the group
 	// committer. Kept until the benchmark module stops setting it
@@ -143,10 +140,73 @@ type Batch struct {
 // touch disjoint colorIndexes.
 type colorIndex struct {
 	mu        sync.RWMutex
-	bySN      map[types.SN]recordRef
+	runs      []run // sorted by SN, disjoint
+	live      int   // records the runs index
 	maxSN     types.SN
 	trimmed   types.SN // records with sn <= trimmed are gone
 	ckptFloor types.SN // trim watermark restored from a checkpoint (≤ trimmed)
+}
+
+// run indexes consecutive SNs of one entry: loc.spans[lo:lo+n] hold SNs
+// first…first+n-1. A committed batch is one run; a collision or a trim
+// landing inside it leaves runs around the records that survive.
+type run struct {
+	first types.SN
+	loc   *entryLoc
+	lo, n int32
+}
+
+// end returns the SN just past the run.
+func (r *run) end() types.SN { return r.first + types.SN(r.n) }
+
+// cut drops the run's records at or below sn and returns how many.
+func (r *run) cut(sn types.SN) int32 {
+	if r.first > sn {
+		return 0
+	}
+	d := int32(min(uint64(sn-r.first)+1, uint64(r.n)))
+	r.first += types.SN(d)
+	r.lo += d
+	r.n -= d
+	return d
+}
+
+// search returns the index of the first run ending after sn (the run that
+// holds sn, if any holds it). Caller holds ci.mu.
+func (ci *colorIndex) search(sn types.SN) int {
+	lo, hi := 0, len(ci.runs)
+	if hi > 0 && sn >= ci.runs[0].first && sn < ci.runs[hi-1].end() {
+		// First probe where sn would sit were the runs spread evenly: a
+		// color's SNs are dense, so this is mostly the answer.
+		head, span := ci.runs[0].first, uint64(ci.runs[hi-1].end()-ci.runs[0].first)
+		g := int(uint64(sn-head) * uint64(hi) / span)
+		if ci.runs[g].end() <= sn {
+			lo = g + 1
+		} else if g == 0 || ci.runs[g-1].end() <= sn {
+			return g
+		} else {
+			hi = g
+		}
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ci.runs[m].end() > sn {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// above returns the index of the first run holding an SN above sn (sn
+// may be the largest SN: it comes from a client). Caller holds ci.mu.
+func (ci *colorIndex) above(sn types.SN) int {
+	i := ci.search(sn)
+	if i < len(ci.runs) && ci.runs[i].end()-1 == sn {
+		i++
+	}
+	return i
 }
 
 // lookupLocked resolves sn to its record ref. Caller holds ci.mu.
@@ -157,11 +217,12 @@ func (ci *colorIndex) lookupLocked(sn types.SN) (recordRef, error) {
 		}
 		return recordRef{}, ErrTrimmed
 	}
-	ref, ok := ci.bySN[sn]
-	if !ok {
+	i := ci.search(sn)
+	if i == len(ci.runs) || ci.runs[i].first > sn {
 		return recordRef{}, ErrNotFound
 	}
-	return ref, nil
+	r := &ci.runs[i]
+	return recordRef{loc: r.loc, idx: int(r.lo) + int(sn-r.first)}, nil
 }
 
 // publishLocked indexes the records of an entry committed at first, for a
@@ -170,37 +231,73 @@ func (ci *colorIndex) lookupLocked(sn types.SN) (recordRef, error) {
 // ordering layer never produces one, and recovery registers segments in
 // persist order, so the earlier record keeps the SN as the live index
 // did. A record at or below the trim watermark is dead too (a trim raced
-// ahead of its commit). Each record published is also put in cache, cut
-// from payload, when payload is the entry's framed payload (a commit's
-// fill; recovery passes nil). Caller holds ci.mu.
-func (ci *colorIndex) publishLocked(loc *entryLoc, first types.SN, cache *stripedCache, payload []byte) {
-	for i, sp := range loc.spans {
-		sn := first + types.SN(i)
-		if _, taken := ci.bySN[sn]; taken || sn <= ci.trimmed {
-			loc.kill()
+// ahead of its commit). The survivors go in as runs: one, appended, in
+// the common case. Caller holds ci.mu.
+func (ci *colorIndex) publishLocked(loc *entryLoc, first types.SN) {
+	r := run{first: first, loc: loc, n: int32(loc.count())}
+	loc.killN(r.cut(ci.trimmed))
+	for i := ci.search(r.first); r.n > 0; i++ {
+		if i < len(ci.runs) && ci.runs[i].first <= r.first {
+			// r.first collides with runs[i]: records die up to its end.
+			loc.killN(r.cut(min(ci.runs[i].end(), r.end()) - 1))
 			continue
 		}
-		ci.bySN[sn] = recordRef{loc: loc, idx: i}
-		ci.maxSN = max(ci.maxSN, sn)
-		if payload != nil {
-			cache.put(loc.color, sn, payload[sp.off:sp.off+sp.len:sp.off+sp.len])
+		piece := r // up to the next run, or all that is left
+		if i < len(ci.runs) && ci.runs[i].first < r.end() {
+			piece.n = int32(ci.runs[i].first - r.first)
 		}
+		ci.runs = slices.Insert(ci.runs, i, piece)
+		ci.live += int(piece.n)
+		ci.maxSN = max(ci.maxSN, piece.end()-1)
+		r.cut(piece.end() - 1)
+	}
+}
+
+// trimLocked drops every indexed record with SN <= sn, calling died (if
+// set) for each entry whose last record that was. Caller holds ci.mu.
+func (ci *colorIndex) trimLocked(sn types.SN, died func(*entryLoc)) {
+	if sn > ci.trimmed {
+		ci.trimmed = sn
+	}
+	i := ci.above(sn)
+	for _, r := range ci.runs[:i] {
+		ci.live -= int(r.n)
+		if r.loc.killN(r.n) && died != nil {
+			died(r.loc)
+		}
+	}
+	ci.runs = slices.Delete(ci.runs, 0, i)
+	if len(ci.runs) > 0 {
+		d := ci.runs[0].cut(sn)
+		ci.live -= int(d)
+		ci.runs[0].loc.killN(d) // the run keeps records, so its entry lives
 	}
 }
 
 // boundsLocked returns the [head, tail] SN pair. Caller holds ci.mu.
 func (ci *colorIndex) boundsLocked() (head, tail types.SN) {
-	if len(ci.bySN) == 0 {
+	if len(ci.runs) == 0 {
 		return types.InvalidSN, types.InvalidSN
 	}
-	first := true
-	for sn := range ci.bySN {
-		if first || sn < head {
-			head = sn
+	return ci.runs[0].first, ci.maxSN
+}
+
+// pageLocked returns the runs holding SNs > after, the first cut to
+// start past after. limit > 0 caps them at that many records, rounded up
+// to the end of the run the cap falls in: the end of the append batch, or
+// of its stretch before another batch's run. Caller holds ci.mu.
+func (ci *colorIndex) pageLocked(after types.SN, limit int) []run {
+	var page []run
+	total := 0
+	for _, r := range ci.runs[ci.above(after):] {
+		if limit > 0 && total >= limit {
+			break
 		}
-		first = false
+		r.cut(after)
+		page = append(page, r)
+		total += int(r.n)
 	}
-	return head, ci.maxSN
+	return page
 }
 
 // Store is one replica's storage server.
@@ -209,7 +306,7 @@ type Store struct {
 
 	pm    *pmem.Pool
 	cold  *ssd.Device // the tier below PM, one blob per file; never nil
-	cache *stripedCache
+	cache *entryCache
 	gc    *groupCommitter
 
 	// colors maps ColorID -> *colorIndex; entries are created on first use
@@ -284,7 +381,7 @@ func (st *Store) color(c types.ColorID) *colorIndex {
 	if v, ok := st.colors.Load(c); ok {
 		return v.(*colorIndex)
 	}
-	v, _ := st.colors.LoadOrStore(c, &colorIndex{bySN: make(map[types.SN]recordRef)})
+	v, _ := st.colors.LoadOrStore(c, &colorIndex{})
 	return v.(*colorIndex)
 }
 
@@ -491,21 +588,20 @@ func (st *Store) Commit(token types.Token, lastSN types.SN) error {
 		}
 		return fmt.Errorf("storage: token %v already committed at %v, got %v", token, cur, firstSN)
 	}
-	// Freshly appended records also populate the cache (§5.2), as
-	// sub-slices of the entry PutBatch framed: the bytes just written to
-	// PM, with no read back. The entry drops the buffer here, even if the
-	// SN write fails, so a cached record pins at most its own entry (see
-	// Config.CacheBytes). An entry Recover rebuilt has no buffer and is
-	// cached by its first read instead.
-	var payload []byte
-	if loc.buf != nil {
-		payload = loc.buf[entryHeaderSize:]
-		loc.buf = nil
-	}
+	// Freshly appended records also populate the cache (§5.2): the entry
+	// PutBatch framed, the bytes just written to PM, is cached whole, with
+	// no read back. The entry drops the buffer here, even if the SN write
+	// fails. An entry Recover rebuilt has no buffer and is cached by its
+	// first read instead.
+	buf := loc.buf
+	loc.buf = nil
 	if err := st.commitEntrySN(loc, firstSN); err != nil {
 		return err
 	}
-	ci.publishLocked(loc, firstSN, st.cache, payload)
+	ci.publishLocked(loc, firstSN)
+	if buf != nil && !loc.dead.Load() {
+		st.cache.put(loc, wholeEntry, buf)
+	}
 	// Publish last: from here on segmentFlushable may evict the segment.
 	loc.firstSN.Store(uint64(firstSN))
 	return nil
@@ -535,13 +631,11 @@ func (st *Store) TokenInfo(token types.Token) (types.ColorID, types.SN, bool) {
 
 // Get returns the payload of the committed record (color, sn), consulting
 // cache, then PM, then SSD (§5.2: "the volatile cache is first read, then
-// PM, then the SSD"). The device access is readLive's, with no store lock
-// held, so concurrent readers (the replica's read lane) overlap their
-// PM/SSD latency instead of serializing.
+// PM, then the SSD"). The SN is looked up first, so a trimmed record misses
+// even while its entry is cached. The device access is readLive's, with no
+// store lock held, so concurrent readers (the replica's read lane) overlap
+// their PM/SSD latency instead of serializing.
 func (st *Store) Get(color types.ColorID, sn types.SN) ([]byte, error) {
-	if data, ok := st.cache.get(color, sn); ok {
-		return data, nil
-	}
 	ci, ok := st.colorIfExists(color)
 	if !ok {
 		return nil, ErrNotFound
@@ -553,13 +647,18 @@ func (st *Store) Get(color types.ColorID, sn types.SN) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if data, ok := st.cache.get(ref.loc, ref.idx); ok {
+			return data, nil
+		}
 		data, cold, err := st.readLive(ref.loc, ref.idx)
 		switch {
 		case err == nil:
 			if cold {
 				st.coldMisses.Add(1)
 			}
-			st.cache.put(color, sn, data)
+			if !ref.loc.dead.Load() {
+				st.cache.put(ref.loc, ref.idx, data)
+			}
 			return data, nil
 		case !cold:
 			return nil, err
@@ -616,7 +715,7 @@ func (st *Store) Scan(color types.ColorID) ([]types.Record, error) {
 }
 
 // ScanFrom returns committed records of the color with SN > after, sorted.
-// Only the matching refs are snapshotted and read — a subscriber tailing
+// Only the matching runs are snapshotted and read — a subscriber tailing
 // the log no longer pays device reads for the prefix it already has — and
 // each device read runs with no store lock held (see Get). limit > 0 caps
 // the result at that many records, rounded up to the end of the append
@@ -624,39 +723,29 @@ func (st *Store) Scan(color types.ColorID) ([]types.Record, error) {
 // catch-up) reads only the page it ships and never sees a batch split
 // across two pages.
 func (st *Store) ScanFrom(color types.ColorID, after types.SN, limit int) ([]types.Record, error) {
-	type snRef struct {
-		sn  types.SN
-		ref recordRef
-	}
 	ci, ok := st.colorIfExists(color)
 	if !ok {
 		return nil, nil
 	}
 	ci.mu.RLock()
-	refs := make([]snRef, 0, len(ci.bySN))
-	for sn, ref := range ci.bySN {
-		if sn > after {
-			refs = append(refs, snRef{sn, ref})
-		}
-	}
+	page := ci.pageLocked(after, limit)
 	ci.mu.RUnlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].sn < refs[j].sn })
-	if limit > 0 && len(refs) > limit {
-		for limit < len(refs) && refs[limit].ref.loc == refs[limit-1].ref.loc {
-			limit++
-		}
-		refs = refs[:limit]
+	n := 0
+	for _, r := range page {
+		n += int(r.n)
 	}
-	out := make([]types.Record, 0, len(refs))
-	for _, r := range refs {
-		data, _, err := st.readLive(r.ref.loc, r.ref.idx)
-		if err != nil {
-			if r.ref.loc.dead.Load() {
-				continue // trimmed, and its segment reclaimed, since the snapshot
+	out := make([]types.Record, 0, n)
+	for _, r := range page {
+		for k := int32(0); k < r.n; k++ {
+			data, _, err := st.readLive(r.loc, int(r.lo+k))
+			if err != nil {
+				if r.loc.dead.Load() {
+					break // trimmed, and its segment reclaimed, since the snapshot
+				}
+				return nil, err
 			}
-			return nil, err
+			out = append(out, types.Record{Token: r.loc.token, SN: r.first + types.SN(k), Color: color, Data: data})
 		}
-		out = append(out, types.Record{Token: r.ref.loc.token, SN: r.sn, Color: color, Data: data})
 	}
 	return out, nil
 }
@@ -744,7 +833,7 @@ func (st *Store) Trim(color types.ColorID, sn types.SN) (head, tail types.SN, er
 	if e := st.gc.wait(op); e != nil {
 		return 0, 0, e
 	}
-	st.applyTrimLocked(ci, color, sn)
+	ci.trimLocked(sn, st.cache.drop)
 	head, tail = ci.boundsLocked()
 	// Trims create garbage: nudge the lifecycle so cold blobs whose records
 	// all died are reclaimed promptly.
@@ -752,21 +841,6 @@ func (st *Store) Trim(color types.ColorID, sn types.SN) (head, tail types.SN, er
 		st.lc.kick()
 	}
 	return head, tail, nil
-}
-
-// applyTrimLocked removes trimmed records from the indexes. Caller holds
-// the color's lock.
-func (st *Store) applyTrimLocked(ci *colorIndex, color types.ColorID, sn types.SN) {
-	if sn > ci.trimmed {
-		ci.trimmed = sn
-	}
-	for s, ref := range ci.bySN {
-		if s <= sn {
-			ref.loc.kill()
-			delete(ci.bySN, s)
-			st.cache.drop(color, s)
-		}
-	}
 }
 
 // lockAllColors acquires every existing color lock (in a deterministic
@@ -836,7 +910,7 @@ func (st *Store) Recover() error {
 	}
 	st.segs = make(map[uint64]*segment)
 	st.byToken = make(map[types.Token]*entryLoc)
-	st.cache = newStripedCache(st.cfg.CacheBytes)
+	st.cache.reset()
 	st.active = nil
 	st.nextSeg = 1
 	for i := range st.slotSeg {
@@ -854,7 +928,8 @@ func (st *Store) Recover() error {
 		return ci
 	}
 	for _, ci := range locked {
-		ci.bySN = make(map[types.SN]recordRef)
+		ci.runs = nil
+		ci.live = 0
 		ci.maxSN = types.InvalidSN
 		ci.trimmed = types.InvalidSN
 		ci.ckptFloor = types.InvalidSN
@@ -956,8 +1031,8 @@ func (st *Store) Recover() error {
 
 	// Trims in one pass: the checkpoint's color floors (they subsume every
 	// trim the checkpoint observed applied), then every segment's markers.
-	// applyTrimLocked is a max plus a delete of every SN ≤ sn, so trims
-	// commute and their order does not matter. The restored checkpoint
+	// trimLocked is a max plus a drop of every SN ≤ sn, so trims commute
+	// and their order does not matter. The cache is empty: nothing to drop. The restored checkpoint
 	// becomes the durable one.
 	st.ckptCovered = covered
 	st.ckptTrimmed = make(map[types.ColorID]types.SN)
@@ -967,14 +1042,14 @@ func (st *Store) Recover() error {
 		for c, cc := range ck.colors {
 			ci := colorLocked(c)
 			ci.ckptFloor = cc.trimmed
-			st.applyTrimLocked(ci, c, cc.trimmed)
+			ci.trimLocked(cc.trimmed, nil)
 			ci.maxSN = max(ci.maxSN, cc.maxSN)
 			st.ckptTrimmed[c] = cc.trimmed
 		}
 	}
 	for _, seg := range st.segs {
 		for _, m := range seg.trimMarks {
-			st.applyTrimLocked(colorLocked(m.color), m.color, m.sn)
+			colorLocked(m.color).trimLocked(m.sn, nil)
 		}
 	}
 
@@ -1008,7 +1083,7 @@ func (st *Store) registerLocked(seg *segment, s *ckptSeg, colorLocked func(types
 	for _, e := range s.entries {
 		loc := st.addEntryLocked(seg, e)
 		if e.firstSN.Valid() {
-			colorLocked(e.color).publishLocked(loc, e.firstSN, nil, nil)
+			colorLocked(e.color).publishLocked(loc, e.firstSN)
 		}
 	}
 	st.segs[seg.id] = seg
@@ -1063,7 +1138,7 @@ func (st *Store) Stats() Stats {
 	st.colors.Range(func(_, v any) bool {
 		ci := v.(*colorIndex)
 		ci.mu.RLock()
-		committed += len(ci.bySN)
+		committed += ci.live
 		ci.mu.RUnlock()
 		return true
 	})

@@ -86,7 +86,7 @@ func TestBackgroundEvictionUnderBudget(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Every record is still readable; cold ones fall through to the SSD.
-	st.cache.drop(colorA, sn(1)) // defeat the fill-time cache for one SN
+	st.cache.drop(st.byToken[types.MakeToken(uint32(colorA), 1)]) // defeat the fill-time cache for one SN
 	for i := 1; i < 60; i++ {
 		got, err := st.Get(colorA, sn(i))
 		if err != nil || !bytes.Equal(got, payload(i)) {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -51,6 +52,10 @@ type Topology struct {
 	version uint64
 	seqs    map[types.ColorID]*SequencerInfo
 	shards  map[types.ShardID]*ShardInfo
+	// inRegion lists each region's shards sorted by id, rebuilt by every
+	// change to the regions or the shards, so RandomShard picks one per
+	// append without building or sorting a list.
+	inRegion map[types.ColorID][]ShardInfo
 }
 
 // New returns an empty topology.
@@ -94,8 +99,28 @@ func (t *Topology) AddRegion(color types.ColorID, parent types.ColorID, leader t
 		Parent:  parent,
 		IsRoot:  isRoot,
 	}
-	t.version++
+	t.changedLocked()
 	return nil
+}
+
+// changedLocked bumps the version after a change to the regions or the
+// shards and rebuilds the per-region shard lists. Caller holds t.mu.
+func (t *Topology) changedLocked() {
+	t.version++
+	ids := make([]types.ShardID, 0, len(t.shards))
+	for id := range t.shards {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	t.inRegion = make(map[types.ColorID][]ShardInfo, len(t.seqs))
+	for _, id := range ids {
+		sh := t.shards[id]
+		for c := range t.seqs {
+			if t.inRegionLocked(c, sh.Leaf) {
+				t.inRegion[c] = append(t.inRegion[c], *sh)
+			}
+		}
+	}
 }
 
 // AddShard attaches a replica group to a leaf region.
@@ -113,7 +138,7 @@ func (t *Topology) AddShard(id types.ShardID, leaf types.ColorID, replicas []typ
 		Leaf:     leaf,
 		Replicas: append([]types.NodeID(nil), replicas...),
 	}
-	t.version++
+	t.changedLocked()
 	return nil
 }
 
@@ -208,20 +233,15 @@ func (t *Topology) inRegionLocked(region, c types.ColorID) bool {
 func (t *Topology) ShardsInRegion(color types.ColorID) []ShardInfo {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []ShardInfo
-	for _, sh := range t.shards {
-		if t.inRegionLocked(color, sh.Leaf) {
-			out = append(out, *sh)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return slices.Clone(t.inRegion[color])
 }
 
 // RandomShard picks a uniformly random shard of the region (Alg. 1: the
 // client broadcasts "to all replicas in a (random) shard of c").
 func (t *Topology) RandomShard(color types.ColorID, rng *rand.Rand) (ShardInfo, error) {
-	shards := t.ShardsInRegion(color)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	shards := t.inRegion[color]
 	if len(shards) == 0 {
 		return ShardInfo{}, fmt.Errorf("topology: no shards in region %v", color)
 	}
@@ -350,7 +370,7 @@ func (t *Topology) AddReplicaToShard(id types.ShardID, node types.NodeID) error 
 		}
 	}
 	sh.Replicas = append(sh.Replicas, node)
-	t.version++
+	t.changedLocked()
 	return nil
 }
 
@@ -371,7 +391,7 @@ func (t *Topology) RemoveReplicaFromShard(id types.ShardID, node types.NodeID) e
 			return fmt.Errorf("%w: shard %v", ErrLastReplica, id)
 		}
 		sh.Replicas = append(sh.Replicas[:i:i], sh.Replicas[i+1:]...)
-		t.version++
+		t.changedLocked()
 		return nil
 	}
 	return fmt.Errorf("topology: replica %v not in shard %v", node, id)
@@ -386,7 +406,7 @@ func (t *Topology) RemoveShard(id types.ShardID) error {
 		return fmt.Errorf("topology: unknown shard %v", id)
 	}
 	delete(t.shards, id)
-	t.version++
+	t.changedLocked()
 	return nil
 }
 
@@ -445,6 +465,7 @@ func (t *Topology) Apply(s Snapshot) bool {
 	}
 	t.seqs = seqs
 	t.shards = shards
+	t.changedLocked()
 	t.version = s.Version
 	return true
 }

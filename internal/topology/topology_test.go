@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"flexlog/internal/types"
@@ -150,6 +151,64 @@ func TestRandomShardCoversAll(t *testing.T) {
 	topo2.AddRegion(0, 0, 1, nil)
 	if _, err := topo2.RandomShard(0, rng); err == nil {
 		t.Fatal("no shards should error")
+	}
+}
+
+// TestRandomShardReplaysSeeds: RandomShard picks from the region's shards
+// sorted by id, as it did when it built and sorted that list per call, so
+// a seed picks the same shards before and after each layout change — and
+// it allocates nothing.
+func TestRandomShardReplaysSeeds(t *testing.T) {
+	topo := buildTree(t)
+	// reference is the list the per-call build produced.
+	reference := func(color types.ColorID) []ShardInfo {
+		var out []ShardInfo
+		for _, sh := range topo.Snapshot().Shards {
+			if topo.InRegion(color, sh.Leaf) {
+				out = append(out, sh)
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		return out
+	}
+	check := func(step string) {
+		t.Helper()
+		for _, color := range []types.ColorID{0, 1, 2} {
+			got, want := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+			shards := reference(color)
+			for i := 0; i < 100; i++ {
+				sh, err := topo.RandomShard(color, got)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				w := shards[want.Intn(len(shards))]
+				if sh.ID != w.ID || len(sh.Replicas) != len(w.Replicas) {
+					t.Fatalf("%s: color %v pick %d = %+v, want %+v", step, color, i, sh, w)
+				}
+			}
+		}
+	}
+	check("initial")
+	if err := topo.AddShard(4, 1, []types.NodeID{10, 11}); err != nil {
+		t.Fatal(err)
+	}
+	check("add shard")
+	if err := topo.AddReplicaToShard(4, 12); err != nil {
+		t.Fatal(err)
+	}
+	check("add replica")
+	if err := topo.RemoveShard(1); err != nil {
+		t.Fatal(err)
+	}
+	check("remove shard")
+	snap := buildTree(t).Snapshot()
+	snap.Version = topo.Version() + 1
+	topo.Apply(snap)
+	check("apply")
+
+	rng := rand.New(rand.NewSource(1))
+	if n := testing.AllocsPerRun(1000, func() { _, _ = topo.RandomShard(0, rng) }); n != 0 {
+		t.Fatalf("RandomShard allocates %v times per pick", n)
 	}
 }
 
