@@ -13,6 +13,13 @@ import (
 // backups} over region 0 with shard 1 = replicas {1,2,3}.
 func failoverCluster(t *testing.T) (*transport.Network, map[types.NodeID]*Sequencer, []*fakeReplica) {
 	t.Helper()
+	return failoverClusterWith(t, nil)
+}
+
+// failoverClusterWith is failoverCluster with tweak applied to every
+// member's configuration.
+func failoverClusterWith(t *testing.T, tweak func(*Config)) (*transport.Network, map[types.NodeID]*Sequencer, []*fakeReplica) {
+	t.Helper()
 	net := transport.NewNetwork(transport.ZeroLink())
 	topo := topology.New()
 	if err := topo.AddRegion(0, 0, 100, []types.NodeID{101, 102}); err != nil {
@@ -29,6 +36,9 @@ func failoverCluster(t *testing.T) (*transport.Network, map[types.NodeID]*Sequen
 	for _, id := range []types.NodeID{100, 101, 102} {
 		cfg := testConfig(id, 0, topo)
 		cfg.StartAsLeader = id == 100
+		if tweak != nil {
+			tweak(&cfg)
+		}
 		s, err := New(cfg, net)
 		if err != nil {
 			t.Fatal(err)
