@@ -92,7 +92,8 @@ bench-write-smoke:
 # append path's allocation guard (PutBatch+Commit allocate per batch, not
 # per record; a warm cache fill allocates nothing; DESIGN.md §8), the run
 # index against its per-record reference model, the cache's DRAM bound,
-# the PM arena on huge pages (skipped where THP is off), the crash points
+# the PM arena on huge pages and the advice undone once it is freed
+# (skipped where THP is off), the crash points
 # of the one spill path (lifecycle and on-demand), the checkpoint write,
 # the freed slot, a fused group-commit window and segment rolls waiting
 # for an in-flight eviction, five times each under -race, short fuzzes of
@@ -101,7 +102,7 @@ bench-write-smoke:
 # lifecycle-less baseline). See DESIGN.md §11.
 tiering-smoke:
 	$(GO) test -count=1 -run 'TestCheckpointBoundsRecoveryReplay|TestBackgroundEvictionUnderBudget|TestAppendPathAllocsFlat|TestRunIndexMatchesModel|TestRunIndexSplitRuns|TestCacheBytesBoundsDRAM' ./internal/storage/
-	$(GO) test -count=1 -run 'TestArenaAdvisedHuge' -v ./internal/pmem/
+	$(GO) test -count=1 -run 'TestArenaAdvisedHuge|TestArenaAdviceUndoneWhenDropped' -v ./internal/pmem/
 	$(GO) test -race -count=5 -run 'TestCrashMidEviction|TestCrashMidOnDemandSpill|TestCrashMidCheckpoint|TestFreedSlotIsNotReplayed|TestCrashInFusedWindowLeavesNoEntry|TestRollWaitsForInFlightEviction|TestRollWaitRechecksToken' ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunIndex$$' -fuzztime=10s ./internal/storage/

@@ -34,7 +34,7 @@ func clientBatchTuning() core.BatchConfig {
 //     unacknowledged), so the cost is the hand-off to the batcher
 //     goroutine; the regression must stay bounded by MaxBatchDelay.
 func clientBatchAblation(cfg RunConfig) laneAblation {
-	const latency = "1-client p50 latency"
+	const latency = "1-client mean latency"
 	tuning := clientBatchTuning()
 	a := laneAblation{
 		title:   "client-side batching ablation: coalesced appends amortize ordering and data RPCs; a lone client pays no linger",

@@ -75,12 +75,10 @@ func closedLoop(workers, ops int, l load, afterWarmup func()) error {
 
 // loneLatency is the injected-latency pass the ablations pair with their
 // modeled throughput: one closed-loop worker on a fresh deployment under
-// calibrated latency injection, reporting the median of the load's
-// latency histogram (a quick run has 40 operations, and one host stall
-// among them would move the mean past the bars these passes hold). No
-// lane, batch or pipeline can help a lone client; the bar these passes
-// hold is that the mechanism does not hurt it either.
-func loneLatency(ops int, build func() (*fixture, error), mk func(*fixture) (load, error)) (p50 time.Duration, err error) {
+// calibrated latency injection, reporting the mean of the load's latency
+// histogram. No lane, batch or pipeline can help a lone client; the bar
+// these passes hold is that the mechanism does not hurt it either.
+func loneLatency(ops int, build func() (*fixture, error), mk func(*fixture) (load, error)) (mean time.Duration, err error) {
 	err = withLatencyInjection(func() error {
 		f, err := build()
 		if err != nil {
@@ -97,10 +95,10 @@ func loneLatency(ops int, build func() (*fixture, error), mk func(*fixture) (loa
 		if l.lat.Count() == 0 {
 			return errors.New("latency run recorded no operations")
 		}
-		p50 = l.lat.Percentile(50)
+		mean = l.lat.Mean()
 		return nil
 	})
-	return p50, err
+	return mean, err
 }
 
 // readOwnWrites is the read/append mix of fig8, fig11 and

@@ -20,16 +20,14 @@ import (
 const (
 	qosVictim    types.TenantID = 1
 	qosAggressor types.TenantID = 2
-	qosVictims                  = 4 // the victim's writers
 )
 
 // runAblateQoS measures the two QoS mechanisms of DESIGN.md §13 on a
 // live cluster, wall-clock:
 //
-//   - Noisy-neighbor isolation: closed-loop victim writers run solo on
-//     one cluster ("baseline" row) and on a second while an aggressor
-//     tenant floods the same shard ("qos" row), the two taking turns
-//     window by window. Token-bucket admission throttles the
+//   - Noisy-neighbor isolation: closed-loop victim writers run solo
+//     ("baseline" row), then again while an aggressor tenant floods the
+//     same shard ("qos" row). Token-bucket admission throttles the
 //     aggressor at replica ingress and the weighted-fair lanes keep the
 //     victim's share of service: on an idle host the victim keeps
 //     ≥ ~80% of its solo throughput, and on any host the replicas'
@@ -47,25 +45,14 @@ func runAblateQoS(cfg RunConfig) (*Report, error) {
 		reads = 200
 	}
 
-	soloSide, err := newQoSIsolation(false)
+	solo, err := qosIsolationRun(false, dur)
 	if err != nil {
 		return nil, err
 	}
-	noisySide, err := newQoSIsolation(true)
+	noisy, err := qosIsolationRun(true, dur)
 	if err != nil {
-		soloSide.f.stop()
 		return nil, err
 	}
-	// The two sides take turns, three windows each, so that load the host
-	// picks up or sheds during the run falls on both alike.
-	const turns = 3
-	for i := 0; i < turns; i++ {
-		soloSide.window(dur / turns)
-		noisySide.window(dur / turns)
-	}
-	solo, noisy := soloSide.result(), noisySide.result()
-	soloSide.f.stop()
-	noisySide.f.stop()
 
 	unhedgedP99, _, err := qosHedgedTail(false, reads)
 	if err != nil {
@@ -114,7 +101,7 @@ func runAblateQoS(cfg RunConfig) (*Report, error) {
 	}, nil
 }
 
-// qosIsoResult aggregates one isolation side: the victim's completed
+// qosIsoResult aggregates one isolation window: the victim's completed
 // appends (client wall-clock), plus the replicas' server-side per-tenant
 // record books, aggressor throttles, and lane sheds.
 type qosIsoResult struct {
@@ -137,16 +124,9 @@ func (r qosIsoResult) victimShare() float64 {
 	return float64(r.victimRecs) / float64(total)
 }
 
-// qosIsolation is one side of the noisy-neighbor scenario: a one-shard
-// cluster with the victim's writers and, on the noisy side, the
-// aggressor's flood.
-type qosIsolation struct {
-	f         *fixture
-	clients   []*core.Client // the victims first
-	victimOps atomic.Uint64
-}
-
-func newQoSIsolation(withAggressor bool) (*qosIsolation, error) {
+// qosIsolationRun drives the noisy-neighbor scenario for dur.
+func qosIsolationRun(withAggressor bool, dur time.Duration) (qosIsoResult, error) {
+	var res qosIsoResult
 	// The aggressor's envelope must be small relative to shard capacity —
 	// that is what an operator's rate cap is for. Capacity on this
 	// 2-vCPU host also shrinks several-fold when the process or the
@@ -160,53 +140,45 @@ func newQoSIsolation(withAggressor bool) (*qosIsolation, error) {
 		}
 	}})
 	if err != nil {
-		return nil, err
+		return res, err
 	}
+	defer f.stop()
 
 	// Four victim writers and, with the aggressor, two flood workers — not
 	// four: the aggressor and victim share the bench host's CPU as ordinary
 	// goroutines, and QoS governs the cluster's resources, not the flooding
 	// process's own CPU — more workers would measure Go scheduler
 	// fair-share, not lane fairness.
-	clients, err := f.clients(qosVictims, core.WithTenant(qosVictim))
+	const victims = 4
+	clients, err := f.clients(victims, core.WithTenant(qosVictim))
 	if err == nil && withAggressor {
 		var flood []*core.Client
 		flood, err = f.clients(2, core.WithTenant(qosAggressor))
 		clients = append(clients, flood...)
 	}
 	if err != nil {
-		f.stop()
-		return nil, err
+		return res, err
 	}
-	return &qosIsolation{f: f, clients: clients}, nil
-}
-
-// window runs every writer of the side closed-loop for dur.
-func (q *qosIsolation) window(dur time.Duration) {
 	payload := workload.Payload(128, 11)
 	ctx, cancel := context.WithTimeout(context.Background(), dur)
 	defer cancel()
+	var ok atomic.Uint64
 	// No worker reports an error: aggressor errors are the mechanism
 	// working — throttled appends surface ErrThrottled with a retry-after
 	// hint the client backoff honors on the next attempt.
-	_ = fanOut(len(q.clients), func(w int) error {
+	_ = fanOut(len(clients), func(w int) error {
 		for ctx.Err() == nil {
 			opCtx, opCancel := context.WithTimeout(ctx, time.Second)
-			_, err := q.clients[w].AppendCtx(opCtx, [][]byte{payload}, types.MasterColor)
+			_, err := clients[w].AppendCtx(opCtx, [][]byte{payload}, types.MasterColor)
 			opCancel()
-			if err == nil && w < qosVictims {
-				q.victimOps.Add(1)
+			if err == nil && w < victims {
+				ok.Add(1)
 			}
 		}
 		return nil
 	})
-}
 
-// result reads the side's totals over all its windows: the victim's
-// completed appends (client wall-clock) and the replicas' books.
-func (q *qosIsolation) result() qosIsoResult {
-	res := qosIsoResult{victimOps: q.victimOps.Load()}
-	for _, r := range q.f.replicas() {
+	for _, r := range f.replicas() {
 		for _, ts := range r.TenantStats() {
 			switch ts.Tenant {
 			case qosAggressor:
@@ -218,7 +190,8 @@ func (q *qosIsolation) result() qosIsoResult {
 			res.sheds += ts.Shed
 		}
 	}
-	return res
+	res.victimOps = ok.Load()
+	return res, nil
 }
 
 // qosHedgedTail measures closed-loop read P99 against a shard with one

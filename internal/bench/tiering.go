@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"flexlog/internal/metrics"
@@ -112,25 +111,12 @@ func runAblateTiering(cfg RunConfig) (*Report, error) {
 				return 0, 0, fmt.Errorf("no reads were served from the cold tier (budget %d, window %d)", budget, window)
 			}
 		}
-		// Recovery time is the median of three crash-recover cycles of the
-		// same media: a sub-millisecond recovery is shorter than one host
-		// stall, which would otherwise decide the flatness gate. What a
-		// recovery replays is that of the first cycle.
-		var took [3]time.Duration
-		var rec storage.RecoveryStats
-		for c := range took {
-			st.Crash()
-			start := time.Now()
-			if err := st.Recover(); err != nil {
-				return 0, 0, err
-			}
-			took[c] = time.Since(start)
-			if c == 0 {
-				rec = st.LastRecovery()
-			}
+		st.Crash()
+		start := time.Now()
+		if err := st.Recover(); err != nil {
+			return 0, 0, err
 		}
-		slices.Sort(took[:])
-		elapsed := took[len(took)/2]
+		elapsed := time.Since(start)
 		// The recovered store still serves both ends of the live window.
 		if _, err := st.Get(1, types.MakeSN(1, uint32(n))); err != nil {
 			return 0, 0, fmt.Errorf("post-recovery read (tail): %w", err)
@@ -138,6 +124,7 @@ func runAblateTiering(cfg RunConfig) (*Report, error) {
 		if _, err := st.Get(1, types.MakeSN(1, uint32(n-window+1))); err != nil {
 			return 0, 0, fmt.Errorf("post-recovery read (head): %w", err)
 		}
+		rec := st.LastRecovery()
 		if lifecycle && rec.RestoredEntries == 0 {
 			return 0, 0, fmt.Errorf("recovery restored nothing from the checkpoint (%d segments scanned, %d entries replayed)", rec.ScannedSegments, rec.ReplayedEntries)
 		}

@@ -14,7 +14,11 @@ import (
 // timerLoop drives heartbeats, failure detection and in-flight resends.
 func (s *Sequencer) timerLoop() {
 	defer s.stopped.Done()
-	t := time.NewTicker(s.tickInterval())
+	interval := s.cfg.HeartbeatInterval
+	if interval <= 0 {
+		interval = 5 * time.Millisecond
+	}
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
@@ -26,32 +30,9 @@ func (s *Sequencer) timerLoop() {
 	}
 }
 
-// tickInterval is the timer loop's period: the heartbeat interval.
-func (s *Sequencer) tickInterval() time.Duration {
-	if s.cfg.HeartbeatInterval <= 0 {
-		return 5 * time.Millisecond
-	}
-	return s.cfg.HeartbeatInterval
-}
-
-// liveNowLocked reads the stickiness clock, on which the evidence that
-// a leader is alive ages: the leader's heartbeat acks and a backup's last
-// current-epoch beat. It runs with the wall clock, except that one gap
-// between two ticks counts for at most two tick intervals. A node that was
-// itself descheduled (a stalled host, a GC pause) therefore does not read
-// its own stall as the silence of a live leader's quorum, and a leader
-// that really lost it still stands down after FailureTimeout of ticking.
-// Candidacy (lastLeaderHB, claimStart) stays on the wall clock, so the
-// stagger that orders claimants is the same on every backup.
-// Caller holds s.mu.
-func (s *Sequencer) liveNowLocked() time.Time {
-	return s.liveAt.Add(min(time.Since(s.liveTick), 2*s.tickInterval()))
-}
-
 func (s *Sequencer) tick() {
 	now := time.Now()
 	s.mu.Lock()
-	s.liveAt, s.liveTick = s.liveNowLocked(), now
 	role := s.role
 	epoch := s.epoch
 	s.mu.Unlock()
@@ -127,9 +108,8 @@ func (s *Sequencer) leaderTick(now time.Time, epoch types.Epoch) {
 	// majority for some time").
 	s.mu.Lock()
 	live := 1 // self
-	liveNow := s.liveNowLocked()
 	for _, t := range s.hbAcks {
-		if liveNow.Sub(t) <= s.cfg.FailureTimeout {
+		if now.Sub(t) <= s.cfg.FailureTimeout {
 			live++
 		}
 	}
@@ -229,7 +209,7 @@ func (s *Sequencer) onEpochClaim(m proto.EpochClaim) {
 		s.mu.Unlock()
 		return
 	}
-	now := s.liveNowLocked()
+	now := time.Now()
 	// Leader stickiness: a claim triggered by lost heartbeats on one link
 	// must not depose a live leader. A leader that can still reach a
 	// majority rejects instead of stepping down; a backup that heard the
@@ -257,18 +237,6 @@ func (s *Sequencer) onEpochClaim(m proto.EpochClaim) {
 				reject := proto.EpochReject{Epoch: s.epoch, LeaderAlive: true}
 				s.mu.Unlock()
 				s.ep.Send(m.From, reject)
-				return
-			}
-			// §5.2: the new sequencer is the backup with the highest node
-			// id. A backup that has lost the leader too, and runs no claim
-			// of its own, outranks a lower-id claimant whose tick merely
-			// came first: it claims above that claim instead of granting
-			// it, and the claimant, rejected, grants the higher epoch.
-			if m.From < s.cfg.ID && s.initEpoch <= s.epoch {
-				epoch := max(m.Epoch, s.grantedEpoch) + 1
-				s.mu.Unlock()
-				s.startClaim(epoch)
-				s.ep.Send(m.From, proto.EpochReject{Epoch: epoch, Claimant: s.cfg.ID})
 				return
 			}
 		}
@@ -429,8 +397,9 @@ func (s *Sequencer) onHeartbeat(m proto.SeqHeartbeat) {
 		}
 	}
 	if m.Epoch >= s.epoch {
-		s.lastLeaderHB = time.Now()
-		s.lastLeaderBeat = s.liveNowLocked()
+		now := time.Now()
+		s.lastLeaderHB = now
+		s.lastLeaderBeat = now
 	}
 	epoch := s.epoch
 	id := s.cfg.ID
@@ -452,7 +421,7 @@ func (s *Sequencer) onHeartbeatAck(m proto.SeqHeartbeatAck) {
 		s.lastLeaderHB = time.Now()
 		return
 	}
-	s.hbAcks[m.From] = s.liveNowLocked()
+	s.hbAcks[m.From] = time.Now()
 }
 
 // resendExpired re-sends aggregated batches that have waited longer than

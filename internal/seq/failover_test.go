@@ -13,13 +13,6 @@ import (
 // backups} over region 0 with shard 1 = replicas {1,2,3}.
 func failoverCluster(t *testing.T) (*transport.Network, map[types.NodeID]*Sequencer, []*fakeReplica) {
 	t.Helper()
-	return failoverClusterWith(t, nil)
-}
-
-// failoverClusterWith is failoverCluster with tweak applied to every
-// member's configuration.
-func failoverClusterWith(t *testing.T, tweak func(*Config)) (*transport.Network, map[types.NodeID]*Sequencer, []*fakeReplica) {
-	t.Helper()
 	net := transport.NewNetwork(transport.ZeroLink())
 	topo := topology.New()
 	if err := topo.AddRegion(0, 0, 100, []types.NodeID{101, 102}); err != nil {
@@ -36,9 +29,6 @@ func failoverClusterWith(t *testing.T, tweak func(*Config)) (*transport.Network,
 	for _, id := range []types.NodeID{100, 101, 102} {
 		cfg := testConfig(id, 0, topo)
 		cfg.StartAsLeader = id == 100
-		if tweak != nil {
-			tweak(&cfg)
-		}
 		s, err := New(cfg, net)
 		if err != nil {
 			t.Fatal(err)
@@ -127,6 +117,27 @@ func TestPartitionedLeaderStandsDown(t *testing.T) {
 	}, "old leader rejoins as backup")
 	if group[102].Role() != RoleLeader {
 		t.Fatal("healing demoted the new leader")
+	}
+}
+
+// TestStalledPartitionedLeaderStandsDownOnFirstTick: a leader cut off
+// from its backups and descheduled for longer than FailureTimeout stands
+// down on its first tick after resuming (§5.2: an old sequencer shuts
+// down once it stops hearing from a majority), since a successor may
+// already be running SeqInit. The stall is the tick's timestamp.
+func TestStalledPartitionedLeaderStandsDownOnFirstTick(t *testing.T) {
+	net, group, _ := failoverCluster(t)
+	l := group[100]
+	waitUntil(t, 5*time.Second, func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.serving && len(l.hbAcks) == 2
+	}, "leader serving with acks from both backups")
+	net.Partition(100, 101)
+	net.Partition(100, 102)
+	l.leaderTick(time.Now().Add(2*l.cfg.FailureTimeout), l.Epoch())
+	if l.Role() != RoleBackup || l.Serving() {
+		t.Fatalf("stalled partitioned leader still %v (serving %v) after its first tick", l.Role(), l.Serving())
 	}
 }
 

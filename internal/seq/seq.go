@@ -212,11 +212,6 @@ type Sequencer struct {
 	initAcks       map[types.NodeID]bool
 	initEpoch      types.Epoch
 	claimStart     time.Time
-	// lastLeaderBeat and hbAcks read the stickiness clock
-	// (liveNowLocked), which stood at liveAt at the last tick, taken at
-	// wall time liveTick.
-	liveAt   time.Time
-	liveTick time.Time
 
 	stopCh  chan struct{}
 	stopped sync.WaitGroup
@@ -290,8 +285,6 @@ func newSequencer(cfg Config) *Sequencer {
 		hbAcks: make(map[types.NodeID]time.Time),
 		stopCh: make(chan struct{}),
 	}
-	s.liveAt = time.Now()
-	s.liveTick = s.liveAt
 	s.tokenCap = cfg.TokenCacheSize / dedupStripes
 	if s.tokenCap < 1 {
 		s.tokenCap = 1

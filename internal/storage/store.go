@@ -174,29 +174,7 @@ func (r *run) cut(sn types.SN) int32 {
 // search returns the index of the first run ending after sn (the run that
 // holds sn, if any holds it). Caller holds ci.mu.
 func (ci *colorIndex) search(sn types.SN) int {
-	lo, hi := 0, len(ci.runs)
-	if hi > 0 && sn >= ci.runs[0].first && sn < ci.runs[hi-1].end() {
-		// First probe where sn would sit were the runs spread evenly: a
-		// color's SNs are dense, so this is mostly the answer.
-		head, span := ci.runs[0].first, uint64(ci.runs[hi-1].end()-ci.runs[0].first)
-		g := int(uint64(sn-head) * uint64(hi) / span)
-		if ci.runs[g].end() <= sn {
-			lo = g + 1
-		} else if g == 0 || ci.runs[g-1].end() <= sn {
-			return g
-		} else {
-			hi = g
-		}
-	}
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ci.runs[m].end() > sn {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
+	return sort.Search(len(ci.runs), func(i int) bool { return ci.runs[i].end() > sn })
 }
 
 // above returns the index of the first run holding an SN above sn (sn
