@@ -20,7 +20,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/... ./internal/qos/... ./internal/pmem/... ./internal/topology/...
+	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/... ./internal/qos/... ./internal/pmem/... ./internal/topology/... ./internal/combine/...
 
 # The line counts every deletion PR states before and after in
 # CHANGES.md: non-test and test Go lines of the program (the benchmark
@@ -30,7 +30,7 @@ race:
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
-	@for pkg in internal/bench internal/storage internal/ssd internal/pmem internal/seq internal/proto internal/transport internal/replica internal/core internal/ctrlplane cmd; do \
+	@for pkg in internal/bench internal/combine internal/storage internal/ssd internal/pmem internal/seq internal/proto internal/transport internal/replica internal/core internal/ctrlplane cmd; do \
 		printf '%s non-test Go lines: ' $$pkg; find $$pkg -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; \
 	done
 

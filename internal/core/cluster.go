@@ -66,10 +66,9 @@ type ClusterConfig struct {
 	// registry: every replica (and through it, its storage stack), every
 	// sequencer, and the network's delivery/fault counters.
 	Obs *obs.Registry
-	// TraceSlow and TraceRing tune each replica's slow-request ring (see
-	// replica.Config); zero keeps the defaults.
+	// TraceSlow tunes each replica's slow-request ring (see
+	// replica.Config); zero keeps the default.
 	TraceSlow time.Duration
-	TraceRing int
 	// Tenants declares the deployment's multi-tenant QoS envelopes: per-
 	// tenant weighted-fair lane shares, token-bucket admission rates, and
 	// color ownership for ordering-layer accounting (DESIGN.md §13). Empty
@@ -264,7 +263,6 @@ func (cl *Cluster) buildReplica(id types.NodeID, shardID types.ShardID) (*replic
 	rcfg.RetryTimeout = cl.cfg.RetryTimeout
 	rcfg.Obs = cl.cfg.Obs
 	rcfg.TraceSlow = cl.cfg.TraceSlow
-	rcfg.TraceRing = cl.cfg.TraceRing
 	rcfg.Tenants = cl.cfg.Tenants
 	r, err := replica.New(rcfg, cl.net)
 	if err != nil {

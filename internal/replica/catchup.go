@@ -243,7 +243,9 @@ func (r *Replica) onJoinEntries(m proto.JoinEntries) {
 
 	for c, sn := range m.Trimmed {
 		if sn > r.st.Trimmed(c) {
-			r.st.Trim(c, sn)
+			if _, _, err := r.st.Trim(c, sn); err != nil {
+				r.stats.trimDrops.Add(1)
+			}
 		}
 	}
 	n := r.IngestCatchup(m.Records)

@@ -40,8 +40,8 @@ func (r *Replica) initObs() {
 		slow = time.Millisecond
 	}
 	lb := obs.Labels{"node": fmt.Sprintf("%d", r.cfg.ID)}
-	r.appendTr = obs.NewTracer(reg, "append", lb, slow, r.cfg.TraceRing)
-	r.readTr = obs.NewTracer(reg, "read", lb, slow, r.cfg.TraceRing)
+	r.appendTr = obs.NewTracer(reg, "append", lb, slow, 0)
+	r.readTr = obs.NewTracer(reg, "read", lb, slow, 0)
 
 	for _, c := range []struct {
 		name string
@@ -61,6 +61,7 @@ func (r *Replica) initObs() {
 		{"flexlog_replica_oreq_retries_total", "Order requests re-issued after RetryTimeout.", r.stats.oreqRetries.Load},
 		{"flexlog_replica_append_drops_total", "Appends dropped because persistence failed (capacity/oversize).", r.stats.appendDrops.Load},
 		{"flexlog_replica_oreq_drops_total", "Order requests dropped on topology lookup failure.", r.stats.oreqDrops.Load},
+		{"flexlog_replica_trim_drops_total", "Trims the store refused (TrimReq or a catch-up donor's trim frontier).", r.stats.trimDrops.Load},
 		{"flexlog_replica_syncs_total", "Sync-phase runs completed.", r.stats.syncs.Load},
 		{"flexlog_replica_sync_retries_total", "Stalled sync-phase stages re-driven.", r.stats.syncRetries.Load},
 		{"flexlog_replica_sync_aborts_total", "Wedged sync runs abandoned.", r.stats.syncAborts.Load},

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flexlog/internal/combine"
 	"flexlog/internal/obs"
 	"flexlog/internal/proto"
 	"flexlog/internal/qos"
@@ -125,8 +126,6 @@ type Config struct {
 	// TraceSlow is the latency above which a traced request enters the
 	// slow-request ring (/debug/traces); 0 means 1ms.
 	TraceSlow time.Duration
-	// TraceRing caps the slow-request ring; 0 means 64.
-	TraceRing int
 }
 
 // DefaultConfig returns test-friendly timing parameters.
@@ -185,6 +184,7 @@ type Stats struct {
 	OReqRetries  uint64
 	AppendDrops  uint64 // appends dropped because persistence failed (was silent)
 	OReqDrops    uint64 // order requests dropped on topology lookup failure (was silent)
+	TrimDrops    uint64 // trims the store refused (a TrimReq, or a catch-up donor's trim frontier)
 	Syncs        uint64
 	SyncRetries  uint64 // stalled sync-phase stages re-driven (lossy links)
 	SyncAborts   uint64 // wedged sync runs abandoned (peer crashed mid-run)
@@ -213,6 +213,7 @@ type counters struct {
 	oreqRetries  atomic.Uint64
 	appendDrops  atomic.Uint64
 	oreqDrops    atomic.Uint64
+	trimDrops    atomic.Uint64
 	syncs        atomic.Uint64
 	syncRetries  atomic.Uint64
 	syncAborts   atomic.Uint64
@@ -239,6 +240,7 @@ func (c *counters) snapshot() Stats {
 		OReqRetries:  c.oreqRetries.Load(),
 		AppendDrops:  c.appendDrops.Load(),
 		OReqDrops:    c.oreqDrops.Load(),
+		TrimDrops:    c.trimDrops.Load(),
 		Syncs:        c.syncs.Load(),
 		SyncRetries:  c.syncRetries.Load(),
 		SyncAborts:   c.syncAborts.Load(),
@@ -271,9 +273,9 @@ type Replica struct {
 	maxSeen watermarks   // per-color highest SN observed (commit or sync)
 	held    heldRegistry // parked reads keyed by (color, SN)
 	stats   counters
-	coal    orderCoalescer // per-color order-request batching
-	admit   *qos.Admission // per-tenant append admission (nil = unlimited)
-	tenants tenantRegistry // per-tenant QoS counters
+	orders  *combine.Queue[orderReq] // per-color order-request batching (writepath.go)
+	admit   *qos.Admission           // per-tenant append admission (nil = unlimited)
+	tenants tenantRegistry           // per-tenant QoS counters
 
 	// Tracers for the two service paths (nil when Config.Obs is unset;
 	// every method is nil-safe). See obs.go.
@@ -372,7 +374,7 @@ func newReplica(cfg Config, st *storage.Store) *Replica {
 	r.initObs()
 	read, write := r.laneConfigs()
 	r.lanes = transport.NewLanes(r.handle, read, write)
-	r.coal.r = r
+	r.orders = combine.New(maxOrderBatch, r.sendOrderBatch)
 	if sh, err := cfg.Topo.Shard(cfg.Shard); err == nil {
 		if si, err := cfg.Topo.Sequencer(sh.Leaf); err == nil {
 			r.seqNode = si.Leader
@@ -653,10 +655,11 @@ func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.T
 }
 
 // sendOrderReq issues the round-2 order request to the leaf sequencer
-// through the coalescer: at once when no send is running, else with the
-// next one.
+// through the order queue: at once when no send is running, else with the
+// running one's next batch.
 func (r *Replica) sendOrderReq(token types.Token, color types.ColorID, n uint32) {
-	r.coal.enqueue(color, proto.OrderItem{Token: token, NRecords: n})
+	r.orders.Add(orderReq{color: color, item: proto.OrderItem{Token: token, NRecords: n}})
+	r.orders.Kick()
 }
 
 // sendOrderItems ships one color's order requests to the leaf sequencer as
@@ -781,6 +784,8 @@ func (r *Replica) bufferEarly(m proto.OrderResp) {
 
 func (r *Replica) onTrim(from types.NodeID, m proto.TrimReq) {
 	if _, _, err := r.st.Trim(m.Color, m.SN); err != nil {
+		// No ack: the client asks again until its deadline.
+		r.stats.trimDrops.Add(1)
 		return
 	}
 	r.stats.trims.Add(1)

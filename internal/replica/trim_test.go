@@ -1,10 +1,12 @@
 package replica
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"flexlog/internal/proto"
+	"flexlog/internal/storage"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
@@ -129,4 +131,41 @@ func (h *harness) sawTrimAck(id uint64) bool {
 		}
 	}
 	return false
+}
+
+// TestFailedTrimCounted fills PM with uncommitted entries, which no
+// eviction may move, until not even a trim marker fits. The store then
+// refuses every trim with ErrOutOfSpace, and each refusal — a TrimReq and
+// a catch-up donor's trim frontier — is counted in TrimDrops, not dropped
+// silently.
+func TestFailedTrimCounted(t *testing.T) {
+	r, _ := steppedReplica(t, func(cfg *Config) {
+		cfg.Store.SegmentSize, cfg.Store.NumSegments = 512, 2
+	})
+	st := r.Store()
+	var err error
+	for i := 1; err == nil; i++ {
+		err = st.PutBatch(0, types.MakeToken(9, uint32(i)), [][]byte{make([]byte, 64)})
+	}
+	if !errors.Is(err, storage.ErrOutOfSpace) {
+		t.Fatalf("filling PM: %v, want ErrOutOfSpace", err)
+	}
+	for err = nil; err == nil; { // markers may still fit in the last segment's tail
+		_, _, err = st.Trim(1, types.MakeSN(1, 1))
+	}
+	if !errors.Is(err, storage.ErrOutOfSpace) {
+		t.Fatalf("filling PM with trim markers: %v, want ErrOutOfSpace", err)
+	}
+
+	r.onTrim(500, proto.TrimReq{ID: 1, Color: 0, SN: types.MakeSN(1, 1), Client: 500})
+	if got := r.Stats().TrimDrops; got != 1 {
+		t.Fatalf("TrimDrops = %d after a refused TrimReq, want 1", got)
+	}
+	r.mu.Lock()
+	r.syncRuns[7] = &syncRun{id: 7, pulls: []types.NodeID{2}}
+	r.mu.Unlock()
+	r.onJoinEntries(proto.JoinEntries{ID: 7, From: 2, More: true, Trimmed: map[types.ColorID]types.SN{0: types.MakeSN(1, 1)}})
+	if got := r.Stats().TrimDrops; got != 2 {
+		t.Fatalf("TrimDrops = %d after a refused donor trim frontier, want 2", got)
+	}
 }

@@ -1,7 +1,7 @@
 package replica
 
 import (
-	"sync"
+	"slices"
 	"time"
 
 	"flexlog/internal/obs"
@@ -75,55 +75,36 @@ func (r *Replica) onOrderRespBatch(m proto.OrderRespBatch) {
 
 // ---- Order-request coalescing ----
 
-// orderCoalescer batches the replica→leaf edge of the ordering tree the
-// same way the tree aggregates upward (§5.2), and only while that edge is
-// busy: the caller that finds no send running sends its own request at
-// once, inline, and then ships — one OrderReqBatch per color — whatever
-// queued behind it while it was in the socket. An idle replica pays no
-// window; W concurrent writers share ~2 messages per send instead of ~2W.
-type orderCoalescer struct {
-	r *Replica
+// Order requests batch on the replica→leaf edge the way the tree
+// aggregates upward (§5.2), through a combining queue (internal/combine):
+// a request leaves at once when no send is running, else with the
+// running sender's next batch. An idle replica pays no window; W
+// concurrent writers share ~2 messages per send instead of ~2W.
 
-	mu       sync.Mutex
-	pending  []colorItems // queued behind the running send, first-arrival order
-	flushing bool         // a caller is sending; it takes pending with it
-}
+// maxOrderBatch caps the requests one flush ships: 1024 items keep each
+// color's OrderReqBatch inside the 64 KiB read window of a TCP peer.
+const maxOrderBatch = 1024
 
-// colorItems is one color's queued order requests.
-type colorItems struct {
+// orderReq is one queued order request.
+type orderReq struct {
 	color types.ColorID
-	items []proto.OrderItem
+	item  proto.OrderItem
 }
 
-// enqueue sends one order request now, or leaves it to the caller that is
-// already sending.
-func (c *orderCoalescer) enqueue(color types.ColorID, it proto.OrderItem) {
-	c.mu.Lock()
-	if c.flushing {
-		i := 0
-		for i < len(c.pending) && c.pending[i].color != color {
-			i++
+// sendOrderBatch is the order queue's flush: one frame per color, colors
+// in first-arrival order. Item slices are fresh: an in-process receiver
+// keeps the message it is handed.
+func (r *Replica) sendOrderBatch(batch []orderReq) {
+	for i, o := range batch {
+		if slices.ContainsFunc(batch[:i], func(p orderReq) bool { return p.color == o.color }) {
+			continue // sent with its color's first request
 		}
-		if i == len(c.pending) {
-			c.pending = append(c.pending, colorItems{color: color})
+		var items []proto.OrderItem
+		for _, p := range batch[i:] {
+			if p.color == o.color {
+				items = append(items, p.item)
+			}
 		}
-		c.pending[i].items = append(c.pending[i].items, it)
-		c.mu.Unlock()
-		return
+		r.sendOrderItems(o.color, items)
 	}
-	c.flushing = true
-	c.mu.Unlock()
-	c.r.sendOrderItems(color, []proto.OrderItem{it})
-	c.mu.Lock()
-	for len(c.pending) > 0 {
-		pending := c.pending
-		c.pending = nil
-		c.mu.Unlock()
-		for _, p := range pending {
-			c.r.sendOrderItems(p.color, p.items)
-		}
-		c.mu.Lock()
-	}
-	c.flushing = false
-	c.mu.Unlock()
 }

@@ -277,11 +277,8 @@ func TestOrderCoalescerStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	r.coal.mu.Lock()
-	left, flushing := len(r.coal.pending), r.coal.flushing
-	r.coal.mu.Unlock()
-	if left != 0 || flushing {
-		t.Fatalf("coalescer not drained after the last submitter returned: %d colors pending, flushing=%v", left, flushing)
+	if left := r.orders.Len(); left != 0 {
+		t.Fatalf("order queue not drained after the last submitter returned: %d requests queued or in a running flush", left)
 	}
 	items, frames := ep.orderItems()
 	seen := make(map[types.Token]bool, len(items))

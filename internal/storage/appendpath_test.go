@@ -248,7 +248,7 @@ func TestCrashInFusedWindowLeavesNoEntry(t *testing.T) {
 
 	// Queue the entries behind a running leader, so they form one window.
 	const n = 4
-	st.gc.commitMu.Lock()
+	queued, release := holdWindows(st.gc)
 	errs := make([]error, n+1)
 	var wg sync.WaitGroup
 	for i := 1; i <= n; i++ {
@@ -258,12 +258,7 @@ func TestCrashInFusedWindowLeavesNoEntry(t *testing.T) {
 			errs[i] = st.PutBatch(colorA, tok(i), [][]byte{bytes.Repeat([]byte{byte(i)}, 100)})
 		}(i)
 	}
-	for queued := 0; queued < n; {
-		time.Sleep(100 * time.Microsecond)
-		st.gc.mu.Lock()
-		queued = len(st.gc.pending)
-		st.gc.mu.Unlock()
-	}
+	queued(n)
 	st.alloc.RLock()
 	first, last := st.byToken[tok(1)], st.byToken[tok(1)]
 	for i := 2; i <= n; i++ {
@@ -278,7 +273,7 @@ func TestCrashInFusedWindowLeavesNoEntry(t *testing.T) {
 	hi := last.seg.pmOff + last.off + entrySize(last.payloadLen)
 
 	defer simclock.Enable(simclock.Enable(true))
-	st.gc.commitMu.Unlock()
+	release()
 	// Crash once the fused write is in the arena (the leader is then in
 	// its modeled write latency, before the watermark and the commit).
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {

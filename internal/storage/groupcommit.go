@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flexlog/internal/combine"
 	"flexlog/internal/obs"
 	"flexlog/internal/pmem"
 )
@@ -16,15 +17,11 @@ var ErrCommitterClosed = errors.New("storage: group committer closed")
 
 // groupCommitter is the PM group-commit engine (§5.2 sizing argument: PM
 // latency, not software serialization, should bound append throughput).
-// It batches because the device is busy, never because a timer says so:
-// PutBatch/Commit callers submit their PM write and then wait for it, and
-// the first waiter to find no transaction running becomes the leader — it
-// commits everything submitted so far (its own write alone when the store
-// is idle, at no cost over a direct transaction) as ONE pmem transaction
-// and releases the followers that queued behind it. Writes submitted while
-// that transaction runs form the next window. This is the classic group
-// commit, amortizing the per-transaction overhead (undo-log snapshot +
-// flush) across the window, with no committer goroutine to hand off to.
+// Every PM write goes through its combining queue (internal/combine): the
+// writes that queue while a transaction runs are committed together as
+// ONE pmem transaction — a write alone when the store is idle, at no cost
+// over a direct transaction — amortizing the per-transaction overhead
+// (undo-log snapshot + flush) with no committer goroutine to hand off to.
 //
 // Two further write reductions fall out of the window shape:
 //
@@ -36,26 +33,19 @@ var ErrCommitterClosed = errors.New("storage: group committer closed")
 //
 // Correctness of the watermark relies on ordering: ops are queued in
 // reservation order (the callers hold the allocator lock across submit), a
-// window is a prefix of that queue and commitMu admits one leader at a
+// window is a prefix of that queue and the queue runs one window at a
 // time, so a watermark value is only made durable in the same transaction
 // as — or after — every entry it covers. A crash mid-window rolls the whole
 // window back via the pmem undo log: every caller in the window is still
 // blocked (no ack was sent), so nothing acknowledged is lost.
 type groupCommitter struct {
 	pm *pmem.Pool
+	q  *combine.Queue[*gcOp]
 
-	mu      sync.Mutex // guards pending and closed; never held across a transaction
-	pending []*gcOp    // submitted, not yet in a window; submission order
-	closed  bool
+	mu     sync.Mutex // orders submit against close
+	closed bool
 
-	// commitMu is the leader lock: its holder commits windows. Waiters
-	// queue on it, so a follower wakes to find its op already finished.
-	// It also guards the ops' done/err fields and the leader's scratch:
-	// spare (the last window's array, reused as the next pending queue)
-	// and parts (one fused run's buffers).
-	commitMu sync.Mutex
-	spare    []*gcOp
-	parts    [][]byte
+	parts [][]byte // one fused run's buffers; used by the committing waiter only
 
 	windows atomic.Uint64 // transactions committed
 	ops     atomic.Uint64 // writes submitted
@@ -73,8 +63,7 @@ type gcOp struct {
 	hasWM bool   // append ops advance their segment's watermark
 	wmOff uint64 // segment base offset (the watermark cell)
 	wmVal uint64 // watermark value after this entry
-	done  bool   // its window committed or failed (guarded by commitMu)
-	err   error
+	err   error  // its window's outcome, set before the window returns
 }
 
 // maxWindow bounds ops folded into one transaction, so a burst cannot
@@ -82,62 +71,41 @@ type gcOp struct {
 const maxWindow = 512
 
 func newGroupCommitter(pm *pmem.Pool, txH, windowH *obs.Histogram) *groupCommitter {
-	return &groupCommitter{pm: pm, txH: txH, windowH: windowH}
+	g := &groupCommitter{pm: pm, txH: txH, windowH: windowH}
+	g.q = combine.New(maxWindow, g.commit)
+	return g
 }
 
 // submit queues one write; wait then blocks until the write's window is
 // durable (or failed). Submitting under the allocator lock and waiting
 // after releasing it is what lets concurrent callers share a window.
 // Every submit must be followed by its wait: the waiters are who commit.
-func (g *groupCommitter) submit(off uint64, buf []byte, hasWM bool, wmOff, wmVal uint64) *gcOp {
+func (g *groupCommitter) submit(off uint64, buf []byte, hasWM bool, wmOff, wmVal uint64) (*gcOp, uint64) {
 	op := &gcOp{off: off, buf: buf, hasWM: hasWM, wmOff: wmOff, wmVal: wmVal}
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.closed {
-		g.mu.Unlock()
-		op.done, op.err = true, ErrCommitterClosed
-		return op
+		op.err = ErrCommitterClosed
+		return op, 0
 	}
-	g.pending = append(g.pending, op)
-	g.mu.Unlock()
 	g.ops.Add(1)
-	return op
+	return op, g.q.Add(op)
 }
 
-// wait blocks until op's window committed, committing it as leader when no
-// transaction is running, and returns the window's error.
-func (g *groupCommitter) wait(op *gcOp) error {
-	g.commitMu.Lock()
-	defer g.commitMu.Unlock()
-	for !op.done { // more than one pass only when maxWindow ops precede op
-		g.commitNext()
-	}
+// wait returns op's window's error once it has committed or failed.
+func (g *groupCommitter) wait(op *gcOp, ticket uint64) error {
+	g.q.Wait(ticket)
 	return op.err
 }
 
-// commitNext commits the oldest pending ops, at most maxWindow, as one
-// transaction and marks them finished; false means nothing was pending.
-// Caller holds commitMu.
-func (g *groupCommitter) commitNext() bool {
-	g.mu.Lock()
-	window := g.pending
-	g.pending, g.spare = g.spare[:0], nil
-	if len(window) > maxWindow {
-		g.pending = append(g.pending, window[maxWindow:]...)
-		window = window[:maxWindow]
-	}
-	g.mu.Unlock()
-	if len(window) == 0 {
-		return false
-	}
+// commit is the queue's flush: one window, one transaction.
+func (g *groupCommitter) commit(window []*gcOp) {
 	windowStart := time.Now()
 	err := g.commitWindow(window)
 	for _, op := range window {
-		op.done, op.err = true, err
+		op.err = err
 	}
 	g.windowH.Since(windowStart)
-	clear(window) // the ops' buffers must not outlive their window
-	g.spare = window
-	return true
 }
 
 // commitWindow folds the window into one transaction.
@@ -194,13 +162,10 @@ func (g *groupCommitter) commitWindow(window []*gcOp) error {
 	return nil
 }
 
-// drain makes every write submitted so far durable (or failed): it waits
-// out a running leader, then commits what is still queued.
+// drain makes every write submitted so far durable (or failed), waiting
+// out a running window.
 func (g *groupCommitter) drain() {
-	g.commitMu.Lock()
-	defer g.commitMu.Unlock()
-	for g.commitNext() {
-	}
+	g.q.Wait(g.q.Last())
 }
 
 // close refuses further writes, then drains. Idempotent.

@@ -251,10 +251,10 @@ func (st *Store) reserveEntry(need uint64) (*segment, uint64, error) {
 
 // persistEntry submits a reserved entry and its segment's new watermark
 // to the group committer. Called with st.alloc held; the caller waits for
-// the returned op after releasing the lock (enqueue order under the lock
+// the returned op and ticket after releasing the lock (enqueue order under the lock
 // = reservation order, so the committer sees each segment's entries in
 // frontier order).
-func (st *Store) persistEntry(seg *segment, off uint64, buf []byte) *gcOp {
+func (st *Store) persistEntry(seg *segment, off uint64, buf []byte) (*gcOp, uint64) {
 	return st.gc.submit(seg.pmOff+off, buf, true, seg.pmOff, off+uint64(len(buf)))
 }
 

@@ -515,9 +515,9 @@ func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]by
 	}
 	loc := st.addEntryLocked(seg, ckptEntry{token: token, color: color, off: off, payloadLen: payloadLen, spans: spans})
 	loc.buf = buf
-	op := st.persistEntry(seg, off, buf)
+	op, ticket := st.persistEntry(seg, off, buf)
 	st.alloc.Unlock()
-	if err := st.gc.wait(op); err != nil {
+	if err := st.gc.wait(op, ticket); err != nil {
 		// The write never became durable (the pool is crashed or the
 		// committer closed): withdraw the volatile index entry so a retry
 		// after recovery is not mistaken for a duplicate.
@@ -806,9 +806,9 @@ func (st *Store) Trim(color types.ColorID, sn types.SN) (head, tail types.SN, er
 		return 0, 0, e
 	}
 	seg.trimMarks = append(seg.trimMarks, trimMark{color: color, sn: sn})
-	op := st.persistEntry(seg, off, buf)
+	op, ticket := st.persistEntry(seg, off, buf)
 	st.alloc.Unlock()
-	if e := st.gc.wait(op); e != nil {
+	if e := st.gc.wait(op, ticket); e != nil {
 		return 0, 0, e
 	}
 	ci.trimLocked(sn, st.cache.drop)

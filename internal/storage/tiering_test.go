@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -516,18 +515,7 @@ func TestPendingTrimMarkerKeepsSegmentInPM(t *testing.T) {
 	defer st.Close()
 	fill(t, st, colorA, 1, 4)
 
-	st.gc.commitMu.Lock() // a leader busy with another window
-	queued := func(n int) {
-		for {
-			st.gc.mu.Lock()
-			k := len(st.gc.pending)
-			st.gc.mu.Unlock()
-			if k >= n {
-				return
-			}
-			runtime.Gosched()
-		}
-	}
+	queued, release := holdWindows(st.gc) // a leader busy with another window
 	trimmed := make(chan error, 1)
 	go func() { _, _, err := st.Trim(colorA, sn(2)); trimmed <- err }()
 	queued(1)
@@ -544,7 +532,7 @@ func TestPendingTrimMarkerKeepsSegmentInPM(t *testing.T) {
 		evicted <- err
 	case <-time.After(50 * time.Millisecond):
 	}
-	st.gc.commitMu.Unlock()
+	release()
 	for _, ch := range []chan error{trimmed, put} {
 		if err := <-ch; err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"flexlog/internal/combine"
 	"flexlog/internal/pmem"
 	"flexlog/internal/types"
 )
@@ -217,6 +218,30 @@ func TestGroupCommitCrashMidWindow(t *testing.T) {
 	}
 }
 
+// holdWindows stands in for a leader busy with a window of its own: it
+// puts a write on g's queue whose window blocks until release, so later
+// writes queue behind it and their waiters block. queued(n) returns once n
+// writes wait behind it; release lets the held leader go on to commit them.
+func holdWindows(g *groupCommitter) (queued func(n int), release func()) {
+	held, running, gate := &gcOp{}, make(chan struct{}), make(chan struct{})
+	g.q = combine.New(maxWindow, func(w []*gcOp) {
+		if w[0] == held {
+			close(running)
+			<-gate
+			return
+		}
+		g.commit(w)
+	})
+	go g.q.Wait(g.q.Add(held))
+	<-running
+	queued = func(n int) {
+		for g.q.Len() < n+1 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	return queued, func() { close(gate) }
+}
+
 // TestGroupCommitLeaderFollowerStress drives the committer alone: K
 // goroutines submit under one lock (as PutBatch does under st.alloc) and
 // wait outside it. Every write must be durable when its wait returns nil
@@ -247,9 +272,9 @@ func TestGroupCommitLeaderFollowerStress(t *testing.T) {
 				next++
 				var buf [8]byte
 				binary.LittleEndian.PutUint64(buf[:], uint64(slot)+1)
-				op := g.submit(base+uint64(8*slot), buf[:], false, 0, 0)
+				op, ticket := g.submit(base+uint64(8*slot), buf[:], false, 0, 0)
 				order.Unlock()
-				if err := g.wait(op); err != nil {
+				if err := g.wait(op, ticket); err != nil {
 					t.Errorf("slot %d: %v", slot, err)
 					return
 				}
@@ -267,9 +292,9 @@ func TestGroupCommitLeaderFollowerStress(t *testing.T) {
 		t.Fatalf("ops = %d, windows = %d; want %d ops in at most as many windows", st.Ops, st.Windows, submitters*each)
 	}
 
-	// Followers: with a leader running (its lock held here), K writes
+	// Followers: with a leader running (its place held here), K writes
 	// queue up; the next leader commits all of them as one window.
-	g.commitMu.Lock()
+	queued, release := holdWindows(g)
 	for k := 0; k < submitters; k++ {
 		wg.Add(1)
 		go func(k int) {
@@ -279,13 +304,8 @@ func TestGroupCommitLeaderFollowerStress(t *testing.T) {
 			}
 		}(k)
 	}
-	for queued := 0; queued < submitters; {
-		time.Sleep(100 * time.Microsecond)
-		g.mu.Lock()
-		queued = len(g.pending)
-		g.mu.Unlock()
-	}
-	g.commitMu.Unlock()
+	queued(submitters)
+	release()
 	wg.Wait()
 	if got := g.stats().Windows - st.Windows; got != 1 {
 		t.Fatalf("%d writes queued behind a leader took %d windows, want 1", submitters, got)
@@ -294,8 +314,8 @@ func TestGroupCommitLeaderFollowerStress(t *testing.T) {
 	// Close races a leader: whichever wins, the write is either durable or
 	// refused, and Close returns only once no transaction is running.
 	done := make(chan error, 1)
-	op := g.submit(base, []byte{0xff}, false, 0, 0)
-	go func() { done <- g.wait(op) }()
+	op, ticket := g.submit(base, []byte{0xff}, false, 0, 0)
+	go func() { done <- g.wait(op, ticket) }()
 	g.close()
 	if err := <-done; err != nil {
 		t.Fatalf("write submitted before close: %v", err)

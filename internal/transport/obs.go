@@ -82,6 +82,9 @@ func (e *TCPEndpoint) PublishObs(reg *obs.Registry) {
 	reg.GaugeFunc("flexlog_tcp_writev_max_batch",
 		"Largest number of frames coalesced into a single vectored write.",
 		nil, func() float64 { return float64(e.writevMax.Load()) })
+	reg.CounterFunc("flexlog_tcp_large_frames_total",
+		"Inbound frames larger than the 64 KiB read window, assembled in a pooled buffer instead of decoded in place.",
+		nil, e.largeIn.Load)
 	reg.CounterFunc("flexlog_tcp_decode_errors_total",
 		"Inbound connections dropped for a missing preamble or a frame that failed to decode.",
 		nil, e.decodeErrs.Load)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"flexlog/internal/combine"
 	"flexlog/internal/proto"
 	"flexlog/internal/types"
 )
@@ -65,6 +66,7 @@ type TCPStats struct {
 	WritevCalls uint64 // vectored writes issued
 	WritevMax   uint64 // largest frame batch written by one writev
 	DecodeErrs  uint64 // inbound preamble/framing/decode failures (connection dropped)
+	LargeIn     uint64 // inbound frames larger than the read window, assembled in a pooled buffer
 }
 
 // WritevFrames is implied: SendsOut frames leave through WritevCalls
@@ -102,6 +104,7 @@ type TCPEndpoint struct {
 	writevCalls atomic.Uint64
 	writevMax   atomic.Uint64
 	decodeErrs  atomic.Uint64
+	largeIn     atomic.Uint64
 }
 
 // TCPOption customizes a TCPEndpoint.
@@ -113,28 +116,29 @@ func WithTCPCodec(Codec) TCPOption {
 	return func(*TCPEndpoint) {}
 }
 
-// flushGroup is one round of frames bound for a peer. The first sender to
-// arrive while no flush is running becomes the flusher and writes every
-// group that accumulates while it is busy — later senders' frames ride
-// along in one vectored write instead of taking the syscall themselves.
-type flushGroup struct {
-	bufs  [][]byte  // frames in send order (consumed by net.Buffers)
-	owned []*[]byte // pool returns after the write; nil entries are shared
-	done  chan struct{}
-	err   error
+// maxWritev caps the frames one vectored write carries: the kernel's
+// IOV_MAX, the most a single writev syscall accepts.
+const maxWritev = 1024
+
+// outFrame is one encoded frame queued for a peer.
+type outFrame struct {
+	buf   []byte
+	owner *[]byte // pool return after the write; nil for a shared frame
 }
 
-// outConn is the cached outbound connection to one peer.
+// outConn is the cached outbound connection to one peer. Its senders
+// share vectored writes through a combining queue (internal/combine).
 type outConn struct {
 	addr     string
 	dialOnce sync.Once
 	dialErr  error
 	c        net.Conn
 
-	mu       sync.Mutex
-	next     *flushGroup // accumulating group
-	flushing bool
-	err      error // sticky write error; connection is dead
+	q        *combine.Queue[outFrame]
+	bufs     [][]byte      // the batch's frames for net.Buffers; flusher only
+	written  uint64        // frames handed to writeFrames so far; flusher only
+	failedAt atomic.Uint64 // ticket of the first frame a write failed, 0 while healthy
+	err      error         // sticky write error, set before failedAt
 }
 
 // ListenTCP starts a TCP endpoint for node id at the address the book
@@ -185,6 +189,7 @@ func (e *TCPEndpoint) Stats() TCPStats {
 		WritevCalls: e.writevCalls.Load(),
 		WritevMax:   e.writevMax.Load(),
 		DecodeErrs:  e.decodeErrs.Load(),
+		LargeIn:     e.largeIn.Load(),
 	}
 }
 
@@ -265,6 +270,7 @@ func (e *TCPEndpoint) readFrames(br *bufio.Reader) {
 				putBuf(bp)
 				return
 			}
+			e.largeIn.Add(1)
 			from, msg, err = fd.Decode(buf)
 			putBuf(bp)
 		}
@@ -370,76 +376,50 @@ func (e *TCPEndpoint) Broadcast(tos []types.NodeID, msg Message) error {
 }
 
 // write queues one encoded frame on the peer connection and returns once
-// it has been written (or failed). The first sender to arrive while the
-// connection is idle writes its own frame plus every frame queued behind
-// it as a single vectored write; concurrent senders therefore share
-// writev syscalls instead of serializing on the socket. owner, when
-// non-nil, is returned to the frame pool after the write.
+// it has been written (or failed). owner, when non-nil, is returned to the
+// frame pool after the write.
 func (e *TCPEndpoint) write(oc *outConn, frame []byte, owner *[]byte) error {
 	e.sendsOut.Add(1)
 	e.bytesOut.Add(uint64(len(frame)))
-	oc.mu.Lock()
-	if oc.err != nil {
-		err := oc.err
-		oc.mu.Unlock()
-		if owner != nil {
-			putBuf(owner)
-		}
-		return err
+	t := oc.q.Add(outFrame{buf: frame, owner: owner})
+	oc.q.Wait(t)
+	if f := oc.failedAt.Load(); f != 0 && t >= f {
+		return oc.err
 	}
-	g := oc.next
-	if g == nil {
-		g = &flushGroup{done: make(chan struct{})}
-		oc.next = g
-	}
-	g.bufs = append(g.bufs, frame)
-	g.owned = append(g.owned, owner)
-	if oc.flushing {
-		oc.mu.Unlock()
-		<-g.done
-		return g.err
-	}
-	oc.flushing = true
-	mine := g
-	for oc.next != nil {
-		cur := oc.next
-		oc.next = nil
-		if oc.err != nil {
-			cur.err = oc.err
-			finishGroup(cur)
-			continue
-		}
-		oc.mu.Unlock()
-		nframes := uint64(len(cur.bufs))
+	return nil
+}
+
+// writeFrames is the peer queue's flush: one vectored write for the
+// batch, then the pooled frames go back. A write error is sticky: the
+// connection is dead, and this and every later batch fail with it.
+func (e *TCPEndpoint) writeFrames(oc *outConn, batch []outFrame) {
+	first := oc.written + 1 // tickets are consecutive and batches FIFO
+	oc.written += uint64(len(batch))
+	if oc.failedAt.Load() == 0 {
+		n := uint64(len(batch))
 		e.writevCalls.Add(1)
 		for {
 			prev := e.writevMax.Load()
-			if nframes <= prev || e.writevMax.CompareAndSwap(prev, nframes) {
+			if n <= prev || e.writevMax.CompareAndSwap(prev, n) {
 				break
 			}
 		}
-		bufs := net.Buffers(cur.bufs)
-		_, err := bufs.WriteTo(oc.c)
-		oc.mu.Lock()
-		if err != nil {
+		for _, f := range batch {
+			oc.bufs = append(oc.bufs, f.buf)
+		}
+		bufs := net.Buffers(oc.bufs)
+		if _, err := bufs.WriteTo(oc.c); err != nil {
 			oc.err = err
+			oc.failedAt.Store(first)
 		}
-		cur.err = err
-		finishGroup(cur)
+		clear(oc.bufs)
+		oc.bufs = oc.bufs[:0]
 	}
-	oc.flushing = false
-	oc.mu.Unlock()
-	return mine.err
-}
-
-// finishGroup recycles a group's pooled frames and releases its waiters.
-func finishGroup(g *flushGroup) {
-	for _, bp := range g.owned {
-		if bp != nil {
-			putBuf(bp)
+	for _, f := range batch {
+		if f.owner != nil {
+			putBuf(f.owner)
 		}
 	}
-	close(g.done)
 }
 
 // conn returns the cached outbound connection to the peer, dialing it on
@@ -460,6 +440,7 @@ func (e *TCPEndpoint) conn(to types.NodeID) (*outConn, error) {
 			return nil, fmt.Errorf("%w: %v", ErrUnknownNode, to)
 		}
 		oc = &outConn{addr: addr}
+		oc.q = combine.New(maxWritev, func(b []outFrame) { e.writeFrames(oc, b) })
 		e.conns[to] = oc
 	}
 	e.mu.Unlock()

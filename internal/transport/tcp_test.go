@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -471,6 +472,7 @@ func TestTCPPublishObs(t *testing.T) {
 		"flexlog_tcp_writev_calls_total",
 		"flexlog_tcp_writev_max_batch",
 		"flexlog_tcp_decode_errors_total",
+		"flexlog_tcp_large_frames_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("registry output missing %s", want)
@@ -524,7 +526,7 @@ func TestTCPCloseAfterOneReply(t *testing.T) {
 // than the 64 KiB read window back to back. Each is assembled in a pooled
 // read buffer that recycles once the frame is decoded, so the first
 // message's records must still be byte-exact after the second frame was
-// read and decoded.
+// read and decoded, and the receiver counts both in LargeIn.
 func TestTCPLargeFramesBackToBack(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
@@ -571,4 +573,76 @@ func TestTCPLargeFramesBackToBack(t *testing.T) {
 			}
 		}
 	}
+	if n := b.Stats().LargeIn; n != 2 {
+		t.Fatalf("LargeIn = %d, want 2", n)
+	}
+}
+
+// TestTCPConcurrentSendersShareWritev has 8 goroutines send 500 frames
+// each to one peer at once, so senders queue behind each other's writes
+// and share writev calls: every frame must arrive exactly once, each
+// sender's frames in the order it sent them, in no more writes than sends.
+func TestTCPConcurrentSendersShareWritev(t *testing.T) {
+	const senders, each = 8, 500
+	addrs := freeAddrs(t, 2)
+	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
+	var (
+		mu   sync.Mutex
+		got  []uint64
+		done = make(chan struct{})
+	)
+	b, err := ListenTCP(2, book, func(_ types.NodeID, m Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append(got, m.(proto.ReadResp).ID)
+		if len(got) == senders*each {
+			close(done)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	var wg sync.WaitGroup
+	for g := range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				if err := a.Send(2, proto.ReadResp{ID: uint64(g)<<32 | uint64(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("%d of %d frames arrived", len(got), senders*each)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var next [senders]uint64
+	for _, id := range got {
+		g, i := id>>32, id&(1<<32-1)
+		if g >= senders || i != next[g] {
+			t.Fatalf("sender %d's frame %d arrived, expected its frame %d next", g, i, next[g%senders])
+		}
+		next[g]++
+	}
+	st := a.Stats()
+	if st.SendsOut != senders*each || st.WritevCalls == 0 || st.WritevCalls > st.SendsOut {
+		t.Fatalf("%d sends in %d writev calls; want %d sends in at most as many writes", st.SendsOut, st.WritevCalls, senders*each)
+	}
+	t.Logf("%d frames in %d writev calls (largest batch %d)", st.SendsOut, st.WritevCalls, st.WritevMax)
 }
