@@ -154,8 +154,11 @@ reconfig-smoke:
 # documented in README.md or OPERATIONS.md. -unused fails on an exported
 # name under internal/ or cmd/ that no Go file of the repository mentions
 # besides its declaration: an option nothing uses is deleted when it
-# appears, not by the next diet PR.
+# appears, not by the next diet PR. -metrics verifies every flexlog_*
+# metric family named in the source (string literals and obs struct tags)
+# is documented in OPERATIONS.md.
 docs-check:
 	$(GO) run ./cmd/docs-check internal/obs internal/ctrlplane
 	$(GO) run ./cmd/docs-check -flags cmd/flexlog-server cmd/flexlog-cli
+	$(GO) run ./cmd/docs-check -metrics internal cmd
 	$(GO) run ./cmd/docs-check -unused internal cmd

@@ -1,4 +1,4 @@
-// Command docs-check enforces three gates on the documented surface:
+// Command docs-check enforces four gates on the documented surface:
 //
 //   - godoc coverage: every exported top-level declaration (and exported
 //     method) in the given package directories must carry a doc comment,
@@ -7,6 +7,9 @@
 //     (flag.String / sub.Bool / ... — any *"name", ...* flag-package call)
 //     must be mentioned as -name in README.md or OPERATIONS.md, so the
 //     operator surface can't drift ahead of its documentation.
+//   - metric coverage (-metrics): every flexlog_* metric family named in a
+//     non-test Go file under the given directories — in a string literal
+//     or an obs struct tag — must appear in OPERATIONS.md.
 //   - unused exports (-unused): every exported top-level func, method,
 //     type, const or var declared under the given directories must be
 //     mentioned by name somewhere in the repository's Go files — program,
@@ -20,6 +23,7 @@
 //
 //	docs-check [dir ...]           # godoc gate; default: internal/obs
 //	docs-check -flags [cmddir ...] # flag gate; default: cmd/flexlog-server cmd/flexlog-cli
+//	docs-check -metrics [dir ...]  # metric gate; default: internal cmd
 //	docs-check -unused [dir ...]   # unused-export gate; default: internal cmd
 //
 // It exits non-zero listing each miss, so `make docs-check` fails the
@@ -36,6 +40,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -44,10 +49,25 @@ import (
 func main() {
 	flagMode := flag.Bool("flags", false, "check that every registered command-line flag is documented in README.md or OPERATIONS.md")
 	unusedMode := flag.Bool("unused", false, "list exported top-level names that no Go file of the repository mentions besides their declaration")
+	metricsMode := flag.Bool("metrics", false, "check that every flexlog_* metric family named in Go source is documented in OPERATIONS.md")
 	flag.Parse()
 	dirs := flag.Args()
 
 	switch {
+	case *metricsMode:
+		if len(dirs) == 0 {
+			dirs = []string{"internal", "cmd"}
+		}
+		docs, err := loadDocs("OPERATIONS.md")
+		if err != nil {
+			fatal(err)
+		}
+		families, misses, err := checkMetrics(dirs, docs)
+		if err != nil {
+			fatal(err)
+		}
+		report(misses, "undocumented metric families (add them to OPERATIONS.md)")
+		fmt.Printf("docs-check: %d metric families all documented\n", families)
 	case *unusedMode:
 		if len(dirs) == 0 {
 			dirs = []string{"internal", "cmd"}
@@ -157,6 +177,55 @@ func checkFlags(dir, docs string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// metricName matches a metric family name inside a string literal, a
+// struct tag or a document.
+var metricName = regexp.MustCompile(`\bflexlog_[a-z0-9_]*[a-z0-9]\b`)
+
+// checkMetrics parses every non-test .go file under dirs, collects each
+// flexlog_* family named in a string literal (struct tags included), and
+// returns how many there are and one line per family the docs never name.
+func checkMetrics(dirs []string, docs string) (int, []string, error) {
+	documented := make(map[string]bool)
+	for _, name := range metricName.FindAllString(docs, -1) {
+		documented[name] = true
+	}
+	fset := token.NewFileSet()
+	first := make(map[string]string) // family -> position of its first mention
+	for _, dir := range dirs {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					for _, name := range metricName.FindAllString(lit.Value, -1) {
+						if _, seen := first[name]; !seen {
+							first[name] = fset.Position(lit.Pos()).String()
+						}
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			return 0, nil, err
+		}
+	}
+	var out []string
+	for name, pos := range first {
+		if !documented[name] {
+			out = append(out, fmt.Sprintf("%s: %s", pos, name))
+		}
+	}
+	sort.Strings(out)
+	return len(first), out, nil
 }
 
 // flagRegisters are the flag-package methods that declare a flag with the

@@ -78,3 +78,63 @@ func testAppendCoversNewMember(t *testing.T, opts ...Option) {
 		t.Fatal("append never completed")
 	}
 }
+
+// TestReplayCoversMemberAddedInFlight: a broker replica replays a
+// multi-append set into its target shard with the same barrier a client's
+// append has, so a replica promoted into the target shard while the replay
+// waits must acknowledge before the replay, and with it the multi-append,
+// completes — and then holds the record. The promoted member is cut off
+// from the sequencer until every old member has acknowledged, so only a
+// barrier that covers it can tell.
+func TestReplayCoversMemberAddedInFlight(t *testing.T) {
+	cfg := TestClusterConfig()
+	cfg.FailureTimeout = 30 * time.Second
+	cl, err := TreeCluster(cfg, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	c, err := cl.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := cl.Topology().ShardsInRegion(1)[0]
+	reps := cl.Replicas(target.ID)
+	slow, leader := reps[2], cl.LeaderOf(1).ID()
+
+	cl.Network().Partition(slow.ID(), leader)
+	done := make(chan error, 1)
+	go func() { done <- c.MultiAppend([][][]byte{{[]byte("promoted")}}, []types.ColorID{1}, 2) }()
+	eventually(t, "the connected members to commit the replay", func() bool {
+		return reps[0].Store().MaxSN(1).Valid() && reps[1].Store().MaxSN(1).Valid()
+	})
+	added, err := cl.SpawnReplica(target.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Network().Partition(added, leader)
+	if err := cl.Topology().AddReplicaToShard(target.ID, added); err != nil {
+		t.Fatal(err)
+	}
+	cl.Network().Heal(slow.ID(), leader)
+	eventually(t, "the held old member to commit the replay", func() bool { return slow.Store().MaxSN(1).Valid() })
+	select {
+	case err := <-done:
+		t.Fatalf("multi-append completed (%v) before the member promoted in flight acknowledged", err)
+	case <-time.After(20 * cfg.RetryTimeout):
+	}
+
+	cl.Network().Heal(added, leader)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("multi-append: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("multi-append never completed")
+	}
+	sn := reps[0].Store().MaxSN(1)
+	if got, err := cl.Replica(added).Store().Get(1, sn); err != nil || string(got) != "promoted" {
+		t.Fatalf("replay acknowledged at %v, but the member promoted in flight holds %q, %v", sn, got, err)
+	}
+}

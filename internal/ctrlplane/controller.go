@@ -413,7 +413,17 @@ func (c *Controller) joinAndPromote(p *Plan, topo *topology.Topology) (widened b
 	if err != nil {
 		return false, err
 	}
-	for best := ack.Lag; ack.Lag > c.cfg.PromoteLag; {
+	for best := ack.Lag; ; {
+		// Every ack is checked, the join's own included: a node that
+		// restarted or was taken over (even between starting the join and
+		// answering it) reports no lag and holds no history, and a
+		// membership that needs its acks would wedge the shard.
+		if replica.Mode(ack.Mode) != replica.ModeJoining {
+			return false, fmt.Errorf("ctrlplane: join collapsed: node %d is %s, not joining", p.Node, replica.Mode(ack.Mode))
+		}
+		if ack.Lag <= c.cfg.PromoteLag {
+			break
+		}
 		if !c.poll(p) {
 			return false, ErrAborted
 		}
@@ -422,11 +432,6 @@ func (c *Controller) joinAndPromote(p *Plan, topo *topology.Topology) (widened b
 		}
 		c.update(func() { p.Lag = ack.Lag })
 		switch {
-		case replica.Mode(ack.Mode) != replica.ModeJoining:
-			// The node restarted or was taken over: it reports no lag and
-			// holds no history, and a membership that needs its acks
-			// would wedge the shard.
-			return false, fmt.Errorf("ctrlplane: join collapsed: node %d is %s, not joining", p.Node, replica.Mode(ack.Mode))
 		case ack.Lag < best:
 			best, stuck = ack.Lag, time.Now().Add(c.cfg.CatchupTimeout)
 		case time.Now().After(stuck):

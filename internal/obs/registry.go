@@ -16,7 +16,8 @@
 //     histograms — each fanned out into labeled instances. Existing
 //     atomic counters elsewhere in the tree are published without double
 //     bookkeeping via CounterFunc/GaugeFunc, which read the component's
-//     own state at scrape time.
+//     own state at scrape time; Publish (publish.go) does that for a
+//     whole Stats struct from its field tags.
 //   - Trace / Tracer (trace.go): per-request span recording threaded
 //     through context.Context on the client, and per-stage histograms
 //     plus a bounded ring of recent slow requests on the server.

@@ -66,14 +66,16 @@ type Pool struct {
 	stats Stats
 }
 
-// Stats counts device operations, for the profiling experiments.
+// Stats counts device operations, for the profiling experiments; the
+// tags name the series a store publishes them as (see obs.Publish).
 type Stats struct {
-	Reads, Writes   uint64
-	BytesRead       uint64
-	BytesWritten    uint64
-	TxCommits       uint64
-	TxAborts        uint64
-	RecoveryRollbks uint64
+	Reads           uint64 `obs:"flexlog_pm_ops_total{op=read}" help:"Persistent-memory device operations, by op."`
+	Writes          uint64 `obs:"flexlog_pm_ops_total{op=write}" help:"Persistent-memory device operations, by op."`
+	BytesRead       uint64 `obs:"flexlog_pm_bytes_total{dir=read}" help:"Persistent-memory bytes moved, by direction."`
+	BytesWritten    uint64 `obs:"flexlog_pm_bytes_total{dir=write}" help:"Persistent-memory bytes moved, by direction."`
+	TxCommits       uint64 `obs:"flexlog_pm_tx_total{outcome=commit}" help:"Persistent-memory transactions, by outcome."`
+	TxAborts        uint64 `obs:"flexlog_pm_tx_total{outcome=abort}" help:"Persistent-memory transactions, by outcome."`
+	RecoveryRollbks uint64 `obs:"flexlog_pm_tx_total{outcome=rollback}" help:"Persistent-memory transactions, by outcome."`
 }
 
 // New creates an in-memory simulated PM pool of the given size with the

@@ -222,7 +222,8 @@ func (r *Replica) onJoinFetch(from types.NodeID, m proto.JoinFetch) {
 // polling so it tracks live traffic; a sync run's last round from a peer
 // moves its pull on to the next peer. The donor's epoch and trim frontier
 // are adopted first, so records it garbage-collected are never resurrected
-// here (§6.2 + §6.3).
+// here (§6.2 + §6.3): a frontier the store refuses ends the round there,
+// nothing ingested and nothing chained, and the retry timer re-drives it.
 func (r *Replica) onJoinEntries(m proto.JoinEntries) {
 	now := time.Now()
 	r.mu.Lock()
@@ -242,10 +243,9 @@ func (r *Replica) onJoinEntries(m proto.JoinEntries) {
 	r.mu.Unlock()
 
 	for c, sn := range m.Trimmed {
-		if sn > r.st.Trimmed(c) {
-			if _, _, err := r.st.Trim(c, sn); err != nil {
-				r.stats.trimDrops.Add(1)
-			}
+		if _, _, err := r.st.Trim(c, sn); err != nil {
+			r.stats.trimDrops.Add(1)
+			return
 		}
 	}
 	n := r.IngestCatchup(m.Records)

@@ -3,7 +3,6 @@ package replica
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"flexlog/internal/proto"
@@ -89,13 +88,28 @@ func ReplayToken(staged types.Token) types.Token {
 }
 
 // replayWait tracks one replayed set awaiting AppendAcks from the target
-// shard's replicas. Guarded by the replica's mu, except that ok may be read
-// once done is closed.
+// shard's replicas. Its barrier follows the live membership, as a client's
+// append does (core's appendCall): rebuilt on every retry tick, and
+// resolved once more when it empties, so a replica promoted into the shard
+// mid-replay must ack too. Guarded by the replica's mu, except that ok may
+// be read once done is closed.
 type replayWait struct {
-	needed map[types.NodeID]bool // members that have not acked
+	shard  types.ShardID
+	needed map[types.NodeID]bool // the ack barrier: members that have not acked
+	acked  map[types.NodeID]bool // responders so far, kept across membership changes
 	done   chan struct{}         // closed when the replay ends, either way
 	ok     bool                  // every member acked
 	closed bool
+}
+
+// covers puts every given member that has not acked into the barrier.
+// Caller holds the replica's mu.
+func (w *replayWait) covers(members []types.NodeID) {
+	for _, id := range members {
+		if !w.acked[id] {
+			w.needed[id] = true
+		}
+	}
 }
 
 // settle ends the replay, once: successfully if nobody is left to ack, or
@@ -173,10 +187,13 @@ func (r *Replica) replayOne(staged types.Token) bool {
 			return false
 		}
 	}
-	wait := &replayWait{needed: make(map[types.NodeID]bool, len(sh.Replicas)), done: make(chan struct{})}
-	for _, id := range sh.Replicas {
-		wait.needed[id] = true
+	wait := &replayWait{
+		shard:  sh.ID,
+		needed: make(map[types.NodeID]bool, len(sh.Replicas)),
+		acked:  make(map[types.NodeID]bool, len(sh.Replicas)),
+		done:   make(chan struct{}),
 	}
+	wait.covers(sh.Replicas)
 	r.replays[token] = wait
 	r.mu.Unlock()
 	defer func() {
@@ -200,21 +217,19 @@ func (r *Replica) replayOne(staged types.Token) bool {
 				return false
 			}
 			// As the client's append driver does on its retry tick,
-			// re-resolve the target shard: a replica drained out of it can
-			// no longer ack and must not wedge the replay. A shard removed
-			// outright fails it; the client's retried end marker picks a
-			// shard of the new set.
+			// rebuild the barrier from the target shard's current members:
+			// a replica drained out of it can no longer ack and must not
+			// wedge the replay, a replica promoted into it must ack. A
+			// shard removed outright fails the replay; the client's
+			// retried end marker picks a shard of the new set.
 			cur, err := r.topo.Shard(sh.ID)
 			if err != nil {
 				return false
 			}
 			sh = cur
 			r.mu.Lock()
-			for id := range wait.needed {
-				if !slices.Contains(sh.Replicas, id) {
-					delete(wait.needed, id)
-				}
-			}
+			clear(wait.needed)
+			wait.covers(sh.Replicas)
 			wait.settle(false)
 			r.mu.Unlock()
 		}
@@ -231,6 +246,16 @@ func (r *Replica) onAppendAck(from types.NodeID, m proto.AppendAck) {
 		return
 	}
 	delete(wait.needed, from)
+	wait.acked[from] = true
+	if len(wait.needed) == 0 {
+		// Resolve the membership once more: a replica promoted into the
+		// shard since the last tick is not in the barrier yet, and the
+		// set would be missing on it for good. A removed shard's records
+		// migrated with the members that acked.
+		if cur, err := r.topo.Shard(wait.shard); err == nil {
+			wait.covers(cur.Replicas)
+		}
+	}
 	wait.settle(false)
 	r.mu.Unlock()
 }

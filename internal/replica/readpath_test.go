@@ -187,7 +187,7 @@ func TestHeldReadWokenBySatisfyingCommitOnly(t *testing.T) {
 	sn := types.MakeSN(1, 5)
 	h.cliEP.Send(1, proto.ReadReq{ID: 9, Color: 0, SN: sn})
 	deadline := time.Now().Add(2 * time.Second)
-	for r.HeldReads() == 0 {
+	for r.Stats().HeldNow == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("read was never parked")
 		}
@@ -202,7 +202,7 @@ func TestHeldReadWokenBySatisfyingCommitOnly(t *testing.T) {
 		ack, ok := m.(proto.AppendAck)
 		return ok && ack.Token == tok2
 	})
-	if r.HeldReads() == 0 {
+	if r.Stats().HeldNow == 0 {
 		t.Fatal("held read released by a commit of a different color")
 	}
 

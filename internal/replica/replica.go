@@ -169,32 +169,39 @@ type trimWait struct {
 	peers []types.NodeID
 }
 
-// Stats counts replica activity.
+// Stats counts replica activity. It is also what the replica publishes
+// to the obs registry: each tagged field is one series (see obs.Publish).
 type Stats struct {
-	Appends      uint64
-	BatchAppends uint64 // client-side coalesced batches (AppendBatchReq)
-	BatchRecords uint64 // records carried by those batches
-	Commits      uint64
-	Reads        uint64
-	HeldReads    uint64
-	HeldWakeups  uint64 // parked reads released by a satisfying commit
-	ReadMisses   uint64
-	Subscribes   uint64
-	Trims        uint64
-	OReqRetries  uint64
-	AppendDrops  uint64 // appends dropped because persistence failed (was silent)
-	OReqDrops    uint64 // order requests dropped on topology lookup failure (was silent)
-	TrimDrops    uint64 // trims the store refused (a TrimReq, or a catch-up donor's trim frontier)
-	Syncs        uint64
-	SyncRetries  uint64 // stalled sync-phase stages re-driven (lossy links)
-	SyncAborts   uint64 // wedged sync runs abandoned (peer crashed mid-run)
-	Replays      uint64 // multi-append record sets replayed
+	Appends      uint64 `obs:"flexlog_replica_appends_total" help:"Append requests processed (AppendReq handler entries)."`
+	BatchAppends uint64 `obs:"flexlog_replica_batch_appends_total" help:"Client-side coalesced batches processed (AppendBatchReq)."`
+	BatchRecords uint64 `obs:"flexlog_replica_batch_records_total" help:"Records carried by coalesced batches."`
+	Commits      uint64 `obs:"flexlog_replica_commits_total" help:"Order responses applied (SN assignments committed)."`
+	Reads        uint64 `obs:"flexlog_replica_reads_total" help:"Read requests served."`
+	HeldReads    uint64 `obs:"flexlog_replica_held_reads_total" help:"Reads parked for a not-yet-seen SN."`
+	HeldWakeups  uint64 `obs:"flexlog_replica_held_wakeups_total" help:"Parked reads released by a satisfying commit."`
+	ReadMisses   uint64 `obs:"flexlog_replica_read_misses_total" help:"Reads answered with bottom (hole or trimmed)."`
+	Subscribes   uint64 `obs:"flexlog_replica_subscribes_total" help:"Subscribe requests served."`
+	Trims        uint64 `obs:"flexlog_replica_trims_total" help:"Trim requests applied."`
+	OReqRetries  uint64 `obs:"flexlog_replica_oreq_retries_total" help:"Order requests re-issued after RetryTimeout."`
+	AppendDrops  uint64 `obs:"flexlog_replica_append_drops_total" help:"Appends dropped because persistence failed (capacity/oversize)."`
+	OReqDrops    uint64 `obs:"flexlog_replica_oreq_drops_total" help:"Order requests dropped on topology lookup failure."`
+	TrimDrops    uint64 `obs:"flexlog_replica_trim_drops_total" help:"Trims the store refused (TrimReq or a catch-up donor's trim frontier)."`
+	Syncs        uint64 `obs:"flexlog_replica_syncs_total" help:"Sync-phase runs completed."`
+	SyncRetries  uint64 `obs:"flexlog_replica_sync_retries_total" help:"Stalled sync-phase stages re-driven."`
+	SyncAborts   uint64 `obs:"flexlog_replica_sync_aborts_total" help:"Wedged sync runs abandoned."`
+	Replays      uint64 `obs:"flexlog_replica_replays_total" help:"Multi-append record sets replayed."`
 
 	// Reconfiguration (DESIGN.md §15).
-	JoinRounds      uint64 // catch-up fetch rounds ingested while joining
-	JoinRecords     uint64 // records ingested through join catch-up
-	ReconfigRejects uint64 // appends answered Reject(reconfiguring) while draining
-	TopoApplies     uint64 // topology snapshots adopted from TopoUpdate
+	JoinRounds      uint64 `obs:"flexlog_replica_join_rounds_total" help:"Join catch-up fetch rounds ingested."`
+	JoinRecords     uint64 `obs:"flexlog_replica_join_records_total" help:"Records ingested through join catch-up."`
+	ReconfigRejects uint64 `obs:"flexlog_replica_reconfig_rejects_total" help:"Appends rejected with Reject(reconfiguring) while draining."`
+	TopoApplies     uint64 `obs:"flexlog_replica_topo_applies_total" help:"Topology snapshots adopted from TopoUpdate broadcasts."`
+
+	// State at the snapshot; the autoscaler polls the first two.
+	HeldNow       int    `obs:"flexlog_replica_held_reads" help:"Reads currently parked awaiting their SN."`
+	PendingOrders int    `obs:"flexlog_replica_pending_orders" help:"Appends persisted but still awaiting a sequence number."`
+	Mode          Mode   `obs:"flexlog_replica_mode" help:"Replica mode: 0 operational, 1 syncing, 2 crashed, 3 stopped, 4 joining, 5 draining."`
+	JoinLag       uint64 `obs:"flexlog_replica_join_lag" help:"Estimated records behind the donor while joining (0 when not joining)."`
 }
 
 // counters is the live, atomically updated form of Stats: the read lane
@@ -406,14 +413,16 @@ func (r *Replica) Epoch() types.Epoch {
 // Store exposes the storage stack (benchmarks and tests).
 func (r *Replica) Store() *storage.Store { return r.st }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters and of the replica's state.
 func (r *Replica) Stats() Stats {
-	return r.stats.snapshot()
+	s := r.stats.snapshot()
+	s.HeldNow = r.held.size()
+	s.PendingOrders = r.PendingOrders()
+	if s.Mode = r.mode.load(); s.Mode == ModeJoining {
+		s.JoinLag = r.JoinLag()
+	}
+	return s
 }
-
-// HeldReads returns the number of currently parked reads (read-lane
-// queue-depth metric for the bench harness).
-func (r *Replica) HeldReads() int { return r.held.size() }
 
 // Stop shuts the replica down gracefully.
 func (r *Replica) Stop() {

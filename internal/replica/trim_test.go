@@ -137,21 +137,24 @@ func (h *harness) sawTrimAck(id uint64) bool {
 // eviction may move, until not even a trim marker fits. The store then
 // refuses every trim with ErrOutOfSpace, and each refusal — a TrimReq and
 // a catch-up donor's trim frontier — is counted in TrimDrops, not dropped
-// silently.
+// silently. A sync run's pull stays open while the donor's frontier is
+// refused, and completes once it applies.
 func TestFailedTrimCounted(t *testing.T) {
-	r, _ := steppedReplica(t, func(cfg *Config) {
+	r, ep := steppedReplica(t, func(cfg *Config) {
 		cfg.Store.SegmentSize, cfg.Store.NumSegments = 512, 2
 	})
 	st := r.Store()
 	var err error
-	for i := 1; err == nil; i++ {
-		err = st.PutBatch(0, types.MakeToken(9, uint32(i)), [][]byte{make([]byte, 64)})
+	batches := 0
+	for ; err == nil; batches++ {
+		err = st.PutBatch(0, types.MakeToken(9, uint32(batches+1)), [][]byte{make([]byte, 64)})
 	}
 	if !errors.Is(err, storage.ErrOutOfSpace) {
 		t.Fatalf("filling PM: %v, want ErrOutOfSpace", err)
 	}
-	for err = nil; err == nil; { // markers may still fit in the last segment's tail
-		_, _, err = st.Trim(1, types.MakeSN(1, 1))
+	err = nil
+	for i := 1; err == nil; i++ { // markers may still fit in the last segment's tail
+		_, _, err = st.Trim(1, types.MakeSN(1, uint32(i)))
 	}
 	if !errors.Is(err, storage.ErrOutOfSpace) {
 		t.Fatalf("filling PM with trim markers: %v, want ErrOutOfSpace", err)
@@ -162,10 +165,46 @@ func TestFailedTrimCounted(t *testing.T) {
 		t.Fatalf("TrimDrops = %d after a refused TrimReq, want 1", got)
 	}
 	r.mu.Lock()
-	r.syncRuns[7] = &syncRun{id: 7, pulls: []types.NodeID{2}}
+	run := &syncRun{id: 7, participants: []types.NodeID{1, 2}, pulls: []types.NodeID{2}, dones: map[types.NodeID]bool{}}
+	r.syncRuns[7] = run
 	r.mu.Unlock()
-	r.onJoinEntries(proto.JoinEntries{ID: 7, From: 2, More: true, Trimmed: map[types.ColorID]types.SN{0: types.MakeSN(1, 1)}})
-	if got := r.Stats().TrimDrops; got != 2 {
-		t.Fatalf("TrimDrops = %d after a refused donor trim frontier, want 2", got)
+	frontier := map[types.ColorID]types.SN{0: types.MakeSN(1, 1)}
+	// A refused frontier ends the round: no next fetch, and the pull from
+	// the donor stays open, last round or not, for the retry timer.
+	for i, more := range []bool{true, false} {
+		r.onJoinEntries(proto.JoinEntries{ID: 7, From: 2, More: more, Trimmed: frontier})
+		if got := r.Stats().TrimDrops; got != uint64(i+2) {
+			t.Fatalf("TrimDrops = %d after %d refused donor trim frontiers, want %d", got, i+1, i+2)
+		}
+		r.mu.Lock()
+		pulls := len(run.pulls)
+		r.mu.Unlock()
+		if len(ep.sent) != 0 || pulls != 1 {
+			t.Fatalf("a refused frontier (more=%v) sent %d messages and left %d pulls, want none and 1", more, len(ep.sent), pulls)
+		}
+	}
+	// Once PM space frees (the batches commit and their oldest segment
+	// moves to the cold tier), the re-driven last round applies the
+	// frontier and the pull completes.
+	for i := 1; i < batches; i++ {
+		if err := st.Commit(types.MakeToken(9, uint32(i)), types.MakeSN(1, uint32(10+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.ForceEvict(); err != nil {
+		t.Fatal(err)
+	}
+	r.onJoinEntries(proto.JoinEntries{ID: 7, From: 2, Trimmed: frontier})
+	if got := st.Trimmed(0); got != frontier[0] {
+		t.Fatalf("trim frontier after the retried round = %v, want %v", got, frontier[0])
+	}
+	r.mu.Lock()
+	pulls := len(run.pulls)
+	r.mu.Unlock()
+	if pulls != 0 || len(ep.sent) != 1 {
+		t.Fatalf("after the applied frontier: %d pulls left and %d messages sent, want 0 and the SyncDone", pulls, len(ep.sent))
+	}
+	if done, ok := ep.sent[0].(proto.SyncDone); !ok || done.ID != 7 {
+		t.Fatalf("sent %#v, want SyncDone of run 7", ep.sent[0])
 	}
 }

@@ -193,17 +193,6 @@ func (s *Sequencer) batchFor(color types.ColorID) *colorBatch {
 	return v.(*colorBatch)
 }
 
-// heldRecords sums the records held behind unanswered rounds (wait-free:
-// one atomic load per color).
-func (s *Sequencer) heldRecords() int64 {
-	var n int64
-	s.batches.Range(func(_, v any) bool {
-		n += v.(*colorBatch).nrec.Load()
-		return true
-	})
-	return n
-}
-
 // aggStripe is one shard of the owner-side (from, batchID) → assigned-SN
 // dedup map. Entries deliberately survive epoch changes: a resend after
 // failover must get the ORIGINAL assignment back.

@@ -139,27 +139,34 @@ type inflight struct {
 	sentAt  atomic.Int64 // unix nanos of the last (re)send
 }
 
-// Stats counts ordering-layer activity.
+// Stats counts ordering-layer activity. It is also what the sequencer
+// publishes to the obs registry: each tagged field is one series (see
+// obs.Publish).
 type Stats struct {
-	Assigned     uint64 // SNs issued by this node as region owner
-	DirectReqs   uint64 // order requests received from replicas (incl. batch items)
-	ReqBatches   uint64 // coalesced OrderReqBatch messages received
-	ChildReqs    uint64 // aggregated requests received from children (incl. batch items)
-	BatchesSent  uint64 // aggregated requests sent to the parent
-	Resends      uint64
-	Elections    uint64 // leaderships won by this node
-	EpochGrants  uint64
-	DupTokens    uint64
-	DroppedStale uint64
+	Assigned     uint64 `obs:"flexlog_seq_assigned_total" help:"Sequence numbers issued by this node as region owner."`
+	DirectReqs   uint64 `obs:"flexlog_seq_direct_reqs_total" help:"Order requests received from replicas (including batch items)."`
+	ReqBatches   uint64 `obs:"flexlog_seq_req_batches_total" help:"Coalesced OrderReqBatch messages received."`
+	ChildReqs    uint64 `obs:"flexlog_seq_child_reqs_total" help:"Aggregated requests received from child sequencers."` // incl. batch items
+	BatchesSent  uint64 `obs:"flexlog_seq_batches_sent_total" help:"Aggregated requests sent to the parent sequencer."`
+	Resends      uint64 `obs:"flexlog_seq_resends_total" help:"Unanswered aggregated requests re-sent (parent failover)."`
+	Elections    uint64 `obs:"flexlog_seq_elections_total" help:"Leaderships won by this node."`
+	EpochGrants  uint64 `obs:"flexlog_seq_epoch_grants_total" help:"Epochs granted to child groups."`
+	DupTokens    uint64 `obs:"flexlog_seq_dup_tokens_total" help:"Duplicate order requests absorbed by the token cache."`
+	DroppedStale uint64 `obs:"flexlog_seq_dropped_stale_total" help:"Stale-epoch messages dropped."`
+
+	Epoch          types.Epoch `obs:"flexlog_seq_epoch" help:"Ordering epoch this sequencer currently serves."`
+	HeldRecords    int64       `obs:"flexlog_seq_pending_records" help:"Records held behind their color's unanswered upward round."`
+	InflightRounds int         `obs:"flexlog_seq_inflight_batches" help:"Aggregated upward batches awaiting a parent response."`
+	Leader         int         `obs:"flexlog_seq_leader" help:"1 when this node is its group's serving leader, else 0."`
 
 	// FlushRounds counts the upward rounds shipped: it reads BatchesSent,
 	// and stays because the wall-clock benchmark module reads it.
-	FlushRounds uint64
+	FlushRounds uint64 `obs:"-"`
 	// UrgentFlushes and PipelinedBatches always read 0: there is no flush
 	// window to cut short and no second round in flight per color. They
 	// stay because the wall-clock benchmark module reads them.
-	UrgentFlushes    uint64
-	PipelinedBatches uint64
+	UrgentFlushes    uint64 `obs:"-"`
+	PipelinedBatches uint64 `obs:"-"`
 }
 
 // Sequencer is one ordering-layer node.
@@ -344,10 +351,24 @@ func (s *Sequencer) Serving() bool {
 	return s.servingEpoch() != 0
 }
 
-// Stats returns a snapshot of the counters (wait-free: plain atomic
-// loads, so /metrics scrapes can never stall the ordering path).
+// Stats returns a snapshot of the counters and the ordering state:
+// atomic loads and two sync.Map walks, so a /metrics scrape takes none of
+// the ordering path's locks.
 func (s *Sequencer) Stats() Stats {
-	return s.c.snapshot()
+	st := s.c.snapshot()
+	st.Epoch = s.Epoch()
+	s.batches.Range(func(_, v any) bool {
+		st.HeldRecords += v.(*colorBatch).nrec.Load()
+		return true
+	})
+	s.inflight.Range(func(_, _ any) bool {
+		st.InflightRounds++
+		return true
+	})
+	if s.Serving() {
+		st.Leader = 1
+	}
+	return st
 }
 
 // TenantOrdered snapshots the per-tenant ordered-record counters (nil

@@ -276,7 +276,7 @@ func TestAggregationMergesRequests(t *testing.T) {
 	for i := uint32(1); i <= n; i++ {
 		reps[0].ep.Send(110, orderReq(i, 0, 1))
 	}
-	waitUntil(t, 2*time.Second, func() bool { return leaf.heldRecords() == n-1 }, "the rest held behind round one")
+	waitUntil(t, 2*time.Second, func() bool { return leaf.Stats().HeldRecords == n-1 }, "the rest held behind round one")
 	if st := leaf.Stats(); st.BatchesSent != 1 || st.Resends != 0 {
 		t.Fatalf("before the resend: %d rounds, %d resends; want round one alone", st.BatchesSent, st.Resends)
 	}
@@ -310,7 +310,7 @@ func TestReelectionReleasesHeldRound(t *testing.T) {
 	net.SetLinkFaults(100, 110, transport.FaultModel{DropProb: 1}) // the root's answers never arrive
 	reps[0].ep.Send(110, orderReq(1, 0, 1))
 	reps[0].ep.Send(110, orderReq(2, 0, 1))
-	waitUntil(t, 2*time.Second, func() bool { return root.Stats().Assigned == 1 && leaf.heldRecords() == 1 },
+	waitUntil(t, 2*time.Second, func() bool { return root.Stats().Assigned == 1 && leaf.Stats().HeldRecords == 1 },
 		"request 2 held behind request 1's unanswered round")
 
 	// The transition a won election runs; the fake replicas ack SeqInit.
@@ -330,7 +330,7 @@ func TestReelectionReleasesHeldRound(t *testing.T) {
 		}
 		return false
 	}, "request 3 answered after the re-election")
-	if got := leaf.heldRecords(); got != 0 {
+	if got := leaf.Stats().HeldRecords; got != 0 {
 		t.Fatalf("%d records still held after the re-election", got)
 	}
 }

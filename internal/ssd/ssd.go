@@ -89,11 +89,15 @@ type Device struct {
 	stats   Stats
 }
 
-// Stats counts device operations.
+// Stats counts device operations; the tags name the series a store
+// publishes them as, its cold tier (see obs.Publish).
 type Stats struct {
-	Reads, Writes, Syncs, Deletes uint64
-	BytesRead                     uint64
-	BytesWritten                  uint64
+	Reads        uint64 `obs:"flexlog_tier_ops_total{op=get}" help:"Cold-tier blob operations, by op."`
+	Writes       uint64 `obs:"flexlog_tier_ops_total{op=put}" help:"Cold-tier blob operations, by op."`
+	Syncs        uint64 `obs:"flexlog_tier_ops_total{op=sync}" help:"Cold-tier blob operations, by op."`
+	Deletes      uint64 `obs:"flexlog_tier_ops_total{op=delete}" help:"Cold-tier blob operations, by op."`
+	BytesRead    uint64 `obs:"flexlog_tier_bytes_total{dir=out}" help:"Cold-tier bytes moved, by direction."`
+	BytesWritten uint64 `obs:"flexlog_tier_bytes_total{dir=in}" help:"Cold-tier bytes moved, by direction."`
 }
 
 // New creates an empty device with the given latency model.

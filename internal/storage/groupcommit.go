@@ -178,9 +178,9 @@ func (g *groupCommitter) close() {
 
 // GCStats reports group-commit counters.
 type GCStats struct {
-	Windows uint64 // PM transactions committed
-	Ops     uint64 // writes submitted
-	Fused   uint64 // payload writes saved by contiguous fusion
+	Windows uint64 `obs:"flexlog_gc_windows_total" help:"Group-commit windows committed (PM transactions shared by concurrent writers)."`
+	Ops     uint64 `obs:"flexlog_gc_ops_total" help:"Writes submitted to the group committer."`
+	Fused   uint64 `obs:"flexlog_gc_fused_total" help:"Payload writes saved by contiguous fusion inside group-commit windows."`
 }
 
 func (g *groupCommitter) stats() GCStats {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"flexlog/internal/obs"
 	"flexlog/internal/pmem"
 	"flexlog/internal/ssd"
 	"flexlog/internal/types"
@@ -120,6 +121,7 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 
 	txH, windowH := st.initObs()
 	st.gc = newGroupCommitter(pool, txH, windowH)
+	obs.Publish(cfg.Obs, obs.Labels{"node": cfg.ObsNode}, st.Stats)
 	if cfg.PMBudget > 0 || cfg.CheckpointEvery > 0 {
 		st.lc = newLifecycle(st, cfg.LifecycleInterval)
 	}

@@ -785,15 +785,21 @@ func (st *Store) Uncommitted() []Batch {
 }
 
 // Trim deletes every record of the color with SN <= sn (§6.2). The trim is
-// persisted as a log marker so it survives crashes. Returns the remaining
-// [head, tail] bounds. Lock order: the color lock is taken first and held
-// across the marker write and the index sweep, serializing the trim
-// against commits of the same color; the allocator lock is only held for
-// the marker's space reservation.
+// persisted as a log marker so it survives crashes; a trim at or below
+// the color's trim floor changes nothing and writes no marker (clients
+// re-send a TrimReq on every retry). Returns the remaining [head, tail]
+// bounds. Lock order: the color lock is taken first and held across the
+// marker write and the index sweep, serializing the trim against commits
+// of the same color; the allocator lock is only held for the marker's
+// space reservation.
 func (st *Store) Trim(color types.ColorID, sn types.SN) (head, tail types.SN, err error) {
 	ci := st.color(color)
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
+	if sn <= ci.trimmed {
+		head, tail = ci.boundsLocked()
+		return head, tail, nil
+	}
 	buf := make([]byte, entryHeaderSize)
 	encodeEntryHeader(buf, entryKindTrim, color, 0, sn, nil)
 	st.alloc.Lock()
@@ -1083,30 +1089,37 @@ func (st *Store) addEntryLocked(seg *segment, e ckptEntry) *entryLoc {
 	return loc
 }
 
-// Stats reports storage-stack counters.
+// Stats reports storage-stack counters. It is also what the store
+// publishes to the obs registry: each tagged field is one series (see
+// obs.Publish).
 type Stats struct {
-	Records     int
-	Committed   int
-	Flushes     uint64
-	Recoveries  uint64
-	CacheHits   uint64
-	CacheMisses uint64
+	Records     int    `obs:"flexlog_store_records" help:"Persisted append batches currently indexed (committed or not)."`
+	Committed   int    `obs:"-"`
+	Flushes     uint64 `obs:"flexlog_store_flushes_total" help:"PM segments flushed to the SSD tier to free slots."`
+	Recoveries  uint64 `obs:"flexlog_store_recoveries_total" help:"Recovery scans performed (crash restarts)."`
+	CacheHits   uint64 `obs:"flexlog_store_cache_hits_total" help:"DRAM cache hits on the read path."`
+	CacheMisses uint64 `obs:"flexlog_store_cache_misses_total" help:"DRAM cache misses on the read path."`
 
 	// Lifecycle counters (see lifecycle.go / checkpoint.go).
-	Evictions        uint64 // background evictions to the cold tier
-	EvictedBytes     uint64
-	GCSegments       uint64 // segments reclaimed (both tiers)
-	GCBytes          uint64
-	Checkpoints      uint64 // checkpoints written since open
-	CheckpointSeq    uint64 // sequence of the last durable checkpoint
-	ColdMissReads    uint64 // PM-miss reads served by the cold tier
-	ResidentSegments int    // segments currently occupying PM slots
-	ResidentBytes    uint64 // PM bytes those segments occupy
-	ColdSegments     int    // flushed segments (cold-tier only)
+	Evictions         uint64 `obs:"flexlog_tier_evictions_total" help:"Segments evicted from PM to the cold tier by the background lifecycle."`
+	EvictedBytes      uint64 `obs:"flexlog_tier_evicted_bytes_total" help:"Bytes evicted from PM to the cold tier by the background lifecycle."`
+	GCSegments        uint64 `obs:"flexlog_tier_gc_segments_total" help:"Segments reclaimed by trim-driven garbage collection (both tiers, on demand or in the background)."`
+	GCBytes           uint64 `obs:"flexlog_tier_gc_bytes_total" help:"Bytes reclaimed by trim-driven garbage collection (both tiers, on demand or in the background)."`
+	Checkpoints       uint64 `obs:"flexlog_checkpoints_total" help:"Checkpoints written since the store opened."`
+	CheckpointSeq     uint64 `obs:"flexlog_checkpoint_seq" help:"Sequence number of the last durable checkpoint."`
+	CheckpointEntries int    `obs:"flexlog_checkpoint_entries" help:"Entries covered by the last durable checkpoint."`
+	UncoveredEntries  uint64 `obs:"flexlog_checkpoint_uncovered_entries" help:"Entries flushed to the cold tier since the last durable checkpoint (replay debt)."`
+	ColdMissReads     uint64 `obs:"flexlog_tier_miss_reads_total" help:"PM-miss reads served from the cold tier."`
+	ResidentSegments  int    `obs:"flexlog_tier_resident_segments" help:"Segments currently occupying PM slots."`
+	ResidentBytes     uint64 `obs:"-"` // PM bytes those segments occupy
+	ColdSegments      int    `obs:"-"` // flushed segments (cold-tier only)
+	ColdBlobs         int    `obs:"flexlog_tier_blobs{tier=ssd}" help:"Blobs currently stored on the cold tier."`
+	ColdBytes         uint64 `obs:"flexlog_tier_occupied_bytes{tier=ssd}" help:"Bytes currently occupied on the cold tier."`
+	PMBudget          uint64 `obs:"flexlog_tier_pm_budget_bytes" help:"Configured PM budget for resident segments (0: unbounded)."`
 
 	GC  GCStats
 	PM  pmem.Stats
-	SSD ssd.Stats // the cold tier's device
+	SSD ssd.Stats `obs:"{tier=ssd}"` // the cold tier's device
 }
 
 // Stats returns a snapshot of counters across the tiers.
@@ -1124,22 +1137,26 @@ func (st *Store) Stats() Stats {
 	defer st.alloc.RUnlock()
 	hits, misses := st.cache.stats()
 	s := Stats{
-		Records:       len(st.byToken),
-		Committed:     committed,
-		Flushes:       st.flushes,
-		Recoveries:    st.recovers,
-		CacheHits:     hits,
-		CacheMisses:   misses,
-		Evictions:     st.evictions,
-		EvictedBytes:  st.evictedBytes,
-		GCSegments:    st.gcSegments,
-		GCBytes:       st.gcBytes,
-		Checkpoints:   st.checkpoints,
-		CheckpointSeq: st.ckptSeq,
-		ColdMissReads: st.coldMisses.Load(),
-		PM:            st.pm.Stats(),
-		SSD:           st.cold.Stats(),
+		Records:           len(st.byToken),
+		Committed:         committed,
+		Flushes:           st.flushes,
+		Recoveries:        st.recovers,
+		CacheHits:         hits,
+		CacheMisses:       misses,
+		Evictions:         st.evictions,
+		EvictedBytes:      st.evictedBytes,
+		GCSegments:        st.gcSegments,
+		GCBytes:           st.gcBytes,
+		Checkpoints:       st.checkpoints,
+		CheckpointSeq:     st.ckptSeq,
+		CheckpointEntries: st.ckptEntries,
+		UncoveredEntries:  st.uncovered,
+		ColdMissReads:     st.coldMisses.Load(),
+		PMBudget:          st.cfg.PMBudget,
+		PM:                st.pm.Stats(),
+		SSD:               st.cold.Stats(),
 	}
+	s.ColdBlobs, s.ColdBytes = st.cold.Occupancy()
 	for _, seg := range st.segs {
 		if seg.flushed() {
 			s.ColdSegments++

@@ -234,6 +234,51 @@ func TestTrim(t *testing.T) {
 	}
 }
 
+// TestRepeatedTrimWritesNoMarker re-sends one trim, as a client's retries
+// do: only the first writes a PM marker, every repeat returns the same
+// bounds, and the floor survives a crash.
+func TestRepeatedTrimWritesNoMarker(t *testing.T) {
+	st := newTestStore(t)
+	for i := 1; i <= 5; i++ {
+		st.Put(colorA, tok(i), payload(i))
+		st.Commit(tok(i), sn(i))
+	}
+	marks := func() (n int) {
+		st.alloc.RLock()
+		defer st.alloc.RUnlock()
+		for _, seg := range st.segs {
+			n += len(seg.trimMarks)
+		}
+		return n
+	}
+	if _, _, err := st.Trim(colorA, sn(3)); err != nil {
+		t.Fatal(err)
+	}
+	ops, n := st.Stats().GC.Ops, marks()
+	for _, at := range []types.SN{sn(3), sn(3), sn(2), 0} {
+		head, tail, err := st.Trim(colorA, at)
+		if err != nil || head != sn(4) || tail != sn(5) {
+			t.Fatalf("repeated trim at %v = %v, %v, %v; want %v, %v", at, head, tail, err, sn(4), sn(5))
+		}
+	}
+	if got := st.Stats().GC.Ops; got != ops {
+		t.Errorf("repeated trims submitted %d group-commit ops, want 0", got-ops)
+	}
+	if got := marks(); got != n {
+		t.Errorf("repeated trims added %d trim marks, want 0", got-n)
+	}
+	st.Crash()
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Trimmed(colorA); got != sn(3) {
+		t.Fatalf("trim floor after recovery = %v, want %v", got, sn(3))
+	}
+	if _, err := st.Get(colorA, sn(3)); !errors.Is(err, ErrTrimmed) {
+		t.Fatalf("get %v after recovery: %v, want ErrTrimmed", sn(3), err)
+	}
+}
+
 func TestCommitBelowTrimWatermarkIsDead(t *testing.T) {
 	st := newTestStore(t)
 	st.Put(colorA, tok(1), payload(1))

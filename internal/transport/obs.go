@@ -48,44 +48,8 @@ func (n *Network) PublishObs(reg *obs.Registry) {
 	}
 }
 
-// PublishObs registers the TCP endpoint's codec and syscall counters with
-// the observability registry. All series are func-backed views over the
-// endpoint's atomics, so scraping never touches the send path.
+// PublishObs publishes the TCP endpoint's Stats, its codec and syscall
+// counters, with the observability registry.
 func (e *TCPEndpoint) PublishObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("flexlog_tcp_frames_total",
-		"Frames encoded (out) and decoded (in) by the TCP transport.",
-		obs.Labels{"dir": "out"}, e.framesOut.Load)
-	reg.CounterFunc("flexlog_tcp_frames_total",
-		"Frames encoded (out) and decoded (in) by the TCP transport.",
-		obs.Labels{"dir": "in"}, e.framesIn.Load)
-	reg.CounterFunc("flexlog_tcp_bytes_total",
-		"Wire bytes written (out) and read (in) by the TCP transport.",
-		obs.Labels{"dir": "out"}, e.bytesOut.Load)
-	reg.CounterFunc("flexlog_tcp_bytes_total",
-		"Wire bytes written (out) and read (in) by the TCP transport.",
-		obs.Labels{"dir": "in"}, e.bytesIn.Load)
-	reg.CounterFunc("flexlog_tcp_sends_total",
-		"Send/Broadcast destination deliveries (a broadcast counts once per peer, its frame once).",
-		nil, e.sendsOut.Load)
-	reg.CounterFunc("flexlog_tcp_buf_pool_total",
-		"Frame buffer pool lookups by result.",
-		obs.Labels{"result": "hit"}, e.poolHits.Load)
-	reg.CounterFunc("flexlog_tcp_buf_pool_total",
-		"Frame buffer pool lookups by result.",
-		obs.Labels{"result": "miss"}, e.poolMisses.Load)
-	reg.CounterFunc("flexlog_tcp_writev_calls_total",
-		"Vectored write syscalls issued; frames_total{dir=out}/writev_calls_total is the mean batch size.",
-		nil, e.writevCalls.Load)
-	reg.GaugeFunc("flexlog_tcp_writev_max_batch",
-		"Largest number of frames coalesced into a single vectored write.",
-		nil, func() float64 { return float64(e.writevMax.Load()) })
-	reg.CounterFunc("flexlog_tcp_large_frames_total",
-		"Inbound frames larger than the 64 KiB read window, assembled in a pooled buffer instead of decoded in place.",
-		nil, e.largeIn.Load)
-	reg.CounterFunc("flexlog_tcp_decode_errors_total",
-		"Inbound connections dropped for a missing preamble or a frame that failed to decode.",
-		nil, e.decodeErrs.Load)
+	obs.Publish(reg, nil, e.Stats)
 }

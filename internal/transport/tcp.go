@@ -54,19 +54,19 @@ const maxPooledFrame = 1 << 20
 var framePool = sync.Pool{}
 
 // TCPStats is a point-in-time snapshot of one endpoint's wire-level
-// counters (also published to the obs registry via PublishObs).
+// counters; PublishObs publishes it, one series per tagged field.
 type TCPStats struct {
-	FramesOut   uint64 // frames encoded for sending (broadcast counts once)
-	SendsOut    uint64 // frame writes enqueued (broadcast counts per peer)
-	BytesOut    uint64 // frame bytes written, including length prefixes
-	FramesIn    uint64 // frames decoded from inbound connections
-	BytesIn     uint64 // frame bytes read, including length prefixes
-	PoolHits    uint64 // frame buffers served from the pool
-	PoolMisses  uint64 // frame buffers freshly allocated
-	WritevCalls uint64 // vectored writes issued
-	WritevMax   uint64 // largest frame batch written by one writev
-	DecodeErrs  uint64 // inbound preamble/framing/decode failures (connection dropped)
-	LargeIn     uint64 // inbound frames larger than the read window, assembled in a pooled buffer
+	FramesOut   uint64 `obs:"flexlog_tcp_frames_total{dir=out}" help:"Frames encoded (out) and decoded (in) by the TCP transport."` // broadcast counts once
+	SendsOut    uint64 `obs:"flexlog_tcp_sends_total" help:"Send/Broadcast destination deliveries (a broadcast counts once per peer, its frame once)."`
+	BytesOut    uint64 `obs:"flexlog_tcp_bytes_total{dir=out}" help:"Wire bytes written (out) and read (in) by the TCP transport."` // including length prefixes
+	FramesIn    uint64 `obs:"flexlog_tcp_frames_total{dir=in}" help:"Frames encoded (out) and decoded (in) by the TCP transport."`
+	BytesIn     uint64 `obs:"flexlog_tcp_bytes_total{dir=in}" help:"Wire bytes written (out) and read (in) by the TCP transport."`
+	PoolHits    uint64 `obs:"flexlog_tcp_buf_pool_total{result=hit}" help:"Frame buffer pool lookups by result."`
+	PoolMisses  uint64 `obs:"flexlog_tcp_buf_pool_total{result=miss}" help:"Frame buffer pool lookups by result."`
+	WritevCalls uint64 `obs:"flexlog_tcp_writev_calls_total" help:"Vectored write syscalls issued; frames_total{dir=out}/writev_calls_total is the mean batch size."`
+	WritevMax   uint64 `obs:"flexlog_tcp_writev_max_batch" help:"Largest number of frames coalesced into a single vectored write."`
+	DecodeErrs  uint64 `obs:"flexlog_tcp_decode_errors_total" help:"Inbound connections dropped for a missing preamble or a frame that failed to decode."`
+	LargeIn     uint64 `obs:"flexlog_tcp_large_frames_total" help:"Inbound frames larger than the 64 KiB read window, assembled in a pooled buffer instead of decoded in place."`
 }
 
 // WritevFrames is implied: SendsOut frames leave through WritevCalls
