@@ -20,7 +20,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/... ./internal/qos/... ./internal/pmem/... ./internal/topology/... ./internal/combine/...
+	$(GO) test -race ./internal/core/... ./internal/replica/... ./internal/transport/... ./internal/storage/... ./internal/ctrlplane/... ./internal/qos/... ./internal/pmem/... ./internal/topology/... ./internal/combine/... ./internal/obs/...
 
 # The line counts every deletion PR states before and after in
 # CHANGES.md: non-test and test Go lines of the program (the benchmark

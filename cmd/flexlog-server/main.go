@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"flexlog/internal/deploy"
+	"flexlog/internal/durable"
 	"flexlog/internal/obs"
 	"flexlog/internal/pmem"
 	"flexlog/internal/replica"
@@ -199,13 +200,17 @@ func main() {
 			// resumes above them.
 			go func() {
 				for range time.Tick(time.Second) {
-					saveEpoch(epochPath, s.Epoch())
+					if err := saveEpoch(epochPath, s.Epoch()); err != nil {
+						log.Printf("persisting epoch: %v", err)
+					}
 				}
 			}()
 		}
 		waitForSignal()
 		if epochPath != "" {
-			saveEpoch(epochPath, s.Epoch())
+			if err := saveEpoch(epochPath, s.Epoch()); err != nil {
+				log.Printf("persisting epoch: %v", err)
+			}
 		}
 		s.Stop()
 	default:
@@ -234,13 +239,10 @@ func loadEpoch(path string) types.Epoch {
 	return types.Epoch(e)
 }
 
-// saveEpoch persists the epoch atomically.
+// saveEpoch persists the epoch durably: a cold restart after a power loss
+// must never find the file empty and resume at epoch 1, re-issuing SNs.
 func saveEpoch(path string, e types.Epoch) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, fmt.Appendf(nil, "%d\n", uint32(e)), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.WriteFile(path, fmt.Appendf(nil, "%d\n", uint32(e)), 0o644)
 }
 
 func waitForSignal() {

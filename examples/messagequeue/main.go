@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"flexlog/internal/core"
 	"flexlog/internal/faas"
+	"flexlog/internal/queue"
 	"flexlog/internal/types"
 )
 
@@ -20,37 +22,6 @@ const (
 	yellow types.ColorID = 11 // data log
 	black  types.ColorID = 12 // message queue
 )
-
-// MessageQueue is the Listing 1 structure: a queue is just a colored log.
-type MessageQueue struct {
-	color  types.ColorID
-	handle *core.Client
-}
-
-// Enqueue appends one message.
-func (mq *MessageQueue) Enqueue(msg []byte) (types.SN, error) {
-	return mq.handle.Append([][]byte{msg}, mq.color)
-}
-
-// Lookup subscribes and scans for the first message matching f (Listing
-// 1's getIdx); it polls until found or the deadline passes.
-func (mq *MessageQueue) Lookup(f func([]byte) bool, deadline time.Time) (types.Record, error) {
-	for {
-		records, err := mq.handle.Subscribe(mq.color, types.InvalidSN)
-		if err != nil {
-			return types.Record{}, err
-		}
-		for _, r := range records {
-			if f(r.Data) {
-				return r, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return types.Record{}, fmt.Errorf("message not found before deadline")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
 
 func main() {
 	cluster, err := core.SimpleCluster(core.TestClusterConfig(), 1)
@@ -73,10 +44,10 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		if err := inv.Log.AddColor(black, types.MasterColor); err != nil {
+		mq, err := queue.Create(inv.Log, black, types.MasterColor)
+		if err != nil {
 			return nil, err
 		}
-		mq := &MessageQueue{color: black, handle: inv.Log}
 		msg := fmt.Appendf(nil, "YELLOW_READ_IDX=%d", uint64(snY))
 		if _, err := mq.Enqueue(msg); err != nil {
 			return nil, err
@@ -88,17 +59,23 @@ func main() {
 	// Func2: poll the black queue for the expected message, then read the
 	// yellow record it points to (Listing 1 lines 27–32).
 	platform.Deploy("func2", func(inv *faas.Invocation) ([]byte, error) {
-		mq := &MessageQueue{color: black, handle: inv.Log}
-		rec, err := mq.Lookup(func(b []byte) bool {
+		mq := queue.New(inv.Log, black)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		idx, err := mq.LookupFunc(ctx, func(b []byte) bool {
 			var sn uint64
-			return len(b) > 0 && parseIdx(b, &sn)
-		}, time.Now().Add(5*time.Second))
+			return parseIdx(b, &sn)
+		})
+		if err != nil {
+			return nil, err
+		}
+		msg, err := mq.Get(idx)
 		if err != nil {
 			return nil, err
 		}
 		var sn uint64
-		parseIdx(rec.Data, &sn)
-		fmt.Printf("func2: found %q at black/%v\n", rec.Data, rec.SN)
+		parseIdx(msg, &sn)
+		fmt.Printf("func2: found %q at black/%v\n", msg, idx)
 		return inv.Log.Read(types.SN(sn), yellow)
 	})
 

@@ -228,7 +228,7 @@ func TestPublishedMetricsMatchStats(t *testing.T) {
 	obs.Publish(want, obs.Labels{"node": "1"}, func() replica.Stats { return snap.rep })
 	obs.Publish(want, obs.Labels{"node": "1"}, func() storage.Stats { return snap.st })
 	obs.Publish(want, obs.Labels{"node": "900"}, func() seq.Stats { return snap.seq })
-	obs.Publish(want, nil, func() transport.TCPStats { return snap.tcp })
+	obs.Publish(want, obs.Labels{"node": "1"}, func() transport.TCPStats { return snap.tcp })
 	for _, line := range strings.Split(want.Snapshot(), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -249,7 +249,7 @@ func TestPublishedMetricsMatchStats(t *testing.T) {
 		`flexlog_tier_ops_total{node="1",op="put",tier="ssd"}`: snap.st.SSD.Writes,
 		`flexlog_seq_assigned_total{node="900"}`:               snap.seq.Assigned,
 		`flexlog_seq_leader{node="900"}`:                       1,
-		`flexlog_tcp_frames_total{dir="in"}`:                   snap.tcp.FramesIn,
+		`flexlog_tcp_frames_total{dir="in",node="1"}`:          snap.tcp.FramesIn,
 		`flexlog_checkpoint_uncovered_entries{node="1"}`:       snap.st.UncoveredEntries,
 	} {
 		if line := fmt.Sprintf("\n%s %d\n", series, field); !strings.Contains(scrape, line) {

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
+
+	"flexlog/internal/durable"
 )
 
 // File persistence for the simulated PM device: the arena is snapshotted
@@ -13,9 +14,9 @@ import (
 // its "persistent memory" across process restarts — standing in for the
 // DAX-mapped pool file a PMDK deployment would reopen.
 //
-// Snapshot format: [8B magic][8B size][4B crc of data][data]. Writes go to
-// a temp file and are renamed into place, so a crash mid-save leaves the
-// previous snapshot intact.
+// Snapshot format: [8B magic][8B size][4B crc of data][data]. Writes go
+// through durable.WriteFile, so a crash mid-save leaves the previous
+// snapshot intact.
 
 const fileMagic = 0x464C504D454D3100 // "FLPMEM1\0"
 
@@ -32,27 +33,7 @@ func (p *Pool) SaveTo(path string) error {
 	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(data))
 	copy(buf[20:], data)
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".pmem-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return os.Rename(tmpName, path)
+	return durable.WriteFile(path, buf, 0o600)
 }
 
 // LoadFrom restores a pool from a snapshot file. The pool adopts the

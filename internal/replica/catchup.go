@@ -120,9 +120,9 @@ func (r *Replica) ServeCatchup(have map[types.ColorID]types.SN, tokens []types.T
 // with the count they arrived with, and a batch this replica had persisted
 // before it fell behind (and never committed) keeps its own full count, so
 // it lands on the SNs its peers committed it at. Idempotent: a token
-// already committed here is skipped. A committed run settles the token's
-// pending order: its clients are acked with the SN the shard already
-// assigned, and it is never re-issued.
+// already committed here is skipped. A run commits through commit, like
+// an OrderResp, so it settles the token's pending order: its clients are
+// acked with the SN the shard already assigned, and it is never re-issued.
 func (r *Replica) IngestCatchup(records map[types.ColorID][]proto.WireRecord) (ingested int) {
 	for color, recs := range records {
 		trimmed := r.st.Trimmed(color)
@@ -158,22 +158,10 @@ func (r *Replica) IngestCatchup(records map[types.ColorID][]proto.WireRecord) (i
 					continue
 				}
 			}
-			if err := r.st.Commit(token, last); err != nil {
-				continue
-			}
-			r.maxSeen.bump(color, last)
-			ingested += len(run)
-			r.mu.Lock()
-			po := r.pending[token]
-			delete(r.pending, token)
-			r.mu.Unlock()
-			if po != nil {
-				for c := range po.clients {
-					r.ep.Send(c, proto.AppendAck{Token: token, SN: last})
-				}
+			if r.commit(color, token, last) == nil {
+				ingested += len(run)
 			}
 		}
-		r.wakeHeld(color, r.frontier(color))
 	}
 	return ingested
 }

@@ -16,18 +16,15 @@ import (
 // evict the entry that was just inserted, stalling that append until the
 // sequencer's retry. Eviction must drop the oldest live entry instead.
 func TestEarlyBufferEvictsOldestNotNewest(t *testing.T) {
-	r := &Replica{
-		cfg:   Config{EarlyBound: 3},
-		early: make(map[types.Token]proto.OrderResp),
-	}
+	r := &Replica{early: make(map[types.Token]proto.OrderResp)}
 	resp := func(i int) proto.OrderResp {
 		return proto.OrderResp{Token: types.Token(i), LastSN: types.MakeSN(1, uint32(i))}
 	}
 	for i := 1; i <= 3; i++ {
-		r.bufferEarly(resp(i))
+		r.bufferEarly(resp(i), 3)
 	}
 	// Overflow: token 1 (oldest) must go; token 4 (newest) must stay.
-	r.bufferEarly(resp(4))
+	r.bufferEarly(resp(4), 3)
 	if len(r.early) != 3 {
 		t.Fatalf("early size = %d, want 3", len(r.early))
 	}
@@ -38,11 +35,11 @@ func TestEarlyBufferEvictsOldestNotNewest(t *testing.T) {
 		t.Fatal("oldest early entry survived eviction")
 	}
 
-	// Stale queue entries (consumed by onAppend) are skipped, not counted:
+	// Stale queue entries (consumed by await) are skipped, not counted:
 	// consuming token 2 then overflowing must evict token 3, not 4 or 5.
 	delete(r.early, types.Token(2))
-	r.bufferEarly(resp(5))
-	r.bufferEarly(resp(6))
+	r.bufferEarly(resp(5), 3)
+	r.bufferEarly(resp(6), 3)
 	for _, want := range []int{4, 5, 6} {
 		if _, ok := r.early[types.Token(want)]; !ok {
 			t.Fatalf("token %d missing from early buffer: %v", want, r.early)
@@ -50,9 +47,9 @@ func TestEarlyBufferEvictsOldestNotNewest(t *testing.T) {
 	}
 
 	// Degenerate bound: with room for one entry the newest always wins.
-	r2 := &Replica{cfg: Config{EarlyBound: 1}, early: make(map[types.Token]proto.OrderResp)}
+	r2 := &Replica{early: make(map[types.Token]proto.OrderResp)}
 	for i := 10; i < 20; i++ {
-		r2.bufferEarly(resp(i))
+		r2.bufferEarly(resp(i), 1)
 		if _, ok := r2.early[types.Token(i)]; !ok {
 			t.Fatalf("bound=1: just-inserted token %d evicted", i)
 		}
@@ -63,14 +60,14 @@ func TestEarlyBufferEvictsOldestNotNewest(t *testing.T) {
 }
 
 // TestEarlyBufferCompactsStaleQueue checks that the insertion-order queue
-// does not grow without bound when onAppend keeps consuming entries (the
+// does not grow without bound when await keeps consuming entries (the
 // map shrinks but the queue only grows until compaction).
 func TestEarlyBufferCompactsStaleQueue(t *testing.T) {
-	r := &Replica{cfg: Config{EarlyBound: 1 << 20}, early: make(map[types.Token]proto.OrderResp)}
+	r := &Replica{early: make(map[types.Token]proto.OrderResp)}
 	for i := 0; i < 10_000; i++ {
 		tok := types.Token(i)
-		r.bufferEarly(proto.OrderResp{Token: tok, LastSN: types.MakeSN(1, uint32(i))})
-		delete(r.early, tok) // as onAppend does when the AppendReq arrives
+		r.bufferEarly(proto.OrderResp{Token: tok, LastSN: types.MakeSN(1, uint32(i))}, 1<<20)
+		delete(r.early, tok) // as await does when the AppendReq arrives
 	}
 	if len(r.earlyOrder) > 1024 {
 		t.Fatalf("earlyOrder grew to %d entries with an empty map", len(r.earlyOrder))

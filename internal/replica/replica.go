@@ -5,6 +5,13 @@
 // acts as a broker for multi-color appends (Alg. 2), and recovers through
 // the sync-phase protocol (§6.3).
 //
+// One commit path: every way a token receives its SN — an OrderResp, each
+// item of an OrderRespBatch, a buffered early response, a catch-up run —
+// lands through commit, which commits to the store, bumps the watermark,
+// acks the token's waiting clients and wakes held reads. A client waits
+// through await, one step under r.mu: ack at once if the store has the
+// SN, else join the token's pending order.
+//
 // Concurrency model (three lanes): read-class traffic (ReadReq,
 // SubscribeReq) is dispatched to a transport worker pool
 // (Config.ReadWorkers) and runs concurrently; the read path therefore only
@@ -94,10 +101,6 @@ type Config struct {
 	// (writepath.go). Kept until the benchmark module stops setting it
 	// (ROADMAP 1b).
 	OrderCoalesce bool
-	// EarlyBound caps the buffer of OrderResps that arrive before their
-	// AppendReq; 0 uses a large default. Tests shrink it to exercise
-	// eviction.
-	EarlyBound int
 	// HeartbeatInterval bounds the timer tick (retries of sync runs,
 	// pending orders and join rounds are checked this often).
 	HeartbeatInterval time.Duration
@@ -175,7 +178,7 @@ type Stats struct {
 	Appends      uint64 `obs:"flexlog_replica_appends_total" help:"Append requests processed (AppendReq handler entries)."`
 	BatchAppends uint64 `obs:"flexlog_replica_batch_appends_total" help:"Client-side coalesced batches processed (AppendBatchReq)."`
 	BatchRecords uint64 `obs:"flexlog_replica_batch_records_total" help:"Records carried by coalesced batches."`
-	Commits      uint64 `obs:"flexlog_replica_commits_total" help:"Order responses applied (SN assignments committed)."`
+	Commits      uint64 `obs:"flexlog_replica_commits_total" help:"SN assignments committed (order responses and catch-up runs)."`
 	Reads        uint64 `obs:"flexlog_replica_reads_total" help:"Read requests served."`
 	HeldReads    uint64 `obs:"flexlog_replica_held_reads_total" help:"Reads parked for a not-yet-seen SN."`
 	HeldWakeups  uint64 `obs:"flexlog_replica_held_wakeups_total" help:"Parked reads released by a satisfying commit."`
@@ -314,6 +317,10 @@ type Replica struct {
 	// write lane and the inline path. Built once, attached to whichever
 	// fabric carries the replica's messages, closed by Stop.
 	lanes *transport.Lanes
+
+	// persisted, when set, runs after doAppend persists a batch and before
+	// its client registers: a test seam for a commit landing in between.
+	persisted func(types.Token)
 }
 
 // New creates a replica, attaches it to the network, and starts its timers.
@@ -489,9 +496,13 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 	case proto.AppendBatchReq:
 		r.onAppendBatch(from, m)
 	case proto.OrderResp:
-		r.onOrderResp(m)
+		r.commit(m.Color, m.Token, m.LastSN)
 	case proto.OrderRespBatch:
-		r.onOrderRespBatch(m)
+		// Items share the batch's color, so on a write lane the batch runs
+		// on that color's worker, FIFO with the appends it commits.
+		for _, it := range m.Items {
+			r.commit(m.Color, it.Token, it.LastSN)
+		}
 	case proto.ReadReq:
 		r.onRead(from, m)
 	case proto.SubscribeReq:
@@ -552,7 +563,9 @@ func (r *Replica) onAppendBatch(from types.NodeID, m proto.AppendBatchReq) {
 	r.doAppend(from, m.Color, m.Token, records, m.Client)
 }
 
-// doAppend runs the replica side of the append protocol for one token.
+// doAppend runs the replica side of the append protocol for one token:
+// persist the batch (a retried token is already persisted), then register
+// the client for the token's SN.
 func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.Token, records [][]byte, client types.NodeID) {
 	if mode := r.mode.load(); mode != ModeOperational {
 		// §6.3: replicas in sync mode stop processing new appends — the
@@ -570,97 +583,55 @@ func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.T
 	}
 	// Tracing stamps: arrivedAt anchors end-to-end latency, persistD is
 	// measured around PutBatch. Zero-value when the tracer is off.
-	var arrivedAt time.Time
+	po := &pendingOrder{color: color, nRecords: uint32(len(records)), clients: map[types.NodeID]bool{}}
 	if r.appendTr.Enabled() {
-		arrivedAt = time.Now()
+		po.arrivedAt = time.Now()
 	}
-	r.mu.Lock()
-	if po, dup := r.pending[token]; dup {
-		// Retried append still awaiting its SN: remember the (possibly
-		// additional) client and re-drive the order request.
-		po.clients[client] = true
-		po.sentAt = time.Now() // re-driven here; the retry timer counts from now
-		r.mu.Unlock()
-		r.sendOrderReq(token, color, uint32(len(records)))
-		return
-	}
-	r.mu.Unlock()
-
-	err := r.st.PutBatch(color, token, records)
-	var persistD time.Duration
-	if !arrivedAt.IsZero() {
-		persistD = time.Since(arrivedAt)
-	}
-	if err != nil && !errors.Is(err, storage.ErrDuplicateToken) {
+	if err := r.st.PutBatch(color, token, records); err != nil && !errors.Is(err, storage.ErrDuplicateToken) {
 		// Out of space or oversized; the client times out and retries
 		// elsewhere. Count it: silent drops made capacity exhaustion look
 		// like network loss.
 		r.stats.appendDrops.Add(1)
 		return
 	}
-	wasDup := errors.Is(err, storage.ErrDuplicateToken)
-	if wasDup {
-		// Already persisted. If also committed, ack immediately.
-		if sn, ok := r.st.TokenSN(token); ok && sn.Valid() {
-			r.ep.Send(client, proto.AppendAck{Token: token, SN: sn})
-			return
-		}
-		// Persisted but not yet committed: fall through so this client is
-		// registered in pending and acked when the OrderResp lands.
+	if !po.arrivedAt.IsZero() {
+		po.persistD = time.Since(po.arrivedAt)
 	}
+	if r.persisted != nil {
+		r.persisted(token)
+	}
+	r.await(token, client, po)
+}
+
+// await registers client as waiting for the SN of a persisted token, in one
+// step under r.mu: a token the store has committed is acked at once;
+// otherwise the client joins the token's pending order (po, unless one is
+// open) and a buffered early response is taken. commit publishes the SN in
+// the store before it takes r.mu, so either this check sees the SN or that
+// commit finds the client in pending: no interleaving strands a client.
+// A token already waiting has its order request re-driven.
+func (r *Replica) await(token types.Token, client types.NodeID, po *pendingOrder) {
 	r.mu.Lock()
-	if early, ok := r.early[token]; ok {
-		// The OResp raced ahead of the client's broadcast: commit now.
-		delete(r.early, token)
+	if sn, _ := r.st.TokenSN(token); sn.Valid() {
 		r.mu.Unlock()
-		r.onOrderResp(early)
-		// Record the client so the (already-processed) response reaches it.
-		if sn, ok := r.st.TokenSN(token); ok && sn.Valid() {
-			r.ep.Send(client, proto.AppendAck{Token: token, SN: sn})
-		}
+		r.ep.Send(client, proto.AppendAck{Token: token, SN: sn})
 		return
 	}
-	if po, dup := r.pending[token]; dup {
-		po.clients[client] = true
+	if open := r.pending[token]; open != nil {
+		po = open
 	} else {
-		r.pending[token] = &pendingOrder{
-			color:     color,
-			nRecords:  uint32(len(records)),
-			clients:   map[types.NodeID]bool{client: true},
-			sentAt:    time.Now(),
-			arrivedAt: arrivedAt,
-			persistD:  persistD,
-		}
+		r.pending[token] = po
 	}
+	po.clients[client] = true
+	po.sentAt = time.Now() // the retry timer counts from this send
+	early, ok := r.early[token]
+	delete(r.early, token)
 	r.mu.Unlock()
-	if wasDup {
-		// Close the ack gap for persisted-uncommitted duplicates: if the
-		// commit landed between the TokenSN check above and the pending
-		// registration, onOrderResp consumed the old pending entry (acking
-		// only its clients) and will never fire again for this token — the
-		// entry just created would wait for the retry timer to re-drive the
-		// whole round trip. Re-check now that we are registered: seeing a
-		// valid SN means the commit already happened, so ack directly and
-		// retire the stranded entry (any clients that raced into it run
-		// this same re-check themselves).
-		if sn, ok := r.st.TokenSN(token); ok && sn.Valid() {
-			r.mu.Lock()
-			po := r.pending[token]
-			delete(r.pending, token)
-			r.mu.Unlock()
-			acked := map[types.NodeID]bool{client: true}
-			r.ep.Send(client, proto.AppendAck{Token: token, SN: sn})
-			if po != nil {
-				for c := range po.clients {
-					if !acked[c] {
-						r.ep.Send(c, proto.AppendAck{Token: token, SN: sn})
-					}
-				}
-			}
-			return
-		}
+	if ok {
+		r.commit(early.Color, token, early.LastSN)
+		return
 	}
-	r.sendOrderReq(token, color, uint32(len(records)))
+	r.sendOrderReq(token, po.color, po.nRecords)
 }
 
 // sendOrderReq issues the round-2 order request to the leaf sequencer
@@ -696,55 +667,55 @@ func (r *Replica) sendOrderItems(color types.ColorID, items []proto.OrderItem) {
 	})
 }
 
-func (r *Replica) onOrderResp(m proto.OrderResp) {
-	var commitStart time.Time
+// commit is the one way a token receives its SN — an OrderResp, each
+// item of an OrderRespBatch, a buffered early response, a catch-up run —
+// Alg. 1's commit_all: commit the batch in the store, bump the watermark,
+// ack the token's waiting clients and wake the reads the new frontier
+// satisfies. A response for a token this replica has not persisted yet
+// (its AppendReq is still in flight) is buffered for await to take. The
+// error is the store's: nil when the batch committed at last.
+func (r *Replica) commit(color types.ColorID, token types.Token, last types.SN) error {
+	var start time.Time
 	if r.appendTr.Enabled() {
-		commitStart = time.Now()
+		start = time.Now()
 	}
-	if err := r.st.Commit(m.Token, m.LastSN); err != nil {
-		if errors.Is(err, storage.ErrUnknownToken) {
-			// OResp for a record another shard replica persisted but we
-			// have not seen yet (the client's round-1 broadcast to us is
-			// still in flight): buffer it so onAppend can commit
-			// immediately on arrival.
-			r.bufferEarly(m)
-			return
-		}
-		// Conflicting SN for an already-committed token: first wins; the
-		// extra range becomes a hole, which is legal (§6.3).
+	err := r.st.Commit(token, last)
+	if errors.Is(err, storage.ErrUnknownToken) {
+		r.bufferEarly(proto.OrderResp{Token: token, LastSN: last, Color: color}, maxEarly)
+		return err
+	}
+	// A conflicting SN for an already-committed token: first wins, and the
+	// extra range becomes a hole, which is legal (§6.3).
+	sn, _ := r.st.TokenSN(token)
+	if !sn.Valid() {
+		return err // nothing landed: the waiters stay for a valid answer
 	}
 	r.stats.commits.Add(1)
-	r.maxSeen.bump(m.Color, m.LastSN)
+	r.maxSeen.bump(color, last)
 	r.mu.Lock()
-	po := r.pending[m.Token]
-	delete(r.pending, m.Token)
-	var clients []types.NodeID
+	po := r.pending[token]
+	delete(r.pending, token)
+	r.mu.Unlock()
 	if po != nil {
+		if !start.IsZero() && !po.arrivedAt.IsZero() {
+			r.traceAppend(token, po, start)
+		}
 		for c := range po.clients {
-			clients = append(clients, c)
+			r.ep.Send(c, proto.AppendAck{Token: token, SN: sn})
 		}
 	}
-	r.mu.Unlock()
-	if po != nil && !commitStart.IsZero() && !po.arrivedAt.IsZero() {
-		r.traceAppend(m.Token, po, commitStart)
-	}
-	sn, _ := r.st.TokenSN(m.Token)
-	for _, c := range clients {
-		r.ep.Send(c, proto.AppendAck{Token: m.Token, SN: sn})
-	}
-	r.wakeHeld(m.Color, r.frontier(m.Color))
+	r.wakeHeld(color, r.frontier(color))
+	return err
 }
 
+// maxEarly caps the buffer of responses that arrive before their AppendReq.
+const maxEarly = 1 << 16
+
 // bufferEarly stores an OrderResp that beat its AppendReq. The buffer is
-// bounded (Config.EarlyBound): overflow evicts the oldest live entry —
-// never the one just inserted. The previous random map-iteration eviction
-// could drop the just-buffered response itself, stalling that append until
-// the sequencer's retry rebroadcast.
-func (r *Replica) bufferEarly(m proto.OrderResp) {
-	bound := r.cfg.EarlyBound
-	if bound <= 0 {
-		bound = 1 << 16
-	}
+// bounded: overflow evicts the oldest live entry — never the one just
+// inserted, which would stall that append until the sequencer's retry
+// rebroadcast.
+func (r *Replica) bufferEarly(m proto.OrderResp, bound int) {
 	r.mu.Lock()
 	if _, exists := r.early[m.Token]; !exists {
 		r.earlyOrder = append(r.earlyOrder, m.Token)
@@ -759,7 +730,7 @@ func (r *Replica) bufferEarly(m proto.OrderResp) {
 				break // the oldest live entry is the new one: keep it
 			}
 			r.earlyOrder = r.earlyOrder[1:]
-			// Skip stale queue entries whose map entry onAppend consumed.
+			// Skip stale queue entries whose map entry await consumed.
 			if _, live := r.early[t]; live {
 				victim, found = t, true
 				break
@@ -772,7 +743,7 @@ func (r *Replica) bufferEarly(m proto.OrderResp) {
 		// on the owning replica's retry.
 		delete(r.early, victim)
 	}
-	// onAppend deletes from the map only, so stale tokens accumulate in the
+	// await deletes from the map only, so stale tokens accumulate in the
 	// queue; compact when they dominate.
 	if len(r.earlyOrder) > 4*len(r.early)+64 {
 		live := r.earlyOrder[:0]

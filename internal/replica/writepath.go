@@ -64,15 +64,6 @@ func laneWait(tr *obs.Tracer) func(queueWait, service time.Duration) {
 	return func(queueWait, _ time.Duration) { tr.ObserveStage("lane_wait", queueWait) }
 }
 
-// onOrderRespBatch commits a batched set of assignments. Items share the
-// batch's color, so on a write lane the whole batch runs on that color's
-// worker, FIFO with the appends it commits.
-func (r *Replica) onOrderRespBatch(m proto.OrderRespBatch) {
-	for _, it := range m.Items {
-		r.onOrderResp(proto.OrderResp{Token: it.Token, LastSN: it.LastSN, NRecords: it.NRecords, Color: m.Color})
-	}
-}
-
 // ---- Order-request coalescing ----
 
 // Order requests batch on the replica→leaf edge the way the tree

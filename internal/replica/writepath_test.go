@@ -50,11 +50,9 @@ func TestDupTokenPersistedUncommittedAcked(t *testing.T) {
 // TestDupTokenCommitRaceStillAcked races a direct storage commit (the
 // sync path runs on the serialized loop, concurrent with write-lane
 // appends) against the retrying client's AppendReq. Whatever the
-// interleaving, the client must receive an AppendAck: either the dup
-// check sees the committed SN, the post-registration re-check catches a
-// commit that landed in between (the fixed window — previously the entry
-// was stranded until the retry timer), or the pending entry survives and
-// the sequencer's cached grant acks it.
+// interleaving, the client must receive an AppendAck: either registration
+// sees the committed SN, or the pending entry survives and the
+// sequencer's cached grant acks it.
 func TestDupTokenCommitRaceStillAcked(t *testing.T) {
 	h := newHarness(t, 1)
 	r := h.replicas[0]
@@ -95,6 +93,41 @@ func TestDupTokenCommitRaceStillAcked(t *testing.T) {
 			t.Fatalf("iter %d: ack SN = %v, want %v", i, ack.SN, snI)
 		}
 		<-done
+	}
+}
+
+// TestCommitBeforeRegistrationAcked lands a token's commit after its batch
+// is persisted and before its client registers, on a replica with no write
+// lane, a retry an hour away and a sequencer that answers nothing more:
+// registration must find the committed SN and ack the client at once.
+func TestCommitBeforeRegistrationAcked(t *testing.T) {
+	r, ep := steppedReplica(t, func(cfg *Config) {
+		cfg.WriteWorkers = 0
+		cfg.RetryTimeout = time.Hour
+	})
+	token, sn := types.MakeToken(7, 1), types.MakeSN(1, 1)
+	r.persisted = func(tok types.Token) {
+		r.handle(900, proto.OrderResp{Token: tok, LastSN: sn, NRecords: 1, Color: 0})
+	}
+	r.handle(500, proto.AppendReq{Color: 0, Token: token, Records: [][]byte{[]byte("x")}, Client: 500})
+	r.tick(time.Now().Add(time.Millisecond))
+
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	acks := 0
+	for _, m := range ep.sent {
+		if ack, ok := m.(proto.AppendAck); ok && ack.Token == token {
+			if ack.SN != sn {
+				t.Fatalf("ack SN = %v, want %v", ack.SN, sn)
+			}
+			acks++
+		}
+	}
+	if acks != 1 {
+		t.Fatalf("%d acks for a token committed before its client registered, want 1 at once", acks)
+	}
+	if n := r.PendingOrders(); n != 0 {
+		t.Fatalf("%d pending orders left for a committed token", n)
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
+	"flexlog/internal/durable"
 	"flexlog/internal/simclock"
 )
 
@@ -307,26 +307,7 @@ func (d *Device) SaveTo(path string) error {
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ssd-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return os.Rename(tmpName, path)
+	return durable.WriteFile(path, buf.Bytes(), 0o600)
 }
 
 // LoadFrom restores a device from a snapshot file.

@@ -49,7 +49,8 @@ func (n *Network) PublishObs(reg *obs.Registry) {
 }
 
 // PublishObs publishes the TCP endpoint's Stats, its codec and syscall
-// counters, with the observability registry.
+// counters, with the observability registry, labelled with the endpoint's
+// node id so endpoints sharing a registry keep their own series.
 func (e *TCPEndpoint) PublishObs(reg *obs.Registry) {
-	obs.Publish(reg, nil, e.Stats)
+	obs.Publish(reg, obs.Labels{"node": fmt.Sprintf("%d", e.id)}, e.Stats)
 }

@@ -434,7 +434,8 @@ func BenchmarkTCPBroadcast(b *testing.B) {
 }
 
 // TestTCPPublishObs checks the endpoint's codec counters surface through
-// the obs registry and move when traffic flows.
+// the obs registry and move when traffic flows, and that two endpoints
+// sharing one registry each keep their own series, labelled by node.
 func TestTCPPublishObs(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
@@ -484,6 +485,16 @@ func TestTCPPublishObs(t *testing.T) {
 	}
 	if bs := bEp.Stats(); bs.FramesIn == 0 {
 		t.Fatalf("receiver stats did not move: %+v", bs)
+	}
+	for _, line := range []string{
+		`flexlog_tcp_frames_total{dir="out",node="1"} 1`,
+		`flexlog_tcp_frames_total{dir="in",node="1"} 0`,
+		`flexlog_tcp_frames_total{dir="out",node="2"} 0`,
+		`flexlog_tcp_frames_total{dir="in",node="2"} 1`,
+	} {
+		if !strings.Contains(text, "\n"+line+"\n") {
+			t.Errorf("registry output lacks %q", line)
+		}
 	}
 }
 
