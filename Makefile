@@ -115,9 +115,12 @@ obs-smoke:
 	timeout 60 $(GO) run ./cmd/flexlog-bench -quick ablate-obs
 
 # Wire-codec smoke (DESIGN.md §12): the 0 allocs/op ceiling on the hot
-# frame types and the golden-bytes pin of the wire format.
+# frame types, the golden-bytes pin of the wire format, and 10 s of
+# fuzzing for each of the frame decoder's two fuzz targets.
 codec-smoke:
 	$(GO) test -count=1 -run 'TestCodecZeroAllocHotPath|TestCodecGolden' ./internal/proto/
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s ./internal/proto/
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecodeNoPanic$$' -fuzztime=10s ./internal/proto/
 
 # Multi-tenant QoS smoke (DESIGN.md §13): the quick ablate-qos run must
 # show noisy-neighbor isolation (victim keeps >= ~80% of solo throughput

@@ -25,13 +25,11 @@ func main() {
 	defer cluster.Stop()
 
 	// v2 construction: functional options on top of the cluster defaults.
-	// WithBatching coalesces concurrent appends into single ordering
-	// requests; a lone append leaves at once (appends combine only behind
-	// batches that are still unacknowledged).
-	client, err := cluster.NewClient(
-		core.WithTimeout(5*time.Second),
-		core.WithBatching(core.DefaultBatchConfig()),
-	)
+	// Every append goes through the client's batcher, which coalesces
+	// concurrent appends into single ordering requests; a lone append
+	// leaves at once (appends combine only behind batches that are still
+	// unacknowledged). WithBatching would tune the batch bounds.
+	client, err := cluster.NewClient(core.WithTimeout(5 * time.Second))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -403,7 +403,8 @@ func TestAblateClientBatchShape(t *testing.T) {
 		t.Fatalf("missing latency values: off=%v on=%v", latOff, latOn)
 	}
 	// A lone closed-loop client pays at most the linger (100 µs) on top of
-	// the unbatched latency; allow scheduling slack on loaded CI machines.
+	// the one-record-batch latency; allow scheduling slack on loaded CI
+	// machines.
 	linger := clientBatchTuning().MaxBatchDelay.Seconds() * 1e6
 	const slackUsec = 1000
 	if latOn > latOff+linger+slackUsec {

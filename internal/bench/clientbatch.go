@@ -21,14 +21,23 @@ func clientBatchTuning() core.BatchConfig {
 	}
 }
 
+// oneRecordBatches makes every append a batch of one record, with a window
+// that admits all 64 callers at once: each append is its own
+// AppendBatchReq broadcast, as if nothing coalesced. It is this ablation's
+// "off" side, and what ablate-obs runs on.
+func oneRecordBatches() core.BatchConfig {
+	return core.BatchConfig{MaxBatchRecords: 1, MaxInFlight: 64}
+}
+
 // clientBatchAblation measures what the client-side batching layer buys
 // and what it costs:
 //
 //   - Throughput (modeled, functional run): 64 concurrent callers share one
-//     client handle and append back-to-back. Unbatched, every append is its
-//     own AppendReq broadcast and three OrderReqs at the leaf sequencer;
-//     batched, coalesced batches amortize both. Throughput is records over
-//     the busiest node's modeled busy time (model.go, nothing laned).
+//     client handle and append back-to-back. Off (one record per batch),
+//     every append is its own AppendBatchReq broadcast and three OrderReqs
+//     at the leaf sequencer; on, coalesced batches amortize both.
+//     Throughput is records over the busiest node's modeled busy time
+//     (model.go, nothing laned).
 //   - Latency (injected run): a single closed-loop client, where batching
 //     can only hurt. A lone append leaves at once (nothing of its shard is
 //     unacknowledged), so the cost is the hand-off to the batcher
@@ -36,6 +45,7 @@ func clientBatchTuning() core.BatchConfig {
 func clientBatchAblation(cfg RunConfig) laneAblation {
 	const latency = "1-client mean latency"
 	tuning := clientBatchTuning()
+	batching := map[string]core.BatchConfig{"off": oneRecordBatches(), "on": tuning}
 	a := laneAblation{
 		title:   "client-side batching ablation: coalesced appends amortize ordering and data RPCs; a lone client pays no linger",
 		xHeader: "batching",
@@ -43,25 +53,21 @@ func clientBatchAblation(cfg RunConfig) laneAblation {
 		total:   "Append throughput",
 		modes: []ablationMode{
 			{name: "off", lone: latency},
-			{name: "on", lone: latency, tweak: func(c *core.ClusterConfig) { c.ClientBatch = tuning }},
+			{name: "on", lone: latency},
 		},
 		loads:   []int{64},
 		ops:     400,
 		loneOps: 150,
 		cluster: clusterSpec{shards: 1},
-		workload: func(f *fixture, _ ablationMode, _ int, _ bool) (load, error) {
-			handle, err := f.clients(1)
+		workload: func(f *fixture, m ablationMode, _ int, _ bool) (load, error) {
+			handle, err := f.clients(1, core.WithBatching(batching[m.name]))
 			if err != nil {
 				return load{}, err
 			}
 			return appendLoad(handle, []types.ColorID{types.MasterColor}, workload.Payload(128, 11), 0), nil
 		},
 		observe: func(p ablationPoint, record func(series, unit string, v float64)) ([]string, error) {
-			size := 1.0 // unbatched, every append is its own request
-			if p.mode.name == "on" {
-				size = p.f.handles[0].Metrics().BatchRecords.MeanValue()
-			}
-			record("Mean batch size", "rec", size)
+			record("Mean batch size", "rec", p.f.handles[0].Metrics().BatchRecords.MeanValue())
 			return nil, nil
 		},
 	}
@@ -69,8 +75,8 @@ func clientBatchAblation(cfg RunConfig) laneAblation {
 		a.loads, a.ops, a.loneOps = []int{16}, 100, 40
 	}
 	a.notes = []string{
-		fmt.Sprintf("%d concurrent callers on one handle; tuning: %d rec / %d KiB / held at most %v / %d in flight",
-			a.loads[0], tuning.MaxBatchRecords, tuning.MaxBatchBytes>>10, tuning.MaxBatchDelay, tuning.MaxInFlight),
+		fmt.Sprintf("%d concurrent callers on one handle; on: %d rec / %d KiB / held at most %v / %d in flight; off: 1 rec / %d in flight",
+			a.loads[0], tuning.MaxBatchRecords, tuning.MaxBatchBytes>>10, tuning.MaxBatchDelay, tuning.MaxInFlight, oneRecordBatches().MaxInFlight),
 	}
 	return a
 }

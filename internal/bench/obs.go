@@ -23,7 +23,9 @@ const obsOverheadBudget = 5.0 // percent
 // (instrumentation no-ops on nil receivers), on is a live registry with
 // every tracer enabled, a 0-threshold slow ring (every request is
 // recorded — the worst case), and client-side context traces on every
-// append. The asserted number is the modeled throughput delta (model.go,
+// append. Every append is its own batch (oneRecordBatches): how batches
+// form depends on timing, and would move the message count between the
+// two runs. The asserted number is the modeled throughput delta (model.go,
 // nothing laned), which is deterministic; the wall-clock delta is reported as a note (it
 // carries scheduler noise, so it informs DESIGN.md's overhead budget but
 // does not gate).
@@ -53,7 +55,7 @@ func obsAblation(cfg RunConfig) laneAblation {
 		ops:     ops,
 		cluster: clusterSpec{shards: 1},
 		workload: func(f *fixture, _ ablationMode, _ int, _ bool) (load, error) {
-			handle, err := f.clients(1)
+			handle, err := f.clients(1, core.WithBatching(oneRecordBatches()))
 			if err != nil {
 				return load{}, err
 			}

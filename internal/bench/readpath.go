@@ -33,7 +33,7 @@ func readPathAblation(cfg RunConfig) laneAblation {
 		loneOps: 150,
 		cluster: clusterSpec{shards: 1},
 		workload: func(f *fixture, m ablationMode, readers int, _ bool) (load, error) {
-			handle, err := f.clients(1)
+			handle, err := f.clients(1, core.WithBatching(readPathTuning()))
 			if err != nil {
 				return load{}, err
 			}
@@ -72,7 +72,6 @@ func readPathAblation(cfg RunConfig) laneAblation {
 				readPercent: mix,
 				tweak: func(c *core.ClusterConfig) {
 					c.SeqBackups = 0
-					c.ClientBatch = readPathTuning()
 					if lane == "off" {
 						c.ReadWorkers = 0
 					}

@@ -32,7 +32,8 @@ const writePathChainDepth = 7
 // side divided by the lane's workers (a sequencer's order lane counts as
 // its write lane; order-request coalescing shows up as fewer delivered
 // messages). Each writer owns the chain color colors[w mod 8] and appends
-// there through its own unbatched client — the comparison isolates the
+// there through its own client, one closed-loop caller per client, so the
+// client's batcher has nothing to coalesce — the comparison isolates the
 // replica-side write path, not client coalescing. Latency is a separate
 // injected run with one closed-loop writer, serial vs full, where the
 // lane cannot help; the bar is that it also does not hurt. Drop counters

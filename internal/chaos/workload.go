@@ -23,9 +23,9 @@ type WorkloadConfig struct {
 	// Colors are the leaf colors written, read and trimmed.
 	Colors []types.ColorID
 	// Writers / Readers are goroutine counts per color. Writers append one
-	// to three records per call, and every second one runs on a batching
-	// client — the deployed default — so the history holds tokens of
-	// several records, the unit replicas persist, order and transfer.
+	// to three records per call through their client's batcher, so the
+	// history holds tokens of several records, the unit replicas persist,
+	// order and transfer.
 	Writers int
 	Readers int
 	// Trims enables one trimmer per color.
@@ -91,8 +91,8 @@ func StartWorkload(ctx context.Context, cl *core.Cluster, cfg WorkloadConfig) (*
 		acked:   make(map[types.ColorID][]types.SN),
 		lastAck: time.Now(),
 	}
-	spawn := func(fn func(cli *core.Client, rng *rand.Rand), salt int64, opts ...core.Option) error {
-		cli, err := cl.NewClient(opts...)
+	spawn := func(fn func(cli *core.Client, rng *rand.Rand), salt int64) error {
+		cli, err := cl.NewClient()
 		if err != nil {
 			return err
 		}
@@ -109,13 +109,9 @@ func StartWorkload(ctx context.Context, cl *core.Cluster, cfg WorkloadConfig) (*
 		color := color
 		for i := 0; i < cfg.Writers; i++ {
 			id := salt
-			var opts []core.Option
-			if i%2 == 1 {
-				opts = append(opts, core.WithBatching(core.DefaultBatchConfig()))
-			}
 			if err := spawn(func(cli *core.Client, rng *rand.Rand) {
 				w.writer(ctx, cli, rng, color, id)
-			}, salt, opts...); err != nil {
+			}, salt); err != nil {
 				return nil, err
 			}
 			salt++

@@ -9,13 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"flexlog/internal/proto"
+	"flexlog/internal/topology"
+	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
 
-// batchedClient creates a client with batching enabled on cl.
+// batchedClient creates a client on cl (every client batches; opts tune it).
 func batchedClient(t *testing.T, cl *Cluster, opts ...Option) *Client {
 	t.Helper()
-	opts = append([]Option{WithBatching(DefaultBatchConfig())}, opts...)
 	c, err := cl.NewClient(opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -559,9 +561,9 @@ func TestConnectOptions(t *testing.T) {
 	}
 }
 
-// TestOpErrorShape pins down the typed-error contract on the unbatched
-// paths too: ErrNotFound from Read and context cancellation from TrimCtx
-// both surface as *OpError.
+// TestOpErrorShape pins down the typed-error contract beyond the batcher:
+// ErrNotFound from Read and context cancellation from TrimCtx both surface
+// as *OpError.
 func TestOpErrorShape(t *testing.T) {
 	cl, err := SimpleCluster(TestClusterConfig(), 1)
 	if err != nil {
@@ -592,5 +594,98 @@ func TestOpErrorShape(t *testing.T) {
 	}
 	if err := c.MultiAppendCtx(ctx, [][][]byte{{[]byte("x")}}, []types.ColorID{types.MasterColor}, types.MasterColor); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled multi-append: %v, want context.Canceled", err)
+	}
+}
+
+// TestDefaultClientBatches: a client built without WithBatching batches.
+// While the first batch of a (color, shard) is unacknowledged, N
+// concurrent AsyncAppends to it must reach the replicas in fewer than N
+// AppendBatchReq frames, and no AppendReq is sent. The stub replicas hold
+// every ack until all N are submitted; the retry interval is longer than
+// the test, so every frame is a first send.
+func TestDefaultClientBatches(t *testing.T) {
+	const n = 32
+	topo := topology.New()
+	if err := topo.AddRegion(types.MasterColor, types.MasterColor, 900, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.AddShard(1, types.MasterColor, []types.NodeID{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewNetwork(transport.ZeroLink())
+	t.Cleanup(net.Shutdown)
+	var (
+		mu       sync.Mutex
+		batches  int
+		singles  int
+		held     []func()
+		released bool
+	)
+	first := make(chan struct{}, 2)
+	for _, id := range []types.NodeID{1, 2} {
+		var ep transport.Endpoint
+		var last uint32 // this replica's SN counter
+		ep, err := net.Register(id, func(from types.NodeID, msg transport.Message) {
+			mu.Lock()
+			defer mu.Unlock()
+			var token types.Token
+			switch m := msg.(type) {
+			case proto.AppendReq:
+				singles++
+				token, last = m.Token, last+uint32(len(m.Records))
+			case proto.AppendBatchReq:
+				batches++
+				token, last = m.Token, last+uint32(m.NRecords())
+			default:
+				return
+			}
+			ack := proto.AppendAck{Token: token, SN: types.MakeSN(1, last)}
+			send := func() { ep.Send(from, ack) }
+			if released {
+				send()
+			} else {
+				held = append(held, send)
+			}
+			select {
+			case first <- struct{}{}:
+			default:
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewClient(ClientConfig{FID: 1, ID: 500, Topo: topo, RetryInterval: time.Minute, Timeout: 10 * time.Second}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	futs := []*AppendFuture{c.AsyncAppend([][]byte{[]byte("first")}, types.MasterColor)}
+	<-first
+	<-first // both replicas hold the first batch unacknowledged
+	for i := 0; i < n; i++ {
+		futs = append(futs, c.AsyncAppend([][]byte{fmt.Appendf(nil, "r%d", i)}, types.MasterColor))
+	}
+	mu.Lock()
+	released = true
+	for _, send := range held {
+		send()
+	}
+	mu.Unlock()
+	for _, f := range futs {
+		if _, err := f.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if singles != 0 {
+		t.Errorf("%d AppendReq frames, want none", singles)
+	}
+	// Each replica sees every frame once: the first batch, then the N.
+	t.Logf("%d appends behind an unacknowledged batch: %d AppendBatchReq frames per replica", n, batches/2-1)
+	if per := batches/2 - 1; per >= n {
+		t.Errorf("%d concurrent appends behind an unacknowledged batch took %d AppendBatchReq frames, want fewer", n, per)
 	}
 }

@@ -79,8 +79,8 @@ type ClientMetrics struct {
 	// they carried.
 	Batches        *metrics.Counter
 	BatchedAppends *metrics.Counter
-	// SNConflicts counts appends, batched or not, that failed with
-	// ErrSNConflict.
+	// SNConflicts counts appends (batches and multi-append staging sets)
+	// that failed with ErrSNConflict.
 	SNConflicts *metrics.Counter
 }
 
@@ -95,8 +95,7 @@ func newClientMetrics() *ClientMetrics {
 	}
 }
 
-// Metrics returns the client's batching instrumentation. The histograms
-// are empty when batching is disabled.
+// Metrics returns the client's batching instrumentation.
 func (c *Client) Metrics() *ClientMetrics { return c.met }
 
 // pendingAppend is one caller's enqueued record set.

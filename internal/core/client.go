@@ -16,11 +16,12 @@
 //
 // Clients are built with functional options (see Connect and
 // Cluster.NewClient). The defaults are: RetryInterval 50ms, Timeout 10s,
-// shard-selection seed derived from the FID, and batching disabled. With
-// WithBatching, concurrent appends to one color are coalesced per shard
-// into single ordering requests + data RPCs, bounded by
+// shard-selection seed derived from the FID, and DefaultBatchConfig. Every
+// append goes through the per-(color, shard) batcher (see batcher.go):
+// concurrent appends to one color are coalesced per shard into single
+// ordering requests + data RPCs, bounded by
 // BatchConfig.{MaxBatchRecords,MaxBatchBytes,MaxBatchDelay}, with
-// MaxInFlight batches pipelined per shard (see batcher.go).
+// MaxInFlight batches pipelined per shard; WithBatching tunes those bounds.
 package core
 
 import (
@@ -95,8 +96,8 @@ type ClientConfig struct {
 	RetryInterval time.Duration
 	// Timeout bounds every blocking operation.
 	Timeout time.Duration
-	// Batch configures client-side append batching & pipelining; the zero
-	// value disables it (see WithBatching).
+	// Batch tunes client-side append batching & pipelining; the zero
+	// value is DefaultBatchConfig (see WithBatching).
 	Batch BatchConfig
 	// Tenant is the identity carried in this client's append and read
 	// requests; replicas map it onto QoS weight, rate and accounting.
@@ -174,9 +175,7 @@ func newClient(cfg ClientConfig, opts []Option) *Client {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
-	if cfg.Batch.enabled() {
-		cfg.Batch = cfg.Batch.withDefaults()
-	}
+	cfg.Batch = cfg.Batch.withDefaults()
 	return &Client{
 		cfg:      cfg,
 		topo:     cfg.Topo,
@@ -237,39 +236,13 @@ func (c *Client) Append(records [][]byte, color types.ColorID) (types.SN, error)
 }
 
 // AppendCtx is the context-first append: it honors cancellation and
-// deadlines on top of the client's configured Timeout. With batching
-// enabled the call is coalesced with concurrent appends to the same color
-// (see batcher.go); cancellation then abandons the wait, not the batch —
-// the records may still commit.
+// deadlines on top of the client's configured Timeout. The call is
+// coalesced with concurrent appends to the same color (see batcher.go);
+// cancellation abandons the wait, not the batch — the records may still
+// commit.
 func (c *Client) AppendCtx(ctx context.Context, records [][]byte, color types.ColorID) (types.SN, error) {
-	if len(records) == 0 {
-		return types.InvalidSN, opError("append", color, types.InvalidSN, fmt.Errorf("empty append"))
-	}
-	tr := obs.FromContext(ctx) // nil-safe span recording
-	if c.cfg.Batch.enabled() {
-		fut, err := c.enqueueAppend(records, color)
-		if err != nil {
-			return types.InvalidSN, opError("append", color, types.InvalidSN, err)
-		}
-		endWait := tr.StartSpan("batch_wait")
-		sn, err := fut.Wait(ctx)
-		endWait()
-		return sn, err
-	}
-	shard, err := c.randomShard(color)
-	if err != nil {
-		return types.InvalidSN, opError("append", color, types.InvalidSN, err)
-	}
-	endRTT := tr.StartSpan("append_rtt")
-	sn, _, err := c.appendTo(ctx, shard.ID, color, records)
-	endRTT()
-	if err != nil {
-		return types.InvalidSN, opError("append", color, types.InvalidSN, err)
-	}
-	if sn.Valid() {
-		c.rememberPlacement(color, sn, len(records), shard.ID)
-	}
-	return sn, nil
+	defer obs.FromContext(ctx).StartSpan("batch_wait")() // nil-safe span recording
+	return c.AsyncAppend(records, color).Wait(ctx)
 }
 
 // randomShard picks the shard an operation on color goes to (Alg. 1: "a
@@ -281,34 +254,26 @@ func (c *Client) randomShard(color types.ColorID) (topology.ShardInfo, error) {
 }
 
 // AsyncAppend submits an append and returns immediately with a future for
-// its SN. With batching enabled the future resolves when the record's
-// batch commits; without, a goroutine drives a plain append. Futures of
+// its SN, which resolves when the record's batch commits. Futures of
 // failed validation resolve immediately.
 func (c *Client) AsyncAppend(records [][]byte, color types.ColorID) *AppendFuture {
 	if len(records) == 0 {
 		return failedFuture(color, fmt.Errorf("empty append"))
 	}
-	if c.cfg.Batch.enabled() {
-		fut, err := c.enqueueAppend(records, color)
-		if err != nil {
-			return failedFuture(color, err)
-		}
-		return fut
+	fut, err := c.enqueueAppend(records, color)
+	if err != nil {
+		return failedFuture(color, err)
 	}
-	fut := newAppendFuture(color)
-	go func() {
-		sn, err := c.AppendCtx(context.Background(), records, color)
-		fut.complete(sn, err)
-	}()
 	return fut
 }
 
 // appendCall drives one append token through Alg. 1's client role: register
 // the ack barrier from the shard's current members, broadcast, rebuild the
 // barrier from the live membership on every retry tick and once more when
-// it empties. AppendCtx, the multi-append staging phase and the batcher are
-// its callers; they differ only in the request they build (AppendReq vs
-// AppendBatchReq) and in what they do with the SN.
+// it empties. The batcher and the multi-append staging phase are its
+// callers; both send an AppendBatchReq and differ only in how the shard is
+// chosen (the staging phase pins the broker shard) and in what they do
+// with the SN.
 type appendCall struct {
 	call
 	c      *Client
@@ -426,19 +391,16 @@ func (a *appendCall) resend() error {
 // to whoever waits for the SN.
 func (a *appendCall) retire() { a.c.unregister(tokenKey(a.token), &a.call) }
 
-// appendTo runs one unbatched append against a shard and returns the
-// assigned SN together with the token used.
-func (c *Client) appendTo(ctx context.Context, shard types.ShardID, color types.ColorID, records [][]byte) (types.SN, types.Token, error) {
+// stage appends one record set to the given shard as a one-set batch and
+// returns the token it used (the multi-append staging phase).
+func (c *Client) stage(ctx context.Context, shard types.ShardID, color types.ColorID, records [][]byte) (types.Token, error) {
 	token := c.nextToken()
-	a, err := c.startAppend(shard, token, proto.AppendReq{Color: color, Token: token, Records: records, Client: c.cfg.ID, Tenant: c.cfg.Tenant})
+	a, err := c.startAppend(shard, token, proto.AppendBatchReq{Color: color, Token: token, Sets: [][][]byte{records}, Client: c.cfg.ID, Tenant: c.cfg.Tenant})
 	if err != nil {
-		return types.InvalidSN, token, err
+		return token, err
 	}
 	defer a.retire()
-	if err := c.await(ctx, &a.call, a.resend); err != nil {
-		return types.InvalidSN, token, err
-	}
-	return a.sn, token, nil
+	return token, c.await(ctx, &a.call, a.resend)
 }
 
 // Read returns the record with the given SN from the c-colored log, or
@@ -728,7 +690,7 @@ func (c *Client) MultiAppendCtx(ctx context.Context, sets [][][]byte, colors []t
 	tokens := make([]types.Token, len(sets))
 	for i, records := range sets {
 		staged := replica.EncodeStaged(colors[i], c.cfg.FID, records)
-		_, token, err := c.appendTo(ctx, shard.ID, special, [][]byte{staged})
+		token, err := c.stage(ctx, shard.ID, special, [][]byte{staged})
 		if err != nil {
 			return opError("multi-append", special, types.InvalidSN,
 				fmt.Errorf("staging set %d: %w", i, err))

@@ -58,10 +58,6 @@ type ClusterConfig struct {
 	SeqWorkers int
 	// ClientTimeout bounds client operations.
 	ClientTimeout time.Duration
-	// ClientBatch, when non-zero, enables the append batching & pipelining
-	// layer on every client the cluster creates (a client's own
-	// WithBatching option replaces the tuning).
-	ClientBatch BatchConfig
 	// Obs, when set, wires the whole deployment into one observability
 	// registry: every replica (and through it, its storage stack), every
 	// sequencer, and the network's delivery/fault counters.
@@ -334,8 +330,7 @@ func (cl *Cluster) AddColor(color, parent types.ColorID) error {
 }
 
 // NewClient creates a client handle with a fresh FID. Options are applied
-// on top of the cluster defaults (ClientTimeout, RetryTimeout,
-// ClientBatch).
+// on top of the cluster defaults (ClientTimeout, RetryTimeout).
 func (cl *Cluster) NewClient(opts ...Option) (*Client, error) {
 	cl.mu.Lock()
 	id := cl.nextCli
@@ -347,7 +342,6 @@ func (cl *Cluster) NewClient(opts ...Option) (*Client, error) {
 		ID:      id,
 		Topo:    cl.topo,
 		Timeout: cl.cfg.ClientTimeout,
-		Batch:   cl.cfg.ClientBatch,
 	}
 	if cl.cfg.RetryTimeout > 0 {
 		ccfg.RetryInterval = cl.cfg.RetryTimeout

@@ -37,7 +37,8 @@ func checkExactlyOnce(t *testing.T, c *Client, color types.ColorID, want map[str
 }
 
 // TestDuplicatedAppendReqNotDoubleAppended is the dup-delivery regression:
-// with every message duplicated (DupProb=1) each AppendReq arrives at each
+// with every message duplicated (DupProb=1) each append request — one
+// append at a time, so each is a one-record batch — arrives at each
 // replica at least twice, and the replica's token dedup must commit the
 // records once. The duplicated acks must likewise leave the client's
 // waiter state intact.
@@ -71,7 +72,7 @@ func TestDuplicatedAppendBatchReqNotDoubleAppended(t *testing.T) {
 	net.SetFaultSeed(13)
 	net.SetDefaultFaults(transport.FaultModel{DupProb: 1})
 
-	c, err := cl.NewClient(WithBatching(DefaultBatchConfig()))
+	c, err := cl.NewClient()
 	if err != nil {
 		t.Fatal(err)
 	}

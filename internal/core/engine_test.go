@@ -55,8 +55,8 @@ func TestCloseUnblocksEveryOperation(t *testing.T) {
 		isToken bool // the kind of call the operation is parked on
 		op      func(c *Client) error
 	}{
-		{"append", nil, true, func(c *Client) error { _, err := c.Append(rec, 1); return err }},
-		{"batched append", []Option{WithBatching(DefaultBatchConfig())}, true, func(c *Client) error { _, err := c.Append(rec, 1); return err }},
+		{"append", []Option{WithBatching(BatchConfig{MaxBatchRecords: 1})}, true, func(c *Client) error { _, err := c.Append(rec, 1); return err }},
+		{"batched append", nil, true, func(c *Client) error { _, err := c.Append(rec, 1); return err }},
 		{"read", nil, false, func(c *Client) error { _, err := c.Read(types.MakeSN(1, 1), 1); return err }},
 		{"subscribe", nil, false, func(c *Client) error { _, err := c.Subscribe(1, types.InvalidSN); return err }},
 		{"trim", nil, false, func(c *Client) error { _, _, err := c.Trim(types.MakeSN(1, 1), 1); return err }},
@@ -98,8 +98,8 @@ func TestCloseUnblocksEveryOperation(t *testing.T) {
 
 // TestBackoffRetryAfterSurfaces drives a throttled append to its deadline:
 // the failure must name the deadline and the typed rejection, and carry
-// the server's retry-after hint — batched or not — and a hint longer than
-// the Timeout must not hold the append past it.
+// the server's retry-after hint — in a default batch or a one-record one —
+// and a hint longer than the Timeout must not hold the append past it.
 func TestBackoffRetryAfterSurfaces(t *testing.T) {
 	const tenant = types.TenantID(7)
 	const timeout = 300 * time.Millisecond
@@ -110,8 +110,8 @@ func TestBackoffRetryAfterSurfaces(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"unbatched", nil},
-		{"batched", []Option{WithBatching(DefaultBatchConfig())}},
+		{"one-record", []Option{WithBatching(BatchConfig{MaxBatchRecords: 1})}},
+		{"batched", nil},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cl, err := SimpleCluster(cfg, 1)

@@ -33,21 +33,19 @@ func newSimpleNoFailover(t *testing.T, shards int, opts ...Option) (*Cluster, *C
 	return cl, c
 }
 
-// syncLoad is how a sync test appends: plain (one record per append on an
-// unbatched client, the paper's Alg. 1 call) or batched (three records per
-// append on a batching client, what deployments run). The sync-phase moves
-// append batches between replicas, and a batch of one record hides every
-// way of getting that wrong.
+// syncLoad is how a sync test appends: plain (one record per append, the
+// paper's Alg. 1 call) or batched (three records per append). The
+// sync-phase moves append batches between replicas, and a batch of one
+// record hides every way of getting that wrong.
 type syncLoad struct {
-	per  int
-	opts []Option
+	per int
 }
 
 // bothLoads runs a sync test under each load.
 func bothLoads(t *testing.T, test func(t *testing.T, load syncLoad)) {
 	t.Run("plain", func(t *testing.T) { test(t, syncLoad{per: 1}) })
 	t.Run("batched", func(t *testing.T) {
-		test(t, syncLoad{per: 3, opts: []Option{WithBatching(DefaultBatchConfig())}})
+		test(t, syncLoad{per: 3})
 	})
 }
 
@@ -106,7 +104,7 @@ func shardConverged(t *testing.T, cl *Cluster, shard types.ShardID) {
 func TestReplicaCrashRecoverySyncsState(t *testing.T) { bothLoads(t, testReplicaCrashRecovery) }
 
 func testReplicaCrashRecovery(t *testing.T, load syncLoad) {
-	cl, c := newSimpleNoFailover(t, 1, load.opts...)
+	cl, c := newSimpleNoFailover(t, 1)
 	sh, err := cl.Topology().Shard(1)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +131,7 @@ func testReplicaCrashRecovery(t *testing.T, load syncLoad) {
 	// "upon replicas' failures we choose to sacrifice availability". The
 	// live replicas still persist and commit the batch, so the victim has
 	// it to fetch in its sync-phase.
-	quick, _ := cl.NewClient(load.opts...)
+	quick, _ := cl.NewClient()
 	quick.cfg.Timeout = 200 * time.Millisecond
 	if _, err := quick.Append(load.records("blocked"), types.MasterColor); err == nil {
 		t.Fatal("append should block while a replica is down")
@@ -181,7 +179,7 @@ func TestLaggingReplicaCatchesUpViaSync(t *testing.T) { bothLoads(t, testLagging
 
 func testLaggingReplica(t *testing.T, load syncLoad) {
 	// Two shards so appends continue while one shard's replica is down.
-	cl, c := newSimpleNoFailover(t, 2, load.opts...)
+	cl, c := newSimpleNoFailover(t, 2)
 	sh, _ := cl.Topology().Shard(1)
 	victim := cl.Replica(sh.Replicas[1])
 
@@ -206,7 +204,7 @@ func testLaggingReplica(t *testing.T, load syncLoad) {
 	// Keep appending: the other shard still accepts (random shard choice
 	// retries may hit the broken shard and stall; use a dedicated client
 	// with its own rng until enough new records landed on shard 2).
-	w, _ := cl.NewClient(load.opts...)
+	w, _ := cl.NewClient()
 	w.cfg.Timeout = 300 * time.Millisecond
 	extra := 0
 	for extra < 10 {
@@ -254,7 +252,7 @@ func testLaggingReplica(t *testing.T, load syncLoad) {
 func TestShardDivergenceHealsOnSync(t *testing.T) { bothLoads(t, testShardDivergence) }
 
 func testShardDivergence(t *testing.T, load syncLoad) {
-	cl, c := newSimpleNoFailover(t, 1, load.opts...)
+	cl, c := newSimpleNoFailover(t, 1)
 	sh, _ := cl.Topology().Shard(1)
 	lagger := cl.Replica(sh.Replicas[2])
 

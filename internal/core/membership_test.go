@@ -17,8 +17,8 @@ import (
 // members are done: only the check made when the barrier empties can see
 // the new member.
 func TestAppendCoversMemberAddedInFlight(t *testing.T) {
-	t.Run("plain", func(t *testing.T) { testAppendCoversNewMember(t) })
-	t.Run("batched", func(t *testing.T) { testAppendCoversNewMember(t, WithBatching(DefaultBatchConfig())) })
+	t.Run("plain", func(t *testing.T) { testAppendCoversNewMember(t, WithBatching(BatchConfig{MaxBatchRecords: 1})) })
+	t.Run("batched", func(t *testing.T) { testAppendCoversNewMember(t) })
 }
 
 func testAppendCoversNewMember(t *testing.T, opts ...Option) {

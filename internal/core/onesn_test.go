@@ -194,9 +194,8 @@ func TestSplitFrontiersThenLeafLeaderKill(t *testing.T) {
 }
 
 // TestAppendAckedAtTwoSNsFails: two replicas acknowledge one token at two
-// different SNs. Whichever ack lands last must not win: the append —
-// unbatched or batched, both fold acks in the same place — fails with
-// ErrSNConflict, and the client counts it.
+// different SNs. Whichever ack lands last must not win: the append fails
+// with ErrSNConflict, and the client counts it.
 func TestAppendAckedAtTwoSNsFails(t *testing.T) {
 	topo := topology.New()
 	if err := topo.AddRegion(types.MasterColor, types.MasterColor, 900, nil); err != nil {
@@ -210,33 +209,23 @@ func TestAppendAckedAtTwoSNsFails(t *testing.T) {
 	for _, id := range []types.NodeID{1, 2} {
 		var ep transport.Endpoint
 		ep, err := net.Register(id, func(from types.NodeID, msg transport.Message) {
-			var token types.Token
-			switch m := msg.(type) {
-			case proto.AppendReq:
-				token = m.Token
-			case proto.AppendBatchReq:
-				token = m.Token
-			default:
-				return
+			if m, ok := msg.(proto.AppendBatchReq); ok {
+				ep.Send(from, proto.AppendAck{Token: m.Token, SN: types.MakeSN(1, uint32(10*id))})
 			}
-			ep.Send(from, proto.AppendAck{Token: token, SN: types.MakeSN(1, uint32(10*id))})
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, opts := range [][]Option{nil, {WithBatching(DefaultBatchConfig())}} {
-		c, err := NewClient(ClientConfig{FID: uint32(i + 1), ID: types.NodeID(500 + i), Topo: topo, Timeout: 5 * time.Second}, net, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sn, err := c.Append([][]byte{[]byte("x")}, types.MasterColor)
-		if !errors.Is(err, ErrSNConflict) {
-			t.Errorf("batched=%v: append = %v, %v; want ErrSNConflict", opts != nil, sn, err)
-		}
-		if n := c.Metrics().SNConflicts.Count(); n != 1 {
-			t.Errorf("batched=%v: SNConflicts = %d, want 1", opts != nil, n)
-		}
-		c.Close()
+	c, err := NewClient(ClientConfig{FID: 1, ID: 500, Topo: topo, Timeout: 5 * time.Second}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if sn, err := c.Append([][]byte{[]byte("x")}, types.MasterColor); !errors.Is(err, ErrSNConflict) {
+		t.Errorf("append = %v, %v; want ErrSNConflict", sn, err)
+	}
+	if n := c.Metrics().SNConflicts.Count(); n != 1 {
+		t.Errorf("SNConflicts = %d, want 1", n)
 	}
 }

@@ -9,11 +9,9 @@ import (
 	"flexlog/internal/types"
 )
 
-// BatchConfig tunes the client-side append batching & pipelining layer.
-// The zero value disables batching (every Append is its own round trip,
-// the seed behaviour); enable it with WithBatching(DefaultBatchConfig())
-// or a custom configuration. Zero fields of an otherwise non-zero config
-// are filled from DefaultBatchConfig.
+// BatchConfig tunes the client-side append batching & pipelining layer,
+// which every append goes through. The zero value is DefaultBatchConfig;
+// zero fields of an otherwise non-zero config are filled from it.
 type BatchConfig struct {
 	// MaxBatchRecords flushes a batch once it holds this many records.
 	MaxBatchRecords int
@@ -32,9 +30,9 @@ type BatchConfig struct {
 	MaxInFlight int
 }
 
-// DefaultBatchConfig returns the tuning used by the benchmark harness:
-// device-friendly batches, four batches in flight, appends held behind
-// them for at most 100 µs.
+// DefaultBatchConfig returns the tuning of a client built without
+// WithBatching: device-friendly batches, four batches in flight, appends
+// held behind them for at most 100 µs.
 func DefaultBatchConfig() BatchConfig {
 	return BatchConfig{
 		MaxBatchRecords: 64,
@@ -44,12 +42,13 @@ func DefaultBatchConfig() BatchConfig {
 	}
 }
 
-// enabled reports whether any batching field is set.
-func (b BatchConfig) enabled() bool { return b != (BatchConfig{}) }
-
-// withDefaults fills zero fields of an enabled config.
+// withDefaults resolves a config: the zero value is DefaultBatchConfig,
+// and zero fields of any other are filled from it.
 func (b BatchConfig) withDefaults() BatchConfig {
 	def := DefaultBatchConfig()
+	if b == (BatchConfig{}) {
+		return def
+	}
 	if b.MaxBatchRecords <= 0 {
 		b.MaxBatchRecords = def.MaxBatchRecords
 	}
@@ -87,8 +86,10 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *ClientConfig) { c.Timeout = d }
 }
 
-// WithBatching enables the client-side append batching & pipelining layer
-// with the given tuning (zero fields are filled from DefaultBatchConfig).
+// WithBatching tunes the client-side append batching & pipelining layer
+// (zero fields are filled from DefaultBatchConfig). It does not switch
+// batching on: every append is batched, with DefaultBatchConfig unless
+// this option says otherwise.
 func WithBatching(b BatchConfig) Option {
 	return func(c *ClientConfig) { c.Batch = b }
 }
@@ -125,7 +126,6 @@ const autoClientIDBase types.NodeID = 1_000_000
 // options:
 //
 //	c, err := core.Connect(cl.Topology(), cl.Network(),
-//	    core.WithBatching(core.DefaultBatchConfig()),
 //	    core.WithTimeout(2*time.Second))
 //
 // The node id is auto-allocated, and so is the function id unless WithFID

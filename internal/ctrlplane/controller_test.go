@@ -80,14 +80,15 @@ func sameRecords(t *testing.T, what string, got, want []types.Record) {
 	}
 }
 
-// perAppend runs a test with single-record appends, with 3-record appends,
-// and with 3-record appends on a batching client (what deployments run):
-// catch-up moves append batches, and a batch of one hides every way of
-// getting that wrong.
+// perAppend runs a test with single-record appends and with 3-record
+// appends, each append its own batch, and with 3-record appends that the
+// client coalesces (the default tuning): catch-up moves append batches,
+// and a batch of one hides every way of getting that wrong.
 func perAppend(t *testing.T, test func(t *testing.T, per int, opts ...core.Option)) {
-	t.Run("1-per-append", func(t *testing.T) { test(t, 1) })
-	t.Run("3-per-append", func(t *testing.T) { test(t, 3) })
-	t.Run("3-per-append-batched", func(t *testing.T) { test(t, 3, core.WithBatching(core.DefaultBatchConfig())) })
+	alone := core.WithBatching(core.BatchConfig{MaxBatchRecords: 1})
+	t.Run("1-per-append", func(t *testing.T) { test(t, 1, alone) })
+	t.Run("3-per-append", func(t *testing.T) { test(t, 3, alone) })
+	t.Run("3-per-append-batched", func(t *testing.T) { test(t, 3) })
 }
 
 func TestAddReplicaCatchesUpAndPromotes(t *testing.T) { perAppend(t, testAddReplica) }

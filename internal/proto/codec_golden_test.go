@@ -69,8 +69,8 @@ var goldenFrames = []struct {
 		"0600000016f403038607"},
 	{"EpochReject", EpochReject{Epoch: 0x3, Claimant: 0x385, LeaderAlive: true},
 		"0700000017f40303850701"},
-	{"SeqInit", SeqInit{Epoch: 0x3, From: 0x385},
-		"0600000018f403038507"},
+	{"SeqInit", SeqInit{Epoch: 0x3, Region: 0x1, From: 0x385},
+		"0700000018f40303018507"},
 	{"SeqInitAck", SeqInitAck{Epoch: 0x3, From: 0x1},
 		"0500000019f4030301"},
 	{"SyncRequest", SyncRequest{ID: 0x6, From: 0x2},
@@ -81,8 +81,8 @@ var goldenFrames = []struct {
 		"0b00000021f4030b4d03070100dc0b"},
 	{"JoinFetch", JoinFetch{ID: 0x6, Have: map[types.ColorID]types.SN{0x0: 0x100000002}, Tokens: []types.Token{0x700000009}, Budget: 0x80, From: 0x2},
 		"1400000024f4030601008280808010018980808070800102"},
-	{"JoinEntries", JoinEntries{ID: 0x6, Records: map[types.ColorID][]WireRecord{0x0: {WireRecord{Token: 0x1, SN: 0x100000003, Data: []uint8{0x65}}}}, Frontier: map[types.ColorID]types.SN{0x0: 0x100000004}, Trimmed: map[types.ColorID]types.SN{0x0: 0x100000001}, Epoch: 0x2, More: true, From: 0x3},
-		"2000000025f4030601000101838080801001650100848080801001008180808010020103"},
+	{"JoinEntries", JoinEntries{ID: 0x6, Records: map[types.ColorID][]WireRecord{0x0: {WireRecord{Token: 0x1, SN: 0x100000003, Data: []uint8{0x65}}}}, Frontier: map[types.ColorID]types.SN{0x0: 0x100000004}, Trimmed: map[types.ColorID]types.SN{0x0: 0x100000001}, More: true, From: 0x3},
+		"1f00000025f40306010001018380808010016501008480808010010081808080100103"},
 	{"TopoUpdate", TopoUpdate{Version: 0x7, Regions: []TopoRegion{
 		{Color: 0x0, Parent: 0x0, Leader: 0x64, Backups: []types.NodeID{0x65}, Members: []types.NodeID{0x64, 0x65}, IsRoot: true},
 		{Color: 0x1, Parent: 0x0, Leader: 0x6e, Backups: nil, Members: []types.NodeID{0x6e}, IsRoot: false},

@@ -17,7 +17,9 @@ import (
 
 // ---- Client ↔ replica (Alg. 1 client/replica rounds) ----
 
-// AppendReq is the client's round-1 broadcast to all replicas of a shard.
+// AppendReq is a one-set append (Alg. 1 round 1). Clients send every
+// append as an AppendBatchReq; only the benchmark module's ladder and
+// tests still send this, and a replica handles it as a one-set batch.
 // Tenant identifies the issuing tenant for QoS accounting and admission
 // control (0 = default tenant, never throttled).
 type AppendReq struct {
@@ -35,9 +37,10 @@ type AppendAck struct {
 	SN    types.SN
 }
 
-// AppendBatchReq is the framing used by the client-side batching layer:
-// several callers' appends to the same color, coalesced into one ordering
-// request and one data RPC. Each inner set is one caller's records; the
+// AppendBatchReq is the client's round-1 broadcast to all replicas of a
+// shard (Alg. 1), built by the client-side batching layer: several
+// callers' appends to the same color, coalesced into one ordering request
+// and one data RPC. Each inner set is one caller's records; the
 // whole batch is persisted and ordered as a unit, so the sets occupy one
 // consecutive SN range in enqueue order and the client can demultiplex
 // per-set SNs from the last SN alone. Replicas acknowledge with a plain
@@ -318,10 +321,12 @@ type EpochReject struct {
 
 // SeqInit is the new sequencer's initialization request to all replicas of
 // its region: replicas must acknowledge (and sync, §6.3) before the new
-// epoch starts serving.
+// epoch starts serving. Region names the sequencer group: every group
+// numbers its own epochs, and a replica follows several of them.
 type SeqInit struct {
-	Epoch types.Epoch
-	From  types.NodeID
+	Epoch  types.Epoch
+	Region types.ColorID
+	From   types.NodeID
 }
 
 // SeqInitAck acknowledges SeqInit.
@@ -370,16 +375,16 @@ type JoinFetch struct {
 
 // JoinEntries is the donor's reply to a JoinFetch: the missing committed
 // records plus the donor's own committed frontier, from which a joiner
-// computes its catch-up lag (the promotion gate), its trim frontier and
-// its sequencer epoch, which the requester adopts. More marks a reply
-// truncated by the fetch budget — the requester fetches again.
+// computes its catch-up lag (the promotion gate), and its trim frontier,
+// which the requester adopts. Each color's epoch travels in its SNs. More
+// marks a reply truncated by the fetch budget — the requester fetches
+// again.
 type JoinEntries struct {
 	ID       uint64
 	Records  map[types.ColorID][]WireRecord
 	Frontier map[types.ColorID]types.SN // donor's committed frontier per color
 	Trimmed  map[types.ColorID]types.SN // donor's trim frontier per color
-	Epoch    types.Epoch
-	More     bool // reply truncated by Budget; fetch again
+	More     bool                       // reply truncated by Budget; fetch again
 	From     types.NodeID
 }
 

@@ -33,14 +33,14 @@ func everyMessage() []interface{} {
 		EpochClaim{Epoch: 1, From: 2},
 		EpochGrant{Epoch: 1, From: 2},
 		EpochReject{Epoch: 1, Claimant: 2},
-		SeqInit{Epoch: 1, From: 2},
+		SeqInit{Epoch: 1, Region: 3, From: 2},
 		SeqInitAck{Epoch: 1, From: 2},
 		SyncRequest{ID: 1, From: 2},
 		SyncDone{ID: 1, From: 2},
 		Reject{Token: 1, ID: 2, Color: 3, Tenant: 4, Code: RejectThrottled, RetryAfterMicros: 5},
 		JoinFetch{ID: 1, Have: map[types.ColorID]types.SN{0: 2}, Tokens: []types.Token{3}, Budget: 4, From: 5},
 		JoinEntries{ID: 1, Records: map[types.ColorID][]WireRecord{0: {{Token: 2, SN: 3, Data: []byte("e")}}},
-			Frontier: map[types.ColorID]types.SN{0: 3}, Trimmed: map[types.ColorID]types.SN{0: 1}, Epoch: 2, More: true, From: 4},
+			Frontier: map[types.ColorID]types.SN{0: 3}, Trimmed: map[types.ColorID]types.SN{0: 1}, More: true, From: 4},
 		TopoUpdate{Version: 1, Regions: []TopoRegion{{Color: 0, Leader: 2, Backups: []types.NodeID{3}, Members: []types.NodeID{2, 3}, IsRoot: true}},
 			Shards: []TopoShard{{ID: 1, Leaf: 0, Replicas: []types.NodeID{4}}}, From: 5},
 		CtrlReconfig{Seq: 1, Op: CtrlOpJoin, Donor: 2, From: 3},

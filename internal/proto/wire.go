@@ -583,7 +583,7 @@ func ownRecordData(recs []WireRecord) {
 
 // FrameDecoder is DecodeFrame with reusable scratch state. A transport
 // read loop owns one per connection: the alias-carrying hot types
-// (AppendReq, AppendBatchReq, SubscribeResp) first decode into scratch
+// (AppendBatchReq, SubscribeResp) first decode into scratch
 // messages — reusing their slice-header capacity across frames — and then
 // copy out exactly once into right-sized owned values. This halves the
 // decode-side allocation churn of the stateless DecodeFrame, which
@@ -591,10 +591,9 @@ func ownRecordData(recs []WireRecord) {
 // messages are self-contained; the scratch retains only dead aliases
 // that the next Decode overwrites. Not safe for concurrent use.
 type FrameDecoder struct {
-	appendReq AppendReq
-	batchReq  AppendBatchReq
-	subResp   SubscribeResp
-	arena     []byte
+	batchReq AppendBatchReq
+	subResp  SubscribeResp
+	arena    []byte
 }
 
 // arenaChunk is the decoder's backing-buffer granularity. Owned record
@@ -630,13 +629,6 @@ func (d *FrameDecoder) Decode(b []byte) (types.NodeID, any, error) {
 	}
 	body := r.b
 	switch tag {
-	case TagAppendReq:
-		if err := d.appendReq.Decode(body); err != nil {
-			return 0, nil, err
-		}
-		m := d.appendReq
-		m.Records = d.copyByteSlices(m.Records)
-		return from, m, nil
 	case TagAppendBatchReq:
 		if err := d.batchReq.Decode(body); err != nil {
 			return 0, nil, err

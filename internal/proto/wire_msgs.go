@@ -495,6 +495,7 @@ func (m EpochReject) wireTag() byte { return TagEpochReject }
 // AppendTo appends the message body to b. See wire.go.
 func (m SeqInit) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, uint64(m.Epoch))
+	b = appendUvarint(b, uint64(m.Region))
 	b = appendUvarint(b, uint64(m.From))
 	return b
 }
@@ -503,6 +504,7 @@ func (m SeqInit) AppendTo(b []byte) []byte {
 func (m *SeqInit) Decode(b []byte) error {
 	r := wireReader{b: b}
 	m.Epoch = types.Epoch(r.u32())
+	m.Region = types.ColorID(r.u32())
 	m.From = types.NodeID(r.u32())
 	return r.done()
 }
@@ -599,7 +601,6 @@ func (m JoinEntries) AppendTo(b []byte) []byte {
 	b = appendRecordsMap(b, m.Records)
 	b = appendSNMap(b, m.Frontier)
 	b = appendSNMap(b, m.Trimmed)
-	b = appendUvarint(b, uint64(m.Epoch))
 	b = appendBool(b, m.More)
 	b = appendUvarint(b, uint64(m.From))
 	return b
@@ -612,7 +613,6 @@ func (m *JoinEntries) Decode(b []byte) error {
 	m.Records = readRecordsMap(&r, m.Records)
 	m.Frontier = readSNMap(&r, m.Frontier)
 	m.Trimmed = readSNMap(&r, m.Trimmed)
-	m.Epoch = types.Epoch(r.u32())
 	m.More = r.bool()
 	m.From = types.NodeID(r.u32())
 	return r.done()

@@ -55,7 +55,7 @@ func wireRecords(recs []types.Record) []proto.WireRecord {
 // every listed token this replica committed below have, then per color the
 // committed records above have, at most budget of them (0 = the default)
 // plus the rest of the batch the budget falls in, and the committed and
-// trim frontiers and the epoch. More reports that some color holds records
+// trim frontiers. More reports that some color holds records
 // above what was shipped. A failed scan fails the round: the requester's
 // retry asks again, and a round is never answered with part of what it
 // asked for.
@@ -63,14 +63,10 @@ func (r *Replica) ServeCatchup(have map[types.ColorID]types.SN, tokens []types.T
 	if budget <= 0 {
 		budget = defaultJoinBudget
 	}
-	r.mu.Lock()
-	epoch := r.epoch
-	r.mu.Unlock()
 	out := proto.JoinEntries{
 		Records:  make(map[types.ColorID][]proto.WireRecord),
 		Frontier: make(map[types.ColorID]types.SN),
 		Trimmed:  make(map[types.ColorID]types.SN),
-		Epoch:    epoch,
 		From:     r.cfg.ID,
 	}
 	for _, t := range tokens {
@@ -208,8 +204,8 @@ func (r *Replica) onJoinFetch(from types.NodeID, m proto.JoinFetch) {
 // refuses every batch, leaves the next round to the retry timer instead of
 // spinning); a joiner's last round refreshes its lag and the timer keeps
 // polling so it tracks live traffic; a sync run's last round from a peer
-// moves its pull on to the next peer. The donor's epoch and trim frontier
-// are adopted first, so records it garbage-collected are never resurrected
+// moves its pull on to the next peer. The donor's trim frontier is
+// adopted first, so records it garbage-collected are never resurrected
 // here (§6.2 + §6.3): a frontier the store refuses ends the round there,
 // nothing ingested and nothing chained, and the retry timer re-drives it.
 func (r *Replica) onJoinEntries(m proto.JoinEntries) {
@@ -227,7 +223,6 @@ func (r *Replica) onJoinEntries(m proto.JoinEntries) {
 		r.mu.Unlock()
 		return
 	}
-	r.epoch = max(r.epoch, m.Epoch)
 	r.mu.Unlock()
 
 	for c, sn := range m.Trimmed {

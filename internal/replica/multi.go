@@ -203,7 +203,7 @@ func (r *Replica) replayOne(staged types.Token) bool {
 		r.mu.Unlock()
 	}()
 
-	req := proto.AppendReq{Color: target, Token: token, Records: records, Client: r.cfg.ID}
+	req := proto.AppendBatchReq{Color: target, Token: token, Sets: [][][]byte{records}, Client: r.cfg.ID}
 	deadline := time.Now().Add(50 * r.cfg.RetryTimeout)
 	for {
 		r.ep.Broadcast(sh.Replicas, req)

@@ -18,7 +18,7 @@
 // touches storage (internally synchronized), the per-color atomic
 // watermarks, the lock-striped held-read registry, and atomic counters —
 // never long-held r.mu. See readpath.go for why this preserves
-// linearizability. Write-class traffic (AppendReq, AppendBatchReq,
+// linearizability. Write-class traffic (AppendBatchReq, AppendReq,
 // OrderResp, OrderRespBatch) is dispatched to a keyed write lane
 // (Config.WriteWorkers) that pins each color to one worker: same-color
 // messages stay FIFO while different colors persist and commit in
@@ -30,6 +30,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,7 +153,7 @@ type pendingOrder struct {
 
 	// Tracing stamps, set only while the append tracer is enabled:
 	// arrivedAt anchors the end-to-end latency, persistD is the PM
-	// persistence stage measured in doAppend.
+	// persistence stage measured in onAppendBatch.
 	arrivedAt time.Time
 	persistD  time.Duration
 }
@@ -175,9 +176,9 @@ type trimWait struct {
 // Stats counts replica activity. It is also what the replica publishes
 // to the obs registry: each tagged field is one series (see obs.Publish).
 type Stats struct {
-	Appends      uint64 `obs:"flexlog_replica_appends_total" help:"Append requests processed (AppendReq handler entries)."`
-	BatchAppends uint64 `obs:"flexlog_replica_batch_appends_total" help:"Client-side coalesced batches processed (AppendBatchReq)."`
-	BatchRecords uint64 `obs:"flexlog_replica_batch_records_total" help:"Records carried by coalesced batches."`
+	Appends      uint64 `obs:"flexlog_replica_appends_total" help:"Append batches processed in operational mode (one per token)."`
+	BatchAppends uint64 `obs:"flexlog_replica_batch_appends_total" help:"Append batches admitted (AppendBatchReq; an AppendReq is a one-set batch)."`
+	BatchRecords uint64 `obs:"flexlog_replica_batch_records_total" help:"Records carried by admitted append batches."`
 	Commits      uint64 `obs:"flexlog_replica_commits_total" help:"SN assignments committed (order responses and catch-up runs)."`
 	Reads        uint64 `obs:"flexlog_replica_reads_total" help:"Read requests served."`
 	HeldReads    uint64 `obs:"flexlog_replica_held_reads_total" help:"Reads parked for a not-yet-seen SN."`
@@ -296,18 +297,20 @@ type Replica struct {
 	// first round answers); read lock-free by the control plane.
 	joinLag atomic.Uint64
 
-	mu         sync.Mutex
-	join       *joinState   // active catch-up transfer (ModeJoining)
-	epoch      types.Epoch  // known sequencer epoch (§6.3)
-	seqNode    types.NodeID // current leaf-sequencer leader
-	pending    map[types.Token]*pendingOrder
-	trims      map[uint64]*trimWait
-	initSeq    types.NodeID // sequencer awaiting SeqInitAck after sync
-	initEpo    types.Epoch
+	mu      sync.Mutex
+	join    *joinState // active catch-up transfer (ModeJoining)
+	pending map[types.Token]*pendingOrder
+	trims   map[uint64]*trimWait
+	// The per-region follow state (§6.3): a shard follows the sequencer
+	// group of its leaf region and of every ancestor, each with its own
+	// epochs. seqEpochs holds the last SeqInit epoch accepted from each
+	// region, seqInits the SeqInits to ack when the sync-phase ends.
+	seqEpochs  map[types.ColorID]types.Epoch
+	seqInits   map[types.ColorID]proto.SeqInit
 	syncRuns   map[uint64]*syncRun // concurrent sync-phases, keyed by run id
 	syncSeq    uint64
 	replays    map[types.Token]*replayWait
-	early      map[types.Token]proto.OrderResp // OResps that beat the AppendReq
+	early      map[types.Token]proto.OrderResp // OResps that beat their append
 	earlyOrder []types.Token                   // insertion order of early entries (oldest first)
 	stopCh     chan struct{}
 	stopOnce   sync.Once
@@ -318,8 +321,9 @@ type Replica struct {
 	// fabric carries the replica's messages, closed by Stop.
 	lanes *transport.Lanes
 
-	// persisted, when set, runs after doAppend persists a batch and before
-	// its client registers: a test seam for a commit landing in between.
+	// persisted, when set, runs after onAppendBatch persists a batch and
+	// before its client registers: a test seam for a commit landing in
+	// between.
 	persisted func(types.Token)
 }
 
@@ -372,16 +376,17 @@ func buildStore(cfg Config) (*storage.Store, error) {
 
 func newReplica(cfg Config, st *storage.Store) *Replica {
 	r := &Replica{
-		cfg:      cfg,
-		topo:     cfg.Topo,
-		st:       st,
-		epoch:    1,
-		pending:  make(map[types.Token]*pendingOrder),
-		trims:    make(map[uint64]*trimWait),
-		replays:  make(map[types.Token]*replayWait),
-		early:    make(map[types.Token]proto.OrderResp),
-		syncRuns: make(map[uint64]*syncRun),
-		stopCh:   make(chan struct{}),
+		cfg:       cfg,
+		topo:      cfg.Topo,
+		st:        st,
+		pending:   make(map[types.Token]*pendingOrder),
+		trims:     make(map[uint64]*trimWait),
+		seqEpochs: make(map[types.ColorID]types.Epoch),
+		seqInits:  make(map[types.ColorID]proto.SeqInit),
+		replays:   make(map[types.Token]*replayWait),
+		early:     make(map[types.Token]proto.OrderResp),
+		syncRuns:  make(map[uint64]*syncRun),
+		stopCh:    make(chan struct{}),
 	}
 	r.mode.store(ModeOperational)
 	r.admit = qos.NewAdmission(cfg.Tenants)
@@ -389,11 +394,6 @@ func newReplica(cfg Config, st *storage.Store) *Replica {
 	read, write := r.laneConfigs()
 	r.lanes = transport.NewLanes(r.handle, read, write)
 	r.orders = combine.New(maxOrderBatch, r.sendOrderBatch)
-	if sh, err := cfg.Topo.Shard(cfg.Shard); err == nil {
-		if si, err := cfg.Topo.Sequencer(sh.Leaf); err == nil {
-			r.seqNode = si.Leader
-		}
-	}
 	return r
 }
 
@@ -408,13 +408,6 @@ func (r *Replica) ID() types.NodeID { return r.cfg.ID }
 // Mode returns the replica's current mode.
 func (r *Replica) Mode() Mode {
 	return r.mode.load()
-}
-
-// Epoch returns the sequencer epoch the replica currently follows.
-func (r *Replica) Epoch() types.Epoch {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
 }
 
 // Store exposes the storage stack (benchmarks and tests).
@@ -456,28 +449,6 @@ func (r *Replica) shardPeers() []types.NodeID {
 	return out
 }
 
-// leafColor returns the leaf region this replica's shard attaches to.
-func (r *Replica) leafColor() types.ColorID {
-	sh, err := r.topo.Shard(r.cfg.Shard)
-	if err != nil {
-		return types.MasterColor
-	}
-	return sh.Leaf
-}
-
-// sequencer returns the current leaf-sequencer leader to send OReqs to.
-func (r *Replica) sequencer() types.NodeID {
-	r.mu.Lock()
-	known := r.seqNode
-	r.mu.Unlock()
-	// Prefer the topology's routing (updated on failover); fall back to
-	// the last SeqInit sender.
-	if leader, err := r.topo.Leader(r.leafColor()); err == nil && leader != 0 {
-		return leader
-	}
-	return known
-}
-
 // handle dispatches one inbound message. Read-class messages arrive here
 // on lane workers, everything else on the delivery loop.
 func (r *Replica) handle(from types.NodeID, msg transport.Message) {
@@ -492,7 +463,7 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 	}
 	switch m := msg.(type) {
 	case proto.AppendReq:
-		r.onAppend(from, m)
+		r.onAppendBatch(from, oneSet(m))
 	case proto.AppendBatchReq:
 		r.onAppendBatch(from, m)
 	case proto.OrderResp:
@@ -534,22 +505,25 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 
 // ---- Append protocol (Alg. 1, replica role) ----
 
-func (r *Replica) onAppend(from types.NodeID, m proto.AppendReq) {
-	if !r.admitAppend(from, m.Tenant, m.Token, m.Color, m.Client, len(m.Records)) {
-		return
-	}
-	r.tenantCounters(m.Tenant).appendObserved(uint64(len(m.Records)))
-	r.doAppend(from, m.Color, m.Token, m.Records, m.Client)
+// oneSet is the replica's adapter for an AppendReq, which only the
+// benchmark module's ladder and tests still send: a one-set batch sharing
+// the request's records.
+func oneSet(m proto.AppendReq) proto.AppendBatchReq {
+	return proto.AppendBatchReq{Color: m.Color, Token: m.Token, Sets: [][][]byte{m.Records}, Client: m.Client, Tenant: m.Tenant}
 }
 
-// onAppendBatch handles a client-side coalesced batch: the sets are
-// flattened and persisted/ordered as one unit, so they occupy one
-// consecutive SN range and the batching client can demultiplex per-set
-// SNs from the last SN in the AppendAck.
+// onAppendBatch runs the replica side of the append protocol for one
+// token: admit the batch, persist its sets as one unit (a retried token is
+// already persisted), then register the client for the token's SN. The
+// sets occupy one consecutive SN range, so the client demultiplexes
+// per-set SNs from the last SN in the AppendAck.
 func (r *Replica) onAppendBatch(from types.NodeID, m proto.AppendBatchReq) {
-	records := make([][]byte, 0, m.NRecords())
-	for _, set := range m.Sets {
-		records = append(records, set...)
+	if len(m.Sets) == 0 {
+		return
+	}
+	records := m.Sets[0] // a single set is persisted as it arrived
+	if len(m.Sets) > 1 {
+		records = slices.Concat(m.Sets...)
 	}
 	if len(records) == 0 {
 		return
@@ -560,34 +534,28 @@ func (r *Replica) onAppendBatch(from types.NodeID, m proto.AppendBatchReq) {
 	r.tenantCounters(m.Tenant).appendObserved(uint64(len(records)))
 	r.stats.batchAppends.Add(1)
 	r.stats.batchRecords.Add(uint64(len(records)))
-	r.doAppend(from, m.Color, m.Token, records, m.Client)
-}
-
-// doAppend runs the replica side of the append protocol for one token:
-// persist the batch (a retried token is already persisted), then register
-// the client for the token's SN.
-func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.Token, records [][]byte, client types.NodeID) {
 	if mode := r.mode.load(); mode != ModeOperational {
 		// §6.3: replicas in sync mode stop processing new appends — the
 		// client (or broker) retries. Draining replicas answer with a typed
 		// retryable rejection so clients re-resolve membership immediately
 		// instead of burning the timeout.
 		if mode == ModeDraining {
-			r.rejectDraining(from, color, token, client)
+			r.rejectDraining(from, m.Color, m.Token, m.Client)
 		}
 		return
 	}
 	r.stats.appends.Add(1)
+	client := m.Client
 	if client == 0 {
 		client = from
 	}
 	// Tracing stamps: arrivedAt anchors end-to-end latency, persistD is
 	// measured around PutBatch. Zero-value when the tracer is off.
-	po := &pendingOrder{color: color, nRecords: uint32(len(records)), clients: map[types.NodeID]bool{}}
+	po := &pendingOrder{color: m.Color, nRecords: uint32(len(records)), clients: map[types.NodeID]bool{}}
 	if r.appendTr.Enabled() {
 		po.arrivedAt = time.Now()
 	}
-	if err := r.st.PutBatch(color, token, records); err != nil && !errors.Is(err, storage.ErrDuplicateToken) {
+	if err := r.st.PutBatch(m.Color, m.Token, records); err != nil && !errors.Is(err, storage.ErrDuplicateToken) {
 		// Out of space or oversized; the client times out and retries
 		// elsewhere. Count it: silent drops made capacity exhaustion look
 		// like network loss.
@@ -598,9 +566,9 @@ func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.T
 		po.persistD = time.Since(po.arrivedAt)
 	}
 	if r.persisted != nil {
-		r.persisted(token)
+		r.persisted(m.Token)
 	}
-	r.await(token, client, po)
+	r.await(m.Token, client, po)
 }
 
 // await registers client as waiting for the SN of a persisted token, in one
@@ -646,23 +614,28 @@ func (r *Replica) sendOrderReq(token types.Token, color types.ColorID, n uint32)
 // one frame.
 func (r *Replica) sendOrderItems(color types.ColorID, items []proto.OrderItem) {
 	sh, err := r.topo.Shard(r.cfg.Shard)
+	var leader types.NodeID
+	if err == nil {
+		// The topology routes to the leaf region's current leader.
+		leader, err = r.topo.Leader(sh.Leaf)
+	}
 	if err != nil {
-		// The topology cannot name our shard: the appends stall until the
-		// pending-order retry timer re-drives them; count it instead of
-		// failing silently.
+		// The topology cannot name our shard or its leaf sequencer: the
+		// appends stall until the pending-order retry timer re-drives them;
+		// count it instead of failing silently.
 		r.stats.oreqDrops.Add(uint64(len(items)))
 		return
 	}
 	replicas := r.orderReplicas(sh.Replicas)
 	if len(items) == 1 {
 		// Single request: keep the compact frame.
-		r.ep.Send(r.sequencer(), proto.OrderReq{
+		r.ep.Send(leader, proto.OrderReq{
 			Color: color, Token: items[0].Token, NRecords: items[0].NRecords,
 			Shard: r.cfg.Shard, Replicas: replicas,
 		})
 		return
 	}
-	r.ep.Send(r.sequencer(), proto.OrderReqBatch{
+	r.ep.Send(leader, proto.OrderReqBatch{
 		Color: color, Shard: r.cfg.Shard, Replicas: replicas, Items: items,
 	})
 }
@@ -672,7 +645,7 @@ func (r *Replica) sendOrderItems(color types.ColorID, items []proto.OrderItem) {
 // Alg. 1's commit_all: commit the batch in the store, bump the watermark,
 // ack the token's waiting clients and wake the reads the new frontier
 // satisfies. A response for a token this replica has not persisted yet
-// (its AppendReq is still in flight) is buffered for await to take. The
+// (its append is still in flight) is buffered for await to take. The
 // error is the store's: nil when the batch committed at last.
 func (r *Replica) commit(color types.ColorID, token types.Token, last types.SN) error {
 	var start time.Time
@@ -708,10 +681,10 @@ func (r *Replica) commit(color types.ColorID, token types.Token, last types.SN) 
 	return err
 }
 
-// maxEarly caps the buffer of responses that arrive before their AppendReq.
+// maxEarly caps the buffer of responses that arrive before their append.
 const maxEarly = 1 << 16
 
-// bufferEarly stores an OrderResp that beat its AppendReq. The buffer is
+// bufferEarly stores an OrderResp that beat its append. The buffer is
 // bounded: overflow evicts the oldest live entry — never the one just
 // inserted, which would stall that append until the sequencer's retry
 // rebroadcast.
@@ -774,15 +747,10 @@ func (r *Replica) onTrim(from types.NodeID, m proto.TrimReq) {
 	if client == 0 {
 		client = from
 	}
-	peers := r.trimPeers(m.Color)
-	tw := r.trims[m.ID]
-	if tw == nil {
-		tw = &trimWait{req: m, from: client, acks: make(map[types.NodeID]bool), peers: peers}
-		r.trims[m.ID] = tw
-	} else {
-		tw.from = client
-	}
+	tw := r.trimWaitLocked(m.ID, m.Color, m.SN)
+	tw.req, tw.from = m, client
 	tw.acks[r.cfg.ID] = true
+	peers := tw.peers
 	done := r.trimDoneLocked(tw)
 	r.mu.Unlock()
 	// Round 2: ack to all replicas participating in the trim.
@@ -805,15 +773,25 @@ func (r *Replica) trimPeers(color types.ColorID) []types.NodeID {
 	return out
 }
 
+// trimWaitLocked returns trim id's barrier, opening it — with the trim's
+// color and its participants — if this is the trim's first message here: a
+// peer's ack can overtake the client's TrimReq. Caller holds r.mu.
+func (r *Replica) trimWaitLocked(id uint64, color types.ColorID, sn types.SN) *trimWait {
+	tw := r.trims[id]
+	if tw == nil {
+		tw = &trimWait{
+			req:   proto.TrimReq{ID: id, Color: color, SN: sn},
+			acks:  make(map[types.NodeID]bool),
+			peers: r.trimPeers(color),
+		}
+		r.trims[id] = tw
+	}
+	return tw
+}
+
 func (r *Replica) onTrimPeerAck(m proto.TrimPeerAck) {
 	r.mu.Lock()
-	tw := r.trims[m.ID]
-	if tw == nil {
-		// Peer ack arrived before the client's TrimReq reached us: record
-		// it; the TrimReq handler will find the entry.
-		tw = &trimWait{acks: make(map[types.NodeID]bool)}
-		r.trims[m.ID] = tw
-	}
+	tw := r.trimWaitLocked(m.ID, m.Color, m.SN)
 	tw.acks[m.From] = true
 	done := r.trimDoneLocked(tw)
 	r.mu.Unlock()

@@ -14,10 +14,11 @@ import (
 //     pauses the shard with SyncRequest, every replica then pulls from each
 //     shard peer in turn through the catch-up path (catchup.go) — the
 //     committed records above its own frontier, the SNs its peers gave the
-//     batches it persisted but never saw ordered, the peer's trim frontier
-//     and epoch — and an all-to-all SyncDone barrier gates the return to
+//     batches it persisted but never saw ordered, and the peer's trim
+//     frontier — and an all-to-all SyncDone barrier gates the return to
 //     operational mode;
-//   - sequencer failover handling: on SeqInit from a new leader the shard
+//   - sequencer failover handling: on SeqInit from a new leader of any
+//     region the shard follows (its leaf's or an ancestor's) the shard
 //     passes through a sync-phase and only then acknowledges, guaranteeing
 //     that interrupted broadcasts of the previous epoch are received by all
 //     replicas before the new epoch starts;
@@ -227,20 +228,14 @@ func (r *Replica) completeSync(id uint64) {
 	r.mu.Unlock()
 }
 
-// finishSyncLocked transitions to operational, acks a pending SeqInit, and
-// re-drives the batches still uncommitted: the pulls committed every batch
-// a peer had ordered, so only those no peer ordered are left. Caller holds
-// r.mu.
+// finishSyncLocked transitions to operational, acks every pending SeqInit
+// — one per region that sent one during the sync-phase — and re-drives the
+// batches still uncommitted: the pulls committed every batch a peer had
+// ordered, so only those no peer ordered are left. Caller holds r.mu.
 func (r *Replica) finishSyncLocked() {
 	r.mode.store(ModeOperational)
-	initSeq, initEpo := r.initSeq, r.initEpo
-	r.initSeq, r.initEpo = 0, 0
-	if initSeq != 0 {
-		r.seqNode = initSeq
-		if initEpo > r.epoch {
-			r.epoch = initEpo
-		}
-	}
+	inits := r.seqInits
+	r.seqInits = make(map[types.ColorID]proto.SeqInit)
 	id := r.cfg.ID
 	ep := r.ep
 	uncommitted := r.st.Uncommitted()
@@ -255,8 +250,8 @@ func (r *Replica) finishSyncLocked() {
 		}
 	}
 	go func() {
-		if initSeq != 0 {
-			ep.Send(initSeq, proto.SeqInitAck{Epoch: initEpo, From: id})
+		for _, m := range inits {
+			ep.Send(m.From, proto.SeqInitAck{Epoch: m.Epoch, From: id})
 		}
 		for _, b := range uncommitted {
 			r.sendOrderReq(b.Token, b.Color, uint32(len(b.Records)))
@@ -339,16 +334,19 @@ func (r *Replica) retrySyncRuns(now time.Time) {
 }
 
 // onSeqInit handles a new sequencer's initialization request (§6.3
-// "Sequencer failures"): record the new leader, run a sync-phase with the
-// shard, and ack only once the shard is synchronized to the previous epoch.
+// "Sequencer failures"): run a sync-phase with the shard, and ack only once
+// the shard is synchronized to the previous epoch. Each region's sequencer
+// group numbers its own epochs, so a SeqInit is stale only against its own
+// region: below the last epoch accepted from it, or below the epoch of the
+// highest SN committed in its color.
 func (r *Replica) onSeqInit(m proto.SeqInit) {
 	r.mu.Lock()
-	if m.Epoch < r.epoch {
+	if m.Epoch < r.seqEpochs[m.Region] || uint32(m.Epoch) < r.st.MaxSN(m.Region).Epoch() {
 		r.mu.Unlock()
-		return // stale leader
+		return // a deposed leader of that region
 	}
-	r.initSeq = m.From
-	r.initEpo = m.Epoch
+	r.seqEpochs[m.Region] = m.Epoch
+	r.seqInits[m.Region] = m
 	alreadySyncing := len(r.syncRuns) > 0
 	coordinator := r.syncCoordinator()
 	r.mu.Unlock()

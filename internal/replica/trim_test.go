@@ -208,3 +208,40 @@ func TestFailedTrimCounted(t *testing.T) {
 		t.Fatalf("sent %#v, want SyncDone of run 7", ep.sent[0])
 	}
 }
+
+// TestTrimOvertakenByPeerAck: a peer's ack of a trim can reach a replica
+// before the client's TrimReq. The replica must still wait for every peer
+// of the color's region — here the other one has not acked — and then
+// answer for the trimmed color with that color's bounds.
+func TestTrimOvertakenByPeerAck(t *testing.T) {
+	r, ep := steppedReplicaIn(t, leafShard(t, 1, 2, 3), nil)
+	token := types.MakeToken(7, 1)
+	if err := r.st.PutBatch(1, token, [][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.commit(1, token, types.MakeSN(1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	trimAcks := func() []proto.TrimAck {
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		var out []proto.TrimAck
+		for _, m := range ep.sent {
+			if a, ok := m.(proto.TrimAck); ok {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	cut := types.MakeSN(1, 1)
+	r.handle(2, proto.TrimPeerAck{ID: 9, Color: 1, SN: cut, From: 2})
+	r.handle(500, proto.TrimReq{ID: 9, Color: 1, SN: cut, Client: 500})
+	if acks := trimAcks(); len(acks) != 0 {
+		t.Fatalf("answered %+v before replica 3 acked", acks)
+	}
+	r.handle(3, proto.TrimPeerAck{ID: 9, Color: 1, SN: cut, From: 3})
+	want := proto.TrimAck{ID: 9, Color: 1, Head: types.MakeSN(1, 2), Tail: types.MakeSN(1, 3)}
+	if acks := trimAcks(); len(acks) != 1 || acks[0] != want {
+		t.Fatalf("trim answers %+v, want [%+v]", acks, want)
+	}
+}

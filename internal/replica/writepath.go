@@ -18,7 +18,7 @@ import (
 //
 //   - per-color FIFO: the lane pins each color to one worker and the
 //     delivery loop dispatches in arrival order, so two messages of the
-//     same color are never reordered or concurrent. An AppendReq and the
+//     same color are never reordered or concurrent. An append and the
 //     OrderResp that commits it share a color, hence a worker.
 //   - cross-color independence: appends and commits of different colors
 //     share no state beyond r.mu (brief, pending-map bookkeeping), the

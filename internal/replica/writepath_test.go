@@ -230,6 +230,12 @@ func steppedReplica(t *testing.T, edit func(*Config)) (*Replica, *recordingEndpo
 	if err := topo.AddShard(1, 0, []types.NodeID{1}); err != nil {
 		t.Fatal(err)
 	}
+	return steppedReplicaIn(t, topo, edit)
+}
+
+// steppedReplicaIn is steppedReplica as replica 1 of shard 1 of topo.
+func steppedReplicaIn(t *testing.T, topo *topology.Topology, edit func(*Config)) (*Replica, *recordingEndpoint) {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.ID, cfg.Shard, cfg.Topo = 1, 1, topo
 	if edit != nil {

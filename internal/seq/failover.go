@@ -94,7 +94,7 @@ func (s *Sequencer) leaderTick(now time.Time, epoch types.Epoch) {
 		id := s.cfg.ID
 		s.mu.Unlock()
 		for _, r := range unacked {
-			s.ep.Send(r, proto.SeqInit{Epoch: epoch, From: id})
+			s.ep.Send(r, proto.SeqInit{Epoch: epoch, Region: s.cfg.Region, From: id})
 		}
 	} else {
 		s.mu.Unlock()
@@ -359,7 +359,7 @@ func (s *Sequencer) becomeLeaderLocked(epoch types.Epoch) {
 			return
 		}
 		for _, r := range replicas {
-			s.ep.Send(r, proto.SeqInit{Epoch: epoch, From: id})
+			s.ep.Send(r, proto.SeqInit{Epoch: epoch, Region: s.cfg.Region, From: id})
 		}
 	}()
 }

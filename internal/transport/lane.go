@@ -211,7 +211,7 @@ func (w *wfq) addTenantStats(acc map[types.TenantID]TenantLaneStats) {
 // delivered when the read was dequeued. The write lane is one queue per
 // worker with a key pinned to one of them (key mod Workers), so every
 // message of one key is processed in arrival order — the invariant the
-// append protocol needs (an AppendReq must reach storage before the
+// append protocol needs (an append must reach storage before the
 // OrderResp that commits its token, and both carry the same color) —
 // while different keys proceed in parallel.
 type LaneConfig struct {
