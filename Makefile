@@ -116,11 +116,14 @@ obs-smoke:
 
 # Wire-codec smoke (DESIGN.md §12): the 0 allocs/op ceiling on the hot
 # frame types, the golden-bytes pin of the wire format, and 10 s of
-# fuzzing for each of the frame decoder's two fuzz targets.
+# fuzzing for each of the codec's three fuzz targets: the first two check
+# the TCP read loop's FrameDecoder against DecodeFrame on every input,
+# the third runs one FrameDecoder over a stream of frames.
 codec-smoke:
 	$(GO) test -count=1 -run 'TestCodecZeroAllocHotPath|TestCodecGolden' ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecodeNoPanic$$' -fuzztime=10s ./internal/proto/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecoderReuse$$' -fuzztime=10s ./internal/proto/
 
 # Multi-tenant QoS smoke (DESIGN.md §13): the quick ablate-qos run must
 # show noisy-neighbor isolation (victim keeps >= ~80% of solo throughput

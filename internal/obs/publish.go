@@ -10,7 +10,10 @@ import (
 // Publish registers a component's Stats snapshot with the registry, so
 // that /metrics and Stats() read one computation: each tagged numeric
 // field of the struct fn returns becomes one func-backed family instance
-// whose value is that field of a fresh fn() at scrape time.
+// whose value is that field of fn()'s snapshot at scrape time. A scrape
+// (one WritePrometheus or Samples call) calls fn once, however many
+// fields it publishes, so every series of the component reads the same
+// instant.
 //
 // Struct tags say how a field is published:
 //
@@ -29,14 +32,33 @@ func Publish[T any](r *Registry, labels Labels, fn func() T) {
 	if r == nil {
 		return
 	}
-	publishFields(r, reflect.TypeFor[T](), nil, labels, func(idx []int) reflect.Value {
-		return reflect.ValueOf(fn()).FieldByIndex(idx)
+	src := &snapshot{take: func() reflect.Value { return reflect.ValueOf(fn()) }}
+	publishFields(r, reflect.TypeFor[T](), nil, labels, func(s scrape, idx []int) reflect.Value {
+		return s.of(src).FieldByIndex(idx)
 	})
+}
+
+// snapshot is one component published by Publish: take returns its
+// Stats struct.
+type snapshot struct{ take func() reflect.Value }
+
+// scrape is one WritePrometheus or Samples call. The func-backed series
+// read their values through it, so it takes each published component's
+// snapshot once, on first use.
+type scrape map[*snapshot]reflect.Value
+
+func (s scrape) of(src *snapshot) reflect.Value {
+	v, ok := s[src]
+	if !ok {
+		v = src.take()
+		s[src] = v
+	}
+	return v
 }
 
 // publishFields registers the fields of struct type t, found at index
 // path idx of the published struct, under labels.
-func publishFields(r *Registry, t reflect.Type, idx []int, labels Labels, field func([]int) reflect.Value) {
+func publishFields(r *Registry, t reflect.Type, idx []int, labels Labels, field func(scrape, []int) reflect.Value) {
 	for i := range t.NumField() {
 		f := t.Field(i)
 		tag := f.Tag.Get("obs")
@@ -53,16 +75,16 @@ func publishFields(r *Registry, t reflect.Type, idx []int, labels Labels, field 
 		case name == "":
 			panic(fmt.Sprintf("obs: %v.%s has no obs tag (name the family or mark it obs:\"-\")", t, f.Name))
 		case strings.HasSuffix(name, "_total"):
-			r.CounterFunc(name, f.Tag.Get("help"), lb, func() uint64 {
-				v := field(path)
+			r.counterFunc(name, f.Tag.Get("help"), lb, func(s scrape) uint64 {
+				v := field(s, path)
 				if v.CanUint() {
 					return v.Uint()
 				}
 				return uint64(v.Int())
 			})
 		default:
-			r.GaugeFunc(name, f.Tag.Get("help"), lb, func() float64 {
-				switch v := field(path); {
+			r.gaugeFunc(name, f.Tag.Get("help"), lb, func(s scrape) float64 {
+				switch v := field(s, path); {
 				case v.CanUint():
 					return float64(v.Uint())
 				case v.CanInt():

@@ -55,3 +55,32 @@ func TestPublishUntaggedPanics(t *testing.T) {
 	}()
 	Publish(NewRegistry(), nil, func() struct{ N uint64 } { return struct{ N uint64 }{} })
 }
+
+// TestPublishSnapshotsOncePerScrape: one WritePrometheus or Samples call
+// takes a published component's snapshot once, not once per field, so
+// its series all read the same instant.
+func TestPublishSnapshotsOncePerScrape(t *testing.T) {
+	reg := NewRegistry()
+	calls := 0
+	Publish(reg, nil, func() nodeStats {
+		calls++
+		n := uint64(calls)
+		return nodeStats{Depth: calls, Ratio: float64(n), Dev: devStats{Reads: n, Writes: n}}
+	})
+	exposition := reg.Snapshot()
+	if calls != 1 {
+		t.Errorf("one WritePrometheus took %d snapshots, want 1", calls)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(exposition), "\n") {
+		if !strings.HasPrefix(line, "#") && !strings.HasSuffix(line, " 1") {
+			t.Errorf("series %q does not read the scrape's one snapshot (1)", line)
+		}
+	}
+	calls = 0
+	if got := reg.Samples("flexlog_dev_ops_total"); len(got) != 2 {
+		t.Fatalf("Samples = %v, want 2 series", got)
+	}
+	if calls != 1 {
+		t.Errorf("one Samples call took %d snapshots, want 1", calls)
+	}
+}

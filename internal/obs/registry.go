@@ -128,12 +128,13 @@ func (h *Histogram) HDR() *metrics.Histogram {
 	return h.h
 }
 
-// instance is one labeled time series inside a family.
+// instance is one labeled time series inside a family. Its func-backed
+// value reads through the scrape it is part of (see scrape).
 type instance struct {
 	labels    string // pre-rendered {k="v",...} or ""
 	counter   *Counter
-	counterFn func() uint64
-	gaugeFn   func() float64
+	counterFn func(scrape) uint64
+	gaugeFn   func(scrape) float64
 	hist      *Histogram
 }
 
@@ -239,6 +240,10 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 // the function — a component restarted under the same identity publishes
 // its fresh state. No-op on a nil registry.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
+	r.counterFunc(name, help, labels, func(scrape) uint64 { return fn() })
+}
+
+func (r *Registry) counterFunc(name, help string, labels Labels, fn func(scrape) uint64) {
 	f := r.family(name, help, KindCounter)
 	if f == nil {
 		return
@@ -253,6 +258,10 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint6
 // depths, sizes, process state). Re-registering replaces the function.
 // No-op on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
+	r.gaugeFunc(name, help, labels, func(scrape) float64 { return fn() })
+}
+
+func (r *Registry) gaugeFunc(name, help string, labels Labels, fn func(scrape) float64) {
 	f := r.family(name, help, KindGauge)
 	if f == nil {
 		return
@@ -321,18 +330,19 @@ func (r *Registry) Samples(name string) []Sample {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out []Sample
+	s := scrape{}
 	for _, key := range f.order {
 		in := f.byKey[key]
 		switch f.kind {
 		case KindCounter:
 			v := in.counter.Value()
 			if in.counterFn != nil {
-				v += in.counterFn()
+				v += in.counterFn(s)
 			}
 			out = append(out, Sample{Labels: in.labels, Value: float64(v)})
 		case KindGauge:
 			if in.gaugeFn != nil {
-				out = append(out, Sample{Labels: in.labels, Value: in.gaugeFn()})
+				out = append(out, Sample{Labels: in.labels, Value: in.gaugeFn(s)})
 			}
 		}
 	}
@@ -387,6 +397,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RUnlock()
 
 	var b strings.Builder
+	s := scrape{}
 	for _, f := range fams {
 		f.mu.Lock()
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
@@ -397,13 +408,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case KindCounter:
 				v := in.counter.Value()
 				if in.counterFn != nil {
-					v += in.counterFn()
+					v += in.counterFn(s)
 				}
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, braced(in.labels), v)
 			case KindGauge:
 				var v float64
 				if in.gaugeFn != nil {
-					v = in.gaugeFn()
+					v = in.gaugeFn(s)
 				}
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, braced(in.labels), formatFloat(v))
 			case KindHistogram:

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"flexlog/internal/types"
@@ -29,50 +30,23 @@ func hotMessages() []any {
 // frameBody strips the length prefix, tag and sender off a frame.
 func frameBody(t testing.TB, frame []byte) []byte {
 	t.Helper()
-	r := wireReader{b: frame[4:]}
-	r.u8()
-	r.u32()
-	if r.err != nil {
-		t.Fatal(r.err)
+	c, _, _ := frameHeader(frame[4:])
+	if c.r.err != nil {
+		t.Fatal(c.r.err)
 	}
-	return r.b
+	return c.r.b
 }
 
-// hotDecoder returns a decode closure bound to a persistent typed message,
-// so repeated calls reuse its slice/map capacity (the zero-alloc contract).
-func hotDecoder(t testing.TB, msg any) func([]byte) error {
-	t.Helper()
-	switch msg.(type) {
-	case AppendReq:
-		m := &AppendReq{}
-		return m.Decode
-	case AppendBatchReq:
-		m := &AppendBatchReq{}
-		return m.Decode
-	case AppendAck:
-		m := &AppendAck{}
-		return m.Decode
-	case ReadReq:
-		m := &ReadReq{}
-		return m.Decode
-	case ReadResp:
-		m := &ReadResp{}
-		return m.Decode
-	case OrderReq:
-		m := &OrderReq{}
-		return m.Decode
-	case OrderResp:
-		m := &OrderResp{}
-		return m.Decode
-	case OrderReqBatch:
-		m := &OrderReqBatch{}
-		return m.Decode
-	case OrderRespBatch:
-		m := &OrderRespBatch{}
-		return m.Decode
-	default:
-		t.Fatalf("unhandled hot type %T", msg)
-		return nil
+// hotDecoder returns a decode closure bound to a persistent message of
+// msg's type and a persistent codec, so repeated calls reuse the
+// message's slice/map capacity (the zero-alloc contract).
+func hotDecoder(msg any) func([]byte) error {
+	m := newWirer(msg)
+	c := new(codec)
+	return func(b []byte) error {
+		*c = decoder(b)
+		m.wire(c)
+		return c.r.done()
 	}
 }
 
@@ -81,7 +55,7 @@ func hotDecoder(t testing.TB, msg any) func([]byte) error {
 // 0 allocs/op at steady state for every hot frame type.
 func TestCodecZeroAllocHotPath(t *testing.T) {
 	for _, msg := range hotMessages() {
-		name := typeName(msg)
+		name := reflect.TypeOf(msg).Name()
 		boxed := msg // box once, outside the measured loop
 		buf := make([]byte, 0, 4096)
 		if allocs := testing.AllocsPerRun(200, func() {
@@ -99,7 +73,7 @@ func TestCodecZeroAllocHotPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := frameBody(t, frame)
-		decode := hotDecoder(t, msg)
+		decode := hotDecoder(msg)
 		if err := decode(body); err != nil { // populate reusable capacity
 			t.Fatal(err)
 		}
@@ -111,17 +85,6 @@ func TestCodecZeroAllocHotPath(t *testing.T) {
 			t.Errorf("%s decode: %.1f allocs/op, want 0", name, allocs)
 		}
 	}
-}
-
-func typeName(msg any) string {
-	if wm, ok := msg.(wireMessage); ok {
-		for _, g := range goldenFrames {
-			if gw, ok := g.msg.(wireMessage); ok && gw.wireTag() == wm.wireTag() {
-				return g.name
-			}
-		}
-	}
-	return "?"
 }
 
 // BenchmarkCodecEncode / BenchmarkCodecDecode measure the binary codec on
@@ -149,7 +112,9 @@ func BenchmarkCodecDecode(b *testing.B) {
 	var m AppendReq
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := m.Decode(body); err != nil {
+		c := decoder(body)
+		m.wire(&c)
+		if err := c.r.done(); err != nil {
 			b.Fatal(err)
 		}
 	}

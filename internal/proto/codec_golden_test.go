@@ -173,15 +173,15 @@ func TestCodecRetiredTagsAreBadFrames(t *testing.T) {
 func TestCodecGoldenCoversAllTags(t *testing.T) {
 	seen := map[byte]bool{}
 	for _, g := range goldenFrames {
-		wm, ok := g.msg.(wireMessage)
-		if !ok {
-			t.Fatalf("%s is not codec-native", g.name)
+		frame, err := AppendFrame(nil, goldenFrom, g.msg)
+		if err != nil {
+			t.Fatalf("%s is not codec-native: %v", g.name, err)
 		}
-		seen[wm.wireTag()] = true
+		seen[frame[4]] = true
 	}
 	for tag := TagAppendReq; tag <= TagCtrlAck; tag++ {
 		if _, retired := retiredFrames[tag]; retired {
-			if seen[tag] || bodyDecoders[tag] != nil {
+			if seen[tag] || bodyCodecs[tag].decode != nil {
 				t.Errorf("retired tag %d is in use again", tag)
 			}
 			continue
@@ -189,7 +189,7 @@ func TestCodecGoldenCoversAllTags(t *testing.T) {
 		if !seen[tag] {
 			t.Errorf("no golden frame for tag %d", tag)
 		}
-		if bodyDecoders[tag] == nil {
+		if bodyCodecs[tag].decode == nil {
 			t.Errorf("no decoder for tag %d", tag)
 		}
 	}

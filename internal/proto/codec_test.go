@@ -5,11 +5,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"flexlog/internal/types"
 )
+
+// wirer is a message by pointer. Tests call its wire walk through this
+// interface; AppendFrame and the frame decoders call it on concrete types.
+type wirer interface{ wire(*codec) }
+
+// newWirer returns a pointer to a zero message of msg's type.
+func newWirer(msg any) wirer { return reflect.New(reflect.TypeOf(msg)).Interface().(wirer) }
 
 // encodeFrame is a test helper that frames msg from the golden sender.
 func encodeFrame(t testing.TB, msg any) []byte {
@@ -66,18 +74,17 @@ func TestCodecRoundTripSemantics(t *testing.T) {
 func TestCodecDecodeReuse(t *testing.T) {
 	frameA := encodeFrame(t, AppendReq{Color: 1, Records: [][]byte{[]byte("aaaa"), []byte("bb")}})
 	frameB := encodeFrame(t, AppendReq{Color: 2, Records: [][]byte{[]byte("c")}})
-	body := func(frame []byte) []byte {
-		r := wireReader{b: frame[4:]}
-		r.u8()  // tag
-		r.u32() // from
-		return r.b
-	}
 	var msg AppendReq
-	if err := msg.Decode(body(frameA)); err != nil {
+	decode := func(b []byte) error {
+		c := decoder(b)
+		msg.wire(&c)
+		return c.r.done()
+	}
+	if err := decode(frameBody(t, frameA)); err != nil {
 		t.Fatal(err)
 	}
 	cap0 := cap(msg.Records)
-	if err := msg.Decode(body(frameB)); err != nil {
+	if err := decode(frameBody(t, frameB)); err != nil {
 		t.Fatal(err)
 	}
 	if len(msg.Records) != 1 || string(msg.Records[0]) != "c" {
@@ -131,15 +138,21 @@ func TestCodecFrameSizeLimit(t *testing.T) {
 }
 
 // TestCodecUnknownMessageFails: a Go type with no wire tag cannot be
-// framed. The typed error names the type, and b comes back unchanged.
+// framed, and neither can a pointer to a message (messages are framed by
+// value). The typed error names the type, and b comes back unchanged.
 func TestCodecUnknownMessageFails(t *testing.T) {
 	type alien struct{ A, B int }
-	b, err := AppendFrame([]byte("prefix"), goldenFrom, alien{A: 1, B: 2})
-	if !errors.Is(err, ErrUnknownMessage) || !strings.Contains(err.Error(), "alien") {
-		t.Fatalf("AppendFrame(alien) error = %v, want ErrUnknownMessage naming the type", err)
-	}
-	if string(b) != "prefix" {
-		t.Fatalf("AppendFrame(alien) left %q, want the input unchanged", b)
+	for _, tc := range []struct {
+		msg  any
+		name string
+	}{{alien{A: 1, B: 2}, "alien"}, {&AppendAck{Token: 1}, "*proto.AppendAck"}} {
+		b, err := AppendFrame([]byte("prefix"), goldenFrom, tc.msg)
+		if !errors.Is(err, ErrUnknownMessage) || !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("AppendFrame(%s) error = %v, want ErrUnknownMessage naming the type", tc.name, err)
+		}
+		if string(b) != "prefix" {
+			t.Fatalf("AppendFrame(%s) left %q, want the input unchanged", tc.name, b)
+		}
 	}
 }
 
@@ -180,7 +193,7 @@ func TestFrameDecoderMatchesDecodeFrame(t *testing.T) {
 	}
 	// Reuse safety: a decoded message must survive the scratch being
 	// overwritten by a later frame and the frame buffer being scribbled.
-	f1 := encodeFrame(t, AppendReq{Color: 1, Records: [][]byte{[]byte("first"), []byte("xx")}})
+	f1 := encodeFrame(t, AppendBatchReq{Color: 1, Sets: [][][]byte{{[]byte("first"), []byte("xx")}}})
 	_, m1, err := fd.Decode(f1[4:])
 	if err != nil {
 		t.Fatal(err)
@@ -188,12 +201,12 @@ func TestFrameDecoderMatchesDecodeFrame(t *testing.T) {
 	for i := range f1 {
 		f1[i] = 0xAA
 	}
-	f2 := encodeFrame(t, AppendReq{Color: 2, Records: [][]byte{[]byte("second-longer-record")}})
+	f2 := encodeFrame(t, AppendBatchReq{Color: 2, Sets: [][][]byte{{[]byte("second-longer-record")}}})
 	if _, _, err := fd.Decode(f2[4:]); err != nil {
 		t.Fatal(err)
 	}
-	got := m1.(AppendReq)
-	if len(got.Records) != 2 || string(got.Records[0]) != "first" {
-		t.Fatalf("earlier decode corrupted by scratch reuse: %q", got.Records)
+	got := m1.(AppendBatchReq)
+	if len(got.Sets) != 1 || len(got.Sets[0]) != 2 || string(got.Sets[0][0]) != "first" {
+		t.Fatalf("earlier decode corrupted by scratch reuse: %q", got.Sets)
 	}
 }

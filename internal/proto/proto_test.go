@@ -87,17 +87,21 @@ func normalize(v interface{}) interface{} {
 func TestMessageCountMatchesRegistry(t *testing.T) {
 	seen := map[byte]bool{}
 	for _, msg := range everyMessage() {
-		wm, ok := msg.(wireMessage)
-		if !ok {
-			t.Fatalf("%T has no wire tag", msg)
+		frame, err := AppendFrame(nil, 9, msg)
+		if err != nil {
+			t.Fatalf("%T has no wire tag: %v", msg, err)
 		}
-		if bodyDecoders[wm.wireTag()] == nil {
-			t.Errorf("%T: tag %d has no bodyDecoders row", msg, wm.wireTag())
+		tag := frame[4]
+		if bodyCodecs[tag].decode == nil {
+			t.Errorf("%T: tag %d has no bodyCodecs decode", msg, tag)
 		}
-		seen[wm.wireTag()] = true
+		seen[tag] = true
 	}
-	for tag, dec := range bodyDecoders {
-		if dec != nil && !seen[byte(tag)] {
+	for tag, row := range bodyCodecs {
+		if (row.encode == nil) != (row.decode == nil) {
+			t.Errorf("tag %d: bodyCodecs row has only one direction", tag)
+		}
+		if row.decode != nil && !seen[byte(tag)] {
 			t.Errorf("tag %d has no everyMessage entry", tag)
 		}
 	}

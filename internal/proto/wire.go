@@ -12,13 +12,16 @@
 // value has exactly one wire image). Booleans are one byte, strictly 0 or
 // 1.
 //
-// Encoding is allocation-free: AppendTo appends to a caller-owned buffer.
-// Decoding is zero-copy: Decode aliases []byte fields into the input
-// buffer and reuses the slice/map capacity already in the receiver, so a
-// steady-state decode into a reused message performs no allocations. The
-// frame-level DecodeFrame used by the TCP transport instead returns a
-// self-contained message (byte fields copied out) so pooled read buffers
-// can be recycled as soon as it returns.
+// Each message states its body layout once, in its wire method
+// (wire_msgs.go): one walk over its fields in wire order, which a codec
+// runs in either direction. Encoding appends to a caller-owned buffer and
+// never allocates beyond growing it. Decoding is zero-copy: the walk
+// aliases []byte fields into the input buffer and reuses the slice/map
+// capacity already in the message, so a decode into a warm message
+// performs no allocations. The frame-level DecodeFrame and FrameDecoder
+// used by the TCP transport instead return a self-contained message (byte
+// fields copied out) so pooled read buffers can be recycled as soon as
+// they return.
 //
 // The codec is the only wire format: a message type without a tag cannot
 // be framed (ErrUnknownMessage), and a connection opens with the Magic
@@ -30,6 +33,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"flexlog/internal/types"
@@ -98,38 +102,96 @@ var ErrBadFrame = errors.New("proto: malformed frame")
 // ErrFrameTooLarge reports a frame exceeding MaxFrame.
 var ErrFrameTooLarge = errors.New("proto: frame exceeds size limit")
 
-// wireMessage is satisfied (with value receivers, so both values and
-// pointers qualify) by every codec-native message type.
-type wireMessage interface {
-	// AppendTo appends the message body to b and returns the extended
-	// slice. It never allocates beyond growing b.
-	AppendTo(b []byte) []byte
-	wireTag() byte
-}
-
 // ErrUnknownMessage is returned by AppendFrame for a Go type that has no
 // wire tag; the error names the type.
 var ErrUnknownMessage = errors.New("proto: message type has no wire tag")
 
 // AppendFrame appends one complete frame (length prefix, tag, sender,
-// body) for msg to b and returns the extended slice. On error b is
-// returned truncated to its original length.
+// body) for msg, a message value, to b and returns the extended slice. On
+// error b is returned at its original length. A message is framed by
+// value; a pointer to one is ErrUnknownMessage.
 func AppendFrame(b []byte, from types.NodeID, msg any) ([]byte, error) {
-	wm, ok := msg.(wireMessage)
-	if !ok {
+	var tag byte
+	switch msg.(type) {
+	case AppendReq:
+		tag = TagAppendReq
+	case AppendBatchReq:
+		tag = TagAppendBatchReq
+	case AppendAck:
+		tag = TagAppendAck
+	case ReadReq:
+		tag = TagReadReq
+	case ReadResp:
+		tag = TagReadResp
+	case SubscribeReq:
+		tag = TagSubscribeReq
+	case SubscribeResp:
+		tag = TagSubscribeResp
+	case TrimReq:
+		tag = TagTrimReq
+	case TrimPeerAck:
+		tag = TagTrimPeerAck
+	case TrimAck:
+		tag = TagTrimAck
+	case MultiAppendEnd:
+		tag = TagMultiAppendEnd
+	case MultiAppendAck:
+		tag = TagMultiAppendAck
+	case OrderReq:
+		tag = TagOrderReq
+	case OrderResp:
+		tag = TagOrderResp
+	case OrderReqBatch:
+		tag = TagOrderReqBatch
+	case OrderRespBatch:
+		tag = TagOrderRespBatch
+	case AggOrderReq:
+		tag = TagAggOrderReq
+	case AggOrderResp:
+		tag = TagAggOrderResp
+	case SeqHeartbeat:
+		tag = TagSeqHeartbeat
+	case SeqHeartbeatAck:
+		tag = TagSeqHeartbeatAck
+	case EpochClaim:
+		tag = TagEpochClaim
+	case EpochGrant:
+		tag = TagEpochGrant
+	case EpochReject:
+		tag = TagEpochReject
+	case SeqInit:
+		tag = TagSeqInit
+	case SeqInitAck:
+		tag = TagSeqInitAck
+	case SyncRequest:
+		tag = TagSyncRequest
+	case SyncDone:
+		tag = TagSyncDone
+	case Reject:
+		tag = TagReject
+	case JoinFetch:
+		tag = TagJoinFetch
+	case JoinEntries:
+		tag = TagJoinEntries
+	case TopoUpdate:
+		tag = TagTopoUpdate
+	case CtrlReconfig:
+		tag = TagCtrlReconfig
+	case CtrlAck:
+		tag = TagCtrlAck
+	default:
 		return b, fmt.Errorf("%w: %T", ErrUnknownMessage, msg)
 	}
 	start := len(b)
-	b = append(b, 0, 0, 0, 0) // length back-filled below
-	b = append(b, wm.wireTag())
-	b = appendUvarint(b, uint64(from))
-	b = wm.AppendTo(b)
-	n := len(b) - start - 4
+	out := append(b, 0, 0, 0, 0, tag) // length back-filled below
+	out = binary.AppendUvarint(out, uint64(from))
+	out = bodyCodecs[tag].encode(out, msg)
+	n := len(out) - start - 4
 	if n > MaxFrame {
-		return b[:start], ErrFrameTooLarge
+		return b, ErrFrameTooLarge
 	}
-	binary.LittleEndian.PutUint32(b[start:], uint32(n))
-	return b, nil
+	binary.LittleEndian.PutUint32(out[start:], uint32(n))
+	return out, nil
 }
 
 // DecodeFrame parses one frame body (the bytes after the u32 length
@@ -137,14 +199,11 @@ func AppendFrame(b []byte, from types.NodeID, msg any) ([]byte, error) {
 // message is self-contained — byte fields are copied out of b — so the
 // caller may recycle b immediately.
 func DecodeFrame(b []byte) (types.NodeID, any, error) {
-	r := wireReader{b: b}
-	tag := r.u8()
-	from := types.NodeID(r.u32())
-	if r.err != nil {
-		return 0, nil, r.err
+	c, tag, from := frameHeader(b)
+	if c.r.err != nil {
+		return 0, nil, c.r.err
 	}
-	body := r.b
-	msg, err := decodeBody(tag, body)
+	msg, err := decodeBody(tag, c.r.b)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -155,187 +214,460 @@ func DecodeFrame(b []byte) (types.NodeID, any, error) {
 // (meaningless when it returns an error). Retired and unknown tags have no
 // decoder and are malformed frames.
 func decodeBody(tag byte, body []byte) (any, error) {
-	if dec := bodyDecoders[tag]; dec != nil {
+	if dec := bodyCodecs[tag].decode; dec != nil {
 		return dec(body)
 	}
 	return nil, fmt.Errorf("%w: unknown tag %d", ErrBadFrame, tag)
 }
 
-// bodyDecoders is decodeBody's table, indexed by wire tag. The types whose
-// Decode aliases byte fields into the frame buffer copy them out here, so
-// every entry returns a value the caller may keep after recycling the
-// buffer. The other rows are one literal each and not one generic
-// decodeAs[T]: calling Decode through a type parameter hides the callee
-// from escape analysis, so the message is heap-allocated once for the call
-// and once more when boxed (measured on AppendAck: 16 B / 1 alloc per
-// frame as written, 32 B / 2 allocs generic).
-var bodyDecoders = [256]func(body []byte) (any, error){
-	TagAppendReq: func(body []byte) (any, error) {
-		var m AppendReq
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		m.Records = ownByteSlices(m.Records)
-		return m, nil
+// bodyCodecs is the codec's table, indexed by wire tag: a live tag's row
+// encodes its message's body and decodes one back. Each row is its own
+// function holding its own copy of the message, so a frame costs the stack
+// of one message, not of all 33 — an encode in a fresh goroutine does not
+// grow its stack. The decode rows of the types whose walk aliases byte
+// fields into the frame buffer copy them out, so every row returns a value
+// the caller may keep after recycling the buffer. The rows are literals
+// and not one generic codecFor[T]: calling wire through a type parameter
+// hides the callee from escape analysis, so the message is heap-allocated
+// once for the call and once more when boxed (measured on AppendAck:
+// 16 B / 1 alloc per frame as written, 32 B / 2 allocs generic).
+var bodyCodecs = [256]struct {
+	encode func(b []byte, msg any) []byte
+	decode func(body []byte) (any, error)
+}{
+	TagAppendReq: {
+		func(b []byte, msg any) []byte { m := msg.(AppendReq); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) {
+			var m AppendReq
+			c := decoder(b)
+			m.wire(&c)
+			if err := c.r.done(); err != nil {
+				return nil, err
+			}
+			o := owner{inPlace: true}
+			m.Records = o.byteSlices(m.Records)
+			return m, nil
+		},
 	},
-	TagAppendBatchReq: func(body []byte) (any, error) {
-		var m AppendBatchReq
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		for i := range m.Sets {
-			m.Sets[i] = ownByteSlices(m.Sets[i])
-		}
-		return m, nil
+	TagAppendBatchReq: {
+		func(b []byte, msg any) []byte { m := msg.(AppendBatchReq); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) {
+			var m AppendBatchReq
+			c := decoder(b)
+			m.wire(&c)
+			if err := c.r.done(); err != nil {
+				return nil, err
+			}
+			o := owner{inPlace: true}
+			for i, set := range m.Sets {
+				m.Sets[i] = o.byteSlices(set)
+			}
+			return m, nil
+		},
 	},
-	TagReadResp: func(body []byte) (any, error) {
-		var m ReadResp
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		m.Data = bytes.Clone(m.Data)
-		return m, nil
+	TagReadResp: {
+		func(b []byte, msg any) []byte { m := msg.(ReadResp); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) {
+			var m ReadResp
+			c := decoder(b)
+			m.wire(&c)
+			if err := c.r.done(); err != nil {
+				return nil, err
+			}
+			m.Data = bytes.Clone(m.Data)
+			return m, nil
+		},
 	},
-	TagSubscribeResp: func(body []byte) (any, error) {
-		var m SubscribeResp
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		ownRecordData(m.Records)
-		return m, nil
+	TagSubscribeResp: {
+		func(b []byte, msg any) []byte { m := msg.(SubscribeResp); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) {
+			var m SubscribeResp
+			c := decoder(b)
+			m.wire(&c)
+			if err := c.r.done(); err != nil {
+				return nil, err
+			}
+			o := owner{inPlace: true}
+			m.Records = o.records(m.Records)
+			return m, nil
+		},
 	},
-	TagJoinEntries: func(body []byte) (any, error) {
-		var m JoinEntries
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		for _, recs := range m.Records {
-			ownRecordData(recs)
-		}
-		return m, nil
+	TagJoinEntries: {
+		func(b []byte, msg any) []byte { m := msg.(JoinEntries); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) {
+			var m JoinEntries
+			c := decoder(b)
+			m.wire(&c)
+			if err := c.r.done(); err != nil {
+				return nil, err
+			}
+			o := owner{inPlace: true}
+			for color, recs := range m.Records {
+				m.Records[color] = o.records(recs)
+			}
+			return m, nil
+		},
 	},
-	TagAppendAck:       func(b []byte) (any, error) { var m AppendAck; err := m.Decode(b); return m, err },
-	TagReadReq:         func(b []byte) (any, error) { var m ReadReq; err := m.Decode(b); return m, err },
-	TagSubscribeReq:    func(b []byte) (any, error) { var m SubscribeReq; err := m.Decode(b); return m, err },
-	TagTrimReq:         func(b []byte) (any, error) { var m TrimReq; err := m.Decode(b); return m, err },
-	TagTrimPeerAck:     func(b []byte) (any, error) { var m TrimPeerAck; err := m.Decode(b); return m, err },
-	TagTrimAck:         func(b []byte) (any, error) { var m TrimAck; err := m.Decode(b); return m, err },
-	TagMultiAppendEnd:  func(b []byte) (any, error) { var m MultiAppendEnd; err := m.Decode(b); return m, err },
-	TagMultiAppendAck:  func(b []byte) (any, error) { var m MultiAppendAck; err := m.Decode(b); return m, err },
-	TagOrderReq:        func(b []byte) (any, error) { var m OrderReq; err := m.Decode(b); return m, err },
-	TagOrderResp:       func(b []byte) (any, error) { var m OrderResp; err := m.Decode(b); return m, err },
-	TagOrderReqBatch:   func(b []byte) (any, error) { var m OrderReqBatch; err := m.Decode(b); return m, err },
-	TagOrderRespBatch:  func(b []byte) (any, error) { var m OrderRespBatch; err := m.Decode(b); return m, err },
-	TagAggOrderReq:     func(b []byte) (any, error) { var m AggOrderReq; err := m.Decode(b); return m, err },
-	TagAggOrderResp:    func(b []byte) (any, error) { var m AggOrderResp; err := m.Decode(b); return m, err },
-	TagSeqHeartbeat:    func(b []byte) (any, error) { var m SeqHeartbeat; err := m.Decode(b); return m, err },
-	TagSeqHeartbeatAck: func(b []byte) (any, error) { var m SeqHeartbeatAck; err := m.Decode(b); return m, err },
-	TagEpochClaim:      func(b []byte) (any, error) { var m EpochClaim; err := m.Decode(b); return m, err },
-	TagEpochGrant:      func(b []byte) (any, error) { var m EpochGrant; err := m.Decode(b); return m, err },
-	TagEpochReject:     func(b []byte) (any, error) { var m EpochReject; err := m.Decode(b); return m, err },
-	TagSeqInit:         func(b []byte) (any, error) { var m SeqInit; err := m.Decode(b); return m, err },
-	TagSeqInitAck:      func(b []byte) (any, error) { var m SeqInitAck; err := m.Decode(b); return m, err },
-	TagSyncRequest:     func(b []byte) (any, error) { var m SyncRequest; err := m.Decode(b); return m, err },
-	TagSyncDone:        func(b []byte) (any, error) { var m SyncDone; err := m.Decode(b); return m, err },
-	TagReject:          func(b []byte) (any, error) { var m Reject; err := m.Decode(b); return m, err },
-	TagJoinFetch:       func(b []byte) (any, error) { var m JoinFetch; err := m.Decode(b); return m, err },
-	TagTopoUpdate:      func(b []byte) (any, error) { var m TopoUpdate; err := m.Decode(b); return m, err },
-	TagCtrlReconfig:    func(b []byte) (any, error) { var m CtrlReconfig; err := m.Decode(b); return m, err },
-	TagCtrlAck:         func(b []byte) (any, error) { var m CtrlAck; err := m.Decode(b); return m, err },
+	TagAppendAck: {
+		func(b []byte, msg any) []byte { m := msg.(AppendAck); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m AppendAck; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagReadReq: {
+		func(b []byte, msg any) []byte { m := msg.(ReadReq); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m ReadReq; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagSubscribeReq: {
+		func(b []byte, msg any) []byte { m := msg.(SubscribeReq); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m SubscribeReq; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagTrimReq: {
+		func(b []byte, msg any) []byte { m := msg.(TrimReq); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m TrimReq; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagTrimPeerAck: {
+		func(b []byte, msg any) []byte { m := msg.(TrimPeerAck); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m TrimPeerAck; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagTrimAck: {
+		func(b []byte, msg any) []byte { m := msg.(TrimAck); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m TrimAck; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagMultiAppendEnd: {
+		func(b []byte, msg any) []byte { m := msg.(MultiAppendEnd); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m MultiAppendEnd; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagMultiAppendAck: {
+		func(b []byte, msg any) []byte { m := msg.(MultiAppendAck); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m MultiAppendAck; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagOrderReq: {
+		func(b []byte, msg any) []byte { m := msg.(OrderReq); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m OrderReq; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagOrderResp: {
+		func(b []byte, msg any) []byte { m := msg.(OrderResp); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m OrderResp; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagOrderReqBatch: {
+		func(b []byte, msg any) []byte { m := msg.(OrderReqBatch); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m OrderReqBatch; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagOrderRespBatch: {
+		func(b []byte, msg any) []byte { m := msg.(OrderRespBatch); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m OrderRespBatch; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagAggOrderReq: {
+		func(b []byte, msg any) []byte { m := msg.(AggOrderReq); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m AggOrderReq; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagAggOrderResp: {
+		func(b []byte, msg any) []byte { m := msg.(AggOrderResp); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m AggOrderResp; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagSeqHeartbeat: {
+		func(b []byte, msg any) []byte { m := msg.(SeqHeartbeat); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m SeqHeartbeat; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagSeqHeartbeatAck: {
+		func(b []byte, msg any) []byte { m := msg.(SeqHeartbeatAck); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m SeqHeartbeatAck; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagEpochClaim: {
+		func(b []byte, msg any) []byte { m := msg.(EpochClaim); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m EpochClaim; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagEpochGrant: {
+		func(b []byte, msg any) []byte { m := msg.(EpochGrant); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m EpochGrant; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagEpochReject: {
+		func(b []byte, msg any) []byte { m := msg.(EpochReject); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m EpochReject; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagSeqInit: {
+		func(b []byte, msg any) []byte { m := msg.(SeqInit); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m SeqInit; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagSeqInitAck: {
+		func(b []byte, msg any) []byte { m := msg.(SeqInitAck); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m SeqInitAck; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagSyncRequest: {
+		func(b []byte, msg any) []byte { m := msg.(SyncRequest); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m SyncRequest; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagSyncDone: {
+		func(b []byte, msg any) []byte { m := msg.(SyncDone); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m SyncDone; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagReject: {
+		func(b []byte, msg any) []byte { m := msg.(Reject); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m Reject; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagJoinFetch: {
+		func(b []byte, msg any) []byte { m := msg.(JoinFetch); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m JoinFetch; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagTopoUpdate: {
+		func(b []byte, msg any) []byte { m := msg.(TopoUpdate); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m TopoUpdate; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagCtrlReconfig: {
+		func(b []byte, msg any) []byte { m := msg.(CtrlReconfig); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m CtrlReconfig; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagCtrlAck: {
+		func(b []byte, msg any) []byte { m := msg.(CtrlAck); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m CtrlAck; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
 }
 
-// ---- encode helpers ----
+// ---- the field walk ----
 
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
+// codec runs a message's wire walk in one direction: encoding appends
+// each field to b, decoding reads each field from r into the message. It
+// is a concrete struct, never an interface: a call through an interface
+// would make every &m.Field escape and allocate. Encoding only reads the
+// message, so it may run on a value other goroutines share.
+//
+// Each primitive below states one encoding in both directions. Its decode
+// half reads the input in line, so a field costs one call either way.
+type codec struct {
+	dec bool
+	b   []byte
+	r   wireReader
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = appendUvarint(b, uint64(len(p)))
-	return append(b, p...)
+// decoder returns a codec that reads b.
+func decoder(b []byte) codec { return codec{dec: true, r: wireReader{b: b}} }
+
+// frameHeader reads a frame's tag and sender and returns a codec at the
+// start of its body (with the sticky error set on a short header).
+func frameHeader(b []byte) (c codec, tag byte, from types.NodeID) {
+	c = decoder(b)
+	c.u8(&tag)
+	c.node(&from)
+	return c, tag, from
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+func (c *codec) uvarint(v *uint64) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, *v)
+		return
 	}
-	return append(b, 0)
+	x, n := binary.Uvarint(c.r.b)
+	if n > 0 {
+		c.r.b = c.r.b[n:]
+	} else {
+		c.r.fail() // x is 0
+	}
+	*v = x
 }
 
-func appendByteSlices(b []byte, ss [][]byte) []byte {
-	b = appendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendBytes(b, s)
+// u32 is a uvarint of 32-bit range: a larger decoded value is malformed.
+func (c *codec) u32(v *uint32) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(*v))
+		return
 	}
-	return b
+	x, n := binary.Uvarint(c.r.b)
+	if n > 0 && x <= math.MaxUint32 {
+		c.r.b = c.r.b[n:]
+	} else {
+		c.r.fail()
+		x = 0
+	}
+	*v = uint32(x)
 }
 
-func appendNodeIDs(b []byte, ids []types.NodeID) []byte {
-	b = appendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = appendUvarint(b, uint64(id))
+// u8 is one raw byte.
+func (c *codec) u8(v *uint8) {
+	if !c.dec {
+		c.b = append(c.b, *v)
+		return
 	}
-	return b
+	if len(c.r.b) == 0 {
+		c.r.fail()
+		*v = 0
+		return
+	}
+	*v = c.r.b[0]
+	c.r.b = c.r.b[1:]
 }
 
-func appendTokens(b []byte, tokens []types.Token) []byte {
-	b = appendUvarint(b, uint64(len(tokens)))
-	for _, t := range tokens {
-		b = appendUvarint(b, uint64(t))
+// bool is one byte, strictly 0 or 1.
+func (c *codec) bool(v *bool) {
+	var u uint8
+	if *v {
+		u = 1
 	}
-	return b
+	c.u8(&u)
+	if c.dec {
+		if u > 1 {
+			c.r.fail()
+		}
+		*v = u == 1
+	}
 }
 
-func appendWireRecords(b []byte, recs []WireRecord) []byte {
-	b = appendUvarint(b, uint64(len(recs)))
-	for _, rec := range recs {
-		b = appendUvarint(b, uint64(rec.Token))
-		b = appendUvarint(b, uint64(rec.SN))
-		b = appendBytes(b, rec.Data)
+// bytes is a uvarint length and the raw bytes; decoding aliases them
+// into the input (nil for length zero).
+func (c *codec) bytes(v *[]byte) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*v)))
+		c.b = append(c.b, *v...)
+		return
 	}
-	return b
+	var n uint64
+	c.uvarint(&n)
+	if n > uint64(len(c.r.b)) {
+		c.r.fail()
+		n = 0
+	}
+	*v = nil
+	if n > 0 {
+		*v = c.r.b[:n:n]
+		c.r.b = c.r.b[n:]
+	}
 }
 
-// appendSNMap writes the map in ascending key order so the encoding is
-// canonical (sync-phase messages only; the sort is off the hot path).
-func appendSNMap(b []byte, m map[types.ColorID]types.SN) []byte {
-	b = appendUvarint(b, uint64(len(m)))
-	if len(m) == 0 {
-		return b
+func (c *codec) token(v *types.Token)     { c.uvarint((*uint64)(v)) }
+func (c *codec) sn(v *types.SN)           { c.uvarint((*uint64)(v)) }
+func (c *codec) color(v *types.ColorID)   { c.u32((*uint32)(v)) }
+func (c *codec) node(v *types.NodeID)     { c.u32((*uint32)(v)) }
+func (c *codec) tenant(v *types.TenantID) { c.u32((*uint32)(v)) }
+func (c *codec) shard(v *types.ShardID)   { c.u32((*uint32)(v)) }
+func (c *codec) epoch(v *types.Epoch)     { c.u32((*uint32)(v)) }
+
+// count reads an element count. A count that could not fit in the
+// remaining bytes (each element takes at least minSize of them) is
+// malformed: the guard that keeps fuzzed input from provoking huge
+// allocations.
+func (c *codec) count(minSize int) int {
+	var n uint64
+	c.uvarint(&n)
+	if n > uint64(len(c.r.b))/uint64(minSize) {
+		c.r.fail()
+		n = 0
 	}
-	keys := make([]types.ColorID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		b = appendUvarint(b, uint64(k))
-		b = appendUvarint(b, uint64(m[k]))
-	}
-	return b
+	return int(n)
 }
 
-func appendRecordsMap(b []byte, m map[types.ColorID][]WireRecord) []byte {
-	b = appendUvarint(b, uint64(len(m)))
-	if len(m) == 0 {
-		return b
+// list writes len(*s) as an element count, or reads a count (see count)
+// and resizes *s to it, reusing its capacity; the caller then walks the
+// elements, each at least minSize bytes on the wire. The type parameter
+// hides no callee from escape analysis: list calls nothing through it.
+func list[E any](c *codec, s *[]E, minSize int) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*s)))
+		return
 	}
-	keys := make([]types.ColorID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		b = appendUvarint(b, uint64(k))
-		b = appendWireRecords(b, m[k])
-	}
-	return b
+	n := c.count(minSize)
+	*s = slices.Grow((*s)[:0], n)[:n]
 }
 
-// ---- decode helpers ----
+// byteSlices encodes in line, into a local buffer, not through list and
+// bytes: it carries every append's records.
+func (c *codec) byteSlices(s *[][]byte) {
+	if !c.dec {
+		b := binary.AppendUvarint(c.b, uint64(len(*s)))
+		for _, rec := range *s {
+			b = binary.AppendUvarint(b, uint64(len(rec)))
+			b = append(b, rec...)
+		}
+		c.b = b
+		return
+	}
+	list(c, s, 1)
+	for i := range *s {
+		c.bytes(&(*s)[i])
+	}
+}
 
-// wireReader is a sticky-error cursor over one frame body. All reads
-// alias the input; nothing is copied.
+func (c *codec) nodes(s *[]types.NodeID) {
+	list(c, s, 1)
+	for i := range *s {
+		c.node(&(*s)[i])
+	}
+}
+
+func (c *codec) tokens(s *[]types.Token) {
+	list(c, s, 1)
+	for i := range *s {
+		c.token(&(*s)[i])
+	}
+}
+
+func (c *codec) records(s *[]WireRecord) {
+	list(c, s, 3)
+	for i := range *s {
+		rec := &(*s)[i]
+		c.token(&rec.Token)
+		c.sn(&rec.SN)
+		c.bytes(&rec.Data)
+	}
+}
+
+// colorKeys starts a color-keyed map of n pairs, each at least 2 bytes:
+// it writes n and returns the keys in ascending order (the canonical
+// encoding), or reads n and empties *m, returning no keys. Maps travel
+// only in sync-phase and catch-up messages, so the sort is off the hot
+// path.
+func colorKeys[V any](c *codec, m *map[types.ColorID]V) (keys []types.ColorID, n int) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*m)))
+		keys = make([]types.ColorID, 0, len(*m))
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		return keys, len(keys)
+	}
+	n = c.count(2)
+	switch {
+	case *m != nil:
+		clear(*m)
+	case n > 0:
+		*m = make(map[types.ColorID]V, n)
+	}
+	return nil, n
+}
+
+func (c *codec) snMap(m *map[types.ColorID]types.SN) {
+	keys, n := colorKeys(c, m)
+	for i := range n {
+		var k types.ColorID
+		if !c.dec {
+			k = keys[i]
+		}
+		c.color(&k)
+		v := (*m)[k]
+		c.sn(&v)
+		if c.dec {
+			(*m)[k] = v
+		}
+	}
+}
+
+func (c *codec) recordsMap(m *map[types.ColorID][]WireRecord) {
+	keys, n := colorKeys(c, m)
+	for i := range n {
+		var k types.ColorID
+		if !c.dec {
+			k = keys[i]
+		}
+		c.color(&k)
+		v := (*m)[k]
+		c.records(&v)
+		if c.dec {
+			(*m)[k] = v
+		}
+	}
+}
+
+// wireReader is a decoding codec's cursor over one frame body, with a
+// sticky error: after the first malformed field the cursor is empty, so
+// every later read fails too. Reads alias the input; nothing is copied.
 type wireReader struct {
 	b   []byte
 	err error
@@ -346,90 +678,6 @@ func (r *wireReader) fail() {
 		r.err = ErrBadFrame
 	}
 	r.b = nil
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) u32() uint32 {
-	v := r.uvarint()
-	if v > 0xFFFFFFFF {
-		r.fail()
-		return 0
-	}
-	return uint32(v)
-}
-
-func (r *wireReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *wireReader) bool() bool {
-	switch r.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail()
-		return false
-	}
-}
-
-// bytes returns the next length-prefixed byte slice, aliased into the
-// input buffer (nil for length zero).
-func (r *wireReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := r.b[:n:n]
-	r.b = r.b[n:]
-	return out
-}
-
-// count reads an element count and rejects counts that could not possibly
-// fit in the remaining bytes (each element consumes at least minBytes) —
-// the guard that keeps fuzzed input from provoking huge allocations.
-func (r *wireReader) count(minBytes int) int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if v > uint64(len(r.b))/uint64(minBytes) {
-		r.fail()
-		return 0
-	}
-	return int(v)
 }
 
 // done reports the sticky error, or ErrBadFrame on trailing bytes: a
@@ -444,139 +692,91 @@ func (r *wireReader) done() error {
 	return nil
 }
 
-// readByteSlices decodes a [][]byte, reusing dst's capacity.
-func readByteSlices(r *wireReader, dst [][]byte) [][]byte {
-	n := r.count(1)
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, r.bytes())
-	}
-	return dst
+// ---- copy-out: decoded messages own their bytes ----
+
+// owner copies a decoded message's aliased bytes out of the frame buffer.
+// The two frame decoders differ only in where the copies go. DecodeFrame's
+// owner (inPlace) serves one freshly decoded message: it copies each
+// list's bytes into one new buffer of their size and repoints the list in
+// place. A FrameDecoder's (the zero value) decoded into scratch it keeps:
+// it copies each list into a fresh right-sized array and carves the bytes
+// from a shared arena chunk. An empty list comes out nil, as the walk
+// leaves it in a fresh message, so the two decoders return deep-equal
+// values.
+type owner struct {
+	inPlace bool
+	arena   []byte
 }
 
-// readByteSliceSets decodes a [][][]byte, reusing both the outer slice
-// and each inner set's capacity.
-func readByteSliceSets(r *wireReader, dst [][][]byte) [][][]byte {
-	n := r.count(1)
-	old := dst
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		var inner [][]byte
-		if i < len(old) {
-			inner = old[i]
+// arenaChunk is a FrameDecoder's backing-buffer granularity. Owned record
+// copies are carved from one shared chunk, so the per-frame backing
+// allocation (and its zeroing) amortizes over ~dozens of frames. A chunk
+// stays reachable until every message carved from it is dropped — bounded
+// retention the handlers' short message lifetimes make irrelevant.
+const arenaChunk = 64 << 10
+
+// carve returns an empty owned slice with room for total bytes.
+func (o *owner) carve(total int) []byte {
+	if cap(o.arena)-len(o.arena) < total {
+		size := total
+		if !o.inPlace {
+			size = max(total, arenaChunk)
 		}
-		dst = append(dst, readByteSlices(r, inner))
+		o.arena = make([]byte, 0, size)
 	}
-	return dst
+	n := len(o.arena)
+	o.arena = o.arena[:n+total]
+	return o.arena[n : n : n+total]
 }
 
-func readNodeIDs(r *wireReader, dst []types.NodeID) []types.NodeID {
-	n := r.count(1)
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, types.NodeID(r.u32()))
-	}
-	return dst
-}
-
-func readTokens(r *wireReader, dst []types.Token) []types.Token {
-	n := r.count(1)
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, types.Token(r.uvarint()))
-	}
-	return dst
-}
-
-func readWireRecords(r *wireReader, dst []WireRecord) []WireRecord {
-	n := r.count(3)
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, WireRecord{
-			Token: types.Token(r.uvarint()),
-			SN:    types.SN(r.uvarint()),
-			Data:  r.bytes(),
-		})
-	}
-	return dst
-}
-
-func readSNMap(r *wireReader, dst map[types.ColorID]types.SN) map[types.ColorID]types.SN {
-	n := r.count(2)
-	if r.err != nil {
-		return dst
-	}
-	if dst == nil {
-		if n == 0 {
-			return nil
-		}
-		dst = make(map[types.ColorID]types.SN, n)
-	} else {
-		clear(dst)
-	}
-	for i := 0; i < n; i++ {
-		k := types.ColorID(r.u32())
-		dst[k] = types.SN(r.uvarint())
-	}
-	return dst
-}
-
-func readRecordsMap(r *wireReader, dst map[types.ColorID][]WireRecord) map[types.ColorID][]WireRecord {
-	n := r.count(2)
-	if r.err != nil {
-		return dst
-	}
-	if dst == nil {
-		if n == 0 {
-			return nil
-		}
-		dst = make(map[types.ColorID][]WireRecord, n)
-	} else {
-		clear(dst)
-	}
-	for i := 0; i < n; i++ {
-		k := types.ColorID(r.u32())
-		dst[k] = readWireRecords(r, nil)
-	}
-	return dst
-}
-
-// ---- ownership helpers (frame-level decode copies aliased data) ----
-
-// ownByteSlices copies every slice's bytes into one fresh contiguous
-// buffer so the decoded value no longer references the frame buffer.
-func ownByteSlices(ss [][]byte) [][]byte {
+// byteSlices returns ss with every element's bytes copied into one carved
+// region. (The walk decodes an empty element to nil, so it stays nil.)
+func (o *owner) byteSlices(ss [][]byte) [][]byte {
 	if len(ss) == 0 {
-		return ss
+		return nil
 	}
 	total := 0
 	for _, s := range ss {
 		total += len(s)
 	}
-	buf := make([]byte, 0, total)
-	for i, s := range ss {
-		n := len(buf)
-		buf = append(buf, s...)
-		ss[i] = buf[n:len(buf):len(buf)]
+	out := ss
+	if !o.inPlace {
+		out = make([][]byte, len(ss))
 	}
-	return ss
+	buf := o.carve(total)
+	for i, s := range ss {
+		if len(s) > 0 {
+			n := len(buf)
+			buf = append(buf, s...)
+			out[i] = buf[n:len(buf):len(buf)]
+		}
+	}
+	return out
 }
 
-// ownRecordData copies each record's payload out of the frame buffer.
-func ownRecordData(recs []WireRecord) {
+// records is byteSlices for the records of a subscription or catch-up.
+func (o *owner) records(recs []WireRecord) []WireRecord {
 	if len(recs) == 0 {
-		return
+		return nil
 	}
 	total := 0
 	for _, rec := range recs {
 		total += len(rec.Data)
 	}
-	buf := make([]byte, 0, total)
-	for i := range recs {
-		n := len(buf)
-		buf = append(buf, recs[i].Data...)
-		recs[i].Data = buf[n:len(buf):len(buf)]
+	out := recs
+	if !o.inPlace {
+		out = make([]WireRecord, len(recs))
 	}
+	buf := o.carve(total)
+	for i, rec := range recs {
+		out[i] = rec
+		if len(rec.Data) > 0 {
+			n := len(buf)
+			buf = append(buf, rec.Data...)
+			out[i].Data = buf[n:len(buf):len(buf)]
+		}
+	}
+	return out
 }
 
 // ---- per-connection frame decoding with scratch reuse ----
@@ -593,104 +793,43 @@ func ownRecordData(recs []WireRecord) {
 type FrameDecoder struct {
 	batchReq AppendBatchReq
 	subResp  SubscribeResp
-	arena    []byte
-}
-
-// arenaChunk is the decoder's backing-buffer granularity. Owned record
-// copies are carved from one shared chunk, so the per-frame backing
-// allocation (and its zeroing) amortizes over ~dozens of frames. A chunk
-// stays reachable until every message carved from it is dropped — bounded
-// retention the handlers' short message lifetimes make irrelevant.
-const arenaChunk = 64 << 10
-
-// carve returns an empty owned slice with room for total bytes, cut off
-// the decoder's current arena chunk.
-func (d *FrameDecoder) carve(total int) []byte {
-	if cap(d.arena)-len(d.arena) < total {
-		size := arenaChunk
-		if total > size {
-			size = total
-		}
-		d.arena = make([]byte, 0, size)
-	}
-	n := len(d.arena)
-	d.arena = d.arena[:n+total]
-	return d.arena[n : n : n+total]
+	own      owner
 }
 
 // Decode decodes one frame (sans length prefix) into a self-contained
 // message, like DecodeFrame, but with scratch reuse.
 func (d *FrameDecoder) Decode(b []byte) (types.NodeID, any, error) {
-	r := wireReader{b: b}
-	tag := r.u8()
-	from := types.NodeID(r.u32())
-	if r.err != nil {
-		return 0, nil, r.err
+	c, tag, from := frameHeader(b)
+	if c.r.err != nil {
+		return 0, nil, c.r.err
 	}
-	body := r.b
 	switch tag {
 	case TagAppendBatchReq:
-		if err := d.batchReq.Decode(body); err != nil {
+		d.batchReq.wire(&c)
+		if err := c.r.done(); err != nil {
 			return 0, nil, err
 		}
 		m := d.batchReq
-		sets := make([][][]byte, len(m.Sets))
-		for i, s := range m.Sets {
-			sets[i] = d.copyByteSlices(s)
+		m.Sets = nil
+		if len(d.batchReq.Sets) > 0 {
+			m.Sets = make([][][]byte, len(d.batchReq.Sets))
 		}
-		m.Sets = sets
+		for i, set := range d.batchReq.Sets {
+			m.Sets[i] = d.own.byteSlices(set)
+		}
 		return from, m, nil
 	case TagSubscribeResp:
-		if err := d.subResp.Decode(body); err != nil {
+		d.subResp.wire(&c)
+		if err := c.r.done(); err != nil {
 			return 0, nil, err
 		}
 		m := d.subResp
-		m.Records = d.copyWireRecords(m.Records)
+		m.Records = d.own.records(m.Records)
 		return from, m, nil
 	}
-	msg, err := decodeBody(tag, body)
+	msg, err := decodeBody(tag, c.r.b)
 	if err != nil {
 		return 0, nil, err
 	}
 	return from, msg, nil
-}
-
-// copyByteSlices returns a fresh right-sized header array whose elements
-// share one arena-carved backing region (the scratch keeps its headers).
-func (d *FrameDecoder) copyByteSlices(src [][]byte) [][]byte {
-	if src == nil {
-		return nil
-	}
-	total := 0
-	for _, s := range src {
-		total += len(s)
-	}
-	out := make([][]byte, len(src))
-	buf := d.carve(total)
-	for i, s := range src {
-		n := len(buf)
-		buf = append(buf, s...)
-		out[i] = buf[n:len(buf):len(buf)]
-	}
-	return out
-}
-
-// copyWireRecords is copyByteSlices for subscription records.
-func (d *FrameDecoder) copyWireRecords(src []WireRecord) []WireRecord {
-	if src == nil {
-		return nil
-	}
-	total := 0
-	for _, rec := range src {
-		total += len(rec.Data)
-	}
-	out := make([]WireRecord, len(src))
-	buf := d.carve(total)
-	for i, rec := range src {
-		n := len(buf)
-		buf = append(buf, rec.Data...)
-		out[i] = rec
-		out[i].Data = buf[n:len(buf):len(buf)]
-	}
-	return out
 }
