@@ -68,7 +68,9 @@ type ClusterConfig struct {
 	// Tenants declares the deployment's multi-tenant QoS envelopes: per-
 	// tenant weighted-fair lane shares, token-bucket admission rates, and
 	// color ownership for ordering-layer accounting (DESIGN.md §13). Empty
-	// runs without QoS — legacy blocking lanes, no admission control.
+	// runs without admission control, one tenant per lane queue. Either
+	// way a replica sheds a client request beyond a full lane queue with
+	// Reject(overloaded) and never sheds a protocol message.
 	Tenants []qos.TenantConfig
 }
 

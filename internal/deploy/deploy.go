@@ -32,8 +32,8 @@ type Manifest struct {
 	// Shards attach replica groups to leaf colors.
 	Shards []ShardSpec `json:"shards"`
 	// Tenants declare the deployment's QoS envelopes (optional; an empty
-	// list runs the cluster without admission control or weighted-fair
-	// lanes, the pre-QoS behavior).
+	// list runs the cluster without admission control, with one tenant
+	// per lane queue).
 	Tenants []TenantSpec `json:"tenants,omitempty"`
 	// Spares declare replica processes that run configured for a shard but
 	// OUTSIDE its membership: clients never address them, and they serve

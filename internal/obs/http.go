@@ -27,8 +27,8 @@ type LaneSnapshot struct {
 	// Drops counts messages the owning component dropped on this path
 	// (e.g. a replica's AppendDrops for the write lane).
 	Drops uint64
-	// Shed counts messages rejected by QoS backpressure (full per-tenant
-	// lane queue answered with Reject rather than queued).
+	// Shed counts client requests rejected by QoS backpressure (a full
+	// per-tenant lane queue answered with Reject rather than queued).
 	Shed uint64
 }
 

@@ -170,11 +170,58 @@ func TestCounterConcurrentClientsDistinctRanges(t *testing.T) {
 	}
 }
 
+// heldAcceptorSet is AcceptorSet with a barrier after phase 1 of slot 0:
+// each acceptor holds back the Accepts of slot 0 until it has seen a
+// Prepare of that slot from every proposer, then handles them. Neither
+// proposer can then finish slot 0 before the other has prepared it.
+func heldAcceptorSet(t *testing.T, net *transport.Network, proposers ...types.NodeID) []types.NodeID {
+	t.Helper()
+	ids := make([]types.NodeID, 3)
+	for i := range ids {
+		ids[i] = types.NodeID(1 + i)
+		a := &Acceptor{id: ids[i], slots: make(map[uint64]*slotState)}
+		prepared := make(map[types.NodeID]bool)
+		var held []transport.Message
+		var heldFrom []types.NodeID
+		// The network runs each node's handler on one delivery loop, so
+		// the barrier's state needs no lock.
+		ep, err := net.Register(ids[i], func(from types.NodeID, msg transport.Message) {
+			switch m := msg.(type) {
+			case Prepare:
+				if m.Slot == 0 {
+					prepared[from] = true
+				}
+			case Accept:
+				if m.Slot == 0 && len(prepared) < len(proposers) {
+					held, heldFrom = append(held, m), append(heldFrom, from)
+					return
+				}
+			}
+			a.handle(from, msg)
+			if len(prepared) == len(proposers) {
+				for j, h := range held {
+					a.handle(heldFrom[j], h)
+				}
+				held, heldFrom = nil, nil
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.ep = ep
+	}
+	return ids
+}
+
 // TestMultiProposerPreemption demonstrates the §3.3 observation: classic
 // multi-proposer Paxos makes little progress under contention because
-// proposers keep preempting each other's ballots.
+// proposers keep preempting each other's ballots. The acceptors hold
+// both proposers at a barrier after phase 1 of the first slot, so the
+// contention is certain: the lower ballot's Accept meets the other's
+// higher promise (or a Prepare meets it first).
 func TestMultiProposerPreemption(t *testing.T) {
-	net, ids := newQuorum(t, 3)
+	net := transport.NewNetwork(transport.ZeroLink())
+	ids := heldAcceptorSet(t, net, 100, 101)
 	mk := func(id types.NodeID) *Counter {
 		c, err := NewCounter(ProposerConfig{
 			ID: id, Acceptors: ids,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flexlog/internal/proto"
-	"flexlog/internal/qos"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
@@ -18,9 +17,12 @@ import (
 //     (Config.Tenants rates); over-rate requests are answered with a typed
 //     Reject(throttled) carrying a retry-after hint instead of being
 //     processed — the aggressor pays before it can queue.
-//   - weighted-fair lanes: with Config.Tenants set, both service lanes
-//     switch to per-tenant DRR queues (transport.LaneQoS), so a tenant
-//     that floods past admission still cannot monopolize lane workers.
+//   - weighted-fair lanes: both service lanes queue client requests per
+//     tenant, drained by DRR in Config.Tenants' weights (transport.LaneQoS;
+//     one tenant queue when none is declared), so a tenant that floods
+//     past admission still cannot monopolize lane workers. Protocol
+//     messages (order responses) skip the tenant queues: never shed, and
+//     served first.
 //   - typed shedding: a full tenant queue sheds to onShed, which answers
 //     the caller with Reject(overloaded) — overload is always an explicit
 //     client-visible signal, never silent queue growth.
@@ -30,9 +32,9 @@ import (
 // re-probed quickly.
 const overloadRetryAfter = time.Millisecond
 
-// laneTenantOf extracts the tenant identity the QoS scheduler keys on.
-// Internal traffic (order responses, sync, heartbeats) reports ok=false
-// and schedules under the default tenant.
+// laneTenantOf tells the lanes' client requests, which are bounded and
+// shed per tenant, from protocol messages (order responses), which report
+// ok=false. A subscribe carries no tenant and queues under the default one.
 func laneTenantOf(msg transport.Message) (types.TenantID, bool) {
 	switch m := msg.(type) {
 	case proto.AppendReq:
@@ -41,27 +43,14 @@ func laneTenantOf(msg transport.Message) (types.TenantID, bool) {
 		return m.Tenant, true
 	case proto.ReadReq:
 		return m.Tenant, true
+	case proto.SubscribeReq:
+		return types.DefaultTenant, true
 	}
 	return types.DefaultTenant, false
 }
 
-// laneQoS builds the lane scheduling config; zero-value (disabled) when no
-// tenants are declared.
-func (r *Replica) laneQoS() transport.LaneQoS {
-	if len(r.cfg.Tenants) == 0 {
-		return transport.LaneQoS{}
-	}
-	return transport.LaneQoS{
-		TenantOf: laneTenantOf,
-		Weights:  qos.Weights(r.cfg.Tenants),
-		Shed:     r.onShed,
-	}
-}
-
-// onShed answers a lane-shed message with a typed Reject so the client
-// sees ErrOverloaded instead of a timeout. Internal messages (order
-// responses et al.) have no caller to answer; their shed is still counted
-// by the lane.
+// onShed answers a shed client request (the only kind a lane sheds) with
+// a typed Reject, so the client sees ErrOverloaded instead of a timeout.
 func (r *Replica) onShed(from types.NodeID, msg transport.Message, tenant types.TenantID) {
 	rej := proto.Reject{
 		Tenant:           tenant,
@@ -78,8 +67,6 @@ func (r *Replica) onShed(from types.NodeID, msg transport.Message, tenant types.
 		rej.ID, rej.Color, rej.IsRead, client = m.ID, m.Color, true, m.Client
 	case proto.SubscribeReq:
 		rej.ID, rej.Color, rej.IsRead, client = m.ID, m.Color, true, m.Client
-	default:
-		return
 	}
 	if client == 0 {
 		client = from

@@ -21,8 +21,10 @@
 // linearizability. Write-class traffic (AppendBatchReq, AppendReq,
 // OrderResp, OrderRespBatch) is dispatched to a keyed write lane
 // (Config.WriteWorkers) that pins each color to one worker: same-color
-// messages stay FIFO while different colors persist and commit in
-// parallel — see writepath.go. Everything else — trims, sync, multi-append
+// messages never run concurrently while different colors persist and
+// commit in parallel — see writepath.go. Both lanes bound and shed client
+// requests only; order responses are never shed and are served first.
+// Everything else — trims, sync, multi-append
 // — stays on the serialized delivery loop, with shared state guarded by
 // r.mu. Timers and multi-append replays run on background goroutines.
 package replica
@@ -95,7 +97,7 @@ type Config struct {
 	// serves reads inline on the (serialized) delivery loop.
 	ReadWorkers int
 	// WriteWorkers sizes the keyed write lane: appends/commits are pinned
-	// to a worker by color (FIFO within a color, parallel across colors).
+	// to a worker by color (serial within a color, parallel across colors).
 	// 0 keeps all mutations on the serialized delivery loop.
 	WriteWorkers int
 	// OrderCoalesce is inert: every replica coalesces its order requests
@@ -117,10 +119,11 @@ type Config struct {
 	// footprint of a catch-up under live traffic.
 	JoinBudget int
 	// Tenants declares the multi-tenant QoS envelope (DESIGN.md §13):
-	// per-tenant weighted-fair scheduling on both service lanes,
-	// token-bucket admission control at the append ingress, and typed
-	// Reject responses when a lane queue sheds. Empty = QoS off (legacy
-	// blocking lanes, no admission control).
+	// per-tenant weights for the weighted-fair scheduling of both service
+	// lanes and token-bucket admission control at the append ingress.
+	// Empty = no admission control and one tenant queue per lane queue.
+	// Either way a client request beyond a full tenant queue is answered
+	// with Reject(overloaded), and protocol messages are never shed.
 	Tenants []qos.TenantConfig
 
 	// Obs, when set, publishes the replica's counters into the registry and
@@ -645,26 +648,36 @@ func (r *Replica) sendOrderItems(color types.ColorID, items []proto.OrderItem) {
 // Alg. 1's commit_all: commit the batch in the store, bump the watermark,
 // ack the token's waiting clients and wake the reads the new frontier
 // satisfies. A response for a token this replica has not persisted yet
-// (its append is still in flight) is buffered for await to take. The
-// error is the store's: nil when the batch committed at last.
+// (its append is still in flight) is buffered for await to take. A repeat
+// of the committed SN (the sequencer answers every late duplicate order
+// request) is not counted and wakes no read; it only acks a client that
+// registered against an SN this path did not land (one committed straight
+// in the store). The error is the store's: nil when the batch committed
+// at last.
 func (r *Replica) commit(color types.ColorID, token types.Token, last types.SN) error {
 	var start time.Time
 	if r.appendTr.Enabled() {
 		start = time.Now()
 	}
-	err := r.st.Commit(token, last)
-	if errors.Is(err, storage.ErrUnknownToken) {
-		r.bufferEarly(proto.OrderResp{Token: token, LastSN: last, Color: color}, maxEarly)
-		return err
-	}
-	// A conflicting SN for an already-committed token: first wins, and the
-	// extra range becomes a hole, which is legal (§6.3).
 	sn, _ := r.st.TokenSN(token)
-	if !sn.Valid() {
-		return err // nothing landed: the waiters stay for a valid answer
+	repeat := sn == last
+	var err error
+	if !repeat {
+		err = r.st.Commit(token, last)
+		if errors.Is(err, storage.ErrUnknownToken) {
+			r.bufferEarly(proto.OrderResp{Token: token, LastSN: last, Color: color}, maxEarly)
+			return err
+		}
+		// A conflicting SN for an already-committed token: first wins, and
+		// the extra range becomes a hole, which is legal (§6.3).
+		if sn, _ = r.st.TokenSN(token); !sn.Valid() {
+			return err // nothing landed: the waiters stay for a valid answer
+		}
+		if err == nil {
+			r.stats.commits.Add(1)
+		}
+		r.maxSeen.bump(color, last)
 	}
-	r.stats.commits.Add(1)
-	r.maxSeen.bump(color, last)
 	r.mu.Lock()
 	po := r.pending[token]
 	delete(r.pending, token)
@@ -677,7 +690,9 @@ func (r *Replica) commit(color types.ColorID, token types.Token, last types.SN) 
 			r.ep.Send(c, proto.AppendAck{Token: token, SN: sn})
 		}
 	}
-	r.wakeHeld(color, r.frontier(color))
+	if !repeat {
+		r.wakeHeld(color, r.frontier(color))
+	}
 	return err
 }
 

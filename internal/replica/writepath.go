@@ -6,6 +6,7 @@ import (
 
 	"flexlog/internal/obs"
 	"flexlog/internal/proto"
+	"flexlog/internal/qos"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
@@ -16,10 +17,14 @@ import (
 //
 // The write lane relies on two properties for correctness:
 //
-//   - per-color FIFO: the lane pins each color to one worker and the
-//     delivery loop dispatches in arrival order, so two messages of the
-//     same color are never reordered or concurrent. An append and the
-//     OrderResp that commits it share a color, hence a worker.
+//   - per-color serial: the lane pins each color to one worker, so two
+//     messages of the same color never run concurrently, and a tenant's
+//     appends of one color run in arrival order. An OrderResp is a
+//     protocol message: the worker serves it before the appends queued
+//     beside it, so it may overtake the append it commits. The early
+//     buffer, not the lane, orders the two: commit buffers a response for
+//     a token the store does not know yet, and the append's await takes
+//     it. (Over TCP they arrive on different connections anyway.)
 //   - cross-color independence: appends and commits of different colors
 //     share no state beyond r.mu (brief, pending-map bookkeeping), the
 //     storage stack (per-color index locks + narrow allocator lock, see
@@ -49,11 +54,13 @@ func writeClass(msg transport.Message) (uint64, bool) {
 }
 
 // laneConfigs sizes the replica's two lanes: the shared read lane
-// (readpath.go) and the keyed write lane. With tracing on, each reports
-// its queue wait into its tracer's lane_wait stage histogram.
+// (readpath.go) and the keyed write lane, which share one QoS config
+// (qos.go). With tracing on, each reports its queue wait into its tracer's
+// lane_wait stage histogram.
 func (r *Replica) laneConfigs() (read, write transport.LaneConfig) {
-	read = transport.LaneConfig{Workers: r.cfg.ReadWorkers, Key: readClass, QoS: r.laneQoS(), Observe: laneWait(r.readTr)}
-	write = transport.LaneConfig{Workers: r.cfg.WriteWorkers, Key: writeClass, QoS: r.laneQoS(), Observe: laneWait(r.appendTr)}
+	lq := transport.LaneQoS{TenantOf: laneTenantOf, Weights: qos.Weights(r.cfg.Tenants), Shed: r.onShed}
+	read = transport.LaneConfig{Workers: r.cfg.ReadWorkers, Key: readClass, QoS: lq, Observe: laneWait(r.readTr)}
+	write = transport.LaneConfig{Workers: r.cfg.WriteWorkers, Key: writeClass, QoS: lq, Observe: laneWait(r.appendTr)}
 	return read, write
 }
 

@@ -131,12 +131,39 @@ func TestCommitBeforeRegistrationAcked(t *testing.T) {
 	}
 }
 
+// TestDuplicateOrderRespNotCounted delivers one OrderResp twice, as the
+// sequencer does when it answers a late duplicate order request: the
+// token commits once, so Stats().Commits reads 1, and the client is acked
+// once.
+func TestDuplicateOrderRespNotCounted(t *testing.T) {
+	r, ep := steppedReplica(t, func(cfg *Config) { cfg.RetryTimeout = time.Hour })
+	token, sn := types.MakeToken(7, 1), types.MakeSN(1, 1)
+	r.handle(500, proto.AppendBatchReq{Color: 0, Token: token, Sets: [][][]byte{{[]byte("x")}}, Client: 500})
+	resp := proto.OrderResp{Token: token, LastSN: sn, NRecords: 1, Color: 0}
+	r.handle(900, resp)
+	r.handle(900, resp)
+	if got := r.Stats().Commits; got != 1 {
+		t.Fatalf("Stats().Commits = %d after one OrderResp delivered twice, want 1", got)
+	}
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	acks := 0
+	for _, m := range ep.sent {
+		if ack, ok := m.(proto.AppendAck); ok && ack.Token == token {
+			acks++
+		}
+	}
+	if acks != 1 {
+		t.Fatalf("%d acks, want 1", acks)
+	}
+}
+
 // TestWriteLanePreservesPerColorFIFO sends interleaved appends and
 // commits for many colors through a replica with a small write-lane pool
-// and verifies every append commits with its own SN — same-color
-// messages must not be reordered (an OrderResp overtaking its AppendReq
-// would be buffered as "early" and still commit, so the stronger signal
-// is that ALL tokens commit and no replica state wedges).
+// and verifies every append commits with its own SN. The lane serves an
+// OrderResp before the appends queued beside it, so one may overtake its
+// AppendReq; it is buffered as "early" and still commits. The signal is
+// that ALL tokens commit and no replica state wedges.
 func TestWriteLanePreservesPerColorFIFO(t *testing.T) {
 	h := newHarness(t, 1)
 	r := h.replicas[0]

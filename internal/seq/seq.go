@@ -316,6 +316,10 @@ func newSequencer(cfg Config) *Sequencer {
 		s.setEpochLocked(epoch)
 		s.lastLeaderHB = time.Now()
 	}
+	// The order lane declares no client requests (no LaneQoS.TenantOf):
+	// every message on it is a protocol message, never counted against a
+	// queue cap, never shed, and never blocking the goroutine that
+	// delivers it, and each worker serves its colors in arrival order.
 	s.lanes = transport.NewLanes(s.handle, transport.LaneConfig{},
 		transport.LaneConfig{Workers: cfg.OrderWorkers, Key: seqWriteClass})
 	return s

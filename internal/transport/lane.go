@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,41 +9,36 @@ import (
 	"flexlog/internal/types"
 )
 
-// LaneQoS configures multi-tenant quality of service on a lane. When
-// enabled (TenantOf set), the lane's single FIFO buffer is replaced by
-// per-tenant bounded FIFO queues drained with deficit-round-robin in
-// proportion to Weights, and a full tenant queue sheds the message
-// (invoking Shed, so the owner can answer with a typed rejection) instead
-// of blocking the delivery loop — overload becomes an explicit, attributed
-// signal rather than silent queue growth. FIFO order is preserved within a
-// tenant's queue; fairness holds across tenants.
+// LaneQoS tells a lane's client requests from its protocol messages and
+// shares the lane's workers among tenants. Every lane queue is one
+// weighted-fair queue (wfq) with one overload rule. Client requests wait in
+// per-tenant FIFO queues of at most QueueCap, drained by
+// deficit-round-robin in proportion to Weights; a full tenant queue sheds
+// the request (invoking Shed, so the owner can answer with a typed
+// rejection) instead of blocking the goroutine that delivered it. Protocol
+// messages wait in one FIFO that workers serve before any client request:
+// they are never counted against QueueCap, never shed and never block.
+// Overload is thus an explicit, attributed signal on client traffic only.
 type LaneQoS struct {
-	// TenantOf extracts the message's tenant. ok=false (internal traffic:
-	// order responses, sync, heartbeats) maps to types.DefaultTenant,
-	// which always schedules but is never shed ahead of client traffic
-	// differently — it is simply one more weighted queue.
+	// TenantOf reports a client request's tenant (ok=true); ok=false marks
+	// a protocol message (order responses, sync, heartbeats). Nil makes
+	// every message of the lane a protocol message.
 	TenantOf func(Message) (types.TenantID, bool)
-	// Weights maps tenant → scheduling weight (messages served per DRR
-	// round). Missing or zero entries default to 1.
+	// Weights maps tenant → scheduling weight (requests served per DRR
+	// round). Missing or zero entries default to 1, so a lane whose owner
+	// declares no tenants serves one tenant queue.
 	Weights map[types.TenantID]uint32
 	// Shed, when set, is called (outside the scheduler lock) for each
-	// message rejected because its tenant queue was full. The lane counts
-	// the shed either way; without a callback the message is dropped and
-	// the sender discovers it by timeout.
+	// client request rejected because its tenant queue was full. The lane
+	// counts the shed either way; without a callback the request is
+	// dropped and the sender discovers it by timeout.
 	Shed func(from types.NodeID, msg Message, tenant types.TenantID)
 }
 
-// Enabled reports whether QoS scheduling is configured.
-func (q LaneQoS) Enabled() bool { return q.TenantOf != nil }
+// protocolOnly is the TenantOf of a lane that carries no client requests.
+func protocolOnly(Message) (types.TenantID, bool) { return types.DefaultTenant, false }
 
-// TenantLaneStats is one tenant's slice of a lane's QoS accounting.
-type TenantLaneStats struct {
-	Tenant   types.TenantID
-	Enqueued uint64 // messages accepted into this tenant's queue
-	Shed     uint64 // messages rejected because the queue was full
-}
-
-// ---- Queue kinds ----
+// ---- The queue ----
 
 // laneItem is one classified message in flight to a worker.
 type laneItem struct {
@@ -54,51 +48,51 @@ type laneItem struct {
 	enq       time.Time // stamped only when the lane has an Observe hook
 }
 
-// laneQueue is all a lane needs of a queue, and the seam between its two
-// kinds: the bounded FIFO channel, whose push blocks while the queue is
-// full (backpressure on the caller, mirroring a busy core), and the
-// weighted-fair tenant queue, whose push reports false instead (the
-// message is shed). pop blocks while the queue is empty; after close it
-// hands out what is left and then reports false. The lane never pushes
-// after close.
-type laneQueue interface {
-	push(it laneItem, tenant types.TenantID) bool
-	pop() (laneItem, bool)
-	close()
+// fifo is a slice-backed FIFO of lane items: items[head:] are pending and
+// the prefix is already served.
+type fifo struct {
+	items []laneItem
+	head  int
 }
 
-type chanQueue chan laneItem
+func (q *fifo) depth() int { return len(q.items) - q.head }
 
-func (q chanQueue) push(it laneItem, _ types.TenantID) bool { q <- it; return true }
-func (q chanQueue) pop() (laneItem, bool)                   { it, ok := <-q; return it, ok }
-func (q chanQueue) close()                                  { close(q) }
+// pop removes the head item of a non-empty FIFO. An emptied FIFO rewinds,
+// so its backing array is reused.
+func (q *fifo) pop() laneItem {
+	it := q.items[q.head]
+	q.items[q.head] = laneItem{} // release references
+	q.head++
+	if q.depth() == 0 {
+		q.items, q.head = q.items[:0], 0
+	}
+	return it
+}
 
 // tenantQ is one tenant's bounded FIFO inside a wfq.
 type tenantQ struct {
+	fifo
 	weight int
-	items  []laneItem
-	head   int // items[head:] are pending; the prefix is already served
 	inRing bool
-	enq    uint64
-	shed   uint64
 }
 
-func (q *tenantQ) depth() int { return len(q.items) - q.head }
-
-// wfq is a weighted-fair queue of lane items: per-tenant bounded FIFOs
-// drained by deficit-round-robin (quantum = weight, unit cost per
-// message). Safe for many producers and many consumers; all state is
-// guarded by mu.
+// wfq is a lane queue: one FIFO of protocol messages, served first, and
+// per-tenant bounded FIFOs of client requests drained by
+// deficit-round-robin (quantum = weight, unit cost per request). Safe for
+// many producers and many consumers; all state is guarded by mu, and push
+// never waits for a consumer. pop blocks while the queue is empty; after
+// close it hands out what is left and then reports false.
 type wfq struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	capPer  int // per-tenant queue bound
-	weights map[types.TenantID]uint32
-	queues  map[types.TenantID]*tenantQ
-	ring    []*tenantQ // non-empty queues, round-robin order
-	cur     int        // ring index currently being served
-	credit  int        // remaining quantum of ring[cur]
-	closed  bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	capPer   int // per-tenant bound on queued client requests
+	weights  map[types.TenantID]uint32
+	protocol fifo // protocol messages: unbounded, served before any tenant
+	queues   map[types.TenantID]*tenantQ
+	ring     []*tenantQ // non-empty tenant queues, round-robin order
+	cur      int        // ring index currently being served
+	credit   int        // remaining quantum of ring[cur]
+	closed   bool
 }
 
 func newWFQ(capPer int, weights map[types.TenantID]uint32) *wfq {
@@ -111,40 +105,43 @@ func newWFQ(capPer int, weights map[types.TenantID]uint32) *wfq {
 	return w
 }
 
-// push appends the item to its tenant's queue, reporting false (shed)
-// when that queue is at capacity.
-func (w *wfq) push(it laneItem, tenant types.TenantID) bool {
+// push queues a protocol message, or a client request under its tenant.
+// It reports false (shed) for a client request whose tenant queue already
+// holds capPer requests.
+func (w *wfq) push(it laneItem, tenant types.TenantID, client bool) bool {
 	w.mu.Lock()
-	q := w.queues[tenant]
-	if q == nil {
-		weight := 1
-		if wt, ok := w.weights[tenant]; ok && wt > 0 {
-			weight = int(wt)
+	q := &w.protocol
+	if client {
+		tq := w.queues[tenant]
+		if tq == nil {
+			tq = &tenantQ{weight: max(1, int(w.weights[tenant]))}
+			w.queues[tenant] = tq
 		}
-		q = &tenantQ{weight: weight}
-		w.queues[tenant] = q
-	}
-	if q.depth() >= w.capPer {
-		q.shed++
-		w.mu.Unlock()
-		return false
+		if tq.depth() >= w.capPer {
+			w.mu.Unlock()
+			return false
+		}
+		if !tq.inRing {
+			tq.inRing = true
+			w.ring = append(w.ring, tq)
+		}
+		q = &tq.fifo
 	}
 	q.items = append(q.items, it)
-	q.enq++
-	if !q.inRing {
-		q.inRing = true
-		w.ring = append(w.ring, q)
-	}
 	w.mu.Unlock()
 	w.cond.Signal()
 	return true
 }
 
-// pop removes the next item under DRR order.
+// pop removes the next item: the oldest protocol message, else the next
+// client request in DRR order.
 func (w *wfq) pop() (laneItem, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for {
+		if w.protocol.depth() > 0 {
+			return w.protocol.pop(), true
+		}
 		if len(w.ring) > 0 {
 			if w.cur >= len(w.ring) {
 				w.cur = 0
@@ -153,13 +150,9 @@ func (w *wfq) pop() (laneItem, bool) {
 			if w.credit <= 0 {
 				w.credit = q.weight
 			}
-			it := q.items[q.head]
-			q.items[q.head] = laneItem{} // release references
-			q.head++
+			it := q.pop()
 			w.credit--
 			if q.depth() == 0 {
-				q.items = q.items[:0]
-				q.head = 0
 				q.inRing = false
 				w.ring = append(w.ring[:w.cur], w.ring[w.cur+1:]...)
 				w.credit = 0
@@ -182,19 +175,6 @@ func (w *wfq) close() {
 	w.cond.Broadcast()
 }
 
-// addTenantStats folds this queue's per-tenant accounting into acc.
-func (w *wfq) addTenantStats(acc map[types.TenantID]TenantLaneStats) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for id, q := range w.queues {
-		ts := acc[id]
-		ts.Tenant = id
-		ts.Enqueued += q.enq
-		ts.Shed += q.shed
-		acc[id] = ts
-	}
-}
-
 // ---- The lane ----
 
 // LaneConfig describes one service lane of a node: inbound messages the
@@ -209,11 +189,11 @@ func (w *wfq) addTenantStats(acc map[types.TenantID]TenantLaneStats) {
 // their delivery order in exchange for concurrency — safe for FlexLog
 // reads, whose only ordering obligation is against commits already
 // delivered when the read was dequeued. The write lane is one queue per
-// worker with a key pinned to one of them (key mod Workers), so every
-// message of one key is processed in arrival order — the invariant the
-// append protocol needs (an append must reach storage before the
-// OrderResp that commits its token, and both carry the same color) —
-// while different keys proceed in parallel.
+// worker with a key pinned to one of them (key mod Workers), so messages
+// of one key never run concurrently, and each key's client requests of
+// one tenant, like its protocol messages, are processed in arrival order.
+// A protocol message may overtake a client request of its key (LaneQoS):
+// the node must not depend on the order between the two classes.
 type LaneConfig struct {
 	// Workers is the pool size; 0 disables the lane (its traffic runs
 	// inline).
@@ -222,18 +202,18 @@ type LaneConfig struct {
 	// shard key (the color for FlexLog mutations; ignored by the shared
 	// read lane).
 	Key func(Message) (uint64, bool)
-	// QueueCap bounds each queue of the lane; a full queue backpressures
-	// the caller. 0 uses a default of 4096 for the shared queue and 1024
-	// per pinned worker.
+	// QueueCap bounds the client requests each tenant queue of the lane
+	// holds; a request beyond it is shed (LaneQoS.Shed). Protocol messages
+	// are not bounded. 0 uses a default of 4096 for the shared queue and
+	// 1024 per pinned worker.
 	QueueCap int
 	// Observe, when set, is called after each lane message with the time
 	// it waited in the queue and the time its handler ran — the lane_wait
 	// stage of the observability layer. Must be cheap and thread-safe.
 	Observe func(queueWait, service time.Duration)
-	// QoS, when enabled, replaces each FIFO buffer with per-tenant
-	// weighted-fair queues that shed on overflow. A key stays pinned to
-	// its worker, and a tenant's messages for one key stay FIFO within
-	// that worker's tenant queue. See LaneQoS.
+	// QoS classifies the lane's messages and weights its tenants. A key
+	// stays pinned to its worker, and a tenant's requests for one key stay
+	// FIFO within that worker's tenant queue. See LaneQoS.
 	QoS LaneQoS
 }
 
@@ -242,19 +222,19 @@ type LaneStats struct {
 	Enqueued uint64 // messages handed to the lane
 	Dequeued uint64 // messages whose handler finished
 	// Depth is the messages in the lane right now: queued, in service, or
-	// held by a caller blocked on a full queue — at most queues x QueueCap
-	// + Workers + the number of concurrent callers. It is its own counter,
-	// not Enqueued - Dequeued: those are two loads, and the traffic that
-	// flows between them would read as depth.
+	// inside a dispatch call. Only its client requests are bounded — at
+	// most QueueCap per tenant queue; protocol messages, Workers in service
+	// and the concurrent callers come on top. It is its own counter, not
+	// Enqueued - Dequeued: those are two loads, and the traffic that flows
+	// between them would read as depth.
 	Depth    uint64
 	MaxDepth uint64        // high-water mark of Depth
 	Busy     time.Duration // summed wall time workers spent per message
-	Shed     uint64        // messages rejected by QoS queue bounds
+	Shed     uint64        // client requests rejected by full tenant queues
 	// PerWorker lets the modeled-throughput benchmarks charge each worker
 	// for the messages it actually processed (the busiest worker bounds a
 	// keyed lane). Nil for a disabled lane.
 	PerWorker []uint64
-	Tenants   []TenantLaneStats
 }
 
 // lane is the one worker pool behind both lane shapes: worker i serves
@@ -265,7 +245,7 @@ type lane struct {
 	cfg      LaneConfig
 	handler  Handler
 	procCost time.Duration // modeled receive cost, set by the in-process Network
-	queues   []laneQueue
+	queues   []*wfq
 	wg       sync.WaitGroup
 
 	closeMu sync.RWMutex
@@ -288,18 +268,17 @@ func newLane(cfg LaneConfig, h Handler, queues, defaultCap int) *lane {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = defaultCap
 	}
+	if cfg.QoS.TenantOf == nil {
+		cfg.QoS.TenantOf = protocolOnly
+	}
 	l := &lane{
 		cfg:       cfg,
 		handler:   h,
-		queues:    make([]laneQueue, queues),
+		queues:    make([]*wfq, queues),
 		perWorker: make([]atomic.Uint64, cfg.Workers),
 	}
 	for i := range l.queues {
-		if cfg.QoS.Enabled() {
-			l.queues[i] = newWFQ(cfg.QueueCap, cfg.QoS.Weights)
-		} else {
-			l.queues[i] = make(chanQueue, cfg.QueueCap)
-		}
+		l.queues[i] = newWFQ(cfg.QueueCap, cfg.QoS.Weights)
 	}
 	l.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -309,10 +288,10 @@ func newLane(cfg LaneConfig, h Handler, queues, defaultCap int) *lane {
 }
 
 // dispatch hands the message to the lane if its Key function accepts it.
-// A full channel queue blocks; a full tenant queue sheds the message
-// instead (it is counted, and the Shed hook turns it into a typed
-// rejection). It reports false when the message is not the lane's or the
-// lane is closed — the caller then handles it inline (where a stopped
+// It never waits for a worker: a client request whose tenant queue is
+// full is shed instead (it is counted, and the Shed hook turns it into a
+// typed rejection). It reports false when the message is not the lane's or
+// the lane is closed — the caller then handles it inline (where a stopped
 // node's mode check drops it).
 func (l *lane) dispatch(from types.NodeID, msg Message, deliverAt time.Time) bool {
 	if l == nil {
@@ -326,10 +305,7 @@ func (l *lane) dispatch(from types.NodeID, msg Message, deliverAt time.Time) boo
 	if l.cfg.Observe != nil {
 		it.enq = time.Now()
 	}
-	var tenant types.TenantID
-	if l.cfg.QoS.Enabled() {
-		tenant, _ = l.cfg.QoS.TenantOf(msg)
-	}
+	tenant, client := l.cfg.QoS.TenantOf(msg)
 	l.closeMu.RLock()
 	if l.closed {
 		l.closeMu.RUnlock()
@@ -345,7 +321,7 @@ func (l *lane) dispatch(from types.NodeID, msg Message, deliverAt time.Time) boo
 			break
 		}
 	}
-	accepted := l.queues[key%uint64(len(l.queues))].push(it, tenant)
+	accepted := l.queues[key%uint64(len(l.queues))].push(it, tenant, client)
 	l.closeMu.RUnlock()
 	if !accepted {
 		l.enqueued.Add(^uint64(0))
@@ -422,16 +398,6 @@ func (l *lane) stats() LaneStats {
 	for i := range l.perWorker {
 		s.PerWorker[i] = l.perWorker[i].Load()
 	}
-	if l.cfg.QoS.Enabled() {
-		acc := make(map[types.TenantID]TenantLaneStats)
-		for _, q := range l.queues {
-			q.(*wfq).addTenantStats(acc)
-		}
-		for _, ts := range acc {
-			s.Tenants = append(s.Tenants, ts)
-		}
-		slices.SortFunc(s.Tenants, func(a, b TenantLaneStats) int { return int(a.Tenant) - int(b.Tenant) })
-	}
 	return s
 }
 
@@ -450,7 +416,8 @@ type Lanes struct {
 }
 
 // NewLanes starts the lanes the two configs enable: read is the shared
-// shape (any-order concurrency), write the keyed shape (per-key FIFO).
+// shape (any-order concurrency), write the keyed shape (per-key order, see
+// LaneConfig).
 func NewLanes(h Handler, read, write LaneConfig) *Lanes {
 	return &Lanes{
 		handler: h,

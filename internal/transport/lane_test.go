@@ -12,12 +12,14 @@ import (
 
 // laneMsg is the lane-class message of these tests: Key is the lane key
 // (a color in the replica), T the tenant the QoS queues schedule it
-// under, N the per-key (or per-tenant) send order. mutMsg is the inline
-// class no lane takes.
+// under, N the per-key (or per-tenant) send order. Proto marks a protocol
+// message, which skips the tenant queues. mutMsg is the inline class no
+// lane takes.
 type laneMsg struct {
-	Key uint64
-	T   types.TenantID
-	N   int
+	Key   uint64
+	T     types.TenantID
+	N     int
+	Proto bool
 }
 type mutMsg struct{ N int }
 
@@ -28,15 +30,20 @@ func keyOf(m Message) (uint64, bool) {
 
 func tenantOf(m Message) (types.TenantID, bool) {
 	lm, ok := m.(laneMsg)
-	return lm.T, ok
+	return lm.T, ok && !lm.Proto
 }
 
 // laneCase is one cell of the lane matrix: shape (one shared queue vs one
-// queue per pinned worker) x queue kind (bounded channel vs wfq).
+// queue per pinned worker) x message class. Every lane queue is the same
+// weighted-fair queue; the cell names keep the queue kinds they once
+// named. A "chan" cell's lane has no TenantOf, so its messages are
+// protocol messages (the sequencer's order lane): one unbounded FIFO,
+// never shed. A "wfq" cell's messages are client requests in bounded
+// per-tenant queues (the replica's lanes).
 type laneCase struct {
-	name  string
-	keyed bool
-	qos   bool
+	name    string
+	keyed   bool
+	clients bool
 }
 
 var laneMatrix = []laneCase{
@@ -49,10 +56,10 @@ var laneMatrix = []laneCase{
 // lanes builds a dispatcher whose only lane is the one under test.
 func (c laneCase) lanes(h Handler, cfg LaneConfig) *Lanes {
 	cfg.Key = keyOf
-	if !c.qos {
-		cfg.QoS = LaneQoS{}
-	} else if !cfg.QoS.Enabled() {
-		cfg.QoS = LaneQoS{TenantOf: tenantOf}
+	if !c.clients {
+		cfg.QoS.TenantOf = nil
+	} else if cfg.QoS.TenantOf == nil {
+		cfg.QoS.TenantOf = tenantOf
 	}
 	if c.keyed {
 		return NewLanes(h, LaneConfig{}, cfg)
@@ -306,48 +313,11 @@ func TestWithLanesClassifiesBothWays(t *testing.T) {
 	plain.Close()
 }
 
-// TestLaneBackpressureBlocksWithoutQoS pins the channel queue's
-// full-queue semantics: the caller blocks (a busy core), nothing is shed,
-// and every message is served once the worker moves.
-func TestLaneBackpressureBlocksWithoutQoS(t *testing.T) {
-	forEachLane(t, func(c laneCase) bool { return !c.qos }, func(t *testing.T, c laneCase) {
-		gate := make(chan struct{})
-		l := c.lanes(func(types.NodeID, Message) { <-gate }, LaneConfig{Workers: 1, QueueCap: 2})
-		defer l.Close()
-		// One message parks the worker, two fill the queue.
-		for i := 0; i < 3; i++ {
-			if !l.dispatch(9, laneMsg{N: i}, time.Time{}) {
-				t.Fatalf("dispatch %d not taken", i)
-			}
-		}
-		var returned atomic.Bool
-		go func() {
-			l.dispatch(9, laneMsg{N: 3}, time.Time{})
-			returned.Store(true)
-		}()
-		// The fourth message is counted as soon as its caller is in
-		// dispatch; with the queue full it must still be there a moment
-		// later.
-		waitFor(t, "the fourth dispatch to start", func() bool { return c.stats(l).Enqueued == 4 })
-		time.Sleep(20 * time.Millisecond)
-		if returned.Load() {
-			t.Fatal("dispatch returned although the queue was full and the worker parked")
-		}
-		close(gate)
-		waitFor(t, "the lane to drain", func() bool { return c.stats(l).Dequeued == 4 })
-		if !returned.Load() {
-			t.Fatal("blocked dispatch never returned")
-		}
-		if s := c.stats(l); s.Shed != 0 || s.Depth != 0 {
-			t.Fatalf("lane stats = %+v, want no shed and depth 0", s)
-		}
-	})
-}
-
-// TestLaneDepthBounded hammers a lane of every shape and queue kind with
-// a trivial handler while polling its stats: Depth (and the MaxDepth
+// TestLaneDepthBounded hammers a lane of every shape and message class
+// with a trivial handler while polling its stats: Depth (and the MaxDepth
 // high-water mark) must stay within what the lane can physically hold —
-// its queues, the messages in service, and the callers inside dispatch.
+// its bounded tenant queues, the messages in service, and the callers
+// inside dispatch.
 // Counting the enqueue after the push, or loading Enqueued before
 // Dequeued, lets a fast worker get ahead and wraps the unsigned depth.
 func TestLaneDepthBounded(t *testing.T) {
@@ -359,7 +329,7 @@ func TestLaneDepthBounded(t *testing.T) {
 			perProd   = 30_000
 		)
 		// A shed costs its producer a yield, so the workers get to run and
-		// most messages are accepted (the channel kind blocks instead).
+		// most messages are accepted.
 		yield := LaneQoS{TenantOf: tenantOf, Shed: func(types.NodeID, Message, types.TenantID) { runtime.Gosched() }}
 		l := c.lanes(func(types.NodeID, Message) {}, LaneConfig{Workers: workers, QueueCap: queueCap, QoS: yield})
 		defer l.Close()
@@ -368,6 +338,12 @@ func TestLaneDepthBounded(t *testing.T) {
 			queues = workers
 		}
 		bound := uint64(queues*queueCap + workers + producers)
+		if !c.clients {
+			// Protocol messages are never shed and never wait, so only
+			// what was dispatched bounds them; the check is that Depth
+			// never wraps below zero.
+			bound = producers * perProd
+		}
 
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
@@ -407,65 +383,43 @@ func TestLaneDepthBounded(t *testing.T) {
 	})
 }
 
-// handoffQueue is the adversarial queue for the lane's accounting: its
-// push returns only after the worker has completely finished the message
-// (it is back in pop), so whatever dispatch does after the push happens
-// after the message was dequeued.
-type handoffQueue struct {
-	ch      chan laneItem
-	done    chan struct{}
-	serving bool // pop only: the previous pop handed out a message
-	sample  func()
-}
-
-func (q *handoffQueue) push(it laneItem, _ types.TenantID) bool {
-	q.ch <- it
-	<-q.done
-	q.sample()
-	return true
-}
-
-func (q *handoffQueue) pop() (laneItem, bool) {
-	if q.serving {
-		q.done <- struct{}{}
-	}
-	it, ok := <-q.ch
-	q.serving = ok
-	return it, ok
-}
-
-func (q *handoffQueue) close() { close(q.ch) }
-
 // TestLaneCountsBeforeServing pins the order that keeps Depth from
-// wrapping: a message is counted in before a worker can count it out.
-// With the count after the push, every sample below reads depth -1, i.e.
+// wrapping: a message is counted in before a worker can take it. The test
+// holds the queue's lock, so a dispatch gets no further than its push,
+// and the message must already be counted then. With the count after the
+// push, a worker could count the message out first, and Depth would read
 // 2^64-1 on /debug/lanes.
 func TestLaneCountsBeforeServing(t *testing.T) {
-	l := &lane{
-		cfg:       LaneConfig{Workers: 1, Key: keyOf},
-		handler:   func(types.NodeID, Message) {},
-		perWorker: make([]atomic.Uint64, 1),
-	}
-	var samples []LaneStats
-	l.queues = []laneQueue{&handoffQueue{
-		ch:     make(chan laneItem),
-		done:   make(chan struct{}),
-		sample: func() { samples = append(samples, l.stats()) },
-	}}
-	l.wg.Add(1)
-	go l.worker(0)
-	const n = 100
-	for i := 0; i < n; i++ {
-		l.dispatch(9, laneMsg{N: i}, time.Time{})
-	}
-	l.close()
-	for i, s := range samples {
-		if s.Depth != 0 || s.Enqueued != uint64(i+1) || s.Dequeued != uint64(i+1) {
-			t.Fatalf("after message %d was served: %+v, want it counted in and out (depth 0)", i, s)
+	served := make(chan LaneStats, 1)
+	var l *Lanes
+	l = NewLanes(func(types.NodeID, Message) {
+		read, _ := l.Stats()
+		served <- read
+	}, LaneConfig{Workers: 1, Key: keyOf}, LaneConfig{})
+	defer l.Close()
+	ln, q := l.read, l.read.queues[0]
+	const n = 20
+	for i := uint64(1); i <= n; i++ {
+		q.mu.Lock()
+		go ln.dispatch(9, laneMsg{N: int(i)}, time.Time{})
+		deadline := time.Now().Add(10 * time.Second)
+		for ln.enqueued.Load() != i || ln.depth.Load() != 1 {
+			if time.Now().After(deadline) {
+				q.mu.Unlock()
+				t.Fatalf("message %d reached its push uncounted: %d enqueued, depth %d", i, ln.enqueued.Load(), ln.depth.Load())
+			}
+			time.Sleep(time.Millisecond)
 		}
+		q.mu.Unlock()
+		if s := <-served; s.Depth != 1 || s.Enqueued != i {
+			t.Fatalf("message %d in service: %+v, want it counted in (depth 1)", i, s)
+		}
+		waitFor(t, "the message to be counted out", func() bool {
+			return ln.dequeued.Load() == i && ln.depth.Load() == 0
+		})
 	}
-	if s := l.stats(); len(samples) != n || s.MaxDepth != 1 {
-		t.Fatalf("%d samples, final stats %+v; want %d samples and max depth 1", len(samples), s, n)
+	if s, _ := l.Stats(); s.MaxDepth != 1 {
+		t.Fatalf("final stats %+v, want max depth 1", s)
 	}
 }
 

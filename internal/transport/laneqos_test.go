@@ -9,12 +9,13 @@ import (
 	"flexlog/internal/types"
 )
 
-// The tests in this file pin what only the weighted-fair queue kind does
-// — shed instead of block, DRR shares, within-tenant FIFO — on both lane
-// shapes. They use single-worker lanes and one key, so the shapes differ
-// only in which slot of the dispatcher holds the lane.
+// The tests in this file pin what the lane queue does with client
+// requests — shed instead of block, DRR shares, within-tenant FIFO, and
+// protocol messages served ahead of them — on both lane shapes. They use
+// single-worker lanes and one key, so the shapes differ only in which
+// slot of the dispatcher holds the lane.
 
-func wfqOnly(c laneCase) bool { return c.qos }
+func clientsOnly(c laneCase) bool { return c.clients }
 
 // qosLaneHarness gates a single-worker lane so tests can fill queues
 // deterministically: the first dispatched message parks its worker on
@@ -110,19 +111,14 @@ func testLaneSheds(t *testing.T, c laneCase) {
 	if len(sheds) != 1 || sheds[0] != (laneMsg{T: 2, N: 5}) {
 		t.Fatalf("shed hook saw %v, want the overflow message of tenant 2", sheds)
 	}
-	want := []TenantLaneStats{{Tenant: 1, Enqueued: 1}, {Tenant: 2, Enqueued: 5, Shed: 1}}
-	if fmt.Sprint(st.Tenants) != fmt.Sprint(want) {
-		t.Fatalf("tenant stats = %+v, want %+v", st.Tenants, want)
-	}
-	// The accepted prefix of tenant 2's stream was served in order.
-	var t2 []int
+	// Tenant 1's request was served, and the accepted prefix of tenant
+	// 2's stream was served in order.
+	perTenant := map[types.TenantID][]int{}
 	for _, m := range h.served() {
-		if m.T == 2 {
-			t2 = append(t2, m.N)
-		}
+		perTenant[m.T] = append(perTenant[m.T], m.N)
 	}
-	if fmt.Sprint(t2) != fmt.Sprint([]int{0, 1, 2, 3, 4}) {
-		t.Fatalf("tenant 2 service order = %v", t2)
+	if fmt.Sprint(perTenant) != fmt.Sprint(map[types.TenantID][]int{1: {0}, 2: {0, 1, 2, 3, 4}}) {
+		t.Fatalf("service order per tenant = %v", perTenant)
 	}
 
 	l.Close()
@@ -131,14 +127,75 @@ func testLaneSheds(t *testing.T, c laneCase) {
 	}
 }
 
+// TestLaneBackpressureProtocolFirst pins the one overload rule. With the
+// worker parked and its tenant queue full of client requests, protocol
+// messages beyond QueueCap are taken at once: not shed, not waiting for a
+// worker. The next client request is shed. Once the worker moves it
+// serves the protocol messages first, in their order, then the requests
+// in theirs.
+func TestLaneBackpressureProtocolFirst(t *testing.T) {
+	forEachLane(t, clientsOnly, func(t *testing.T, c laneCase) {
+		h := newQoSLaneHarness()
+		l := c.lanes(h.handler, LaneConfig{Workers: 1, QueueCap: 2, QoS: h.qos(nil)})
+		defer l.Close()
+		dispatch := func(msgs ...laneMsg) {
+			t.Helper()
+			done := make(chan bool)
+			go func() {
+				taken := true
+				for _, m := range msgs {
+					taken = l.dispatch(9, m, time.Time{}) && taken
+				}
+				done <- taken
+			}()
+			select {
+			case taken := <-done:
+				if !taken {
+					t.Fatalf("dispatch of %v on an open lane not taken", msgs)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("dispatch of %v blocked behind the parked worker", msgs)
+			}
+		}
+
+		// One request parks the worker, two fill its tenant queue.
+		dispatch(laneMsg{N: 0})
+		<-h.started
+		dispatch(laneMsg{N: 1}, laneMsg{N: 2})
+		// Protocol messages beyond the cap: counted, never shed.
+		dispatch(laneMsg{Proto: true, N: 10}, laneMsg{Proto: true, N: 11}, laneMsg{Proto: true, N: 12})
+		if s := c.stats(l); s.Shed != 0 || s.Enqueued != 6 || s.Depth != 6 {
+			t.Fatalf("lane stats = %+v, want 6 enqueued, depth 6, none shed", s)
+		}
+		// The next client request is over the cap: shed.
+		dispatch(laneMsg{N: 3})
+		if s := c.stats(l); s.Shed != 1 || s.Enqueued != 6 {
+			t.Fatalf("lane stats = %+v, want the request over the cap shed", s)
+		}
+		if sheds := h.shedList(); len(sheds) != 1 || sheds[0] != (laneMsg{N: 3}) {
+			t.Fatalf("shed hook saw %v, want the request over the cap", sheds)
+		}
+
+		close(h.gate)
+		waitFor(t, "the lane to drain", func() bool { return c.stats(l).Dequeued == 6 })
+		var order []int
+		for _, m := range h.served() {
+			order = append(order, m.N)
+		}
+		if fmt.Sprint(order) != fmt.Sprint([]int{0, 10, 11, 12, 1, 2}) {
+			t.Fatalf("service order = %v, want the protocol messages before the queued requests", order)
+		}
+	})
+}
+
 // TestLaneBackpressureRead: shed-not-block on the shared shape.
 func TestLaneBackpressureRead(t *testing.T) {
-	testLaneSheds(t, laneCase{name: "shared/wfq", qos: true})
+	testLaneSheds(t, laneCase{name: "shared/wfq", clients: true})
 }
 
 // TestLaneBackpressureWrite: shed-not-block on the keyed shape.
 func TestLaneBackpressureWrite(t *testing.T) {
-	testLaneSheds(t, laneCase{name: "keyed/wfq", keyed: true, qos: true})
+	testLaneSheds(t, laneCase{name: "keyed/wfq", keyed: true, clients: true})
 }
 
 // TestLaneTenantFIFOWeightedDispatch pins the DRR service order on a
@@ -146,7 +203,7 @@ func TestLaneBackpressureWrite(t *testing.T) {
 // messages per round to tenant 2's one, and each tenant's own stream
 // stays strictly FIFO.
 func TestLaneTenantFIFOWeightedDispatch(t *testing.T) {
-	forEachLane(t, wfqOnly, func(t *testing.T, c laneCase) {
+	forEachLane(t, clientsOnly, func(t *testing.T, c laneCase) {
 		h := newQoSLaneHarness()
 		l := c.lanes(h.handler, LaneConfig{
 			Workers:  1,
@@ -189,7 +246,7 @@ func TestLaneTenantFIFOWeightedDispatch(t *testing.T) {
 // cross-tenant interleave. Run under -race this also exercises the wfq's
 // producer/consumer synchronization.
 func TestLaneTenantFIFOConcurrent(t *testing.T) {
-	forEachLane(t, wfqOnly, func(t *testing.T, c laneCase) {
+	forEachLane(t, clientsOnly, func(t *testing.T, c laneCase) {
 		const perTenant = 200
 		tenants := []types.TenantID{1, 2, 3}
 		var mu sync.Mutex

@@ -95,8 +95,8 @@ func (n *Network) Register(id types.NodeID, h Handler) (Endpoint, error) {
 // delivery loop. The loop dequeues in arrival order and offers each
 // message to the lanes before running it inline, so a read is handed to
 // the shared pool only after every earlier mutation has been handled or
-// queued (reads complete late, never early), and messages of one key keep
-// their FIFO order end to end. The lanes stay the node's: closing the
+// queued (reads complete late, never early), and a keyed lane keeps the
+// per-key order LaneConfig states. The lanes stay the node's: closing the
 // endpoint does not close them.
 func (n *Network) RegisterWithLanes(id types.NodeID, lanes *Lanes) (Endpoint, error) {
 	n.mu.Lock()

@@ -34,8 +34,9 @@ type Message any
 // several goroutines at once: the in-process network runs what no lane
 // takes sequentially in delivery order, but lane workers run beside that
 // loop, and the TCP transport delivers each connection on its own
-// goroutine. Per-sender FIFO holds for inline messages, per-key FIFO for
-// a keyed lane's; long work should be handed off.
+// goroutine. Per-sender FIFO holds for inline messages; a keyed lane keeps
+// each key's protocol messages, and each key's client requests of one
+// tenant, in FIFO order (LaneConfig). Long work should be handed off.
 type Handler func(from types.NodeID, msg Message)
 
 // Endpoint is one node's attachment to the network.
