@@ -25,8 +25,7 @@ type LaneQoS struct {
 	// every message of the lane a protocol message.
 	TenantOf func(Message) (types.TenantID, bool)
 	// Weights maps tenant → scheduling weight (requests served per DRR
-	// round). Missing or zero entries default to 1, so a lane whose owner
-	// declares no tenants serves one tenant queue.
+	// round). Missing or zero entries default to 1.
 	Weights map[types.TenantID]uint32
 	// Shed, when set, is called (outside the scheduler lock) for each
 	// client request rejected because its tenant queue was full. The lane
