@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race loc flake benchmark-check shape-check bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
+.PHONY: verify build test vet race loc flake benchmark-check shape-check bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check examples-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
 
-verify: build test vet race benchmark-check shape-check chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
+verify: build test vet race benchmark-check shape-check chaos-smoke bench-write-smoke examples-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,23 @@ bench-smoke:
 bench-write-smoke:
 	@mkdir -p .bench_build
 	timeout 30 $(GO) run ./cmd/flexlog-bench -quick -blockprofile .bench_build/block.pprof ablate-writepath
+
+# Example smoke: build every examples/* program and run each to its end
+# under a timeout. An example checks its own story (multitenant exits 1 if
+# admission control never engaged), and no test runs an example, so a
+# non-zero exit fails the target and prints that example's output. The
+# binaries and logs go under .bench_build/.
+examples-smoke:
+	@mkdir -p .bench_build/examples
+	$(GO) build -o .bench_build/examples/ ./examples/...
+	@for dir in examples/*/; do \
+		ex=$$(basename $$dir); \
+		if timeout 20 .bench_build/examples/$$ex > .bench_build/examples/$$ex.log 2>&1; then \
+			echo "examples-smoke: $$ex ok"; \
+		else \
+			echo "examples-smoke: $$ex FAILED"; cat .bench_build/examples/$$ex.log; exit 1; \
+		fi; \
+	done
 
 # Tiered-storage lifecycle smoke: the checkpoint-bounded-recovery unit
 # test (replay stays flat while the log grows under a PM budget), the

@@ -43,7 +43,7 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "write a recovery checkpoint every N flushed entries (0 = no checkpoints)")
 	dataDir := flag.String("data-dir", "", "directory for device snapshots; empty = volatile (replicas only)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/traces, /debug/lanes, /debug/pprof on this address (e.g. :8080); empty disables observability")
-	seqWorkers := flag.Int("seq-workers", 4, "sequencer order-lane workers (per-color FIFO; 0 = serialized delivery loop)")
+	seqWorkers := flag.Int("seq-workers", deploy.Deployed().OrderWorkers, "sequencer order-lane workers (per-color FIFO; 0 = serialized delivery loop)")
 	autoscale := flag.Bool("autoscale", false, "run the advisory autoscaler: poll this node's metrics against the default policy thresholds and log the reconfiguration it would issue (requires -debug-addr); execute advice with flexlog-cli reconfig")
 	flag.Parse()
 
@@ -70,6 +70,8 @@ func main() {
 	book := m.AddressBook()
 	nodeID := types.NodeID(*id)
 	role := m.RoleOf(nodeID)
+	profile := deploy.Deployed()
+	profile.OrderWorkers = *seqWorkers
 
 	// One registry per process; the node's components publish into it and
 	// the debug server scrapes it. Nil (observability off) when -debug-addr
@@ -91,7 +93,7 @@ func main() {
 
 	switch role.Kind {
 	case "replica":
-		cfg := m.ReplicaConfig(topo, nodeID, storage.Config{
+		cfg := deploy.ReplicaConfig(profile, role, topo, storage.Config{
 			SegmentSize: uint64(*segMB) << 20,
 			NumSegments: *segments,
 			CacheBytes:  *cacheMB << 20,
@@ -102,7 +104,7 @@ func main() {
 			// budget, and checkpoints that bound recovery replay.
 			PMBudget:        uint64(*pmBudgetMB) << 20,
 			CheckpointEvery: *ckptEvery,
-		})
+		}, m.Tenants)
 		cfg.Obs = reg
 
 		// Device snapshots make the simulated PM/SSD survive process
@@ -165,10 +167,7 @@ func main() {
 			}
 		}
 	case "sequencer":
-		cfg, err := m.SequencerConfig(topo, nodeID, *seqWorkers)
-		if err != nil {
-			log.Fatal(err)
-		}
+		cfg := deploy.SequencerConfig(profile, role, topo, m.Tenants)
 		// Durable epochs: a cold restart must resume ABOVE every epoch the
 		// previous incarnation could have used, or SNs would repeat.
 		var epochPath string

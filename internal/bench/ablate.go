@@ -158,7 +158,7 @@ func runAblateReadHold(cfg RunConfig) (*Report, error) {
 // read-hold timeout, and returns how many reads found the record.
 func readHoldSuccesses(hold time.Duration, trials int) (int, error) {
 	f, err := newClusterFixture(clusterSpec{shards: 1, tweak: func(c *core.ClusterConfig) {
-		c.ReadHoldTimeout = hold
+		c.Profile.ReadHold = hold
 		c.SeqBackups = 0
 	}})
 	if err != nil {

@@ -87,7 +87,7 @@ func runChaos(cfg RunConfig) (*Report, error) {
 	// family's schedule and checks the history once everything has healed.
 	family := func(events func(replicas []types.NodeID) []chaos.Event) (chaos.Stats, []histcheck.Violation, error) {
 		f, err := newClusterFixture(clusterSpec{test: true, regions: 2, shards: 1, tweak: func(c *core.ClusterConfig) {
-			c.FailureTimeout = 100 * time.Millisecond
+			c.Profile.FailureTimeout = 100 * time.Millisecond
 			// Publish the soak's clusters into the shared registry so
 			// flexlog-bench -metrics-dump captures injection counters and
 			// per-node state from the last family run.
@@ -124,7 +124,7 @@ func runChaos(cfg RunConfig) (*Report, error) {
 		if err := eng.HealAndRecover(replicas, colors, 20*time.Second); err != nil {
 			return chaos.Stats{}, nil, err
 		}
-		time.Sleep(10 * f.cfg.RetryTimeout)
+		time.Sleep(10 * f.cfg.Profile.ReplicaRetry)
 		final, err := chaos.CollectFinal(f.cl, colors)
 		if err != nil {
 			return chaos.Stats{}, nil, err

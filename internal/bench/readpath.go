@@ -39,7 +39,7 @@ func readPathAblation(cfg RunConfig) laneAblation {
 			}
 			return newReadOwnWrites(handle, readers, m.readPercent, workload.Payload(128, 7), 5, 23).load(), nil
 		},
-		model: func(f *fixture) laneModel { return laneModel{readSide, max(1, f.cfg.ReadWorkers)} },
+		model: func(f *fixture) laneModel { return laneModel{readSide, max(1, f.cfg.Profile.ReadWorkers)} },
 		notes: []string{
 			"modeled throughput over the busiest node; read-class messages and device reads charged at 1/workers with the lane on",
 			"client-side append batching enabled in both modes; reads hit the striped cache zero-copy",
@@ -73,7 +73,7 @@ func readPathAblation(cfg RunConfig) laneAblation {
 				tweak: func(c *core.ClusterConfig) {
 					c.SeqBackups = 0
 					if lane == "off" {
-						c.ReadWorkers = 0
+						c.Profile.ReadWorkers = 0
 					}
 				},
 			}

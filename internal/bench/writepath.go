@@ -49,7 +49,7 @@ func writePathAblation(cfg RunConfig) laneAblation {
 		return ablationMode{name: name, lone: lone, tweak: func(c *core.ClusterConfig) {
 			c.SeqBackups = 0
 			if !lanes {
-				c.WriteWorkers = 0
+				c.Profile.WriteWorkers = 0
 			}
 		}}
 	}
@@ -72,7 +72,7 @@ func writePathAblation(cfg RunConfig) laneAblation {
 			}
 			return appendLoad(clients, colors, workload.Payload(128, 11), 2), nil
 		},
-		model: func(f *fixture) laneModel { return laneModel{writeSide, max(1, f.cfg.WriteWorkers)} },
+		model: func(f *fixture) laneModel { return laneModel{writeSide, max(1, f.cfg.Profile.WriteWorkers)} },
 		notes: []string{
 			fmt.Sprintf("region chain of depth %d, one shard at the deepest leaf: %d colors share one replica set",
 				writePathChainDepth, writePathChainDepth+1),

@@ -170,7 +170,7 @@ func runSoak(t *testing.T, seed int64, dur time.Duration) {
 	// Damp spurious failovers under the race scheduler: a new leader needs
 	// SeqInit acks from ALL region replicas, so a false positive while a
 	// replica is crashed stalls the region for the whole crash window.
-	ccfg.FailureTimeout = 100 * time.Millisecond
+	ccfg.Profile.FailureTimeout = 100 * time.Millisecond
 	// TestClusterConfig runs the full parallel write path (write lane,
 	// group commit, order coalescing), so lane parallelism, folded PM
 	// windows and batched ordering all face the nemeses together.
@@ -246,7 +246,7 @@ func runSoak(t *testing.T, seed int64, dur time.Duration) {
 		failCtx("%v", err)
 	}
 	// Let re-driven commits and trim barriers land before the final read.
-	time.Sleep(10 * ccfg.RetryTimeout)
+	time.Sleep(10 * ccfg.Profile.ReplicaRetry)
 
 	final, err := CollectFinal(cl, colors)
 	if err != nil {

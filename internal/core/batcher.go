@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flexlog/internal/metrics"
@@ -31,6 +32,10 @@ type AppendFuture struct {
 	done  chan struct{}
 	sn    types.SN
 	err   error
+	// batch is the append call carrying the caller's records, once sent:
+	// a wait that ends on its context reports why replicas were refusing
+	// it.
+	batch atomic.Pointer[appendCall]
 }
 
 func newAppendFuture(color types.ColorID) *AppendFuture {
@@ -56,13 +61,19 @@ func (f *AppendFuture) Done() <-chan struct{} { return f.done }
 
 // Wait blocks for completion or context cancellation and returns the SN of
 // the caller's last record. Cancellation abandons the wait, not the
-// append: the records may still commit.
+// append: the records may still commit. If replicas were rejecting the
+// sent batch when the context ended, the error carries the typed cause
+// and the retry-after hint, as every other operation's does (call.go).
 func (f *AppendFuture) Wait(ctx context.Context) (types.SN, error) {
 	select {
 	case <-f.done:
 		return f.sn, f.err
 	case <-ctx.Done():
-		return types.InvalidSN, opError("append", f.color, types.InvalidSN, ctx.Err())
+		err := ctx.Err()
+		if a := f.batch.Load(); a != nil {
+			err = a.c.failure(&a.call, err)
+		}
+		return types.InvalidSN, opError("append", f.color, types.InvalidSN, err)
 	}
 }
 
@@ -287,6 +298,9 @@ func (b *shardBatcher) flush(items []*pendingAppend, recs, bytes int) {
 	c.met.BatchBytes.RecordValue(uint64(bytes))
 	c.met.QueueDelay.Record(queued)
 	c.met.Batches.Add(1)
+	for _, it := range items {
+		it.fut.batch.Store(a)
+	}
 	go func() {
 		defer b.landed()
 		defer a.retire()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"flexlog/internal/deploy"
 	"flexlog/internal/obs"
 	"flexlog/internal/qos"
 	"flexlog/internal/replica"
@@ -37,25 +38,11 @@ type ClusterConfig struct {
 	// SeqBackups is the number of backup nodes per sequencer (2f; default
 	// 2, tolerating one failure).
 	SeqBackups int
-	// HeartbeatInterval / FailureTimeout / RetryTimeout tune failure
-	// detection for tests vs benches.
-	HeartbeatInterval time.Duration
-	FailureTimeout    time.Duration
-	RetryTimeout      time.Duration
-	// ReadHoldTimeout is the replica read-hold window (§6.3; paper: 1 ms).
-	ReadHoldTimeout time.Duration
-	// ReadWorkers sizes each replica's concurrent read/subscribe lane; 0
-	// serves reads inline on the serialized delivery loop (the pre-lane
-	// behavior, kept as the ablation baseline).
-	ReadWorkers int
-	// WriteWorkers sizes each replica's keyed write lane (appends/commits
-	// pinned to a worker by color); 0 keeps mutations on the serialized
-	// delivery loop (the ablation baseline).
-	WriteWorkers int
-	// SeqWorkers sizes each sequencer's keyed order lane (order traffic
-	// pinned to a worker by color); 0 keeps ordering on the serialized
-	// delivery loop (the ablation baseline).
-	SeqWorkers int
+	// Profile is every node's timings and lane sizes: the cluster builds
+	// each replica and sequencer through deploy.ReplicaConfig /
+	// SequencerConfig, as flexlog-server does, and sets only Obs,
+	// TraceSlow and a restarted sequencer's epoch after the builder.
+	Profile deploy.Profile
 	// ClientTimeout bounds client operations.
 	ClientTimeout time.Duration
 	// Obs, when set, wires the whole deployment into one observability
@@ -75,44 +62,26 @@ type ClusterConfig struct {
 }
 
 // TestClusterConfig returns a latency-free configuration with fast failure
-// detection, for unit and integration tests.
+// detection (deploy.Test), for unit and integration tests.
 func TestClusterConfig() ClusterConfig {
 	return ClusterConfig{
 		Link:              transport.ZeroLink(),
 		Storage:           storage.TestConfig(),
 		ReplicationFactor: 3,
 		SeqBackups:        2,
-		HeartbeatInterval: 3 * time.Millisecond,
-		// Generous relative to the heartbeat so CPU-contention hiccups in
-		// tests do not trigger spurious failovers: a new leader cannot
-		// serve until ALL region replicas ack its SeqInit (§5.2), so a
-		// spurious failover while any replica is crashed stalls the
-		// region — faithful to the paper, but not what a test that
-		// crashes replicas wants to exercise.
-		FailureTimeout:  60 * time.Millisecond,
-		RetryTimeout:    30 * time.Millisecond,
-		ReadHoldTimeout: 5 * time.Millisecond,
-		ReadWorkers:     4,
-		WriteWorkers:    4,
-		SeqWorkers:      4,
-		ClientTimeout:   10 * time.Second,
+		Profile:           deploy.Test(),
+		ClientTimeout:     10 * time.Second,
 	}
 }
 
 // BenchClusterConfig returns the calibrated configuration used by the
-// evaluation harness: datacenter link latencies, Optane PM storage, 1 µs
-// sequencer batching — the setup of §9 "Experimental Setup".
+// evaluation harness: datacenter link latencies, Optane PM storage and
+// deploy.Bench — the setup of §9 "Experimental Setup".
 func BenchClusterConfig() ClusterConfig {
 	cfg := TestClusterConfig()
 	cfg.Link = transport.DatacenterLink()
 	cfg.Storage = storage.DefaultConfig()
-	cfg.HeartbeatInterval = 10 * time.Millisecond
-	cfg.FailureTimeout = 100 * time.Millisecond
-	cfg.RetryTimeout = 200 * time.Millisecond
-	cfg.ReadHoldTimeout = time.Millisecond // §6.3: "a timeout of 1 ms is safe"
-	cfg.ReadWorkers = 16                   // the testbed's spare cores per replica
-	cfg.WriteWorkers = 16
-	cfg.SeqWorkers = 16
+	cfg.Profile = deploy.Bench()
 	return cfg
 }
 
@@ -185,22 +154,14 @@ func (cl *Cluster) AddRegion(color, parent types.ColorID) error {
 	return nil
 }
 
-// startSequencer starts sequencer id of region's group from the cluster's
-// config and publishes it as cl.seqs[id], replacing any previous process
+// startSequencer starts sequencer id of region's group from the deploy
+// builder and publishes it as cl.seqs[id], replacing any previous process
 // there (and its scrape closures: re-publishing under the same identity
 // shows the fresh counters instead of the dead ones). epoch 0 starts at
 // seq's default epoch.
 func (cl *Cluster) startSequencer(id types.NodeID, region types.ColorID, leader bool, epoch types.Epoch) error {
-	scfg := seq.DefaultConfig()
-	scfg.ID = id
-	scfg.Region = region
-	scfg.Topo = cl.topo
-	scfg.HeartbeatInterval = cl.cfg.HeartbeatInterval
-	scfg.FailureTimeout = cl.cfg.FailureTimeout
-	scfg.RetryTimeout = cl.cfg.RetryTimeout
-	scfg.StartAsLeader = leader
-	scfg.TenantOf = qos.ColorMap(cl.cfg.Tenants)
-	scfg.OrderWorkers = cl.cfg.SeqWorkers
+	role := deploy.Role{ID: id, Kind: "sequencer", Region: region, Leader: leader}
+	scfg := deploy.SequencerConfig(cl.cfg.Profile, role, cl.topo, cl.cfg.Tenants)
 	scfg.InitialEpoch = epoch
 	s, err := seq.New(scfg, cl.net)
 	if err != nil {
@@ -246,22 +207,13 @@ func (cl *Cluster) AddShardWithReplicas(leaf types.ColorID, replicas int) (types
 	return shardID, nil
 }
 
-// buildReplica constructs one replica process from the cluster config and
+// buildReplica starts one replica process from the deploy builder and
 // registers it; it does NOT touch the topology.
 func (cl *Cluster) buildReplica(id types.NodeID, shardID types.ShardID) (*replica.Replica, error) {
-	rcfg := replica.DefaultConfig()
-	rcfg.ID = id
-	rcfg.Shard = shardID
-	rcfg.Topo = cl.topo
-	rcfg.Store = cl.cfg.Storage
-	rcfg.ReadHoldTimeout = cl.cfg.ReadHoldTimeout
-	rcfg.ReadWorkers = cl.cfg.ReadWorkers
-	rcfg.WriteWorkers = cl.cfg.WriteWorkers
-	rcfg.HeartbeatInterval = cl.cfg.HeartbeatInterval
-	rcfg.RetryTimeout = cl.cfg.RetryTimeout
+	role := deploy.Role{ID: id, Kind: "replica", Shard: shardID}
+	rcfg := deploy.ReplicaConfig(cl.cfg.Profile, role, cl.topo, cl.cfg.Storage, cl.cfg.Tenants)
 	rcfg.Obs = cl.cfg.Obs
 	rcfg.TraceSlow = cl.cfg.TraceSlow
-	rcfg.Tenants = cl.cfg.Tenants
 	r, err := replica.New(rcfg, cl.net)
 	if err != nil {
 		return nil, err
@@ -332,7 +284,8 @@ func (cl *Cluster) AddColor(color, parent types.ColorID) error {
 }
 
 // NewClient creates a client handle with a fresh FID. Options are applied
-// on top of the cluster defaults (ClientTimeout, RetryTimeout).
+// on top of the cluster defaults (ClientTimeout, and the profile's
+// ReplicaRetry as the retry interval).
 func (cl *Cluster) NewClient(opts ...Option) (*Client, error) {
 	cl.mu.Lock()
 	id := cl.nextCli
@@ -345,8 +298,8 @@ func (cl *Cluster) NewClient(opts ...Option) (*Client, error) {
 		Topo:    cl.topo,
 		Timeout: cl.cfg.ClientTimeout,
 	}
-	if cl.cfg.RetryTimeout > 0 {
-		ccfg.RetryInterval = cl.cfg.RetryTimeout
+	if cl.cfg.Profile.ReplicaRetry > 0 {
+		ccfg.RetryInterval = cl.cfg.Profile.ReplicaRetry
 	}
 	c, err := NewClient(ccfg, cl.net, opts...)
 	if err != nil {

@@ -145,6 +145,40 @@ func TestBackoffRetryAfterSurfaces(t *testing.T) {
 	}
 }
 
+// TestBackoffRetryAfterAtDeadline: an append whose context ends while the
+// replicas throttle its batch fails with the typed cause and the server's
+// hint beside the deadline, not with a bare context error — the batch's
+// retry loop runs under no caller's context, so the future must ask it.
+func TestBackoffRetryAfterAtDeadline(t *testing.T) {
+	const tenant = types.TenantID(7)
+	cfg := TestClusterConfig()
+	cfg.Tenants = []qos.TenantConfig{{ID: tenant, Rate: 1}}
+	cl, err := SimpleCluster(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	c, err := cl.NewClient(WithTenant(tenant))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first record empties the one-record bucket; at one record a
+	// second, nothing more is admitted within the deadline.
+	if _, err := c.Append([][]byte{[]byte("admitted")}, types.MasterColor); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	_, err = c.AppendCtx(ctx, [][]byte{[]byte("throttled")}, types.MasterColor)
+	if !errors.Is(err, ErrThrottled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline and ErrThrottled", err)
+	}
+	var ra *RetryAfterError
+	if !errors.As(err, &ra) || ra.After <= 0 {
+		t.Fatalf("err = %#v, want a *RetryAfterError with the server's hint", err)
+	}
+}
+
 // TestSubscribeHonoursContext: cancelling SubscribeChan's context ends the
 // Subscribe round in flight instead of waiting out the Timeout, and a
 // Subscribe failure is an *OpError like every other operation's.

@@ -20,7 +20,7 @@ import (
 func newSimpleNoFailover(t *testing.T, shards int, opts ...Option) (*Cluster, *Client) {
 	t.Helper()
 	cfg := TestClusterConfig()
-	cfg.FailureTimeout = 30 * time.Second
+	cfg.Profile.FailureTimeout = 30 * time.Second
 	cl, err := SimpleCluster(cfg, shards)
 	if err != nil {
 		t.Fatal(err)

@@ -88,7 +88,7 @@ func testAppendCoversNewMember(t *testing.T, opts ...Option) {
 // barrier that covers it can tell.
 func TestReplayCoversMemberAddedInFlight(t *testing.T) {
 	cfg := TestClusterConfig()
-	cfg.FailureTimeout = 30 * time.Second
+	cfg.Profile.FailureTimeout = 30 * time.Second
 	cl, err := TreeCluster(cfg, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestReplayCoversMemberAddedInFlight(t *testing.T) {
 	select {
 	case err := <-done:
 		t.Fatalf("multi-append completed (%v) before the member promoted in flight acknowledged", err)
-	case <-time.After(20 * cfg.RetryTimeout):
+	case <-time.After(20 * cfg.Profile.ReplicaRetry):
 	}
 
 	cl.Network().Heal(added, leader)

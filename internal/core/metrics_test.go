@@ -75,16 +75,13 @@ func newObservedNodes(t *testing.T) *observedNodes {
 			return ep, nil
 		}
 	}
-	scfg, err := m.SequencerConfig(topo, 900, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scfg := deploy.SequencerConfig(deploy.Deployed(), m.RoleOf(900), topo, m.Tenants)
 	if n.seq, err = seq.NewWithEndpoint(scfg, attach(900, false)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.seq.Stop)
 	n.seq.PublishObs(n.reg)
-	rcfg := m.ReplicaConfig(topo, 1, storage.TestConfig())
+	rcfg := deploy.ReplicaConfig(deploy.Deployed(), m.RoleOf(1), topo, storage.TestConfig(), m.Tenants)
 	rcfg.Obs = n.reg
 	if n.rep, err = replica.NewWithEndpoint(rcfg, attach(1, true)); err != nil {
 		t.Fatal(err)

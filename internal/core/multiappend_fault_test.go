@@ -211,7 +211,8 @@ func TestFailedReplayReleasesItsGoroutines(t *testing.T) {
 // drain instead of wedging the brokers' replay for 50 retry intervals.
 func TestReplayDropsDrainedMember(t *testing.T) {
 	cfg := TestClusterConfig()
-	cfg.RetryTimeout = 100 * time.Millisecond // the wedge would last 5 s
+	cfg.Profile.ReplicaRetry = 100 * time.Millisecond // the wedge would last 5 s
+	cfg.Profile.SequencerRetry = cfg.Profile.ReplicaRetry
 	cl, err := TreeCluster(cfg, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +240,7 @@ func TestReplayDropsDrainedMember(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("multi-append never completed")
 	}
-	if d := time.Since(drainedAt); d > 25*cfg.RetryTimeout {
+	if d := time.Since(drainedAt); d > 25*cfg.Profile.ReplicaRetry {
 		t.Fatalf("multi-append completed %v after the drain: the replay waited out a departed member", d)
 	}
 	if n := countIn(t, c, 1, "drained"); n != 1 {

@@ -30,7 +30,7 @@ import (
 // Run with -race (the Makefile's race target includes this package).
 func TestReadLaneLinearizableUnderStress(t *testing.T) {
 	cfg := TestClusterConfig()
-	cfg.ReadWorkers = 4
+	cfg.Profile.ReadWorkers = 4
 	// No sequencer backups: under stress the leader's heartbeats can starve
 	// long enough for a backup to claim epoch+1, which resets the SN counter
 	// and invalidates the dense counter space this test samples. Failover

@@ -57,17 +57,13 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		}
 	}
 
-	scfg, err := m.SequencerConfig(topo, 900, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := seq.NewWithEndpoint(scfg, attach(900))
+	s, err := seq.NewWithEndpoint(deploy.SequencerConfig(deploy.Deployed(), m.RoleOf(900), topo, m.Tenants), attach(900))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
 	for _, id := range []types.NodeID{1, 2, 3} {
-		r, err := replica.NewWithEndpoint(m.ReplicaConfig(topo, id, storage.TestConfig()), attach(id))
+		r, err := replica.NewWithEndpoint(deploy.ReplicaConfig(deploy.Deployed(), m.RoleOf(id), topo, storage.TestConfig(), m.Tenants), attach(id))
 		if err != nil {
 			t.Fatal(err)
 		}

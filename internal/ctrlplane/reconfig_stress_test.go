@@ -80,7 +80,7 @@ func TestReconfigUnderLoad(t *testing.T) {
 	<-ctx.Done()
 	wl.Wait()
 	// Let re-driven commits land before the final read.
-	time.Sleep(10 * ccfg.RetryTimeout)
+	time.Sleep(10 * ccfg.Profile.ReplicaRetry)
 
 	final, err := chaos.CollectFinal(cl, colors)
 	if err != nil {

@@ -200,12 +200,7 @@ func newDeployment(t *testing.T) *deployment {
 	t.Cleanup(d.net.Shutdown)
 	tc := core.TestClusterConfig()
 	for _, id := range []types.NodeID{900, 901, 902} {
-		cfg, err := m.SequencerConfig(layout(), id, tc.SeqWorkers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.HeartbeatInterval, cfg.FailureTimeout, cfg.RetryTimeout = tc.HeartbeatInterval, tc.FailureTimeout, tc.RetryTimeout
-		s, err := seq.New(cfg, d.net)
+		s, err := seq.New(deploy.SequencerConfig(tc.Profile, m.RoleOf(id), layout(), m.Tenants), d.net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,9 +208,7 @@ func newDeployment(t *testing.T) *deployment {
 	}
 	for _, id := range []types.NodeID{1, 2, 3, 4} {
 		d.topos[id] = layout()
-		cfg := m.ReplicaConfig(d.topos[id], id, storage.TestConfig())
-		cfg.HeartbeatInterval, cfg.RetryTimeout = tc.HeartbeatInterval, tc.RetryTimeout
-		r, err := replica.New(cfg, d.net)
+		r, err := replica.New(deploy.ReplicaConfig(tc.Profile, m.RoleOf(id), d.topos[id], storage.TestConfig(), m.Tenants), d.net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +221,7 @@ func newDeployment(t *testing.T) *deployment {
 		Spares: map[types.ShardID]types.NodeID{1: 4},
 	}
 	var err error
-	if d.client, err = core.NewClient(core.ClientConfig{FID: 1, ID: 500, Topo: layout(), Timeout: 5 * time.Second, RetryInterval: tc.RetryTimeout}, d.net); err != nil {
+	if d.client, err = core.NewClient(core.ClientConfig{FID: 1, ID: 500, Topo: layout(), Timeout: 5 * time.Second, RetryInterval: tc.Profile.ReplicaRetry}, d.net); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.client.Close() })

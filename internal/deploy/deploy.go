@@ -1,9 +1,10 @@
 // Package deploy loads the JSON cluster manifest used by the TCP
 // deployment binaries (cmd/flexlog-server, cmd/flexlog-cli): node
 // addresses, the region (color) tree with each region's sequencer group,
-// and the shard layout. It also defines, once, what a deployed node is:
-// ReplicaConfig and SequencerConfig are the per-role configurations
-// flexlog-server itself runs with.
+// the shard layout and the tenants. It also defines, once, what a node is:
+// ReplicaConfig and SequencerConfig build a role's configuration under a
+// Profile of timings and lane sizes, for flexlog-server and for the
+// in-process cluster (core.Cluster) alike.
 package deploy
 
 import (
@@ -33,8 +34,9 @@ type Manifest struct {
 	Shards []ShardSpec `json:"shards"`
 	// Tenants declare the deployment's QoS envelopes (optional; an empty
 	// list runs the cluster without admission control, with one tenant
-	// per lane queue).
-	Tenants []TenantSpec `json:"tenants,omitempty"`
+	// per lane queue). Tenant 0 is the default tenant: it may be declared
+	// to give it an explicit weight, but it can never be rate-limited.
+	Tenants []qos.TenantConfig `json:"tenants,omitempty"`
 	// Spares declare replica processes that run configured for a shard but
 	// OUTSIDE its membership: clients never address them, and they serve
 	// nothing until a `flexlog-cli reconfig add-replica` catches them up
@@ -47,26 +49,6 @@ type Manifest struct {
 type SpareSpec struct {
 	ID    types.NodeID  `json:"id"`
 	Shard types.ShardID `json:"shard"`
-}
-
-// TenantSpec is one tenant's QoS declaration.
-type TenantSpec struct {
-	// ID is the tenant identity clients carry via core.WithTenant. Tenant
-	// 0 is the default tenant: it may be declared to give it an explicit
-	// weight, but it can never be rate-limited.
-	ID types.TenantID `json:"id"`
-	// Weight is the tenant's weighted-fair share of replica lane service
-	// (0 means 1).
-	Weight uint32 `json:"weight,omitempty"`
-	// Rate caps admitted append throughput in records/second (0 =
-	// unlimited).
-	Rate float64 `json:"rate,omitempty"`
-	// Burst is the admission token-bucket depth in records (0 = one
-	// second of Rate).
-	Burst float64 `json:"burst,omitempty"`
-	// Colors lists regions owned by this tenant, used to attribute
-	// ordering-layer accounting (optional).
-	Colors []types.ColorID `json:"colors,omitempty"`
 }
 
 // RegionSpec is one color and its sequencer group.
@@ -196,19 +178,6 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// TenantConfigs materializes the tenant declarations for the replica and
-// cluster constructors (nil when the manifest declares none).
-func (m *Manifest) TenantConfigs() []qos.TenantConfig {
-	if len(m.Tenants) == 0 {
-		return nil
-	}
-	out := make([]qos.TenantConfig, len(m.Tenants))
-	for i, t := range m.Tenants {
-		out[i] = qos.TenantConfig{ID: t.ID, Weight: t.Weight, Rate: t.Rate, Burst: t.Burst, Colors: t.Colors}
-	}
-	return out
-}
-
 // Topology materializes the manifest's layout.
 func (m *Manifest) Topology() (*topology.Topology, error) {
 	topo := topology.New()
@@ -227,18 +196,16 @@ func (m *Manifest) Topology() (*topology.Topology, error) {
 
 // AddressBook materializes the node address map.
 func (m *Manifest) AddressBook() *transport.AddressBook {
-	addrs := make(map[types.NodeID]string, len(m.Nodes))
-	for id, a := range m.Nodes {
-		addrs[id] = a
-	}
-	return transport.NewAddressBook(addrs)
+	return transport.NewAddressBook(m.Nodes) // copies the map
 }
 
 // Role describes what a node id does in the manifest.
 type Role struct {
+	ID     types.NodeID
 	Kind   string // "replica", "sequencer", or "unknown"
 	Shard  types.ShardID
 	Region types.ColorID
+	Leader bool // a sequencer that starts as its group's leader
 }
 
 // RoleOf resolves a node id's role. A spare resolves to "replica" for its
@@ -248,66 +215,103 @@ func (m *Manifest) RoleOf(id types.NodeID) Role {
 	for _, s := range m.Shards {
 		for _, r := range s.Replicas {
 			if r == id {
-				return Role{Kind: "replica", Shard: s.ID}
+				return Role{ID: id, Kind: "replica", Shard: s.ID}
 			}
 		}
 	}
 	for _, sp := range m.Spares {
 		if sp.ID == id {
-			return Role{Kind: "replica", Shard: sp.Shard}
+			return Role{ID: id, Kind: "replica", Shard: sp.Shard}
 		}
 	}
 	for _, r := range m.Regions {
 		if r.Leader == id {
-			return Role{Kind: "sequencer", Region: r.Color}
+			return Role{ID: id, Kind: "sequencer", Region: r.Color, Leader: true}
 		}
 		for _, b := range r.Backups {
 			if b == id {
-				return Role{Kind: "sequencer", Region: r.Color}
+				return Role{ID: id, Kind: "sequencer", Region: r.Color}
 			}
 		}
 	}
-	return Role{Kind: "unknown"}
+	return Role{ID: id, Kind: "unknown"}
 }
 
-// ReplicaConfig is the configuration a deployed replica runs with: node id
-// in the shard the manifest gives it, over a store of the caller's sizing.
-// Deployed replicas run the full parallel write path: the keyed write lane
-// of replica.DefaultConfig plus the group commit and order-request
-// coalescing every replica runs.
-func (m *Manifest) ReplicaConfig(topo *topology.Topology, id types.NodeID, store storage.Config) replica.Config {
-	cfg := replica.DefaultConfig()
-	cfg.ID = id
-	cfg.Shard = m.RoleOf(id).Shard
-	cfg.Topo = topo
-	cfg.Store = store
-	cfg.ReadHoldTimeout = time.Millisecond
-	cfg.HeartbeatInterval = 100 * time.Millisecond
-	cfg.RetryTimeout = time.Second
-	cfg.Tenants = m.TenantConfigs()
-	return cfg
+// Profile is the timings and lane sizes a node runs with. Every replica
+// and sequencer the program starts is sized by one of three: Test (unit
+// and integration tests), Bench (the calibrated in-process evaluation)
+// and Deployed (flexlog-server).
+type Profile struct {
+	// Heartbeat is every node's timer tick: a sequencer leader's beat to
+	// its backups, and how often a replica re-checks sync runs, pending
+	// orders and join rounds.
+	Heartbeat time.Duration
+	// FailureTimeout is the silence after which a sequencer assumes its
+	// leader (or a backup) failed (the Δ bound of §4).
+	FailureTimeout time.Duration
+	// ReplicaRetry re-issues a replica's unanswered order requests;
+	// SequencerRetry re-sends a sequencer's unanswered upward round.
+	ReplicaRetry   time.Duration
+	SequencerRetry time.Duration
+	// ReadHold bounds how long a replica holds a read for an SN it has not
+	// seen (§6.3: "a timeout of 1 ms is safe").
+	ReadHold time.Duration
+	// ReadWorkers and WriteWorkers size a replica's read lane and keyed
+	// write lane, OrderWorkers a sequencer's keyed order lane; 0 serves
+	// the lane on the serialized delivery loop (the ablation baseline).
+	ReadWorkers, WriteWorkers, OrderWorkers int
 }
 
-// SequencerConfig is the configuration a deployed sequencer runs with:
-// node id in the group of the region the manifest gives it, leading it if
-// the topology says so, with the given number of order-lane workers.
-func (m *Manifest) SequencerConfig(topo *topology.Topology, id types.NodeID, orderWorkers int) (seq.Config, error) {
-	region := m.RoleOf(id).Region
-	si, err := topo.Sequencer(region)
-	if err != nil {
-		return seq.Config{}, err
+// Test is the profile of unit and integration tests. Its failure timeout
+// is generous against the heartbeat so CPU hiccups cause no spurious
+// failover: a new leader serves only once ALL region replicas ack its
+// SeqInit (§5.2), which stalls a region while a test holds one crashed.
+func Test() Profile {
+	return Profile{Heartbeat: 3 * time.Millisecond, FailureTimeout: 60 * time.Millisecond,
+		ReplicaRetry: 30 * time.Millisecond, SequencerRetry: 30 * time.Millisecond,
+		ReadHold: 5 * time.Millisecond, ReadWorkers: 4, WriteWorkers: 4, OrderWorkers: 4}
+}
+
+// Bench is the profile of the in-process evaluation harness (§9
+// "Experimental Setup"), its lanes as wide as the testbed's spare cores.
+func Bench() Profile {
+	return Profile{Heartbeat: 10 * time.Millisecond, FailureTimeout: 100 * time.Millisecond,
+		ReplicaRetry: 200 * time.Millisecond, SequencerRetry: 200 * time.Millisecond,
+		ReadHold: time.Millisecond, ReadWorkers: 16, WriteWorkers: 16, OrderWorkers: 16}
+}
+
+// Deployed is the profile flexlog-server runs (-seq-workers sets
+// OrderWorkers).
+func Deployed() Profile {
+	return Profile{Heartbeat: 100 * time.Millisecond, FailureTimeout: time.Second,
+		ReplicaRetry: time.Second, SequencerRetry: 2 * time.Second,
+		ReadHold: time.Millisecond, ReadWorkers: 4, WriteWorkers: 4, OrderWorkers: 4}
+}
+
+// ReplicaConfig is the configuration of the replica role.ID in role.Shard
+// under profile p, over a store of the caller's sizing.
+func ReplicaConfig(p Profile, role Role, topo *topology.Topology, store storage.Config, tenants []qos.TenantConfig) replica.Config {
+	return replica.Config{
+		ID: role.ID, Shard: role.Shard, Topo: topo, Store: store, Tenants: tenants,
+		ReadHoldTimeout: p.ReadHold, ReadWorkers: p.ReadWorkers, WriteWorkers: p.WriteWorkers,
+		HeartbeatInterval: p.Heartbeat, RetryTimeout: p.ReplicaRetry,
 	}
+}
+
+// SequencerConfig is the configuration of the sequencer role.ID in the
+// group of role.Region under profile p, leading it if role.Leader says so.
+func SequencerConfig(p Profile, role Role, topo *topology.Topology, tenants []qos.TenantConfig) seq.Config {
 	cfg := seq.DefaultConfig()
-	cfg.ID = id
-	cfg.Region = region
+	cfg.ID = role.ID
+	cfg.Region = role.Region
 	cfg.Topo = topo
-	cfg.HeartbeatInterval = 100 * time.Millisecond
-	cfg.FailureTimeout = time.Second
-	cfg.RetryTimeout = 2 * time.Second
-	cfg.StartAsLeader = si.Leader == id
-	cfg.TenantOf = qos.ColorMap(m.TenantConfigs())
-	cfg.OrderWorkers = orderWorkers
-	return cfg, nil
+	cfg.HeartbeatInterval = p.Heartbeat
+	cfg.FailureTimeout = p.FailureTimeout
+	cfg.RetryTimeout = p.SequencerRetry
+	cfg.StartAsLeader = role.Leader
+	cfg.TenantOf = qos.ColorMap(tenants)
+	cfg.OrderWorkers = p.OrderWorkers
+	return cfg
 }
 
 // NodeIDs returns every node id in the manifest, sorted.
@@ -347,7 +351,7 @@ func Example() *Manifest {
 		Shards: []ShardSpec{
 			{ID: 1, Leaf: 0, Replicas: []types.NodeID{1, 2, 3}},
 		},
-		Tenants: []TenantSpec{
+		Tenants: []qos.TenantConfig{
 			{ID: 1, Weight: 3},
 			{ID: 2, Weight: 1, Rate: 50_000, Burst: 10_000},
 		},

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -52,6 +53,37 @@ func TestLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExampleManifestBytes pins the manifest format: `flexlog-server
+// -example` prints Example() exactly as testdata/example.json (tenants
+// included, now that a manifest entry is a qos.TenantConfig), and that file
+// parses back into a manifest that prints the same bytes.
+func TestExampleManifestBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "example.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	print := func(m *Manifest) []byte {
+		raw, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(raw, '\n') // flexlog-server prints it with Println
+	}
+	if got := print(Example()); !bytes.Equal(got, golden) {
+		t.Fatalf("Example() prints\n%s\nwant\n%s", got, golden)
+	}
+	m, err := Parse(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := print(m); !bytes.Equal(got, golden) {
+		t.Fatalf("parsed example prints\n%s\nwant\n%s", got, golden)
+	}
+	if len(m.Tenants) != 2 || m.Tenants[1].Rate != 50_000 || m.Tenants[1].Burst != 10_000 {
+		t.Fatalf("tenants did not survive the round trip: %+v", m.Tenants)
+	}
+}
+
 func TestValidationRejects(t *testing.T) {
 	cases := map[string]func(*Manifest){
 		"no regions":       func(m *Manifest) { m.Regions = nil },
@@ -85,10 +117,10 @@ func TestRoleOf(t *testing.T) {
 	if r := m.RoleOf(1); r.Kind != "replica" || r.Shard != 1 {
 		t.Fatalf("role of 1 = %+v", r)
 	}
-	if r := m.RoleOf(901); r.Kind != "sequencer" || r.Region != 0 {
+	if r := m.RoleOf(901); r.Kind != "sequencer" || r.Region != 0 || r.Leader {
 		t.Fatalf("role of 901 = %+v", r)
 	}
-	if r := m.RoleOf(900); r.Kind != "sequencer" {
+	if r := m.RoleOf(900); r.Kind != "sequencer" || !r.Leader {
 		t.Fatalf("role of 900 = %+v", r)
 	}
 	if r := m.RoleOf(12345); r.Kind != "unknown" {

@@ -14,24 +14,25 @@ import (
 	"flexlog/internal/types"
 )
 
-// TenantConfig declares one tenant's QoS envelope.
+// TenantConfig declares one tenant's QoS envelope. It is also a manifest
+// entry (deploy.Manifest.Tenants), hence the JSON tags.
 type TenantConfig struct {
 	// ID is the tenant identity carried in append/read requests.
-	ID types.TenantID
+	ID types.TenantID `json:"id"`
 	// Weight is the tenant's weighted-fair scheduling share across the
 	// replica service lanes (messages per DRR round). 0 means 1.
-	Weight uint32
+	Weight uint32 `json:"weight,omitempty"`
 	// Rate is the admitted append throughput in records per second; 0
 	// disables admission control for the tenant (unlimited).
-	Rate float64
+	Rate float64 `json:"rate,omitempty"`
 	// Burst is the token-bucket depth in records; 0 defaults to one
 	// second's worth of Rate (min 1).
-	Burst float64
+	Burst float64 `json:"burst,omitempty"`
 	// Colors lists the log regions this tenant owns, used to attribute
 	// ordering-layer work (sequencer stats) to tenants without widening
 	// the order-request wire messages. Optional; colors not claimed by
 	// any tenant attribute to the default tenant.
-	Colors []types.ColorID
+	Colors []types.ColorID `json:"colors,omitempty"`
 }
 
 // Weights extracts the transport-lane weight map from a tenant list.

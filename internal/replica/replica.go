@@ -328,6 +328,9 @@ type Replica struct {
 	// before its client registers: a test seam for a commit landing in
 	// between.
 	persisted func(types.Token)
+	// committing, when set, runs in commit between the repeat check and
+	// the store commit: a test seam for two commits of one token racing.
+	committing func(types.Token)
 }
 
 // New creates a replica, attaches it to the network, and starts its timers.
@@ -407,6 +410,9 @@ func (r *Replica) start() {
 
 // ID returns this replica's node id.
 func (r *Replica) ID() types.NodeID { return r.cfg.ID }
+
+// Config returns the configuration the replica was built with.
+func (r *Replica) Config() Config { return r.cfg }
 
 // Mode returns the replica's current mode.
 func (r *Replica) Mode() Mode {
@@ -663,7 +669,11 @@ func (r *Replica) commit(color types.ColorID, token types.Token, last types.SN) 
 	repeat := sn == last
 	var err error
 	if !repeat {
-		err = r.st.Commit(token, last)
+		if r.committing != nil {
+			r.committing(token)
+		}
+		var applied bool
+		applied, err = r.st.CommitApplied(token, last)
 		if errors.Is(err, storage.ErrUnknownToken) {
 			r.bufferEarly(proto.OrderResp{Token: token, LastSN: last, Color: color}, maxEarly)
 			return err
@@ -673,7 +683,7 @@ func (r *Replica) commit(color types.ColorID, token types.Token, last types.SN) 
 		if sn, _ = r.st.TokenSN(token); !sn.Valid() {
 			return err // nothing landed: the waiters stay for a valid answer
 		}
-		if err == nil {
+		if applied {
 			r.stats.commits.Add(1)
 		}
 		r.maxSeen.bump(color, last)

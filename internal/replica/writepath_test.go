@@ -131,6 +131,32 @@ func TestCommitBeforeRegistrationAcked(t *testing.T) {
 	}
 }
 
+// TestRacingDuplicateOrderRespCountedOnce delivers one OrderResp twice at
+// once: both deliveries pass commit's repeat check before either reaches
+// the store, which applies the SN once and no-ops the other, so
+// Stats().Commits reads 1.
+func TestRacingDuplicateOrderRespCountedOnce(t *testing.T) {
+	r, _ := steppedReplica(t, func(cfg *Config) { cfg.RetryTimeout = time.Hour })
+	token, sn := types.MakeToken(7, 1), types.MakeSN(1, 1)
+	r.handle(500, proto.AppendBatchReq{Color: 0, Token: token, Sets: [][][]byte{{[]byte("x")}}, Client: 500})
+	var checked sync.WaitGroup
+	checked.Add(2)
+	r.committing = func(types.Token) { checked.Done(); checked.Wait() }
+	resp := proto.OrderResp{Token: token, LastSN: sn, NRecords: 1, Color: 0}
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.handle(900, resp)
+		}()
+	}
+	wg.Wait()
+	if got := r.Stats().Commits; got != 1 {
+		t.Fatalf("Stats().Commits = %d after two racing deliveries of one OrderResp, want 1", got)
+	}
+}
+
 // TestDuplicateOrderRespNotCounted delivers one OrderResp twice, as the
 // sequencer does when it answers a late duplicate order request: the
 // token commits once, so Stats().Commits reads 1, and the client is acked

@@ -336,6 +336,9 @@ func (s *Sequencer) ID() types.NodeID { return s.cfg.ID }
 // Region returns the color this sequencer group owns.
 func (s *Sequencer) Region() types.ColorID { return s.cfg.Region }
 
+// Config returns the configuration the sequencer was built with.
+func (s *Sequencer) Config() Config { return s.cfg }
+
 // Role returns the node's current role.
 func (s *Sequencer) Role() Role {
 	s.mu.Lock()

@@ -536,6 +536,14 @@ func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]by
 // (Alg. 1 line 24: "commit_all(t, sn)"). Per the protocol, lastSN is the SN
 // of the final record of the batch; a batch of n records occupies
 // [lastSN-n+1, lastSN]. Re-committing with the same SN is a no-op.
+func (st *Store) Commit(token types.Token, lastSN types.SN) error {
+	_, err := st.CommitApplied(token, lastSN)
+	return err
+}
+
+// CommitApplied is Commit, reporting whether this call assigned the SN:
+// false for the no-op re-commit. It is decided under the color lock, so of
+// two commits of one token racing at one SN exactly one applies.
 //
 // Commits of one color are serialized by the color lock (held across the
 // durable SN write, so the write-lane FIFO and the sync path cannot
@@ -543,18 +551,18 @@ func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]by
 // in parallel. The segment stays pinned in PM until firstSN is published,
 // which makes the in-place SN write safe against slot reuse without
 // holding the allocator lock.
-func (st *Store) Commit(token types.Token, lastSN types.SN) error {
+func (st *Store) CommitApplied(token types.Token, lastSN types.SN) (bool, error) {
 	if !lastSN.Valid() {
-		return fmt.Errorf("storage: cannot commit %v with invalid SN", token)
+		return false, fmt.Errorf("storage: cannot commit %v with invalid SN", token)
 	}
 	st.alloc.RLock()
 	loc := st.byToken[token]
 	st.alloc.RUnlock()
 	if loc == nil {
-		return ErrUnknownToken
+		return false, ErrUnknownToken
 	}
 	if int(lastSN.Counter()) < loc.count() {
-		return fmt.Errorf("storage: SN %v too small for batch of %d", lastSN, loc.count())
+		return false, fmt.Errorf("storage: SN %v too small for batch of %d", lastSN, loc.count())
 	}
 	firstSN := lastSN - types.SN(loc.count()-1)
 	ci := st.color(loc.color)
@@ -562,9 +570,9 @@ func (st *Store) Commit(token types.Token, lastSN types.SN) error {
 	defer ci.mu.Unlock()
 	if cur := loc.first(); cur.Valid() {
 		if cur == firstSN {
-			return nil
+			return false, nil
 		}
-		return fmt.Errorf("storage: token %v already committed at %v, got %v", token, cur, firstSN)
+		return false, fmt.Errorf("storage: token %v already committed at %v, got %v", token, cur, firstSN)
 	}
 	// Freshly appended records also populate the cache (§5.2): the entry
 	// PutBatch framed, the bytes just written to PM, is cached whole, with
@@ -574,7 +582,7 @@ func (st *Store) Commit(token types.Token, lastSN types.SN) error {
 	buf := loc.buf
 	loc.buf = nil
 	if err := st.commitEntrySN(loc, firstSN); err != nil {
-		return err
+		return false, err
 	}
 	ci.publishLocked(loc, firstSN)
 	if buf != nil && !loc.dead.Load() {
@@ -582,7 +590,7 @@ func (st *Store) Commit(token types.Token, lastSN types.SN) error {
 	}
 	// Publish last: from here on segmentFlushable may evict the segment.
 	loc.firstSN.Store(uint64(firstSN))
-	return nil
+	return true, nil
 }
 
 // TokenSN returns the last SN assigned to a persisted token (InvalidSN if
