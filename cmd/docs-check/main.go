@@ -10,25 +10,27 @@
 //   - metric coverage (-metrics): every flexlog_* metric family named in a
 //     non-test Go file under the given directories — in a string literal
 //     or an obs struct tag — must appear in OPERATIONS.md.
-//   - unused exports (-unused): every exported top-level func, method,
-//     type, const or var declared under the given directories must be
-//     mentioned by name somewhere in the repository's Go files — program,
-//     tests, examples, benchmark/ — besides where it is declared. An
-//     option or accessor nothing calls is surface someone has to document,
-//     test and keep working; this fails the build on the next one. The scan
-//     is by name, not by type, so it under-reports (one caller of any
-//     Stats keeps every Stats) and never needs a build context.
+//   - dead exports (-deadcode): every exported func, method, type, const,
+//     var and struct field under internal/ must be used by non-test code of
+//     the module (internal/, cmd/, examples/). The module is type-checked
+//     (go/types), so a test caller, or a caller of another type's method of
+//     the same name, keeps nothing alive. Names only the benchmark module
+//     uses are listed in a section of their own and pass; names that stay
+//     without a program caller are on the allowlist (allowlist.go), one
+//     reason each, and an entry that names a used or missing identifier
+//     fails the gate.
 //
 // Usage:
 //
 //	docs-check [dir ...]           # godoc gate; default: internal/obs
 //	docs-check -flags [cmddir ...] # flag gate; default: cmd/flexlog-server cmd/flexlog-cli
 //	docs-check -metrics [dir ...]  # metric gate; default: internal cmd
-//	docs-check -unused [dir ...]   # unused-export gate; default: internal cmd
+//	docs-check -deadcode           # dead-export gate over the module in the current directory
 //
 // It exits non-zero listing each miss, so `make docs-check` fails the
-// build when documentation drifts. It parses source directly (go/parser),
-// so it needs no build context and runs in a second.
+// build when documentation drifts. The first three gates parse source
+// (go/parser) and run in a second; -deadcode type-checks the module and
+// the standard library it imports from source, which takes seconds.
 package main
 
 import (
@@ -41,14 +43,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"sort"
 	"strings"
 )
 
 func main() {
 	flagMode := flag.Bool("flags", false, "check that every registered command-line flag is documented in README.md or OPERATIONS.md")
-	unusedMode := flag.Bool("unused", false, "list exported top-level names that no Go file of the repository mentions besides their declaration")
+	deadMode := flag.Bool("deadcode", false, "check that every exported name under internal/ has a non-test caller in the module")
 	metricsMode := flag.Bool("metrics", false, "check that every flexlog_* metric family named in Go source is documented in OPERATIONS.md")
 	flag.Parse()
 	dirs := flag.Args()
@@ -68,16 +69,19 @@ func main() {
 		}
 		report(misses, "undocumented metric families (add them to OPERATIONS.md)")
 		fmt.Printf("docs-check: %d metric families all documented\n", families)
-	case *unusedMode:
-		if len(dirs) == 0 {
-			dirs = []string{"internal", "cmd"}
-		}
-		misses, err := checkUnused(".", dirs)
+	case *deadMode:
+		rep, err := checkDeadcode(".", "benchmark", allowlist)
 		if err != nil {
 			fatal(err)
 		}
-		report(misses, "exported names nothing mentions (delete them, or the callers that should exist are missing)")
-		fmt.Printf("docs-check: every exported name under %s is mentioned somewhere\n", strings.Join(dirs, ", "))
+		if len(rep.Bench) > 0 {
+			fmt.Printf("docs-check: %d exported names only benchmark/ uses (delete them once it stops):\n", len(rep.Bench))
+			for _, b := range rep.Bench {
+				fmt.Printf("  %s\n", b)
+			}
+		}
+		report(append(rep.Stale, rep.Dead...), "exported names no program code uses (delete them, or allowlist them with a reason)")
+		fmt.Printf("docs-check: every exported name under internal/ has a program caller\n")
 	case *flagMode:
 		if len(dirs) == 0 {
 			dirs = []string{"cmd/flexlog-server", "cmd/flexlog-cli"}
@@ -355,108 +359,4 @@ func receiverName(fl *ast.FieldList) string {
 		return id.Name
 	}
 	return ""
-}
-
-// stdlibCalled are the methods only the standard library calls (through
-// error, fmt.Stringer and errors.Unwrap), so no file of the repository has
-// to mention them.
-var stdlibCalled = map[string]bool{"Error": true, "String": true, "Unwrap": true}
-
-// checkUnused parses every Go file under root (tests, examples and the
-// benchmark module included; the benchmark's build directory and VCS
-// metadata are not source) and returns one line per exported top-level
-// name declared in a non-test file under dirs that is never mentioned: a
-// name all of whose identifier occurrences, across the repository, are
-// top-level declarations of it.
-func checkUnused(root string, dirs []string) ([]string, error) {
-	var (
-		fset      = token.NewFileSet()
-		mentioned = make(map[string]int)      // identifier occurrences, declarations included
-		declared  = make(map[string]int)      // top-level declarations of the name, any file
-		exported  = make(map[string][]string) // name -> "pos: kind Name" per reportable declaration
-	)
-	for i, dir := range dirs {
-		// A renamed directory must fail the gate, not empty it.
-		if _, err := os.Stat(dir); err != nil {
-			return nil, err
-		}
-		dirs[i] = filepath.Clean(dir) + string(filepath.Separator)
-	}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == ".bench_build" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				mentioned[id.Name]++
-			}
-			return true
-		})
-		reportable := !strings.HasSuffix(path, "_test.go") &&
-			slices.ContainsFunc(dirs, func(dir string) bool { return strings.HasPrefix(path, dir) })
-		declare := func(id *ast.Ident, kind string, allowed bool) {
-			declared[id.Name]++
-			if reportable && id.IsExported() && !allowed {
-				exported[id.Name] = append(exported[id.Name], fmt.Sprintf("%s: %s%s", fset.Position(id.Pos()), kind, id.Name))
-			}
-		}
-		for _, gd := range f.Decls {
-			switch d := gd.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					declare(d.Name, "func ", false)
-				} else {
-					declare(d.Name, "method "+receiverName(d.Recv)+".", stdlibCalled[d.Name.Name])
-				}
-			case *ast.GenDecl:
-				for i, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						declare(s.Name, "type ", false)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							// The zero member of an enum is what a zero value
-							// already is; code rarely has to name it.
-							declare(id, strings.ToLower(d.Tok.String())+" ", i == 0 && isIota(s))
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for name, decls := range exported {
-		if mentioned[name] == declared[name] {
-			out = append(out, decls...)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// isIota reports whether a const spec's value is iota: the first member of
-// an enumeration.
-func isIota(s *ast.ValueSpec) bool {
-	if len(s.Values) != 1 {
-		return false
-	}
-	id, ok := s.Values[0].(*ast.Ident)
-	return ok && id.Name == "iota"
 }

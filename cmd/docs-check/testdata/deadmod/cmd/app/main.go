@@ -1,0 +1,16 @@
+package main
+
+import (
+	"errors"
+	"fmt"
+
+	"example.com/deadmod/internal/lib"
+)
+
+func main() {
+	lib.Used()
+	fmt.Println(lib.New(lib.Config{Set: 1}))
+	fmt.Println(lib.Fail(errors.New("x")))
+	fmt.Println(lib.Total(lib.Square{Side: 2}))
+	fmt.Println(lib.Sum(lib.Pair{1, 2}))
+}

@@ -14,8 +14,8 @@ import (
 
 // startCtrlPlane wires the operator surface of a server process: mounts
 // /debug/topology on the debug mux and, when autoscale is set, runs the
-// autoscaler in Advisory mode — it polls this node's registry against the
-// default policy thresholds and LOGS the reconfiguration it would issue
+// autoscaler in Advisory mode — it polls this node's registry against
+// advisePendingOrders and LOGS the reconfiguration it would issue
 // (split-shard / add-replica, with the reason) instead of executing it.
 // The operator acts on the advice with flexlog-cli reconfig: one server
 // process cannot change the cluster's membership, so its controller runs
@@ -24,12 +24,23 @@ import (
 func startCtrlPlane(topo *topology.Topology, local *replica.Replica, reg *obs.Registry, autoscale bool) map[string]http.Handler {
 	ctrl := ctrlplane.New(&ctrlplane.Static{Topo: topo, Local: local}, ctrlplane.Config{Obs: reg})
 	if autoscale {
-		as := ctrlplane.NewAutoscaler(ctrl, reg, ctrlplane.Policy{Advisory: true}, time.Second)
+		as := newAdvisor(ctrl, reg)
 		as.Start(context.Background())
 		go logAdvice(as)
 		log.Printf("advisory autoscaler on (polling local metrics every 1s; advice is logged, not executed)")
 	}
 	return map[string]http.Handler{"/debug/topology": ctrlplane.TopologyHandler(ctrl)}
+}
+
+// advisePendingOrders is the order backlog (flexlog_replica_pending_orders)
+// above which the advisor calls a shard write-saturated (OPERATIONS.md
+// §6.5). The split and replica caps and the 30 s cooldown are the policy's
+// defaults.
+const advisePendingOrders = 1024
+
+// newAdvisor builds the server's advisory autoscaler, polling every second.
+func newAdvisor(ctrl *ctrlplane.Controller, reg *obs.Registry) *ctrlplane.Autoscaler {
+	return ctrlplane.NewAutoscaler(ctrl, reg, ctrlplane.Policy{MaxPendingOrders: advisePendingOrders, Advisory: true}, time.Second)
 }
 
 // logAdvice tails the autoscaler's advice ring and logs each new entry.

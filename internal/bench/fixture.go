@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"time"
-
 	"flexlog/internal/core"
+	"flexlog/internal/deploy"
 	"flexlog/internal/paxos"
 	"flexlog/internal/replica"
 	"flexlog/internal/scalog"
@@ -152,7 +151,7 @@ func (f *fixture) clients(n int, opts ...core.Option) ([]*core.Client, error) {
 type orderingSpec struct {
 	n       int
 	star    bool
-	tweak   func(*seq.Config) // nil keeps seq.DefaultConfig's lane settings
+	tweak   func(*seq.Config) // nil keeps the no-lane baseline
 	scalog  *scalog.Config    // the baseline orderer instead of sequencers; ID and Acceptors are the fixture's to fill
 	drivers int
 }
@@ -199,15 +198,13 @@ func (f *fixture) buildOrdering(spec orderingSpec) error {
 				return err
 			}
 		}
+		// Every group is a singleton, so no heartbeat is ever sent; the
+		// deployed profile's timings apply, without the order lane.
+		profile := deploy.Deployed()
+		profile.OrderWorkers = 0
 		for c := 0; c <= spec.n; c++ {
-			cfg := seq.DefaultConfig()
-			cfg.ID = seqNodeID(c)
-			cfg.Region = types.ColorID(c)
-			cfg.Topo = topo
-			cfg.HeartbeatInterval = 50 * time.Millisecond
-			cfg.FailureTimeout = time.Second
-			cfg.RetryTimeout = 2 * time.Second
-			cfg.StartAsLeader = true
+			role := deploy.Role{ID: seqNodeID(c), Kind: "sequencer", Region: types.ColorID(c), Leader: true}
+			cfg := deploy.SequencerConfig(profile, role, topo, nil)
 			if spec.tweak != nil {
 				spec.tweak(&cfg)
 			}

@@ -16,6 +16,11 @@ import (
 )
 
 // batchedClient creates a client on cl (every client batches; opts tune it).
+// retryEvery sets how often an unanswered request is re-broadcast.
+func retryEvery(d time.Duration) Option {
+	return func(c *ClientConfig) { c.RetryInterval = d }
+}
+
 func batchedClient(t *testing.T, cl *Cluster, opts ...Option) *Client {
 	t.Helper()
 	c, err := cl.NewClient(opts...)
@@ -180,7 +185,7 @@ func TestBatchIdleSendsAtOnce(t *testing.T) {
 			t.Errorf("Batches = %d after %d lone appends", got, i)
 		}
 	}
-	if got := c.Metrics().BatchRecords.MaxValue(); got != 1 {
+	if got := uint64(c.Metrics().BatchRecords.Percentile(100)); got != 1 {
 		t.Errorf("a batch carried %d records, want 1", got)
 	}
 }
@@ -194,7 +199,7 @@ func TestBatchCombinesBehindUnackedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	c := batchedClient(t, cl, WithRetryInterval(2*time.Millisecond), WithBatching(BatchConfig{
+	c := batchedClient(t, cl, retryEvery(2*time.Millisecond), WithBatching(BatchConfig{
 		MaxBatchRecords: 1 << 20,
 		MaxBatchBytes:   1 << 30,
 		MaxBatchDelay:   never,
@@ -216,9 +221,9 @@ func TestBatchCombinesBehindUnackedBatch(t *testing.T) {
 		}
 	}
 	m := c.Metrics()
-	if m.Batches.Count() != 2 || m.BatchRecords.MaxValue() != 3 || m.BatchedAppends.Count() != 4 {
+	if m.Batches.Count() != 2 || uint64(m.BatchRecords.Percentile(100)) != 3 || m.BatchedAppends.Count() != 4 {
 		t.Errorf("batches = %d, largest = %d records, appends = %d; want 2, 3, 4",
-			m.Batches.Count(), m.BatchRecords.MaxValue(), m.BatchedAppends.Count())
+			m.Batches.Count(), uint64(m.BatchRecords.Percentile(100)), m.BatchedAppends.Count())
 	}
 }
 
@@ -231,7 +236,7 @@ func TestBatchDelayCapsTheHold(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	c := batchedClient(t, cl, WithRetryInterval(2*time.Millisecond), WithBatching(BatchConfig{
+	c := batchedClient(t, cl, retryEvery(2*time.Millisecond), WithBatching(BatchConfig{
 		MaxBatchRecords: 1 << 20,
 		MaxBatchDelay:   time.Millisecond,
 		MaxInFlight:     4,
@@ -240,7 +245,7 @@ func TestBatchDelayCapsTheHold(t *testing.T) {
 	fut := c.AsyncAppend([][]byte{[]byte("capped")}, types.MasterColor)
 	eventually(t, "the held append to leave at the cap", func() bool { return c.Metrics().Batches.Count() == 2 })
 	select {
-	case <-held.fut.Done():
+	case <-held.fut.done:
 		t.Fatal("the first batch completed with a replica cut off")
 	default:
 	}
@@ -260,7 +265,7 @@ func TestBatchSizeCutoff(t *testing.T) {
 	}
 	t.Cleanup(cl.Stop)
 	const maxBytes = 4 << 10
-	c := batchedClient(t, cl, WithRetryInterval(2*time.Millisecond), WithBatching(BatchConfig{
+	c := batchedClient(t, cl, retryEvery(2*time.Millisecond), WithBatching(BatchConfig{
 		MaxBatchRecords: 4,
 		MaxBatchBytes:   maxBytes,
 		MaxBatchDelay:   never,
@@ -276,7 +281,7 @@ func TestBatchSizeCutoff(t *testing.T) {
 	// split), and the size histogram records it.
 	big := c.AsyncAppend([][]byte{bytes.Repeat([]byte("x"), maxBytes+1)}, types.MasterColor)
 	eventually(t, "the oversized batch to leave unacknowledged", func() bool { return c.Metrics().Batches.Count() == 3 })
-	if got := c.Metrics().BatchBytes.MaxValue(); got < maxBytes {
+	if got := uint64(c.Metrics().BatchBytes.Percentile(100)); got < maxBytes {
 		t.Errorf("BatchBytes max = %d, want >= %d", got, maxBytes)
 	}
 	held.release()
@@ -303,7 +308,7 @@ func TestBatchSizeCutoff(t *testing.T) {
 	if got := c.Metrics().Batches.Count() - before; got < 4 {
 		t.Errorf("16 records in %d batches, record bound 4 requires >= 4", got)
 	}
-	if got := c.Metrics().BatchRecords.MaxValue(); got > 4+1 { // +1: one oversized single set is legal
+	if got := uint64(c.Metrics().BatchRecords.Percentile(100)); got > 4+1 { // +1: one oversized single set is legal
 		// Only multi-set batches are bounded; the earlier oversized set was
 		// a single record, so any max above the bound means a bad cut.
 		t.Errorf("a batch carried %d records, bound is 4", got)
@@ -320,7 +325,7 @@ func TestBatchedAppendCtxCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	c := batchedClient(t, cl, WithRetryInterval(2*time.Millisecond), WithBatching(BatchConfig{
+	c := batchedClient(t, cl, retryEvery(2*time.Millisecond), WithBatching(BatchConfig{
 		MaxBatchRecords: 1 << 20,
 		MaxBatchDelay:   never,
 		MaxInFlight:     4,
@@ -345,7 +350,7 @@ func TestBatchedAppendCtxCancel(t *testing.T) {
 		t.Fatalf("err = %#v, want *OpError{Op: append}", err)
 	}
 	select {
-	case <-neighbour.Done():
+	case <-neighbour.done:
 		t.Fatal("a neighbour's future resolved on someone else's cancellation")
 	default:
 	}
@@ -399,7 +404,7 @@ func TestAsyncAppendFutures(t *testing.T) {
 
 	f := c.AsyncAppend(nil, types.MasterColor)
 	select {
-	case <-f.Done():
+	case <-f.done:
 	default:
 		t.Fatal("empty AsyncAppend future not immediately resolved")
 	}
@@ -514,50 +519,6 @@ func TestBatchedClientClose(t *testing.T) {
 	}
 	if _, err := c.AppendCtx(context.Background(), [][]byte{[]byte("late")}, types.MasterColor); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: err = %v, want ErrClosed", err)
-	}
-}
-
-// TestConnectOptions covers the v2 constructor: auto-allocated ids, option
-// application, and interoperability with cluster-created clients.
-func TestConnectOptions(t *testing.T) {
-	cl, err := SimpleCluster(TestClusterConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Stop)
-
-	c1, err := Connect(cl.Topology(), cl.Network(),
-		WithTimeout(2*time.Second),
-		WithRetryInterval(20*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c1.Close() })
-	c2, err := Connect(cl.Topology(), cl.Network(), WithFID(777))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c2.Close() })
-	if c2.FID() != 777 {
-		t.Fatalf("FID = %d, want 777", c2.FID())
-	}
-	if c1.cfg.ID == c2.cfg.ID || c1.cfg.ID == 0 {
-		t.Fatalf("auto node ids not distinct: %v vs %v", c1.cfg.ID, c2.cfg.ID)
-	}
-	if c1.cfg.Timeout != 2*time.Second || c1.cfg.RetryInterval != 20*time.Millisecond {
-		t.Fatalf("options not applied: %+v", c1.cfg)
-	}
-
-	sn, err := c1.Append([][]byte{[]byte("via-connect")}, types.MasterColor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c2.Read(sn, types.MasterColor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte("via-connect")) {
-		t.Fatalf("read %q", got)
 	}
 }
 

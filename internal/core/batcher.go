@@ -56,9 +56,6 @@ func failedFuture(color types.ColorID, err error) *AppendFuture {
 	return f
 }
 
-// Done returns a channel closed when the append has completed (either way).
-func (f *AppendFuture) Done() <-chan struct{} { return f.done }
-
 // Wait blocks for completion or context cancellation and returns the SN of
 // the caller's last record. Cancellation abandons the wait, not the
 // append: the records may still commit. If replicas were rejecting the

@@ -47,7 +47,7 @@ func newCall(fold func(from types.NodeID, msg transport.Message) bool) *call {
 
 // callKey names a call in the registry. Appends are keyed by their token,
 // everything else by a request id; the two are separate key spaces (the
-// tokens of a WithFID(0) client are small integers, like request ids).
+// tokens of a client with FID 0 are small integers, like request ids).
 type callKey struct {
 	id      uint64
 	isToken bool

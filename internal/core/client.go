@@ -201,9 +201,6 @@ func (c *Client) placement(color types.ColorID, sn types.SN) (types.ShardID, boo
 	return c.place.lookup(color, sn)
 }
 
-// FID returns the client's function id.
-func (c *Client) FID() uint32 { return c.cfg.FID }
-
 // ID returns the client's node id on the network.
 func (c *Client) ID() types.NodeID { return c.cfg.ID }
 

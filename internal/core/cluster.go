@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sync"
 	"time"
 
@@ -371,23 +369,6 @@ func (cl *Cluster) LeaderOf(color types.ColorID) *seq.Sequencer {
 	return cl.Sequencer(leader)
 }
 
-// SequencersOf returns all sequencer nodes (leader + backups) of a color.
-func (cl *Cluster) SequencersOf(color types.ColorID) []*seq.Sequencer {
-	si, err := cl.topo.Sequencer(color)
-	if err != nil {
-		return nil
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	var out []*seq.Sequencer
-	for _, id := range si.Members {
-		if s := cl.seqs[id]; s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Stop shuts every node down.
 func (cl *Cluster) Stop() {
 	cl.mu.Lock()
@@ -418,50 +399,6 @@ func (cl *Cluster) Stop() {
 		r.Store().Close()
 	}
 	cl.net.Shutdown()
-}
-
-// Obs returns the registry the cluster publishes into (nil when
-// observability is off).
-func (cl *Cluster) Obs() *obs.Registry { return cl.cfg.Obs }
-
-// Tracers collects every replica's request tracers for the debug server.
-func (cl *Cluster) Tracers() []*obs.Tracer {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	var out []*obs.Tracer
-	for _, r := range cl.replicas {
-		out = append(out, r.Tracers()...)
-	}
-	return out
-}
-
-// LaneSnapshots reports every node's lanes for /debug/lanes, by node id:
-// a replica's read and write rows, a sequencer's order row.
-func (cl *Cluster) LaneSnapshots() []obs.LaneSnapshot {
-	cl.mu.Lock()
-	nodes := make(map[types.NodeID]func() []obs.LaneSnapshot, len(cl.replicas)+len(cl.seqs))
-	for id, r := range cl.replicas {
-		nodes[id] = r.LaneSnapshots
-	}
-	for id, s := range cl.seqs {
-		nodes[id] = s.LaneSnapshots
-	}
-	cl.mu.Unlock()
-	var out []obs.LaneSnapshot
-	for _, id := range slices.Sorted(maps.Keys(nodes)) {
-		out = append(out, nodes[id]()...)
-	}
-	return out
-}
-
-// MuxConfig assembles the debug-server configuration for this cluster —
-// what cmd/flexlog-server passes to obs.Serve.
-func (cl *Cluster) MuxConfig() obs.MuxConfig {
-	return obs.MuxConfig{
-		Registry: cl.cfg.Obs,
-		Tracers:  cl.Tracers(),
-		Lanes:    cl.LaneSnapshots,
-	}
 }
 
 // SimpleCluster builds the common single-region deployment: the master

@@ -219,7 +219,7 @@ func TestSubscribeHonoursContext(t *testing.T) {
 	}
 }
 
-// TestTokenAndRequestIDKeySpaces: a WithFID(0) client's tokens are the
+// TestTokenAndRequestIDKeySpaces: a FID 0 client's tokens are the
 // small integers its request ids are, and the registry must keep the two
 // apart — an answer to the request with id n is not an ack of token n.
 func TestTokenAndRequestIDKeySpaces(t *testing.T) {
@@ -228,7 +228,7 @@ func TestTokenAndRequestIDKeySpaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	c, err := cl.NewClient(WithFID(0))
+	c, err := cl.NewClient(func(c *ClientConfig) { c.FID = 0 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -317,8 +317,12 @@ func TestSequencerFailoverEndToEnd(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no new sequencer leader")
 		}
-		for _, s := range cl.SequencersOf(types.MasterColor) {
-			if s != leader && s.Serving() {
+		si, err := cl.Topology().Sequencer(types.MasterColor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range si.Members {
+			if s := cl.Sequencer(id); s != nil && s != leader && s.Serving() {
 				newLeader = s
 			}
 		}

@@ -29,7 +29,7 @@ func testAppendCoversNewMember(t *testing.T, opts ...Option) {
 	}
 	reps := cl.Replicas(sh.ID)
 	slow, leader := reps[2], cl.LeaderOf(types.MasterColor)
-	c, err := cl.NewClient(append(opts, WithRetryInterval(600*time.Millisecond))...)
+	c, err := cl.NewClient(append(opts, retryEvery(600*time.Millisecond))...)
 	if err != nil {
 		t.Fatal(err)
 	}

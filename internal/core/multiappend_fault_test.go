@@ -83,7 +83,7 @@ func TestMultiAppendClientStopsBeforeEnd(t *testing.T) {
 	// Stage manually: append the staged payloads to the broker color but
 	// never broadcast MultiAppendEnd — exactly what a client crash between
 	// Alg. 2 line 4 and line 5 leaves behind.
-	staged := stagedPayload(t, 1, c.FID(), "orphan-a")
+	staged := stagedPayload(t, 1, c.cfg.FID, "orphan-a")
 	if _, err := c.Append([][]byte{staged}, types.MasterColor); err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,12 +56,27 @@ func buildObsCluster(t *testing.T) *Cluster {
 	return cl
 }
 
+// laneSnapshots reports every node's lanes, by node id: a replica's read
+// and write rows, a sequencer's order row.
+func laneSnapshots(cl *Cluster) []obs.LaneSnapshot {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	var out []obs.LaneSnapshot
+	for _, id := range slices.Sorted(maps.Keys(cl.replicas)) {
+		out = append(out, cl.replicas[id].LaneSnapshots()...)
+	}
+	for _, id := range slices.Sorted(maps.Keys(cl.seqs)) {
+		out = append(out, cl.seqs[id].LaneSnapshots()...)
+	}
+	return out
+}
+
 // TestOperationsDocCoversMetrics is the doc-drift gate of OPERATIONS.md:
 // every metric family a full deployment registers must appear by name in
 // the operator handbook. Adding a metric without documenting it fails
 // here.
 func TestOperationsDocCoversMetrics(t *testing.T) {
-	reg := buildObsCluster(t).Obs()
+	reg := buildObsCluster(t).cfg.Obs
 	doc, err := os.ReadFile("../../OPERATIONS.md")
 	if err != nil {
 		t.Fatalf("reading OPERATIONS.md: %v", err)
@@ -85,7 +102,7 @@ func TestOperationsDocCoversMetrics(t *testing.T) {
 // recorded, lanes visible, and a slow append shows its per-stage
 // breakdown in some replica's trace ring.
 func TestClusterObsEndToEnd(t *testing.T) {
-	reg := buildObsCluster(t).Obs()
+	reg := buildObsCluster(t).cfg.Obs
 	snap := reg.Snapshot()
 	for _, want := range []string{
 		"flexlog_replica_appends_total",
@@ -109,7 +126,7 @@ func TestClusterObsEndToEnd(t *testing.T) {
 // appends and the read counted them, and no depth is a wrapped counter.
 func TestDebugLanesListsEveryNode(t *testing.T) {
 	cl := buildObsCluster(t)
-	srv := httptest.NewServer(obs.NewMux(cl.MuxConfig()))
+	srv := httptest.NewServer(obs.NewMux(obs.MuxConfig{Lanes: func() []obs.LaneSnapshot { return laneSnapshots(cl) }}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/lanes")
 	if err != nil {

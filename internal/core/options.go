@@ -1,11 +1,8 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
-	"flexlog/internal/topology"
-	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
 
@@ -69,18 +66,6 @@ func (b BatchConfig) withDefaults() BatchConfig {
 // keep the documented defaults (see the package godoc).
 type Option func(*ClientConfig)
 
-// WithFID sets the client's distinct function id (Alg. 1: token =
-// (FID<<32)+counter). Defaults to a value derived from the node id.
-func WithFID(fid uint32) Option {
-	return func(c *ClientConfig) { c.FID = fid }
-}
-
-// WithRetryInterval sets how often an unanswered (idempotent) request is
-// re-broadcast. Default 50ms.
-func WithRetryInterval(d time.Duration) Option {
-	return func(c *ClientConfig) { c.RetryInterval = d }
-}
-
 // WithTimeout bounds every blocking operation. Default 10s.
 func WithTimeout(d time.Duration) Option {
 	return func(c *ClientConfig) { c.Timeout = d }
@@ -113,32 +98,4 @@ func WithHedging(cfg HedgeConfig) Option {
 		}
 		c.Hedge = cfg
 	}
-}
-
-// autoClientID allocates node ids for Connect-created clients. The band
-// is far above the Cluster allocator's (clientIDBase) so the two never
-// collide on one network.
-var autoClientID atomic.Uint64
-
-const autoClientIDBase types.NodeID = 1_000_000
-
-// Connect attaches a v2 client to an in-process network using functional
-// options:
-//
-//	c, err := core.Connect(cl.Topology(), cl.Network(),
-//	    core.WithTimeout(2*time.Second))
-//
-// The node id is auto-allocated, and so is the function id unless WithFID
-// gives one. Cluster.NewClient accepts the same options and is the usual
-// entry point for in-process deployments.
-func Connect(topo *topology.Topology, net *transport.Network, opts ...Option) (*Client, error) {
-	cfg := ClientConfig{Topo: topo}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.ID = autoClientIDBase + types.NodeID(autoClientID.Add(1))
-	if cfg.FID == 0 {
-		cfg.FID = uint32(cfg.ID)
-	}
-	return NewClient(cfg, net)
 }

@@ -221,7 +221,7 @@ func TestReadLaneLinearizableUnderStress(t *testing.T) {
 	// The lane actually served the reads: every replica of the shard has
 	// lane traffic or the cluster silently fell back to the serial path.
 	laneSeen := false
-	for _, row := range cl.LaneSnapshots() {
+	for _, row := range laneSnapshots(cl) {
 		if row.Lane == "read" && row.Enqueued > 0 {
 			laneSeen = true
 			break

@@ -19,18 +19,15 @@ type Policy struct {
 	// MaxPendingOrders: when any replica's un-flushed order backlog
 	// (flexlog_replica_pending_orders) exceeds it, the owning shard is
 	// write-saturated — split its leaf, or add a replica when the leaf is
-	// at its shard cap. 0 disables the write trigger.
+	// at its shard cap. 0 disables the trigger.
 	MaxPendingOrders float64
-	// MaxHeldReads: when any replica holds more parked reads
-	// (flexlog_replica_held_reads) than it, the shard lacks read capacity —
-	// add a replica. 0 disables the read trigger.
-	MaxHeldReads float64
 	// MaxShardsPerLeaf caps split-shard actions per leaf color; 0 uses 4.
 	MaxShardsPerLeaf int
 	// MaxReplicasPerShard caps add-replica actions per shard; 0 uses 5.
 	MaxReplicasPerShard int
-	// Cooldown is the minimum gap between executed actions, letting the
-	// previous reconfiguration absorb load before re-measuring; 0 uses 30s.
+	// Cooldown is the minimum gap between actions, letting the previous
+	// reconfiguration absorb load before re-measuring; 0 uses 30s. Advice
+	// in advisory mode is rate-limited by it too.
 	Cooldown time.Duration
 	// Advisory suppresses execution: breaches are recorded as Advice (and
 	// in flexlog_ctrl_autoscale_actions_total) but no plan is issued.
@@ -58,8 +55,7 @@ type Advice struct {
 	Shard  types.ShardID
 	Leaf   types.ColorID
 	Reason string
-	// Executed is false in advisory mode, during cooldown, or when the
-	// issued plan failed.
+	// Executed is false in advisory mode or when the issued plan failed.
 	Executed bool
 }
 
@@ -74,11 +70,8 @@ type Autoscaler struct {
 	every  time.Duration
 
 	mu     sync.Mutex
-	last   time.Time // last executed action (cooldown anchor)
+	last   time.Time // last action or advice (cooldown anchor)
 	advice []Advice
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewAutoscaler builds an autoscaler over the registry the cluster's
@@ -91,38 +84,20 @@ func NewAutoscaler(ctrl *Controller, reg *obs.Registry, p Policy, interval time.
 	return a
 }
 
-// Start begins the polling loop; Stop (or ctx cancellation) ends it.
+// Start begins the polling loop; ctx cancellation ends it.
 func (a *Autoscaler) Start(ctx context.Context) {
-	a.stop = make(chan struct{})
-	a.done = make(chan struct{})
 	go func() {
-		defer close(a.done)
 		t := time.NewTicker(a.every)
 		defer t.Stop()
 		for {
 			select {
 			case <-ctx.Done():
 				return
-			case <-a.stop:
-				return
 			case <-t.C:
 				a.Evaluate()
 			}
 		}
 	}()
-}
-
-// Stop halts the polling loop and waits for it to exit.
-func (a *Autoscaler) Stop() {
-	if a.stop == nil {
-		return
-	}
-	select {
-	case <-a.stop:
-	default:
-		close(a.stop)
-	}
-	<-a.done
 }
 
 // Advice returns every conclusion reached so far, oldest first.
@@ -149,7 +124,7 @@ func (a *Autoscaler) Evaluate() *Advice {
 	return adv
 }
 
-// evaluate measures, thresholds, and (unless advisory/cooling down)
+// evaluate measures, thresholds, and (unless cooling down) advises or
 // executes at most one action.
 func (a *Autoscaler) evaluate() *Advice {
 	topo := a.ctrl.Cluster().Topology()
@@ -163,23 +138,6 @@ func (a *Autoscaler) evaluate() *Advice {
 				return a.act(a.writeAction(sh),
 					"pending orders "+strconv.FormatFloat(v, 'f', 0, 64)+
 						" > "+strconv.FormatFloat(a.policy.MaxPendingOrders, 'f', 0, 64))
-			}
-		}
-	}
-
-	// Read pressure: parked reads signal too few replicas serving the
-	// shard's read fan-in — widen it.
-	if a.policy.MaxHeldReads > 0 {
-		node, v := hottestNode(a.reg.Samples("flexlog_replica_held_reads"))
-		if v > a.policy.MaxHeldReads {
-			if sh, ok := topo.ShardOfReplica(node); ok {
-				adv := Advice{Kind: KindAddReplica, Shard: sh.ID, Leaf: sh.Leaf}
-				if len(sh.Replicas) >= a.policy.MaxReplicasPerShard {
-					return nil // at cap; nothing sane to do
-				}
-				return a.act(adv,
-					"held reads "+strconv.FormatFloat(v, 'f', 0, 64)+
-						" > "+strconv.FormatFloat(a.policy.MaxHeldReads, 'f', 0, 64))
 			}
 		}
 	}
@@ -197,14 +155,11 @@ func (a *Autoscaler) writeAction(sh topology.ShardInfo) Advice {
 	return Advice{Kind: KindAddReplica, Shard: sh.ID, Leaf: sh.Leaf}
 }
 
-// act finalizes an advice: stamp it, honor advisory mode and cooldown,
+// act finalizes an advice: stamp it, honor cooldown and advisory mode,
 // execute otherwise.
 func (a *Autoscaler) act(adv Advice, reason string) *Advice {
 	adv.Time = time.Now()
 	adv.Reason = reason
-	if a.policy.Advisory {
-		return &adv
-	}
 	a.mu.Lock()
 	cooling := time.Since(a.last) < a.policy.Cooldown && !a.last.IsZero()
 	if !cooling {
@@ -213,6 +168,9 @@ func (a *Autoscaler) act(adv Advice, reason string) *Advice {
 	a.mu.Unlock()
 	if cooling {
 		return nil // re-measure after the previous action settles
+	}
+	if a.policy.Advisory {
+		return &adv
 	}
 	var err error
 	switch adv.Kind {

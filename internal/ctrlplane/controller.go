@@ -1,7 +1,6 @@
 // Package ctrlplane is FlexLog's elastic reconfiguration control plane
 // (DESIGN.md §15): online topology mutation — replica add with background
-// catch-up, replica drain with cutover, shard split and merge, sequencer-
-// tree growth — under live traffic, plus the autoscaler that issues such
+// catch-up, replica drain with cutover, shard split — under live traffic, plus the autoscaler that issues such
 // plans from declarative thresholds over the observability registry.
 //
 // Every mutation runs as a Plan: a small state machine
@@ -36,7 +35,6 @@
 package ctrlplane
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -67,11 +65,9 @@ type Cluster interface {
 	RemoveReplicaNode(id types.NodeID) error
 	// AddShard attaches a fresh shard (with its replicas) to a leaf color.
 	AddShard(leaf types.ColorID) (types.ShardID, error)
-	// AddRegion declares a color and spawns its sequencer group.
-	AddRegion(color, parent types.ColorID) error
 	// Replica returns an in-process replica handle by node id, nil for an
-	// unknown or remote node. /debug/topology inspects through it and a
-	// merge migrates records through it; no plan commands a replica by it.
+	// unknown or remote node. /debug/topology inspects through it; no plan
+	// commands a replica by it.
 	Replica(id types.NodeID) *replica.Replica
 }
 
@@ -83,11 +79,9 @@ const (
 	KindAddReplica PlanKind = iota
 	KindDrainReplica
 	KindSplitShard
-	KindMergeShard
-	KindAddRegion
 )
 
-var kindNames = [...]string{"add-replica", "drain-replica", "split-shard", "merge-shard", "add-region"}
+var kindNames = [...]string{"add-replica", "drain-replica", "split-shard"}
 
 // String returns the CLI-facing kind label (e.g. "add-replica").
 func (k PlanKind) String() string {
@@ -131,10 +125,9 @@ func (s PlanState) Terminal() bool {
 type Plan struct {
 	ID     uint64
 	Kind   PlanKind
-	Shard  types.ShardID // subject shard (add/drain/merge source)
-	Target types.ShardID // merge destination / split result
-	Color  types.ColorID // leaf (split) or new region color (add-region)
-	Parent types.ColorID // parent region (add-region)
+	Shard  types.ShardID // subject shard (add/drain)
+	Target types.ShardID // split result
+	Color  types.ColorID // leaf (split)
 	Node   types.NodeID  // replica added or drained
 	Donor  types.NodeID  // catch-up donor (add-replica)
 	State  PlanState
@@ -142,8 +135,6 @@ type Plan struct {
 	Err    string // failure cause in terminal Failed/RolledBack states
 	Start  time.Time
 	End    time.Time // zero until terminal
-
-	abort chan struct{}
 }
 
 // String renders one plan-history line: id, kind, the ids it touched,
@@ -158,10 +149,6 @@ func (p *Plan) String() string {
 		s += fmt.Sprintf(" shard=%d node=%d", p.Shard, p.Node)
 	case KindSplitShard:
 		s += fmt.Sprintf(" leaf=%d new=%d", p.Color, p.Target)
-	case KindMergeShard:
-		s += fmt.Sprintf(" src=%d dst=%d", p.Shard, p.Target)
-	case KindAddRegion:
-		s += fmt.Sprintf(" color=%d parent=%d shard=%d", p.Color, p.Parent, p.Target)
 	}
 	s += fmt.Sprintf(" state=%s", p.State)
 	if !p.State.Terminal() && p.Lag > 0 {
@@ -217,9 +204,6 @@ type Controller struct {
 	plans  []*Plan
 }
 
-// ErrAborted is the terminal cause of a plan cancelled via Abort.
-var ErrAborted = errors.New("ctrlplane: plan aborted")
-
 // New creates a controller for the cluster.
 func New(cl Cluster, cfg Config) *Controller {
 	if cfg.PollInterval <= 0 {
@@ -268,37 +252,12 @@ func (c *Controller) Plans() []Plan {
 	return out
 }
 
-// Abort cancels an in-flight plan: its wait on a node, or its next poll
-// tick, ends with ErrAborted and the plan rolls back what it can (a
-// joining replica is narrowed out again, stopped and removed; a drain past
-// its cutover stops flushing and removes the node). The operator surface
-// for a stuck plan — see the OPERATIONS.md runbook.
-func (c *Controller) Abort(id uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, p := range c.plans {
-		if p.ID != id {
-			continue
-		}
-		if p.State.Terminal() {
-			return fmt.Errorf("ctrlplane: plan %d already %s", id, p.State)
-		}
-		select {
-		case <-p.abort:
-		default:
-			close(p.abort)
-		}
-		return nil
-	}
-	return fmt.Errorf("ctrlplane: unknown plan %d", id)
-}
-
 // run registers a plan (StatePending), waits for its turn, executes its
 // steps and records the terminal state and cause they return.
 func (c *Controller) run(plan Plan, steps func(p *Plan) (PlanState, error)) (Plan, error) {
 	c.mu.Lock()
 	c.nextID++
-	plan.ID, plan.State, plan.Start, plan.abort = c.nextID, StatePending, time.Now(), make(chan struct{})
+	plan.ID, plan.State, plan.Start = c.nextID, StatePending, time.Now()
 	p := &plan
 	c.plans = append(c.plans, p)
 	c.mu.Unlock()
@@ -332,16 +291,6 @@ func (c *Controller) update(set func()) {
 	c.mu.Unlock()
 }
 
-// poll waits one tick, reporting false when the plan was aborted.
-func (c *Controller) poll(p *Plan) bool {
-	select {
-	case <-p.abort:
-		return false
-	case <-time.After(c.cfg.PollInterval):
-		return true
-	}
-}
-
 // ---- Replica add (survey → spawn → catch-up → widen → promote → converge) ----
 
 // AddReplica grows a shard by one replica under live traffic, catching up
@@ -365,7 +314,7 @@ func (c *Controller) AddReplicaFrom(shard types.ShardID, donor types.NodeID) (Pl
 		if err != nil {
 			return StateFailed, err
 		}
-		acks, err := c.survey(time.Now().Add(c.cfg.CatchupTimeout), p.abort)
+		acks, err := c.survey(time.Now().Add(c.cfg.CatchupTimeout))
 		if err != nil {
 			return StateFailed, err
 		}
@@ -390,11 +339,11 @@ func (c *Controller) AddReplicaFrom(shard types.ShardID, donor types.NodeID) (Pl
 		if err == nil {
 			return StateDone, nil
 		}
-		// Roll back, whatever the plan's abort says. Narrowing is safe: by
+		// Roll back. Narrowing is safe: by
 		// Alg. 1 everything acked is committed on every earlier member.
 		if widened && topo.RemoveReplicaFromShard(shard, id) == nil {
 			// Best effort: a replica this misses is told by the next plan.
-			_ = c.publish(0, time.Now().Add(c.cfg.ConvergeTimeout), nil)
+			_ = c.publish(0, time.Now().Add(c.cfg.ConvergeTimeout))
 		}
 		_ = c.cl.RemoveReplicaNode(id) // the plan already failed; its cause is the one to report
 		return StateRolledBack, err
@@ -409,7 +358,7 @@ func (c *Controller) joinAndPromote(p *Plan, topo *topology.Topology) (widened b
 	// transfer: the deadline moves out whenever the lag reaches a new low.
 	c.update(func() { p.State = StateCatchingUp })
 	stuck := time.Now().Add(c.cfg.CatchupTimeout)
-	ack, err := c.command(p.Node, proto.CtrlOpJoin, p.Donor, nil, stuck, p.abort)
+	ack, err := c.command(p.Node, proto.CtrlOpJoin, p.Donor, nil, stuck)
 	if err != nil {
 		return false, err
 	}
@@ -424,10 +373,8 @@ func (c *Controller) joinAndPromote(p *Plan, topo *topology.Topology) (widened b
 		if ack.Lag <= c.cfg.PromoteLag {
 			break
 		}
-		if !c.poll(p) {
-			return false, ErrAborted
-		}
-		if ack, err = c.command(p.Node, proto.CtrlOpStatus, 0, nil, stuck, p.abort); err != nil {
+		time.Sleep(c.cfg.PollInterval)
+		if ack, err = c.command(p.Node, proto.CtrlOpStatus, 0, nil, stuck); err != nil {
 			return false, err
 		}
 		c.update(func() { p.Lag = ack.Lag })
@@ -450,17 +397,16 @@ func (c *Controller) joinAndPromote(p *Plan, topo *topology.Topology) (widened b
 	if err := topo.AddReplicaToShard(p.Shard, p.Node); err != nil {
 		return false, err
 	}
-	if err := c.publish(p.Node, until, p.abort); err != nil {
+	if err := c.publish(p.Node, until); err != nil {
 		return true, err
 	}
-	ack, err = c.command(p.Node, proto.CtrlOpPromote, 0, nil, until, p.abort)
+	ack, err = c.command(p.Node, proto.CtrlOpPromote, 0, nil, until)
 	for err == nil && replica.Mode(ack.Mode) != replica.ModeOperational {
 		if time.Now().After(until) {
 			err = fmt.Errorf("node %d still %s after %v", p.Node, replica.Mode(ack.Mode), c.cfg.ConvergeTimeout)
-		} else if !c.poll(p) {
-			return true, ErrAborted
 		} else {
-			ack, err = c.command(p.Node, proto.CtrlOpStatus, 0, nil, until, p.abort)
+			time.Sleep(c.cfg.PollInterval)
+			ack, err = c.command(p.Node, proto.CtrlOpStatus, 0, nil, until)
 		}
 	}
 	if err != nil {
@@ -490,27 +436,28 @@ func (c *Controller) DrainReplica(shard types.ShardID, node types.NodeID) (Plan,
 			c.update(func() { p.Node = node })
 		}
 		until := time.Now().Add(c.cfg.DrainTimeout)
-		if _, err := c.survey(until, p.abort); err != nil {
+		if _, err := c.survey(until); err != nil {
 			return StateFailed, err
 		}
 		if err := topo.RemoveReplicaFromShard(shard, node); err != nil {
 			return StateFailed, err
 		}
-		if err := c.publish(node, until, p.abort); err != nil {
+		if err := c.publish(node, until); err != nil {
 			if topo.AddReplicaToShard(shard, node) == nil {
-				_ = c.publish(0, time.Now().Add(c.cfg.DrainTimeout), nil) // best effort, as in AddReplicaFrom
+				_ = c.publish(0, time.Now().Add(c.cfg.DrainTimeout)) // best effort, as in AddReplicaFrom
 			}
 			return StateRolledBack, err
 		}
 
 		// From here the node is out of the membership and acked data is safe
-		// on the survivors: an unreachable node, the timeout and an abort
-		// all end the flush early, and the node is stopped regardless.
+		// on the survivors: an unreachable node and the timeout both end the
+		// flush early, and the node is stopped regardless.
 		c.update(func() { p.State = StateCutover })
-		ack, err := c.command(node, proto.CtrlOpDrain, 0, nil, until, p.abort)
-		for err == nil && replica.Mode(ack.Mode) == replica.ModeDraining && ack.Lag > 0 && c.poll(p) {
+		ack, err := c.command(node, proto.CtrlOpDrain, 0, nil, until)
+		for err == nil && replica.Mode(ack.Mode) == replica.ModeDraining && ack.Lag > 0 {
+			time.Sleep(c.cfg.PollInterval)
 			c.update(func() { p.Lag = ack.Lag })
-			ack, err = c.command(node, proto.CtrlOpStatus, 0, nil, until, p.abort)
+			ack, err = c.command(node, proto.CtrlOpStatus, 0, nil, until)
 		}
 		if err := c.cl.RemoveReplicaNode(node); err != nil {
 			return StateFailed, err
@@ -519,7 +466,7 @@ func (c *Controller) DrainReplica(shard types.ShardID, node types.NodeID) (Plan,
 	})
 }
 
-// ---- Shard split / merge ----
+// ---- Shard split ----
 
 // SplitShard adds a fresh shard to a leaf color under live traffic. No
 // record migration is needed: reads and subscribes consult every shard of
@@ -532,136 +479,16 @@ func (c *Controller) SplitShard(leaf types.ColorID) (Plan, error) {
 	})
 }
 
-// addShard attaches a shard to leaf as the cutover of a split or a region
-// add, and publishes the grown layout.
+// addShard attaches a shard to leaf as the cutover of a split, and
+// publishes the grown layout.
 func (c *Controller) addShard(p *Plan, leaf types.ColorID) (PlanState, error) {
 	id, err := c.cl.AddShard(leaf)
 	if err != nil {
 		return StateFailed, err
 	}
 	c.update(func() { p.Target = id })
-	if err := c.publish(0, time.Now().Add(c.cfg.ConvergeTimeout), p.abort); err != nil {
+	if err := c.publish(0, time.Now().Add(c.cfg.ConvergeTimeout)); err != nil {
 		return StateFailed, err
 	}
 	return StateDone, nil
-}
-
-// MergeShard folds shard src into dst (same leaf): src replicas drain
-// (rejecting new appends, flushing pending orders), their committed
-// records are migrated into every dst replica at their authoritative SNs
-// (idempotent — the SN space is per color, assigned once), then src leaves
-// the topology and its replicas stop. Reads of migrated records are served
-// by dst from then on. The migration runs on in-process replica handles,
-// so a deployment of separate processes gets ErrStaticDeployment. Blocks
-// until terminal.
-func (c *Controller) MergeShard(src, dst types.ShardID) (Plan, error) {
-	return c.run(Plan{Kind: KindMergeShard, Shard: src, Target: dst}, func(p *Plan) (PlanState, error) {
-		topo := c.cl.Topology()
-		srcSh, err := topo.Shard(src)
-		if err != nil {
-			return StateFailed, err
-		}
-		dstSh, err := topo.Shard(dst)
-		if err != nil {
-			return StateFailed, err
-		}
-		if src == dst || srcSh.Leaf != dstSh.Leaf {
-			return StateFailed, fmt.Errorf("ctrlplane: merge requires distinct shards of one leaf (src leaf %d, dst leaf %d)", srcSh.Leaf, dstSh.Leaf)
-		}
-		donor := c.cl.Replica(srcSh.Replicas[0])
-		var dstReps []*replica.Replica
-		for _, id := range dstSh.Replicas {
-			dstReps = append(dstReps, c.cl.Replica(id))
-		}
-		if donor == nil || slices.Contains(dstReps, nil) {
-			return StateFailed, fmt.Errorf("ctrlplane: merge migrates through in-process replica handles: %w", ErrStaticDeployment)
-		}
-		until := time.Now().Add(c.cfg.DrainTimeout)
-		if _, err := c.survey(until, p.abort); err != nil {
-			return StateFailed, err
-		}
-
-		// Quiesce src: every replica drains, so no new appends land there
-		// while we migrate. Src stays in the topology — its records remain
-		// readable throughout. The drain op doubles as the poll (it is
-		// idempotent and its ack carries the pending orders); a flush that
-		// outlasts DrainTimeout is cut short: what is still pending there
-		// was never acked.
-		c.update(func() { p.State = StateCutover })
-		for pending := uint64(1); pending > 0 && time.Now().Before(until); {
-			pending = 0
-			for _, id := range srcSh.Replicas {
-				ack, err := c.command(id, proto.CtrlOpDrain, 0, nil, until, p.abort)
-				if err != nil {
-					return StateFailed, err
-				}
-				pending += ack.Lag
-			}
-			c.update(func() { p.Lag = pending })
-			if pending > 0 && !c.poll(p) {
-				return StateFailed, ErrAborted
-			}
-		}
-
-		// Migrate: pull every committed src record into every dst replica.
-		if err := migrateRecords(donor, dstReps); err != nil {
-			return StateFailed, err
-		}
-
-		// Cut src out of the layout (version bump → clients re-resolve),
-		// tell the replicas, then stop its processes.
-		if err := topo.RemoveShard(src); err != nil {
-			return StateFailed, err
-		}
-		if err := c.publish(0, time.Now().Add(c.cfg.ConvergeTimeout), p.abort); err != nil {
-			return StateFailed, err
-		}
-		for _, id := range srcSh.Replicas {
-			if err := c.cl.RemoveReplicaNode(id); err != nil {
-				return StateFailed, err
-			}
-		}
-		return StateDone, nil
-	})
-}
-
-// migrateRecords copies every committed record the donor holds into every
-// destination replica at its authoritative SN, in the replicas' own
-// budgeted catch-up rounds (replica/catchup.go). The cursor is the last SN
-// shipped per color, not a destination frontier: a merge destination
-// already holds records of the same colors above the donor's, interleaved
-// with them. Ingestion is idempotent, so a partially-failed migration can
-// simply be re-run.
-func migrateRecords(donor *replica.Replica, dsts []*replica.Replica) error {
-	shipped := make(map[types.ColorID]types.SN)
-	for {
-		round, err := donor.ServeCatchup(shipped, nil, 0)
-		if err != nil {
-			return fmt.Errorf("ctrlplane: scanning merge donor: %w", err)
-		}
-		for _, d := range dsts {
-			d.IngestCatchup(round.Records)
-		}
-		for color, recs := range round.Records {
-			shipped[color] = recs[len(recs)-1].SN
-		}
-		if !round.More {
-			return nil
-		}
-	}
-}
-
-// ---- Sequencer-tree growth ----
-
-// AddRegion grows the ordering tree with a new colored region under
-// parent, with one shard attached so the color is immediately appendable.
-// Blocks until terminal.
-func (c *Controller) AddRegion(color, parent types.ColorID) (Plan, error) {
-	return c.run(Plan{Kind: KindAddRegion, Color: color, Parent: parent}, func(p *Plan) (PlanState, error) {
-		c.update(func() { p.State = StateCutover })
-		if err := c.cl.AddRegion(color, parent); err != nil {
-			return StateFailed, err
-		}
-		return c.addShard(p, color)
-	})
 }

@@ -74,8 +74,7 @@ func (n *nodeClient) deliver(_ types.NodeID, msg transport.Message) {
 // idempotent at the replica, and answers are matched by Seq. With publish
 // set, the layout is (re)sent ahead of the op and only an ack at or above
 // its version counts — the node applied it, or already knew a newer one.
-// A closed abort channel ends the wait with ErrAborted.
-func (n *nodeClient) roundTrip(node types.NodeID, op uint8, donor types.NodeID, publish *proto.TopoUpdate, until time.Time, abort <-chan struct{}) (proto.CtrlAck, error) {
+func (n *nodeClient) roundTrip(node types.NodeID, op uint8, donor types.NodeID, publish *proto.TopoUpdate, until time.Time) (proto.CtrlAck, error) {
 	ch := make(chan proto.CtrlAck, 1)
 	n.mu.Lock()
 	n.seq++
@@ -115,8 +114,6 @@ func (n *nodeClient) roundTrip(node types.NodeID, op uint8, donor types.NodeID, 
 				behind = fmt.Sprintf(": still at topology version %d, published %d", ack.Version, publish.Version)
 			case <-tick.C:
 				waiting = false
-			case <-abort:
-				return proto.CtrlAck{}, ErrAborted
 			case <-deadline.C:
 				if sendErr != nil {
 					return proto.CtrlAck{}, fmt.Errorf("ctrlplane: node %d unreachable: %w", node, sendErr)
@@ -133,14 +130,14 @@ func (n *nodeClient) roundTrip(node types.NodeID, op uint8, donor types.NodeID, 
 // operator issues one alone to inspect a node or to finish a procedure by
 // hand (OPERATIONS.md runbook).
 func (c *Controller) Command(node types.NodeID, op uint8, donor types.NodeID, wait time.Duration) (proto.CtrlAck, error) {
-	return c.command(node, op, donor, nil, time.Now().Add(wait), nil)
+	return c.command(node, op, donor, nil, time.Now().Add(wait))
 }
 
 // PushTopology sends one node the controller's layout and confirms by a
 // status round trip that the node's fencing version reached it.
 func (c *Controller) PushTopology(node types.NodeID, wait time.Duration) (proto.CtrlAck, error) {
 	upd := topology.SnapshotToWire(c.cl.Topology().Snapshot(), 0)
-	return c.command(node, proto.CtrlOpStatus, 0, &upd, time.Now().Add(wait), nil)
+	return c.command(node, proto.CtrlOpStatus, 0, &upd, time.Now().Add(wait))
 }
 
 // command is the round trip every plan step and operator command goes
@@ -150,12 +147,12 @@ func (c *Controller) PushTopology(node types.NodeID, wait time.Duration) (proto.
 // reconfigurations, and a mutation published below a node's version would
 // be fenced as stale. Where nodes share one *topology.Topology there is
 // never anything to raise.
-func (c *Controller) command(node types.NodeID, op uint8, donor types.NodeID, publish *proto.TopoUpdate, until time.Time, abort <-chan struct{}) (proto.CtrlAck, error) {
+func (c *Controller) command(node types.NodeID, op uint8, donor types.NodeID, publish *proto.TopoUpdate, until time.Time) (proto.CtrlAck, error) {
 	n, err := c.node()
 	if err != nil {
 		return proto.CtrlAck{}, err
 	}
-	ack, err := n.roundTrip(node, op, donor, publish, until, abort)
+	ack, err := n.roundTrip(node, op, donor, publish, until)
 	if err != nil {
 		return ack, err
 	}
@@ -183,10 +180,10 @@ func replicasOf(snap topology.Snapshot, subject types.NodeID) []types.NodeID {
 // changes anything: a plan whose publication could not reach a replica is
 // refused while nothing needs undoing, and by command's version rule the
 // mutation that follows is newer than every replica's layout.
-func (c *Controller) survey(until time.Time, abort <-chan struct{}) (map[types.NodeID]proto.CtrlAck, error) {
+func (c *Controller) survey(until time.Time) (map[types.NodeID]proto.CtrlAck, error) {
 	acks := make(map[types.NodeID]proto.CtrlAck)
 	for _, id := range replicasOf(c.cl.Topology().Snapshot(), 0) {
-		ack, err := c.command(id, proto.CtrlOpStatus, 0, nil, until, abort)
+		ack, err := c.command(id, proto.CtrlOpStatus, 0, nil, until)
 		if err != nil {
 			return nil, err
 		}
@@ -200,11 +197,11 @@ func (c *Controller) survey(until time.Time, abort <-chan struct{}) (map[types.N
 // each reached its version. Replicas sharing the controller's
 // *topology.Topology already have: they drop the update as a duplicate and
 // the confirmation is immediate.
-func (c *Controller) publish(subject types.NodeID, until time.Time, abort <-chan struct{}) error {
+func (c *Controller) publish(subject types.NodeID, until time.Time) error {
 	snap := c.cl.Topology().Snapshot()
 	upd := topology.SnapshotToWire(snap, 0)
 	for _, id := range replicasOf(snap, subject) {
-		if _, err := c.command(id, proto.CtrlOpStatus, 0, &upd, until, abort); err != nil {
+		if _, err := c.command(id, proto.CtrlOpStatus, 0, &upd, until); err != nil {
 			return fmt.Errorf("publishing topology version %d: %w", snap.Version, err)
 		}
 	}

@@ -12,9 +12,8 @@ import (
 )
 
 // ErrStaticDeployment is returned where a plan needs what a deployment of
-// separately started processes cannot give: a process to spawn (split,
-// add-region, an add with no declared spare) or in-process replica handles
-// (merge).
+// separately started processes cannot give: a process to spawn (a split,
+// or an add with no declared spare).
 var ErrStaticDeployment = errors.New("static deployment: processes are started and stopped by the operator (see the OPERATIONS.md reconfiguration runbook)")
 
 // Static adapts a deployment of separately started processes — a cluster
@@ -68,9 +67,6 @@ func (s *Static) RemoveReplicaNode(types.NodeID) error { return nil }
 
 // AddShard would need new replica processes; see ErrStaticDeployment.
 func (s *Static) AddShard(types.ColorID) (types.ShardID, error) { return 0, ErrStaticDeployment }
-
-// AddRegion would need new sequencer processes; see ErrStaticDeployment.
-func (s *Static) AddRegion(color, parent types.ColorID) error { return ErrStaticDeployment }
 
 // Replica returns the process-local replica for its own id and nil for
 // every other (remote) node — /debug/topology renders those without mode

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"flexlog/internal/qos"
@@ -242,9 +241,10 @@ func (m *Manifest) RoleOf(id types.NodeID) Role {
 // and integration tests), Bench (the calibrated in-process evaluation)
 // and Deployed (flexlog-server).
 type Profile struct {
-	// Heartbeat is every node's timer tick: a sequencer leader's beat to
-	// its backups, and how often a replica re-checks sync runs, pending
-	// orders and join rounds.
+	// Heartbeat is a sequencer leader's beat to its backups. A replica's
+	// timer, which re-checks sync runs, pending orders, join rounds and
+	// held reads, ticks every min(Heartbeat, ReadHold): every 1 ms when
+	// deployed.
 	Heartbeat time.Duration
 	// FailureTimeout is the silence after which a sequencer assumes its
 	// leader (or a backup) failed (the Δ bound of §4).
@@ -312,16 +312,6 @@ func SequencerConfig(p Profile, role Role, topo *topology.Topology, tenants []qo
 	cfg.TenantOf = qos.ColorMap(tenants)
 	cfg.OrderWorkers = p.OrderWorkers
 	return cfg
-}
-
-// NodeIDs returns every node id in the manifest, sorted.
-func (m *Manifest) NodeIDs() []types.NodeID {
-	ids := make([]types.NodeID, 0, len(m.Nodes))
-	for id := range m.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // RegisterWire is a no-op: the binary codec frames every protocol message

@@ -145,12 +145,3 @@ func TestRoleOf(t *testing.T) {
 		}
 	}
 }
-
-func TestNodeIDsSorted(t *testing.T) {
-	ids := Example().NodeIDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Fatal("ids not sorted")
-		}
-	}
-}

@@ -228,16 +228,3 @@ func (p *Platform) pickWorkerLocked() *worker {
 }
 
 func (w *worker) release() { <-w.slots }
-
-// Stats returns a snapshot of the counters.
-func (p *Platform) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
-// NewClient hands out a FlexLog client (for external drivers that want to
-// observe function effects directly).
-func (p *Platform) NewClient() (*core.Client, error) {
-	return p.cluster.NewClient()
-}

@@ -39,7 +39,7 @@ func TestDeployAndInvoke(t *testing.T) {
 	if string(out) != "echo:hi" {
 		t.Fatalf("out = %q", out)
 	}
-	st := p.Stats()
+	st := stats(p)
 	if st.Invocations != 1 || st.ColdStarts != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -53,7 +53,7 @@ func TestWarmInvocationsSkipColdStart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := p.Stats()
+	st := stats(p)
 	// At most one cold start per worker.
 	if st.ColdStarts > 2 {
 		t.Fatalf("cold starts = %d", st.ColdStarts)
@@ -71,8 +71,8 @@ func TestAuthAndUnknown(t *testing.T) {
 	if _, err := p.Invoke("t", "missing", nil); !errors.Is(err, ErrUnknownFunction) {
 		t.Fatalf("unknown function: %v", err)
 	}
-	if p.Stats().Rejected != 2 {
-		t.Fatalf("rejected = %d", p.Stats().Rejected)
+	if stats(p).Rejected != 2 {
+		t.Fatalf("rejected = %d", stats(p).Rejected)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestFunctionErrorCounted(t *testing.T) {
 	if _, err := p.Invoke("t", "boom", nil); err == nil {
 		t.Fatal("expected error")
 	}
-	if p.Stats().Failures != 1 {
-		t.Fatalf("failures = %d", p.Stats().Failures)
+	if stats(p).Failures != 1 {
+		t.Fatalf("failures = %d", stats(p).Failures)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestConcurrentInvocations(t *testing.T) {
 		t.Fatal("no invocation succeeded")
 	}
 	// The appended records are all in the log.
-	c, _ := p.NewClient()
+	c, _ := p.cluster.NewClient()
 	recs, err := c.Subscribe(types.MasterColor, types.InvalidSN)
 	if err != nil {
 		t.Fatal(err)
@@ -158,4 +158,11 @@ func TestConcurrentInvocations(t *testing.T) {
 	if len(recs) < ok {
 		t.Fatalf("log has %d records, want >= %d", len(recs), ok)
 	}
+}
+
+// stats returns a snapshot of the platform's counters.
+func stats(p *Platform) Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }

@@ -190,13 +190,6 @@ func (r *Recorder) Ops() []Op {
 	return append([]Op(nil), r.ops...)
 }
 
-// Len returns the number of completed operations.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ops)
-}
-
 // Violation is one property breach found by Check.
 type Violation struct {
 	Prop string // property slug (unique-sn, durability, …)

@@ -171,16 +171,6 @@ func (s *Store) Get(key string) (string, error) {
 	return v, nil
 }
 
-// Len returns the number of keys after syncing.
-func (s *Store) Len() (int, error) {
-	if err := s.Sync(); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.state), nil
-}
-
 // Snapshot returns a copy of the current state after syncing.
 func (s *Store) Snapshot() (map[string]string, error) {
 	if err := s.Sync(); err != nil {

@@ -79,9 +79,9 @@ func TestFreshHandleReplaysHistory(t *testing.T) {
 	a.Delete("k3")
 	// A brand-new handle must converge to the same state.
 	b := mkStore(t, cl)
-	n, err := b.Len()
-	if err != nil || n != 9 {
-		t.Fatalf("len = %d, %v", n, err)
+	state, err := b.Snapshot()
+	if err != nil || len(state) != 9 {
+		t.Fatalf("len = %d, %v", len(state), err)
 	}
 	if _, err := b.Get("k3"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted key visible: %v", err)

@@ -96,21 +96,6 @@ func (l *Lock) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire acquires only if the queue is empty at the time of the
-// attempt; otherwise it withdraws immediately and reports false.
-func (l *Lock) TryAcquire() (bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), l.PollInterval*4)
-	defer cancel()
-	err := l.Acquire(ctx)
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, ErrTimeout) {
-		return false, nil
-	}
-	return false, err
-}
-
 // Release appends the matching release record.
 func (l *Lock) Release() error {
 	if !l.acquiredAt.Valid() {
@@ -145,30 +130,6 @@ func (l *Lock) Release() error {
 	}
 	l.acquiredAt = types.InvalidSN
 	return nil
-}
-
-// Holder returns the current holder identity, or "" when the lock is free.
-func (l *Lock) Holder() (string, error) {
-	head, err := l.queueHead()
-	if err != nil {
-		return "", err
-	}
-	if !head.Valid() {
-		return "", nil
-	}
-	recs, err := l.handle.Subscribe(l.color, types.InvalidSN)
-	if err != nil {
-		return "", err
-	}
-	for _, r := range recs {
-		if r.SN == head {
-			var rec record
-			if json.Unmarshal(r.Data, &rec) == nil {
-				return rec.Holder, nil
-			}
-		}
-	}
-	return "", nil
 }
 
 // queueHead returns the SN of the oldest unreleased acquire record, or

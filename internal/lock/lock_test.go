@@ -42,8 +42,8 @@ func TestAcquireRelease(t *testing.T) {
 	if err := l.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if h, _ := l.Holder(); h != "alice" {
-		t.Fatalf("holder = %q", h)
+	if head, _ := l.queueHead(); head != l.acquiredAt {
+		t.Fatalf("queue head = %v, alice acquired at %v", head, l.acquiredAt)
 	}
 	if err := l.Acquire(ctx); err == nil {
 		t.Fatal("double acquire by same handle should fail")
@@ -51,8 +51,8 @@ func TestAcquireRelease(t *testing.T) {
 	if err := l.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if h, _ := l.Holder(); h != "" {
-		t.Fatalf("holder after release = %q", h)
+	if head, _ := l.queueHead(); head.Valid() {
+		t.Fatalf("queue head after release = %v", head)
 	}
 	if err := l.Release(); !errors.Is(err, ErrNotHeld) {
 		t.Fatalf("double release: %v", err)
@@ -87,8 +87,8 @@ func TestContenderWaitsForRelease(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("bob never acquired after release")
 	}
-	if h, _ := bob.Holder(); h != "bob" {
-		t.Fatalf("holder = %q", h)
+	if head, _ := bob.queueHead(); head != bob.acquiredAt {
+		t.Fatalf("queue head = %v, bob acquired at %v", head, bob.acquiredAt)
 	}
 }
 
@@ -122,26 +122,6 @@ func TestAcquireTimeoutWithdraws(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("carol blocked behind a withdrawn waiter")
 	}
-}
-
-func TestTryAcquire(t *testing.T) {
-	cl := newLockCluster(t)
-	alice := mkLock(t, cl, "alice")
-	bob := mkLock(t, cl, "bob")
-	ok, err := alice.TryAcquire()
-	if err != nil || !ok {
-		t.Fatalf("alice try = %v, %v", ok, err)
-	}
-	ok, err = bob.TryAcquire()
-	if err != nil || ok {
-		t.Fatalf("bob try while held = %v, %v", ok, err)
-	}
-	alice.Release()
-	ok, err = bob.TryAcquire()
-	if err != nil || !ok {
-		t.Fatalf("bob try after release = %v, %v", ok, err)
-	}
-	bob.Release()
 }
 
 // TestMutualExclusionUnderContention: N contenders hammer a critical

@@ -10,7 +10,7 @@ import (
 // reader must reject or parse, never panic, over-read, or over-allocate.
 func FuzzOpenSSTable(f *testing.F) {
 	dev := ssd.New(ssd.Zero())
-	tbl, err := writeSSTable(dev, "seed", [][]byte{[]byte("a"), []byte("b")}, [][]byte{[]byte("1"), nil})
+	tbl, err := writeSSTable(dev, "seed", [][]byte{[]byte("a"), []byte("b")}, [][]byte{[]byte("1"), []byte("2")})
 	if err == nil {
 		raw := make([]byte, tbl.dataLen)
 		dev.ReadAt("seed", 0, raw)
@@ -32,6 +32,6 @@ func FuzzOpenSSTable(f *testing.F) {
 		}
 		// A table that opened must serve lookups without panicking.
 		tbl.get([]byte("a"))
-		tbl.each(func(k, v []byte, tomb bool) error { return nil })
+		tbl.each(func(k, v []byte) error { return nil })
 	})
 }

@@ -48,23 +48,14 @@ type Config struct {
 	SyncWAL bool
 }
 
-// DefaultConfig mirrors the paper's RocksDB setup at test-friendly scale.
-func DefaultConfig() Config {
-	return Config{
-		MemTableBytes:     64 << 20,
-		CompactionTrigger: 4,
-		SyncWAL:           true,
-	}
-}
-
 // Stats counts engine activity.
 type Stats struct {
-	Puts, Gets, Deletes uint64
-	Flushes             uint64
-	Compactions         uint64
-	WALSyncs            uint64
-	BloomSkips          uint64
-	SSD                 ssd.Stats
+	Puts, Gets  uint64
+	Flushes     uint64
+	Compactions uint64
+	WALSyncs    uint64
+	BloomSkips  uint64
+	SSD         ssd.Stats
 }
 
 // hotStats are the counters touched on the concurrent read path.
@@ -205,28 +196,17 @@ func (db *DB) replayWAL(name string) error {
 		klen := int(leU32(raw[off : off+4]))
 		vlen := leU32(raw[off+4 : off+8])
 		off += 8
-		tomb := vlen&tombstoneBit != 0
-		dlen := int(vlen &^ tombstoneBit)
-		if off+klen+dlenSafe(tomb, dlen) > len(raw) {
+		dlen := int(vlen)
+		if off+klen+dlen > len(raw) {
 			break // torn tail (unsynced remainder)
 		}
 		key := append([]byte(nil), raw[off:off+klen]...)
 		off += klen
-		var val []byte
-		if !tomb {
-			val = append([]byte(nil), raw[off:off+dlen]...)
-			off += dlen
-		}
+		val := append([]byte{}, raw[off:off+dlen]...)
+		off += dlen
 		db.mem.set(key, val)
 	}
 	return nil
-}
-
-func dlenSafe(tomb bool, dlen int) int {
-	if tomb {
-		return 0
-	}
-	return dlen
 }
 
 func leU32(b []byte) uint32 {
@@ -243,36 +223,23 @@ type immEntry struct {
 // pendingWrite is one queued write awaiting group commit.
 type pendingWrite struct {
 	key, value []byte
-	tomb       bool
 	done       chan error
 }
 
 // Put stores a key/value pair. The write is durable (WAL synced) when Put
 // returns.
 func (db *DB) Put(key, value []byte) error {
-	if value == nil {
-		value = []byte{}
-	}
-	return db.write(key, value, false)
-}
-
-// Delete removes a key (tombstone).
-func (db *DB) Delete(key []byte) error {
-	return db.write(key, nil, true)
+	return db.write(key, value)
 }
 
 // write enqueues the record for the committer's group commit — the
 // RocksDB-style write group that lets WAL-synced writers scale with
 // threads (Fig. 6): concurrent writers share one WAL sync.
-func (db *DB) write(key, value []byte, tomb bool) error {
+func (db *DB) write(key, value []byte) error {
 	pw := &pendingWrite{
 		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-		tomb:  tomb,
+		value: append([]byte{}, value...),
 		done:  make(chan error, 1),
-	}
-	if tomb {
-		pw.value = nil
 	}
 	db.closeMu.RLock()
 	if db.closed {
@@ -329,11 +296,7 @@ func (db *DB) commitGroup(batch []*pendingWrite) {
 	for _, pw := range batch {
 		rec := make([]byte, 8+len(pw.key)+len(pw.value))
 		putLeU32(rec[0:4], uint32(len(pw.key)))
-		vlen := uint32(len(pw.value))
-		if pw.tomb {
-			vlen = tombstoneBit
-		}
-		putLeU32(rec[4:8], vlen)
+		putLeU32(rec[4:8], uint32(len(pw.value)))
 		copy(rec[8:], pw.key)
 		copy(rec[8+len(pw.key):], pw.value)
 		buf = append(buf, rec...)
@@ -352,13 +315,8 @@ func (db *DB) commitGroup(batch []*pendingWrite) {
 	db.mu.Lock()
 	if commitErr == nil {
 		for _, pw := range batch {
-			if pw.tomb {
-				db.mem.set(pw.key, nil)
-				db.stats.Deletes++
-			} else {
-				db.mem.set(pw.key, pw.value)
-				db.stats.Puts++
-			}
+			db.mem.set(pw.key, pw.value)
+			db.stats.Puts++
 		}
 		if db.cfg.SyncWAL {
 			db.stats.WALSyncs++
@@ -467,16 +425,11 @@ func (db *DB) compact() {
 	merged := newSkipList(42)
 	seen := make(map[string]bool)
 	ingest := func(t *sstable) error {
-		return t.each(func(k, v []byte, tomb bool) error {
+		return t.each(func(k, v []byte) error {
 			if seen[string(k)] {
 				return nil
 			}
 			seen[string(k)] = true
-			if tomb {
-				// Tombstones at the bottom level can be dropped entirely.
-				merged.set(append([]byte(nil), k...), nil)
-				return nil
-			}
 			merged.set(append([]byte(nil), k...), append([]byte(nil), v...))
 			return nil
 		})
@@ -493,9 +446,6 @@ func (db *DB) compact() {
 	}
 	var keys, values [][]byte
 	merged.each(func(k, v []byte) bool {
-		if v == nil {
-			return true // drop tombstones at the bottom level
-		}
 		keys = append(keys, k)
 		values = append(values, v)
 		return true
@@ -550,17 +500,11 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	db.hot.gets.Add(1)
 	if v, ok := db.mem.get(key); ok {
 		db.mu.RUnlock()
-		if v == nil {
-			return nil, ErrNotFound
-		}
 		return v, nil
 	}
 	for i := len(db.imms) - 1; i >= 0; i-- { // newest immutable first
 		if v, ok := db.imms[i].sl.get(key); ok {
 			db.mu.RUnlock()
-			if v == nil {
-				return nil, ErrNotFound
-			}
 			return v, nil
 		}
 	}
@@ -593,40 +537,24 @@ func (db *DB) getFromTables(l0 []*sstable, l1 *sstable, key []byte) ([]byte, err
 			db.hot.bloomSkips.Add(1)
 			continue
 		}
-		v, tomb, found, err := t.get(key)
+		v, found, err := t.get(key)
 		if err != nil {
 			return nil, err
 		}
 		if found {
-			if tomb {
-				return nil, ErrNotFound
-			}
 			return v, nil
 		}
 	}
 	if l1 != nil {
-		v, tomb, found, err := l1.get(key)
+		v, found, err := l1.get(key)
 		if err != nil {
 			return nil, err
 		}
-		if found && !tomb {
+		if found {
 			return v, nil
 		}
 	}
 	return nil, ErrNotFound
-}
-
-// Flush forces the current memtable out and waits for all queued flushes
-// (test and benchmark helper).
-func (db *DB) Flush() {
-	db.mu.Lock()
-	if db.mem.length > 0 {
-		db.rotateLocked()
-	}
-	for db.flushing {
-		db.flushCond.Wait()
-	}
-	db.mu.Unlock()
 }
 
 // Stats returns a snapshot of the counters.
@@ -654,7 +582,3 @@ func (db *DB) Close() error {
 	db.bgWG.Wait()
 	return nil
 }
-
-// WaitBackground blocks until all in-flight flushes and compactions have
-// completed (test and benchmark hook).
-func (db *DB) WaitBackground() { db.bgWG.Wait() }

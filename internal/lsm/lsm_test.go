@@ -30,7 +30,7 @@ func key(i int) []byte   { return []byte(fmt.Sprintf("key-%06d", i)) }
 func value(i int) []byte { return []byte(fmt.Sprintf("value-%06d", i)) }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	db, _ := testDB(t, DefaultConfig())
+	db, _ := testDB(t, defaultCfg())
 	if err := db.Put(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -47,23 +47,12 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestOverwrite(t *testing.T) {
-	db, _ := testDB(t, DefaultConfig())
+	db, _ := testDB(t, defaultCfg())
 	db.Put(key(1), []byte("old"))
 	db.Put(key(1), []byte("new"))
 	got, _ := db.Get(key(1))
 	if string(got) != "new" {
 		t.Fatalf("get = %q", got)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	db, _ := testDB(t, DefaultConfig())
-	db.Put(key(1), value(1))
-	if err := db.Delete(key(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Get(key(1)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted key: %v", err)
 	}
 }
 
@@ -75,7 +64,7 @@ func TestFlushToSSTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Flush()
+	flush(db)
 	if db.Stats().Flushes == 0 {
 		t.Fatal("no memtable flushes happened")
 	}
@@ -90,17 +79,6 @@ func TestFlushToSSTable(t *testing.T) {
 	}
 }
 
-func TestDeleteAcrossFlush(t *testing.T) {
-	db, _ := testDB(t, smallCfg())
-	db.Put(key(1), value(1))
-	db.Flush()
-	db.Delete(key(1))
-	db.Flush()
-	if _, err := db.Get(key(1)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("tombstone across flush: %v", err)
-	}
-}
-
 func TestCompactionPreservesData(t *testing.T) {
 	db, _ := testDB(t, smallCfg())
 	const n = 600
@@ -109,8 +87,8 @@ func TestCompactionPreservesData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Flush()
-	db.WaitBackground()
+	flush(db)
+	db.bgWG.Wait()
 	if db.Stats().Compactions == 0 {
 		t.Fatal("compaction never ran")
 	}
@@ -186,7 +164,7 @@ func TestRecoveryWithSSTablesAndWAL(t *testing.T) {
 	for i := 0; i < n; i++ {
 		db.Put(key(i), value(i))
 	}
-	db.Flush()
+	flush(db)
 	// More writes into the fresh WAL after the flush.
 	for i := n; i < n+20; i++ {
 		db.Put(key(i), value(i))
@@ -240,7 +218,7 @@ func TestConcurrentWriters(t *testing.T) {
 }
 
 func TestClosedOperationsFail(t *testing.T) {
-	db, _ := testDB(t, DefaultConfig())
+	db, _ := testDB(t, defaultCfg())
 	db.Close()
 	db.Close() // idempotent
 	if err := db.Put(key(1), value(1)); !errors.Is(err, ErrClosed) {
@@ -264,19 +242,11 @@ func TestModelEquivalenceProperty(t *testing.T) {
 		model := make(map[string]string)
 		for _, op := range ops {
 			k := fmt.Sprintf("k%d", op%32)
-			switch (op >> 5) % 3 {
-			case 0, 1:
-				v := fmt.Sprintf("v%d", op)
-				if db.Put([]byte(k), []byte(v)) != nil {
-					return false
-				}
-				model[k] = v
-			case 2:
-				if db.Delete([]byte(k)) != nil {
-					return false
-				}
-				delete(model, k)
+			v := fmt.Sprintf("v%d", op)
+			if db.Put([]byte(k), []byte(v)) != nil {
+				return false
 			}
+			model[k] = v
 		}
 		for k, want := range model {
 			got, err := db.Get([]byte(k))

@@ -16,7 +16,7 @@ const (
 
 type skipNode struct {
 	key   []byte
-	value []byte // nil = tombstone
+	value []byte
 	next  []*skipNode
 }
 
@@ -59,7 +59,7 @@ func (s *skipList) findGreaterOrEqual(key []byte, prev []*skipNode) *skipNode {
 	return x.next[0]
 }
 
-// set inserts or replaces a key. A nil value stores a tombstone.
+// set inserts or replaces a key.
 func (s *skipList) set(key, value []byte) {
 	prev := make([]*skipNode, maxHeight)
 	for i := range prev {
@@ -83,7 +83,7 @@ func (s *skipList) set(key, value []byte) {
 	s.bytes += len(key) + len(value) + 48 // node overhead estimate
 }
 
-// get returns (value, present). A present tombstone returns (nil, true).
+// get returns (value, present).
 func (s *skipList) get(key []byte) ([]byte, bool) {
 	n := s.findGreaterOrEqual(key, nil)
 	if n != nil && bytes.Equal(n.key, key) {

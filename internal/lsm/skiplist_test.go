@@ -196,9 +196,9 @@ func TestSSTableRoundTrip(t *testing.T) {
 	}
 	// Read through the writer handle.
 	for i := 0; i < 100; i++ {
-		v, tomb, found, err := tbl.get(key(i))
-		if err != nil || !found || tomb || !bytes.Equal(v, value(i)) {
-			t.Fatalf("writer-handle get %d = %q, tomb=%v found=%v err=%v", i, v, tomb, found, err)
+		v, found, err := tbl.get(key(i))
+		if err != nil || !found || !bytes.Equal(v, value(i)) {
+			t.Fatalf("writer-handle get %d = %q, found=%v err=%v", i, v, found, err)
 		}
 	}
 	// And through a reopened handle.
@@ -210,29 +210,17 @@ func TestSSTableRoundTrip(t *testing.T) {
 		t.Fatalf("count = %d", tbl2.count)
 	}
 	for i := 0; i < 100; i++ {
-		v, _, found, err := tbl2.get(key(i))
+		v, found, err := tbl2.get(key(i))
 		if err != nil || !found || !bytes.Equal(v, value(i)) {
 			t.Fatalf("reopened get %d failed: %q %v %v", i, v, found, err)
 		}
 	}
-	if _, _, found, _ := tbl2.get([]byte("zzz")); found {
+	if _, found, _ := tbl2.get([]byte("zzz")); found {
 		t.Fatal("phantom key found")
 	}
 	// Key below the table's range.
-	if _, _, found, _ := tbl2.get([]byte("a")); found {
+	if _, found, _ := tbl2.get([]byte("a")); found {
 		t.Fatal("phantom low key found")
-	}
-}
-
-func TestSSTableTombstones(t *testing.T) {
-	dev := newTestDevice()
-	tbl, err := writeSSTable(dev, "t", [][]byte{[]byte("dead")}, [][]byte{nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, tomb, found, err := tbl.get([]byte("dead"))
-	if err != nil || !found || !tomb {
-		t.Fatalf("tombstone get: tomb=%v found=%v err=%v", tomb, found, err)
 	}
 }
 
@@ -240,13 +228,13 @@ func TestSSTableEach(t *testing.T) {
 	dev := newTestDevice()
 	tbl, _ := writeSSTable(dev, "t",
 		[][]byte{[]byte("a"), []byte("b")},
-		[][]byte{[]byte("1"), nil})
+		[][]byte{[]byte("1"), []byte("2")})
 	var got []string
-	tbl.each(func(k, v []byte, tomb bool) error {
-		got = append(got, fmt.Sprintf("%s=%s/%v", k, v, tomb))
+	tbl.each(func(k, v []byte) error {
+		got = append(got, fmt.Sprintf("%s=%s", k, v))
 		return nil
 	})
-	if len(got) != 2 || got[0] != "a=1/false" || got[1] != "b=/true" {
+	if len(got) != 2 || got[0] != "a=1" || got[1] != "b=2" {
 		t.Fatalf("each = %v", got)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // SSTable layout on the simulated SSD (one file per table):
 //
-//	data:    [u32 klen][key][u32 vlen|tombstoneBit][value]...
+//	data:    [u32 klen][key][u32 vlen][value]...
 //	index:   [u32 klen][key][u64 offset]...   (every indexInterval-th key)
 //	bloom:   [u32 k][u32 nwords][words...]
 //	footer:  [u64 dataLen][u64 indexLen][u64 bloomLen][u64 count][u32 magic]
@@ -22,7 +22,6 @@ import (
 const (
 	sstMagic      = 0x4C534D31 // "LSM1"
 	indexInterval = 16
-	tombstoneBit  = 1 << 31
 	footerSize    = 8*4 + 4
 )
 
@@ -43,8 +42,7 @@ type sstable struct {
 	maxKey  []byte
 }
 
-// writeSSTable serializes sorted (key,value) pairs (nil value = tombstone)
-// into a new table file and syncs it.
+// writeSSTable serializes sorted (key,value) pairs into a new table file and syncs it.
 func writeSSTable(dev *ssd.Device, name string, keys, values [][]byte) (*sstable, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("lsm: empty sstable")
@@ -64,12 +62,8 @@ func writeSSTable(dev *ssd.Device, name string, keys, values [][]byte) (*sstable
 		bloom.add(k)
 		writeBytes(&data, k)
 		v := values[i]
-		vlen := uint32(len(v))
-		if v == nil {
-			vlen = tombstoneBit
-		}
 		var vb [4]byte
-		binary.LittleEndian.PutUint32(vb[:], vlen)
+		binary.LittleEndian.PutUint32(vb[:], uint32(len(v)))
 		data.Write(vb[:])
 		data.Write(v)
 	}
@@ -193,16 +187,16 @@ func openSSTable(dev *ssd.Device, name string) (*sstable, error) {
 
 // get looks a key up: bloom check, index binary search, then one block
 // read and scan.
-func (t *sstable) get(key []byte) (value []byte, tombstone, found bool, err error) {
+func (t *sstable) get(key []byte) (value []byte, found bool, err error) {
 	if !t.bloom.mayContain(key) {
-		return nil, false, false, nil
+		return nil, false, nil
 	}
 	// Find the last index entry with key <= target.
 	i := sort.Search(len(t.index), func(i int) bool {
 		return bytes.Compare(t.index[i].key, key) > 0
 	}) - 1
 	if i < 0 {
-		return nil, false, false, nil
+		return nil, false, nil
 	}
 	start := t.index[i].offset
 	end := t.dataLen
@@ -211,62 +205,54 @@ func (t *sstable) get(key []byte) (value []byte, tombstone, found bool, err erro
 	}
 	block := make([]byte, end-start)
 	if err := t.dev.ReadAt(t.name, int64(start), block); err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
 	for off := 0; off < len(block); {
-		k, v, tomb, next, ok := decodeEntryAt(block, off)
+		k, v, next, ok := decodeEntryAt(block, off)
 		if !ok {
-			return nil, false, false, fmt.Errorf("lsm: table %s has a corrupt data block at %d", t.name, start+uint64(off))
+			return nil, false, fmt.Errorf("lsm: table %s has a corrupt data block at %d", t.name, start+uint64(off))
 		}
 		if bytes.Equal(k, key) {
-			if tomb {
-				return nil, true, true, nil
-			}
-			return append([]byte(nil), v...), false, true, nil
+			return append([]byte(nil), v...), true, nil
 		}
 		off = next
 	}
-	return nil, false, false, nil
+	return nil, false, nil
 }
 
 // decodeEntryAt parses one data-block entry with full bounds checking.
-func decodeEntryAt(block []byte, off int) (key, value []byte, tomb bool, next int, ok bool) {
+func decodeEntryAt(block []byte, off int) (key, value []byte, next int, ok bool) {
 	if off+4 > len(block) {
-		return nil, nil, false, 0, false
+		return nil, nil, 0, false
 	}
 	klen := int(binary.LittleEndian.Uint32(block[off : off+4]))
 	off += 4
 	if klen < 0 || off+klen+4 > len(block) {
-		return nil, nil, false, 0, false
+		return nil, nil, 0, false
 	}
 	key = block[off : off+klen]
 	off += klen
-	vlen := binary.LittleEndian.Uint32(block[off : off+4])
+	dlen := int(binary.LittleEndian.Uint32(block[off : off+4]))
 	off += 4
-	tomb = vlen&tombstoneBit != 0
-	dlen := int(vlen &^ tombstoneBit)
-	if tomb {
-		dlen = 0
-	}
 	if dlen < 0 || off+dlen > len(block) {
-		return nil, nil, false, 0, false
+		return nil, nil, 0, false
 	}
 	value = block[off : off+dlen]
-	return key, value, tomb, off + dlen, true
+	return key, value, off + dlen, true
 }
 
 // each streams all entries of the table in key order (used by compaction).
-func (t *sstable) each(fn func(key, value []byte, tombstone bool) error) error {
+func (t *sstable) each(fn func(key, value []byte) error) error {
 	raw := make([]byte, t.dataLen)
 	if err := t.dev.ReadAt(t.name, 0, raw); err != nil {
 		return err
 	}
 	for off := 0; off < len(raw); {
-		key, value, tomb, next, ok := decodeEntryAt(raw, off)
+		key, value, next, ok := decodeEntryAt(raw, off)
 		if !ok {
 			return fmt.Errorf("lsm: table %s has a corrupt data block at %d", t.name, off)
 		}
-		if err := fn(key, value, tomb); err != nil {
+		if err := fn(key, value); err != nil {
 			return err
 		}
 		off = next

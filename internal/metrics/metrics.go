@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,15 +31,12 @@ type Histogram struct {
 	counts []atomic.Uint64
 	total  atomic.Uint64
 	sum    atomic.Uint64 // nanoseconds, for Mean
-	min    atomic.Uint64
 	max    atomic.Uint64
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	h := &Histogram{counts: make([]atomic.Uint64, numBuckets)}
-	h.min.Store(math.MaxUint64)
-	return h
+	return &Histogram{counts: make([]atomic.Uint64, numBuckets)}
 }
 
 // bucketIndex maps a nanosecond value to its bucket.
@@ -80,18 +76,12 @@ func (h *Histogram) Record(d time.Duration) {
 
 // RecordValue adds one dimensionless observation (e.g. a batch size in
 // records or bytes). Value histograms share the duration histogram's
-// buckets; read them back with MeanValue/PercentileValue rather than the
-// time.Duration accessors.
+// buckets; read them back with MeanValue rather than the time.Duration
+// accessors.
 func (h *Histogram) RecordValue(v uint64) {
 	h.counts[bucketIndex(v)].Add(1)
 	h.total.Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -118,22 +108,6 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sum.Load())
 }
 
-// Min returns the smallest observation, or 0 if empty.
-func (h *Histogram) Min() time.Duration {
-	if h.total.Load() == 0 {
-		return 0
-	}
-	return time.Duration(h.min.Load())
-}
-
-// Max returns the largest observation, or 0 if empty.
-func (h *Histogram) Max() time.Duration {
-	if h.total.Load() == 0 {
-		return 0
-	}
-	return time.Duration(h.max.Load())
-}
-
 // MeanValue returns the arithmetic mean of dimensionless observations.
 func (h *Histogram) MeanValue() float64 {
 	n := h.total.Load()
@@ -141,19 +115,6 @@ func (h *Histogram) MeanValue() float64 {
 		return 0
 	}
 	return float64(h.sum.Load()) / float64(n)
-}
-
-// PercentileValue returns the dimensionless observation at quantile q.
-func (h *Histogram) PercentileValue(q float64) uint64 {
-	return uint64(h.Percentile(q))
-}
-
-// MaxValue returns the largest dimensionless observation, or 0 if empty.
-func (h *Histogram) MaxValue() uint64 {
-	if h.total.Load() == 0 {
-		return 0
-	}
-	return h.max.Load()
 }
 
 // Percentile returns the latency at quantile q in [0,100].
@@ -182,7 +143,7 @@ func (h *Histogram) Percentile(q float64) time.Duration {
 	return time.Duration(h.max.Load())
 }
 
-// Merge adds all observations of other into h. min/max are merged exactly;
+// Merge adds all observations of other into h. max is merged exactly;
 // bucket counts are summed.
 func (h *Histogram) Merge(other *Histogram) {
 	for i := range other.counts {
@@ -193,13 +154,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.total.Add(other.total.Load())
 	h.sum.Add(other.sum.Load())
 	if other.total.Load() > 0 {
-		om := other.min.Load()
-		for {
-			cur := h.min.Load()
-			if om >= cur || h.min.CompareAndSwap(cur, om) {
-				break
-			}
-		}
 		oM := other.max.Load()
 		for {
 			cur := h.max.Load()
@@ -210,62 +164,19 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Summary is a point-in-time digest of a histogram.
-type Summary struct {
-	Count          uint64
-	Mean, P50, P99 time.Duration
-	Min, Max       time.Duration
-}
-
-// Summarize captures the histogram's current digest.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Percentile(50),
-		P99:   h.Percentile(99),
-		Min:   h.Min(),
-		Max:   h.Max(),
-	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v min=%v max=%v",
-		s.Count, s.Mean, s.P50, s.P99, s.Min, s.Max)
-}
-
-// Counter is a thread-safe monotonically increasing event counter with a
-// start time, used to compute throughput.
+// Counter is a thread-safe monotonically increasing event counter.
 type Counter struct {
-	n     atomic.Uint64
-	start time.Time
+	n atomic.Uint64
 }
 
-// NewCounter returns a counter whose rate window starts now.
-func NewCounter() *Counter { return &Counter{start: time.Now()} }
+// NewCounter returns a zero counter.
+func NewCounter() *Counter { return &Counter{} }
 
 // Add increments the counter by delta.
 func (c *Counter) Add(delta uint64) { c.n.Add(delta) }
 
 // Count returns the current value.
 func (c *Counter) Count() uint64 { return c.n.Load() }
-
-// Rate returns events per second since the counter was created.
-func (c *Counter) Rate() float64 {
-	el := time.Since(c.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(c.n.Load()) / el
-}
-
-// RateOver returns events per second over an explicit elapsed duration.
-func (c *Counter) RateOver(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.n.Load()) / elapsed.Seconds()
-}
 
 // Series is an ordered set of (label, value) points, used by the bench
 // harness to print one figure curve.
@@ -353,15 +264,4 @@ func formatValue(v float64) string {
 	default:
 		return fmt.Sprintf("%.3g", v)
 	}
-}
-
-// SortedKeys returns the sorted keys of a string-keyed map; a small helper
-// for deterministic report output.
-func SortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -349,28 +349,6 @@ func (r *Registry) Samples(name string) []Sample {
 	return out
 }
 
-// MaxGauge returns the largest instance value of a gauge family — the
-// busiest-node view a scale-up policy thresholds on. Zero when the family
-// is unknown or empty.
-func (r *Registry) MaxGauge(name string) float64 {
-	var max float64
-	for _, s := range r.Samples(name) {
-		if s.Value > max {
-			max = s.Value
-		}
-	}
-	return max
-}
-
-// SumCounter returns the summed instance values of a counter family.
-func (r *Registry) SumCounter(name string) uint64 {
-	var sum uint64
-	for _, s := range r.Samples(name) {
-		sum += uint64(s.Value)
-	}
-	return sum
-}
-
 // quantiles exposed for each histogram family.
 var summaryQuantiles = []struct {
 	q     float64

@@ -161,8 +161,7 @@ type Tracer struct {
 	op     string
 	labels Labels
 
-	slow    atomic.Int64 // slow-request threshold, ns
-	enabled atomic.Bool
+	slow atomic.Int64 // slow-request threshold, ns
 
 	total *Histogram
 	mu    sync.Mutex
@@ -198,28 +197,11 @@ func NewTracer(reg *Registry, op string, labels Labels, slow time.Duration, ring
 		ring:  make([]TraceRecord, 0, ringCap),
 	}
 	t.slow.Store(int64(slow))
-	t.enabled.Store(true)
 	return t
 }
 
 // Enabled reports whether the tracer records (false on nil).
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled switches recording on or off at runtime; the overhead
-// ablation benchmarks flip this. Safe on nil.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
-
-// Op returns the traced operation name ("" on nil).
-func (t *Tracer) Op() string {
-	if t == nil {
-		return ""
-	}
-	return t.op
-}
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // stageHist returns (creating if needed) the histogram for one stage.
 func (t *Tracer) stageHist(name string) *Histogram {
@@ -240,10 +222,9 @@ func (t *Tracer) stageHist(name string) *Histogram {
 
 // ObserveStage records one stage duration into the stage histogram
 // without an enclosing Trace — used for stages observed in aggregate
-// (lane queue wait, group-commit windows, PM transactions). Safe on nil
-// and when disabled.
+// (lane queue wait, group-commit windows, PM transactions). Safe on nil.
 func (t *Tracer) ObserveStage(name string, d time.Duration) {
-	if !t.Enabled() {
+	if t == nil {
 		return
 	}
 	t.stageHist(name).Observe(d)
@@ -251,9 +232,9 @@ func (t *Tracer) ObserveStage(name string, d time.Duration) {
 
 // Observe folds a finished request into the histograms and, if it was
 // slow, into the ring. id is free-form correlation (may be ""). spans may
-// be nil. Safe on nil and when disabled.
+// be nil. Safe on nil.
 func (t *Tracer) Observe(id string, total time.Duration, spans []Span) {
-	if !t.Enabled() {
+	if t == nil {
 		return
 	}
 	t.total.Observe(total)

@@ -34,9 +34,6 @@ func MakeBallot(round uint32, proposer types.NodeID) Ballot {
 // Round extracts the round half.
 func (b Ballot) Round() uint32 { return uint32(uint64(b) >> 32) }
 
-// Proposer extracts the proposer id.
-func (b Ballot) Proposer() types.NodeID { return types.NodeID(uint32(uint64(b))) }
-
 // Value is the payload agreed on in one slot: a request for N sequence
 // numbers, identified by the request id for response routing.
 type Value struct {
@@ -116,13 +113,6 @@ func NewAcceptor(id types.NodeID, net *transport.Network) (*Acceptor, error) {
 	}
 	a.ep = ep
 	return a, nil
-}
-
-// Stats returns a snapshot of the acceptor counters.
-func (a *Acceptor) Stats() AcceptorStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
 }
 
 func (a *Acceptor) slot(s uint64) *slotState {

@@ -22,8 +22,8 @@ func newQuorum(t *testing.T, n int) (*transport.Network, []types.NodeID) {
 
 func TestBallotComposition(t *testing.T) {
 	b := MakeBallot(7, 42)
-	if b.Round() != 7 || b.Proposer() != 42 {
-		t.Fatalf("ballot parts = %d, %v", b.Round(), b.Proposer())
+	if b.Round() != 7 || types.NodeID(uint32(b)) != 42 {
+		t.Fatalf("ballot parts = %d, %v", b.Round(), types.NodeID(uint32(b)))
 	}
 	if MakeBallot(2, 1) <= MakeBallot(1, 99) {
 		t.Fatal("higher round must dominate")
@@ -104,14 +104,24 @@ func TestQuorumLossBlocks(t *testing.T) {
 	net, ids := newQuorum(t, 3)
 	p, _ := NewProposer(ProposerConfig{
 		ID: 100, Acceptors: ids,
-		PhaseTimeout: 20 * time.Millisecond, MaxAttempts: 3,
+		PhaseTimeout: 20 * time.Millisecond,
 	}, net)
-	defer p.Stop()
 	// Partition two of three acceptors away: no majority can form.
 	net.Partition(100, ids[0])
 	net.Partition(100, ids[1])
-	if _, err := p.ProposeSlot(0, Value{N: 1, ReqID: 1, From: 100}); err == nil {
-		t.Fatal("proposal without a quorum should fail")
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.ProposeSlot(0, Value{N: 1, ReqID: 1, From: 100})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("proposal without a quorum returned: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	p.Stop()
+	if err := <-done; !errors.Is(err, ErrStopped) {
+		t.Fatalf("proposal without a quorum after Stop: %v", err)
 	}
 }
 
@@ -226,7 +236,6 @@ func TestMultiProposerPreemption(t *testing.T) {
 		c, err := NewCounter(ProposerConfig{
 			ID: id, Acceptors: ids,
 			PhaseTimeout: 5 * time.Millisecond,
-			MaxAttempts:  50,
 		}, net)
 		if err != nil {
 			t.Fatal(err)
@@ -242,18 +251,17 @@ func TestMultiProposerPreemption(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
 			if _, err := c.Next(1); err != nil {
-				if errors.Is(err, ErrStopped) {
-					return
-				}
-				// Livelock bound hit: acceptable for this experiment.
-				return
+				return // stopped: the livelock outlasted the experiment
 			}
 		}
 	}
 	wg.Add(2)
 	go run(c1)
 	go run(c2)
+	// Duelling proposers may livelock; bound the experiment, not a slot.
+	stop := time.AfterFunc(2*time.Second, func() { c1.Stop(); c2.Stop() })
 	wg.Wait()
+	stop.Stop()
 
 	pre := c1.Stats().Preemptions + c2.Stats().Preemptions
 	if pre == 0 {
@@ -286,7 +294,9 @@ func TestAcceptorStats(t *testing.T) {
 	p2, _ := NewProposer(ProposerConfig{ID: 100, Acceptors: []types.NodeID{1}}, net2)
 	defer p2.Stop()
 	p2.ProposeSlot(0, Value{N: 1, ReqID: 1, From: 100})
-	st := accs[0].Stats()
+	accs[0].mu.Lock()
+	st := accs[0].stats
+	accs[0].mu.Unlock()
 	if st.Promises != 1 || st.Accepteds != 1 {
 		t.Fatalf("acceptor stats = %+v", st)
 	}

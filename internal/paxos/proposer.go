@@ -2,7 +2,6 @@ package paxos
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -24,9 +23,6 @@ type ProposerConfig struct {
 	SkipPhase1 bool
 	// PhaseTimeout bounds one phase round-trip before a retry.
 	PhaseTimeout time.Duration
-	// MaxAttempts bounds retries per slot (0 = unbounded). The livelock
-	// experiment uses a bound to measure preemptions without hanging.
-	MaxAttempts int
 }
 
 // ProposerStats counts proposer-side events; Preemptions is the §3.3
@@ -180,9 +176,6 @@ func (p *Proposer) ProposeSlot(slot uint64, v Value) (Value, error) {
 		p.mu.Unlock()
 
 		attempts++
-		if p.cfg.MaxAttempts > 0 && attempts > p.cfg.MaxAttempts {
-			return Value{}, fmt.Errorf("paxos: slot %d undecided after %d attempts (livelock)", slot, attempts-1)
-		}
 
 		vUse := v
 		// The Multi-Paxos fast path is only safe while this proposer's

@@ -68,12 +68,6 @@ func (m LatencyModel) writeCost(n int) time.Duration {
 	return d
 }
 
-// ReadCost exposes the modeled read latency (used by the Fig. 1 bench).
-func (m LatencyModel) ReadCost(n int) time.Duration { return m.readCost(n) }
-
-// WriteCost exposes the modeled write latency (used by the Fig. 1 bench).
-func (m LatencyModel) WriteCost(n int) time.Duration { return m.writeCost(n) }
-
 // TimeOf returns the total modeled device time the counted operations
 // would take — the accounting backbone of the throughput benchmarks, which
 // run functionally and convert observed operation counts into modeled time

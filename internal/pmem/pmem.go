@@ -96,9 +96,6 @@ func New(size int, model LatencyModel) (*Pool, error) {
 // Size returns the total pool size in bytes.
 func (p *Pool) Size() int { return len(p.data) }
 
-// Model returns the pool's latency model.
-func (p *Pool) Model() LatencyModel { return p.model }
-
 // Stats returns a snapshot of the operation counters.
 func (p *Pool) Stats() Stats {
 	p.mu.RLock()
@@ -194,13 +191,6 @@ func (p *Pool) Crash() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.crashed = true
-}
-
-// Crashed reports whether the pool is in the crashed state.
-func (p *Pool) Crashed() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.crashed
 }
 
 // Recover simulates PMDK pool reopening after a crash: every transaction

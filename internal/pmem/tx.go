@@ -103,15 +103,6 @@ func (tx *Tx) PutV(off uint64, parts ...[]byte) error {
 	return nil
 }
 
-// Get reads len(buf) bytes at off within the transaction (equivalent to a
-// plain read; provided for API symmetry with PMDK's GET).
-func (tx *Tx) Get(off uint64, buf []byte) error {
-	if tx.state != txActive {
-		return ErrTxDone
-	}
-	return tx.pool.Read(off, buf)
-}
-
 // Commit makes the transaction's stores durable and discards the undo log.
 func (tx *Tx) Commit() error {
 	p := tx.pool

@@ -73,12 +73,11 @@ type ReadReq struct {
 
 // ReadStatus qualifies a ⊥ read response (Found=false). The values are
 // ordered by precedence: when a client merges responses from several
-// replicas, the highest status wins.
+// replicas, the highest status wins. Status 0 is plain ⊥ — hole, unknown
+// SN, or hold timeout.
 const (
-	// ReadStatusNone: plain ⊥ — hole, unknown SN, or hold timeout.
-	ReadStatusNone uint8 = iota
 	// ReadStatusTrimmed: the SN was garbage collected after a trim.
-	ReadStatusTrimmed
+	ReadStatusTrimmed uint8 = iota + 1
 	// ReadStatusCkptTruncated: the SN lies at or below the replica's
 	// checkpoint recovery floor — gone for good, clients should not retry.
 	ReadStatusCkptTruncated

@@ -24,7 +24,7 @@ var ErrNotFound = errors.New("queue: record not found")
 type MessageQueue struct {
 	color  types.ColorID
 	handle *core.Client
-	// PollInterval is the subscribe retry cadence in Lookup/Dequeue.
+	// PollInterval is the subscribe retry cadence of Lookup.
 	PollInterval time.Duration
 }
 
@@ -42,9 +42,6 @@ func Create(handle *core.Client, color, parent types.ColorID) (*MessageQueue, er
 	return New(handle, color), nil
 }
 
-// Color returns the queue's color.
-func (mq *MessageQueue) Color() types.ColorID { return mq.color }
-
 // Enqueue appends one message and returns its index (SN).
 func (mq *MessageQueue) Enqueue(record []byte) (types.SN, error) {
 	return mq.handle.Append([][]byte{record}, mq.color)
@@ -53,15 +50,6 @@ func (mq *MessageQueue) Enqueue(record []byte) (types.SN, error) {
 // Get returns the record at the given index (Listing 1's Get).
 func (mq *MessageQueue) Get(idx types.SN) ([]byte, error) {
 	return mq.handle.Read(idx, mq.color)
-}
-
-// Len returns the number of currently retained messages.
-func (mq *MessageQueue) Len() (int, error) {
-	records, err := mq.handle.Subscribe(mq.color, types.InvalidSN)
-	if err != nil {
-		return 0, err
-	}
-	return len(records), nil
 }
 
 // Lookup polls the queue until a record equal to expected appears and
@@ -88,30 +76,4 @@ func (mq *MessageQueue) LookupFunc(ctx context.Context, f func([]byte) bool) (ty
 		case <-time.After(mq.PollInterval):
 		}
 	}
-}
-
-// Dequeue returns the oldest message with SN > after and its index,
-// blocking (by polling) until one appears or ctx ends. Combined with Ack
-// this gives at-least-once consumption.
-func (mq *MessageQueue) Dequeue(ctx context.Context, after types.SN) (types.SN, []byte, error) {
-	for {
-		records, err := mq.handle.Subscribe(mq.color, after)
-		if err != nil {
-			return types.InvalidSN, nil, err
-		}
-		if len(records) > 0 {
-			return records[0].SN, records[0].Data, nil
-		}
-		select {
-		case <-ctx.Done():
-			return types.InvalidSN, nil, ErrNotFound
-		case <-time.After(mq.PollInterval):
-		}
-	}
-}
-
-// Ack garbage-collects the queue up to and including idx (Trim).
-func (mq *MessageQueue) Ack(idx types.SN) error {
-	_, _, err := mq.handle.Trim(idx, mq.color)
-	return err
 }

@@ -3,8 +3,6 @@ package queue
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,9 +37,6 @@ func TestEnqueueGet(t *testing.T) {
 	got, err := mq.Get(idx)
 	if err != nil || string(got) != "m1" {
 		t.Fatalf("get = %q, %v", got, err)
-	}
-	if mq.Color() != 30 {
-		t.Fatalf("color = %v", mq.Color())
 	}
 }
 
@@ -80,73 +75,6 @@ func TestLookupBlocksUntilProducerArrives(t *testing.T) {
 	}
 }
 
-func TestDequeueAckDrainsInOrder(t *testing.T) {
-	_, mq := newQueue(t)
-	for i := 0; i < 5; i++ {
-		if _, err := mq.Enqueue(fmt.Appendf(nil, "m%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	var cursor types.SN
-	for i := 0; i < 5; i++ {
-		idx, data, err := mq.Dequeue(ctx, cursor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != fmt.Sprintf("m%d", i) {
-			t.Fatalf("dequeue %d = %q", i, data)
-		}
-		if err := mq.Ack(idx); err != nil {
-			t.Fatal(err)
-		}
-		cursor = idx
-	}
-	if n, _ := mq.Len(); n != 0 {
-		t.Fatalf("queue not drained: %d left", n)
-	}
-}
-
-func TestProducerConsumerPipeline(t *testing.T) {
-	cl, mq := newQueue(t)
-	consumerClient, err := cl.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	consumer := New(consumerClient, mq.Color())
-	const n = 20
-	var got []string
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		var cursor types.SN
-		for len(got) < n {
-			idx, data, err := consumer.Dequeue(ctx, cursor)
-			if err != nil {
-				t.Errorf("dequeue: %v", err)
-				return
-			}
-			got = append(got, string(data))
-			cursor = idx
-		}
-	}()
-	for i := 0; i < n; i++ {
-		if _, err := mq.Enqueue(fmt.Appendf(nil, "job-%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	for i, g := range got {
-		if g != fmt.Sprintf("job-%02d", i) {
-			t.Fatalf("out of order at %d: %q", i, g)
-		}
-	}
-}
-
 func TestTwoQueuesAreIndependent(t *testing.T) {
 	cl, mq1 := newQueue(t)
 	c2, _ := cl.NewClient()
@@ -156,11 +84,10 @@ func TestTwoQueuesAreIndependent(t *testing.T) {
 	}
 	mq1.Enqueue([]byte("one"))
 	mq2.Enqueue([]byte("two"))
-	if n, _ := mq1.Len(); n != 1 {
-		t.Fatalf("queue1 len = %d", n)
-	}
-	if n, _ := mq2.Len(); n != 1 {
-		t.Fatalf("queue2 len = %d", n)
+	for _, mq := range []*MessageQueue{mq1, mq2} {
+		if recs, err := mq.handle.Subscribe(mq.color, types.InvalidSN); err != nil || len(recs) != 1 {
+			t.Fatalf("queue %v holds %d messages, %v", mq.color, len(recs), err)
+		}
 	}
 	got, _ := mq2.Get(types.MakeSN(1, 1))
 	if string(got) != "two" {

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -39,7 +38,9 @@ import (
 // a whole.
 
 // defaultJoinBudget bounds the records per color one catch-up round may
-// carry when Config.JoinBudget (or a request's Budget) is unset.
+// carry — a joiner's, and a recovering replica's in its sync-phase
+// (DESIGN.md §15.3) — when a request's Budget is unset. It bounds the
+// memory and wire footprint of a catch-up under live traffic.
 const defaultJoinBudget = 2048
 
 // wireRecords converts a storage scan to its wire form.
@@ -166,8 +167,8 @@ func (r *Replica) IngestCatchup(records map[types.ColorID][]proto.WireRecord) (i
 // its committed frontier — or its trim frontier where that is higher,
 // because records at or below it are dropped on arrival and asking for them
 // again would never advance a budgeted transfer — and the SNs of its
-// persisted but uncommitted batches, as many as the budget. An unset
-// JoinBudget travels as 0, the donor's default.
+// persisted but uncommitted batches, as many as the default budget. Its
+// Budget travels as 0, the donor's default.
 func (r *Replica) catchupFetch(id uint64) proto.JoinFetch {
 	have := make(map[types.ColorID]types.SN)
 	for _, c := range r.topo.Colors() {
@@ -175,15 +176,14 @@ func (r *Replica) catchupFetch(id uint64) proto.JoinFetch {
 			have[c] = sn
 		}
 	}
-	budget := max(r.cfg.JoinBudget, 0)
 	var tokens []types.Token
 	for _, b := range r.st.Uncommitted() {
-		if len(tokens) == cmp.Or(budget, defaultJoinBudget) {
+		if len(tokens) == defaultJoinBudget {
 			break
 		}
 		tokens = append(tokens, b.Token)
 	}
-	return proto.JoinFetch{ID: id, Have: have, Tokens: tokens, Budget: uint32(budget), From: r.cfg.ID}
+	return proto.JoinFetch{ID: id, Have: have, Tokens: tokens, From: r.cfg.ID}
 }
 
 // onJoinFetch answers one round. A failed serve sends nothing; the

@@ -45,14 +45,13 @@ func seedBatch(t *testing.T, r *Replica, token types.Token, last types.SN, recor
 
 // spawnJoiner creates a replica outside the shard's membership, as the
 // control plane does before a join.
-func (h *harness) spawnJoiner(t *testing.T, id types.NodeID, budget int) *Replica {
+func (h *harness) spawnJoiner(t *testing.T, id types.NodeID) *Replica {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.ID = id
 	cfg.Shard = 1
 	cfg.Topo = h.topo
 	cfg.RetryTimeout = 25 * time.Millisecond
-	cfg.JoinBudget = budget
 	r, err := New(cfg, h.net)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +65,7 @@ func (h *harness) spawnJoiner(t *testing.T, id types.NodeID, budget int) *Replic
 // JoinFetch to the real donor and every JoinEntries back, so it sees each
 // round. It returns the rounds once the donor reports nothing more and the
 // joiner has ingested them all.
-func (h *harness) catchUp(t *testing.T, donor, joiner *Replica) []proto.JoinEntries {
+func (h *harness) catchUp(t *testing.T, donor, joiner *Replica, budget uint32) []proto.JoinEntries {
 	t.Helper()
 	joiner.StartJoin(harnessCli)
 	var rounds []proto.JoinEntries
@@ -75,6 +74,7 @@ func (h *harness) catchUp(t *testing.T, donor, joiner *Replica) []proto.JoinEntr
 			f, ok := m.(proto.JoinFetch)
 			return ok && f.From == joiner.ID()
 		}).(proto.JoinFetch)
+		fetch.Budget = budget
 		h.cliEP.Send(donor.ID(), fetch)
 		entries := h.waitClient(t, func(m transport.Message) bool {
 			e, ok := m.(proto.JoinEntries)
@@ -145,8 +145,8 @@ func TestCatchupIngestsWholeBatch(t *testing.T) {
 	})
 	seedBatch(t, donor, types.MakeToken(1, 2), csn(5), "d", "e")
 
-	joiner := h.spawnJoiner(t, 9, 0)
-	h.catchUp(t, donor, joiner)
+	joiner := h.spawnJoiner(t, 9)
+	h.catchUp(t, donor, joiner, 0)
 	sameLog(t, donor, joiner)
 	for i, want := range []string{"a", "b", "c", "d", "e"} {
 		got, err := joiner.Store().Get(catchupColor, csn(i+1))
@@ -174,9 +174,9 @@ func TestCatchupCommitsPersistedBatchAtPeerSNs(t *testing.T) {
 	batch := types.MakeToken(2, 1)
 	seedBatch(t, donor, batch, csn(12), "a", "b", "c") // SNs 8 and 9 stay holes
 
-	joiner := h.spawnJoiner(t, 9, 0)
+	joiner := h.spawnJoiner(t, 9)
 	seedBatch(t, joiner, batch, types.InvalidSN, "a", "b", "c")
-	h.catchUp(t, donor, joiner)
+	h.catchUp(t, donor, joiner, 0)
 	for i := 1; i <= 12; i++ {
 		want, wantErr := donor.Store().Get(catchupColor, csn(i))
 		got, gotErr := joiner.Store().Get(catchupColor, csn(i))
@@ -253,8 +253,8 @@ func TestCatchupNeverSplitsABatch(t *testing.T) {
 		}
 	}
 
-	joiner := h.spawnJoiner(t, 9, budget)
-	if rounds := h.catchUp(t, donor, joiner); len(rounds) < batches {
+	joiner := h.spawnJoiner(t, 9)
+	if rounds := h.catchUp(t, donor, joiner, budget); len(rounds) < batches {
 		t.Errorf("joiner caught up in %d rounds, want at least %d at budget %d", len(rounds), batches, budget)
 	}
 	sameLog(t, donor, joiner)
@@ -272,11 +272,11 @@ func TestCatchupSkipsTrimmedPrefix(t *testing.T) {
 	seedBatch(t, donor, types.MakeToken(1, 2), csn(6), "d", "e", "f")
 
 	// Destination-side frontier at 4, before the donor trims anything.
-	late := h.spawnJoiner(t, 10, 0)
+	late := h.spawnJoiner(t, 10)
 	if _, _, err := late.Store().Trim(catchupColor, csn(4)); err != nil {
 		t.Fatal(err)
 	}
-	h.catchUp(t, donor, late)
+	h.catchUp(t, donor, late, 0)
 	for i, want := range []string{"", "", "", "", "e", "f"} {
 		got, err := late.Store().Get(catchupColor, csn(i+1))
 		if want == "" && err == nil {
@@ -291,8 +291,8 @@ func TestCatchupSkipsTrimmedPrefix(t *testing.T) {
 	if _, _, err := donor.Store().Trim(catchupColor, csn(2)); err != nil {
 		t.Fatal(err)
 	}
-	joiner := h.spawnJoiner(t, 9, 0)
-	h.catchUp(t, donor, joiner)
+	joiner := h.spawnJoiner(t, 9)
+	h.catchUp(t, donor, joiner, 0)
 	sameLog(t, donor, joiner)
 	if got, err := joiner.Store().Get(catchupColor, csn(3)); err != nil || string(got) != "c" {
 		t.Errorf("SN 3 = %q, %v; want the batch's surviving record \"c\"", got, err)
@@ -307,24 +307,24 @@ func TestCatchupSkipsTrimmedPrefix(t *testing.T) {
 // tapEndpoint reports every message a replica sends.
 type tapEndpoint struct {
 	transport.Endpoint
-	sent func(msg transport.Message)
+	sent func(msg transport.Message) transport.Message // returns the message to send
 }
 
 func (e tapEndpoint) Send(to types.NodeID, msg transport.Message) error {
-	e.sent(msg)
-	return e.Endpoint.Send(to, msg)
+	return e.Endpoint.Send(to, e.sent(msg))
 }
 
 func (e tapEndpoint) Broadcast(tos []types.NodeID, msg transport.Message) error {
 	for range tos {
-		e.sent(msg)
+		msg = e.sent(msg)
 	}
 	return e.Endpoint.Broadcast(tos, msg)
 }
 
 // TestRecoveryFetchIsBudgeted: the fetch stage of a sync-phase travels in
 // catch-up rounds, not one unbounded frame — every reply carries at most
-// JoinBudget records per color plus the rest of one batch — and converges
+// the fetch's Budget records per color plus the rest of one batch (the
+// tap asks for a small one) — and converges
 // the recovering replica on its peer's log, including a batch it had
 // persisted but never committed.
 func TestRecoveryFetchIsBudgeted(t *testing.T) {
@@ -332,18 +332,22 @@ func TestRecoveryFetchIsBudgeted(t *testing.T) {
 	var mu sync.Mutex
 	var frames []int // records per JoinEntries frame, in send order
 	h := newHarnessWith(t, 2, func(cfg Config, net *transport.Network) (*Replica, error) {
-		cfg.JoinBudget = budget
 		return NewWithEndpoint(cfg, func(handler transport.Handler) (transport.Endpoint, error) {
 			ep, err := net.Register(cfg.ID, handler)
 			if err != nil {
 				return nil, err
 			}
-			return tapEndpoint{Endpoint: ep, sent: func(msg transport.Message) {
-				if e, ok := msg.(proto.JoinEntries); ok {
+			return tapEndpoint{Endpoint: ep, sent: func(msg transport.Message) transport.Message {
+				switch m := msg.(type) {
+				case proto.JoinFetch:
+					m.Budget = budget
+					return m
+				case proto.JoinEntries:
 					mu.Lock()
-					frames = append(frames, len(e.Records[catchupColor]))
+					frames = append(frames, len(m.Records[catchupColor]))
 					mu.Unlock()
 				}
+				return msg
 			}}, nil
 		})
 	})

@@ -113,11 +113,6 @@ type Config struct {
 	// StoreFactory overrides how the storage stack is built (e.g. to
 	// re-attach to restored device snapshots); nil uses storage.Open(Store).
 	StoreFactory func(storage.Config) (*storage.Store, error)
-	// JoinBudget caps the records per color one catch-up round may carry —
-	// a joiner's, and a recovering replica's in its sync-phase (DESIGN.md
-	// §15.3); 0 uses 2048. Smaller rounds bound the memory and wire
-	// footprint of a catch-up under live traffic.
-	JoinBudget int
 	// Tenants declares the multi-tenant QoS envelope (DESIGN.md §13):
 	// per-tenant weights for the weighted-fair scheduling of both service
 	// lanes and token-bucket admission control at the append ingress.

@@ -32,9 +32,8 @@ type Config struct {
 	// one (pipelined) Paxos decision — the "optimized Paxos" baseline of
 	// Fig. 4 (right), as opposed to Scalog/Boki's batched counter.
 	PerRequest bool
-	// PhaseTimeout / MaxAttempts pass through to the proposer.
+	// PhaseTimeout passes through to the proposer.
 	PhaseTimeout time.Duration
-	MaxAttempts  int
 }
 
 type member struct {
@@ -77,7 +76,6 @@ func New(cfg Config, net *transport.Network) (*Orderer, error) {
 		Acceptors:    cfg.Acceptors,
 		SkipPhase1:   cfg.UniquePrimary,
 		PhaseTimeout: cfg.PhaseTimeout,
-		MaxAttempts:  cfg.MaxAttempts,
 	}, net)
 	if err != nil {
 		return nil, err
@@ -99,16 +97,6 @@ func New(cfg Config, net *transport.Network) (*Orderer, error) {
 	go o.commitLoop()
 	return o, nil
 }
-
-// Stats returns a snapshot of the counters.
-func (o *Orderer) Stats() Stats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats
-}
-
-// PaxosStats exposes the underlying proposer counters (preemptions etc.).
-func (o *Orderer) PaxosStats() paxos.ProposerStats { return o.counter.Stats() }
 
 // Stop shuts the orderer down.
 func (o *Orderer) Stop() {

@@ -91,7 +91,7 @@ func TestOrdererAssignsDistinctSNs(t *testing.T) {
 		}
 		seen[r.LastSN] = true
 	}
-	if got := o.Stats().Assigned; got != n {
+	if got := stats(o).Assigned; got != n {
 		t.Fatalf("assigned = %d", got)
 	}
 }
@@ -107,12 +107,12 @@ func TestOrdererBatchesRequests(t *testing.T) {
 		})
 	}
 	rx.wait(t, n)
-	st := o.Stats()
+	st := stats(o)
 	if st.Batches >= n {
 		t.Fatalf("no batching: %d batches for %d requests", st.Batches, n)
 	}
 	// Each batch costs exactly one Paxos decision.
-	if d := o.PaxosStats().Decided; d != st.Batches {
+	if d := o.counter.Stats().Decided; d != st.Batches {
 		t.Fatalf("decisions %d != batches %d", d, st.Batches)
 	}
 }
@@ -128,8 +128,8 @@ func TestOrdererTokenDedup(t *testing.T) {
 	if first[0].LastSN != second[1].LastSN {
 		t.Fatalf("dedup broken: %v vs %v", first[0].LastSN, second[1].LastSN)
 	}
-	if o.Stats().Assigned != 1 {
-		t.Fatalf("assigned = %d", o.Stats().Assigned)
+	if stats(o).Assigned != 1 {
+		t.Fatalf("assigned = %d", stats(o).Assigned)
 	}
 }
 
@@ -167,7 +167,6 @@ func TestDuelingOrderers(t *testing.T) {
 			ID: id, Acceptors: ids,
 			UniquePrimary: false,
 			PhaseTimeout:  5 * time.Millisecond,
-			MaxAttempts:   100,
 		}, net)
 		if err != nil {
 			t.Fatal(err)
@@ -191,9 +190,16 @@ func TestDuelingOrderers(t *testing.T) {
 		})
 	}
 	rx.wait(t, n)
-	pre := o1.PaxosStats().Preemptions + o2.PaxosStats().Preemptions
+	pre := o1.counter.Stats().Preemptions + o2.counter.Stats().Preemptions
 	t.Logf("dueling orderers: %d preemptions for %d requests", pre, n)
 	if pre == 0 {
 		t.Log("no preemptions observed this run (timing-dependent); acceptable")
 	}
+}
+
+// stats returns a snapshot of the orderer's counters.
+func stats(o *Orderer) Stats {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.stats
 }

@@ -64,16 +64,6 @@ func Spin(d time.Duration) {
 	}
 }
 
-// WaitUntil injects a delay until the given deadline if injection is
-// enabled. It is the pipelined form of Wait: callers that stamp messages
-// with a delivery deadline at send time can overlap many in-flight delays.
-func WaitUntil(deadline time.Time) {
-	if !enabled.Load() {
-		return
-	}
-	SpinUntil(deadline)
-}
-
 // SpinUntil unconditionally delays until deadline (no-op if already past).
 func SpinUntil(deadline time.Time) {
 	d := time.Until(deadline)
@@ -87,14 +77,3 @@ func SpinUntil(deadline time.Time) {
 		runtime.Gosched()
 	}
 }
-
-// Stopwatch measures elapsed wall time for profiling sections.
-type Stopwatch struct {
-	start time.Time
-}
-
-// NewStopwatch returns a running stopwatch.
-func NewStopwatch() Stopwatch { return Stopwatch{start: time.Now()} }
-
-// Elapsed returns the time since the stopwatch started.
-func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.start) }

@@ -105,9 +105,6 @@ func New(model LatencyModel) *Device {
 	return &Device{files: make(map[string]*file), model: model}
 }
 
-// Model returns the device's latency model.
-func (d *Device) Model() LatencyModel { return d.model }
-
 // Stats returns a snapshot of the operation counters.
 func (d *Device) Stats() Stats {
 	d.mu.RLock()
@@ -270,13 +267,6 @@ func (d *Device) Crash() {
 	for _, f := range d.files {
 		f.data = f.data[:f.synced]
 	}
-}
-
-// Crashed reports whether the device is in the crashed state.
-func (d *Device) Crashed() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.crashed
 }
 
 // Recover makes the device usable again after Crash.

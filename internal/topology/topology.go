@@ -206,14 +206,8 @@ func (t *Topology) Colors() []types.ColorID {
 	return out
 }
 
-// InRegion reports whether color `c` lies inside the region rooted at
-// `region` (i.e. region is c or an ancestor of c).
-func (t *Topology) InRegion(region, c types.ColorID) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.inRegionLocked(region, c)
-}
-
+// inRegionLocked reports whether color `c` lies inside the region rooted
+// at `region` (i.e. region is c or an ancestor of c).
 func (t *Topology) inRegionLocked(region, c types.ColorID) bool {
 	for {
 		if c == region {
@@ -291,44 +285,6 @@ func (t *Topology) ReplicasInRegion(color types.ColorID) []types.NodeID {
 	return out
 }
 
-// Leaves returns the colors that have at least one shard attached, sorted.
-func (t *Topology) Leaves() []types.ColorID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	seen := make(map[types.ColorID]bool)
-	var out []types.ColorID
-	for _, sh := range t.shards {
-		if !seen[sh.Leaf] {
-			seen[sh.Leaf] = true
-			out = append(out, sh.Leaf)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// PathToOwner returns the chain of regions from `from` (exclusive) up to
-// the region `target`, used to validate that an order request can reach its
-// owner by walking parents.
-func (t *Topology) PathToOwner(from, target types.ColorID) ([]types.ColorID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var path []types.ColorID
-	c := from
-	for c != target {
-		si, ok := t.seqs[c]
-		if !ok {
-			return nil, fmt.Errorf("%w: %v", ErrUnknownColor, c)
-		}
-		if si.IsRoot {
-			return nil, fmt.Errorf("topology: region %v is not an ancestor of %v", target, from)
-		}
-		c = si.Parent
-		path = append(path, c)
-	}
-	return path, nil
-}
-
 // ErrLastReplica is returned when a removal would leave a shard empty.
 var ErrLastReplica = errors.New("topology: cannot remove the last replica of a shard")
 
@@ -395,19 +351,6 @@ func (t *Topology) RemoveReplicaFromShard(id types.ShardID, node types.NodeID) e
 		return nil
 	}
 	return fmt.Errorf("topology: replica %v not in shard %v", node, id)
-}
-
-// RemoveShard detaches a shard from the layout (merge cutover: its records
-// must already have been migrated into the surviving shard of the leaf).
-func (t *Topology) RemoveShard(id types.ShardID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.shards[id]; !ok {
-		return fmt.Errorf("topology: unknown shard %v", id)
-	}
-	delete(t.shards, id)
-	t.changedLocked()
-	return nil
 }
 
 // Snapshot is a versioned copy of the full layout, used to propagate

@@ -113,8 +113,8 @@ func TestInRegion(t *testing.T) {
 		{1, 0, false}, // parent is not inside the child region
 	}
 	for _, tc := range cases {
-		if got := topo.InRegion(tc.region, tc.c); got != tc.want {
-			t.Errorf("InRegion(%v, %v) = %v, want %v", tc.region, tc.c, got, tc.want)
+		if got := topo.inRegionLocked(tc.region, tc.c); got != tc.want {
+			t.Errorf("inRegionLocked(%v, %v) = %v, want %v", tc.region, tc.c, got, tc.want)
 		}
 	}
 }
@@ -164,7 +164,7 @@ func TestRandomShardReplaysSeeds(t *testing.T) {
 	reference := func(color types.ColorID) []ShardInfo {
 		var out []ShardInfo
 		for _, sh := range topo.Snapshot().Shards {
-			if topo.InRegion(color, sh.Leaf) {
+			if topo.inRegionLocked(color, sh.Leaf) {
 				out = append(out, sh)
 			}
 		}
@@ -197,10 +197,6 @@ func TestRandomShardReplaysSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("add replica")
-	if err := topo.RemoveShard(1); err != nil {
-		t.Fatal(err)
-	}
-	check("remove shard")
 	snap := buildTree(t).Snapshot()
 	snap.Version = topo.Version() + 1
 	topo.Apply(snap)
@@ -244,31 +240,12 @@ func TestReplicasInRegion(t *testing.T) {
 
 func TestLeavesAndColors(t *testing.T) {
 	topo := buildTree(t)
-	leaves := topo.Leaves()
-	if len(leaves) != 2 || leaves[0] != 1 || leaves[1] != 2 {
-		t.Fatalf("leaves = %v", leaves)
-	}
 	colors := topo.Colors()
 	if len(colors) != 3 || colors[0] != 0 {
 		t.Fatalf("colors = %v", colors)
 	}
 	if !topo.HasColor(2) || topo.HasColor(9) {
 		t.Fatal("HasColor wrong")
-	}
-}
-
-func TestPathToOwner(t *testing.T) {
-	topo := buildTree(t)
-	path, err := topo.PathToOwner(1, 0)
-	if err != nil || len(path) != 1 || path[0] != 0 {
-		t.Fatalf("path 1→0 = %v, %v", path, err)
-	}
-	path, err = topo.PathToOwner(1, 1)
-	if err != nil || len(path) != 0 {
-		t.Fatalf("path 1→1 = %v, %v", path, err)
-	}
-	if _, err := topo.PathToOwner(1, 2); err == nil {
-		t.Fatal("path to non-ancestor should fail")
 	}
 }
 
@@ -307,26 +284,6 @@ func TestReplicaMembershipMutators(t *testing.T) {
 	topo.AddShard(9, 1, []types.NodeID{77})
 	if err := topo.RemoveReplicaFromShard(9, 77); !errors.Is(err, ErrLastReplica) {
 		t.Fatalf("last-replica removal: %v", err)
-	}
-}
-
-func TestRemoveShard(t *testing.T) {
-	topo := buildTree(t)
-	v0 := topo.Version()
-	if err := topo.RemoveShard(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := topo.Shard(2); err == nil {
-		t.Fatal("removed shard still resolvable")
-	}
-	if got := topo.ShardsInRegion(1); len(got) != 1 {
-		t.Fatalf("region 1 shards after remove = %v", got)
-	}
-	if topo.Version() != v0+1 {
-		t.Fatalf("version = %d, want %d", topo.Version(), v0+1)
-	}
-	if err := topo.RemoveShard(2); err == nil {
-		t.Fatal("double remove should fail")
 	}
 }
 
@@ -384,12 +341,8 @@ func TestDeepTree(t *testing.T) {
 		}
 	}
 	topo.AddShard(1, 10, []types.NodeID{50})
-	if !topo.InRegion(0, 10) {
+	if !topo.inRegionLocked(0, 10) {
 		t.Fatal("deep descendant not in root region")
-	}
-	path, err := topo.PathToOwner(10, 0)
-	if err != nil || len(path) != 10 {
-		t.Fatalf("deep path = %v, %v", path, err)
 	}
 	if got := topo.ShardsInRegion(5); len(got) != 1 {
 		t.Fatalf("mid-region shards = %v", got)

@@ -182,11 +182,6 @@ func (n *Network) HealAll() {
 	n.isolated = make(map[types.NodeID]bool)
 }
 
-// Stats returns (delivered, dropped) message counts.
-func (n *Network) Stats() (delivered, dropped uint64) {
-	return n.delivered.Load(), n.dropped.Load()
-}
-
 // NodeDelivered returns the per-node count of messages delivered so far.
 // The throughput benchmarks use these counts with the link model's
 // per-message processing cost to compute each node's modeled busy time.

@@ -63,7 +63,7 @@ func TestSendDelivers(t *testing.T) {
 	if got[0] != "hello" || rx.from[0] != 1 {
 		t.Fatalf("got %v from %v", got[0], rx.from[0])
 	}
-	if d, _ := n.Stats(); d != 1 {
+	if d := n.delivered.Load(); d != 1 {
 		t.Fatalf("delivered = %d", d)
 	}
 }
@@ -127,7 +127,7 @@ func TestPartitionBlocksAndHeals(t *testing.T) {
 	if err := a.Send(2, "x"); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("partitioned send: %v", err)
 	}
-	if _, dropped := n.Stats(); dropped != 1 {
+	if dropped := n.dropped.Load(); dropped != 1 {
 		t.Fatalf("dropped = %d", dropped)
 	}
 	n.Heal(1, 2)

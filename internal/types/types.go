@@ -70,16 +70,6 @@ type Record struct {
 	Data  []byte
 }
 
-// Committed reports whether the record has a log position.
-func (r Record) Committed() bool { return r.SN.Valid() }
-
-// Clone returns a deep copy of the record.
-func (r Record) Clone() Record {
-	out := r
-	out.Data = append([]byte(nil), r.Data...)
-	return out
-}
-
 // TenantID names a tenant — the unit of QoS accounting, admission control,
 // and weighted-fair scheduling (§5.1 sketches multi-tenancy as
 // colors-per-application; tenants own disjoint color sets). Tenant 0 is the

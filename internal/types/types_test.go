@@ -49,21 +49,6 @@ func TestTokenRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestRecordClone(t *testing.T) {
-	r := Record{Token: MakeToken(1, 2), SN: MakeSN(1, 1), Color: 5, Data: []byte("abc")}
-	c := r.Clone()
-	c.Data[0] = 'z'
-	if r.Data[0] != 'a' {
-		t.Fatal("clone aliases data")
-	}
-	if !r.Committed() {
-		t.Fatal("record with SN should be committed")
-	}
-	if (Record{}).Committed() {
-		t.Fatal("zero record should be uncommitted")
-	}
-}
-
 func TestStringers(t *testing.T) {
 	for _, s := range []string{
 		MakeSN(1, 2).String(),

@@ -9,7 +9,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"time"
 )
 
 // RecordSizes is the record-size sweep of Fig. 5 (bytes).
@@ -68,42 +67,3 @@ func (u *UniformKeys) Next() int { return u.rng.Intn(u.N) }
 
 // Key renders a key index as a fixed-width byte key.
 func Key(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i)) }
-
-// Result summarizes one closed-loop run.
-type Result struct {
-	Ops       uint64
-	Errors    uint64
-	Elapsed   time.Duration
-	OpsPerSec float64
-}
-
-// RunClosedLoop drives `threads` workers for `duration`, each invoking op
-// until the deadline; op returns an error to count failures. Returns the
-// aggregate throughput.
-func RunClosedLoop(threads int, duration time.Duration, op func(worker int, iter int) error) Result {
-	start := time.Now()
-	done := make(chan Result, threads)
-	for w := 0; w < threads; w++ {
-		go func(w int) {
-			var r Result
-			deadline := start.Add(duration)
-			for i := 0; time.Now().Before(deadline); i++ {
-				if err := op(w, i); err != nil {
-					r.Errors++
-				} else {
-					r.Ops++
-				}
-			}
-			done <- r
-		}(w)
-	}
-	var total Result
-	for w := 0; w < threads; w++ {
-		r := <-done
-		total.Ops += r.Ops
-		total.Errors += r.Errors
-	}
-	total.Elapsed = time.Since(start)
-	total.OpsPerSec = float64(total.Ops) / total.Elapsed.Seconds()
-	return total
-}

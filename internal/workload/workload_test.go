@@ -2,7 +2,6 @@ package workload
 
 import (
 	"testing"
-	"time"
 )
 
 func TestPayloadDeterministic(t *testing.T) {
@@ -59,42 +58,6 @@ func TestUniformKeysInRange(t *testing.T) {
 		t.Fatalf("key format: %q", Key(1))
 	}
 }
-
-func TestRunClosedLoop(t *testing.T) {
-	res := RunClosedLoop(4, 50*time.Millisecond, func(w, i int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if res.Ops == 0 {
-		t.Fatal("no ops completed")
-	}
-	if res.OpsPerSec <= 0 {
-		t.Fatal("no throughput computed")
-	}
-	// 4 workers × ~50 iterations ≈ 200; generous bounds.
-	if res.Ops > 400 {
-		t.Fatalf("implausible op count %d", res.Ops)
-	}
-}
-
-func TestRunClosedLoopCountsErrors(t *testing.T) {
-	res := RunClosedLoop(1, 20*time.Millisecond, func(w, i int) error {
-		time.Sleep(time.Millisecond)
-		if i%2 == 0 {
-			return errFake
-		}
-		return nil
-	})
-	if res.Errors == 0 {
-		t.Fatal("errors not counted")
-	}
-}
-
-var errFake = &fakeErr{}
-
-type fakeErr struct{}
-
-func (*fakeErr) Error() string { return "fake" }
 
 func TestSweepsNonEmpty(t *testing.T) {
 	if len(RecordSizes) == 0 || len(BlockSizes) == 0 || len(ThreadCounts) == 0 || len(ReadPercents) == 0 {
