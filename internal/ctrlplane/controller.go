@@ -1,7 +1,8 @@
 // Package ctrlplane is FlexLog's elastic reconfiguration control plane
 // (DESIGN.md §15): online topology mutation — replica add with background
-// catch-up, replica drain with cutover, shard split — under live traffic, plus the autoscaler that issues such
-// plans from declarative thresholds over the observability registry.
+// catch-up, replica drain with cutover, shard split — under live traffic,
+// plus the autoscaler that issues such plans from declarative thresholds
+// over the observability registry.
 //
 // Every mutation runs as a Plan: a small state machine
 // (Pending → CatchingUp → Converging → Cutover → Done, with Failed and
