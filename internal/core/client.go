@@ -14,8 +14,7 @@
 // the sentinel causes (ErrNotFound, ErrTimeout, ErrClosed, context errors),
 // so callers use errors.Is / errors.As.
 //
-// Clients are built with functional options (see Connect and
-// Cluster.NewClient). The defaults are: RetryInterval 50ms, Timeout 10s,
+// Clients are built with functional options (see Cluster.NewClient). The defaults are: RetryInterval 50ms, Timeout 10s,
 // shard-selection seed derived from the FID, and DefaultBatchConfig. Every
 // append goes through the per-(color, shard) batcher (see batcher.go):
 // concurrent appends to one color are coalesced per shard into single
