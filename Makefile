@@ -106,15 +106,18 @@ examples-smoke:
 
 # Tiered-storage lifecycle smoke: the checkpoint-bounded-recovery unit
 # test (replay stays flat while the log grows under a PM budget), the
-# append path's allocation guard (PutBatch+Commit allocate per batch, not
-# per record; a warm cache fill allocates nothing; DESIGN.md §8), the run
+# append path's allocation guard (PutBatch+Commit, and PutEntry+Commit of
+# a decoded batch, allocate per batch, not per record; the decoded batch
+# allocates no entry-sized buffer; a warm cache fill allocates nothing;
+# DESIGN.md §8), the run
 # index against its per-record reference model, the cache's DRAM bound,
 # the PM arena on huge pages and the advice undone once it is freed
 # (skipped where THP is off), the crash points
 # of the one spill path (lifecycle and on-demand), the checkpoint write,
 # the freed slot, a fused group-commit window and segment rolls waiting
 # for an in-flight eviction, five times each under -race, short fuzzes of
-# the checkpoint decoder and the run index, plus the quick ablate-tiering
+# the checkpoint decoder, the run index and the batch framing (over the
+# entries the TCP frame decoders build), plus the quick ablate-tiering
 # curve (eviction under budget, cold-tier reads, flat recovery vs the
 # lifecycle-less baseline). See DESIGN.md §11.
 tiering-smoke:
@@ -123,6 +126,7 @@ tiering-smoke:
 	$(GO) test -race -count=5 -run 'TestCrashMidEviction|TestCrashMidOnDemandSpill|TestCrashMidCheckpoint|TestFreedSlotIsNotReplayed|TestCrashInFusedWindowLeavesNoEntry|TestRollWaitsForInFlightEviction|TestRollWaitRechecksToken' ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunIndex$$' -fuzztime=10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchSpans$$' -fuzztime=10s ./internal/storage/
 	timeout 60 $(GO) test -count=1 -run 'TestTieringShape' ./internal/bench/
 
 # Observability overhead smoke: the ablation runs the same append workload

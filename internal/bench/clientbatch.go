@@ -14,19 +14,19 @@ import (
 // shape test) does not drift if the library default is retuned.
 func clientBatchTuning() core.BatchConfig {
 	return core.BatchConfig{
-		MaxBatchRecords: 64,
-		MaxBatchBytes:   256 << 10,
-		MaxBatchDelay:   100 * time.Microsecond,
-		MaxInFlight:     4,
+		MaxBatchBytes: 256 << 10,
+		MaxBatchDelay: 100 * time.Microsecond,
+		MaxInFlight:   4,
 	}
 }
 
 // oneRecordBatches makes every append a batch of one record, with a window
 // that admits all 64 callers at once: each append is its own
-// AppendBatchReq broadcast, as if nothing coalesced. It is this ablation's
-// "off" side, and what ablate-obs runs on.
+// AppendBatchReq broadcast, as if nothing coalesced. A one-byte bound does
+// it, since a set larger than the bound leaves alone. It is this
+// ablation's "off" side, and what ablate-obs runs on.
 func oneRecordBatches() core.BatchConfig {
-	return core.BatchConfig{MaxBatchRecords: 1, MaxInFlight: 64}
+	return core.BatchConfig{MaxBatchBytes: 1, MaxInFlight: 64}
 }
 
 // clientBatchAblation measures what the client-side batching layer buys
@@ -75,8 +75,8 @@ func clientBatchAblation(cfg RunConfig) laneAblation {
 		a.loads, a.ops, a.loneOps = []int{16}, 100, 40
 	}
 	a.notes = []string{
-		fmt.Sprintf("%d concurrent callers on one handle; on: %d rec / %d KiB / held at most %v / %d in flight; off: 1 rec / %d in flight",
-			a.loads[0], tuning.MaxBatchRecords, tuning.MaxBatchBytes>>10, tuning.MaxBatchDelay, tuning.MaxInFlight, oneRecordBatches().MaxInFlight),
+		fmt.Sprintf("%d concurrent callers on one handle; on: %d KiB / held at most %v / %d in flight; off: 1 rec / %d in flight",
+			a.loads[0], tuning.MaxBatchBytes>>10, tuning.MaxBatchDelay, tuning.MaxInFlight, oneRecordBatches().MaxInFlight),
 	}
 	return a
 }

@@ -28,6 +28,7 @@ func runAblateTiering(cfg RunConfig) (*Report, error) {
 		segSize     = uint64(64 << 10)
 		numSegs     = 8
 		ckptEvery   = 256
+		recoverRuns = 5
 	)
 	baseN := 2000
 	window := 1200 // live records kept by the rolling trim
@@ -111,12 +112,26 @@ func runAblateTiering(cfg RunConfig) (*Report, error) {
 				return 0, 0, fmt.Errorf("no reads were served from the cold tier (budget %d, window %d)", budget, window)
 			}
 		}
-		st.Crash()
-		start := time.Now()
-		if err := st.Recover(); err != nil {
-			return 0, 0, err
+		// Recovery is timed recoverRuns times over the same image and the
+		// fastest run counts: a host stall inflates one sample, never all
+		// of them. Each run replays the same entries.
+		var elapsed time.Duration
+		replayed := -1
+		for run := range recoverRuns {
+			st.Crash()
+			start := time.Now()
+			if err := st.Recover(); err != nil {
+				return 0, 0, err
+			}
+			if d := time.Since(start); run == 0 || d < elapsed {
+				elapsed = d
+			}
+			r := st.LastRecovery().ReplayedEntries
+			if replayed >= 0 && r != replayed {
+				return 0, 0, fmt.Errorf("recovery %d replayed %d entries, the first %d", run+1, r, replayed)
+			}
+			replayed = r
 		}
-		elapsed := time.Since(start)
 		// The recovered store still serves both ends of the live window.
 		if _, err := st.Get(1, types.MakeSN(1, uint32(n))); err != nil {
 			return 0, 0, fmt.Errorf("post-recovery read (tail): %w", err)
@@ -128,7 +143,7 @@ func runAblateTiering(cfg RunConfig) (*Report, error) {
 		if lifecycle && rec.RestoredEntries == 0 {
 			return 0, 0, fmt.Errorf("recovery restored nothing from the checkpoint (%d segments scanned, %d entries replayed)", rec.ScannedSegments, rec.ReplayedEntries)
 		}
-		return elapsed, rec.ReplayedEntries, nil
+		return elapsed, replayed, nil
 	}
 
 	err := withLatencyInjection(func() error {
@@ -164,6 +179,7 @@ func runAblateTiering(cfg RunConfig) (*Report, error) {
 				recordBytes, window, budget>>10, numSegs, ckptEvery),
 			fmt.Sprintf("max append+commit latency across all arms: %s (appends never stall on eviction)", maxAppend.Round(time.Microsecond)),
 			"lifecycle on: replay bounded by resident set + uncovered suffix; lifecycle off: rescans the whole flushed log",
+			fmt.Sprintf("recovery time: the fastest of %d recoveries of the same image", recoverRuns),
 		},
 	}, nil
 }

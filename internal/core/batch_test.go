@@ -43,9 +43,9 @@ func TestBatchedAppendLinearizable(t *testing.T) {
 	}
 	t.Cleanup(cl.Stop)
 	c := batchedClient(t, cl, WithBatching(BatchConfig{
-		MaxBatchRecords: 16,
-		MaxBatchDelay:   200 * time.Microsecond,
-		MaxInFlight:     4,
+		MaxBatchBytes: 64, // at most 16 of these 4–5 byte records
+		MaxBatchDelay: 200 * time.Microsecond,
+		MaxInFlight:   4,
 	}))
 
 	const (
@@ -172,10 +172,9 @@ func TestBatchIdleSendsAtOnce(t *testing.T) {
 	}
 	t.Cleanup(cl.Stop)
 	c := batchedClient(t, cl, WithBatching(BatchConfig{
-		MaxBatchRecords: 1 << 20,
-		MaxBatchBytes:   1 << 30,
-		MaxBatchDelay:   never,
-		MaxInFlight:     1,
+		MaxBatchBytes: 1 << 30,
+		MaxBatchDelay: never,
+		MaxInFlight:   1,
 	}))
 	for i := 1; i <= 3; i++ {
 		if sn := waitSN(t, c.AsyncAppend([][]byte{[]byte("lonely")}, types.MasterColor)); !sn.Valid() {
@@ -200,10 +199,9 @@ func TestBatchCombinesBehindUnackedBatch(t *testing.T) {
 	}
 	t.Cleanup(cl.Stop)
 	c := batchedClient(t, cl, retryEvery(2*time.Millisecond), WithBatching(BatchConfig{
-		MaxBatchRecords: 1 << 20,
-		MaxBatchBytes:   1 << 30,
-		MaxBatchDelay:   never,
-		MaxInFlight:     4,
+		MaxBatchBytes: 1 << 30,
+		MaxBatchDelay: never,
+		MaxInFlight:   4,
 	}))
 	held := holdBatch(t, cl, c)
 	var futs []*AppendFuture
@@ -237,9 +235,8 @@ func TestBatchDelayCapsTheHold(t *testing.T) {
 	}
 	t.Cleanup(cl.Stop)
 	c := batchedClient(t, cl, retryEvery(2*time.Millisecond), WithBatching(BatchConfig{
-		MaxBatchRecords: 1 << 20,
-		MaxBatchDelay:   time.Millisecond,
-		MaxInFlight:     4,
+		MaxBatchDelay: time.Millisecond,
+		MaxInFlight:   4,
 	}))
 	held := holdBatch(t, cl, c)
 	fut := c.AsyncAppend([][]byte{[]byte("capped")}, types.MasterColor)
@@ -254,26 +251,26 @@ func TestBatchDelayCapsTheHold(t *testing.T) {
 	waitSN(t, fut)
 }
 
-// TestBatchSizeCutoff checks the size bounds: behind an unacknowledged
+// TestBatchSizeCutoff checks the size bound: behind an unacknowledged
 // batch a queue that fills a batch leaves at once (MaxBatchDelay never
-// expires here), and the bounds keep any one batch under MaxBatchRecords /
-// MaxBatchBytes when the queued sets allow a split.
+// expires here), and the bound keeps any one batch under MaxBatchBytes
+// when the queued sets allow a split. The records are 1 and 2 bytes, so
+// a 4-byte bound holds a batch to at most 4 records.
 func TestBatchSizeCutoff(t *testing.T) {
 	cl, err := SimpleCluster(TestClusterConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	const maxBytes = 4 << 10
+	const maxBytes = 4
 	c := batchedClient(t, cl, retryEvery(2*time.Millisecond), WithBatching(BatchConfig{
-		MaxBatchRecords: 4,
-		MaxBatchBytes:   maxBytes,
-		MaxBatchDelay:   never,
-		MaxInFlight:     4,
+		MaxBatchBytes: maxBytes,
+		MaxBatchDelay: never,
+		MaxInFlight:   4,
 	}))
 	held := holdBatch(t, cl, c)
 
-	// Record-count cutoff: 4 records fill the batch.
+	// 4 one-byte records fill the batch.
 	full := c.AsyncAppend([][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}, types.MasterColor)
 	eventually(t, "the full batch to leave unacknowledged", func() bool { return c.Metrics().Batches.Count() == 2 })
 
@@ -290,8 +287,8 @@ func TestBatchSizeCutoff(t *testing.T) {
 	}
 
 	// Concurrent small sets must split into multiple batches rather than
-	// exceed the record bound: 8 callers x 2 records with MaxBatchRecords=4
-	// needs at least 4 batches.
+	// exceed the bound: 8 callers x 2 two-byte records with a 4-byte bound
+	// need at least 4 batches.
 	before := c.Metrics().Batches.Count()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -306,7 +303,7 @@ func TestBatchSizeCutoff(t *testing.T) {
 	}
 	wg.Wait()
 	if got := c.Metrics().Batches.Count() - before; got < 4 {
-		t.Errorf("16 records in %d batches, record bound 4 requires >= 4", got)
+		t.Errorf("16 records in %d batches, a bound of 4 records requires >= 4", got)
 	}
 	if got := uint64(c.Metrics().BatchRecords.Percentile(100)); got > 4+1 { // +1: one oversized single set is legal
 		// Only multi-set batches are bounded; the earlier oversized set was
@@ -326,9 +323,8 @@ func TestBatchedAppendCtxCancel(t *testing.T) {
 	}
 	t.Cleanup(cl.Stop)
 	c := batchedClient(t, cl, retryEvery(2*time.Millisecond), WithBatching(BatchConfig{
-		MaxBatchRecords: 1 << 20,
-		MaxBatchDelay:   never,
-		MaxInFlight:     4,
+		MaxBatchDelay: never,
+		MaxInFlight:   4,
 	}))
 	held := holdBatch(t, cl, c)
 
@@ -429,9 +425,8 @@ func TestBatchShardCrashFailsEveryCaller(t *testing.T) {
 	c := batchedClient(t, cl,
 		WithTimeout(300*time.Millisecond),
 		WithBatching(BatchConfig{
-			MaxBatchRecords: 64,
-			MaxBatchDelay:   5 * time.Millisecond,
-			MaxInFlight:     2,
+			MaxBatchDelay: 5 * time.Millisecond,
+			MaxInFlight:   2,
 		}))
 
 	// Warm up: prove the path works before the fault.
@@ -497,9 +492,8 @@ func TestBatchedClientClose(t *testing.T) {
 	}
 	t.Cleanup(cl.Stop)
 	c := batchedClient(t, cl, WithBatching(BatchConfig{
-		MaxBatchRecords: 1 << 20,
-		MaxBatchDelay:   never,
-		MaxInFlight:     4,
+		MaxBatchDelay: never,
+		MaxInFlight:   4,
 	}))
 	futs := []*AppendFuture{holdBatch(t, cl, c).fut}
 	for i := 0; i < 3; i++ {

@@ -15,9 +15,9 @@ import (
 // This file implements the client-side append batching & pipelining layer:
 // a per-(color, shard) batcher goroutine coalesces concurrent Append calls
 // into a single ordering request + data RPC (proto.AppendBatchReq), bounded
-// by MaxBatchRecords / MaxBatchBytes, with MaxInFlight batches pipelined
-// per shard. It batches because the shard is busy, never because a timer
-// says so (Nagle's rule with MaxInFlight as the window): with nothing
+// by MaxBatchBytes, with MaxInFlight batches pipelined per shard. It
+// batches because the shard is busy, never because a timer says so
+// (Nagle's rule with MaxInFlight as the window): with nothing
 // unacknowledged the queue leaves at once; behind unacknowledged batches
 // it is held until they are all acknowledged, it fills a batch, or its
 // oldest record has waited MaxBatchDelay. Because a batch is persisted and
@@ -129,7 +129,6 @@ type shardBatcher struct {
 
 	mu          sync.Mutex
 	queue       []*pendingAppend
-	queuedRecs  int
 	queuedBytes int
 	inFlight    int // unacknowledged batches, at most MaxInFlight
 
@@ -180,7 +179,6 @@ func (b *shardBatcher) enqueue(records [][]byte) *AppendFuture {
 	fut := newAppendFuture(b.color)
 	b.mu.Lock()
 	b.queue = append(b.queue, &pendingAppend{records: records, bytes: n, fut: fut, enqueued: time.Now()})
-	b.queuedRecs += len(records)
 	b.queuedBytes += n
 	b.mu.Unlock()
 	b.signal()
@@ -243,7 +241,7 @@ func (b *shardBatcher) releaseLocked() (send bool, wait time.Duration) {
 		return false, 0
 	case b.inFlight == 0 || b.cfg.MaxBatchDelay <= 0:
 		return true, 0
-	case b.queuedRecs >= b.cfg.MaxBatchRecords || b.queuedBytes >= b.cfg.MaxBatchBytes:
+	case b.queuedBytes >= b.cfg.MaxBatchBytes:
 		return true, 0
 	}
 	wait = time.Until(b.queue[0].enqueued.Add(b.cfg.MaxBatchDelay))
@@ -251,14 +249,14 @@ func (b *shardBatcher) releaseLocked() (send bool, wait time.Duration) {
 }
 
 // cutLocked takes whole record sets off the queue head until the next set would
-// overflow the batch bounds. A single oversized set forms its own batch —
+// carry the batch past MaxBatchBytes. A single oversized set forms its own batch —
 // a caller's records are never split across ordering requests (they must
 // receive one consecutive SN range).
 func (b *shardBatcher) cutLocked() (items []*pendingAppend, recs, bytes int) {
 	i := 0
 	for ; i < len(b.queue); i++ {
 		it := b.queue[i]
-		if i > 0 && (recs+len(it.records) > b.cfg.MaxBatchRecords || bytes+it.bytes > b.cfg.MaxBatchBytes) {
+		if i > 0 && bytes+it.bytes > b.cfg.MaxBatchBytes {
 			break
 		}
 		recs += len(it.records)
@@ -266,7 +264,6 @@ func (b *shardBatcher) cutLocked() (items []*pendingAppend, recs, bytes int) {
 	}
 	items = b.queue[:i:i]
 	b.queue = b.queue[i:]
-	b.queuedRecs -= recs
 	b.queuedBytes -= bytes
 	return items, recs, bytes
 }
@@ -352,7 +349,7 @@ func (b *shardBatcher) drain() {
 	b.mu.Lock()
 	items := b.queue
 	b.queue = nil
-	b.queuedRecs, b.queuedBytes = 0, 0
+	b.queuedBytes = 0
 	b.mu.Unlock()
 	b.fail(items, ErrClosed)
 }

@@ -19,7 +19,7 @@
 // append goes through the per-(color, shard) batcher (see batcher.go):
 // concurrent appends to one color are coalesced per shard into single
 // ordering requests + data RPCs, bounded by
-// BatchConfig.{MaxBatchRecords,MaxBatchBytes,MaxBatchDelay}, with
+// BatchConfig.{MaxBatchBytes,MaxBatchDelay}, with
 // MaxInFlight batches pipelined per shard; WithBatching tunes those bounds.
 package core
 

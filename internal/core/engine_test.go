@@ -55,7 +55,7 @@ func TestCloseUnblocksEveryOperation(t *testing.T) {
 		isToken bool // the kind of call the operation is parked on
 		op      func(c *Client) error
 	}{
-		{"append", []Option{WithBatching(BatchConfig{MaxBatchRecords: 1})}, true, func(c *Client) error { _, err := c.Append(rec, 1); return err }},
+		{"append", []Option{WithBatching(BatchConfig{MaxBatchBytes: 1})}, true, func(c *Client) error { _, err := c.Append(rec, 1); return err }},
 		{"batched append", nil, true, func(c *Client) error { _, err := c.Append(rec, 1); return err }},
 		{"read", nil, false, func(c *Client) error { _, err := c.Read(types.MakeSN(1, 1), 1); return err }},
 		{"subscribe", nil, false, func(c *Client) error { _, err := c.Subscribe(1, types.InvalidSN); return err }},
@@ -110,7 +110,7 @@ func TestBackoffRetryAfterSurfaces(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"one-record", []Option{WithBatching(BatchConfig{MaxBatchRecords: 1})}},
+		{"one-record", []Option{WithBatching(BatchConfig{MaxBatchBytes: 1})}},
 		{"batched", nil},
 	} {
 		t.Run(row.name, func(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // members are done: only the check made when the barrier empties can see
 // the new member.
 func TestAppendCoversMemberAddedInFlight(t *testing.T) {
-	t.Run("plain", func(t *testing.T) { testAppendCoversNewMember(t, WithBatching(BatchConfig{MaxBatchRecords: 1})) })
+	t.Run("plain", func(t *testing.T) { testAppendCoversNewMember(t, WithBatching(BatchConfig{MaxBatchBytes: 1})) })
 	t.Run("batched", func(t *testing.T) { testAppendCoversNewMember(t) })
 }
 

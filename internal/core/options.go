@@ -10,9 +10,10 @@ import (
 // which every append goes through. The zero value is DefaultBatchConfig;
 // zero fields of an otherwise non-zero config are filled from it.
 type BatchConfig struct {
-	// MaxBatchRecords flushes a batch once it holds this many records.
-	MaxBatchRecords int
-	// MaxBatchBytes flushes a batch once its payload reaches this size.
+	// MaxBatchBytes is a batch's one size bound: a batch leaves once its
+	// payload reaches it, and takes no set that would carry it past it. A
+	// set larger than the bound leaves alone, so 1 sends every set as its
+	// own batch.
 	MaxBatchBytes int
 	// MaxBatchDelay is a cap, not a delay: appends leave at once while no
 	// batch of their (color, shard) is unacknowledged, and behind
@@ -32,10 +33,9 @@ type BatchConfig struct {
 // held behind them for at most 100 µs.
 func DefaultBatchConfig() BatchConfig {
 	return BatchConfig{
-		MaxBatchRecords: 64,
-		MaxBatchBytes:   256 << 10,
-		MaxBatchDelay:   100 * time.Microsecond,
-		MaxInFlight:     4,
+		MaxBatchBytes: 256 << 10,
+		MaxBatchDelay: 100 * time.Microsecond,
+		MaxInFlight:   4,
 	}
 }
 
@@ -45,9 +45,6 @@ func (b BatchConfig) withDefaults() BatchConfig {
 	def := DefaultBatchConfig()
 	if b == (BatchConfig{}) {
 		return def
-	}
-	if b.MaxBatchRecords <= 0 {
-		b.MaxBatchRecords = def.MaxBatchRecords
 	}
 	if b.MaxBatchBytes <= 0 {
 		b.MaxBatchBytes = def.MaxBatchBytes

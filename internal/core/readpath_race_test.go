@@ -43,9 +43,9 @@ func TestReadLaneLinearizableUnderStress(t *testing.T) {
 	defer cl.Stop()
 
 	writer, err := cl.NewClient(WithBatching(BatchConfig{
-		MaxBatchRecords: 8,
-		MaxBatchDelay:   100 * time.Microsecond,
-		MaxInFlight:     4,
+		MaxBatchBytes: 96, // 8 of the 12-byte records
+		MaxBatchDelay: 100 * time.Microsecond,
+		MaxInFlight:   4,
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ func sameRecords(t *testing.T, what string, got, want []types.Record) {
 // client coalesces (the default tuning): catch-up moves append batches,
 // and a batch of one hides every way of getting that wrong.
 func perAppend(t *testing.T, test func(t *testing.T, per int, opts ...core.Option)) {
-	alone := core.WithBatching(core.BatchConfig{MaxBatchRecords: 1})
+	alone := core.WithBatching(core.BatchConfig{MaxBatchBytes: 1})
 	t.Run("1-per-append", func(t *testing.T) { test(t, 1, alone) })
 	t.Run("3-per-append", func(t *testing.T) { test(t, 3, alone) })
 	t.Run("3-per-append-batched", func(t *testing.T) { test(t, 3) })

@@ -67,6 +67,15 @@ func TestCodecRoundTripSemantics(t *testing.T) {
 	if gb.NRecords() != 3 || string(gb.Sets[1][0]) != "bb" {
 		t.Fatalf("batch = %+v", gb)
 	}
+	// The records are copied once, into the storage record entry the
+	// replica persists, and the sets point into it.
+	const payload = "\x03\x00\x00\x00" + "\x01\x00\x00\x00a" + "\x02\x00\x00\x00bb" + "\x01\x00\x00\x00c"
+	if len(gb.Entry) != entryHeaderRoom+len(payload) || string(gb.Entry[entryHeaderRoom:]) != payload {
+		t.Fatalf("entry = %q, want %d bytes of header room and %q", gb.Entry, entryHeaderRoom, payload)
+	}
+	if &gb.Sets[1][0][0] != &gb.Entry[entryHeaderRoom+13] {
+		t.Fatal("the decoded sets do not point into the entry")
+	}
 }
 
 // TestCodecDecodeReuse checks the zero-alloc reuse contract: decoding

@@ -51,6 +51,13 @@ type AppendBatchReq struct {
 	Sets   [][][]byte
 	Client types.NodeID
 	Tenant types.TenantID
+	// Entry never travels: the frame decoders set it to their one copy of
+	// the batch's records, every set in order, laid out as a storage
+	// record entry (32 bytes of header room, then
+	// [u32 count][u32 len_i][data_i]…), and point Sets into it. A replica
+	// persists it as it is (storage.Store.PutEntry). A message built in
+	// process has none, and the replica frames its Sets instead.
+	Entry []byte
 }
 
 // NRecords returns the total record count across all sets.

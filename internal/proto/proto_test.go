@@ -67,15 +67,20 @@ func TestCodecRoundTripAllMessages(t *testing.T) {
 	}
 }
 
-// normalize maps the codec's nil-vs-empty slice ambiguity away.
+// normalize maps the codec's nil-vs-empty slice ambiguity away, and the
+// decoders' Entry, which is not on the wire.
 func normalize(v interface{}) interface{} {
-	if ar, ok := v.(AppendReq); ok {
-		for i, r := range ar.Records {
+	switch m := v.(type) {
+	case AppendReq:
+		for i, r := range m.Records {
 			if len(r) == 0 {
-				ar.Records[i] = nil
+				m.Records[i] = nil
 			}
 		}
-		return ar
+		return m
+	case AppendBatchReq:
+		m.Entry = nil
+		return m
 	}
 	return v
 }

@@ -21,7 +21,8 @@
 // performs no allocations. The frame-level DecodeFrame and FrameDecoder
 // used by the TCP transport instead return a self-contained message (byte
 // fields copied out) so pooled read buffers can be recycled as soon as
-// they return.
+// they return. An AppendBatchReq's records are copied once, into the
+// storage record entry its Entry carries; the wire image is the same.
 //
 // The codec is the only wire format: a message type without a tag cannot
 // be framed (ErrUnknownMessage), and a connection opens with the Magic
@@ -258,10 +259,7 @@ var bodyCodecs = [256]struct {
 			if err := c.r.done(); err != nil {
 				return nil, err
 			}
-			o := owner{inPlace: true}
-			for i, set := range m.Sets {
-				m.Sets[i] = o.byteSlices(set)
-			}
+			m.Sets, m.Entry = ownBatch(m.Sets, true)
 			return m, nil
 		},
 	},
@@ -702,7 +700,7 @@ func (r *wireReader) done() error {
 // it copies each list into a fresh right-sized array and carves the bytes
 // from a shared arena chunk. An empty list comes out nil, as the walk
 // leaves it in a fresh message, so the two decoders return deep-equal
-// values.
+// values. (AppendBatchReq's records are not an owner's: see ownBatch.)
 type owner struct {
 	inPlace bool
 	arena   []byte
@@ -729,8 +727,9 @@ func (o *owner) carve(total int) []byte {
 	return o.arena[n : n : n+total]
 }
 
-// byteSlices returns ss with every element's bytes copied into one carved
-// region. (The walk decodes an empty element to nil, so it stays nil.)
+// byteSlices returns ss, repointed in place, with every element's bytes
+// copied into one carved region (AppendReq's records; only DecodeFrame
+// decodes one). The walk decodes an empty element to nil, so it stays nil.
 func (o *owner) byteSlices(ss [][]byte) [][]byte {
 	if len(ss) == 0 {
 		return nil
@@ -739,19 +738,15 @@ func (o *owner) byteSlices(ss [][]byte) [][]byte {
 	for _, s := range ss {
 		total += len(s)
 	}
-	out := ss
-	if !o.inPlace {
-		out = make([][]byte, len(ss))
-	}
 	buf := o.carve(total)
 	for i, s := range ss {
 		if len(s) > 0 {
 			n := len(buf)
 			buf = append(buf, s...)
-			out[i] = buf[n:len(buf):len(buf)]
+			ss[i] = buf[n:len(buf):len(buf)]
 		}
 	}
-	return out
+	return ss
 }
 
 // records is byteSlices for the records of a subscription or catch-up.
@@ -779,17 +774,76 @@ func (o *owner) records(recs []WireRecord) []WireRecord {
 	return out
 }
 
+// entryHeaderRoom is the head of an AppendBatchReq's Entry left for the
+// header of a storage record entry, which the store fills.
+const entryHeaderRoom = 32
+
+// ownBatch copies the records of a decoded AppendBatchReq's sets, which
+// alias the frame, into one new buffer laid out as a storage record entry
+// (see AppendBatchReq.Entry), and returns the sets pointed into it with
+// the entry. The storage cache keeps the entry whole, so it is its own
+// allocation, never carved from an arena. DecodeFrame's sets are its own
+// and are repointed in place (inPlace); a FrameDecoder's are scratch, so
+// the returned sets are fresh, carved from one array. An empty set or
+// record comes out nil, as from a fresh walk, so the two decoders return
+// deep-equal values; a batch of no records has no entry.
+func ownBatch(sets [][][]byte, inPlace bool) ([][][]byte, []byte) {
+	if len(sets) == 0 {
+		return nil, nil
+	}
+	n, size := 0, entryHeaderRoom+4
+	for _, set := range sets {
+		n += len(set)
+		for _, rec := range set {
+			size += 4 + len(rec)
+		}
+	}
+	out, recs := sets, [][]byte(nil)
+	if !inPlace {
+		out, recs = make([][][]byte, len(sets)), make([][]byte, n)
+	}
+	if n == 0 {
+		clear(out)
+		return out, nil
+	}
+	entry := make([]byte, size)
+	binary.LittleEndian.PutUint32(entry[entryHeaderRoom:], uint32(n))
+	off := entryHeaderRoom + 4
+	for i, set := range sets {
+		if len(set) == 0 {
+			out[i] = nil
+			continue
+		}
+		dst := set
+		if !inPlace {
+			dst, recs = recs[:len(set):len(set)], recs[len(set):]
+		}
+		for j, rec := range set {
+			binary.LittleEndian.PutUint32(entry[off:], uint32(len(rec)))
+			off += 4
+			dst[j] = nil
+			if len(rec) > 0 {
+				dst[j] = entry[off : off+len(rec) : off+len(rec)]
+				off += copy(dst[j], rec)
+			}
+		}
+		out[i] = dst
+	}
+	return out, entry
+}
+
 // ---- per-connection frame decoding with scratch reuse ----
 
 // FrameDecoder is DecodeFrame with reusable scratch state. A transport
 // read loop owns one per connection: the alias-carrying hot types
 // (AppendBatchReq, SubscribeResp) first decode into scratch
 // messages — reusing their slice-header capacity across frames — and then
-// copy out exactly once into right-sized owned values. This halves the
-// decode-side allocation churn of the stateless DecodeFrame, which
-// rebuilds the intermediate aliased headers for every frame. Returned
-// messages are self-contained; the scratch retains only dead aliases
-// that the next Decode overwrites. Not safe for concurrent use.
+// copy out exactly once into right-sized owned values (an append batch's
+// records into its Entry). This halves the decode-side allocation churn
+// of the stateless DecodeFrame, which rebuilds the intermediate aliased
+// headers for every frame. Returned messages are self-contained; the
+// scratch retains only dead aliases that the next Decode overwrites. Not
+// safe for concurrent use.
 type FrameDecoder struct {
 	batchReq AppendBatchReq
 	subResp  SubscribeResp
@@ -810,13 +864,7 @@ func (d *FrameDecoder) Decode(b []byte) (types.NodeID, any, error) {
 			return 0, nil, err
 		}
 		m := d.batchReq
-		m.Sets = nil
-		if len(d.batchReq.Sets) > 0 {
-			m.Sets = make([][][]byte, len(d.batchReq.Sets))
-		}
-		for i, set := range d.batchReq.Sets {
-			m.Sets[i] = d.own.byteSlices(set)
-		}
+		m.Sets, m.Entry = ownBatch(d.batchReq.Sets, false)
 		return from, m, nil
 	case TagSubscribeResp:
 		d.subResp.wire(&c)

@@ -522,22 +522,16 @@ func oneSet(m proto.AppendReq) proto.AppendBatchReq {
 // sets occupy one consecutive SN range, so the client demultiplexes
 // per-set SNs from the last SN in the AppendAck.
 func (r *Replica) onAppendBatch(from types.NodeID, m proto.AppendBatchReq) {
-	if len(m.Sets) == 0 {
+	n := m.NRecords()
+	if n == 0 {
 		return
 	}
-	records := m.Sets[0] // a single set is persisted as it arrived
-	if len(m.Sets) > 1 {
-		records = slices.Concat(m.Sets...)
-	}
-	if len(records) == 0 {
+	if !r.admitAppend(from, m.Tenant, m.Token, m.Color, m.Client, n) {
 		return
 	}
-	if !r.admitAppend(from, m.Tenant, m.Token, m.Color, m.Client, len(records)) {
-		return
-	}
-	r.tenantCounters(m.Tenant).appendObserved(uint64(len(records)))
+	r.tenantCounters(m.Tenant).appendObserved(uint64(n))
 	r.stats.batchAppends.Add(1)
-	r.stats.batchRecords.Add(uint64(len(records)))
+	r.stats.batchRecords.Add(uint64(n))
 	if mode := r.mode.load(); mode != ModeOperational {
 		// §6.3: replicas in sync mode stop processing new appends — the
 		// client (or broker) retries. Draining replicas answer with a typed
@@ -554,12 +548,12 @@ func (r *Replica) onAppendBatch(from types.NodeID, m proto.AppendBatchReq) {
 		client = from
 	}
 	// Tracing stamps: arrivedAt anchors end-to-end latency, persistD is
-	// measured around PutBatch. Zero-value when the tracer is off.
-	po := &pendingOrder{color: m.Color, nRecords: uint32(len(records)), clients: map[types.NodeID]bool{}}
+	// measured around persist. Zero-value when the tracer is off.
+	po := &pendingOrder{color: m.Color, nRecords: uint32(n), clients: map[types.NodeID]bool{}}
 	if r.appendTr.Enabled() {
 		po.arrivedAt = time.Now()
 	}
-	if err := r.st.PutBatch(m.Color, m.Token, records); err != nil && !errors.Is(err, storage.ErrDuplicateToken) {
+	if err := r.persist(m); err != nil && !errors.Is(err, storage.ErrDuplicateToken) {
 		// Out of space or oversized; the client times out and retries
 		// elsewhere. Count it: silent drops made capacity exhaustion look
 		// like network loss.
@@ -573,6 +567,20 @@ func (r *Replica) onAppendBatch(from types.NodeID, m proto.AppendBatchReq) {
 		r.persisted(m.Token)
 	}
 	r.await(m.Token, client, po)
+}
+
+// persist writes a batch to storage as one entry. A batch the TCP decoder
+// copied is persisted as that copy (m.Entry); one delivered in process
+// has its sets framed by PutBatch, a single set as it arrived.
+func (r *Replica) persist(m proto.AppendBatchReq) error {
+	if m.Entry != nil {
+		return r.st.PutEntry(m.Color, m.Token, m.Entry)
+	}
+	records := m.Sets[0]
+	if len(m.Sets) > 1 {
+		records = slices.Concat(m.Sets...)
+	}
+	return r.st.PutBatch(m.Color, m.Token, records)
 }
 
 // await registers client as waiting for the SN of a persisted token, in one

@@ -131,6 +131,44 @@ func TestCommitBeforeRegistrationAcked(t *testing.T) {
 	}
 }
 
+// TestDecodedBatchPersistedFromItsEntry: a batch decoded off the wire is
+// persisted as the decoder's one copy of its records. Once committed, a
+// read of each record is served from that copy, by the same bytes the
+// decoded sets point at, and an in-process batch beside it (no entry)
+// reads back the same.
+func TestDecodedBatchPersistedFromItsEntry(t *testing.T) {
+	r, _ := steppedReplica(t, func(cfg *Config) { cfg.RetryTimeout = time.Hour })
+	sets := [][][]byte{{[]byte("a")}, {[]byte("bb"), []byte("ccc")}}
+	frame, err := proto.AppendFrame(nil, 500, proto.AppendBatchReq{Token: types.MakeToken(7, 1), Sets: sets, Client: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fd proto.FrameDecoder
+	_, msg, err := fd.Decode(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := msg.(proto.AppendBatchReq)
+	inProc := proto.AppendBatchReq{Token: types.MakeToken(7, 2), Sets: sets, Client: 500}
+	for i, m := range []proto.AppendBatchReq{wire, inProc} {
+		r.handle(500, m)
+		r.handle(900, proto.OrderResp{Token: m.Token, LastSN: types.MakeSN(1, uint32(3*i+3)), NRecords: 3})
+	}
+	decoded := [][]byte{wire.Sets[0][0], wire.Sets[1][0], wire.Sets[1][1]}
+	for i, want := range decoded {
+		got, err := r.st.Get(0, types.MakeSN(1, uint32(i+1)))
+		if err != nil || string(got) != string(want) {
+			t.Fatalf("record %d = %q, %v; want %q", i+1, got, err, want)
+		}
+		if &got[0] != &want[0] {
+			t.Fatalf("record %d is served from a copy of the decoder's entry", i+1)
+		}
+		if got, err := r.st.Get(0, types.MakeSN(1, uint32(i+4))); err != nil || string(got) != string(want) {
+			t.Fatalf("in-process record %d = %q, %v; want %q", i+4, got, err, want)
+		}
+	}
+}
+
 // TestRacingDuplicateOrderRespCountedOnce delivers one OrderResp twice at
 // once: both deliveries pass commit's repeat check before either reaches
 // the store, which applies the SN once and no-ops the other, so

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"flexlog/internal/pmem"
+	"flexlog/internal/proto"
 	"flexlog/internal/simclock"
 )
 
@@ -346,6 +348,68 @@ func TestAppendPathAllocsFlat(t *testing.T) {
 	t.Logf("allocs per PutBatch+Commit: %v for 1 record, %v for 64", one, many)
 	if one != many {
 		t.Fatalf("PutBatch+Commit allocate %v times for 1 record and %v for 64: allocations grow with the record count", one, many)
+	}
+
+	// A batch that arrived over TCP: the FrameDecoder's AppendBatchReq,
+	// persisted as the replica persists it, PutEntry of the decoder's
+	// entry, then Commit. Its allocations are per batch too, and it
+	// allocates no entry-sized buffer: PM and the cache take the
+	// decoder's copy.
+	decoded := func(n int) (allocs, bytesPerOp uint64) {
+		cfg := TestConfig()
+		cfg.SegmentSize, cfg.NumSegments, cfg.CacheBytes = 16<<20, 1, 256<<10
+		st, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		frame, err := proto.AppendFrame(nil, 1, proto.AppendBatchReq{Color: colorA, Sets: [][][]byte{records(n, 1024)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fd proto.FrameDecoder
+		const runs = 150
+		warm := max(16, 2*cfg.CacheBytes/(n*1024))
+		msgs := make([]proto.AppendBatchReq, warm+runs)
+		for i := range msgs {
+			_, msg, err := fd.Decode(frame[4:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs[i] = msg.(proto.AppendBatchReq)
+		}
+		op := func(i int) {
+			m := msgs[i]
+			if err := st.PutEntry(m.Color, tok(i+1), m.Entry); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Commit(tok(i+1), sn((i+1)*n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range warm {
+			op(i)
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := warm; i < len(msgs); i++ {
+			op(i)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	var allocs [2]uint64
+	for i, n := range []int{1, 64} {
+		var perOp uint64
+		allocs[i], perOp = decoded(n)
+		t.Logf("decoded batch of %d: %d allocs, %d B per PutEntry+Commit", n, allocs[i], perOp)
+		if perOp >= uint64(n*1024) {
+			t.Errorf("a decoded batch of %d KiB allocates %d B: the store copied the decoder's entry", n, perOp)
+		}
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("a decoded batch allocates %d times for 1 record and %d for 64: allocations grow with the record count", allocs[0], allocs[1])
 	}
 
 	c := newEntryCache(64 << 10)

@@ -96,15 +96,19 @@ func TestBatchSurvivesRecovery(t *testing.T) {
 	}
 }
 
-// Property: batch framing round-trips arbitrary record sets, and the
-// spans frameEntry notes while copying are the ones recovery's batchSpans
-// parses back.
+// Property: batch framing round-trips arbitrary record sets: the spans
+// sealEntry notes for the entry frameEntry laid out are the ones
+// recovery's batchSpans parses back, and each holds its record.
 func TestBatchFramingRoundTripProperty(t *testing.T) {
 	f := func(recs [][]byte) bool {
 		if len(recs) == 0 {
 			recs = [][]byte{{}}
 		}
-		buf, framed := frameEntry(colorA, tok(1), recs)
+		buf := frameEntry(recs)
+		framed, err := sealEntry(buf, colorA, tok(1))
+		if err != nil || len(framed) != len(recs) {
+			return false
+		}
 		payload := buf[entryHeaderSize:]
 		spans, err := batchSpans(payload)
 		if err != nil || !reflect.DeepEqual(spans, framed) {

@@ -12,7 +12,11 @@ import (
 // testEntry frames records as entry i of color and returns its loc and the
 // framed buffer Commit would cache.
 func testEntry(color types.ColorID, i int, records ...[]byte) (*entryLoc, []byte) {
-	buf, spans := frameEntry(color, tok(i), records)
+	buf := frameEntry(records)
+	spans, err := sealEntry(buf, color, tok(i))
+	if err != nil {
+		panic(err)
+	}
 	return &entryLoc{token: tok(i), color: color, spans: spans}, buf
 }
 

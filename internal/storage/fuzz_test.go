@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"flexlog/internal/proto"
+	"flexlog/internal/types"
 )
 
 // FuzzScanSegment feeds arbitrary bytes to the segment scanner: it must
@@ -89,20 +92,64 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
-// FuzzBatchSpans feeds arbitrary payloads to the batch framing decoder.
+// FuzzBatchSpans feeds arbitrary bytes to the batch framing decoder, as a
+// payload and as a frame body. As a payload, every span batchSpans returns
+// lies inside it. A frame body that either TCP frame decoder decodes to an
+// AppendBatchReq carries an entry, and batchSpans over it returns exactly
+// the decoded records, in order: the decoders lay records out as PutEntry
+// reads them. Seeded with append frames and the entries decoded from them.
 func FuzzBatchSpans(f *testing.F) {
-	entry, _ := frameEntry(0, 1, [][]byte{[]byte("a"), {}, []byte("ccc")})
-	f.Add(entry[entryHeaderSize:])
+	for _, m := range []proto.AppendBatchReq{
+		{Sets: [][][]byte{{[]byte("a"), {}, []byte("ccc")}}},
+		{Color: 1, Token: 9, Sets: [][][]byte{{[]byte("a")}, {}, {[]byte("bb"), []byte("c")}}, Client: 2},
+		{Sets: [][][]byte{{}}},
+		{},
+	} {
+		frame, err := proto.AppendFrame(nil, 1, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[4:])
+		if _, msg, err := proto.DecodeFrame(frame[4:]); err == nil && msg.(proto.AppendBatchReq).Entry != nil {
+			f.Add(msg.(proto.AppendBatchReq).Entry[entryHeaderSize:])
+		}
+	}
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 255, 255})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		spans, err := batchSpans(payload)
-		if err != nil {
-			return
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if spans, err := batchSpans(data); err == nil {
+			for _, sp := range spans {
+				if int(sp.off)+int(sp.len) > len(data) {
+					t.Fatalf("span [%d,%d) beyond payload %d", sp.off, sp.off+sp.len, len(data))
+				}
+			}
 		}
-		for _, sp := range spans {
-			if int(sp.off)+int(sp.len) > len(payload) {
-				t.Fatalf("span [%d,%d) beyond payload %d", sp.off, sp.off+sp.len, len(payload))
+		var fd proto.FrameDecoder
+		for _, decode := range []func([]byte) (types.NodeID, any, error){proto.DecodeFrame, fd.Decode} {
+			_, msg, err := decode(data)
+			m, ok := msg.(proto.AppendBatchReq)
+			if err != nil || !ok {
+				return
+			}
+			var want [][]byte
+			for _, set := range m.Sets {
+				want = append(want, set...)
+			}
+			if m.Entry == nil {
+				if len(want) != 0 {
+					t.Fatalf("%d decoded records and no entry", len(want))
+				}
+				continue
+			}
+			payload := m.Entry[entryHeaderSize:]
+			spans, err := batchSpans(payload)
+			if err != nil || len(spans) != len(want) {
+				t.Fatalf("entry spans %v (%v), want %d records", spans, err, len(want))
+			}
+			for i, sp := range spans {
+				if got := payload[sp.off : sp.off+sp.len]; !bytes.Equal(got, want[i]) {
+					t.Fatalf("record %d: entry holds %q, decoded %q", i, got, want[i])
+				}
 			}
 		}
 	})

@@ -102,7 +102,7 @@ type entryLoc struct {
 	off        uint64 // offset of the entry header within the segment
 	payloadLen int    // framed payload length
 	spans      []recSpan
-	// buf is the framed entry PutBatch wrote, held until Commit fills the
+	// buf is the entry PutEntry wrote, held until Commit fills the
 	// cache from it (guarded by the color lock; nil afterwards, and for
 	// entries Recover rebuilt).
 	buf []byte
@@ -143,11 +143,12 @@ type recordRef struct {
 	idx int
 }
 
-// frameEntry builds a record entry ready for the PM write in one
-// allocation and one pass: the header, then the payload
-// [u32 count][u32 len_i][data_i]…, with each record's span noted as it is
-// copied. The buffer is also what Commit fills the cache from.
-func frameEntry(color types.ColorID, token types.Token, records [][]byte) ([]byte, []recSpan) {
+// frameEntry lays records out as a record entry in one allocation and one
+// pass: entryHeaderSize bytes of header room, then the payload
+// [u32 count][u32 len_i][data_i]…. The TCP frame decoders lay out an
+// append batch the same way (proto.AppendBatchReq.Entry), so both reach
+// PutEntry's one persist path.
+func frameEntry(records [][]byte) []byte {
 	payloadLen := 4
 	for _, r := range records {
 		payloadLen += 4 + len(r)
@@ -155,21 +156,34 @@ func frameEntry(color types.ColorID, token types.Token, records [][]byte) ([]byt
 	buf := make([]byte, entryHeaderSize+payloadLen)
 	payload := buf[entryHeaderSize:]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(records)))
-	spans := make([]recSpan, len(records))
-	off := uint32(4)
-	for i, r := range records {
+	off := 4
+	for _, r := range records {
 		binary.LittleEndian.PutUint32(payload[off:off+4], uint32(len(r)))
-		off += 4
-		copy(payload[off:], r)
-		spans[i] = recSpan{off: off, len: uint32(len(r))}
-		off += uint32(len(r))
+		off += 4 + copy(payload[off+4:], r)
 	}
-	encodeEntryHeader(buf, entryKindRecord, color, token, types.InvalidSN, payload)
-	return buf, spans
+	return buf
 }
 
-// batchSpans decodes the framing of a recovered batch payload into record
-// spans.
+// sealEntry parses a laid-out record entry's payload into record spans
+// and fills its header (uncommitted, with the payload's CRC).
+func sealEntry(entry []byte, color types.ColorID, token types.Token) ([]recSpan, error) {
+	if len(entry) < entryHeaderSize {
+		return nil, fmt.Errorf("storage: %d-byte entry has no header room", len(entry))
+	}
+	payload := entry[entryHeaderSize:]
+	spans, err := batchSpans(payload)
+	if err != nil {
+		return nil, err
+	}
+	if len(spans) == 0 {
+		return nil, fmt.Errorf("storage: empty batch for token %v", token)
+	}
+	encodeEntryHeader(entry, entryKindRecord, color, token, types.InvalidSN, payload)
+	return spans, nil
+}
+
+// batchSpans decodes the framing of a batch payload (an entry PutEntry is
+// handed, or one recovered) into record spans.
 func batchSpans(payload []byte) ([]recSpan, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("storage: batch payload too short")

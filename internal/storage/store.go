@@ -476,8 +476,17 @@ func (st *Store) Put(color types.ColorID, token types.Token, data []byte) error 
 }
 
 // PutBatch persists an uncommitted append batch (Alg. 1 line 17:
-// "persist(records[], t)"). Duplicate tokens are rejected so append retries
-// are idempotent.
+// "persist(records[], t)"): frameEntry lays the records out, then PutEntry
+// persists them. Duplicate tokens are rejected so append retries are
+// idempotent.
+func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]byte) error {
+	return st.PutEntry(color, token, frameEntry(records))
+}
+
+// PutEntry persists an uncommitted append batch already laid out as a
+// record entry (see frameEntry), as the TCP frame decoders deliver one. It
+// fills the entry's header, writes the entry to PM and, at Commit, caches
+// it whole: the store owns entry from the call on.
 //
 // The allocator lock is held only across the duplicate check and the
 // segment-space reservation; the PM write itself is awaited after release,
@@ -485,13 +494,13 @@ func (st *Store) Put(color types.ColorID, token types.Token, data []byte) error 
 // path) share one transaction window. A segment roll that had to wait for
 // an eviction released the lock meanwhile, so the duplicate check and the
 // reservation then start over.
-func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]byte) error {
-	if len(records) == 0 {
-		return fmt.Errorf("storage: empty batch for token %v", token)
+func (st *Store) PutEntry(color types.ColorID, token types.Token, entry []byte) error {
+	spans, err := sealEntry(entry, color, token)
+	if err != nil {
+		return err
 	}
-	buf, spans := frameEntry(color, token, records)
-	payloadLen := len(buf) - entryHeaderSize
-	if uint64(len(buf)) > st.cfg.SegmentSize-segHeaderSize {
+	payloadLen := len(entry) - entryHeaderSize
+	if uint64(len(entry)) > st.cfg.SegmentSize-segHeaderSize {
 		return fmt.Errorf("storage: batch of %d bytes exceeds segment capacity", payloadLen)
 	}
 
@@ -503,8 +512,7 @@ func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]by
 			st.alloc.Unlock()
 			return ErrDuplicateToken
 		}
-		var err error
-		seg, off, err = st.reserveEntry(uint64(len(buf)))
+		seg, off, err = st.reserveEntry(uint64(len(entry)))
 		if err == nil {
 			break
 		}
@@ -514,8 +522,8 @@ func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]by
 		}
 	}
 	loc := st.addEntryLocked(seg, ckptEntry{token: token, color: color, off: off, payloadLen: payloadLen, spans: spans})
-	loc.buf = buf
-	op, ticket := st.persistEntry(seg, off, buf)
+	loc.buf = entry
+	op, ticket := st.persistEntry(seg, off, entry)
 	st.alloc.Unlock()
 	if err := st.gc.wait(op, ticket); err != nil {
 		// The write never became durable (the pool is crashed or the
@@ -575,7 +583,7 @@ func (st *Store) CommitApplied(token types.Token, lastSN types.SN) (bool, error)
 		return false, fmt.Errorf("storage: token %v already committed at %v, got %v", token, cur, firstSN)
 	}
 	// Freshly appended records also populate the cache (§5.2): the entry
-	// PutBatch framed, the bytes just written to PM, is cached whole, with
+	// PutEntry wrote, the bytes just written to PM, is cached whole, with
 	// no read back. The entry drops the buffer here, even if the SN write
 	// fails. An entry Recover rebuilt has no buffer and is cached by its
 	// first read instead.
