@@ -18,7 +18,6 @@ var allowlist = map[string]string{
 	"internal/seq.Sequencer.Config":             "test seam: core's tests compare every node's config with the deploy builders'",
 	"internal/transport.Network.SetLinkFaults":  "test seam: seq's and core's tests make one link lossy",
 	"internal/transport.Network.FaultStats":     "test seam: core's, seq's and ctrlplane's tests check that faults were injected",
-	"internal/transport.TCPEndpoint.Addr":       "test seam: core's and replica's TCP tests bind \":0\" and read the port",
 	"internal/chaos.Generate":                   "test support: the chaos soak's seeded nemesis schedule (make chaos-smoke)",
 	"internal/chaos.GenConfig.Duration":         "test support: bounds the chaos soak's schedule",
 	"internal/chaos.GenConfig.Replicas":         "test support: bounds the chaos soak's schedule",

@@ -45,6 +45,32 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadResultIsTheClients: the bytes Read returns are the client's
+// own. Writing into them changes no replica's record: every replica, and
+// a later read, still return the appended bytes (a cached unit is
+// replaced, never mutated: DESIGN.md §7).
+func TestReadResultIsTheClients(t *testing.T) {
+	cl, c := newSimple(t, 1)
+	sn, err := c.Append([][]byte{[]byte("hello")}, types.MasterColor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Read(sn, types.MasterColor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[0] = 'Y'
+	shard := cl.Topology().ShardsInRegion(types.MasterColor)[0].ID
+	for _, r := range cl.Replicas(shard) {
+		if data, err := r.Store().Get(types.MasterColor, sn); err != nil || string(data) != "hello" {
+			t.Fatalf("replica %v holds %q, %v after the client wrote into its read; want \"hello\"", r.ID(), data, err)
+		}
+	}
+	if again, err := c.Read(sn, types.MasterColor); err != nil || string(again) != "hello" {
+		t.Fatalf("second read = %q, %v; want \"hello\"", again, err)
+	}
+}
+
 func TestAppendBatchGetsLastSN(t *testing.T) {
 	_, c := newSimple(t, 1)
 	records := [][]byte{[]byte("a"), []byte("b"), []byte("c")}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"reflect"
 	"sort"
@@ -22,83 +21,70 @@ import (
 // observedNodes deploys what flexlog-server runs, over loopback TCP: the
 // sequencer 900 of color 0 and the one replica 1 of shard 1, both
 // publishing into reg, plus the replica's endpoint (a server publishes
-// its own endpoint only). client builds a TCP client as node 500.
+// its own endpoint only), and a TCP client as node 500.
 type observedNodes struct {
 	reg    *obs.Registry
 	seq    *seq.Sequencer
 	rep    *replica.Replica
 	repEP  *transport.TCPEndpoint
-	client func() *Client
+	client *Client
 }
 
 func newObservedNodes(t *testing.T) *observedNodes {
 	t.Helper()
-	ids := []types.NodeID{1, 900, 500}
-	addrs := make(map[types.NodeID]string, len(ids))
-	var lns []net.Listener
-	for _, id := range ids {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	var n *observedNodes
+	onFreshPorts(t, []types.NodeID{1, 900, 500}, func(addrs map[types.NodeID]string, onStop func(func())) error {
+		m := &deploy.Manifest{
+			Nodes:   addrs,
+			Regions: []deploy.RegionSpec{{Color: 0, Leader: 900}},
+			Shards:  []deploy.ShardSpec{{ID: 1, Leaf: 0, Replicas: []types.NodeID{1}}},
+		}
+		if err := m.Validate(); err != nil {
+			return err
+		}
+		topo, err := m.Topology()
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		lns = append(lns, ln)
-		addrs[id] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	m := &deploy.Manifest{
-		Nodes:   addrs,
-		Regions: []deploy.RegionSpec{{Color: 0, Leader: 900}},
-		Shards:  []deploy.ShardSpec{{ID: 1, Leaf: 0, Replicas: []types.NodeID{1}}},
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	topo, err := m.Topology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	book := m.AddressBook()
-	n := &observedNodes{reg: obs.NewRegistry()}
-	attach := func(id types.NodeID, publish bool) func(h transport.Handler) (transport.Endpoint, error) {
-		return func(h transport.Handler) (transport.Endpoint, error) {
-			ep, err := transport.ListenTCP(id, book, h)
-			if err != nil {
-				return nil, err
+		book := m.AddressBook()
+		n = &observedNodes{reg: obs.NewRegistry()}
+		attach := func(id types.NodeID, publish bool) func(h transport.Handler) (transport.Endpoint, error) {
+			return func(h transport.Handler) (transport.Endpoint, error) {
+				ep, err := transport.ListenTCP(id, book, h)
+				if err != nil {
+					return nil, err
+				}
+				if publish {
+					ep.PublishObs(n.reg)
+					n.repEP = ep
+				}
+				onStop(func() { ep.Close() })
+				return ep, nil
 			}
-			if publish {
-				ep.PublishObs(n.reg)
-				n.repEP = ep
-			}
-			t.Cleanup(func() { ep.Close() })
-			return ep, nil
 		}
-	}
-	scfg := deploy.SequencerConfig(deploy.Deployed(), m.RoleOf(900), topo, m.Tenants)
-	if n.seq, err = seq.NewWithEndpoint(scfg, attach(900, false)); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n.seq.Stop)
-	n.seq.PublishObs(n.reg)
-	rcfg := deploy.ReplicaConfig(deploy.Deployed(), m.RoleOf(1), topo, storage.TestConfig(), m.Tenants)
-	rcfg.Obs = n.reg
-	if n.rep, err = replica.NewWithEndpoint(rcfg, attach(1, true)); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n.rep.Stop)
-	n.client = func() *Client {
-		c, err := NewClientWithEndpoint(ClientConfig{
+		scfg := deploy.SequencerConfig(deploy.Deployed(), m.RoleOf(900), topo, m.Tenants)
+		if n.seq, err = seq.NewWithEndpoint(scfg, attach(900, false)); err != nil {
+			return err
+		}
+		onStop(n.seq.Stop)
+		n.seq.PublishObs(n.reg)
+		rcfg := deploy.ReplicaConfig(deploy.Deployed(), m.RoleOf(1), topo, storage.TestConfig(), m.Tenants)
+		rcfg.Obs = n.reg
+		if n.rep, err = replica.NewWithEndpoint(rcfg, attach(1, true)); err != nil {
+			return err
+		}
+		onStop(n.rep.Stop)
+		n.client, err = NewClientWithEndpoint(ClientConfig{
 			FID: 500, ID: 500, Topo: topo,
 			Timeout:       15 * time.Second,
 			RetryInterval: 300 * time.Millisecond,
 		}, attach(500, false))
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
+		onStop(func() { n.client.Close() })
+		return nil
+	})
 	return n
 }
 
@@ -161,7 +147,7 @@ func TestMetricFamiliesGolden(t *testing.T) {
 // computation.
 func TestPublishedMetricsMatchStats(t *testing.T) {
 	n := newObservedNodes(t)
-	c := n.client()
+	c := n.client
 	// Scrapes run beside the traffic, as a Prometheus server's would.
 	stop, scraped := make(chan struct{}), make(chan struct{})
 	go func() {

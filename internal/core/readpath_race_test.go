@@ -59,6 +59,7 @@ func TestReadLaneLinearizableUnderStress(t *testing.T) {
 		totalAppends = 1200
 		inFlight     = 16
 		readers      = 4
+		readsEach    = 500 // reads per reader, however the scheduler runs it
 	)
 	// SNs are epoch<<32|counter and the epoch stays 1 in this test (no
 	// failover), so the frontier and trim floor are tracked as counters —
@@ -72,11 +73,14 @@ func TestReadLaneLinearizableUnderStress(t *testing.T) {
 	)
 	stop := make(chan struct{})
 	errCh := make(chan error, readers+2)
+	aborted := make(chan struct{}) // closed by the first failure
+	var abortOnce sync.Once
 	fail := func(err error) {
 		select {
 		case errCh <- err:
 		default:
 		}
+		abortOnce.Do(func() { close(aborted) })
 	}
 	record := func(i int) []byte { return []byte(fmt.Sprintf("rec-%08d", i)) }
 
@@ -126,10 +130,11 @@ func TestReadLaneLinearizableUnderStress(t *testing.T) {
 
 	// Trimmer: advances the floor, always publishing it before the trim
 	// hits the replicas so readers never mistake a trimmed ⊥ for a hole.
-	// Runs until stop, like the readers.
-	readerWG.Add(1)
+	// Runs until stop, once the writer and the readers are done.
+	var trimmerWG sync.WaitGroup
+	trimmerWG.Add(1)
 	go func() {
-		defer readerWG.Done()
+		defer trimmerWG.Done()
 		for {
 			select {
 			case <-stop:
@@ -158,9 +163,11 @@ func TestReadLaneLinearizableUnderStress(t *testing.T) {
 		go func(rc *Client, seed int64) {
 			defer readerWG.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for {
+			// Each reader runs until it has done readsEach reads, so
+			// the reads happen however the scheduler starves the readers.
+			for done := 0; done < readsEach; {
 				select {
-				case <-stop:
+				case <-aborted:
 					return
 				default:
 				}
@@ -168,6 +175,7 @@ func TestReadLaneLinearizableUnderStress(t *testing.T) {
 				if hi <= lo {
 					continue
 				}
+				done++
 				sn := types.MakeSN(1, uint32(lo+1+uint64(rng.Int63n(int64(hi-lo)))))
 				if rng.Intn(16) == 0 {
 					// Probe above the frontier: exercises read-hold. The
@@ -208,8 +216,9 @@ func TestReadLaneLinearizableUnderStress(t *testing.T) {
 	}
 
 	writerWG.Wait()
-	close(stop)
 	readerWG.Wait()
+	close(stop)
+	trimmerWG.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)

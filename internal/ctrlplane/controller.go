@@ -174,7 +174,7 @@ type Config struct {
 	// CatchupTimeout bounds lack of progress in StateCatchingUp, not the
 	// transfer: a joiner whose lag reaches no new low for this long (or
 	// that stops answering) is rolled back, however large the log. It also
-	// bounds the survey before a replica add. 0 uses 30s.
+	// bounds a replica add's wait for an operational donor. 0 uses 30s.
 	CatchupTimeout time.Duration
 	// DrainTimeout bounds a drain — survey, publication and pending-order
 	// flush; once the node is out of the membership, expiry removes it
@@ -302,39 +302,49 @@ func (c *Controller) AddReplica(shard types.ShardID) (Plan, error) {
 
 // AddReplicaFrom grows a shard by one replica under live traffic: the node
 // starts outside the topology, catches up in the background from donor (0
-// picks the shard's first operational member) until its lag is within
-// PromoteLag, then enters the membership — published to every replica —
-// and converges the tail with a sync-phase. A failure at any point after
-// the spawn ends RolledBack: the membership is narrowed again (and that
-// published) if it had been widened, and the node is removed. Blocks until
-// the plan is terminal.
+// picks the shard's first operational member, waiting for one) until its
+// lag is within PromoteLag, then enters the membership — published to every
+// replica — and converges the tail with a sync-phase. A failure at any
+// point after the spawn ends RolledBack: the membership is narrowed again
+// (and that published) if it had been widened, and the node is removed.
+// Blocks until the plan is terminal.
 func (c *Controller) AddReplicaFrom(shard types.ShardID, donor types.NodeID) (Plan, error) {
 	return c.run(Plan{Kind: KindAddReplica, Shard: shard}, func(p *Plan) (PlanState, error) {
 		topo := c.cl.Topology()
-		sh, err := topo.Shard(shard)
-		if err != nil {
-			return StateFailed, err
-		}
-		acks, err := c.survey(time.Now().Add(c.cfg.CatchupTimeout))
-		if err != nil {
-			return StateFailed, err
-		}
-		candidates := sh.Replicas
-		if donor != 0 {
-			candidates = []types.NodeID{donor}
-		}
-		i := slices.IndexFunc(candidates, func(id types.NodeID) bool {
-			ack, ok := acks[id]
-			return ok && replica.Mode(ack.Mode) == replica.ModeOperational
-		})
-		if i < 0 {
-			return StateFailed, fmt.Errorf("ctrlplane: shard %d has no operational donor among %v", shard, candidates)
+		// A member is out of ModeOperational while a sync-phase runs: the
+		// pick surveys again every PollInterval until one is operational
+		// or CatchupTimeout passes.
+		until := time.Now().Add(c.cfg.CatchupTimeout)
+		var pick types.NodeID
+		for pick == 0 {
+			sh, err := topo.Shard(shard)
+			if err != nil {
+				return StateFailed, err
+			}
+			acks, err := c.survey(until)
+			if err != nil {
+				return StateFailed, err
+			}
+			candidates := sh.Replicas
+			if donor != 0 {
+				candidates = []types.NodeID{donor}
+			}
+			if i := slices.IndexFunc(candidates, func(id types.NodeID) bool {
+				ack, ok := acks[id]
+				return ok && replica.Mode(ack.Mode) == replica.ModeOperational
+			}); i >= 0 {
+				pick = candidates[i]
+			} else if time.Now().After(until) {
+				return StateFailed, fmt.Errorf("ctrlplane: shard %d has no operational donor among %v", shard, candidates)
+			} else {
+				time.Sleep(c.cfg.PollInterval)
+			}
 		}
 		id, err := c.cl.SpawnReplica(shard)
 		if err != nil {
 			return StateFailed, err
 		}
-		c.update(func() { p.Donor, p.Node = candidates[i], id })
+		c.update(func() { p.Donor, p.Node = pick, id })
 
 		widened, err := c.joinAndPromote(p, topo)
 		if err == nil {

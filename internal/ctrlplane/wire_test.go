@@ -3,12 +3,14 @@ package ctrlplane_test
 import (
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"flexlog/internal/core"
 	"flexlog/internal/ctrlplane"
 	"flexlog/internal/deploy"
+	"flexlog/internal/proto"
 	"flexlog/internal/replica"
 	"flexlog/internal/seq"
 	"flexlog/internal/storage"
@@ -23,13 +25,24 @@ import (
 // layout, as flexlog-cli reconfig finds it.
 
 // hooked is a core.Cluster that tells the test the controller's endpoint
-// id and every spawned replica as they appear.
+// id and every spawned replica as they appear, and lets it rewrite each
+// CtrlAck the controller receives (ack).
 type hooked struct {
 	*core.Cluster
 	attached, spawned func(types.NodeID)
+	ack               func(from types.NodeID, ack proto.CtrlAck) proto.CtrlAck
 }
 
 func (h *hooked) Attach(hd transport.Handler) (transport.Endpoint, error) {
+	if h.ack != nil {
+		inner := hd
+		hd = func(from types.NodeID, msg transport.Message) {
+			if ack, ok := msg.(proto.CtrlAck); ok {
+				msg = h.ack(from, ack)
+			}
+			inner(from, msg)
+		}
+	}
 	ep, err := h.Cluster.Attach(hd)
 	if err == nil && h.attached != nil {
 		h.attached(ep.ID())
@@ -76,6 +89,42 @@ func within(t *testing.T, bound time.Duration, run func() (ctrlplane.Plan, error
 		t.Fatalf("%v took %v, bound %v", &plan, took, bound)
 	}
 	return plan, err
+}
+
+// TestAddReplicaWaitsForAnOperationalDonor: a replica add whose first
+// survey finds every member of the shard out of ModeOperational (as
+// while another plan's sync-phase runs) surveys again until one is, and
+// ends Done. The members read as syncing to the controller until each
+// has answered one status request.
+func TestAddReplicaWaitsForAnOperationalDonor(t *testing.T) {
+	cl := newCluster(t, 1)
+	c, err := cl.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, c, types.MasterColor, 20, 1)
+	sh := cl.Topology().Snapshot().Shards[0]
+	var mu sync.Mutex
+	held := map[types.NodeID]bool{}
+	h := &hooked{Cluster: cl, ack: func(from types.NodeID, ack proto.CtrlAck) proto.CtrlAck {
+		mu.Lock()
+		defer mu.Unlock()
+		if ack.Op == proto.CtrlOpStatus && slices.Contains(sh.Replicas, from) && len(held) < len(sh.Replicas) {
+			held[from] = true
+			ack.Mode = uint8(replica.ModeSyncing)
+		}
+		return ack
+	}}
+	plan, err := newController(h, nil).AddReplica(sh.ID)
+	if err != nil || plan.State != ctrlplane.StateDone {
+		t.Fatalf("plan = %v, err = %v; want done", &plan, err)
+	}
+	if len(held) != len(sh.Replicas) {
+		t.Fatalf("held %d of %d members through the first survey", len(held), len(sh.Replicas))
+	}
+	if got, err := cl.Topology().Shard(sh.ID); err != nil || !slices.Contains(got.Replicas, plan.Node) {
+		t.Fatalf("shard after the add = %v, %v; want node %d in it", got.Replicas, err, plan.Node)
+	}
 }
 
 // TestPlansSurviveLossyControlLinks: with every link of the controller

@@ -59,10 +59,10 @@ func (c *Counter) Stop() { c.prop.Stop() }
 // pipeline their Accept rounds; otherwise they serialize on consecutive
 // slots.
 func (c *Counter) Next(n uint32) (uint64, error) {
+	c.mu.Lock()
+	c.reqID++
+	req := Value{N: n, ReqID: c.reqID, From: c.prop.cfg.ID}
 	if c.pipelined {
-		c.mu.Lock()
-		c.reqID++
-		req := Value{N: n, ReqID: c.reqID, From: c.prop.cfg.ID}
 		slot := c.slot
 		c.slot++
 		c.tail += uint64(n)
@@ -77,9 +77,6 @@ func (c *Counter) Next(n uint32) (uint64, error) {
 		}
 		return tail, nil
 	}
-	c.mu.Lock()
-	c.reqID++
-	req := Value{N: n, ReqID: c.reqID, From: c.prop.cfg.ID}
 	for {
 		slot := c.slot
 		// The slot is proposed while holding the mutex: the counter's

@@ -4,9 +4,9 @@
 // Scalog — whose ordering layer Boki adopts — maintains the shared log's
 // tail as a Paxos-replicated counter. This package provides:
 //
-//   - classic single-decree Paxos (Prepare/Promise, Accept/Accepted) over
-//     the same transport fabric as FlexLog's sequencers, for an
-//     apples-to-apples comparison;
+//   - classic single-decree Paxos (proto.Prepare/Promise, Accept/Accepted,
+//     framed by the same codec) over the same transport fabric as
+//     FlexLog's sequencers, for an apples-to-apples comparison;
 //   - a Multi-Paxos counter service (a stable leader skips Phase 1 and runs
 //     one Accept round per increment) — the optimized baseline of Fig. 4;
 //   - a multi-proposer mode in which concurrent proposers compete for
@@ -18,65 +18,21 @@ package paxos
 import (
 	"sync"
 
+	"flexlog/internal/proto"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
 
-// Ballot is a Paxos ballot number: (round << 32) | proposerID, so ballots
-// of distinct proposers never tie.
-type Ballot uint64
+// Ballot is a Paxos ballot number: (round << 32) | proposerID.
+type Ballot = proto.Ballot
 
 // MakeBallot composes a ballot.
 func MakeBallot(round uint32, proposer types.NodeID) Ballot {
 	return Ballot(uint64(round)<<32 | uint64(proposer))
 }
 
-// Round extracts the round half.
-func (b Ballot) Round() uint32 { return uint32(uint64(b) >> 32) }
-
-// Value is the payload agreed on in one slot: a request for N sequence
-// numbers, identified by the request id for response routing.
-type Value struct {
-	N     uint32
-	ReqID uint64
-	From  types.NodeID
-}
-
-// zeroValue reports whether the value is unset.
-func (v Value) zero() bool { return v == Value{} }
-
-// ---- Wire messages ----
-
-// Prepare is Phase-1a.
-type Prepare struct {
-	Ballot Ballot
-	Slot   uint64
-}
-
-// Promise is Phase-1b. OK=false carries the higher promised ballot.
-type Promise struct {
-	Ballot         Ballot
-	Slot           uint64
-	OK             bool
-	AcceptedBallot Ballot
-	AcceptedValue  Value
-	From           types.NodeID
-}
-
-// Accept is Phase-2a.
-type Accept struct {
-	Ballot Ballot
-	Slot   uint64
-	Value  Value
-}
-
-// Accepted is Phase-2b. OK=false carries the higher promised ballot.
-type Accepted struct {
-	Ballot Ballot
-	Slot   uint64
-	OK     bool
-	From   types.NodeID
-}
+// Value is the payload agreed on in one slot: a request for N SNs.
+type Value = proto.PaxosValue
 
 // ---- Acceptor ----
 
@@ -88,7 +44,6 @@ type slotState struct {
 
 // Acceptor is a Paxos acceptor node.
 type Acceptor struct {
-	id types.NodeID
 	ep transport.Endpoint
 
 	mu    sync.Mutex
@@ -106,7 +61,7 @@ type AcceptorStats struct {
 
 // NewAcceptor creates and registers an acceptor.
 func NewAcceptor(id types.NodeID, net *transport.Network) (*Acceptor, error) {
-	a := &Acceptor{id: id, slots: make(map[uint64]*slotState)}
+	a := &Acceptor{slots: make(map[uint64]*slotState)}
 	ep, err := net.Register(id, a.handle)
 	if err != nil {
 		return nil, err
@@ -125,42 +80,37 @@ func (a *Acceptor) slot(s uint64) *slotState {
 }
 
 func (a *Acceptor) handle(from types.NodeID, msg transport.Message) {
+	var resp transport.Message
+	a.mu.Lock()
 	switch m := msg.(type) {
-	case Prepare:
-		a.mu.Lock()
+	case proto.Prepare:
 		st := a.slot(m.Slot)
+		resp = proto.Promise{Ballot: st.promised, Slot: m.Slot} // a rejection
 		if m.Ballot >= st.promised {
 			st.promised = m.Ballot
 			a.stats.Promises++
-			resp := Promise{
+			resp = proto.Promise{
 				Ballot: m.Ballot, Slot: m.Slot, OK: true,
 				AcceptedBallot: st.acceptedBallot, AcceptedValue: st.acceptedValue,
-				From: a.id,
 			}
-			a.mu.Unlock()
-			a.ep.Send(from, resp)
-			return
+		} else {
+			a.stats.Rejects++
 		}
-		a.stats.Rejects++
-		resp := Promise{Ballot: st.promised, Slot: m.Slot, OK: false, From: a.id}
-		a.mu.Unlock()
-		a.ep.Send(from, resp)
-	case Accept:
-		a.mu.Lock()
+	case proto.Accept:
 		st := a.slot(m.Slot)
+		resp = proto.Accepted{Ballot: st.promised, Slot: m.Slot} // a rejection
 		if m.Ballot >= st.promised {
 			st.promised = m.Ballot
 			st.acceptedBallot = m.Ballot
 			st.acceptedValue = m.Value
 			a.stats.Accepteds++
-			resp := Accepted{Ballot: m.Ballot, Slot: m.Slot, OK: true, From: a.id}
-			a.mu.Unlock()
-			a.ep.Send(from, resp)
-			return
+			resp = proto.Accepted{Ballot: m.Ballot, Slot: m.Slot, OK: true}
+		} else {
+			a.stats.Rejects++
 		}
-		a.stats.Rejects++
-		resp := Accepted{Ballot: st.promised, Slot: m.Slot, OK: false, From: a.id}
-		a.mu.Unlock()
+	}
+	a.mu.Unlock()
+	if resp != nil {
 		a.ep.Send(from, resp)
 	}
 }

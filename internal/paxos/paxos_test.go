@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"flexlog/internal/proto"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
@@ -189,7 +190,7 @@ func heldAcceptorSet(t *testing.T, net *transport.Network, proposers ...types.No
 	ids := make([]types.NodeID, 3)
 	for i := range ids {
 		ids[i] = types.NodeID(1 + i)
-		a := &Acceptor{id: ids[i], slots: make(map[uint64]*slotState)}
+		a := &Acceptor{slots: make(map[uint64]*slotState)}
 		prepared := make(map[types.NodeID]bool)
 		var held []transport.Message
 		var heldFrom []types.NodeID
@@ -197,11 +198,11 @@ func heldAcceptorSet(t *testing.T, net *transport.Network, proposers ...types.No
 		// the barrier's state needs no lock.
 		ep, err := net.Register(ids[i], func(from types.NodeID, msg transport.Message) {
 			switch m := msg.(type) {
-			case Prepare:
+			case proto.Prepare:
 				if m.Slot == 0 {
 					prepared[from] = true
 				}
-			case Accept:
+			case proto.Accept:
 				if m.Slot == 0 && len(prepared) < len(proposers) {
 					held, heldFrom = append(held, m), append(heldFrom, from)
 					return

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"flexlog/internal/proto"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
@@ -34,20 +35,16 @@ type ProposerStats struct {
 	StolenSlots uint64 // slots decided with another proposer's value
 }
 
-// phaseKey correlates responses to an outstanding phase.
-type phaseKey struct {
-	ballot Ballot
-	slot   uint64
-}
-
+// phaseWait collects the acceptors' answers to one phase. A phase-2 ok
+// is recorded as a zero Promise: only phase 1's carry a value.
 type phaseWait struct {
-	oks      map[types.NodeID]Promise  // phase 1
-	accepted map[types.NodeID]Accepted // phase 2
-	rejects  int
-	highest  Ballot // highest ballot seen in rejections
-	need     int
-	done     chan struct{}
-	closed   bool
+	ballot  Ballot // the phase's own
+	oks     map[types.NodeID]proto.Promise
+	rejects int
+	highest Ballot // highest ballot seen in rejections
+	need    int
+	done    chan struct{}
+	closed  bool
 }
 
 // Proposer drives Paxos rounds against a set of acceptors.
@@ -57,8 +54,8 @@ type Proposer struct {
 
 	mu      sync.Mutex
 	round   uint32
-	p1      map[phaseKey]*phaseWait
-	p2      map[phaseKey]*phaseWait
+	p1      map[uint64]*phaseWait // by slot: one phase of a slot runs at a time
+	p2      map[uint64]*phaseWait
 	stats   ProposerStats
 	stopped bool
 }
@@ -71,8 +68,8 @@ func NewProposer(cfg ProposerConfig, net *transport.Network) (*Proposer, error) 
 	p := &Proposer{
 		cfg:   cfg,
 		round: 1,
-		p1:    make(map[phaseKey]*phaseWait),
-		p2:    make(map[phaseKey]*phaseWait),
+		p1:    make(map[uint64]*phaseWait),
+		p2:    make(map[uint64]*phaseWait),
 	}
 	ep, err := net.Register(cfg.ID, p.handle)
 	if err != nil {
@@ -101,62 +98,33 @@ func (p *Proposer) majority() int { return len(p.cfg.Acceptors)/2 + 1 }
 
 func (p *Proposer) handle(from types.NodeID, msg transport.Message) {
 	switch m := msg.(type) {
-	case Promise:
-		key := phaseKey{ballot: m.Ballot, slot: m.Slot}
-		p.mu.Lock()
-		w := p.p1[key]
-		if w == nil && !m.OK {
-			// A rejection carries the acceptor's promised ballot, not
-			// ours; find the waiter by slot.
-			for k, cand := range p.p1 {
-				if k.slot == m.Slot {
-					w, key = cand, k
-					break
-				}
-			}
-		}
-		if w != nil && !w.closed {
-			if m.OK {
-				w.oks[m.From] = m
-			} else {
-				w.rejects++
-				if m.Ballot > w.highest {
-					w.highest = m.Ballot
-				}
-			}
-			if len(w.oks) >= w.need || w.rejects >= w.need {
-				w.closed = true
-				close(w.done)
-			}
-		}
-		p.mu.Unlock()
-	case Accepted:
-		key := phaseKey{ballot: m.Ballot, slot: m.Slot}
-		p.mu.Lock()
-		w := p.p2[key]
-		if w == nil && !m.OK {
-			for k, cand := range p.p2 {
-				if k.slot == m.Slot {
-					w, key = cand, k
-					break
-				}
-			}
-		}
-		if w != nil && !w.closed {
-			if m.OK {
-				w.accepted[m.From] = m
-			} else {
-				w.rejects++
-				if m.Ballot > w.highest {
-					w.highest = m.Ballot
-				}
-			}
-			if len(w.accepted) >= w.need || w.rejects >= w.need {
-				w.closed = true
-				close(w.done)
-			}
-		}
-		p.mu.Unlock()
+	case proto.Promise:
+		p.answer(p.p1, from, m.Ballot, m.Slot, m.OK, m)
+	case proto.Accepted:
+		p.answer(p.p2, from, m.Ballot, m.Slot, m.OK, proto.Promise{})
+	}
+}
+
+// answer counts one acceptor's answer to the slot's phase in waits; the
+// frame's sender names the acceptor. A rejection carries the acceptor's
+// promised ballot, not ours, and counts for the phase; an ok counts only
+// for the phase's own ballot.
+func (p *Proposer) answer(waits map[uint64]*phaseWait, from types.NodeID, b Ballot, slot uint64, ok bool, promise proto.Promise) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	w := waits[slot]
+	if w == nil || w.closed || ok && b != w.ballot {
+		return
+	}
+	if ok {
+		w.oks[from] = promise
+	} else {
+		w.rejects++
+		w.highest = max(w.highest, b)
+	}
+	if len(w.oks) >= w.need || w.rejects >= w.need {
+		w.closed = true
+		close(w.done)
 	}
 }
 
@@ -189,7 +157,7 @@ func (p *Proposer) ProposeSlot(slot uint64, v Value) (Value, error) {
 				p.bumpRound(preempted)
 				continue
 			}
-			if !chosen.zero() {
+			if chosen != (Value{}) {
 				vUse = chosen // must re-propose the highest accepted value
 			}
 		}
@@ -223,31 +191,11 @@ func (p *Proposer) bumpRound(seen Ballot) {
 // phase1 runs Prepare/Promise. Returns (majorityPromised, highest accepted
 // value to re-propose, highest rejecting ballot).
 func (p *Proposer) phase1(b Ballot, slot uint64) (bool, Value, Ballot) {
-	key := phaseKey{ballot: b, slot: slot}
-	w := &phaseWait{oks: make(map[types.NodeID]Promise), accepted: map[types.NodeID]Accepted{}, need: p.majority(), done: make(chan struct{})}
-	p.mu.Lock()
-	p.p1[key] = w
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		delete(p.p1, key)
-		p.mu.Unlock()
-	}()
-	p.ep.Broadcast(p.cfg.Acceptors, Prepare{Ballot: b, Slot: slot})
-	select {
-	case <-w.done:
-	case <-time.After(p.cfg.PhaseTimeout):
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !w.closed {
-		w.closed = true
-		close(w.done)
-	}
+	w := p.run(p.p1, slot, b, proto.Prepare{Ballot: b, Slot: slot})
 	if len(w.oks) < w.need {
 		return false, Value{}, w.highest
 	}
-	var best Promise
+	var best proto.Promise
 	for _, pr := range w.oks {
 		if pr.AcceptedBallot > best.AcceptedBallot {
 			best = pr
@@ -259,29 +207,34 @@ func (p *Proposer) phase1(b Ballot, slot uint64) (bool, Value, Ballot) {
 // phase2 runs Accept/Accepted. Returns (majorityAccepted, highest
 // rejecting ballot).
 func (p *Proposer) phase2(b Ballot, slot uint64, v Value) (bool, Ballot) {
-	key := phaseKey{ballot: b, slot: slot}
-	w := &phaseWait{oks: map[types.NodeID]Promise{}, accepted: make(map[types.NodeID]Accepted), need: p.majority(), done: make(chan struct{})}
+	w := p.run(p.p2, slot, b, proto.Accept{Ballot: b, Slot: slot, Value: v})
+	if len(w.oks) < w.need {
+		return false, w.highest
+	}
+	return true, 0
+}
+
+// run broadcasts one phase's request and waits for a majority of
+// answers, either way, or PhaseTimeout. The returned wait is closed, so
+// no later answer changes it.
+func (p *Proposer) run(waits map[uint64]*phaseWait, slot uint64, b Ballot, req transport.Message) *phaseWait {
+	w := &phaseWait{ballot: b, oks: make(map[types.NodeID]proto.Promise), need: p.majority(), done: make(chan struct{})}
 	p.mu.Lock()
-	p.p2[key] = w
+	waits[slot] = w
 	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		delete(p.p2, key)
-		p.mu.Unlock()
-	}()
-	p.ep.Broadcast(p.cfg.Acceptors, Accept{Ballot: b, Slot: slot, Value: v})
+	p.ep.Broadcast(p.cfg.Acceptors, req)
 	select {
 	case <-w.done:
 	case <-time.After(p.cfg.PhaseTimeout):
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if waits[slot] == w {
+		delete(waits, slot)
+	}
 	if !w.closed {
 		w.closed = true
 		close(w.done)
 	}
-	if len(w.accepted) < w.need {
-		return false, w.highest
-	}
-	return true, 0
+	return w
 }

@@ -92,6 +92,16 @@ var goldenFrames = []struct {
 		"0800000027f403090102f403"},
 	{"CtrlAck", CtrlAck{Seq: 0x9, Op: CtrlOpJoin, OK: true, Mode: 0x5, Lag: 0x2a, Version: 0x7, From: 0x3},
 		"0a00000028f403090101052a0703"},
+	{"Prepare", Prepare{Ballot: 0x200000385, Slot: 0x9},
+		"0900000029f403858780802009"},
+	{"Promise", Promise{Ballot: 0x200000385, Slot: 0x9, OK: true, AcceptedBallot: 0x100000384, AcceptedValue: PaxosValue{N: 0x3, ReqID: 0x4d, From: 0x384}},
+		"130000002af403858780802009018487808010034d8407"},
+	{"PromiseReject", Promise{Ballot: 0x300000386, Slot: 0x9, OK: false},
+		"0e0000002af4038687808030090000000000"},
+	{"Accept", Accept{Ballot: 0x200000385, Slot: 0x9, Value: PaxosValue{N: 0x3, ReqID: 0x4e, From: 0x385}},
+		"0d0000002bf403858780802009034e8507"},
+	{"Accepted", Accepted{Ballot: 0x200000385, Slot: 0x9, OK: true},
+		"0a0000002cf40385878080200901"},
 }
 
 // TestCodecGoldenBytes checks encode produces exactly the pinned bytes
@@ -179,7 +189,7 @@ func TestCodecGoldenCoversAllTags(t *testing.T) {
 		}
 		seen[frame[4]] = true
 	}
-	for tag := TagAppendReq; tag <= TagCtrlAck; tag++ {
+	for tag := TagAppendReq; tag <= TagAccepted; tag++ {
 		if _, retired := retiredFrames[tag]; retired {
 			if seen[tag] || bodyCodecs[tag].decode != nil {
 				t.Errorf("retired tag %d is in use again", tag)

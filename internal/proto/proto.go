@@ -28,6 +28,9 @@ type AppendReq struct {
 	Records [][]byte
 	Client  types.NodeID
 	Tenant  types.TenantID
+	// Entry never travels: the decoders lay Records out in it, as in
+	// AppendBatchReq.Entry.
+	Entry []byte
 }
 
 // AppendAck is a replica's round-4 acknowledgement carrying the SN of the
@@ -55,8 +58,8 @@ type AppendBatchReq struct {
 	// the batch's records, every set in order, laid out as a storage
 	// record entry (32 bytes of header room, then
 	// [u32 count][u32 len_i][data_i]…), and point Sets into it. A replica
-	// persists it as it is (storage.Store.PutEntry). A message built in
-	// process has none, and the replica frames its Sets instead.
+	// persists it as it is (storage.Store.PutEntry). Every message a
+	// node receives was decoded, so every received batch has one.
 	Entry []byte
 }
 
@@ -459,4 +462,50 @@ type CtrlAck struct {
 	Lag     uint64
 	Version uint64
 	From    types.NodeID
+}
+
+// ---- Paxos baseline (§3.3; package paxos) ----
+
+// Ballot is a Paxos ballot number: (round << 32) | proposer, so ballots
+// of distinct proposers never tie.
+type Ballot uint64
+
+// Round extracts the round half.
+func (b Ballot) Round() uint32 { return uint32(uint64(b) >> 32) }
+
+// PaxosValue is the payload agreed on in one Paxos slot: a request for N
+// sequence numbers, identified by the request id for response routing.
+type PaxosValue struct {
+	N     uint32
+	ReqID uint64
+	From  types.NodeID
+}
+
+// Prepare is Phase-1a.
+type Prepare struct {
+	Ballot Ballot
+	Slot   uint64
+}
+
+// Promise is Phase-1b. OK=false carries the higher promised ballot.
+type Promise struct {
+	Ballot         Ballot
+	Slot           uint64
+	OK             bool
+	AcceptedBallot Ballot
+	AcceptedValue  PaxosValue
+}
+
+// Accept is Phase-2a.
+type Accept struct {
+	Ballot Ballot
+	Slot   uint64
+	Value  PaxosValue
+}
+
+// Accepted is Phase-2b. OK=false carries the higher promised ballot.
+type Accepted struct {
+	Ballot Ballot
+	Slot   uint64
+	OK     bool
 }

@@ -45,6 +45,10 @@ func everyMessage() []interface{} {
 			Shards: []TopoShard{{ID: 1, Leaf: 0, Replicas: []types.NodeID{4}}}, From: 5},
 		CtrlReconfig{Seq: 1, Op: CtrlOpJoin, Donor: 2, From: 3},
 		CtrlAck{Seq: 1, Op: CtrlOpJoin, OK: true, Mode: 2, Lag: 3, Version: 4, From: 5},
+		Prepare{Ballot: 1<<32 | 2, Slot: 3},
+		Promise{Ballot: 1<<32 | 2, Slot: 3, OK: true, AcceptedBallot: 4, AcceptedValue: PaxosValue{N: 5, ReqID: 6, From: 7}},
+		Accept{Ballot: 1<<32 | 2, Slot: 3, Value: PaxosValue{N: 5, ReqID: 6, From: 7}},
+		Accepted{Ballot: 1<<32 | 2, Slot: 3, OK: true},
 	}
 }
 
@@ -77,6 +81,7 @@ func normalize(v interface{}) interface{} {
 				m.Records[i] = nil
 			}
 		}
+		m.Entry = nil
 		return m
 	case AppendBatchReq:
 		m.Entry = nil

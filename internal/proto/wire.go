@@ -19,10 +19,10 @@
 // aliases []byte fields into the input buffer and reuses the slice/map
 // capacity already in the message, so a decode into a warm message
 // performs no allocations. The frame-level DecodeFrame and FrameDecoder
-// used by the TCP transport instead return a self-contained message (byte
-// fields copied out) so pooled read buffers can be recycled as soon as
-// they return. An AppendBatchReq's records are copied once, into the
-// storage record entry its Entry carries; the wire image is the same.
+// used by both transports instead return a self-contained message (byte
+// fields copied out), sharing no bytes with the frame or the sender. An
+// append's records are copied once, into the storage record entry its
+// Entry carries; the wire image is the same.
 //
 // The codec is the only wire format: a message type without a tag cannot
 // be framed (ErrUnknownMessage), and a connection opens with the Magic
@@ -95,6 +95,10 @@ const (
 	TagTopoUpdate      byte = 38
 	TagCtrlReconfig    byte = 39
 	TagCtrlAck         byte = 40
+	TagPrepare         byte = 41
+	TagPromise         byte = 42
+	TagAccept          byte = 43
+	TagAccepted        byte = 44
 )
 
 // ErrBadFrame reports a malformed or truncated frame.
@@ -180,6 +184,14 @@ func AppendFrame(b []byte, from types.NodeID, msg any) ([]byte, error) {
 		tag = TagCtrlReconfig
 	case CtrlAck:
 		tag = TagCtrlAck
+	case Prepare:
+		tag = TagPrepare
+	case Promise:
+		tag = TagPromise
+	case Accept:
+		tag = TagAccept
+	case Accepted:
+		tag = TagAccepted
 	default:
 		return b, fmt.Errorf("%w: %T", ErrUnknownMessage, msg)
 	}
@@ -224,7 +236,7 @@ func decodeBody(tag byte, body []byte) (any, error) {
 // bodyCodecs is the codec's table, indexed by wire tag: a live tag's row
 // encodes its message's body and decodes one back. Each row is its own
 // function holding its own copy of the message, so a frame costs the stack
-// of one message, not of all 33 — an encode in a fresh goroutine does not
+// of one message, not of all 37 — an encode in a fresh goroutine does not
 // grow its stack. The decode rows of the types whose walk aliases byte
 // fields into the frame buffer copy them out, so every row returns a value
 // the caller may keep after recycling the buffer. The rows are literals
@@ -245,8 +257,8 @@ var bodyCodecs = [256]struct {
 			if err := c.r.done(); err != nil {
 				return nil, err
 			}
-			o := owner{inPlace: true}
-			m.Records = o.byteSlices(m.Records)
+			sets, entry := ownBatch([][][]byte{m.Records}, true)
+			m.Records, m.Entry = sets[0], entry
 			return m, nil
 		},
 	},
@@ -418,6 +430,22 @@ var bodyCodecs = [256]struct {
 		func(b []byte, msg any) []byte { m := msg.(CtrlAck); c := codec{b: b}; m.wire(&c); return c.b },
 		func(b []byte) (any, error) { var m CtrlAck; c := decoder(b); m.wire(&c); return m, c.r.done() },
 	},
+	TagPrepare: {
+		func(b []byte, msg any) []byte { m := msg.(Prepare); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m Prepare; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagPromise: {
+		func(b []byte, msg any) []byte { m := msg.(Promise); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m Promise; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagAccept: {
+		func(b []byte, msg any) []byte { m := msg.(Accept); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m Accept; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
+	TagAccepted: {
+		func(b []byte, msg any) []byte { m := msg.(Accepted); c := codec{b: b}; m.wire(&c); return c.b },
+		func(b []byte) (any, error) { var m Accepted; c := decoder(b); m.wire(&c); return m, c.r.done() },
+	},
 }
 
 // ---- the field walk ----
@@ -536,6 +564,7 @@ func (c *codec) node(v *types.NodeID)     { c.u32((*uint32)(v)) }
 func (c *codec) tenant(v *types.TenantID) { c.u32((*uint32)(v)) }
 func (c *codec) shard(v *types.ShardID)   { c.u32((*uint32)(v)) }
 func (c *codec) epoch(v *types.Epoch)     { c.u32((*uint32)(v)) }
+func (c *codec) ballot(v *Ballot)         { c.uvarint((*uint64)(v)) }
 
 // count reads an element count. A count that could not fit in the
 // remaining bytes (each element takes at least minSize of them) is
@@ -700,7 +729,7 @@ func (r *wireReader) done() error {
 // it copies each list into a fresh right-sized array and carves the bytes
 // from a shared arena chunk. An empty list comes out nil, as the walk
 // leaves it in a fresh message, so the two decoders return deep-equal
-// values. (AppendBatchReq's records are not an owner's: see ownBatch.)
+// values. (An append's records are not an owner's: see ownBatch.)
 type owner struct {
 	inPlace bool
 	arena   []byte
@@ -727,29 +756,8 @@ func (o *owner) carve(total int) []byte {
 	return o.arena[n : n : n+total]
 }
 
-// byteSlices returns ss, repointed in place, with every element's bytes
-// copied into one carved region (AppendReq's records; only DecodeFrame
-// decodes one). The walk decodes an empty element to nil, so it stays nil.
-func (o *owner) byteSlices(ss [][]byte) [][]byte {
-	if len(ss) == 0 {
-		return nil
-	}
-	total := 0
-	for _, s := range ss {
-		total += len(s)
-	}
-	buf := o.carve(total)
-	for i, s := range ss {
-		if len(s) > 0 {
-			n := len(buf)
-			buf = append(buf, s...)
-			ss[i] = buf[n:len(buf):len(buf)]
-		}
-	}
-	return ss
-}
-
-// records is byteSlices for the records of a subscription or catch-up.
+// records copies the records of a subscription or catch-up into one
+// carved region.
 func (o *owner) records(recs []WireRecord) []WireRecord {
 	if len(recs) == 0 {
 		return nil
@@ -778,15 +786,16 @@ func (o *owner) records(recs []WireRecord) []WireRecord {
 // header of a storage record entry, which the store fills.
 const entryHeaderRoom = 32
 
-// ownBatch copies the records of a decoded AppendBatchReq's sets, which
-// alias the frame, into one new buffer laid out as a storage record entry
-// (see AppendBatchReq.Entry), and returns the sets pointed into it with
-// the entry. The storage cache keeps the entry whole, so it is its own
-// allocation, never carved from an arena. DecodeFrame's sets are its own
-// and are repointed in place (inPlace); a FrameDecoder's are scratch, so
-// the returned sets are fresh, carved from one array. An empty set or
-// record comes out nil, as from a fresh walk, so the two decoders return
-// deep-equal values; a batch of no records has no entry.
+// ownBatch copies the records of a decoded append's sets (an AppendReq
+// has one), which alias the frame, into one new buffer laid out as a
+// storage record entry (see AppendBatchReq.Entry), and returns the sets
+// pointed into it with the entry. The storage cache keeps the entry whole,
+// so it is its own allocation, never carved from an arena. A bodyCodecs
+// row's sets are its own and are repointed in place (inPlace); a
+// FrameDecoder's are scratch, so the returned sets are fresh, carved from
+// one array. An empty set or record comes out nil, as from a fresh walk,
+// so the two decoders return deep-equal values; a batch of no records
+// has no entry.
 func ownBatch(sets [][][]byte, inPlace bool) ([][][]byte, []byte) {
 	if len(sets) == 0 {
 		return nil, nil

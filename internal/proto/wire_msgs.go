@@ -253,3 +253,32 @@ func (m *CtrlAck) wire(c *codec) {
 	c.uvarint(&m.Version)
 	c.node(&m.From)
 }
+
+func (m *Prepare) wire(c *codec) {
+	c.ballot(&m.Ballot)
+	c.uvarint(&m.Slot)
+}
+
+func (m *Promise) wire(c *codec) {
+	c.ballot(&m.Ballot)
+	c.uvarint(&m.Slot)
+	c.bool(&m.OK)
+	c.ballot(&m.AcceptedBallot)
+	c.u32(&m.AcceptedValue.N)
+	c.uvarint(&m.AcceptedValue.ReqID)
+	c.node(&m.AcceptedValue.From)
+}
+
+func (m *Accept) wire(c *codec) {
+	c.ballot(&m.Ballot)
+	c.uvarint(&m.Slot)
+	c.u32(&m.Value.N)
+	c.uvarint(&m.Value.ReqID)
+	c.node(&m.Value.From)
+}
+
+func (m *Accepted) wire(c *codec) {
+	c.ballot(&m.Ballot)
+	c.uvarint(&m.Slot)
+	c.bool(&m.OK)
+}

@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"errors"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -30,17 +32,6 @@ type tcpOverloadRig struct {
 // before its endpoint exists, so no message runs without it.
 func newTCPOverloadRig(t *testing.T, tenants []qos.TenantConfig, persisted func(*Replica, types.Token)) *tcpOverloadRig {
 	t.Helper()
-	ids := []types.NodeID{1, 900, 500}
-	addrs := make(map[types.NodeID]string, len(ids))
-	for _, id := range ids {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[id] = ln.Addr().String()
-		ln.Close()
-	}
-	book := transport.NewAddressBook(addrs)
 	topo := topology.New()
 	if err := topo.AddRegion(0, 0, 900, nil); err != nil {
 		t.Fatal(err)
@@ -48,61 +39,68 @@ func newTCPOverloadRig(t *testing.T, tenants []qos.TenantConfig, persisted func(
 	if err := topo.AddShard(1, 0, []types.NodeID{1}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Room for every order request and client reply the test causes (about
-	// writeQueueCap of each), so a fake node never stalls its reader.
-	rig := &tcpOverloadRig{
-		orders:   make(chan types.Token, 4*writeQueueCap),
-		toClient: make(chan transport.Message, 4*writeQueueCap),
-	}
-	var err error
-	rig.seq, err = transport.ListenTCP(900, book, func(_ types.NodeID, msg transport.Message) {
-		switch m := msg.(type) {
-		case proto.OrderReq:
-			rig.orders <- m.Token
-		case proto.OrderReqBatch:
-			for _, it := range m.Items {
-				rig.orders <- it.Token
-			}
+	var rig *tcpOverloadRig
+	onFreshPorts(t, []types.NodeID{1, 900, 500}, func(addrs map[types.NodeID]string, onStop func(func())) error {
+		book := transport.NewAddressBook(addrs)
+		// Room for every order request and client reply the test causes
+		// (about writeQueueCap of each), so a fake node never stalls its
+		// reader.
+		rig = &tcpOverloadRig{
+			orders:   make(chan types.Token, 4*writeQueueCap),
+			toClient: make(chan transport.Message, 4*writeQueueCap),
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rig.seq.Close() })
-	rig.cli, err = transport.ListenTCP(500, book, func(_ types.NodeID, msg transport.Message) {
-		rig.toClient <- msg
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rig.cli.Close() })
+		orders, toClient := rig.orders, rig.toClient
+		seq, err := transport.ListenTCP(900, book, func(_ types.NodeID, msg transport.Message) {
+			switch m := msg.(type) {
+			case proto.OrderReq:
+				orders <- m.Token
+			case proto.OrderReqBatch:
+				for _, it := range m.Items {
+					orders <- it.Token
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
+		rig.seq = seq
+		onStop(func() { seq.Close() })
+		cli, err := transport.ListenTCP(500, book, func(_ types.NodeID, msg transport.Message) {
+			toClient <- msg
+		})
+		if err != nil {
+			return err
+		}
+		rig.cli = cli
+		onStop(func() { cli.Close() })
 
-	cfg := DefaultConfig()
-	cfg.ID, cfg.Shard, cfg.Topo = 1, 1, topo
-	cfg.WriteWorkers = 2 // colors 0 and 1 on different workers
-	cfg.RetryTimeout = time.Hour
-	cfg.Tenants = tenants
-	st, err := buildStore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newReplica(cfg, st)
-	r.persisted = func(tok types.Token) { persisted(r, tok) }
-	ep, err := transport.ListenTCP(1, book, r.lanes.Handler())
-	if err != nil {
-		r.lanes.Close()
-		st.Close()
-		t.Fatal(err)
-	}
-	r.ep = ep
-	r.ready.Store(true)
-	r.start()
-	rig.r = r
-	t.Cleanup(func() {
-		r.Stop()
-		ep.Close()
-		st.Close()
+		cfg := DefaultConfig()
+		cfg.ID, cfg.Shard, cfg.Topo = 1, 1, topo
+		cfg.WriteWorkers = 2 // colors 0 and 1 on different workers
+		cfg.RetryTimeout = time.Hour
+		cfg.Tenants = tenants
+		st, err := buildStore(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newReplica(cfg, st)
+		r.persisted = func(tok types.Token) { persisted(r, tok) }
+		ep, err := transport.ListenTCP(1, book, r.lanes.Handler())
+		if err != nil {
+			r.lanes.Close()
+			st.Close()
+			return err
+		}
+		r.ep = ep
+		r.ready.Store(true)
+		r.start()
+		rig.r = r
+		onStop(func() {
+			r.Stop()
+			ep.Close()
+			st.Close()
+		})
+		return nil
 	})
 	return rig
 }
@@ -252,5 +250,45 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// onFreshPorts reserves a loopback address for each id and runs start
+// over them. A reserved port is free between its reservation and its
+// bind, and a test running in parallel elsewhere can take it: when start
+// fails with EADDRINUSE, everything it started is stopped and it runs
+// again on fresh ports. What it started is stopped when the test ends.
+func onFreshPorts(t *testing.T, ids []types.NodeID, start func(addrs map[types.NodeID]string, onStop func(func())) error) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		addrs := make(map[types.NodeID]string, len(ids))
+		var lns []net.Listener
+		for _, id := range ids {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lns = append(lns, ln)
+			addrs[id] = ln.Addr().String()
+		}
+		for _, ln := range lns {
+			ln.Close()
+		}
+		var stops []func()
+		stop := func() {
+			for i := len(stops) - 1; i >= 0; i-- {
+				stops[i]()
+			}
+			stops = nil
+		}
+		t.Cleanup(stop)
+		err := start(addrs, func(f func()) { stops = append(stops, f) })
+		if err == nil {
+			return
+		}
+		stop()
+		if !errors.Is(err, syscall.EADDRINUSE) || attempt == 5 {
+			t.Fatal(err)
+		}
 	}
 }

@@ -32,7 +32,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -467,7 +466,9 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 	}
 	switch m := msg.(type) {
 	case proto.AppendReq:
-		r.onAppendBatch(from, oneSet(m))
+		// Only the benchmark module's ladder and tests send one: a one-set
+		// batch sharing the request's records and entry.
+		r.onAppendBatch(from, proto.AppendBatchReq{Color: m.Color, Token: m.Token, Sets: [][][]byte{m.Records}, Client: m.Client, Tenant: m.Tenant, Entry: m.Entry})
 	case proto.AppendBatchReq:
 		r.onAppendBatch(from, m)
 	case proto.OrderResp:
@@ -509,13 +510,6 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 
 // ---- Append protocol (Alg. 1, replica role) ----
 
-// oneSet is the replica's adapter for an AppendReq, which only the
-// benchmark module's ladder and tests still send: a one-set batch sharing
-// the request's records.
-func oneSet(m proto.AppendReq) proto.AppendBatchReq {
-	return proto.AppendBatchReq{Color: m.Color, Token: m.Token, Sets: [][][]byte{m.Records}, Client: m.Client, Tenant: m.Tenant}
-}
-
 // onAppendBatch runs the replica side of the append protocol for one
 // token: admit the batch, persist its sets as one unit (a retried token is
 // already persisted), then register the client for the token's SN. The
@@ -553,7 +547,8 @@ func (r *Replica) onAppendBatch(from types.NodeID, m proto.AppendBatchReq) {
 	if r.appendTr.Enabled() {
 		po.arrivedAt = time.Now()
 	}
-	if err := r.persist(m); err != nil && !errors.Is(err, storage.ErrDuplicateToken) {
+	// The decoder laid the batch out as one entry: persist it as it is.
+	if err := r.st.PutEntry(m.Color, m.Token, m.Entry); err != nil && !errors.Is(err, storage.ErrDuplicateToken) {
 		// Out of space or oversized; the client times out and retries
 		// elsewhere. Count it: silent drops made capacity exhaustion look
 		// like network loss.
@@ -567,20 +562,6 @@ func (r *Replica) onAppendBatch(from types.NodeID, m proto.AppendBatchReq) {
 		r.persisted(m.Token)
 	}
 	r.await(m.Token, client, po)
-}
-
-// persist writes a batch to storage as one entry. A batch the TCP decoder
-// copied is persisted as that copy (m.Entry); one delivered in process
-// has its sets framed by PutBatch, a single set as it arrived.
-func (r *Replica) persist(m proto.AppendBatchReq) error {
-	if m.Entry != nil {
-		return r.st.PutEntry(m.Color, m.Token, m.Entry)
-	}
-	records := m.Sets[0]
-	if len(m.Sets) > 1 {
-		records = slices.Concat(m.Sets...)
-	}
-	return r.st.PutBatch(m.Color, m.Token, records)
 }
 
 // await registers client as waiting for the SN of a persisted token, in one

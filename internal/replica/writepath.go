@@ -90,8 +90,7 @@ type orderReq struct {
 }
 
 // sendOrderBatch is the order queue's flush: one frame per color, colors
-// in first-arrival order. Item slices are fresh: an in-process receiver
-// keeps the message it is handed.
+// in first-arrival order.
 func (r *Replica) sendOrderBatch(batch []orderReq) {
 	for i, o := range batch {
 		if slices.ContainsFunc(batch[:i], func(p orderReq) bool { return p.color == o.color }) {

@@ -145,8 +145,8 @@ type recordRef struct {
 
 // frameEntry lays records out as a record entry in one allocation and one
 // pass: entryHeaderSize bytes of header room, then the payload
-// [u32 count][u32 len_i][data_i]…. The TCP frame decoders lay out an
-// append batch the same way (proto.AppendBatchReq.Entry), so both reach
+// [u32 count][u32 len_i][data_i]…. The frame decoders lay out an
+// append the same way (proto.AppendBatchReq.Entry), so both reach
 // PutEntry's one persist path.
 func frameEntry(records [][]byte) []byte {
 	payloadLen := 4

@@ -484,7 +484,7 @@ func (st *Store) PutBatch(color types.ColorID, token types.Token, records [][]by
 }
 
 // PutEntry persists an uncommitted append batch already laid out as a
-// record entry (see frameEntry), as the TCP frame decoders deliver one. It
+// record entry (see frameEntry), as the frame decoders deliver one. It
 // fills the entry's header, writes the entry to PM and, at Commit, caches
 // it whole: the store owns entry from the call on.
 //

@@ -25,7 +25,7 @@ func (c *collector) ints() []int {
 	defer c.mu.Unlock()
 	out := make([]int, 0, len(c.msgs))
 	for _, m := range c.msgs {
-		out = append(out, m.(int))
+		out = append(out, seqOf(m))
 	}
 	return out
 }
@@ -63,7 +63,7 @@ func TestFaultDropAll(t *testing.T) {
 	n, src, rx := faultPair(t)
 	n.SetLinkFaults(1, 2, FaultModel{DropProb: 1})
 	for i := 0; i < 50; i++ {
-		if err := src.Send(2, i); err != nil {
+		if err := src.Send(2, seqMsg(i)); err != nil {
 			t.Fatalf("lossy drop must look like success, got %v", err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestFaultDropNextOneShot(t *testing.T) {
 	n, src, rx := faultPair(t)
 	n.SetLinkFaults(1, 2, FaultModel{DropNext: 3})
 	for i := 0; i < 10; i++ {
-		src.Send(2, i)
+		src.Send(2, seqMsg(i))
 	}
 	got := rx.waitLen(t, 7)
 	if len(got) != 7 {
@@ -100,7 +100,7 @@ func TestFaultDupAll(t *testing.T) {
 	n, src, rx := faultPair(t)
 	n.SetLinkFaults(1, 2, FaultModel{DupProb: 1})
 	for i := 0; i < 20; i++ {
-		src.Send(2, i)
+		src.Send(2, seqMsg(i))
 	}
 	got := rx.waitLen(t, 40)
 	if len(got) != 40 {
@@ -120,7 +120,7 @@ func TestFaultReorderRelaxesFIFO(t *testing.T) {
 	n.SetLinkFaults(1, 2, FaultModel{ReorderProb: 0.5, JitterMax: 200 * time.Microsecond})
 	const total = 400
 	for i := 0; i < total; i++ {
-		src.Send(2, i)
+		src.Send(2, seqMsg(i))
 	}
 	got := rx.waitLen(t, total)
 	// Every message must arrive exactly once...
@@ -155,7 +155,7 @@ func TestFaultJitterDelaysDelivery(t *testing.T) {
 	start := time.Now()
 	const total = 20
 	for i := 0; i < total; i++ {
-		src.Send(2, i)
+		src.Send(2, seqMsg(i))
 	}
 	got := rx.waitLen(t, total)
 	if len(got) != total {
@@ -182,7 +182,7 @@ func TestFaultSeedDeterminism(t *testing.T) {
 		n.SetLinkFaults(1, 2, FaultModel{DropProb: 0.3})
 		const total = 200
 		for i := 0; i < total; i++ {
-			src.Send(2, i)
+			src.Send(2, seqMsg(i))
 		}
 		// Drain: survivors arrive in order; wait for the expected count.
 		want := int(n.delivered.Load()) // racy hint; wait on stats instead
@@ -236,7 +236,7 @@ func TestDefaultFaultsCoverNewLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		src.Send(3, i)
+		src.Send(3, seqMsg(i))
 	}
 	time.Sleep(10 * time.Millisecond)
 	if got := rx.ints(); len(got) != 0 {
@@ -244,7 +244,7 @@ func TestDefaultFaultsCoverNewLinks(t *testing.T) {
 	}
 	n.ClearFaults()
 	for i := 0; i < 10; i++ {
-		src.Send(3, i)
+		src.Send(3, seqMsg(i))
 	}
 	rx.waitLen(t, 10)
 }

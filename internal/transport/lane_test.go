@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"flexlog/internal/proto"
 	"flexlog/internal/types"
 )
 
@@ -14,7 +15,8 @@ import (
 // (a color in the replica), T the tenant the QoS queues schedule it
 // under, N the per-key (or per-tenant) send order. Proto marks a protocol
 // message, which skips the tenant queues. mutMsg is the inline class no
-// lane takes.
+// lane takes. A test that sends them over a Network sends their wire
+// forms, tagged messages the codec frames.
 type laneMsg struct {
 	Key   uint64
 	T     types.TenantID
@@ -23,13 +25,38 @@ type laneMsg struct {
 }
 type mutMsg struct{ N int }
 
+// wire is the ReadReq a laneMsg travels as: ID the key, SN the order,
+// Color 1 for a protocol message.
+func (m laneMsg) wire() Message {
+	var color types.ColorID
+	if m.Proto {
+		color = 1
+	}
+	return proto.ReadReq{ID: m.Key, Tenant: m.T, SN: types.SN(m.N), Color: color}
+}
+
+// wire is the MultiAppendAck a mutMsg travels as.
+func (m mutMsg) wire() Message { return proto.MultiAppendAck{ID: uint64(m.N)} }
+
+// laneOf reads a laneMsg, dispatched as it is or decoded from its wire
+// form.
+func laneOf(m Message) (laneMsg, bool) {
+	switch m := m.(type) {
+	case laneMsg:
+		return m, true
+	case proto.ReadReq:
+		return laneMsg{Key: m.ID, T: m.Tenant, N: int(m.SN), Proto: m.Color == 1}, true
+	}
+	return laneMsg{}, false
+}
+
 func keyOf(m Message) (uint64, bool) {
-	lm, ok := m.(laneMsg)
+	lm, ok := laneOf(m)
 	return lm.Key, ok
 }
 
 func tenantOf(m Message) (types.TenantID, bool) {
-	lm, ok := m.(laneMsg)
+	lm, ok := laneOf(m)
 	return lm.T, ok && !lm.Proto
 }
 
@@ -126,7 +153,7 @@ func TestLaneConcurrency(t *testing.T) {
 		}, LaneConfig{Workers: workers})
 		src := attach(t, l)
 		for i := 0; i < workers; i++ {
-			if err := src.Send(1, laneMsg{Key: uint64(i)}); err != nil {
+			if err := src.Send(1, laneMsg{Key: uint64(i)}.wire()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,19 +179,18 @@ func TestLaneMutationFIFO(t *testing.T) {
 		const rounds = 200
 		obsCh := make(chan obs, 2*rounds)
 		l := c.lanes(func(from types.NodeID, msg Message) {
-			switch m := msg.(type) {
-			case mutMsg:
-				obsCh <- obs{n: m.N, mutsDone: mutSeen.Add(1)}
-			case laneMsg:
+			if m, ok := laneOf(msg); ok {
 				obsCh <- obs{read: true, n: m.N, mutsDone: mutSeen.Load()}
+			} else {
+				obsCh <- obs{n: int(msg.(proto.MultiAppendAck).ID), mutsDone: mutSeen.Add(1)}
 			}
 		}, LaneConfig{Workers: 3})
 		src := attach(t, l)
 		for i := 0; i < rounds; i++ {
-			if err := src.Send(1, mutMsg{N: i}); err != nil {
+			if err := src.Send(1, mutMsg{N: i}.wire()); err != nil {
 				t.Fatal(err)
 			}
-			if err := src.Send(1, laneMsg{Key: uint64(i), N: i}); err != nil {
+			if err := src.Send(1, laneMsg{Key: uint64(i), N: i}.wire()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -203,7 +229,7 @@ func TestWriteLanePerKeyFIFO(t *testing.T) {
 		lastSeq := make(map[uint64]int)
 		violations := 0
 		l := c.lanes(func(from types.NodeID, msg Message) {
-			lm := msg.(laneMsg)
+			lm, _ := laneOf(msg)
 			mu.Lock()
 			if lm.N != lastSeq[lm.Key]+1 {
 				violations++
@@ -214,7 +240,7 @@ func TestWriteLanePerKeyFIFO(t *testing.T) {
 		src := attach(t, l)
 		for seq := 1; seq <= perKey; seq++ {
 			for k := uint64(0); k < keys; k++ {
-				if err := src.Send(1, laneMsg{Key: k, N: seq}); err != nil {
+				if err := src.Send(1, laneMsg{Key: k, N: seq}.wire()); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"flexlog/internal/proto"
 	"flexlog/internal/simclock"
 	"flexlog/internal/types"
 )
@@ -21,17 +23,14 @@ import (
 // reports, and it is what makes message-heavy protocols (Paxos' quorum
 // rounds) pay relative to FlexLog's counter bump (Fig. 4 right).
 type LinkModel struct {
-	Delay     time.Duration // one-way propagation delay (pipelined)
-	PerKB     time.Duration // serialization cost per KiB of payload size
-	ProcCost  time.Duration // serial receive-side processing per message
-	SizeOfMsg func(Message) int
+	Delay    time.Duration // one-way propagation delay (pipelined)
+	ProcCost time.Duration // serial receive-side processing per message
 }
 
 // DatacenterLink returns the calibrated 10 Gbps fabric model.
 func DatacenterLink() LinkModel {
 	return LinkModel{
 		Delay:    55 * time.Microsecond,
-		PerKB:    800 * time.Nanosecond, // ~10 Gbps wire rate
 		ProcCost: 800 * time.Nanosecond, // ≈1.2M msgs/s node capacity
 	}
 }
@@ -39,26 +38,17 @@ func DatacenterLink() LinkModel {
 // ZeroLink is the latency-free model used by unit tests.
 func ZeroLink() LinkModel { return LinkModel{} }
 
-func (m LinkModel) delayFor(msg Message) time.Duration {
-	d := m.Delay
-	if m.PerKB > 0 && m.SizeOfMsg != nil {
-		d += m.PerKB * time.Duration(m.SizeOfMsg(msg)) / 1024
-	}
-	return d
-}
-
-// envelope is one in-flight message.
+// envelope is one in-flight frame, sender included.
 type envelope struct {
-	from      types.NodeID
-	msg       Message
+	frame     []byte
 	deliverAt time.Time
 }
 
-// Network is the in-process transport fabric. It provides registration,
-// per-destination FIFO delivery with pipelined delay injection, and fault
-// injection for the recovery and chaos tests: partitions and crashed
-// endpoints (clean faults) plus per-link message-level fault models
-// (drop, duplication, reorder, delay jitter — see FaultModel).
+// Network is the in-process transport fabric. It carries wire frames, as
+// TCP does, and provides registration, per-destination FIFO delivery with
+// pipelined delay injection, and fault injection for the recovery and
+// chaos tests: partitions and crashed endpoints (clean faults) plus
+// per-link message-level fault models (see FaultModel).
 type Network struct {
 	model LinkModel
 
@@ -218,6 +208,7 @@ type inprocEndpoint struct {
 	id        types.NodeID
 	lanes     *Lanes
 	delivered atomic.Uint64
+	fd        proto.FrameDecoder // deliveryLoop's alone
 
 	qmu    sync.Mutex
 	cond   *sync.Cond
@@ -227,7 +218,14 @@ type inprocEndpoint struct {
 
 func (e *inprocEndpoint) ID() types.NodeID { return e.id }
 
+// Send is a Broadcast to one node.
 func (e *inprocEndpoint) Send(to types.NodeID, msg Message) error {
+	return e.Broadcast([]types.NodeID{to}, msg)
+}
+
+// enqueue queues one frame for the destination through the link's
+// partition and fault models: a duplicate is the frame queued twice.
+func (e *inprocEndpoint) enqueue(to types.NodeID, frame []byte) error {
 	n := e.net
 	n.mu.RLock()
 	dst, ok := n.nodes[to]
@@ -264,10 +262,10 @@ func (e *inprocEndpoint) Send(to types.NodeID, msg Message) error {
 		}
 	}
 
-	env := envelope{from: e.id, msg: msg}
+	env := envelope{frame: frame}
 	var delay time.Duration
 	if simclock.Enabled() {
-		delay = n.model.delayFor(msg)
+		delay = n.model.Delay
 	}
 	delay += fd.jitter // jitter applies even without the latency model
 	if delay > 0 {
@@ -297,10 +295,23 @@ func (e *inprocEndpoint) Send(to types.NodeID, msg Message) error {
 	return nil
 }
 
+// Broadcast encodes msg once, into a pooled buffer copied out at its exact
+// size, and queues that frame for every listed node.
 func (e *inprocEndpoint) Broadcast(tos []types.NodeID, msg Message) error {
+	bp, _ := framePool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	b, err := proto.AppendFrame((*bp)[:0], e.id, msg)
+	frame := bytes.Clone(b)
+	*bp = b
+	putBuf(bp)
+	if err != nil {
+		return err
+	}
 	var firstErr error
 	for _, to := range tos {
-		if err := e.Send(to, msg); err != nil && firstErr == nil {
+		if err := e.enqueue(to, frame); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -316,11 +327,12 @@ func (e *inprocEndpoint) Close() error {
 	return nil
 }
 
-// deliveryLoop pops envelopes in arrival order and offers each to the
-// node's lanes: a lane worker then waits out the delivery deadline and
-// pays the processing cost, so lane messages overlap. What no lane takes
-// is paid for and handled here, serially (deadlines were stamped at send
-// time, so the propagation delay is still pipelined).
+// deliveryLoop pops frames in arrival order, decodes each (a failure is
+// a counted drop), and offers the message to the node's lanes: a lane
+// worker then waits out the delivery deadline and pays the processing
+// cost, so lane messages overlap. What no lane takes is paid for and
+// handled here, serially (deadlines were stamped at send time, so the
+// propagation delay is still pipelined).
 func (e *inprocEndpoint) deliveryLoop() {
 	for {
 		e.qmu.Lock()
@@ -332,12 +344,18 @@ func (e *inprocEndpoint) deliveryLoop() {
 			return
 		}
 		env := e.queue[0]
+		e.queue[0] = envelope{} // the array keeps no decoded frame alive
 		e.queue = e.queue[1:]
 		e.qmu.Unlock()
 
+		from, msg, err := e.fd.Decode(env.frame[4:])
+		if err != nil {
+			e.net.dropped.Add(1)
+			continue
+		}
 		e.net.delivered.Add(1)
 		e.delivered.Add(1)
-		if e.lanes.dispatch(env.from, env.msg, env.deliverAt) {
+		if e.lanes.dispatch(from, msg, env.deliverAt) {
 			continue
 		}
 		if !env.deliverAt.IsZero() {
@@ -350,6 +368,6 @@ func (e *inprocEndpoint) deliveryLoop() {
 				simclock.Spin(e.net.model.ProcCost)
 			}
 		}
-		e.lanes.handler(env.from, env.msg)
+		e.lanes.handler(from, msg)
 	}
 }

@@ -149,10 +149,20 @@ func ListenTCP(id types.NodeID, book *AddressBook, h Handler, opts ...TCPOption)
 	if !ok {
 		return nil, fmt.Errorf("%w: %v has no address", ErrUnknownNode, id)
 	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return serveTCP(ln, id, book, h, opts...), nil
+}
+
+// serveTCP starts an endpoint accepting on a bound listener.
+func serveTCP(ln net.Listener, id types.NodeID, book *AddressBook, h Handler, opts ...TCPOption) *TCPEndpoint {
 	ep := &TCPEndpoint{
 		id:      id,
 		book:    book,
 		handler: h,
+		ln:      ln,
 		dial:    func(a string) (net.Conn, error) { return net.Dial("tcp", a) },
 		conns:   make(map[types.NodeID]*outConn),
 		inbound: make(map[net.Conn]struct{}),
@@ -160,18 +170,10 @@ func ListenTCP(id types.NodeID, book *AddressBook, h Handler, opts ...TCPOption)
 	for _, o := range opts {
 		o(ep)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	ep.ln = ln
 	ep.wg.Add(1)
 	go ep.acceptLoop()
-	return ep, nil
+	return ep
 }
-
-// Addr returns the listener's bound address (useful with ":0" books).
-func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 
 // ID returns the node id this endpoint speaks as.
 func (e *TCPEndpoint) ID() types.NodeID { return e.id }

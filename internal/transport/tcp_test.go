@@ -16,23 +16,41 @@ import (
 	"flexlog/internal/types"
 )
 
+// reserved holds the listeners freeAddrs bound, by address, until
+// listenTCP serves an endpoint on one: a reserved port is never free
+// between its reservation and its use, so a test running in parallel
+// elsewhere cannot take it.
+var reserved sync.Map // address → net.Listener
+
 // freeAddrs reserves n distinct loopback addresses.
-func freeAddrs(t *testing.T, n int) []string {
+func freeAddrs(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
+		addr := ln.Addr().String()
+		addrs[i] = addr
+		reserved.Store(addr, ln)
+		t.Cleanup(func() {
+			if ln, ok := reserved.LoadAndDelete(addr); ok {
+				ln.(net.Listener).Close()
+			}
+		})
 	}
 	return addrs
+}
+
+// listenTCP is ListenTCP on the listener freeAddrs reserved for id's
+// address; an address with none (a restarted peer's) is bound anew.
+func listenTCP(id types.NodeID, book *AddressBook, h Handler, opts ...TCPOption) (*TCPEndpoint, error) {
+	addr, _ := book.Lookup(id)
+	if ln, ok := reserved.LoadAndDelete(addr); ok {
+		return serveTCP(ln.(net.Listener), id, book, h, opts...), nil
+	}
+	return ListenTCP(id, book, h, opts...)
 }
 
 func TestTCPRoundTrip(t *testing.T) {
@@ -40,18 +58,18 @@ func TestTCPRoundTrip(t *testing.T) {
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
 
 	rx := newSink()
-	b, err := ListenTCP(2, book, rx.handler)
+	b, err := listenTCP(2, book, rx.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, err := listenTCP(1, book, func(types.NodeID, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if a.ID() != 1 || a.Addr() == "" {
-		t.Fatalf("endpoint identity wrong: %v %q", a.ID(), a.Addr())
+	if a.ID() != 1 {
+		t.Fatalf("endpoint identity wrong: %v", a.ID())
 	}
 
 	const count = 100
@@ -76,11 +94,11 @@ func TestTCPBroadcast(t *testing.T) {
 	addrs := freeAddrs(t, 3)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1], 3: addrs[2]})
 	rx2, rx3 := newSink(), newSink()
-	b, _ := ListenTCP(2, book, rx2.handler)
+	b, _ := listenTCP(2, book, rx2.handler)
 	defer b.Close()
-	c, _ := ListenTCP(3, book, rx3.handler)
+	c, _ := listenTCP(3, book, rx3.handler)
 	defer c.Close()
-	a, _ := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, _ := listenTCP(1, book, func(types.NodeID, Message) {})
 	defer a.Close()
 	if err := a.Broadcast([]types.NodeID{2, 3}, proto.AppendAck{Token: 1}); err != nil {
 		t.Fatal(err)
@@ -92,7 +110,7 @@ func TestTCPBroadcast(t *testing.T) {
 func TestTCPUnknownDestination(t *testing.T) {
 	addrs := freeAddrs(t, 1)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0]})
-	a, _ := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, _ := listenTCP(1, book, func(types.NodeID, Message) {})
 	defer a.Close()
 	if err := a.Send(9, proto.AppendAck{}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("send to unknown: %v", err)
@@ -109,9 +127,9 @@ func TestTCPListenWithoutAddress(t *testing.T) {
 func TestTCPSendAfterClose(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
-	b, _ := ListenTCP(2, book, func(types.NodeID, Message) {})
+	b, _ := listenTCP(2, book, func(types.NodeID, Message) {})
 	defer b.Close()
-	a, _ := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, _ := listenTCP(1, book, func(types.NodeID, Message) {})
 	a.Close()
 	a.Close() // double close is safe
 	if err := a.Send(2, proto.AppendAck{}); !errors.Is(err, ErrClosed) {
@@ -123,8 +141,8 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
 	rx := newSink()
-	b, _ := ListenTCP(2, book, rx.handler)
-	a, _ := ListenTCP(1, book, func(types.NodeID, Message) {})
+	b, _ := listenTCP(2, book, rx.handler)
+	a, _ := listenTCP(1, book, func(types.NodeID, Message) {})
 	defer a.Close()
 
 	if err := a.Send(2, proto.AppendAck{Token: 1}); err != nil {
@@ -136,7 +154,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	// after which the endpoint redials.
 	b.Close()
 	rx2 := newSink()
-	b2, err := ListenTCP(2, book, rx2.handler)
+	b2, err := listenTCP(2, book, rx2.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +193,12 @@ func TestTCPCodecRoundTrip(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
 	rx := newSink()
-	b, err := ListenTCP(2, book, rx.handler)
+	b, err := listenTCP(2, book, rx.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, err := listenTCP(1, book, func(types.NodeID, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +244,13 @@ func TestTCPBroadcastEncodesOnce(t *testing.T) {
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1], 3: addrs[2], 4: addrs[3]})
 	sinks := map[types.NodeID]*sink{2: newSink(), 3: newSink(), 4: newSink()}
 	for id, s := range sinks {
-		ep, err := ListenTCP(id, book, s.handler)
+		ep, err := listenTCP(id, book, s.handler)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ep.Close()
 	}
-	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, err := listenTCP(1, book, func(types.NodeID, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +279,12 @@ func TestTCPSlowDialDoesNotBlockOtherPeers(t *testing.T) {
 	addrs := freeAddrs(t, 3)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1], 9: addrs[2]})
 	rx := newSink()
-	b, err := ListenTCP(2, book, rx.handler)
+	b, err := listenTCP(2, book, rx.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, err := listenTCP(1, book, func(types.NodeID, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +340,7 @@ func TestTCPForeignStreamDropped(t *testing.T) {
 	addrs := freeAddrs(t, 1)
 	book := NewAddressBook(map[types.NodeID]string{2: addrs[0]})
 	rx := newSink()
-	b, err := ListenTCP(2, book, rx.handler)
+	b, err := listenTCP(2, book, rx.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,12 +376,12 @@ func TestTCPUnknownMessageKeepsConnection(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
 	rx := newSink()
-	b, err := ListenTCP(2, book, rx.handler)
+	b, err := listenTCP(2, book, rx.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, err := listenTCP(1, book, func(types.NodeID, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,31 +411,52 @@ func TestTCPUnknownMessageKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestInprocUnknownMessage is the in-process row of the rule above: the
+// Network frames every message, so one without a wire tag fails Send and
+// Broadcast with proto.ErrUnknownMessage, and the link keeps delivering.
+func TestInprocUnknownMessage(t *testing.T) {
+	n := NewNetwork(ZeroLink())
+	defer n.Shutdown()
+	rx := newSink()
+	a, err := n.Register(1, func(types.NodeID, Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Register(2, rx.handler); err != nil {
+		t.Fatal(err)
+	}
+	type alien struct{ A int }
+	if err := a.Send(2, alien{A: 1}); !errors.Is(err, proto.ErrUnknownMessage) {
+		t.Fatalf("Send(alien) = %v, want ErrUnknownMessage", err)
+	}
+	if err := a.Broadcast([]types.NodeID{2}, alien{A: 2}); !errors.Is(err, proto.ErrUnknownMessage) {
+		t.Fatalf("Broadcast(alien) = %v, want ErrUnknownMessage", err)
+	}
+	if err := a.Send(2, proto.AppendAck{Token: 2}); err != nil {
+		t.Fatal(err)
+	}
+	rx.wait(t, 1)
+	if got := rx.snapshot(); got[0] != (proto.AppendAck{Token: 2}) {
+		t.Fatalf("delivered %#v", got[0])
+	}
+}
+
 // BenchmarkTCPBroadcast measures the encode-once broadcast against three
 // loopback peers (the old transport re-encoded per destination).
 func BenchmarkTCPBroadcast(b *testing.B) {
-	lns := make([]net.Listener, 4)
 	addrs := make(map[types.NodeID]string, 4)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[types.NodeID(i+1)] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
+	for i, addr := range freeAddrs(b, 4) {
+		addrs[types.NodeID(i+1)] = addr
 	}
 	book := NewAddressBook(addrs)
 	for id := types.NodeID(2); id <= 4; id++ {
-		ep, err := ListenTCP(id, book, func(types.NodeID, Message) {})
+		ep, err := listenTCP(id, book, func(types.NodeID, Message) {})
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer ep.Close()
 	}
-	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, err := listenTCP(1, book, func(types.NodeID, Message) {})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -440,12 +479,12 @@ func TestTCPPublishObs(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
 	rx := newSink()
-	bEp, err := ListenTCP(2, book, rx.handler)
+	bEp, err := listenTCP(2, book, rx.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bEp.Close()
-	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, err := listenTCP(1, book, func(types.NodeID, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +549,7 @@ func TestTCPCloseAfterOneReply(t *testing.T) {
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
 	var echo *TCPEndpoint
 	ready := make(chan struct{})
-	echo, err := ListenTCP(2, book, func(from types.NodeID, msg Message) {
+	echo, err := listenTCP(2, book, func(from types.NodeID, msg Message) {
 		<-ready
 		echo.Send(from, msg)
 	})
@@ -519,7 +558,7 @@ func TestTCPCloseAfterOneReply(t *testing.T) {
 	}
 	close(ready)
 	rx := newSink()
-	a, err := ListenTCP(1, book, rx.handler)
+	a, err := listenTCP(1, book, rx.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,12 +581,12 @@ func TestTCPLargeFramesBackToBack(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	book := NewAddressBook(map[types.NodeID]string{1: addrs[0], 2: addrs[1]})
 	rx := newSink()
-	b, err := ListenTCP(2, book, rx.handler)
+	b, err := listenTCP(2, book, rx.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, err := listenTCP(1, book, func(types.NodeID, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +641,7 @@ func TestTCPConcurrentSendersShareWritev(t *testing.T) {
 		got  []uint64
 		done = make(chan struct{})
 	)
-	b, err := ListenTCP(2, book, func(_ types.NodeID, m Message) {
+	b, err := listenTCP(2, book, func(_ types.NodeID, m Message) {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, m.(proto.ReadResp).ID)
@@ -614,7 +653,7 @@ func TestTCPConcurrentSendersShareWritev(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a, err := ListenTCP(1, book, func(types.NodeID, Message) {})
+	a, err := listenTCP(1, book, func(types.NodeID, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}

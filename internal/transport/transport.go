@@ -8,8 +8,11 @@
 //     crash-style fault injection, used by the cluster harness, the tests
 //     and the benchmarks (the paper's 10 Gbps RTT is injected here);
 //   - a TCP transport for real multi-process deployments via
-//     cmd/flexlog-server: length-prefixed binary frames (package proto's
-//     codec) behind a per-connection preamble.
+//     cmd/flexlog-server, behind a per-connection preamble.
+//
+// Both carry package proto's binary frames: a sender encodes a message
+// once for all its destinations, and each receiver decodes its own copy
+// with its own proto.FrameDecoder, whichever fabric it is on.
 //
 // A node attaches to either through its Lanes, the dispatcher that decides
 // which inbound messages run on the node's worker pools and which inline.
@@ -25,16 +28,16 @@ import (
 	"flexlog/internal/types"
 )
 
-// Message is any protocol payload. On TCP only the types package proto
-// frames can travel; sending any other type fails with
-// proto.ErrUnknownMessage.
+// Message is a protocol payload, a value of a type package proto frames:
+// any other fails Send with proto.ErrUnknownMessage. A handler receives a
+// decoded copy that shares no bytes with the sender's.
 type Message any
 
-// Handler processes one inbound message. An endpoint may invoke it from
-// several goroutines at once: the in-process network runs what no lane
-// takes sequentially in delivery order, but lane workers run beside that
-// loop, and the TCP transport delivers each connection on its own
-// goroutine. Per-sender FIFO holds for inline messages; a keyed lane keeps
+// Handler processes one inbound message, decoded from its frame, with the
+// sender the frame names. An endpoint may invoke it from several
+// goroutines at once: the in-process network runs what no lane takes
+// sequentially in delivery order, but lane workers run beside that loop,
+// and the TCP transport delivers each connection on its own goroutine. Per-sender FIFO holds for inline messages; a keyed lane keeps
 // each key's protocol messages, and each key's client requests of one
 // tenant, in FIFO order (LaneConfig). Long work should be handed off.
 type Handler func(from types.NodeID, msg Message)
