@@ -12,30 +12,42 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // deadReport is what -deadcode finds: exported names under internal/ that
-// no program code uses (Dead fails the gate), the ones only the benchmark
-// module keeps alive (Bench, listed but passing), and allowlist entries
-// that name no dead identifier (Stale, failing: the list cannot rot).
+// no program code uses and unexported fields it never reads (Dead fails
+// the gate), the ones only the benchmark module keeps alive (Bench, listed
+// but passing), and allowlist entries that name no dead identifier or give
+// no typed reason (Stale, failing: the list cannot rot). Options counts
+// the exported fields of the *Config, *Policy and *Profile structs under
+// internal/: every value an operator or a test can set independently.
 type deadReport struct {
 	Dead, Bench, Stale []string
+	Options            int
 }
+
+// reasonKinds are the allowlist's four reasons; an entry's reason starts
+// with one of them.
+var reasonKinds = []string{"paper API: ", "operator surface: ", "test seam: ", "test support: "}
 
 // checkDeadcode type-checks the module at root (non-test files only) and
 // reports every exported func, method, type, const, var and struct field
-// declared under root/internal that no non-test code of the module uses.
+// declared under root/internal that no non-test code of the module uses,
+// and every unexported struct field declared there that it never reads.
 // A use inside the name's own declaration or in a method receiver does not
 // count. A method is used when its type satisfies an interface that has
 // it: one the program names, or fmt.Stringer, error, or the errors
 // package's Unwrap/Is/As conventions. A field is used when a positional
 // literal sets it or reflection reads it (an obs tag other than "-", or a
 // json tag); a field of a *Config, *Policy or *Profile struct is used only
-// where program code sets it. Uses from root/benchDir (its tests included)
-// are counted apart. allow maps a name, written as in the report
-// ("internal/pkg.Type.Method"), to the one reason it stays.
+// where program code sets it as a choice (see markUses). A field of a
+// struct compared with == or used as a map key is read. Uses from
+// root/benchDir (its tests included) are counted apart. allow maps a name,
+// written as in the report ("internal/pkg.Type.Method"), to the one
+// reason it stays, which starts with one of reasonKinds.
 func checkDeadcode(root, benchDir string, allow map[string]string) (*deadReport, error) {
 	l, err := newLoader(root)
 	if err != nil {
@@ -57,7 +69,6 @@ func checkDeadcode(root, benchDir string, allow map[string]string) (*deadReport,
 	if err != nil {
 		return nil, err
 	}
-	used := make(map[types.Object]bool)
 	for _, dir := range dirs {
 		rel, _ := filepath.Rel(root, dir)
 		path := l.module
@@ -70,9 +81,18 @@ func checkDeadcode(root, benchDir string, allow map[string]string) (*deadReport,
 			}
 			return nil, err
 		}
-		markUses(l.info, l.files[path], used)
+	}
+	configs := l.configFields()
+	used, read := make(map[types.Object]bool), make(map[types.Object]bool)
+	for path, pkg := range l.pkgs {
+		markUses(l.info, pkg, l.files[path], configs, used, read)
 	}
 	markImplemented(l, used)
+	for _, tv := range l.info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			readAll(m.Key(), read)
+		}
+	}
 
 	benchUsed := make(map[types.Object]bool)
 	if bench := filepath.Join(root, benchDir); benchDir != "" && fileExists(bench) {
@@ -82,16 +102,19 @@ func checkDeadcode(root, benchDir string, allow map[string]string) (*deadReport,
 		}
 		info := newInfo()
 		conf := types.Config{Importer: l}
-		if _, err := conf.Check(benchDir, l.fset, files, info); err != nil {
+		pkg, err := conf.Check(benchDir, l.fset, files, info)
+		if err != nil {
 			return nil, err
 		}
-		markUses(info, files, benchUsed)
+		markUses(info, pkg, files, configs, benchUsed, nil)
 	}
 
 	rep := &deadReport{}
 	seen := make(map[string]bool)
-	for _, c := range l.candidates() {
-		if used[c.obj] {
+	cands, options := l.candidates()
+	rep.Options = options
+	for _, c := range cands {
+		if c.obj.Exported() && used[c.obj] || !c.obj.Exported() && read[c.obj] {
 			continue
 		}
 		if _, ok := allow[c.name]; ok {
@@ -109,8 +132,8 @@ func checkDeadcode(root, benchDir string, allow map[string]string) (*deadReport,
 		switch {
 		case !seen[name]:
 			rep.Stale = append(rep.Stale, name+": allowlisted, but used by the program or not declared")
-		case strings.TrimSpace(reason) == "":
-			rep.Stale = append(rep.Stale, name+": allowlisted without a reason")
+		case !slices.ContainsFunc(reasonKinds, func(k string) bool { return strings.HasPrefix(reason, k) }):
+			rep.Stale = append(rep.Stale, name+": allowlisted without a reason of a known kind ("+strings.Join(reasonKinds, ", ")+")")
 		}
 	}
 	sort.Strings(rep.Dead)
@@ -219,11 +242,12 @@ type candidate struct {
 	obj  types.Object
 }
 
-// candidates lists the exported names declared under internal/: package
-// level objects, the methods of exported types, and the named fields of
-// exported struct types that no reflection reads.
-func (l *loader) candidates() []candidate {
-	var out []candidate
+// candidates lists the names declared under internal/ the gate checks:
+// package-level exported objects, the exported methods and fields of
+// exported types, and the unexported fields of every struct type, all but
+// the fields reflection reads. It also counts the options, the exported
+// fields of config structs.
+func (l *loader) candidates() (out []candidate, options int) {
 	for path, pkg := range l.pkgs {
 		rel := strings.TrimPrefix(path, l.module+"/")
 		if !strings.HasPrefix(rel, "internal/") {
@@ -232,17 +256,17 @@ func (l *loader) candidates() []candidate {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if !obj.Exported() {
-				continue
-			}
 			key := rel + "." + name
-			out = append(out, candidate{key, obj})
-			named, ok := obj.Type().(*types.Named)
-			if _, isType := obj.(*types.TypeName); !isType || !ok {
+			if obj.Exported() {
+				out = append(out, candidate{key, obj})
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
+			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
+				if m := named.Method(i); m.Exported() && obj.Exported() {
 					out = append(out, candidate{key + "." + m.Name(), m})
 				}
 			}
@@ -252,38 +276,84 @@ func (l *loader) candidates() []candidate {
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				f, tag := st.Field(i), reflect.StructTag(st.Tag(i))
+				if f.Exported() && isConfigType(name) {
+					options++
+				}
 				obs, hasObs := tag.Lookup("obs")
 				json, hasJSON := tag.Lookup("json")
-				if !f.Exported() || f.Embedded() || hasObs && obs != "-" || hasJSON && json != "-" {
+				if f.Embedded() || f.Name() == "_" || f.Exported() && !obj.Exported() || hasObs && obs != "-" || hasJSON && json != "-" {
 					continue
 				}
 				out = append(out, candidate{key + "." + f.Name(), f})
 			}
 		}
 	}
-	return out
+	return out, options
 }
 
-// isConfigField reports whether v is a field of a struct type named
-// *Config, *Policy or *Profile: an option, used only where it is set.
-func isConfigField(v *types.Var) bool {
-	if !v.IsField() || v.Pkg() == nil {
-		return false
-	}
-	for _, name := range v.Pkg().Scope().Names() {
-		tn, ok := v.Pkg().Scope().Lookup(name).(*types.TypeName)
-		if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Policy") || strings.HasSuffix(name, "Profile")) {
-			continue
-		}
-		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
-			for i := 0; i < st.NumFields(); i++ {
-				if st.Field(i) == v {
-					return true
+// isConfigType reports whether a struct type of this name holds options.
+func isConfigType(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Policy") || strings.HasSuffix(name, "Profile")
+}
+
+// configFields returns the fields of the module's config structs.
+func (l *loader) configFields() map[*types.Var]bool {
+	fields := make(map[*types.Var]bool)
+	for _, pkg := range l.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && isConfigType(name) {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						fields[st.Field(i)] = true
+					}
 				}
 			}
 		}
 	}
+	return fields
+}
+
+// returnsConfig reports whether fn returns a config struct of its package.
+func returnsConfig(fn types.Object) bool {
+	res := fn.Type().(*types.Signature).Results()
+	for i := 0; i < res.Len(); i++ {
+		if n, ok := res.At(i).Type().(*types.Named); ok && n.Obj().Pkg() == fn.Pkg() && isConfigType(n.Obj().Name()) {
+			return true
+		}
+	}
 	return false
+}
+
+// zeroTested returns the fields cond compares with their zero value
+// (f == 0, f <= 0, f == "", f == nil).
+func zeroTested(info *types.Info, cond ast.Expr) map[types.Object]bool {
+	zero := make(map[types.Object]bool)
+	ast.Inspect(cond, func(n ast.Node) bool {
+		b, ok := n.(*ast.BinaryExpr)
+		if !ok || b.Op != token.EQL && b.Op != token.LEQ {
+			return true
+		}
+		sel, ok := b.X.(*ast.SelectorExpr)
+		if y := info.Types[b.Y]; ok && (y.IsNil() || y.Value != nil && (y.Value.ExactString() == "0" || y.Value.ExactString() == `""`)) {
+			zero[info.Uses[sel.Sel]] = true
+		}
+		return true
+	})
+	return zero
+}
+
+// readAll marks as read every field of t, a struct compared whole or used
+// as a map key, and of the structs and arrays it holds.
+func readAll(t types.Type, read map[types.Object]bool) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			read[u.Field(i).Origin()] = true
+			readAll(u.Field(i).Type(), read)
+		}
+	case *types.Array:
+		readAll(u.Elem(), read)
+	}
 }
 
 // origin maps an instantiated generic func or field to its declaration.
@@ -297,15 +367,28 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// markUses records in used every object files use, except a use inside
-// the object's own declaration or in a method's receiver.
-func markUses(info *types.Info, files []*ast.File, used map[types.Object]bool) {
-	set := make(map[*ast.Ident]bool) // selectors and keys written, not read
-	markSet := func(e ast.Expr) {
-		for {
+// markUses records in used every object the files of pkg use, except a
+// use inside the object's own declaration or in a method's receiver, and
+// in read (unless nil) every struct field they read. Writing a field (an
+// assignment, ++, a key) does not read it, but taking its address does, as
+// does writing through the pointer it holds. A config field is used where
+// it is set as a choice: outside its package, in a func literal (an
+// option), or by other code of its package. In its package, a default fill
+// (a set under a zero test of that field) is no choice; nor is a value a
+// config-returning func gives, unless two such funcs give different values.
+func markUses(info *types.Info, pkg *types.Package, files []*ast.File, configs map[*types.Var]bool, used, read map[types.Object]bool) {
+	set := make(map[*ast.Ident]ast.Expr)      // selectors and keys written, to the value written
+	taken := make(map[*ast.Ident]bool)        // selectors whose address is taken
+	fills := make(map[*ast.Ident]bool)        // sets under a zero test of the same field
+	ctorVals := make(map[types.Object]string) // a config field's value in its package's constructors
+	markSet := func(e, val ast.Expr, addr bool) {
+		for first := true; ; first = false {
 			switch x := e.(type) {
 			case *ast.SelectorExpr:
-				set[x.Sel] = true
+				if _, ptr := info.TypeOf(x).Underlying().(*types.Pointer); ptr && !first {
+					return
+				}
+				set[x.Sel], taken[x.Sel] = val, addr
 				e = x.X
 			case *ast.IndexExpr:
 				e = x.X
@@ -316,23 +399,48 @@ func markUses(info *types.Info, files []*ast.File, used map[types.Object]bool) {
 			}
 		}
 	}
-	configs := make(map[*types.Var]bool)
-	visit := func(owner types.Object) func(ast.Node) bool {
+	type scope struct {
+		owner types.Object
+		ctor  bool // in a config-returning func of pkg
+	}
+	var visit func(s scope) func(ast.Node) bool
+	visit = func(s scope) func(ast.Node) bool {
 		return func(n ast.Node) bool {
 			switch x := n.(type) {
+			case *ast.FuncLit:
+				ast.Inspect(x.Type, visit(scope{owner: s.owner}))
+				ast.Inspect(x.Body, visit(scope{owner: s.owner}))
+				return false
 			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					markSet(lhs)
+				for i, lhs := range x.Lhs {
+					markSet(lhs, x.Rhs[min(i, len(x.Rhs)-1)], false)
 				}
 			case *ast.IncDecStmt:
-				markSet(x.X)
+				markSet(x.X, nil, false)
 			case *ast.UnaryExpr:
 				if x.Op == token.AND {
-					markSet(x.X)
+					markSet(x.X, nil, true)
 				}
 			case *ast.KeyValueExpr:
 				if id, ok := x.Key.(*ast.Ident); ok {
-					set[id] = true
+					set[id] = x.Value
+				}
+			case *ast.BinaryExpr:
+				if read != nil && (x.Op == token.EQL || x.Op == token.NEQ) {
+					readAll(info.TypeOf(x.X), read)
+				}
+			case *ast.IfStmt:
+				if zero := zeroTested(info, x.Cond); len(zero) > 0 {
+					ast.Inspect(x.Body, func(n ast.Node) bool {
+						if as, ok := n.(*ast.AssignStmt); ok {
+							for _, lhs := range as.Lhs {
+								if sel, ok := lhs.(*ast.SelectorExpr); ok && zero[info.Uses[sel.Sel]] {
+									fills[sel.Sel] = true
+								}
+							}
+						}
+						return true
+					})
 				}
 			case *ast.CompositeLit:
 				tv, ok := info.Types[x]
@@ -352,17 +460,24 @@ func markUses(info *types.Info, files []*ast.File, used map[types.Object]bool) {
 					return true
 				}
 				obj = origin(obj)
-				if obj == owner {
+				if obj == s.owner {
 					return true
 				}
-				if v, ok := obj.(*types.Var); ok && !set[x] && v.IsField() {
-					isConfig, known := configs[v]
-					if !known {
-						isConfig = isConfigField(v)
-						configs[v] = isConfig
+				if v, ok := obj.(*types.Var); ok && v.IsField() {
+					val, isSet := set[x]
+					if read != nil && (!isSet || taken[x]) {
+						read[obj] = true
 					}
-					if isConfig {
+					switch {
+					case !configs[v]:
+					case !isSet || fills[x] && v.Pkg() == pkg:
 						return true
+					case s.ctor && v.Pkg() == pkg:
+						// Two constructors giving different values make it a choice.
+						prev, seen := ctorVals[v]
+						if ctorVals[v] = types.ExprString(val); !seen || prev == ctorVals[v] {
+							return true
+						}
 					}
 				}
 				used[obj] = true
@@ -374,7 +489,7 @@ func markUses(info *types.Info, files []*ast.File, used map[types.Object]bool) {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				v := visit(info.Defs[d.Name])
+				v := visit(scope{info.Defs[d.Name], returnsConfig(info.Defs[d.Name])})
 				ast.Inspect(d.Type, v)
 				if d.Body != nil {
 					ast.Inspect(d.Body, v)
@@ -385,7 +500,7 @@ func markUses(info *types.Info, files []*ast.File, used map[types.Object]bool) {
 					if ts, ok := spec.(*ast.TypeSpec); ok {
 						owner = info.Defs[ts.Name]
 					}
-					ast.Inspect(spec, visit(owner))
+					ast.Inspect(spec, visit(scope{owner: owner}))
 				}
 			}
 		}

@@ -10,22 +10,25 @@
 //   - metric coverage (-metrics): every flexlog_* metric family named in a
 //     non-test Go file under the given directories — in a string literal
 //     or an obs struct tag — must appear in OPERATIONS.md.
-//   - dead exports (-deadcode): every exported func, method, type, const,
+//   - dead code (-deadcode): every exported func, method, type, const,
 //     var and struct field under internal/ must be used by non-test code of
-//     the module (internal/, cmd/, examples/). The module is type-checked
-//     (go/types), so a test caller, or a caller of another type's method of
-//     the same name, keeps nothing alive. Names only the benchmark module
-//     uses are listed in a section of their own and pass; names that stay
-//     without a program caller are on the allowlist (allowlist.go), one
+//     the module (internal/, cmd/, examples/), and every unexported struct
+//     field there read by it. The module is type-checked (go/types), so a
+//     test caller, or a caller of another type's method of the same name,
+//     keeps nothing alive. An option (a field of a *Config, *Policy or
+//     *Profile struct) is used only where a caller sets it, not where its
+//     own package fills a default. Names only the benchmark module uses
+//     are listed in a section of their own and pass; names that stay
+//     without a program use are on the allowlist (allowlist.go), one typed
 //     reason each, and an entry that names a used or missing identifier
-//     fails the gate.
+//     fails the gate. It also prints the number of options.
 //
 // Usage:
 //
 //	docs-check [dir ...]           # godoc gate; default: internal/obs
 //	docs-check -flags [cmddir ...] # flag gate; default: cmd/flexlog-server cmd/flexlog-cli
 //	docs-check -metrics [dir ...]  # metric gate; default: internal cmd
-//	docs-check -deadcode           # dead-export gate over the module in the current directory
+//	docs-check -deadcode           # dead-code gate over the module in the current directory
 //
 // It exits non-zero listing each miss, so `make docs-check` fails the
 // build when documentation drifts. The first three gates parse source
@@ -49,7 +52,7 @@ import (
 
 func main() {
 	flagMode := flag.Bool("flags", false, "check that every registered command-line flag is documented in README.md or OPERATIONS.md")
-	deadMode := flag.Bool("deadcode", false, "check that every exported name under internal/ has a non-test caller in the module")
+	deadMode := flag.Bool("deadcode", false, "check that every exported name under internal/ has a non-test caller in the module, and every unexported field a reader")
 	metricsMode := flag.Bool("metrics", false, "check that every flexlog_* metric family named in Go source is documented in OPERATIONS.md")
 	flag.Parse()
 	dirs := flag.Args()
@@ -80,8 +83,9 @@ func main() {
 				fmt.Printf("  %s\n", b)
 			}
 		}
-		report(append(rep.Stale, rep.Dead...), "exported names no program code uses (delete them, or allowlist them with a reason)")
-		fmt.Printf("docs-check: every exported name under internal/ has a program caller\n")
+		fmt.Printf("docs-check: %d options (exported fields of the *Config, *Policy and *Profile structs under internal/)\n", rep.Options)
+		report(append(rep.Stale, rep.Dead...), "names no program code uses: exports without a caller, options nothing sets as a choice, fields nothing reads (delete them, or allowlist them with a reason)")
+		fmt.Printf("docs-check: every exported name under internal/ has a program caller, every unexported field a reader\n")
 	case *flagMode:
 		if len(dirs) == 0 {
 			dirs = []string{"cmd/flexlog-server", "cmd/flexlog-cli"}

@@ -13,4 +13,5 @@ func main() {
 	fmt.Println(lib.Fail(errors.New("x")))
 	fmt.Println(lib.Total(lib.Square{Side: 2}))
 	fmt.Println(lib.Sum(lib.Pair{1, 2}))
+	fmt.Println(lib.Run(lib.Policy{}, lib.Slow(), lib.WithTenant("t")), lib.Fast())
 }

@@ -1,4 +1,4 @@
-// Package lib declares one name per case the dead-export gate decides.
+// Package lib declares one name per case the dead-code gate decides.
 package lib
 
 // Used is called by the program.
@@ -60,3 +60,71 @@ type Pair struct{ A, B int }
 
 // Sum takes a pair whole.
 func Sum(p Pair) int { return len([]Pair{p}) }
+
+// Untyped has no caller and an allowlist entry whose reason names no kind.
+func Untyped() {}
+
+// Policy's Cap is filled only by its own default: no caller chooses it.
+type Policy struct{ Cap int }
+
+func (p *Policy) withDefaults() {
+	if p.Cap == 0 {
+		p.Cap = 4
+	}
+}
+
+// Profile is built by two constructors: Rate differs between them, Window
+// is a default only Fast gives.
+type Profile struct{ Window, Rate int }
+
+// Fast is one profile.
+func Fast() Profile { return Profile{Window: 2, Rate: 1} }
+
+// Slow is the other.
+func Slow() Profile { return Profile{Rate: 5} }
+
+// ClientConfig is set by options.
+type ClientConfig struct{ Tenant string }
+
+// Option sets a client option.
+type Option func(*ClientConfig)
+
+// WithTenant is an option closure: its set is a choice.
+func WithTenant(t string) Option { return func(c *ClientConfig) { c.Tenant = t } }
+
+// key is a map key and version is compared whole: their fields are read
+// by the map and by ==, never by name.
+type key struct{ a, b int }
+
+type version struct{ major int }
+
+// stripe is generic; its field is read only through the alias intStripe.
+type stripe[K comparable, V any] struct{ m map[K]V }
+
+func (s *stripe[K, V]) put(k K, v V) { s.m[k] = v }
+
+type intStripe = stripe[int, int]
+
+// Engine counts hits it never reads.
+type Engine struct {
+	hits  int
+	seen  map[key]int
+	cache intStripe
+	ver   version
+}
+
+// Run exercises every case.
+func Run(p Policy, pr Profile, opts ...Option) int {
+	e := &Engine{seen: map[key]int{{a: 1, b: 2}: 1}, cache: intStripe{m: map[int]int{}}, ver: version{major: 1}}
+	e.hits++
+	e.cache.put(1, 2)
+	var c ClientConfig
+	for _, o := range opts {
+		o(&c)
+	}
+	p.withDefaults()
+	if e.ver == (version{}) {
+		return 0
+	}
+	return p.Cap + pr.Window + pr.Rate + len(c.Tenant) + len(e.seen) + e.cache.m[1]
+}

@@ -34,8 +34,8 @@ func startCtrlPlane(topo *topology.Topology, local *replica.Replica, reg *obs.Re
 
 // advisePendingOrders is the order backlog (flexlog_replica_pending_orders)
 // above which the advisor calls a shard write-saturated (OPERATIONS.md
-// §6.5). The split and replica caps and the 30 s cooldown are the policy's
-// defaults.
+// §6.5). The split and replica caps and the 30 s cooldown are the
+// autoscaler's constants.
 const advisePendingOrders = 1024
 
 // newAdvisor builds the server's advisory autoscaler, polling every second.

@@ -46,13 +46,13 @@ func runAblateBatch(cfg RunConfig) (*Report, error) {
 	}
 	// Latency, injected, single driver: the load the rule gives nothing to
 	// combine.
-	mean, err := loneLatency(latOps,
+	p50, err := loneLatency(latOps,
 		func() (*fixture, error) { return newOrderingFixture(orderingSpec{n: 2, drivers: 1}) },
 		func(f *fixture) (load, error) { return f.orderLoad(master, 0), nil })
 	if err != nil {
 		return nil, err
 	}
-	latS.Add("1", float64(mean)/1e3)
+	latS.Add("1", float64(p50)/1e3)
 	return &Report{
 		ID:      "ablate-batch",
 		Title:   "upward batching under load: root messages per request fall as concurrent drivers rise, a lone driver pays no window",

@@ -397,8 +397,8 @@ func TestAblateClientBatchShape(t *testing.T) {
 	if !ok || size < 2 {
 		t.Errorf("mean batch size %.1f, want >= 2 under concurrent callers", size)
 	}
-	latOff, ok1 := rep.Value("1-client mean latency", "off")
-	latOn, ok2 := rep.Value("1-client mean latency", "on")
+	latOff, ok1 := rep.Value("1-client median latency", "off")
+	latOn, ok2 := rep.Value("1-client median latency", "on")
 	if !ok1 || !ok2 || latOff <= 0 {
 		t.Fatalf("missing latency values: off=%v on=%v", latOff, latOn)
 	}

@@ -43,7 +43,7 @@ func oneRecordBatches() core.BatchConfig {
 //     unacknowledged), so the cost is the hand-off to the batcher
 //     goroutine; the regression must stay bounded by MaxBatchDelay.
 func clientBatchAblation(cfg RunConfig) laneAblation {
-	const latency = "1-client mean latency"
+	const latency = "1-client median latency"
 	tuning := clientBatchTuning()
 	batching := map[string]core.BatchConfig{"off": oneRecordBatches(), "on": tuning}
 	a := laneAblation{

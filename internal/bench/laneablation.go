@@ -129,7 +129,7 @@ func (a laneAblation) run() (*Report, error) {
 		if m.lone == "" {
 			continue
 		}
-		mean, err := loneLatency(a.loneOps,
+		p50, err := loneLatency(a.loneOps,
 			func() (*fixture, error) { return a.build(m, 1, true) },
 			func(f *fixture) (load, error) { return a.workload(f, m, 1, true) })
 		if err != nil {
@@ -139,7 +139,7 @@ func (a laneAblation) run() (*Report, error) {
 		if a.total != "" {
 			x = m.name
 		}
-		lat.get(m.lone, "usec").Add(x, float64(mean)/1e3)
+		lat.get(m.lone, "usec").Add(x, float64(p50)/1e3)
 	}
 	return &Report{ID: a.id, Title: a.title, XHeader: a.xHeader, Series: append(append(thr, lat...), extra...), Notes: notes}, nil
 }

@@ -87,7 +87,7 @@ var quickSchema = map[string]reportSchema{
 	}},
 	"ablate-clientbatch": {xHeader: "batching", series: []seriesSchema{
 		{"Append throughput", "kRec/s", []string{"off", "on"}},
-		{"1-client mean latency", "usec", []string{"off", "on"}},
+		{"1-client median latency", "usec", []string{"off", "on"}},
 		{"Mean batch size", "rec", []string{"off", "on"}},
 	}},
 	"ablate-readpath": {xHeader: "readers", series: []seriesSchema{

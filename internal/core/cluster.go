@@ -41,8 +41,6 @@ type ClusterConfig struct {
 	// SequencerConfig, as flexlog-server does, and sets only Obs,
 	// TraceSlow and a restarted sequencer's epoch after the builder.
 	Profile deploy.Profile
-	// ClientTimeout bounds client operations.
-	ClientTimeout time.Duration
 	// Obs, when set, wires the whole deployment into one observability
 	// registry: every replica (and through it, its storage stack), every
 	// sequencer, and the network's delivery/fault counters.
@@ -68,7 +66,6 @@ func TestClusterConfig() ClusterConfig {
 		ReplicationFactor: 3,
 		SeqBackups:        2,
 		Profile:           deploy.Test(),
-		ClientTimeout:     10 * time.Second,
 	}
 }
 
@@ -282,8 +279,8 @@ func (cl *Cluster) AddColor(color, parent types.ColorID) error {
 }
 
 // NewClient creates a client handle with a fresh FID. Options are applied
-// on top of the cluster defaults (ClientTimeout, and the profile's
-// ReplicaRetry as the retry interval).
+// on top of the cluster's default, the profile's ReplicaRetry as the retry
+// interval.
 func (cl *Cluster) NewClient(opts ...Option) (*Client, error) {
 	cl.mu.Lock()
 	id := cl.nextCli
@@ -291,10 +288,9 @@ func (cl *Cluster) NewClient(opts ...Option) (*Client, error) {
 	fid := uint32(id - clientIDBase + 1)
 	cl.mu.Unlock()
 	ccfg := ClientConfig{
-		FID:     fid,
-		ID:      id,
-		Topo:    cl.topo,
-		Timeout: cl.cfg.ClientTimeout,
+		FID:  fid,
+		ID:   id,
+		Topo: cl.topo,
 	}
 	if cl.cfg.Profile.ReplicaRetry > 0 {
 		ccfg.RetryInterval = cl.cfg.Profile.ReplicaRetry

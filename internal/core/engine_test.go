@@ -18,12 +18,11 @@ import (
 // stuckCluster builds two leaf colors of one single-replica shard each and
 // cuts color 1's replica off, so every operation on color 1 — and a
 // multi-append brokered by color 2 into color 1 — re-sends or re-rounds
-// until something ends it.
+// until something ends it. Its tests' clients take stuckTimeout.
 func stuckCluster(t *testing.T) *Cluster {
 	t.Helper()
 	cfg := TestClusterConfig()
 	cfg.ReplicationFactor = 1
-	cfg.ClientTimeout = 3 * time.Second
 	cl, err := TreeCluster(cfg, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +31,8 @@ func stuckCluster(t *testing.T) *Cluster {
 	cl.Network().Isolate(cl.Topology().ShardsInRegion(1)[0].Replicas[0])
 	return cl
 }
+
+const stuckTimeout = 3 * time.Second
 
 // inFlight reports whether c has a call registered whose key is of the
 // given kind.
@@ -66,7 +67,7 @@ func TestCloseUnblocksEveryOperation(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			c, err := cl.NewClient(row.opts...)
+			c, err := cl.NewClient(append(row.opts, WithTimeout(stuckTimeout))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +105,6 @@ func TestBackoffRetryAfterSurfaces(t *testing.T) {
 	const tenant = types.TenantID(7)
 	const timeout = 300 * time.Millisecond
 	cfg := TestClusterConfig()
-	cfg.ClientTimeout = timeout
 	cfg.Tenants = []qos.TenantConfig{{ID: tenant, Rate: 1, Burst: 1}}
 	for _, row := range []struct {
 		name string
@@ -119,7 +119,7 @@ func TestBackoffRetryAfterSurfaces(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(cl.Stop)
-			c, err := cl.NewClient(append(row.opts, WithTenant(tenant))...)
+			c, err := cl.NewClient(append(row.opts, WithTenant(tenant), WithTimeout(timeout))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestBackoffRetryAfterAtDeadline(t *testing.T) {
 // Subscribe failure is an *OpError like every other operation's.
 func TestSubscribeHonoursContext(t *testing.T) {
 	cl := stuckCluster(t)
-	c, err := cl.NewClient()
+	c, err := cl.NewClient(WithTimeout(stuckTimeout))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,39 +12,29 @@ import (
 	"flexlog/internal/types"
 )
 
+// The autoscaler's caps and pace (DESIGN.md §15.4): it splits a leaf
+// into at most maxShardsPerLeaf shards, widens a shard to at most
+// maxReplicasPerShard replicas, and acts (or advises) at most once per
+// cooldown, so the previous reconfiguration absorbs load before the
+// signal is re-read.
+const (
+	maxShardsPerLeaf    = 4
+	maxReplicasPerShard = 5
+	cooldown            = 30 * time.Second
+)
+
 // Policy is the declarative autoscaling contract (DESIGN.md §15.4): the
-// thresholds the autoscaler compares against the observability registry
-// and the caps that bound what it may do about them.
+// threshold the autoscaler compares against the observability registry,
+// and whether it acts on a breach.
 type Policy struct {
 	// MaxPendingOrders: when any replica's un-flushed order backlog
 	// (flexlog_replica_pending_orders) exceeds it, the owning shard is
 	// write-saturated — split its leaf, or add a replica when the leaf is
 	// at its shard cap. 0 disables the trigger.
 	MaxPendingOrders float64
-	// MaxShardsPerLeaf caps split-shard actions per leaf color; 0 uses 4.
-	MaxShardsPerLeaf int
-	// MaxReplicasPerShard caps add-replica actions per shard; 0 uses 5.
-	MaxReplicasPerShard int
-	// Cooldown is the minimum gap between actions, letting the previous
-	// reconfiguration absorb load before re-measuring; 0 uses 30s. Advice
-	// in advisory mode is rate-limited by it too.
-	Cooldown time.Duration
 	// Advisory suppresses execution: breaches are recorded as Advice (and
 	// in flexlog_ctrl_autoscale_actions_total) but no plan is issued.
 	Advisory bool
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.MaxShardsPerLeaf == 0 {
-		p.MaxShardsPerLeaf = 4
-	}
-	if p.MaxReplicasPerShard == 0 {
-		p.MaxReplicasPerShard = 5
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = 30 * time.Second
-	}
-	return p
 }
 
 // Advice is one autoscaler conclusion: the action a threshold breach
@@ -80,7 +70,7 @@ func NewAutoscaler(ctrl *Controller, reg *obs.Registry, p Policy, interval time.
 	if interval <= 0 {
 		interval = time.Second
 	}
-	a := &Autoscaler{ctrl: ctrl, reg: reg, policy: p.withDefaults(), every: interval}
+	a := &Autoscaler{ctrl: ctrl, reg: reg, policy: p, every: interval}
 	return a
 }
 
@@ -135,9 +125,10 @@ func (a *Autoscaler) evaluate() *Advice {
 		node, v := hottestNode(a.reg.Samples("flexlog_replica_pending_orders"))
 		if v > a.policy.MaxPendingOrders {
 			if sh, ok := topo.ShardOfReplica(node); ok {
-				return a.act(a.writeAction(sh),
-					"pending orders "+strconv.FormatFloat(v, 'f', 0, 64)+
+				if adv, ok := a.writeAction(sh); ok {
+					return a.act(adv, "pending orders "+strconv.FormatFloat(v, 'f', 0, 64)+
 						" > "+strconv.FormatFloat(a.policy.MaxPendingOrders, 'f', 0, 64))
+				}
 			}
 		}
 	}
@@ -146,13 +137,17 @@ func (a *Autoscaler) evaluate() *Advice {
 
 // writeAction maps a write-saturated shard to an action under the caps:
 // split the leaf while below the shard cap (new shards absorb new
-// appends), otherwise widen the shard itself.
-func (a *Autoscaler) writeAction(sh topology.ShardInfo) Advice {
+// appends), otherwise widen the shard itself while below the replica cap.
+// At both caps there is nothing to do.
+func (a *Autoscaler) writeAction(sh topology.ShardInfo) (Advice, bool) {
 	topo := a.ctrl.Cluster().Topology()
-	if len(topo.ShardsInRegion(sh.Leaf)) < a.policy.MaxShardsPerLeaf {
-		return Advice{Kind: KindSplitShard, Shard: sh.ID, Leaf: sh.Leaf}
+	switch {
+	case len(topo.ShardsInRegion(sh.Leaf)) < maxShardsPerLeaf:
+		return Advice{Kind: KindSplitShard, Shard: sh.ID, Leaf: sh.Leaf}, true
+	case len(sh.Replicas) < maxReplicasPerShard:
+		return Advice{Kind: KindAddReplica, Shard: sh.ID, Leaf: sh.Leaf}, true
 	}
-	return Advice{Kind: KindAddReplica, Shard: sh.ID, Leaf: sh.Leaf}
+	return Advice{}, false
 }
 
 // act finalizes an advice: stamp it, honor cooldown and advisory mode,
@@ -161,7 +156,7 @@ func (a *Autoscaler) act(adv Advice, reason string) *Advice {
 	adv.Time = time.Now()
 	adv.Reason = reason
 	a.mu.Lock()
-	cooling := time.Since(a.last) < a.policy.Cooldown && !a.last.IsZero()
+	cooling := time.Since(a.last) < cooldown && !a.last.IsZero()
 	if !cooling {
 		a.last = time.Now()
 	}

@@ -12,6 +12,7 @@ import (
 	"flexlog/internal/core"
 	"flexlog/internal/ctrlplane"
 	"flexlog/internal/obs"
+	"flexlog/internal/topology"
 	"flexlog/internal/types"
 )
 
@@ -326,6 +327,42 @@ func TestAutoscalerExecutesSplit(t *testing.T) {
 	// Cooldown: the still-breaching gauge must not trigger a second action.
 	if adv := as.Evaluate(); adv != nil {
 		t.Fatalf("action during cooldown: %+v", adv)
+	}
+}
+
+// TestAutoscalerStopsAtCaps: a saturated shard is split while its leaf
+// holds fewer than four shards, widened while it holds fewer than five
+// replicas, and left alone at both caps.
+func TestAutoscalerStopsAtCaps(t *testing.T) {
+	for _, tc := range []struct {
+		shards, replicas int
+		want             ctrlplane.PlanKind
+		advise           bool
+	}{
+		{3, 5, ctrlplane.KindSplitShard, true},
+		{4, 4, ctrlplane.KindAddReplica, true},
+		{4, 5, 0, false},
+	} {
+		topo := topology.New()
+		if err := topo.AddRegion(types.MasterColor, types.MasterColor, 900, nil); err != nil {
+			t.Fatal(err)
+		}
+		for s := 1; s <= tc.shards; s++ {
+			var replicas []types.NodeID
+			for r := 0; r < tc.replicas; r++ {
+				replicas = append(replicas, types.NodeID(10*s+r))
+			}
+			if err := topo.AddShard(types.ShardID(s), types.MasterColor, replicas); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg := obs.NewRegistry()
+		reg.GaugeFunc("flexlog_replica_pending_orders", "test", obs.Labels{"node": "10"}, func() float64 { return 1000 })
+		ctrl := ctrlplane.New(&ctrlplane.Static{Topo: topo}, ctrlplane.Config{})
+		adv := ctrlplane.NewAutoscaler(ctrl, reg, ctrlplane.Policy{MaxPendingOrders: 100, Advisory: true}, time.Hour).Evaluate()
+		if (adv != nil) != tc.advise || adv != nil && adv.Kind != tc.want {
+			t.Errorf("%d shards of %d replicas: advice %+v, want %v (advise %v)", tc.shards, tc.replicas, adv, tc.want, tc.advise)
+		}
 	}
 }
 

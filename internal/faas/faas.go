@@ -57,35 +57,22 @@ type deployRecord struct {
 	DeployedAt time.Time `json:"deployed_at"`
 }
 
-// Stats counts platform activity.
-type Stats struct {
-	Invocations uint64
-	Failures    uint64
-	ColdStarts  uint64
-	Rejected    uint64
-}
-
 // worker is one execution host.
 type worker struct {
-	id       int
-	slots    chan struct{}
-	warm     map[string]bool // functions with a warm instance
-	warmMu   sync.Mutex
-	client   *core.Client
-	inflight int
-	mu       sync.Mutex
+	id     int
+	slots  chan struct{}
+	warm   map[string]bool // functions with a warm instance
+	warmMu sync.Mutex
+	client *core.Client
 }
 
 // Platform is the serverless control plane plus execution layer.
 type Platform struct {
-	cluster *core.Cluster
-
 	mu       sync.Mutex
 	handlers map[string]Handler
 	versions map[string]int
 	workers  []*worker
 	next     int
-	stats    Stats
 }
 
 // Config sizes the platform.
@@ -107,7 +94,6 @@ func New(cfg Config, cluster *core.Cluster) (*Platform, error) {
 		return nil, err
 	}
 	p := &Platform{
-		cluster:  cluster,
 		handlers: make(map[string]Handler),
 		versions: make(map[string]int),
 	}
@@ -152,25 +138,18 @@ func (p *Platform) Deploy(name string, h Handler) error {
 func (p *Platform) Invoke(tenant, function string, input []byte) ([]byte, error) {
 	// Front-end: authenticate (Fig. 3 step 1).
 	if tenant == "" {
-		p.mu.Lock()
-		p.stats.Rejected++
-		p.mu.Unlock()
 		return nil, ErrUnauthenticated
 	}
 	// Orchestrator: pick the least-loaded worker (Fig. 3 steps 2–3).
 	p.mu.Lock()
 	h, ok := p.handlers[function]
 	if !ok {
-		p.stats.Rejected++
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrUnknownFunction, function)
 	}
 	w := p.pickWorkerLocked()
 	p.mu.Unlock()
 	if w == nil {
-		p.mu.Lock()
-		p.stats.Rejected++
-		p.mu.Unlock()
 		return nil, ErrOverloaded
 	}
 	defer w.release()
@@ -182,9 +161,6 @@ func (p *Platform) Invoke(tenant, function string, input []byte) ([]byte, error)
 	w.warm[function] = true
 	w.warmMu.Unlock()
 	if cold {
-		p.mu.Lock()
-		p.stats.ColdStarts++
-		p.mu.Unlock()
 		if _, err := w.client.Subscribe(DeployColor, types.InvalidSN); err != nil {
 			return nil, fmt.Errorf("faas: retrieving deployment state: %w", err)
 		}
@@ -197,14 +173,7 @@ func (p *Platform) Invoke(tenant, function string, input []byte) ([]byte, error)
 		Log:      w.client,
 		Worker:   w.id,
 	}
-	out, err := h(inv)
-	p.mu.Lock()
-	p.stats.Invocations++
-	if err != nil {
-		p.stats.Failures++
-	}
-	p.mu.Unlock()
-	return out, err
+	return h(inv)
 }
 
 // pickWorkerLocked chooses the worker with the most free slots; nil when

@@ -3,6 +3,7 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func newPlatform(t *testing.T) (*Platform, *core.Cluster) {
 }
 
 func TestDeployAndInvoke(t *testing.T) {
-	p, _ := newPlatform(t)
+	p, cl := newPlatform(t)
 	err := p.Deploy("echo", func(inv *Invocation) ([]byte, error) {
 		return append([]byte("echo:"), inv.Input...), nil
 	})
@@ -39,27 +40,32 @@ func TestDeployAndInvoke(t *testing.T) {
 	if string(out) != "echo:hi" {
 		t.Fatalf("out = %q", out)
 	}
-	st := stats(p)
-	if st.Invocations != 1 || st.ColdStarts != 1 {
-		t.Fatalf("stats = %+v", st)
+	// The deployment record is in the log for a cold start to fetch.
+	c, _ := cl.NewClient()
+	recs, err := c.Subscribe(DeployColor, types.InvalidSN)
+	if err != nil || len(recs) != 1 || !strings.Contains(string(recs[0].Data), `"name":"echo"`) {
+		t.Fatalf("deployment records = %v (%v), want echo's", recs, err)
 	}
 }
 
 func TestWarmInvocationsSkipColdStart(t *testing.T) {
 	p, _ := newPlatform(t)
-	p.Deploy("f", func(inv *Invocation) ([]byte, error) { return nil, nil })
+	ran := make(map[int]int) // invocations per worker
+	p.Deploy("f", func(inv *Invocation) ([]byte, error) { ran[inv.Worker]++; return nil, nil })
 	for i := 0; i < 5; i++ {
 		if _, err := p.Invoke("t", "f", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := stats(p)
-	// At most one cold start per worker.
-	if st.ColdStarts > 2 {
-		t.Fatalf("cold starts = %d", st.ColdStarts)
+	// Each worker that ran f keeps it warm, so only its first run was cold.
+	total := 0
+	for _, w := range p.workers {
+		if total += ran[w.id]; w.warm["f"] != (ran[w.id] > 0) {
+			t.Fatalf("worker %d ran f %d times, warm = %v", w.id, ran[w.id], w.warm["f"])
+		}
 	}
-	if st.Invocations != 5 {
-		t.Fatalf("invocations = %d", st.Invocations)
+	if total != 5 {
+		t.Fatalf("invocations = %d", total)
 	}
 }
 
@@ -70,9 +76,6 @@ func TestAuthAndUnknown(t *testing.T) {
 	}
 	if _, err := p.Invoke("t", "missing", nil); !errors.Is(err, ErrUnknownFunction) {
 		t.Fatalf("unknown function: %v", err)
-	}
-	if stats(p).Rejected != 2 {
-		t.Fatalf("rejected = %d", stats(p).Rejected)
 	}
 }
 
@@ -106,21 +109,21 @@ func TestFunctionsShareStateThroughFlexLog(t *testing.T) {
 	}
 }
 
-func TestFunctionErrorCounted(t *testing.T) {
+// TestFunctionErrorReturned: a function's failure reaches its caller as
+// the function's own error.
+func TestFunctionErrorReturned(t *testing.T) {
 	p, _ := newPlatform(t)
+	boom := errors.New("boom")
 	p.Deploy("boom", func(inv *Invocation) ([]byte, error) {
-		return nil, errors.New("boom")
+		return nil, boom
 	})
-	if _, err := p.Invoke("t", "boom", nil); err == nil {
-		t.Fatal("expected error")
-	}
-	if stats(p).Failures != 1 {
-		t.Fatalf("failures = %d", stats(p).Failures)
+	if _, err := p.Invoke("t", "boom", nil); err != boom {
+		t.Fatalf("err = %v, want the function's", err)
 	}
 }
 
 func TestConcurrentInvocations(t *testing.T) {
-	p, _ := newPlatform(t)
+	p, cl := newPlatform(t)
 	p.Deploy("cnt", func(inv *Invocation) ([]byte, error) {
 		_, err := inv.Log.Append([][]byte{[]byte("x")}, types.MasterColor)
 		return nil, err
@@ -150,7 +153,7 @@ func TestConcurrentInvocations(t *testing.T) {
 		t.Fatal("no invocation succeeded")
 	}
 	// The appended records are all in the log.
-	c, _ := p.cluster.NewClient()
+	c, _ := cl.NewClient()
 	recs, err := c.Subscribe(types.MasterColor, types.InvalidSN)
 	if err != nil {
 		t.Fatal(err)
@@ -158,11 +161,4 @@ func TestConcurrentInvocations(t *testing.T) {
 	if len(recs) < ok {
 		t.Fatalf("log has %d records, want >= %d", len(recs), ok)
 	}
-}
-
-// stats returns a snapshot of the platform's counters.
-func stats(p *Platform) Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
 }

@@ -12,11 +12,18 @@ func defaultCfg() Config {
 // flush forces the current memtable out and waits for all queued flushes.
 func flush(db *DB) {
 	db.mu.Lock()
-	if db.mem.length > 0 {
+	if db.mem.bytes > 0 {
 		db.rotateLocked()
 	}
 	for db.flushing {
 		db.flushCond.Wait()
 	}
 	db.mu.Unlock()
+}
+
+// size counts the skip list's keys.
+func size(s *skipList) int {
+	n := 0
+	s.each(func(_, _ []byte) bool { n++; return true })
+	return n
 }

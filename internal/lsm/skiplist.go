@@ -23,7 +23,6 @@ type skipNode struct {
 type skipList struct {
 	head   *skipNode
 	height int
-	length int
 	bytes  int // approximate memory footprint of keys+values
 	rng    *rand.Rand
 }
@@ -79,7 +78,6 @@ func (s *skipList) set(key, value []byte) {
 		n.next[level] = prev[level].next[level]
 		prev[level].next[level] = n
 	}
-	s.length++
 	s.bytes += len(key) + len(value) + 48 // node overhead estimate
 }
 

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -23,8 +24,8 @@ func TestSkipListSetGet(t *testing.T) {
 	if _, ok := s.get([]byte("d")); ok {
 		t.Fatal("missing key reported present")
 	}
-	if s.length != 3 {
-		t.Fatalf("length = %d", s.length)
+	if n := size(s); n != 3 {
+		t.Fatalf("length = %d", n)
 	}
 }
 
@@ -36,8 +37,8 @@ func TestSkipListReplace(t *testing.T) {
 	if string(got) != "newer" {
 		t.Fatalf("get = %q", got)
 	}
-	if s.length != 1 {
-		t.Fatalf("length after replace = %d", s.length)
+	if n := size(s); n != 1 {
+		t.Fatalf("length after replace = %d", n)
 	}
 }
 
@@ -108,7 +109,7 @@ func TestSkipListModelProperty(t *testing.T) {
 			s.set([]byte(key), []byte(val))
 			model[key] = val
 		}
-		if s.length != len(model) {
+		if size(s) != len(model) {
 			return false
 		}
 		for k, v := range model {
@@ -206,8 +207,11 @@ func TestSSTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl2.count != 100 {
-		t.Fatalf("count = %d", tbl2.count)
+	// The footer records the entry count.
+	sz, _ := dev.Size("t1")
+	footer := make([]byte, footerSize)
+	if err := dev.ReadAt("t1", sz-footerSize, footer); err != nil || binary.LittleEndian.Uint64(footer[24:32]) != 100 {
+		t.Fatalf("footer %x (%v), want a count of 100", footer, err)
 	}
 	for i := 0; i < 100; i++ {
 		v, found, err := tbl2.get(key(i))

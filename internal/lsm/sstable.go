@@ -37,9 +37,6 @@ type sstable struct {
 	index   []indexEntry
 	bloom   *bloomFilter
 	dataLen uint64
-	count   int
-	minKey  []byte
-	maxKey  []byte
 }
 
 // writeSSTable serializes sorted (key,value) pairs into a new table file and syncs it.
@@ -98,9 +95,7 @@ func writeSSTable(dev *ssd.Device, name string, keys, values [][]byte) (*sstable
 	}
 	return &sstable{
 		name: name, dev: dev, index: idx, bloom: bloom,
-		dataLen: uint64(data.Len()), count: len(keys),
-		minKey: append([]byte(nil), keys[0]...),
-		maxKey: append([]byte(nil), keys[len(keys)-1]...),
+		dataLen: uint64(data.Len()),
 	}, nil
 }
 
@@ -130,7 +125,6 @@ func openSSTable(dev *ssd.Device, name string) (*sstable, error) {
 	dataLen := binary.LittleEndian.Uint64(footer[0:8])
 	indexLen := binary.LittleEndian.Uint64(footer[8:16])
 	bloomLen := binary.LittleEndian.Uint64(footer[16:24])
-	count := binary.LittleEndian.Uint64(footer[24:32])
 
 	if dataLen+indexLen+bloomLen+footerSize != uint64(size) {
 		return nil, fmt.Errorf("lsm: table %s sections (%d+%d+%d+%d) disagree with size %d",
@@ -175,14 +169,10 @@ func openSSTable(dev *ssd.Device, name string) (*sstable, error) {
 	for i := 0; i < nwords; i++ {
 		words[i] = binary.LittleEndian.Uint64(bloomBuf[8+i*8 : 16+i*8])
 	}
-	t := &sstable{
+	return &sstable{
 		name: name, dev: dev, index: idx,
-		bloom: bloomFromBits(words, k), dataLen: dataLen, count: int(count),
-	}
-	if len(idx) > 0 {
-		t.minKey = idx[0].key
-	}
-	return t, nil
+		bloom: bloomFromBits(words, k), dataLen: dataLen,
+	}, nil
 }
 
 // get looks a key up: bloom check, index binary search, then one block

@@ -48,15 +48,6 @@ type Acceptor struct {
 
 	mu    sync.Mutex
 	slots map[uint64]*slotState
-
-	stats AcceptorStats
-}
-
-// AcceptorStats counts acceptor-side events.
-type AcceptorStats struct {
-	Promises  uint64
-	Rejects   uint64
-	Accepteds uint64
 }
 
 // NewAcceptor creates and registers an acceptor.
@@ -88,13 +79,10 @@ func (a *Acceptor) handle(from types.NodeID, msg transport.Message) {
 		resp = proto.Promise{Ballot: st.promised, Slot: m.Slot} // a rejection
 		if m.Ballot >= st.promised {
 			st.promised = m.Ballot
-			a.stats.Promises++
 			resp = proto.Promise{
 				Ballot: m.Ballot, Slot: m.Slot, OK: true,
 				AcceptedBallot: st.acceptedBallot, AcceptedValue: st.acceptedValue,
 			}
-		} else {
-			a.stats.Rejects++
 		}
 	case proto.Accept:
 		st := a.slot(m.Slot)
@@ -103,10 +91,7 @@ func (a *Acceptor) handle(from types.NodeID, msg transport.Message) {
 			st.promised = m.Ballot
 			st.acceptedBallot = m.Ballot
 			st.acceptedValue = m.Value
-			a.stats.Accepteds++
 			resp = proto.Accepted{Ballot: m.Ballot, Slot: m.Slot, OK: true}
-		} else {
-			a.stats.Rejects++
 		}
 	}
 	a.mu.Unlock()

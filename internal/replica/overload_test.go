@@ -15,8 +15,8 @@ import (
 	"flexlog/internal/types"
 )
 
-// writeQueueCap is the write lane's per-worker default QueueCap
-// (transport.NewLanes), which the replica leaves unset.
+// writeQueueCap is the client requests each tenant queue of a keyed lane's
+// worker holds (transport's keyedQueueCap).
 const writeQueueCap = 1024
 
 // tcpOverloadRig is replica 1 of shard 1 over loopback TCP, beside a
@@ -155,7 +155,7 @@ func ackOf(token types.Token) func(transport.Message) bool {
 //   - the first OrderResp is not shed, and the worker serves it before the
 //     queued appends, so its token commits without a RetryTimeout (with
 //     tenants it used to be shed under the default tenant);
-//   - the one append beyond QueueCap is answered with Reject(overloaded)
+//   - the one append beyond the queue bound is answered with Reject(overloaded)
 //     and is the lane's only shed.
 func TestOrderRespNeverWaitsBehindClientsOverTCP(t *testing.T) {
 	for _, tc := range []struct {
@@ -216,7 +216,7 @@ func testOrderRespNeverWaits(t *testing.T, tenants []qos.TenantConfig) {
 	rig.expectClient(t, "the OrderResp behind the full queue blocked the next one on its connection", ackOf(otherTok))
 
 	rig.append(t, 0, overTok)
-	rig.expectClient(t, "no Reject(overloaded) for the append beyond QueueCap", func(m transport.Message) bool {
+	rig.expectClient(t, "no Reject(overloaded) for the append beyond the queue bound", func(m transport.Message) bool {
 		rej, ok := m.(proto.Reject)
 		return ok && rej.Token == overTok && rej.Code == proto.RejectOverloaded
 	})
@@ -232,7 +232,7 @@ func testOrderRespNeverWaits(t *testing.T, tenants []qos.TenantConfig) {
 	}
 	rig.expectClient(t, "the parked append's token never committed (its OrderResp was lost)", ackOf(parkTok))
 	if _, write := rig.r.LaneStats(); write.Shed != 1 {
-		t.Fatalf("write lane shed %d messages, want only the append beyond QueueCap", write.Shed)
+		t.Fatalf("write lane shed %d messages, want only the append beyond the queue bound", write.Shed)
 	}
 	for _, ts := range rig.r.TenantStats() {
 		if ts.Tenant == types.DefaultTenant && ts.Shed != 1 {

@@ -43,15 +43,6 @@ type member struct {
 	color    types.ColorID
 }
 
-// Stats counts orderer activity.
-type Stats struct {
-	Requests  uint64
-	Batches   uint64
-	Assigned  uint64
-	DupTokens uint64
-	Failures  uint64 // batches that failed consensus (livelock bound)
-}
-
 // Orderer is one Scalog ordering node: aggregator + Paxos proposer.
 type Orderer struct {
 	cfg     Config
@@ -61,7 +52,6 @@ type Orderer struct {
 	mu      sync.Mutex
 	pending []member
 	tokens  map[types.Token]types.SN
-	stats   Stats
 
 	stopCh  chan struct{}
 	stopped sync.WaitGroup
@@ -116,9 +106,7 @@ func (o *Orderer) handle(from types.NodeID, msg transport.Message) {
 		return
 	}
 	o.mu.Lock()
-	o.stats.Requests++
 	if sn, dup := o.tokens[req.Token]; dup {
-		o.stats.DupTokens++
 		o.mu.Unlock()
 		if sn.Valid() {
 			o.ep.Broadcast(req.Replicas, proto.OrderResp{Token: req.Token, LastSN: sn, NRecords: req.NRecords, Color: req.Color})
@@ -146,13 +134,10 @@ func (o *Orderer) decideOne(req proto.OrderReq) {
 	end, err := o.counter.Next(req.NRecords)
 	o.mu.Lock()
 	if err != nil {
-		o.stats.Failures++
 		delete(o.tokens, req.Token)
 		o.mu.Unlock()
 		return
 	}
-	o.stats.Batches++
-	o.stats.Assigned += uint64(req.NRecords)
 	sn := types.SN(end)
 	o.tokens[req.Token] = sn
 	o.mu.Unlock()
@@ -198,7 +183,6 @@ func (o *Orderer) flush() {
 	end, err := o.counter.Next(total)
 	if err != nil {
 		o.mu.Lock()
-		o.stats.Failures++
 		// Forget the tokens so retries can re-enter.
 		for _, m := range batch {
 			delete(o.tokens, m.token)
@@ -207,8 +191,6 @@ func (o *Orderer) flush() {
 		return
 	}
 	o.mu.Lock()
-	o.stats.Batches++
-	o.stats.Assigned += uint64(total)
 	running := end - uint64(total)
 	type out struct {
 		resp     proto.OrderResp

@@ -71,7 +71,7 @@ func newOrderer(t *testing.T, batch time.Duration) (*transport.Network, *Orderer
 }
 
 func TestOrdererAssignsDistinctSNs(t *testing.T) {
-	net, o, rx := newOrderer(t, 0)
+	net, _, rx := newOrderer(t, 0)
 	sender, err := net.Register(60, func(types.NodeID, transport.Message) {})
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,11 @@ func TestOrdererAssignsDistinctSNs(t *testing.T) {
 		}
 		seen[r.LastSN] = true
 	}
-	if got := stats(o).Assigned; got != n {
-		t.Fatalf("assigned = %d", got)
+	// One SN per record and none skipped: the SNs are exactly 1..n.
+	for sn := types.SN(1); sn <= n; sn++ {
+		if !seen[sn] {
+			t.Fatalf("SN %v not assigned; got %v", sn, seen)
+		}
 	}
 }
 
@@ -107,18 +110,15 @@ func TestOrdererBatchesRequests(t *testing.T) {
 		})
 	}
 	rx.wait(t, n)
-	st := stats(o)
-	if st.Batches >= n {
-		t.Fatalf("no batching: %d batches for %d requests", st.Batches, n)
-	}
-	// Each batch costs exactly one Paxos decision.
-	if d := o.counter.Stats().Decided; d != st.Batches {
-		t.Fatalf("decisions %d != batches %d", d, st.Batches)
+	// Each batch costs exactly one Paxos decision, so batching shows as
+	// fewer decisions than requests.
+	if d := o.counter.Stats().Decided; d == 0 || d >= n {
+		t.Fatalf("no batching: %d decisions for %d requests", d, n)
 	}
 }
 
 func TestOrdererTokenDedup(t *testing.T) {
-	net, o, rx := newOrderer(t, 0)
+	net, _, rx := newOrderer(t, 0)
 	sender, _ := net.Register(60, func(types.NodeID, transport.Message) {})
 	req := proto.OrderReq{Color: 0, Token: types.MakeToken(9, 1), NRecords: 1, Replicas: []types.NodeID{50}}
 	sender.Send(100, req)
@@ -128,8 +128,10 @@ func TestOrdererTokenDedup(t *testing.T) {
 	if first[0].LastSN != second[1].LastSN {
 		t.Fatalf("dedup broken: %v vs %v", first[0].LastSN, second[1].LastSN)
 	}
-	if stats(o).Assigned != 1 {
-		t.Fatalf("assigned = %d", stats(o).Assigned)
+	// The retry assigned nothing: the next token gets the next SN.
+	sender.Send(100, proto.OrderReq{Color: 0, Token: types.MakeToken(9, 2), NRecords: 1, Replicas: []types.NodeID{50}})
+	if next := rx.wait(t, 1)[2].LastSN; next != first[0].LastSN+1 {
+		t.Fatalf("next token got SN %v after %v", next, first[0].LastSN)
 	}
 }
 
@@ -195,11 +197,4 @@ func TestDuelingOrderers(t *testing.T) {
 	if pre == 0 {
 		t.Log("no preemptions observed this run (timing-dependent); acceptable")
 	}
-}
-
-// stats returns a snapshot of the orderer's counters.
-func stats(o *Orderer) Stats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats
 }

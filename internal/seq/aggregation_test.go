@@ -147,13 +147,13 @@ func TestChildBatchDedupIsBounded(t *testing.T) {
 	net := transport.NewNetwork(transport.ZeroLink())
 	topo := topology.New()
 	topo.AddRegion(0, 0, 100, nil)
-	cfg := testConfig(100, 0, topo)
-	cfg.TokenCacheSize = 1024
-	root, err := New(cfg, net)
+	root, err := New(testConfig(100, 0, topo), net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Stop()
+	const budget = 1024
+	root.tokenCap = budget / dedupStripes
 
 	const batches = 20 * 1024
 	var last proto.AggOrderResp
@@ -174,7 +174,7 @@ func TestChildBatchDedupIsBounded(t *testing.T) {
 	for i := range root.aggSeen {
 		held += len(root.aggSeen[i].m)
 	}
-	if held > cfg.TokenCacheSize {
-		t.Fatalf("child-batch dedup holds %d entries after %d batches, budget %d", held, batches, cfg.TokenCacheSize)
+	if held > budget {
+		t.Fatalf("child-batch dedup holds %d entries after %d batches, budget %d", held, batches, budget)
 	}
 }

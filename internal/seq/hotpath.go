@@ -82,11 +82,16 @@ func (s *Sequencer) setEpochLocked(e types.Epoch) {
 
 // dedupStripes is the number of independent shards of each dedup map. 64
 // keeps cross-core contention negligible at a few cache lines of overhead.
-const dedupStripes = 64
+// tokenCacheSize bounds each striped map's entries (Alg. 1 line 31's
+// bounded token cache).
+const (
+	dedupStripes   = 64
+	tokenCacheSize = 1 << 20
+)
 
 // dedupStripe is one shard of a bounded dedup map with its own FIFO
 // eviction ring. The sequencer keeps two striped maps of it, each
-// budgeted TokenCacheSize entries (cap = TokenCacheSize/dedupStripes per
+// budgeted tokenCacheSize entries (cap = tokenCacheSize/dedupStripes per
 // stripe): token → assignment at the entry, and (child, batch id) →
 // assigned SN at a region owner. A caller holds mu across its whole
 // check-assign-remember sequence, so a duplicate racing the original can

@@ -81,8 +81,6 @@ type Config struct {
 	// RetryTimeout is how long an aggregated upward request may stay
 	// unanswered before it is re-sent (parent failover re-drive).
 	RetryTimeout time.Duration
-	// TokenCacheSize bounds the token-deduplication map (Alg. 1 line 31).
-	TokenCacheSize int
 	// StartAsLeader makes this node the initial leader of its group.
 	StartAsLeader bool
 	// InitialEpoch overrides the starting epoch (default 1). Deployments
@@ -107,7 +105,6 @@ func DefaultConfig() Config {
 		HeartbeatInterval: 5 * time.Millisecond,
 		FailureTimeout:    25 * time.Millisecond,
 		RetryTimeout:      50 * time.Millisecond,
-		TokenCacheSize:    1 << 20,
 	}
 }
 
@@ -283,18 +280,12 @@ func build(cfg Config, attach func(*transport.Lanes) (transport.Endpoint, error)
 }
 
 func newSequencer(cfg Config) *Sequencer {
-	if cfg.TokenCacheSize <= 0 {
-		cfg.TokenCacheSize = 1 << 20
-	}
 	s := &Sequencer{
-		cfg:    cfg,
-		topo:   cfg.Topo,
-		hbAcks: make(map[types.NodeID]time.Time),
-		stopCh: make(chan struct{}),
-	}
-	s.tokenCap = cfg.TokenCacheSize / dedupStripes
-	if s.tokenCap < 1 {
-		s.tokenCap = 1
+		cfg:      cfg,
+		topo:     cfg.Topo,
+		hbAcks:   make(map[types.NodeID]time.Time),
+		stopCh:   make(chan struct{}),
+		tokenCap: tokenCacheSize / dedupStripes,
 	}
 	for i := range s.tokens {
 		s.tokens[i].m = make(map[types.Token]tokenEntry)

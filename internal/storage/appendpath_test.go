@@ -189,10 +189,8 @@ func TestRollWaitRechecksToken(t *testing.T) {
 	for range 2 {
 		go func() { puts <- st.PutBatch(colorA, tok(i), [][]byte{big}) }()
 	}
-	for waiting := uint64(0); waiting < 2; time.Sleep(time.Millisecond) {
-		st.alloc.RLock()
-		waiting = st.rollWaits
-		st.alloc.RUnlock()
+	for st.Stats().RollWaits < 2 {
+		time.Sleep(time.Millisecond)
 	}
 	close(release)
 	if err := <-evicted; err != nil {

@@ -169,10 +169,6 @@ func (st *Store) writeCheckpoint(force bool) error {
 	st.checkpoints++
 	st.ckptEntries = entries
 	st.ckptCovered = covered
-	st.ckptTrimmed = make(map[types.ColorID]types.SN, len(colors))
-	for c, cc := range colors {
-		st.ckptTrimmed[c] = cc.trimmed
-	}
 	// Entries flushed after the snapshot stay uncovered.
 	if st.uncovered >= coveredAtSnap {
 		st.uncovered -= coveredAtSnap

@@ -76,14 +76,13 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 	}
 
 	st := &Store{
-		cfg:         cfg,
-		pm:          pool,
-		cold:        cold,
-		cache:       newEntryCache(cfg.CacheBytes),
-		segs:        make(map[uint64]*segment),
-		byToken:     make(map[types.Token]*entryLoc),
-		nextSeg:     1,
-		ckptTrimmed: make(map[types.ColorID]types.SN),
+		cfg:     cfg,
+		pm:      pool,
+		cold:    cold,
+		cache:   newEntryCache(cfg.CacheBytes),
+		segs:    make(map[uint64]*segment),
+		byToken: make(map[types.Token]*entryLoc),
+		nextSeg: 1,
 	}
 	st.evicted = sync.NewCond(&st.alloc)
 

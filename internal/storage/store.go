@@ -308,9 +308,9 @@ type Store struct {
 	// rollWaits counts segment rolls that waited for an eviction.
 	rollWaits uint64
 
-	// Lifecycle state (see lifecycle.go and checkpoint.go). The counters
-	// are guarded by alloc; ckptTrimmed holds the per-color trim floors of
-	// the last durable checkpoint — the watermarks cold GC may rely on.
+	// Lifecycle state (see lifecycle.go and checkpoint.go), guarded by
+	// alloc. ckptCovered is what cold GC relies on: a flushed segment's
+	// blob is deleted only once a durable checkpoint covers it.
 	lc           *lifecycle
 	evictions    uint64
 	evictedBytes uint64
@@ -318,9 +318,8 @@ type Store struct {
 	gcBytes      uint64
 	checkpoints  uint64
 	ckptSeq      uint64
-	ckptEntries  int    // entries covered by the last durable checkpoint
-	uncovered    uint64 // entries flushed since the last durable checkpoint
-	ckptTrimmed  map[types.ColorID]types.SN
+	ckptEntries  int             // entries covered by the last durable checkpoint
+	uncovered    uint64          // entries flushed since the last durable checkpoint
 	ckptCovered  map[uint64]bool // segment ids the last durable checkpoint covers
 	lastRecovery RecoveryStats
 
@@ -1035,7 +1034,6 @@ func (st *Store) Recover() error {
 	// and their order does not matter. The cache is empty: nothing to drop. The restored checkpoint
 	// becomes the durable one.
 	st.ckptCovered = covered
-	st.ckptTrimmed = make(map[types.ColorID]types.SN)
 	st.ckptSeq, st.ckptEntries = 0, 0
 	if ck != nil {
 		st.ckptSeq, st.ckptEntries = ck.seq, stats.RestoredEntries
@@ -1044,7 +1042,6 @@ func (st *Store) Recover() error {
 			ci.ckptFloor = cc.trimmed
 			ci.trimLocked(cc.trimmed, nil)
 			ci.maxSN = max(ci.maxSN, cc.maxSN)
-			st.ckptTrimmed[c] = cc.trimmed
 		}
 	}
 	for _, seg := range st.segs {
@@ -1126,6 +1123,7 @@ type Stats struct {
 	CheckpointEntries int    `obs:"flexlog_checkpoint_entries" help:"Entries covered by the last durable checkpoint."`
 	UncoveredEntries  uint64 `obs:"flexlog_checkpoint_uncovered_entries" help:"Entries flushed to the cold tier since the last durable checkpoint (replay debt)."`
 	ColdMissReads     uint64 `obs:"flexlog_tier_miss_reads_total" help:"PM-miss reads served from the cold tier."`
+	RollWaits         uint64 `obs:"flexlog_tier_roll_waits_total" help:"Segment rolls that waited for an in-flight eviction to free a PM slot."`
 	ResidentSegments  int    `obs:"flexlog_tier_resident_segments" help:"Segments currently occupying PM slots."`
 	ResidentBytes     uint64 `obs:"-"` // PM bytes those segments occupy
 	ColdSegments      int    `obs:"-"` // flushed segments (cold-tier only)
@@ -1168,6 +1166,7 @@ func (st *Store) Stats() Stats {
 		CheckpointEntries: st.ckptEntries,
 		UncoveredEntries:  st.uncovered,
 		ColdMissReads:     st.coldMisses.Load(),
+		RollWaits:         st.rollWaits,
 		PMBudget:          st.cfg.PMBudget,
 		PM:                st.pm.Stats(),
 		SSD:               st.cold.Stats(),

@@ -12,12 +12,13 @@ import (
 // LaneQoS tells a lane's client requests from its protocol messages and
 // shares the lane's workers among tenants. Every lane queue is one
 // weighted-fair queue (wfq) with one overload rule. Client requests wait in
-// per-tenant FIFO queues of at most QueueCap, drained by
-// deficit-round-robin in proportion to Weights; a full tenant queue sheds
-// the request (invoking Shed, so the owner can answer with a typed
-// rejection) instead of blocking the goroutine that delivered it. Protocol
+// per-tenant FIFO queues of at most sharedQueueCap (keyedQueueCap on a
+// keyed lane), drained by deficit-round-robin in proportion to Weights; a
+// full tenant queue sheds the request (invoking Shed, so the owner can
+// answer with a typed rejection) instead of blocking the goroutine that
+// delivered it. Protocol
 // messages wait in one FIFO that workers serve before any client request:
-// they are never counted against QueueCap, never shed and never block.
+// they are never counted against that bound, never shed and never block.
 // Overload is thus an explicit, attributed signal on client traffic only.
 type LaneQoS struct {
 	// TenantOf reports a client request's tenant (ok=true); ok=false marks
@@ -201,11 +202,6 @@ type LaneConfig struct {
 	// shard key (the color for FlexLog mutations; ignored by the shared
 	// read lane).
 	Key func(Message) (uint64, bool)
-	// QueueCap bounds the client requests each tenant queue of the lane
-	// holds; a request beyond it is shed (LaneQoS.Shed). Protocol messages
-	// are not bounded. 0 uses a default of 4096 for the shared queue and
-	// 1024 per pinned worker.
-	QueueCap int
 	// Observe, when set, is called after each lane message with the time
 	// it waited in the queue and the time its handler ran — the lane_wait
 	// stage of the observability layer. Must be cheap and thread-safe.
@@ -222,8 +218,9 @@ type LaneStats struct {
 	Dequeued uint64 // messages whose handler finished
 	// Depth is the messages in the lane right now: queued, in service, or
 	// inside a dispatch call. Only its client requests are bounded — at
-	// most QueueCap per tenant queue; protocol messages, Workers in service
-	// and the concurrent callers come on top. It is its own counter, not
+	// most sharedQueueCap or keyedQueueCap per tenant queue; protocol
+	// messages, Workers in service and the concurrent callers come on
+	// top. It is its own counter, not
 	// Enqueued - Dequeued: those are two loads, and the traffic that flows
 	// between them would read as depth.
 	Depth    uint64
@@ -259,13 +256,18 @@ type lane struct {
 	perWorker []atomic.Uint64
 }
 
-// newLane starts the worker pool, or returns nil for a disabled config.
-func newLane(cfg LaneConfig, h Handler, queues, defaultCap int) *lane {
+// The client requests each tenant queue of a lane holds; a request beyond
+// it is shed (LaneQoS.Shed). Protocol messages are not bounded.
+const (
+	sharedQueueCap = 4096 // the shared (read) lane's one queue
+	keyedQueueCap  = 1024 // each pinned worker's queue of a keyed lane
+)
+
+// newLane starts the worker pool, its tenant queues bounded at queueCap,
+// or returns nil for a disabled config.
+func newLane(cfg LaneConfig, h Handler, queues, queueCap int) *lane {
 	if cfg.Workers <= 0 || cfg.Key == nil {
 		return nil
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = defaultCap
 	}
 	if cfg.QoS.TenantOf == nil {
 		cfg.QoS.TenantOf = protocolOnly
@@ -277,7 +279,7 @@ func newLane(cfg LaneConfig, h Handler, queues, defaultCap int) *lane {
 		perWorker: make([]atomic.Uint64, cfg.Workers),
 	}
 	for i := range l.queues {
-		l.queues[i] = newWFQ(cfg.QueueCap, cfg.QoS.Weights)
+		l.queues[i] = newWFQ(queueCap, cfg.QoS.Weights)
 	}
 	l.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -420,8 +422,8 @@ type Lanes struct {
 func NewLanes(h Handler, read, write LaneConfig) *Lanes {
 	return &Lanes{
 		handler: h,
-		read:    newLane(read, h, 1, 4096),
-		write:   newLane(write, h, write.Workers, 1024),
+		read:    newLane(read, h, 1, sharedQueueCap),
+		write:   newLane(write, h, write.Workers, keyedQueueCap),
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"cmp"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -80,8 +81,9 @@ var laneMatrix = []laneCase{
 	{"keyed/wfq", true, true},
 }
 
-// lanes builds a dispatcher whose only lane is the one under test.
-func (c laneCase) lanes(h Handler, cfg LaneConfig) *Lanes {
+// lanes builds a dispatcher whose only lane is the one under test, its
+// tenant queues bounded at queueCap (0: the bound NewLanes gives the shape).
+func (c laneCase) lanes(h Handler, cfg LaneConfig, queueCap int) *Lanes {
 	cfg.Key = keyOf
 	if !c.clients {
 		cfg.QoS.TenantOf = nil
@@ -89,9 +91,9 @@ func (c laneCase) lanes(h Handler, cfg LaneConfig) *Lanes {
 		cfg.QoS.TenantOf = tenantOf
 	}
 	if c.keyed {
-		return NewLanes(h, LaneConfig{}, cfg)
+		return &Lanes{handler: h, write: newLane(cfg, h, cfg.Workers, cmp.Or(queueCap, keyedQueueCap))}
 	}
-	return NewLanes(h, cfg, LaneConfig{})
+	return &Lanes{handler: h, read: newLane(cfg, h, 1, cmp.Or(queueCap, sharedQueueCap))}
 }
 
 func (c laneCase) stats(l *Lanes) LaneStats {
@@ -150,7 +152,7 @@ func TestLaneConcurrency(t *testing.T) {
 		l := c.lanes(func(types.NodeID, Message) {
 			inFlight.Add(1)
 			<-release
-		}, LaneConfig{Workers: workers})
+		}, LaneConfig{Workers: workers}, 0)
 		src := attach(t, l)
 		for i := 0; i < workers; i++ {
 			if err := src.Send(1, laneMsg{Key: uint64(i)}.wire()); err != nil {
@@ -184,7 +186,7 @@ func TestLaneMutationFIFO(t *testing.T) {
 			} else {
 				obsCh <- obs{n: int(msg.(proto.MultiAppendAck).ID), mutsDone: mutSeen.Add(1)}
 			}
-		}, LaneConfig{Workers: 3})
+		}, LaneConfig{Workers: 3}, 0)
 		src := attach(t, l)
 		for i := 0; i < rounds; i++ {
 			if err := src.Send(1, mutMsg{N: i}.wire()); err != nil {
@@ -236,7 +238,7 @@ func TestWriteLanePerKeyFIFO(t *testing.T) {
 			}
 			lastSeq[lm.Key] = lm.N
 			mu.Unlock()
-		}, LaneConfig{Workers: 3})
+		}, LaneConfig{Workers: 3}, 0)
 		src := attach(t, l)
 		for seq := 1; seq <= perKey; seq++ {
 			for k := uint64(0); k < keys; k++ {
@@ -357,7 +359,7 @@ func TestLaneDepthBounded(t *testing.T) {
 		// A shed costs its producer a yield, so the workers get to run and
 		// most messages are accepted.
 		yield := LaneQoS{TenantOf: tenantOf, Shed: func(types.NodeID, Message, types.TenantID) { runtime.Gosched() }}
-		l := c.lanes(func(types.NodeID, Message) {}, LaneConfig{Workers: workers, QueueCap: queueCap, QoS: yield})
+		l := c.lanes(func(types.NodeID, Message) {}, LaneConfig{Workers: workers, QoS: yield}, queueCap)
 		defer l.Close()
 		queues := 1
 		if c.keyed {
@@ -461,7 +463,7 @@ func TestLaneCloseReleasesWorkers(t *testing.T) {
 		l := c.lanes(func(types.NodeID, Message) {
 			<-gate
 			handled.Add(1)
-		}, LaneConfig{Workers: workers})
+		}, LaneConfig{Workers: workers}, 0)
 		for i := 0; i < workers+queued; i++ {
 			if !l.dispatch(9, laneMsg{Key: uint64(i), N: i}, time.Time{}) {
 				t.Fatalf("dispatch %d not taken", i)

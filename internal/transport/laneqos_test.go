@@ -74,7 +74,7 @@ func (h *qosLaneHarness) shedList() []laneMsg {
 // order.
 func testLaneSheds(t *testing.T, c laneCase) {
 	h := newQoSLaneHarness()
-	l := c.lanes(h.handler, LaneConfig{Workers: 1, QueueCap: 4, QoS: h.qos(nil)})
+	l := c.lanes(h.handler, LaneConfig{Workers: 1, QoS: h.qos(nil)}, 4)
 	dispatch := func(m laneMsg) {
 		t.Helper()
 		if !l.dispatch(9, m, time.Time{}) {
@@ -129,14 +129,14 @@ func testLaneSheds(t *testing.T, c laneCase) {
 
 // TestLaneBackpressureProtocolFirst pins the one overload rule. With the
 // worker parked and its tenant queue full of client requests, protocol
-// messages beyond QueueCap are taken at once: not shed, not waiting for a
+// messages beyond the queue bound are taken at once: not shed, not waiting for a
 // worker. The next client request is shed. Once the worker moves it
 // serves the protocol messages first, in their order, then the requests
 // in theirs.
 func TestLaneBackpressureProtocolFirst(t *testing.T) {
 	forEachLane(t, clientsOnly, func(t *testing.T, c laneCase) {
 		h := newQoSLaneHarness()
-		l := c.lanes(h.handler, LaneConfig{Workers: 1, QueueCap: 2, QoS: h.qos(nil)})
+		l := c.lanes(h.handler, LaneConfig{Workers: 1, QoS: h.qos(nil)}, 2)
 		defer l.Close()
 		dispatch := func(msgs ...laneMsg) {
 			t.Helper()
@@ -206,10 +206,9 @@ func TestLaneTenantFIFOWeightedDispatch(t *testing.T) {
 	forEachLane(t, clientsOnly, func(t *testing.T, c laneCase) {
 		h := newQoSLaneHarness()
 		l := c.lanes(h.handler, LaneConfig{
-			Workers:  1,
-			QueueCap: 64,
-			QoS:      h.qos(map[types.TenantID]uint32{1: 3, 2: 1}),
-		})
+			Workers: 1,
+			QoS:     h.qos(map[types.TenantID]uint32{1: 3, 2: 1}),
+		}, 64)
 		defer l.Close()
 
 		// Park the worker on a throwaway message so the queues below build
@@ -261,13 +260,12 @@ func TestLaneTenantFIFOConcurrent(t *testing.T) {
 			seen[lm.T] = append(seen[lm.T], lm.N)
 			mu.Unlock()
 		}, LaneConfig{
-			Workers:  1,
-			QueueCap: perTenant + 1,
+			Workers: 1,
 			QoS: LaneQoS{
 				TenantOf: tenantOf,
 				Weights:  map[types.TenantID]uint32{1: 4, 2: 2, 3: 1},
 			},
-		})
+		}, perTenant+1)
 
 		var wg sync.WaitGroup
 		for _, tenant := range tenants {
